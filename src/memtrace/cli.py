@@ -3,7 +3,7 @@
 Exit codes are stable across subcommands: 0 success (or match), 1
 no-match, 2 usage or parse error.  The MEMTRACE_TAU environment variable
 overrides the built-in alignment-threshold default; an explicit --tau
-still wins.
+still wins.  Both must be non-negative integers.
 """
 
 from __future__ import annotations
@@ -22,14 +22,15 @@ EXIT_NO_MATCH = 1
 EXIT_ERROR = 2
 
 
-def _default_tau() -> int:
-    raw = os.environ.get("MEMTRACE_TAU")
-    if raw is None:
-        return signature.DEFAULT_TAU
+def _non_negative_int(text: str) -> int:
+    """argparse type for --tau and --size (and MEMTRACE_TAU)."""
     try:
-        return int(raw)
+        value = int(text)
     except ValueError:
-        return signature.DEFAULT_TAU
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
 
 
 def _load_trace(path: str) -> trace.TraceLog:
@@ -104,12 +105,11 @@ def cmd_match(args) -> int:
     first, _ = _load_signature(args.first)
     second, _ = _load_signature(args.second)
     result = signature.lcmap(first, second, args.tau)
-    ratio = signature.similarity(first, second, args.tau)
-    verdict = "match" if ratio >= args.threshold else "no-match"
+    verdict = "match" if result.ratio >= args.threshold else "no-match"
     print(json.dumps({
         "L": result.length,
         "I": result.end_index,
-        "ratio": round(ratio, 6),
+        "ratio": round(result.ratio, 6),
         "verdict": verdict,
     }))
     return EXIT_OK if verdict == "match" else EXIT_NO_MATCH
@@ -170,7 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulated memory-trace capture and analysis pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    tau = _default_tau()
+    # A string default goes through the argument's type, so an invalid
+    # MEMTRACE_TAU is a usage error, reported only by subcommands taking --tau.
+    tau = os.environ.get("MEMTRACE_TAU", str(signature.DEFAULT_TAU))
 
     p = sub.add_parser("simulate", help="run a program model, emit a trace")
     p.add_argument("model")
@@ -180,20 +182,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="reconstruct a structure layout")
     p.add_argument("trace")
     p.add_argument("--base", required=True, help="structure base, 0x-hex")
-    p.add_argument("--size", type=int, default=None, help="window size hint")
+    p.add_argument("--size", type=_non_negative_int, default=None,
+                   help="window size hint")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("sign", help="extract a signature from a trace")
     p.add_argument("trace")
-    p.add_argument("--tau", type=int, default=tau)
+    p.add_argument("--tau", type=_non_negative_int, default=tau)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sign)
 
     p = sub.add_parser("match", help="match two signatures")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--tau", type=int, default=tau)
+    p.add_argument("--tau", type=_non_negative_int, default=tau)
     p.add_argument("--threshold", type=float,
                    default=signature.DEFAULT_MATCH_THRESHOLD)
     p.set_defaults(func=cmd_match)
@@ -201,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diff", help="diff two similar signatures")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--tau", type=int, default=tau)
+    p.add_argument("--tau", type=_non_negative_int, default=tau)
     p.add_argument("--threshold", type=float,
                    default=signature.DEFAULT_MATCH_THRESHOLD)
     p.set_defaults(func=cmd_diff)

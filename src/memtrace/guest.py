@@ -15,14 +15,15 @@ from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from .trace import (
+    PAGE_SIZE,
     AccessEvent,
     InstrDescriptor,
     TraceLog,
     _hex,
+    _int_or_hex,
     _parse_addr,
 )
 
-PAGE_SIZE = 4096
 PROFILE_IDS = ("normal", "user-exec-denied", "kernel-exec-denied", "execute-only")
 
 DEFAULT_ALLOC_BASE = 0x9000
@@ -341,29 +342,21 @@ def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
             kwargs = {"op": record["op"]}
             for key in _OP_INT_KEYS:
                 if record.get(key) is not None:
-                    raw = record[key]
-                    kwargs[key] = _parse_addr(raw) if isinstance(raw, str) else int(raw)
+                    kwargs[key] = _int_or_hex(record[key])
             for key in ("callee", "cpl", "cat", "sign"):
                 if record.get(key) is not None:
                     kwargs[key] = record[key]
             if record.get("args") is not None:
-                kwargs["args"] = [
-                    _parse_addr(a) if isinstance(a, str) else int(a)
-                    for a in record["args"]
-                ]
+                kwargs["args"] = [_int_or_hex(a) for a in record["args"]]
             ops.append(ModelOp(**kwargs))
         except (TypeError, ValueError) as exc:
             raise ModelParseError(lineno, str(exc)) from exc
     if header is None:
         raise ModelParseError(1, "empty model file (missing header)")
     try:
-        sp_init = header["sp_init"]
-        sp_init = _parse_addr(sp_init) if isinstance(sp_init, str) else int(sp_init)
+        sp_init = _int_or_hex(header["sp_init"])
         mapped = [
-            (
-                _parse_addr(lo) if isinstance(lo, str) else int(lo),
-                _parse_addr(hi) if isinstance(hi, str) else int(hi),
-            )
+            (_int_or_hex(lo), _int_or_hex(hi))
             for lo, hi in header.get("mapped", [])
         ]
         module_range = None

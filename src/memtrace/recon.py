@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .trace import AccessEvent, TraceLog, split_by_thread
+from .trace import PAGE_SIZE, AccessEvent, TraceLog, split_by_thread
 
-PAGE_SIZE = 4096
 SHADOW_SPACE = 0x20
 STACK_SLOT_BASE = 0x20  # 5th parameter lives at [RSP+0x20], then +8 per slot
 DEFAULT_WINDOW = 0x1000  # monitoring window when the structure size is unknown
@@ -249,18 +248,15 @@ def find_stack_buffers(log: TraceLog) -> list[AllocationRecord]:
 
 
 def collect_bases(log: TraceLog,
-                  allocator_names: Iterable[str] = ALLOCATOR_NAMES,
-                  mapped_ranges: Optional[Sequence[tuple[int, int]]] = None
+                  allocator_names: Iterable[str] = ALLOCATOR_NAMES
                   ) -> list[AllocationRecord]:
     """Merged, deduplicated union of the three base-address sources.
 
     On a duplicate base the heap-hook record wins: it carries the exact
-    size.  Without an explicit mapped-range list, the page-rounded span
-    of observed addresses stands in for the guest's mapped memory.
+    size.  Call parameters are judged against the page-rounded span of
+    observed addresses, which stands in for the guest's mapped memory.
     """
     heap = find_allocations(log, allocator_names)
-    if mapped_ranges is None:
-        mapped_ranges = _observed_span(log)
     merged: dict[int, AllocationRecord] = {}
     for record in heap:
         merged[record.base] = record

@@ -2,9 +2,10 @@
 
 The core matcher finds the longest contiguous run of two offset
 sequences whose elements pairwise differ by at most an alignment
-threshold tau, by dynamic programming.  On top of it sit a normalized
-similarity score and a greedy recursive diff that localizes source-level
-modifications between near-identical patterns.
+threshold tau, by dynamic programming.  Every other question about two
+patterns is answered from that one kernel: the normalized similarity
+score, and a greedy diff that splits ranges off a worklist to localize
+source-level modifications between near-identical patterns.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .trace import AccessEvent, AddressPattern, TraceLog, _hex, _parse_addr
+from .trace import AccessEvent, AddressPattern, TraceLog, _hex, _int_or_hex
 from .recon import AllocationRecord
 
 DEFAULT_TAU = 100
@@ -40,6 +41,8 @@ class LcmapResult:
     length: int
     end_index: int  # 0-based index in P of the last matched element; -1 if none
     tau: int
+    end_index_prime: int  # the same index in P'; -1 if none
+    ratio: float  # length over the shorter pattern length; 0.0 for empty input
 
 
 @dataclass
@@ -67,47 +70,32 @@ def lcmap(p, p_prime, tau: int = DEFAULT_TAU) -> LcmapResult:
     D[i][j] extends D[i-1][j-1] by one when near(P[i-1], P'[j-1], tau)
     and resets to zero otherwise; the result is the run of P ending at
     the smallest index attaining the maximum.  Ties on the P' side break
-    toward the earliest match for reproducible output.
+    toward the earliest match for reproducible output.  This is the only
+    LCMAP dynamic program; similarity and diff_modified read its result.
     """
     first = _offsets(p)
     second = _offsets(p_prime)
     m, n = len(first), len(second)
     best_len = 0
-    best_end = -1
+    best_i = best_j = -1
     previous = [0] * (n + 1)
-    for i in range(1, m + 1):
+    for i, a in enumerate(first):
         current = [0] * (n + 1)
-        for j in range(1, n + 1):
-            if near(first[i - 1], second[j - 1], tau):
-                current[j] = previous[j - 1] + 1
-                if current[j] > best_len:
-                    best_len = current[j]
-                    best_end = i - 1
+        for j, b in enumerate(second):
+            if abs(a - b) <= tau:  # near(a, b, tau), inlined
+                run = previous[j] + 1
+                current[j + 1] = run
+                if run > best_len:
+                    best_len, best_i, best_j = run, i, j
         previous = current
-    if best_len == 0:
-        return LcmapResult(pattern=(), length=0, end_index=-1, tau=tau)
     return LcmapResult(
-        pattern=first[best_end - best_len + 1 : best_end + 1],
+        pattern=first[best_i - best_len + 1 : best_i + 1],
         length=best_len,
-        end_index=best_end,
+        end_index=best_i,
         tau=tau,
+        end_index_prime=best_j,
+        ratio=best_len / min(m, n) if m and n else 0.0,
     )
-
-
-def _lcmap_both(first, second, tau):
-    """Like lcmap but also reports the end index in the second pattern."""
-    m, n = len(first), len(second)
-    best = (0, -1, -1)  # length, end in first, end in second
-    previous = [0] * (n + 1)
-    for i in range(1, m + 1):
-        current = [0] * (n + 1)
-        for j in range(1, n + 1):
-            if near(first[i - 1], second[j - 1], tau):
-                current[j] = previous[j - 1] + 1
-                if current[j] > best[0]:
-                    best = (current[j], i - 1, j - 1)
-        previous = current
-    return best
 
 
 def similarity(p, p_prime, tau: int = DEFAULT_TAU) -> float:
@@ -116,11 +104,7 @@ def similarity(p, p_prime, tau: int = DEFAULT_TAU) -> float:
     Normalizing by min(m, n) lets a short buffer signature fully embedded
     in a long execution trace score 1.0.
     """
-    first = _offsets(p)
-    second = _offsets(p_prime)
-    if not first or not second:
-        return 0.0
-    return lcmap(first, second, tau).length / min(len(first), len(second))
+    return lcmap(p, p_prime, tau).ratio
 
 
 def extract_pattern(log: TraceLog,
@@ -170,33 +154,38 @@ def diff_modified(p, p_prime, tau: int = DEFAULT_TAU,
                   min_run: int = DEFAULT_MIN_RUN) -> DiffReport:
     """Localize modifications between two similar patterns.
 
-    Greedy recursion: take the LCMAP as a matched run, recurse on the
-    unmatched prefixes and suffixes, and group leftovers shorter than
-    min_run into combined unmatched regions covering both sides.  Raises
+    Greedy splitting over a worklist of (i0, i1, j0, j1) ranges, in the
+    manner of difflib's get_matching_blocks: take a range's LCMAP as a
+    matched run and queue the unmatched ranges before and after it; a
+    range whose LCMAP is shorter than min_run (and does not cover both
+    sides) becomes one combined unmatched region.  The full-size DP runs
+    once: it decides the threshold and is the first split.  Raises
     NotSimilarError when the patterns do not meet the match threshold.
     """
     first = _offsets(p)
     second = _offsets(p_prime)
-    ratio = similarity(first, second, tau)
-    if ratio < threshold:
-        raise NotSimilarError(ratio, threshold)
+    whole = lcmap(first, second, tau)
+    if whole.ratio < threshold:
+        raise NotSimilarError(whole.ratio, threshold)
+    min_run = max(min_run, 1)  # a zero-length run cannot split a range
     report = DiffReport()
-
-    def recurse(i0, i1, j0, j1):
+    pending = [(0, len(first), 0, len(second), whole)]
+    while pending:
+        i0, i1, j0, j1, best = pending.pop()
         if i0 >= i1 and j0 >= j1:
-            return
-        length, end_i, end_j = _lcmap_both(first[i0:i1], second[j0:j1], tau)
-        full_both = length == i1 - i0 == j1 - j0
-        if length < min_run and not full_both:
+            continue
+        if best is None:
+            best = lcmap(first[i0:i1], second[j0:j1], tau)
+        length = best.length
+        if length < min_run and not length == i1 - i0 == j1 - j0:
             report.unmatched.append(((i0, i1), (j0, j1)))
-            return
-        mi0 = i0 + end_i - length + 1
-        mj0 = j0 + end_j - length + 1
-        recurse(i0, mi0, j0, mj0)
+            continue
+        mi0 = i0 + best.end_index - length + 1
+        mj0 = j0 + best.end_index_prime - length + 1
         report.matched.append(((mi0, mi0 + length), (mj0, mj0 + length)))
-        recurse(mi0 + length, i1, mj0 + length, j1)
-
-    recurse(0, len(first), 0, len(second))
+        pending.append((i0, mi0, j0, mj0, None))
+        pending.append((mi0 + length, i1, mj0 + length, j1, None))
+    # The worklist order is arbitrary; sorting makes the report canonical.
     report.matched.sort()
     report.unmatched.sort()
     return report
@@ -223,8 +212,7 @@ def read_signature(data) -> tuple[AddressPattern, int]:
     record = json.loads(data)
     pattern = AddressPattern(
         offsets=tuple(int(x) for x in record["offsets"]),
-        base=_parse_addr(record["base"]) if isinstance(record["base"], str)
-        else int(record["base"]),
+        base=_int_or_hex(record["base"]),
         sizes=tuple(record["sizes"]) if record.get("sizes") is not None else None,
     )
     return pattern, int(record.get("tau_default", DEFAULT_TAU))

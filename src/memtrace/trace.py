@@ -15,6 +15,7 @@ from typing import IO, Iterable, Iterator, Optional, Union
 CPL_VALUES = ("user", "kernel")
 KIND_VALUES = ("read", "write", "execute")
 OPERAND_SIZES = (1, 2, 4, 8, 16)
+PAGE_SIZE = 4096
 
 CATEGORIES = (
     "int-move",
@@ -178,6 +179,15 @@ def _parse_addr(value) -> int:
     if not isinstance(value, str) or not value.startswith("0x"):
         raise ValueError(f"address {value!r} is not a 0x-prefixed hex string")
     return int(value, 16)
+
+
+def _int_or_hex(value) -> int:
+    """An int (never a bool or a float) or a 0x-prefixed hex string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        return _parse_addr(value)
+    raise ValueError(f"{value!r} is neither an integer nor a 0x-prefixed hex string")
 
 
 def _record_to_event(record: dict) -> AccessEvent:

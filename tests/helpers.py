@@ -11,6 +11,13 @@ from memtrace.guest import (
     build_guest,
     run,
 )
+from memtrace.signature import (
+    DEFAULT_MATCH_THRESHOLD,
+    DEFAULT_MIN_RUN,
+    DEFAULT_TAU,
+    DiffReport,
+    NotSimilarError,
+)
 from memtrace.trace import AccessEvent, InstrDescriptor, TraceLog
 
 MODULE_PAGE = 0x401
@@ -159,8 +166,10 @@ def event_tuples(log: TraceLog):
 
 
 def brute_lcmap(p, q, tau):
-    """Enumerate all contiguous run endpoints; returns (length, end_index).
+    """Enumerate all contiguous run endpoints.
 
+    Returns (length, end_index, end_index_prime): the longest run, ending
+    at the smallest index in p and then the smallest index in q.
     Independent of the dynamic program: for every endpoint pair the run
     length is recomputed by walking backwards under the near predicate.
     """
@@ -175,9 +184,69 @@ def brute_lcmap(p, q, tau):
             lengths[(i, j)] = length
             best_len = max(best_len, length)
     if best_len == 0:
-        return 0, -1
-    best_end = min(i for (i, j), l in lengths.items() if l == best_len)
-    return best_len, best_end
+        return 0, -1, -1
+    return (best_len,) + min(end for end, l in lengths.items() if l == best_len)
+
+
+# -- recursive diff oracle ---------------------------------------------
+
+
+def _reference_lcmap_both(first, second, tau):
+    """The two-sided LCMAP kernel the recursive diff was written against."""
+    m, n = len(first), len(second)
+    best = (0, -1, -1)  # length, end in first, end in second
+    previous = [0] * (n + 1)
+    for i in range(1, m + 1):
+        current = [0] * (n + 1)
+        for j in range(1, n + 1):
+            if abs(first[i - 1] - second[j - 1]) <= tau:
+                current[j] = previous[j - 1] + 1
+                if current[j] > best[0]:
+                    best = (current[j], i - 1, j - 1)
+        previous = current
+    return best
+
+
+def reference_diff(p, q, tau=DEFAULT_TAU, threshold=DEFAULT_MATCH_THRESHOLD,
+                   min_run=DEFAULT_MIN_RUN):
+    """Greedy recursive diff: the LCMAP of a range is a matched run, and
+    the ranges before and after it are diffed the same way.  Raises
+    NotSimilarError below the threshold, like diff_modified."""
+    first, second = tuple(p), tuple(q)
+    length = _reference_lcmap_both(first, second, tau)[0]
+    ratio = length / min(len(first), len(second)) if first and second else 0.0
+    if ratio < threshold:
+        raise NotSimilarError(ratio, threshold)
+    report = DiffReport()
+
+    def recurse(i0, i1, j0, j1):
+        if i0 >= i1 and j0 >= j1:
+            return
+        length, end_i, end_j = _reference_lcmap_both(
+            first[i0:i1], second[j0:j1], tau)
+        full_both = length == i1 - i0 == j1 - j0
+        if length < min_run and not full_both:
+            report.unmatched.append(((i0, i1), (j0, j1)))
+            return
+        mi0 = i0 + end_i - length + 1
+        mj0 = j0 + end_j - length + 1
+        recurse(i0, mi0, j0, mj0)
+        report.matched.append(((mi0, mi0 + length), (mj0, mj0 + length)))
+        recurse(mi0 + length, i1, mj0 + length, j1)
+
+    recurse(0, len(first), 0, len(second))
+    report.matched.sort()
+    report.unmatched.sort()
+    return report
+
+
+def pathological_pair(n, tau=100):
+    """n offsets 8 apart, and a copy with every third offset shifted by
+    5 tau: the LCMAP of every range is two long, so the diff splits the
+    pair into about n / 3 matched runs."""
+    p = [8 * k for k in range(n)]
+    q = [x + 5 * tau if k % 3 == 2 else x for k, x in enumerate(p)]
+    return p, q
 
 
 def random_pattern_pair(rng: random.Random, max_len=32, max_offset=1 << 16):

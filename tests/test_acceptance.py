@@ -65,7 +65,8 @@ def test_criterion_1_lcmap_oracle_equivalence():
             tau = (0, 4, 100)[trial % 3]
             p, q = random_pattern_pair(rng, max_len=32, max_offset=1 << 16)
             got = lcmap(p, q, tau)
-            assert (got.length, got.end_index) == brute_lcmap(p, q, tau)
+            assert (got.length, got.end_index, got.end_index_prime) \
+                == brute_lcmap(p, q, tau)
         assert time.perf_counter() - started < 10.0
 
 

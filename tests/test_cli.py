@@ -2,12 +2,13 @@ import json
 
 import pytest
 
+from memtrace import signature
 from memtrace.cli import main
-from memtrace.guest import ModelOp, serialize_model
+from memtrace.guest import ModelOp, ModelParseError, parse_model, serialize_model
 from memtrace.signature import write_signature
 from memtrace.trace import AddressPattern, parse_trace
 
-from helpers import make_model
+from helpers import make_model, pathological_pair
 
 
 def write_model(tmp_path, ops, name="model.jsonl", **kwargs):
@@ -58,6 +59,16 @@ class TestSimulate:
         path.write_bytes(b"garbage\n")
         assert main(["simulate", str(path)]) == 2
 
+    @pytest.mark.parametrize("size", ["true", "2.9"])
+    def test_non_integer_operand_size_is_exit_2(self, tmp_path, capsys, size):
+        data = ('{"entry_page": 1025, "sp_init": "0x7ff000"}\n'
+                '{"op": "mov-read", "addr": "0x3000", "size": %s}\n' % size)
+        with pytest.raises(ModelParseError, match="line 2"):
+            parse_model(data)
+        path = tmp_path / "model.jsonl"
+        path.write_text(data)
+        assert main(["simulate", str(path)]) == 2
+
 
 class TestReconstruct:
     def _trace(self, tmp_path):
@@ -86,6 +97,12 @@ class TestReconstruct:
     def test_base_required(self, tmp_path, capsys):
         trace_path = self._trace(tmp_path)
         assert main(["reconstruct", trace_path]) == 2
+
+    def test_negative_size_is_exit_2(self, tmp_path, capsys):
+        trace_path = self._trace(tmp_path)
+        assert main(["reconstruct", trace_path, "--base", "0x9000",
+                     "--size", "-8"]) == 2
+        assert "negative" in capsys.readouterr().err
 
     def test_empty_window_warns(self, tmp_path, capsys):
         trace_path = self._trace(tmp_path)
@@ -132,6 +149,41 @@ class TestMatchAndDiff:
         b = write_sig(tmp_path, [50, 58, 66], "b.json")
         monkeypatch.setenv("MEMTRACE_TAU", "0")
         assert main(["match", a, b, "--tau", "100"]) == 0
+
+    def test_negative_tau_is_exit_2(self, tmp_path, capsys):
+        sig = write_sig(tmp_path, [0, 8, 16, 24], "a.json")
+        assert main(["match", sig, sig, "--tau", "-1"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_invalid_env_tau_is_exit_2(self, tmp_path, capsys, monkeypatch,
+                                       value):
+        sig = write_sig(tmp_path, [0, 8, 16, 24], "a.json")
+        monkeypatch.setenv("MEMTRACE_TAU", value)
+        assert main(["match", sig, sig]) == 2
+        assert "--tau" in capsys.readouterr().err
+
+    def test_one_full_size_dp_per_verdict(self, tmp_path, capsys,
+                                          monkeypatch):
+        sizes = []
+        kernel = signature.lcmap
+
+        def counting_lcmap(p, p_prime, tau=signature.DEFAULT_TAU):
+            sizes.append((len(p), len(p_prime)))
+            return kernel(p, p_prime, tau)
+
+        monkeypatch.setattr(signature, "lcmap", counting_lcmap)
+        a = write_sig(tmp_path, [0, 8, 16, 24, 32], "a.json")
+        b = write_sig(tmp_path, [0, 8, 16, 24, 32, 40], "b.json")
+        assert main(["match", a, b]) == 0
+        assert sizes == [(5, 6)]
+        p, q = pathological_pair(30)
+        a = write_sig(tmp_path, p, "p.json")
+        b = write_sig(tmp_path, q, "q.json")
+        sizes.clear()
+        assert main(["diff", a, b, "--threshold", "0"]) == 0
+        assert sizes.count((30, 30)) == 1
+        assert len(sizes) > 1
 
     def test_diff_localizes_insertion(self, tmp_path, capsys):
         a = write_sig(tmp_path, [0, 8, 16, 24, 32, 40], "a.json")

@@ -1,4 +1,6 @@
+import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,12 @@ from memtrace.signature import (
 )
 from memtrace.trace import AccessEvent, AddressPattern, InstrDescriptor, TraceLog
 
-from helpers import brute_lcmap, random_pattern_pair
+from helpers import (
+    brute_lcmap,
+    pathological_pair,
+    random_pattern_pair,
+    reference_diff,
+)
 
 
 class TestNear:
@@ -83,9 +90,11 @@ class TestLcmap:
             tau = (0, 4, 100)[trial % 3]
             p, q = random_pattern_pair(rng)
             got = lcmap(p, q, tau)
-            want_len, want_end = brute_lcmap(p, q, tau)
-            assert (got.length, got.end_index) == (want_len, want_end), \
+            want = brute_lcmap(p, q, tau)
+            assert (got.length, got.end_index, got.end_index_prime) == want, \
                 (p, q, tau)
+            assert got.ratio == (want[0] / min(len(p), len(q)) if p and q
+                                 else 0.0)
             if got.length:
                 assert got.pattern == tuple(
                     p[got.end_index - got.length + 1:got.end_index + 1])
@@ -295,6 +304,41 @@ class TestDiffModified:
             for i, j in zip(range(a, b), range(c, d)):
                 assert p[i] == q[j]
 
+    @given(st.integers(0, 2**32), st.sampled_from([0, 4, 100]),
+           st.sampled_from([0.0, 0.5, 0.8]), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_recursive_reference(self, seed, tau, threshold, min_run):
+        p, q = random_pattern_pair(random.Random(seed))
+        try:
+            want = reference_diff(p, q, tau, threshold, min_run)
+        except NotSimilarError as exc:
+            with pytest.raises(NotSimilarError) as info:
+                diff_modified(p, q, tau, threshold, min_run)
+            assert info.value.ratio == exc.ratio
+            return
+        assert diff_modified(p, q, tau, threshold, min_run) == want
+
+    def test_zero_min_run_terminates(self):
+        report = diff_modified([0, 8, 16], [0, 5000, 16], tau=0,
+                               threshold=0.0, min_run=0)
+        assert report.matched == [((0, 1), (0, 1)), ((2, 3), (2, 3))]
+        assert report.unmatched == [((1, 2), (1, 2))]
+
+    def test_many_runs_need_no_recursion_depth(self):
+        p, q = pathological_pair(150)
+        want = reference_diff(p, q, tau=100, threshold=0.0)
+        assert len(want.matched) == 50
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            report = diff_modified(p, q, tau=100, threshold=0.0)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert report == want
+
 
 class TestSignatureFiles:
     def test_round_trip(self):
@@ -310,6 +354,12 @@ class TestSignatureFiles:
         parsed, tau = read_signature(write_signature(pattern))
         assert parsed.sizes is None
         assert tau == DEFAULT_TAU
+
+    @pytest.mark.parametrize("base", [True, 2.5, "9000"])
+    def test_base_must_be_int_or_hex(self, base):
+        record = {"base": base, "tau_default": 7, "offsets": [1]}
+        with pytest.raises(ValueError):
+            read_signature(json.dumps(record))
 
     def test_unknown_keys_ignored(self):
         data = b'{"base": "0x0", "tau_default": 7, "offsets": [1], "x": 2}'
