@@ -1,9 +1,9 @@
 """Batch front-end for the simulate / reconstruct / sign / match pipeline.
 
 Exit codes are stable across subcommands: 0 success (or match), 1
-no-match, 2 usage or parse error.  The MEMTRACE_TAU environment variable
-overrides the built-in alignment-threshold default; an explicit --tau
-still wins.  Both must be non-negative integers.
+no-match, 2 usage, parse or simulation error.  The MEMTRACE_TAU
+environment variable overrides the built-in alignment-threshold default;
+an explicit --tau still wins.  Both must be non-negative integers.
 """
 
 from __future__ import annotations
@@ -144,13 +144,23 @@ def _load_rules(path: Optional[str]):
         return recon.EVASIVE_SEQUENCES
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
+    if not isinstance(raw, list):
+        raise ValueError("a rules file holds a JSON list of rules")
     rules = []
     for entry in raw:
-        steps = [
-            tuple(step) if isinstance(step, list) else step
-            for step in entry["steps"]
-        ]
-        rules.append((entry["name"], steps))
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise ValueError("every rule is an object with a string name")
+        steps = entry.get("steps")
+        if not isinstance(steps, list) or not steps or not all(
+            isinstance(step, str)
+            or isinstance(step, list) and all(isinstance(s, str) for s in step)
+            for step in steps
+        ):
+            raise ValueError(f"rule {entry['name']!r}: steps must be a "
+                             "non-empty list of names or lists of names")
+        rules.append((entry["name"], [
+            tuple(step) if isinstance(step, list) else step for step in steps
+        ]))
     return rules
 
 
@@ -229,8 +239,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (trace.TraceError, guest_mod.ModelParseError, ValueError,
-            KeyError, OSError, json.JSONDecodeError) as exc:
+    except (trace.TraceError, guest_mod.ModelParseError,
+            guest_mod.SimulationError, ValueError, KeyError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

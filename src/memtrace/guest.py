@@ -279,6 +279,8 @@ class ModelOp:
     def __post_init__(self):
         if self.op not in MODEL_OPS:
             raise ValueError(f"unknown model op {self.op!r}")
+        if self.addr is None and self.op in ("mov-read", "mov-write", "xmm-zero"):
+            raise ValueError(f"model op {self.op!r} needs an addr")
 
 
 @dataclass
@@ -345,6 +347,8 @@ def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
                     kwargs[key] = _int_or_hex(record[key])
             for key in ("callee", "cpl", "cat", "sign"):
                 if record.get(key) is not None:
+                    if not isinstance(record[key], str):
+                        raise ValueError(f"{key} must be a string")
                     kwargs[key] = record[key]
             if record.get("args") is not None:
                 kwargs["args"] = [_int_or_hex(a) for a in record["args"]]
@@ -365,9 +369,9 @@ def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
             module_range = (_parse_addr(rng["lo"]), _parse_addr(rng["hi"]))
         return ProgramModel(
             ops=ops,
-            entry_page=int(header["entry_page"]),
+            entry_page=_int_or_hex(header["entry_page"]),
             sp_init=sp_init,
-            tid=int(header.get("tid", 0)),
+            tid=_int_or_hex(header.get("tid", 0)),
             cpl=header.get("cpl", "user"),
             entry_present=bool(header.get("entry_present", True)),
             mapped=mapped,

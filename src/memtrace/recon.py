@@ -4,12 +4,19 @@ Consumes TraceLogs to discover allocation base addresses (heap hooks,
 pointer-valued call parameters, stack patterns), recover per-call
 parameters under the Windows x64 fastcall convention, reconstruct
 structure layouts with typed fields, and flag known API-call sequences.
+
+Every analysis reads a trace in a fixed number of linear passes.  Call
+parameters come from one forward pass that keeps, per thread, the writes
+since that thread's previous call.  A value counts as a pointer when it
+falls inside a known allocation or in mapped memory, and mapped memory
+is the set of pages the trace touched plus the main-module range: an
+address no event came near is never taken for a pointer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from .trace import PAGE_SIZE, AccessEvent, TraceLog, split_by_thread
 
@@ -81,19 +88,13 @@ class LayoutRecord:
     fields: list[FieldRecord]
 
 
-def _call_events(log: TraceLog):
-    for event in log.events:
-        if event.instr.category in ("call", "api-call", "syscall"):
-            yield event
-
-
 def find_allocations(log: TraceLog,
                      allocator_names: Iterable[str] = ALLOCATOR_NAMES
                      ) -> list[AllocationRecord]:
     """One record per hooked allocator call, with the modeled return base."""
     names = frozenset(allocator_names)
     records = []
-    for event in _call_events(log):
+    for event in log.events:  # only call, syscall and api-call carry a callee
         if event.instr.callee_id not in names:
             continue
         if event.instr.value is None:
@@ -109,103 +110,94 @@ def find_allocations(log: TraceLog,
     return records
 
 
-def _observed_span(log: TraceLog) -> list[tuple[int, int]]:
-    """Page-rounded span of every accessed address; proxy for mapped memory."""
-    addresses = [e.address for e in log.events]
-    ranges = []
-    if addresses:
-        lo = min(addresses) // PAGE_SIZE * PAGE_SIZE
-        hi = (max(addresses) // PAGE_SIZE + 1) * PAGE_SIZE
-        ranges.append((lo, hi))
-    lo, hi = log.module_range
-    if hi > lo:
-        ranges.append((lo, hi))
-    return ranges
+class _TouchedMemory:
+    """Mapped-memory model: the pages any event touched, plus the module.
+
+    A lookup is one set probe and one range test; the module range from
+    the trace header is never expanded page by page.
+    """
+
+    def __init__(self, log: TraceLog):
+        self.pages = {e.address // PAGE_SIZE for e in log.events}
+        self.module_lo, self.module_hi = log.module_range
+
+    def __contains__(self, address: int) -> bool:
+        return (address // PAGE_SIZE in self.pages
+                or self.module_lo <= address < self.module_hi)
 
 
 def _is_pointer_value(value: Optional[int],
                       allocations: Sequence[AllocationRecord],
-                      mapped_ranges: Sequence[tuple[int, int]]) -> bool:
+                      mapped: Container[int]) -> bool:
     if value is None or value == 0:
         return False
     if any(a.contains(value) for a in allocations):
         return True
-    return any(lo <= value < hi for lo, hi in mapped_ranges)
-
-
-def recover_call(log: TraceLog, call_event: AccessEvent,
-                 allocations: Sequence[AllocationRecord] = (),
-                 mapped_ranges: Optional[Sequence[tuple[int, int]]] = None
-                 ) -> CallRecord:
-    """Recover fastcall parameters for one call event.
-
-    The call event is the return-address push, so the pre-call stack
-    pointer is its address + 8.  Extra parameters are taken from the most
-    recent writes at SP+0x20, SP+0x28, ... before the call in the same
-    thread; the scan stops at the first slot with no write.
-    """
-    if call_event.instr.category not in ("call", "api-call"):
-        raise ValueError("not a call event")
-    if mapped_ranges is None:
-        mapped_ranges = _observed_span(log)
-    reg_params = call_event.instr.register_args or (0, 0, 0, 0)
-    # Only writes since the previous call in this thread set up this call's
-    # stack slots; earlier frames may have left stale values at the same
-    # addresses.
-    prior: list[AccessEvent] = []
-    for e in log.events:
-        if e.thread_id != call_event.thread_id or e.seq >= call_event.seq:
-            continue
-        if e.instr.category in ("call", "api-call"):
-            prior.clear()
-            continue
-        if e.kind == "write":
-            prior.append(e)
-    sp = call_event.address + 8
-    stack_params: list[int] = []
-    slot = sp + STACK_SLOT_BASE
-    while True:
-        writes = [e for e in prior if e.address == slot]
-        if not writes:
-            break
-        stack_params.append(writes[-1].instr.value or 0)
-        slot += 8
-    if stack_params:
-        param_count = 4 + len(stack_params)
-    else:
-        count = 4
-        for value in reversed(reg_params):
-            if value:
-                break
-            count -= 1
-        param_count = count
-    values = list(reg_params) + stack_params
-    flags = tuple(
-        _is_pointer_value(v, allocations, mapped_ranges) for v in values
-    )
-    return CallRecord(
-        callee_id=call_event.instr.callee_id,
-        reg_params=tuple(reg_params),
-        stack_params=tuple(stack_params),
-        param_count=param_count,
-        return_address=call_event.instr.value,
-        pointer_flags=flags,
-        seq=call_event.seq,
-        thread_id=call_event.thread_id,
-        rip=call_event.rip,
-    )
+    return value in mapped
 
 
 def recover_calls(log: TraceLog,
                   allocations: Sequence[AllocationRecord] = ()
                   ) -> list[CallRecord]:
-    """CallRecords for every call/api-call event, in seq order."""
-    mapped = _observed_span(log)
-    return [
-        recover_call(log, e, allocations, mapped)
-        for e in _call_events(log)
-        if e.instr.category in ("call", "api-call")
-    ]
+    """Fastcall parameters of every call/api-call event, in seq order.
+
+    One forward pass.  Each thread keeps a dict address -> last written
+    value of its writes (syscall writes included) since its previous
+    call.  A call event is the return-address push, so the pre-call stack
+    pointer is its address + 8; its extra parameters are the values in
+    that dict at SP+0x20, SP+0x28, ..., up to the first slot with no
+    write.  The dict is then cleared, so an earlier frame's stale slots
+    are never read.  This relies on seq order, which parse_trace
+    enforces.  Pointer flags test the allocations and _TouchedMemory.
+    """
+    mapped = _TouchedMemory(log)
+    writes: dict[int, dict[int, int]] = {}
+    records = []
+    for event in log.events:
+        slots = writes.setdefault(event.thread_id, {})
+        if event.instr.category not in ("call", "api-call"):
+            if event.kind == "write":
+                slots[event.address] = event.instr.value or 0
+            continue
+        stack_params: list[int] = []
+        slot = event.address + 8 + STACK_SLOT_BASE
+        while slot in slots:
+            stack_params.append(slots[slot])
+            slot += 8
+        slots.clear()
+        reg_params = event.instr.register_args or (0, 0, 0, 0)
+        if stack_params:
+            param_count = 4 + len(stack_params)
+        else:  # up to the last non-zero register
+            param_count = max((k + 1 for k, v in enumerate(reg_params) if v),
+                              default=0)
+        records.append(CallRecord(
+            callee_id=event.instr.callee_id,
+            reg_params=reg_params,
+            stack_params=tuple(stack_params),
+            param_count=param_count,
+            return_address=event.instr.value,
+            pointer_flags=tuple(
+                _is_pointer_value(v, allocations, mapped)
+                for v in list(reg_params) + stack_params
+            ),
+            seq=event.seq,
+            thread_id=event.thread_id,
+            rip=event.rip,
+        ))
+    return records
+
+
+def recover_call(log: TraceLog, call_event: AccessEvent,
+                 allocations: Sequence[AllocationRecord] = ()
+                 ) -> CallRecord:
+    """The CallRecord recover_calls gives for one call event of the log."""
+    if call_event.instr.category not in ("call", "api-call"):
+        raise ValueError("not a call event")
+    calls = [e for e in log.events if e.instr.category in ("call", "api-call")]
+    if call_event not in calls:
+        raise ValueError("call event is not in the log")
+    return recover_calls(log, allocations)[calls.index(call_event)]
 
 
 def find_stack_buffers(log: TraceLog) -> list[AllocationRecord]:
@@ -253,8 +245,10 @@ def collect_bases(log: TraceLog,
     """Merged, deduplicated union of the three base-address sources.
 
     On a duplicate base the heap-hook record wins: it carries the exact
-    size.  Call parameters are judged against the page-rounded span of
-    observed addresses, which stands in for the guest's mapped memory.
+    size.  A call parameter becomes a base when it points into a heap
+    allocation or into a page the trace touched (or the main module).
+    The trace is read in a fixed number of linear passes: the allocator
+    hooks, the touched pages, the call pass and the per-thread split.
     """
     heap = find_allocations(log, allocator_names)
     merged: dict[int, AllocationRecord] = {}
@@ -289,9 +283,13 @@ _FLOAT = {4: "float", 8: "double"}
 
 def infer_field_type(accesses: Sequence[AccessEvent],
                      allocations: Sequence[AllocationRecord] = (),
-                     mapped_ranges: Sequence[tuple[int, int]] = ()
+                     mapped: Container[int] = ()
                      ) -> FieldRecord:
-    """Assign a primitive category to all accesses at one offset."""
+    """Assign a primitive category to all accesses at one offset.
+
+    An 8-byte value is a pointer when it lies in an allocation or in
+    `mapped`, any container of mapped addresses.
+    """
     if not accesses:
         raise ValueError("no accesses")
     offsets = {a.address for a in accesses}
@@ -307,7 +305,7 @@ def infer_field_type(accesses: Sequence[AccessEvent],
     elif is_float and size in _FLOAT:
         category = _FLOAT[size]
     elif size == 8 and any(
-        _is_pointer_value(a.instr.value, allocations, mapped_ranges)
+        _is_pointer_value(a.instr.value, allocations, mapped)
         for a in accesses
     ):
         category = "pointer"
@@ -334,7 +332,7 @@ def reconstruct_layout(log: TraceLog, base: int,
     window = size_hint or DEFAULT_WINDOW
     if allocations is None:
         allocations = find_allocations(log)
-    mapped = _observed_span(log)
+    mapped = _TouchedMemory(log)
     lo, hi = log.module_range
     in_module = lambda rip: lo <= rip < hi if hi > lo else True
     by_offset: dict[int, list[AccessEvent]] = {}

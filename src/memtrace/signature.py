@@ -205,14 +205,33 @@ def write_signature(pattern: AddressPattern, tau: int = DEFAULT_TAU) -> bytes:
     return (json.dumps(record) + "\n").encode("utf-8")
 
 
+def _int_list(record: dict, key: str) -> tuple[int, ...]:
+    values = record[key]
+    if not isinstance(values, list):
+        raise ValueError(f"{key} must be a list")
+    return tuple(_int_or_hex(x) for x in values)
+
+
 def read_signature(data) -> tuple[AddressPattern, int]:
-    """Parse a signature file; returns (pattern, tau_default)."""
+    """Parse a signature file; returns (pattern, tau_default).
+
+    Raises ValueError unless the file is one JSON object whose offsets,
+    sizes (one per offset, when present), base and tau_default are
+    integers or 0x-hex strings.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     record = json.loads(data)
-    pattern = AddressPattern(
-        offsets=tuple(int(x) for x in record["offsets"]),
-        base=_int_or_hex(record["base"]),
-        sizes=tuple(record["sizes"]) if record.get("sizes") is not None else None,
-    )
-    return pattern, int(record.get("tau_default", DEFAULT_TAU))
+    if not isinstance(record, dict):
+        raise ValueError("a signature file holds one JSON object")
+    if "offsets" not in record or "base" not in record:
+        raise ValueError("a signature needs offsets and base")
+    offsets = _int_list(record, "offsets")
+    sizes = None
+    if record.get("sizes") is not None:
+        sizes = _int_list(record, "sizes")
+        if len(sizes) != len(offsets):
+            raise ValueError("sizes and offsets differ in length")
+    pattern = AddressPattern(offsets=offsets, base=_int_or_hex(record["base"]),
+                             sizes=sizes)
+    return pattern, _int_or_hex(record.get("tau_default", DEFAULT_TAU))

@@ -197,21 +197,33 @@ def _record_to_event(record: dict) -> AccessEvent:
     raw = record["instr"]
     if not isinstance(raw, dict) or "cat" not in raw or "sign" not in raw:
         raise ValueError("instr must be an object with cat and sign")
+    seq, tid, size = record["seq"], record["tid"], record["size"]
+    # The writer emits these as JSON integers; a bool, float or string
+    # would slip through the comparisons and dict keys downstream.
+    if type(seq) is not int or type(tid) is not int or type(size) is not int:
+        raise ValueError("seq, tid and size must be integers")
     args = raw.get("args")
+    if args is not None:
+        if not isinstance(args, list):
+            raise ValueError("instr args must be a list")
+        args = tuple(_int_or_hex(a) for a in args)
+    callee = raw.get("callee")
+    if callee is not None and not isinstance(callee, str):
+        raise ValueError("instr callee must be a string")
     instr = InstrDescriptor(
         category=raw["cat"],
         signedness=raw["sign"],
-        callee_id=raw.get("callee"),
-        register_args=tuple(args) if args is not None else None,
+        callee_id=callee,
+        register_args=args,
         value=_parse_addr(raw["val"]) if raw.get("val") is not None else None,
     )
     return AccessEvent(
-        seq=record["seq"],
-        thread_id=record["tid"],
+        seq=seq,
+        thread_id=tid,
         cpl=_CPL_UNWIRE.get(record["cpl"], record["cpl"]),
         kind=_KIND_UNWIRE.get(record["kind"], record["kind"]),
         address=_parse_addr(record["addr"]),
-        operand_size=record["size"],
+        operand_size=size,
         instr=instr,
         rip=_parse_addr(record["rip"]),
     )

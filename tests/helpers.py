@@ -11,6 +11,7 @@ from memtrace.guest import (
     build_guest,
     run,
 )
+from memtrace.recon import CallRecord
 from memtrace.signature import (
     DEFAULT_MATCH_THRESHOLD,
     DEFAULT_MIN_RUN,
@@ -92,6 +93,63 @@ def random_log(rng: random.Random, n_events: int) -> TraceLog:
         events.append(random_event(rng, seq))
     lo = rng.randrange(1 << 30)
     return TraceLog(events=tuple(events), module_range=(lo, lo + (1 << 20)))
+
+
+# -- per-call fastcall oracle ------------------------------------------
+
+
+def reference_recover_call(log: TraceLog, call_event: AccessEvent,
+                           allocations=(), mapped=()):
+    """Fastcall parameters of one call event, by rescanning the whole log.
+
+    The rule recover_calls implements in one pass, restated per call:
+    the stack slots SP+0x20, SP+0x28, ... (SP = push address + 8) take
+    the last write to them in the same thread, with a seq below the
+    call's and after the thread's previous call/api-call; the scan stops
+    at the first slot with no write.  A value is flagged as a pointer
+    when it is non-zero and lies in an allocation or in `mapped`.
+    """
+    prior = []
+    for e in log.events:
+        if e.thread_id != call_event.thread_id or e.seq >= call_event.seq:
+            continue
+        if e.instr.category in ("call", "api-call"):
+            prior.clear()
+            continue
+        if e.kind == "write":
+            prior.append(e)
+    reg_params = call_event.instr.register_args or (0, 0, 0, 0)
+    stack_params = []
+    slot = call_event.address + 8 + 0x20
+    while True:
+        writes = [e for e in prior if e.address == slot]
+        if not writes:
+            break
+        stack_params.append(writes[-1].instr.value or 0)
+        slot += 8
+    if stack_params:
+        param_count = 4 + len(stack_params)
+    else:
+        param_count = 4
+        for value in reversed(reg_params):
+            if value:
+                break
+            param_count -= 1
+    flags = tuple(
+        bool(v) and (any(a.contains(v) for a in allocations) or v in mapped)
+        for v in list(reg_params) + stack_params
+    )
+    return CallRecord(
+        callee_id=call_event.instr.callee_id,
+        reg_params=tuple(reg_params),
+        stack_params=tuple(stack_params),
+        param_count=param_count,
+        return_address=call_event.instr.value,
+        pointer_flags=flags,
+        seq=call_event.seq,
+        thread_id=call_event.thread_id,
+        rip=call_event.rip,
+    )
 
 
 # -- straight-line reference interpreter -------------------------------

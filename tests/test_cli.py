@@ -253,6 +253,63 @@ class TestUsageErrors:
         assert main(["--help"]) == 0
 
 
+def assert_exit_2(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+class TestMalformedSignatureFiles:
+    @pytest.mark.parametrize("command", ["match", "diff"])
+    def test_list_valued_file_is_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "list.sig"
+        path.write_text("[1, 2]")
+        assert_exit_2(capsys, [command, str(path), str(path)])
+
+    @pytest.mark.parametrize("record", [
+        '{"base": "0x0", "offsets": [true, 2.9, 8]}',
+        '{"base": "0x0", "offsets": [[1], 2, 8]}',
+        '{"base": "0x0", "offsets": [0, 8], "tau_default": 1e400}',
+        '{"base": "0x0", "offsets": [0, 8], "sizes": [4]}',
+    ], ids=["bool-and-float-offsets", "nested-offset", "infinite-tau",
+            "short-sizes"])
+    def test_bad_field_is_exit_2(self, tmp_path, capsys, record):
+        path = tmp_path / "bad.sig"
+        path.write_text(record)
+        good = write_sig(tmp_path, [0, 8, 16], "good.sig")
+        assert_exit_2(capsys, ["match", str(path), good])
+
+    def test_reader_returns_exact_integers(self):
+        pattern, tau = signature.read_signature(
+            b'{"base": "0x10", "offsets": [0, "0x8"], "sizes": [4, 8],'
+            b' "tau_default": 7}')
+        assert (pattern.offsets, pattern.sizes, pattern.base, tau) == (
+            (0, 8), (4, 8), 0x10, 7)
+
+
+class TestSimulationAndRulesErrors:
+    def test_unmapped_model_access_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "model.jsonl"
+        path.write_text('{"entry_page": 1025, "sp_init": "0x7ff000"}\n'
+                        '{"op": "mov-read", "addr": "0x91e40000", "size": 4}\n')
+        assert_exit_2(capsys, ["simulate", str(path)])
+
+    @pytest.mark.parametrize("rules", [
+        {"a": 1},
+        [{"name": "r", "steps": 5}],
+        [{"name": "r", "steps": []}],
+    ], ids=["object", "scalar-steps", "empty-steps"])
+    def test_malformed_rules_file_is_exit_2(self, tmp_path, capsys, rules):
+        model = write_model(tmp_path, basic_ops())
+        trace_path = str(tmp_path / "t.jsonl")
+        main(["simulate", model, "--out", trace_path])
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(rules))
+        capsys.readouterr()
+        assert_exit_2(capsys, ["flags", trace_path, "--rules", str(path)])
+
+
 def test_end_to_end_diff_localizes_one_change(tmp_path, capsys):
     common = [
         ModelOp("alloc", callee="malloc", size=0x100),

@@ -385,6 +385,19 @@ class TestModelFiles:
         with pytest.raises(ModelParseError, match="line 2"):
             parse_model(b'{"entry_page": 1, "sp_init": "0x7ff000"}\nnope\n')
 
+    @pytest.mark.parametrize("data", [
+        b'{"entry_page": 1e400, "sp_init": "0x7ff000"}\n',
+        b'{"entry_page": 1025, "sp_init": "0x7ff000", "tid": 1e400}\n',
+        b'{"entry_page": 1025, "sp_init": "0x7ff000"}\n{"op": "mov-read"}\n',
+        b'{"entry_page": 1025, "sp_init": "0x7ff000"}\n'
+        b'{"op": "alloc", "callee": [1]}\n',
+    ], ids=["infinite-entry-page", "infinite-tid", "read-without-addr",
+            "list-callee"])
+    def test_malformed_model_rejected(self, data):
+        from memtrace.guest import ModelParseError
+        with pytest.raises(ModelParseError):
+            parse_model(data)
+
     def test_missing_header(self):
         from memtrace.guest import ModelParseError
         with pytest.raises(ModelParseError):

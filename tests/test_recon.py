@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memtrace.recon import (
     ALLOCATOR_NAMES,
@@ -21,8 +23,11 @@ from memtrace.recon import (
     recover_call,
     recover_calls,
     render_layout_c,
+    _TouchedMemory,
 )
 from memtrace.trace import AccessEvent, InstrDescriptor, TraceLog
+
+from helpers import reference_recover_call
 
 MODULE_RANGE = (0x401000, 0x402000)
 RIP = 0x401100
@@ -161,7 +166,7 @@ class TestRecoverCall:
                                    source="heap-hook")]
         b = LogBuilder()
         event = b.call("Foo", [0x9010, 0x5, 0, 0], self.push_addr())
-        record = recover_call(b.log(), event, allocs, mapped_ranges=[])
+        record = recover_call(b.log(), event, allocs)
         assert record.pointer_flags[:2] == (True, False)
 
     def test_non_call_event_rejected(self):
@@ -169,6 +174,12 @@ class TestRecoverCall:
         event = b.add("write", 0x5000, value=1)
         with pytest.raises(ValueError):
             recover_call(b.log(), event)
+
+    def test_call_event_from_another_log_rejected(self):
+        b = LogBuilder()
+        event = b.call("Foo", [1, 0, 0, 0], self.push_addr())
+        with pytest.raises(ValueError, match="not in the log"):
+            recover_call(LogBuilder().log(), event)
 
 
 class TestFindStackBuffers:
@@ -230,6 +241,21 @@ class TestCollectBases:
         b.add("write", 0x20008, value=3)  # makes 0x20000 a mapped address
         sources = {r.base: r.source for r in collect_bases(b.log())}
         assert sources[0x20000] == "call-param"
+
+    def test_untouched_call_param_is_not_a_base(self):
+        # 0x20000 lies between the touched pages 0x3000 and the stack, but
+        # no event touched its page: it is not a pointer.
+        b = LogBuilder()
+        b.add("write", 0x3000, value=1)
+        b.call("Foo", [0x20000, 1, 2, 3], 0x7FEFF8)
+        assert [r for r in collect_bases(b.log())
+                if r.source == "call-param"] == []
+
+    def test_module_range_is_mapped_without_expanding_it(self):
+        b = LogBuilder(module_range=(0, 1 << 64))
+        b.call("Foo", [0x20000, 0, 0, 0], 0x7FEFF8)
+        sources = {r.base: r.source for r in collect_bases(b.log())}
+        assert sources == {0x20000: "call-param"}
 
     def test_superset_of_each_source(self):
         b = LogBuilder()
@@ -482,3 +508,72 @@ def test_recover_calls_matches_singletons():
     records = recover_calls(b.log())
     assert [r.callee_id for r in records] == ["One", "Two"]
     assert [r.param_count for r in records] == [1, 2]
+
+
+class _CountingEvents(tuple):
+    """An events tuple that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def _collect_bases_scans(n_calls):
+    b = LogBuilder()
+    push = 0x7FEFF8
+    for k in range(n_calls):
+        b.add("write", push + 8 + 0x20, value=k)
+        b.call("Foo", [0x9000, 1, 0, 0], push)
+        b.api_call("malloc", [0x40], value=0x9000 + 0x1000 * k)
+    log = b.log()
+    events = _CountingEvents(log.events)
+    object.__setattr__(log, "events", events)
+    collect_bases(log)
+    return events.iterations
+
+
+def test_collect_bases_scans_the_trace_a_fixed_number_of_times():
+    assert _collect_bases_scans(10) == _collect_bases_scans(100)
+
+
+PUSH_ADDRESSES = (0x7FEFF8, 0x7FEFE8)
+VALUES = st.one_of(
+    st.none(), st.just(0), st.integers(1, 16),
+    st.sampled_from([0x9000, 0x9040, 0x20000, 0x401010, 0x7FF000]),
+    st.integers(0, 1 << 24),
+)
+EVENT_SPECS = st.tuples(
+    st.sampled_from(["write", "write", "syscall-write", "read", "call",
+                     "api-call"]),
+    st.integers(0, 1),  # thread
+    st.integers(0, len(PUSH_ADDRESSES) - 1),  # call frame
+    st.integers(0, 2),  # stack slot
+    VALUES,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs=st.lists(EVENT_SPECS, max_size=60))
+def test_recover_calls_matches_per_call_reference(specs):
+    b = LogBuilder()
+    for kind, tid, frame, slot, value in specs:
+        push = PUSH_ADDRESSES[frame]
+        address = push + 8 + 0x20 + 8 * slot
+        if kind == "call":
+            b.call("Foo", [value or 0, slot, 0, frame], push, tid=tid)
+        elif kind == "api-call":
+            b.api_call("malloc", [0x40 * slot], value=value, tid=tid)
+        elif kind == "syscall-write":
+            b.add("write", address, cat="syscall", value=value, tid=tid)
+        else:
+            b.add(kind, address, value=value, tid=tid)
+    log = b.log()
+    allocations = find_allocations(log)
+    mapped = _TouchedMemory(log)
+    calls = [e for e in log.events if e.instr.category in ("call", "api-call")]
+    expected = [reference_recover_call(log, e, allocations, mapped)
+                for e in calls]
+    assert recover_calls(log, allocations) == expected
+    assert [recover_call(log, e, allocations) for e in calls] == expected

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -89,6 +90,29 @@ class TestParseSerialize:
         header = serialize_trace(log).decode().split("\n")[0]
         data = "\n".join([header, line, line]).encode()
         with pytest.raises(TraceOrderError):
+            parse_trace(data)
+
+    @pytest.mark.parametrize("field, value",
+                             [("seq", "x"), ("tid", []), ("size", True)])
+    def test_non_integer_event_field_rejected(self, field, value):
+        record = {"seq": 1, "tid": 1, "cpl": "u", "kind": "w", "addr": "0x10",
+                  "size": 4, "rip": "0x20",
+                  "instr": {"cat": "int-move", "sign": "n/a"}}
+        lines = [{"module_range": {"lo": "0x0", "hi": "0x1000"}}, record,
+                 {**record, "seq": 2, field: value}]
+        with pytest.raises(TraceParseError, match="line 3"):
+            parse_trace("\n".join(json.dumps(line) for line in lines))
+
+    @pytest.mark.parametrize("instr", [
+        '"cat": "call", "sign": "n/a", "callee": [1]',
+        '"cat": "call", "sign": "n/a", "args": ["a", "b", "c", "d"]',
+        '"cat": "call", "sign": "n/a", "args": "abcd"',
+    ], ids=["list-callee", "string-args", "args-string"])
+    def test_malformed_call_descriptor_rejected(self, instr):
+        data = ('{"module_range": {"lo": "0x0", "hi": "0x1000"}}\n'
+                '{"seq": 1, "tid": 1, "cpl": "u", "kind": "w", "addr": "0x10",'
+                ' "size": 8, "rip": "0x20", "instr": {%s}}\n' % instr)
+        with pytest.raises(TraceParseError, match="line 2"):
             parse_trace(data)
 
     def test_unknown_keys_ignored(self):
