@@ -8,13 +8,15 @@ structure layouts with typed fields, and flag known API-call sequences.
 Every analysis reads a trace in a fixed number of linear passes.  Call
 parameters come from one forward pass that keeps, per thread, the writes
 since that thread's previous call.  A value counts as a pointer when it
-falls inside a known allocation or in mapped memory, and mapped memory
-is the set of pages the trace touched plus the main-module range: an
-address no event came near is never taken for a pointer.
+falls inside a known allocation (one bisection in an OwnerIndex) or in
+mapped memory, and mapped memory is the set of pages the trace touched
+plus the main-module range: an address no event came near is never
+taken for a pointer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Optional, Sequence
 
@@ -57,6 +59,47 @@ class AllocationRecord:
         if self.size:
             return self.base <= address < self.base + self.size
         return self.base <= address < self.base + DEFAULT_WINDOW
+
+
+class OwnerIndex:
+    """The first record, in input order, whose range contains an address.
+
+    owner(address) equals next((r for r in records if r.contains(address)),
+    None) for any record order, overlap or size (a size-0 record spans
+    DEFAULT_WINDOW), in one bisection.  The sorted range endpoints cut
+    the address space into elementary segments; each segment keeps the
+    first record covering it.  Records are painted in input order and a
+    union-find "next unpainted segment" pointer skips painted segments,
+    so building costs O((r + s) log s) for r records and s segments.
+    """
+
+    def __init__(self, records: Iterable[AllocationRecord]):
+        spans = [(r, r.base, r.base + (r.size or DEFAULT_WINDOW))
+                 for r in records]
+        self.bounds = sorted({x for _, lo, hi in spans for x in (lo, hi)})
+        # owners[k] covers [bounds[k], bounds[k + 1]); the last is unbounded.
+        self.owners: list[Optional[AllocationRecord]] = [None] * len(self.bounds)
+        unpainted = list(range(len(self.bounds)))
+
+        def next_unpainted(k: int) -> int:
+            root = k
+            while unpainted[root] != root:
+                root = unpainted[root]
+            while unpainted[k] != root:
+                unpainted[k], k = root, unpainted[k]
+            return root
+
+        for record, lo, hi in spans:
+            end = bisect_left(self.bounds, hi)
+            k = next_unpainted(bisect_left(self.bounds, lo))
+            while k < end:
+                self.owners[k] = record
+                unpainted[k] = k + 1
+                k = next_unpainted(k + 1)
+
+    def owner(self, address: int) -> Optional[AllocationRecord]:
+        k = bisect_right(self.bounds, address) - 1
+        return self.owners[k] if k >= 0 else None
 
 
 @dataclass(frozen=True)
@@ -126,12 +169,11 @@ class _TouchedMemory:
                 or self.module_lo <= address < self.module_hi)
 
 
-def _is_pointer_value(value: Optional[int],
-                      allocations: Sequence[AllocationRecord],
+def _is_pointer_value(value: Optional[int], owners: OwnerIndex,
                       mapped: Container[int]) -> bool:
     if value is None or value == 0:
         return False
-    if any(a.contains(value) for a in allocations):
+    if owners.owner(value) is not None:
         return True
     return value in mapped
 
@@ -148,8 +190,10 @@ def recover_calls(log: TraceLog,
     that dict at SP+0x20, SP+0x28, ..., up to the first slot with no
     write.  The dict is then cleared, so an earlier frame's stale slots
     are never read.  This relies on seq order, which parse_trace
-    enforces.  Pointer flags test the allocations and _TouchedMemory.
+    enforces.  Pointer flags test the allocations, through one
+    OwnerIndex, and _TouchedMemory.
     """
+    owners = OwnerIndex(allocations)
     mapped = _TouchedMemory(log)
     writes: dict[int, dict[int, int]] = {}
     records = []
@@ -178,7 +222,7 @@ def recover_calls(log: TraceLog,
             param_count=param_count,
             return_address=event.instr.value,
             pointer_flags=tuple(
-                _is_pointer_value(v, allocations, mapped)
+                _is_pointer_value(v, owners, mapped)
                 for v in list(reg_params) + stack_params
             ),
             seq=event.seq,
@@ -290,6 +334,11 @@ def infer_field_type(accesses: Sequence[AccessEvent],
     An 8-byte value is a pointer when it lies in an allocation or in
     `mapped`, any container of mapped addresses.
     """
+    return _infer_field_type(accesses, OwnerIndex(allocations), mapped)
+
+
+def _infer_field_type(accesses: Sequence[AccessEvent], owners: OwnerIndex,
+                      mapped: Container[int]) -> FieldRecord:
     if not accesses:
         raise ValueError("no accesses")
     offsets = {a.address for a in accesses}
@@ -305,7 +354,7 @@ def infer_field_type(accesses: Sequence[AccessEvent],
     elif is_float and size in _FLOAT:
         category = _FLOAT[size]
     elif size == 8 and any(
-        _is_pointer_value(a.instr.value, allocations, mapped)
+        _is_pointer_value(a.instr.value, owners, mapped)
         for a in accesses
     ):
         category = "pointer"
@@ -330,8 +379,8 @@ def reconstruct_layout(log: TraceLog, base: int,
     indistinguishable from one.
     """
     window = size_hint or DEFAULT_WINDOW
-    if allocations is None:
-        allocations = find_allocations(log)
+    owners = OwnerIndex(find_allocations(log) if allocations is None
+                        else allocations)
     mapped = _TouchedMemory(log)
     lo, hi = log.module_range
     in_module = lambda rip: lo <= rip < hi if hi > lo else True
@@ -353,7 +402,7 @@ def reconstruct_layout(log: TraceLog, base: int,
     typed: list[FieldRecord] = []
     end = 0
     for offset in sorted(by_offset):
-        record = infer_field_type(by_offset[offset], allocations, mapped)
+        record = _infer_field_type(by_offset[offset], owners, mapped)
         record.offset = offset
         if offset < end:
             # Access inside an already-typed extent: fold into evidence.

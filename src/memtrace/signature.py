@@ -2,20 +2,26 @@
 
 The core matcher finds the longest contiguous run of two offset
 sequences whose elements pairwise differ by at most an alignment
-threshold tau, by dynamic programming.  Every other question about two
-patterns is answered from that one kernel: the normalized similarity
-score, and a greedy diff that splits ranges off a worklist to localize
-source-level modifications between near-identical patterns.
+threshold tau, by dynamic programming.  The DP is bit-parallel: each
+row updates every column at once, with the run lengths held as binary
+digit slices in Python ints, so an m x n match costs O(m log L)
+big-int operations rather than m n interpreted steps.  Every other
+question about two patterns is answered from that one kernel: the
+normalized similarity score, and a greedy diff that splits ranges off a
+worklist to localize source-level modifications between near-identical
+patterns.  Events are attributed to allocations through recon's
+OwnerIndex, one bisection per event.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .trace import AccessEvent, AddressPattern, TraceLog, _hex, _int_or_hex
-from .recon import AllocationRecord
+from .recon import AllocationRecord, OwnerIndex
 
 DEFAULT_TAU = 100
 DEFAULT_MATCH_THRESHOLD = 0.8
@@ -65,29 +71,61 @@ def _offsets(pattern) -> tuple[int, ...]:
 
 
 def lcmap(p, p_prime, tau: int = DEFAULT_TAU) -> LcmapResult:
-    """Longest common memory address pattern by dynamic programming.
+    """Longest common memory address pattern by a bit-parallel DP.
 
     D[i][j] extends D[i-1][j-1] by one when near(P[i-1], P'[j-1], tau)
     and resets to zero otherwise; the result is the run of P ending at
     the smallest index attaining the maximum.  Ties on the P' side break
     toward the earliest match for reproducible output.  This is the only
     LCMAP dynamic program; similarity and diff_modified read its result.
+
+    One row of D is computed at a time, for every column at once, on
+    Python ints used as bit vectors (bit j is column j), after Allison
+    and Dix's bit-string LCS and Myers' bit-vector matching.  Row i's
+    near set is the XOR of two prefix-OR masks over P' in sorted order,
+    found by two bisections.  The run lengths are kept as binary digit
+    slices: bit j of digits[k] is bit k of D[i][j].  A row shifts every
+    slice by one column, clears the columns that are not near, and adds
+    one to the near columns by a ripple carry.  A run grows by at most
+    one per row, so a new maximum is best + 1; one slice-equality test
+    per row finds its columns and the lowest set bit the earliest one.
+    Cost: O(m log L) operations on n-bit ints, about m n log L / 64 word
+    operations for the longest run L, plus n + 1 prefix masks of n bits.
+    A negative tau makes no pair near.
     """
     first = _offsets(p)
     second = _offsets(p_prime)
     m, n = len(first), len(second)
     best_len = 0
     best_i = best_j = -1
-    previous = [0] * (n + 1)
-    for i, a in enumerate(first):
-        current = [0] * (n + 1)
-        for j, b in enumerate(second):
-            if abs(a - b) <= tau:  # near(a, b, tau), inlined
-                run = previous[j] + 1
-                current[j + 1] = run
-                if run > best_len:
-                    best_len, best_i, best_j = run, i, j
-        previous = current
+    if tau >= 0 and m and n:
+        order = sorted(range(n), key=second.__getitem__)
+        values = [second[j] for j in order]
+        prefix = [0]  # prefix[k]: the columns of the k smallest values
+        for j in order:
+            prefix.append(prefix[-1] | 1 << j)
+        digits: list[int] = []  # digits[k]: bit k of every column's run
+        for i, a in enumerate(first):
+            near_mask = (prefix[bisect_right(values, a + tau)]
+                         ^ prefix[bisect_left(values, a - tau)])
+            carry = near_mask
+            for k, digit in enumerate(digits):
+                digit = (digit << 1) & near_mask
+                digits[k] = digit ^ carry
+                carry &= digit
+            if carry:
+                digits.append(carry)
+            while digits and not digits[-1]:
+                digits.pop()
+            target = best_len + 1
+            if target.bit_length() > len(digits):
+                continue
+            hits = near_mask
+            for k, digit in enumerate(digits):
+                hits &= digit if target >> k & 1 else ~digit
+            if hits:
+                best_len, best_i = target, i
+                best_j = (hits & -hits).bit_length() - 1
     return LcmapResult(
         pattern=first[best_i - best_len + 1 : best_i + 1],
         length=best_len,
@@ -113,8 +151,9 @@ def extract_pattern(log: TraceLog,
                     ) -> AddressPattern:
     """Map a trace to relative offsets, preserving event order.
 
-    Each access inside a known allocation is taken relative to that
-    allocation's base; leftovers fall back to the lowest address among
+    Each access inside a known allocation is taken relative to the base
+    of the first one in `bases` that contains it, found by one bisection
+    in an OwnerIndex; leftovers fall back to the lowest address among
     them.  The default filter keeps reads/writes issued from within the
     main module.
     """
@@ -125,10 +164,11 @@ def extract_pattern(log: TraceLog,
                 return False
             return lo <= e.rip < hi if hi > lo else True
     selected = [e for e in log.events if event_filter(e)]
+    owners = OwnerIndex(bases)
     resolved: list[Optional[int]] = []
     leftovers = []
     for event in selected:
-        owner = next((b for b in bases if b.contains(event.address)), None)
+        owner = owners.owner(event.address)
         if owner is None:
             resolved.append(None)
             leftovers.append(event.address)

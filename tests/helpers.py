@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from memtrace.guest import (
     INSTR_STRIDE,
     ModelOp,
@@ -11,7 +13,7 @@ from memtrace.guest import (
     build_guest,
     run,
 )
-from memtrace.recon import CallRecord
+from memtrace.recon import DEFAULT_WINDOW, AllocationRecord, CallRecord
 from memtrace.signature import (
     DEFAULT_MATCH_THRESHOLD,
     DEFAULT_MIN_RUN,
@@ -152,6 +154,43 @@ def reference_recover_call(log: TraceLog, call_event: AccessEvent,
     )
 
 
+# -- allocation records for owner lookups -------------------------------
+
+# Unsorted, overlapping records, with size 0 (a DEFAULT_WINDOW window),
+# 2^64-byte and empty (negative size) ranges, bases past 2^64, and
+# duplicate bases from a small pool.
+ALLOCATION_RECORDS = st.lists(
+    st.builds(
+        AllocationRecord,
+        base=st.one_of(st.sampled_from([0, 0x1000, 0x1800, 1 << 64]),
+                       st.integers(0, 0x4000), st.integers(0, 1 << 70)),
+        size=st.one_of(st.just(0), st.just(1 << 64), st.integers(-8, -1),
+                       st.integers(1, 0x2000)),
+        source=st.sampled_from(["heap-hook", "call-param", "stack-pattern"]),
+        site_rip=st.integers(0, 3),
+    ),
+    max_size=12,
+)
+
+
+def probe_addresses(records, rng: random.Random, extra=8):
+    """Every range edge of the records, one off either side, plus a few
+    random addresses below 0x8000."""
+    probes = []
+    for record in records:
+        end = record.base + (record.size or DEFAULT_WINDOW)
+        probes += [record.base - 1, record.base, end - 1, end]
+    probes += [rng.randrange(0x8000) for _ in range(extra)]
+    rng.shuffle(probes)
+    return probes
+
+
+def first_owner(records, address):
+    """The record lookups must return: the first, in list order, that
+    contains the address."""
+    return next((r for r in records if r.contains(address)), None)
+
+
 # -- straight-line reference interpreter -------------------------------
 
 
@@ -249,8 +288,12 @@ def brute_lcmap(p, q, tau):
 # -- recursive diff oracle ---------------------------------------------
 
 
-def _reference_lcmap_both(first, second, tau):
-    """The two-sided LCMAP kernel the recursive diff was written against."""
+def reference_lcmap(first, second, tau):
+    """The row-major O(mn) LCMAP dynamic program, one cell at a time.
+
+    Returns (length, end_index, end_index_prime) with the tie-break
+    lcmap promises.  The recursive diff was written against it, and it
+    is the oracle for lcmap's bit-parallel kernel."""
     m, n = len(first), len(second)
     best = (0, -1, -1)  # length, end in first, end in second
     previous = [0] * (n + 1)
@@ -271,7 +314,7 @@ def reference_diff(p, q, tau=DEFAULT_TAU, threshold=DEFAULT_MATCH_THRESHOLD,
     the ranges before and after it are diffed the same way.  Raises
     NotSimilarError below the threshold, like diff_modified."""
     first, second = tuple(p), tuple(q)
-    length = _reference_lcmap_both(first, second, tau)[0]
+    length = reference_lcmap(first, second, tau)[0]
     ratio = length / min(len(first), len(second)) if first and second else 0.0
     if ratio < threshold:
         raise NotSimilarError(ratio, threshold)
@@ -280,7 +323,7 @@ def reference_diff(p, q, tau=DEFAULT_TAU, threshold=DEFAULT_MATCH_THRESHOLD,
     def recurse(i0, i1, j0, j1):
         if i0 >= i1 and j0 >= j1:
             return
-        length, end_i, end_j = _reference_lcmap_both(
+        length, end_i, end_j = reference_lcmap(
             first[i0:i1], second[j0:j1], tau)
         full_both = length == i1 - i0 == j1 - j0
         if length < min_run and not full_both:

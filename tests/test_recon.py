@@ -14,6 +14,7 @@ from memtrace.recon import (
     NO_ACCESS_NOTE,
     AllocationRecord,
     CallRecord,
+    OwnerIndex,
     collect_bases,
     find_allocations,
     find_stack_buffers,
@@ -27,7 +28,12 @@ from memtrace.recon import (
 )
 from memtrace.trace import AccessEvent, InstrDescriptor, TraceLog
 
-from helpers import reference_recover_call
+from helpers import (
+    ALLOCATION_RECORDS,
+    first_owner,
+    probe_addresses,
+    reference_recover_call,
+)
 
 MODULE_RANGE = (0x401000, 0x402000)
 RIP = 0x401100
@@ -577,3 +583,11 @@ def test_recover_calls_matches_per_call_reference(specs):
                 for e in calls]
     assert recover_calls(log, allocations) == expected
     assert [recover_call(log, e, allocations) for e in calls] == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=ALLOCATION_RECORDS, rng=st.randoms(use_true_random=False))
+def test_owner_index_matches_first_containing_record(records, rng):
+    owners = OwnerIndex(records)
+    for address in probe_addresses(records, rng):
+        assert owners.owner(address) is first_owner(records, address), address

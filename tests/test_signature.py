@@ -22,11 +22,40 @@ from memtrace.signature import (
 from memtrace.trace import AccessEvent, AddressPattern, InstrDescriptor, TraceLog
 
 from helpers import (
+    ALLOCATION_RECORDS,
     brute_lcmap,
+    first_owner,
     pathological_pair,
+    probe_addresses,
     random_pattern_pair,
     reference_diff,
+    reference_lcmap,
 )
+
+
+@st.composite
+def lcmap_cases(draw):
+    """(p, q, tau) with empty, dense (span <= tau), sparse, duplicate,
+    negative and >= 2^64 offsets, and near-runs of p planted in q."""
+    tau = draw(st.one_of(st.just(0), st.integers(-3, -1), st.integers(1, 200)))
+    base = draw(st.sampled_from([0, -(1 << 20), (1 << 64) - 64, 1 << 70]))
+    values = draw(st.sampled_from([
+        st.integers(0, max(tau, 0)),  # dense: every pair is near
+        st.integers(0, 1 << 40),  # sparse
+        st.integers(0, 3 * max(tau, 1)),
+        st.sampled_from([0, 8, 8 + max(tau, 0), 400]),  # duplicates
+    ]))
+    offsets = st.lists(values.map(lambda x: base + x), max_size=40)
+    p = draw(offsets)
+    q = draw(offsets)
+    if p and draw(st.booleans()):
+        start = draw(st.integers(0, len(p) - 1))
+        stop = draw(st.integers(start, len(p)))
+        jitter = st.integers(-max(tau, 0), max(tau, 0))
+        run = [x + draw(jitter) for x in p[start:stop]]
+        at = draw(st.integers(0, len(q)))
+        q = q[:at] + run + q[at:]
+    return p, q, tau
 
 
 class TestNear:
@@ -77,6 +106,24 @@ class TestLcmap:
         result = lcmap([0, 1000], [5000, 9000], tau=100)
         assert result.length == 0
         assert result.end_index == -1
+
+    def test_negative_tau_matches_nothing(self):
+        result = lcmap([0, 5, 10], [0, 5, 10], -1)
+        assert (result.length, result.end_index, result.end_index_prime,
+                result.pattern, result.ratio) == (0, -1, -1, (), 0.0)
+
+    @given(lcmap_cases(), st.booleans(), st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference_dp(self, case, wrap_p, wrap_q):
+        p, q, tau = case
+        wrap = lambda xs: AddressPattern(offsets=tuple(xs), base=0, sizes=None)
+        got = lcmap(wrap(p) if wrap_p else p, wrap(q) if wrap_q else q, tau)
+        length, end_i, end_j = reference_lcmap(p, q, tau)
+        assert (got.length, got.end_index, got.end_index_prime) == \
+            (length, end_i, end_j)
+        assert got.pattern == tuple(p[end_i - length + 1:end_i + 1])
+        assert got.ratio == (length / min(len(p), len(q)) if p and q else 0.0)
+        assert got.tau == tau
 
     def test_tie_breaks_to_earliest_end(self):
         # The run [5, 6] appears twice in P; the earlier occurrence wins.
@@ -236,6 +283,21 @@ class TestExtractPattern:
             for a in addresses
         ]
         assert list(pattern.offsets) == want
+
+    @given(ALLOCATION_RECORDS, st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_owner_is_first_containing_base(self, bases, rng):
+        addresses = probe_addresses(bases, rng)
+        log = TraceLog(
+            events=tuple(make_event(i, a) for i, a in enumerate(addresses)),
+            module_range=MODULE_RANGE,
+        )
+        owners = [first_owner(bases, a) for a in addresses]
+        leftovers = [a for a, b in zip(addresses, owners) if b is None]
+        floor = min(leftovers, default=0)
+        want = tuple(a - (floor if b is None else b.base)
+                     for a, b in zip(addresses, owners))
+        assert extract_pattern(log, bases).offsets == want
 
     def test_empty_log(self):
         pattern = extract_pattern(TraceLog(module_range=MODULE_RANGE))
