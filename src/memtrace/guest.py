@@ -22,6 +22,7 @@ from .trace import (
     _hex,
     _int_or_hex,
     _parse_addr,
+    iter_json_lines,
 )
 
 PROFILE_IDS = ("normal", "user-exec-denied", "kernel-exec-denied", "execute-only")
@@ -314,25 +315,9 @@ _OP_INT_KEYS = ("addr", "size", "value", "n_stack", "amount", "rip")
 
 def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
     """Parse a line-delimited program model (header line + one op per line)."""
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
-    if isinstance(stream, str):
-        lines: Iterable[str] = stream.splitlines()
-    else:
-        lines = (
-            line.decode("utf-8") if isinstance(line, bytes) else line
-            for line in stream
-        )
     header = None
     ops: list[ModelOp] = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ModelParseError(lineno, f"invalid JSON: {exc.msg}") from exc
+    for lineno, record in iter_json_lines(stream, ModelParseError):
         if header is None:
             if not isinstance(record, dict) or "entry_page" not in record:
                 raise ModelParseError(lineno, "first line must carry entry_page")

@@ -249,6 +249,8 @@ def _int_list(record: dict, key: str) -> tuple[int, ...]:
     values = record[key]
     if not isinstance(values, list):
         raise ValueError(f"{key} must be a list")
+    if all(type(x) is int for x in values):
+        return tuple(values)
     return tuple(_int_or_hex(x) for x in values)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import IO, Callable, Iterable, Iterator, Optional, Union
 
 CPL_VALUES = ("user", "kernel")
 KIND_VALUES = ("read", "write", "execute")
@@ -57,7 +57,7 @@ class TraceOrderError(TraceError):
     """Sequence numbers are not strictly increasing."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstrDescriptor:
     """Modeled output of instruction decoding at a trapped access.
 
@@ -91,7 +91,7 @@ class InstrDescriptor:
             object.__setattr__(self, "register_args", tuple(self.register_args))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessEvent:
     """One intercepted memory access."""
 
@@ -190,18 +190,32 @@ def _int_or_hex(value) -> int:
     raise ValueError(f"{value!r} is neither an integer nor a 0x-prefixed hex string")
 
 
-def _record_to_event(record: dict) -> AccessEvent:
-    for key in ("seq", "tid", "cpl", "kind", "addr", "size", "rip", "instr"):
-        if key not in record:
-            raise ValueError(f"missing key {key!r}")
-    raw = record["instr"]
-    if not isinstance(raw, dict) or "cat" not in raw or "sign" not in raw:
-        raise ValueError("instr must be an object with cat and sign")
-    seq, tid, size = record["seq"], record["tid"], record["size"]
-    # The writer emits these as JSON integers; a bool, float or string
-    # would slip through the comparisons and dict keys downstream.
-    if type(seq) is not int or type(tid) is not int or type(size) is not int:
-        raise ValueError("seq, tid and size must be integers")
+_EVENT_KEYS = ("seq", "tid", "cpl", "kind", "addr", "size", "rip", "instr")
+# The parser fills an event's slots through these and then runs
+# __post_init__: half the cost of the frozen dataclass __init__.
+_new_object = object.__new__
+(_set_seq, _set_thread_id, _set_cpl, _set_kind, _set_address,
+ _set_operand_size, _set_instr, _set_rip) = (
+    AccessEvent.__dict__[name].__set__
+    for name in ("seq", "thread_id", "cpl", "kind", "address",
+                 "operand_size", "instr", "rip")
+)
+
+
+def _instr_key(raw: dict):
+    """A dict key for an `instr` record, equal only between records that
+    decode alike.  Equality alone would let `true` or `1.0` in args stand
+    for `1`, so the key also holds the type of each arg.  Raises TypeError
+    when args is not a list; the key is unhashable when a field is."""
+    args = raw.get("args")
+    if args is not None:
+        if type(args) is not list:
+            raise TypeError("args is not a list")
+        args = (tuple(args), tuple(map(type, args)))
+    return raw["cat"], raw["sign"], raw.get("callee"), args, raw.get("val")
+
+
+def _record_to_instr(raw: dict) -> InstrDescriptor:
     args = raw.get("args")
     if args is not None:
         if not isinstance(args, list):
@@ -210,23 +224,57 @@ def _record_to_event(record: dict) -> AccessEvent:
     callee = raw.get("callee")
     if callee is not None and not isinstance(callee, str):
         raise ValueError("instr callee must be a string")
-    instr = InstrDescriptor(
+    return InstrDescriptor(
         category=raw["cat"],
         signedness=raw["sign"],
         callee_id=callee,
         register_args=args,
         value=_parse_addr(raw["val"]) if raw.get("val") is not None else None,
     )
-    return AccessEvent(
-        seq=seq,
-        thread_id=tid,
-        cpl=_CPL_UNWIRE.get(record["cpl"], record["cpl"]),
-        kind=_KIND_UNWIRE.get(record["kind"], record["kind"]),
-        address=_parse_addr(record["addr"]),
-        operand_size=size,
-        instr=instr,
-        rip=_parse_addr(record["rip"]),
-    )
+
+
+def _record_to_event(record, instrs: dict) -> AccessEvent:
+    """Decode one event record.  `instrs` maps `_instr_key`s to the
+    descriptors already built, so each distinct `instr` record is
+    validated once per trace."""
+    try:
+        seq, tid, cpl = record["seq"], record["tid"], record["cpl"]
+        kind, addr, size = record["kind"], record["addr"], record["size"]
+        rip, raw = record["rip"], record["instr"]
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc.args[0]!r}") from None
+    except TypeError:
+        # Not an object: fail as a membership test of each key would.
+        for key in _EVENT_KEYS:
+            if key not in record:
+                raise ValueError(f"missing key {key!r}") from None
+        raise
+    if type(raw) is not dict or "cat" not in raw or "sign" not in raw:
+        raise ValueError("instr must be an object with cat and sign")
+    # The writer emits these as JSON integers; a bool, float or string
+    # would slip through the comparisons and dict keys downstream.
+    if type(seq) is not int or type(tid) is not int or type(size) is not int:
+        raise ValueError("seq, tid and size must be integers")
+    try:
+        key = _instr_key(raw)
+        instr = instrs.get(key)
+    except TypeError:
+        key = instr = None
+    if instr is None:
+        instr = _record_to_instr(raw)
+        if key is not None:
+            instrs[key] = instr
+    event = _new_object(AccessEvent)
+    _set_seq(event, seq)
+    _set_thread_id(event, tid)
+    _set_cpl(event, _CPL_UNWIRE.get(cpl, cpl))
+    _set_kind(event, _KIND_UNWIRE.get(kind, kind))
+    _set_address(event, _parse_addr(addr))
+    _set_operand_size(event, size)
+    _set_instr(event, instr)
+    _set_rip(event, _parse_addr(rip))
+    event.__post_init__()
+    return event
 
 
 def _iter_lines(stream) -> Iterator[str]:
@@ -241,6 +289,41 @@ def _iter_lines(stream) -> Iterator[str]:
         yield line.rstrip("\n")
 
 
+_JSON_WHITESPACE = " \t\n\r"
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def iter_json_lines(
+    stream: Union[bytes, str, IO, Iterable[str]],
+    error: Callable[[int, str], Exception],
+) -> Iterator[tuple[int, object]]:
+    """Yield (lineno, record) for each non-blank line of a JSON-lines
+    stream, numbering lines from 1 with blank ones counted.
+
+    A line that is not exactly one JSON value raises
+    `error(lineno, "invalid JSON: " + reason)`, with the reason
+    `json.loads` gives.
+    """
+    for lineno, line in enumerate(_iter_lines(stream), start=1):
+        # json.loads skips only JSON whitespace, but a line of any
+        # whitespace at all counts as blank.
+        text = line.strip(_JSON_WHITESPACE)
+        if not text or text.isspace():
+            continue
+        try:
+            record, end = _raw_decode(text)
+        except json.JSONDecodeError as exc:
+            reason = exc.msg
+            # json.loads checks for a BOM before it decodes; a line that
+            # starts with one never decodes, so it always lands here.
+            if line.startswith("\ufeff"):
+                reason = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+            raise error(lineno, f"invalid JSON: {reason}") from exc
+        if end != len(text):
+            raise error(lineno, "invalid JSON: Extra data")
+        yield lineno, record
+
+
 def parse_trace(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
     """Parse a line-delimited trace stream into a TraceLog.
 
@@ -251,27 +334,21 @@ def parse_trace(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
     """
     events: list[AccessEvent] = []
     module_range = (0, 0)
-    saw_header = False
+    records = iter_json_lines(stream, TraceParseError)
+    for lineno, record in records:  # the header: the first record only
+        if not isinstance(record, dict) or "module_range" not in record:
+            raise TraceParseError(lineno, "first line must carry module_range")
+        try:
+            rng = record["module_range"]
+            module_range = (_parse_addr(rng["lo"]), _parse_addr(rng["hi"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceParseError(lineno, f"bad module_range: {exc}") from exc
+        break
+    instrs: dict = {}
     last_seq = None
-    for lineno, line in enumerate(_iter_lines(stream), start=1):
-        if not line.strip():
-            continue
+    for lineno, record in records:
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(lineno, f"invalid JSON: {exc.msg}") from exc
-        if not saw_header:
-            if not isinstance(record, dict) or "module_range" not in record:
-                raise TraceParseError(lineno, "first line must carry module_range")
-            try:
-                rng = record["module_range"]
-                module_range = (_parse_addr(rng["lo"]), _parse_addr(rng["hi"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TraceParseError(lineno, f"bad module_range: {exc}") from exc
-            saw_header = True
-            continue
-        try:
-            event = _record_to_event(record)
+            event = _record_to_event(record, instrs)
         except (TypeError, ValueError) as exc:
             raise TraceParseError(lineno, str(exc)) from exc
         if last_seq is not None and event.seq <= last_seq:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 from hypothesis import strategies as st
@@ -21,7 +22,18 @@ from memtrace.signature import (
     DiffReport,
     NotSimilarError,
 )
-from memtrace.trace import AccessEvent, InstrDescriptor, TraceLog
+from memtrace.trace import (
+    _CPL_UNWIRE,
+    _KIND_UNWIRE,
+    AccessEvent,
+    InstrDescriptor,
+    TraceLog,
+    TraceOrderError,
+    TraceParseError,
+    _int_or_hex,
+    _iter_lines,
+    _parse_addr,
+)
 
 MODULE_PAGE = 0x401
 SP_INIT = 0x7FF000
@@ -95,6 +107,86 @@ def random_log(rng: random.Random, n_events: int) -> TraceLog:
         events.append(random_event(rng, seq))
     lo = rng.randrange(1 << 30)
     return TraceLog(events=tuple(events), module_range=(lo, lo + (1 << 20)))
+
+
+# -- line-by-line trace parser oracle ------------------------------------
+
+
+def _reference_record_to_event(record: dict) -> AccessEvent:
+    for key in ("seq", "tid", "cpl", "kind", "addr", "size", "rip", "instr"):
+        if key not in record:
+            raise ValueError(f"missing key {key!r}")
+    raw = record["instr"]
+    if not isinstance(raw, dict) or "cat" not in raw or "sign" not in raw:
+        raise ValueError("instr must be an object with cat and sign")
+    seq, tid, size = record["seq"], record["tid"], record["size"]
+    # The writer emits these as JSON integers; a bool, float or string
+    # would slip through the comparisons and dict keys downstream.
+    if type(seq) is not int or type(tid) is not int or type(size) is not int:
+        raise ValueError("seq, tid and size must be integers")
+    args = raw.get("args")
+    if args is not None:
+        if not isinstance(args, list):
+            raise ValueError("instr args must be a list")
+        args = tuple(_int_or_hex(a) for a in args)
+    callee = raw.get("callee")
+    if callee is not None and not isinstance(callee, str):
+        raise ValueError("instr callee must be a string")
+    instr = InstrDescriptor(
+        category=raw["cat"],
+        signedness=raw["sign"],
+        callee_id=callee,
+        register_args=args,
+        value=_parse_addr(raw["val"]) if raw.get("val") is not None else None,
+    )
+    return AccessEvent(
+        seq=seq,
+        thread_id=tid,
+        cpl=_CPL_UNWIRE.get(record["cpl"], record["cpl"]),
+        kind=_KIND_UNWIRE.get(record["kind"], record["kind"]),
+        address=_parse_addr(record["addr"]),
+        operand_size=size,
+        instr=instr,
+        rip=_parse_addr(record["rip"]),
+    )
+
+
+def reference_parse_trace(stream) -> TraceLog:
+    """`trace.parse_trace` as it was before descriptor interning: one
+    `json.loads` per line, and every event and descriptor built and
+    checked through its constructor."""
+    events: list[AccessEvent] = []
+    module_range = (0, 0)
+    saw_header = False
+    last_seq = None
+    for lineno, line in enumerate(_iter_lines(stream), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceParseError(lineno, f"invalid JSON: {exc.msg}") from exc
+        if not saw_header:
+            if not isinstance(record, dict) or "module_range" not in record:
+                raise TraceParseError(lineno, "first line must carry module_range")
+            try:
+                rng = record["module_range"]
+                module_range = (_parse_addr(rng["lo"]), _parse_addr(rng["hi"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise TraceParseError(lineno, f"bad module_range: {exc}") from exc
+            saw_header = True
+            continue
+        try:
+            event = _reference_record_to_event(record)
+        except (TypeError, ValueError) as exc:
+            raise TraceParseError(lineno, str(exc)) from exc
+        if last_seq is not None and event.seq <= last_seq:
+            raise TraceOrderError(
+                f"line {lineno}: seq {event.seq} not greater than {last_seq}"
+            )
+        last_seq = event.seq
+        events.append(event)
+    return TraceLog(events=tuple(events), module_range=module_range)
 
 
 # -- per-call fastcall oracle ------------------------------------------

@@ -423,6 +423,20 @@ class TestSignatureFiles:
         with pytest.raises(ValueError):
             read_signature(json.dumps(record))
 
+    @pytest.mark.parametrize("key", ["offsets", "sizes"])
+    @pytest.mark.parametrize("bad", [True, 2.0, "8", [8]])
+    def test_offsets_and_sizes_must_be_int_or_hex(self, key, bad):
+        record = {"base": 0, "offsets": [0, 8, 16], "sizes": [4, 4, 8]}
+        record[key] = [record[key][0], bad, record[key][2]]
+        with pytest.raises(ValueError):
+            read_signature(json.dumps(record))
+
+    def test_hex_offsets_mix_with_ints(self):
+        data = '{"base": 0, "offsets": [0, "0x8", 16], "sizes": ["0x4", 4, 8]}'
+        parsed, _ = read_signature(data)
+        assert parsed.offsets == (0, 8, 16)
+        assert parsed.sizes == (4, 4, 8)
+
     def test_unknown_keys_ignored(self):
         data = b'{"base": "0x0", "tau_default": 7, "offsets": [1], "x": 2}'
         parsed, tau = read_signature(data)

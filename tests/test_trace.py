@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import json
 import random
 
@@ -5,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memtrace import trace
+from memtrace.guest import ModelParseError, parse_model
 from memtrace.trace import (
     AccessEvent,
     InstrDescriptor,
@@ -18,7 +22,7 @@ from memtrace.trace import (
     split_by_thread,
 )
 
-from helpers import random_event, random_log
+from helpers import random_event, random_log, reference_parse_trace
 
 
 def make_event(seq=0, **kwargs):
@@ -135,6 +139,213 @@ class TestParseSerialize:
         rng = random.Random(seed)
         log = random_log(rng, rng.randrange(0, 40))
         assert parse_trace(serialize_trace(log)) == log
+
+
+HEADER = {"module_range": {"lo": "0x0", "hi": "0x1000"}}
+CALL = {"seq": 1, "tid": 0, "cpl": "u", "kind": "x", "addr": "0x10",
+        "size": 1, "rip": "0x10",
+        "instr": {"cat": "call", "sign": "n/a", "callee": "Foo",
+                  "args": [1, 0, 0, 0]}}
+
+
+def _outcome(parse, data):
+    """What a parser makes of `data`: its log, or the class, line number
+    and text of the exception it raised."""
+    try:
+        return parse(data)
+    except Exception as exc:
+        return type(exc), getattr(exc, "lineno", None), str(exc)
+
+
+class TestInternedDescriptors:
+    HEX = ["0x1", "0x0", "0x00", "0x000"]
+
+    @pytest.mark.parametrize("first, later", [
+        ([1, 0, 0, 0], [True, 0, 0, 0]),
+        ([1, 0, 0, 0], [1.0, 0, 0, 0]),
+        (HEX, dict.fromkeys(HEX, 0)),
+    ], ids=["bool", "float", "object"])
+    def test_equal_but_differently_typed_args_rejected(self, first, later):
+        """A later `instr` record that equals an accepted one under == (or
+        iterates like it) is still checked on its own."""
+        records = [HEADER, {**CALL, "instr": {**CALL["instr"], "args": first}},
+                   {**CALL, "seq": 2,
+                    "instr": {**CALL["instr"], "args": later}}]
+        data = "\n".join(json.dumps(r) for r in records)
+        with pytest.raises(TraceParseError, match="line 3"):
+            parse_trace(data)
+        assert _outcome(parse_trace, data) == _outcome(reference_parse_trace, data)
+
+    def test_one_descriptor_built_per_distinct_instr_record(self, monkeypatch):
+        rng = random.Random(7)
+        pool = [random_event(rng, 0) for _ in range(6)]
+        events = []
+        for seq in range(300):
+            template = rng.choice(pool)
+            events.append(dataclasses.replace(
+                template, seq=seq, address=rng.randrange(1 << 40)))
+        data = serialize_trace(TraceLog(events=tuple(events),
+                                        module_range=(0, 0x1000)))
+        distinct = {json.dumps(json.loads(line)["instr"], sort_keys=True)
+                    for line in data.decode().splitlines()[1:]}
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(InstrDescriptor(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(trace, "InstrDescriptor", counting)
+        log = parse_trace(data)
+        assert len(log) == 300
+        assert len(built) == len(distinct) <= 6
+
+
+# Record-level mutations: JSON values that equal a valid one under ==
+# (true for 1, 1.0 for 1), hex and non-hex strings, wrong types, dropped
+# keys.  Text-level ones: stray whitespace of every kind, trailing data,
+# blank lines, swapped lines and lines that are not objects.
+ARG_TOKENS = [True, False, 1.0, 0.0, "0x1", "0X1", "1", -1, 1 << 70, None,
+              [1], {}]
+VAL_TOKENS = ["0x10", 16, True, 1.5, "16", "0x", None, []]
+FIELD_TOKENS = [True, 1.0, 0, 8, 16, "x", "0x10", "u", "k", "r", "w",
+                "user", None, [], {}]
+EVENT_KEYS = ["seq", "tid", "cpl", "kind", "addr", "size", "rip", "instr"]
+INSTR_KEYS = ["cat", "sign", "callee", "args", "val"]
+WHITESPACE = [" ", "\t", "\x0c", "\x0b", "\xa0", "\ufeff", " \t "]
+TRAILING = [" x", "{}", " 1", ",", "]", " \x0c", "\t"]
+RAW_LINES = ["[]", "5", "null", "NaN", "{", '"seq tid cpl kind addr size rip'
+             ' instr"', json.dumps(EVENT_KEYS), json.dumps(HEADER)]
+
+MUTATION = st.tuples(
+    st.sampled_from(["arg", "swap", "val", "field", "instr", "drop", "cat",
+                     "space", "blank", "trail", "order", "raw"]),
+    st.integers(0, 1 << 16),
+    st.integers(0, 1 << 16),
+)
+
+
+def _template_log(rng: random.Random, n_events: int) -> TraceLog:
+    """Events copied from a few templates, so `instr` records repeat;
+    call arguments are small, so many are 0 or 1."""
+    pool = []
+    for _ in range(rng.randrange(1, 5)):
+        event = random_event(rng, 0)
+        if event.instr.register_args is not None:
+            args = tuple(rng.choice([0, 1, 2, 0x40]) for _ in range(4))
+            event = dataclasses.replace(
+                event, instr=dataclasses.replace(event.instr,
+                                                 register_args=args))
+        pool.append(event)
+    events = []
+    seq = 0
+    for _ in range(n_events):
+        seq += rng.randrange(1, 3)
+        events.append(dataclasses.replace(
+            rng.choice(pool), seq=seq, thread_id=rng.randrange(3),
+            address=rng.randrange(1 << 40)))
+    return TraceLog(events=tuple(events), module_range=(0x1000, 0x2000))
+
+
+def _mutate(log: TraceLog, mutations) -> str:
+    text = serialize_trace(log).decode()
+    records = [json.loads(line) for line in text.splitlines()]
+    events = records[1:]
+    for action, where, which in mutations:
+        if action in ("space", "blank", "trail", "order", "raw"):
+            continue
+        if not events:
+            break
+        record = events[where % len(events)]
+        instr = record.get("instr")
+        if action == "arg" and isinstance(instr, dict):
+            args = instr.setdefault("args", [0, 0, 0, 0])
+            if isinstance(args, list) and args:
+                args[which % len(args)] = ARG_TOKENS[which % len(ARG_TOKENS)]
+        elif action == "swap":
+            # A later copy of an earlier instr record, one int made a
+            # bool or float of equal value.
+            earlier = [r["instr"] for r in events[:where % len(events)]
+                       if isinstance(r.get("instr"), dict)
+                       and isinstance(r["instr"].get("args"), list)
+                       and r["instr"]["args"]]
+            if earlier:
+                copy = json.loads(json.dumps(earlier[which % len(earlier)]))
+                args = copy["args"]
+                slot = which % len(args)
+                if type(args[slot]) is int:
+                    args[slot] = (bool(args[slot]) if args[slot] in (0, 1)
+                                  and which % 2 else float(args[slot]))
+                record["instr"] = copy
+        elif action == "val" and isinstance(instr, dict):
+            instr["val"] = VAL_TOKENS[which % len(VAL_TOKENS)]
+        elif action == "field":
+            record[EVENT_KEYS[which % 8]] = FIELD_TOKENS[
+                which % len(FIELD_TOKENS)]
+        elif action == "instr" and isinstance(instr, dict):
+            instr[INSTR_KEYS[which % 5]] = FIELD_TOKENS[
+                which % len(FIELD_TOKENS)]
+        elif action == "drop":
+            target = (instr if isinstance(instr, dict) and which % 2
+                      else record)
+            if target:
+                del target[sorted(target)[which % len(target)]]
+        elif action == "cat" and isinstance(instr, dict):
+            instr["cat"] = trace.CATEGORIES[which % len(trace.CATEGORIES)]
+    lines = [json.dumps(r) for r in records]
+    for action, where, which in mutations:
+        at = where % len(lines)
+        if action == "space":
+            pad = WHITESPACE[which % len(WHITESPACE)]
+            lines[at] = pad + lines[at] if which % 2 else lines[at] + pad
+        elif action == "blank":
+            lines.insert(at, WHITESPACE[which % len(WHITESPACE)] * (which % 3))
+        elif action == "trail":
+            lines[at] += TRAILING[which % len(TRAILING)]
+        elif action == "order":
+            other = which % len(lines)
+            lines[at], lines[other] = lines[other], lines[at]
+        elif action == "raw":
+            lines[at] = RAW_LINES[which % len(RAW_LINES)]
+    return "\n".join(lines)
+
+
+@given(seed=st.integers(0, 2**32), mutations=st.lists(MUTATION, max_size=4),
+       form=st.sampled_from(["str", "bytes", "stream"]))
+@settings(max_examples=500, deadline=None)
+def test_parse_trace_matches_reference_parser(seed, mutations, form):
+    rng = random.Random(seed)
+    text = _mutate(_template_log(rng, rng.randrange(0, 25)), mutations)
+    # A stream is split at "\n" only, so form feeds stay inside lines.
+    make = {"str": lambda: text, "bytes": text.encode,
+            "stream": lambda: io.StringIO(text)}[form]
+    assert _outcome(parse_trace, make()) == _outcome(reference_parse_trace,
+                                                     make())
+
+
+@pytest.mark.parametrize("line", [
+    '{"op": "nop"} x',
+    '{"op": "nop"}\x0c',
+    '\x0c{"op": "nop"}',
+    '\ufeff{"op": "nop"}',
+    ' \ufeff{"op": "nop"}',
+    '{"op": ',
+    '{"op": "nop"}{}',
+])
+@pytest.mark.parametrize("parse, error", [(parse_trace, TraceParseError),
+                                          (parse_model, ModelParseError)])
+def test_json_line_errors_match_json_loads(parse, error, line):
+    """Both line readers skip whitespace-only lines, count them, and reject
+    a line for the same reason json.loads gives."""
+    header = {"module_range": {"lo": "0x0", "hi": "0x1"}, "entry_page": 1,
+              "sp_init": "0x7ff000"}
+    # A list of lines: str.splitlines would split at the form feeds.
+    data = [json.dumps(header), " \x0c\t\xa0", line]
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(line)
+    with pytest.raises(error) as got:
+        parse(data)
+    assert str(got.value) == f"line 3: invalid JSON: {want.value.msg}"
+    assert got.value.lineno == 3
 
 
 class TestSplitByThread:
