@@ -143,7 +143,10 @@ def _load_rules(path: Optional[str]):
     if path is None:
         return recon.EVASIVE_SEQUENCES
     with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except RecursionError:
+            raise ValueError("rules JSON is nested too deeply") from None
     if not isinstance(raw, list):
         raise ValueError("a rules file holds a JSON list of rules")
     rules = []
@@ -180,9 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulated memory-trace capture and analysis pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # A string default goes through the argument's type, so an invalid
-    # MEMTRACE_TAU is a usage error, reported only by subcommands taking --tau.
-    tau = os.environ.get("MEMTRACE_TAU", str(signature.DEFAULT_TAU))
+    # A --tau left out stays None: main() fills it from MEMTRACE_TAU on
+    # every call and reports a bad value through `usage_error`, the
+    # subcommand's own parser.
 
     p = sub.add_parser("simulate", help="run a program model, emit a trace")
     p.add_argument("model")
@@ -199,25 +202,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sign", help="extract a signature from a trace")
     p.add_argument("trace")
-    p.add_argument("--tau", type=_non_negative_int, default=tau)
+    p.add_argument("--tau", type=_non_negative_int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sign)
+    p.set_defaults(func=cmd_sign, usage_error=p.error)
 
     p = sub.add_parser("match", help="match two signatures")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--tau", type=_non_negative_int, default=tau)
+    p.add_argument("--tau", type=_non_negative_int, default=None)
     p.add_argument("--threshold", type=float,
                    default=signature.DEFAULT_MATCH_THRESHOLD)
-    p.set_defaults(func=cmd_match)
+    p.set_defaults(func=cmd_match, usage_error=p.error)
 
     p = sub.add_parser("diff", help="diff two similar signatures")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--tau", type=_non_negative_int, default=tau)
+    p.add_argument("--tau", type=_non_negative_int, default=None)
     p.add_argument("--threshold", type=float,
                    default=signature.DEFAULT_MATCH_THRESHOLD)
-    p.set_defaults(func=cmd_diff)
+    p.set_defaults(func=cmd_diff, usage_error=p.error)
 
     p = sub.add_parser("bases", help="list discovered allocation bases")
     p.add_argument("trace")
@@ -231,10 +234,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+_parser: Optional[argparse.ArgumentParser] = None
+
+
+def _resolve_tau(args) -> None:
+    """Fill a --tau that was left out from MEMTRACE_TAU, else DEFAULT_TAU."""
+    if not hasattr(args, "tau") or args.tau is not None:
+        return
+    text = os.environ.get("MEMTRACE_TAU", str(signature.DEFAULT_TAU))
     try:
-        args = parser.parse_args(argv)
+        args.tau = _non_negative_int(text)
+    except argparse.ArgumentTypeError as exc:
+        args.usage_error(f"argument --tau: {exc}")
+
+
+def main(argv=None) -> int:
+    # The parser is built on the first call and reused by later ones.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    try:
+        args = _parser.parse_args(argv)
+        _resolve_tau(args)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

@@ -21,7 +21,16 @@ from .trace import (
     TraceLog,
     _hex,
     _int_or_hex,
+    _new_object,
     _parse_addr,
+    _set_address,
+    _set_cpl,
+    _set_instr,
+    _set_kind,
+    _set_operand_size,
+    _set_rip,
+    _set_seq,
+    _set_thread_id,
     iter_json_lines,
 )
 
@@ -67,6 +76,9 @@ class EptProfile:
 @dataclass(frozen=True)
 class Allowed:
     pass
+
+
+_ALLOWED = Allowed()  # check_access hands out this one instance
 
 
 @dataclass(frozen=True)
@@ -142,7 +154,8 @@ class Guest:
         """
         if address < 0 or address >= 1 << 48:
             raise ValueError("address outside 48-bit canonical range")
-        page = self.pages.get(address // PAGE_SIZE)
+        number = address // PAGE_SIZE
+        page = self.pages.get(number)
         if page is None or not page.perms.present:
             return PageFault(address)
         profile = self.profiles[self.active_profile]
@@ -150,10 +163,10 @@ class Guest:
         if perms.hidden_hook:
             # Hooked bytes execute; reads trap and are served pristine.
             if kind == "execute":
-                return Allowed()
+                return _ALLOWED
             if kind == "read":
                 return Violation(address, kind, cpl, profile.id, rip)
-        override = profile.overrides.get(address // PAGE_SIZE)
+        override = profile.overrides.get(number)
         if override is not None:
             allowed = _perm_lookup(override, kind, cpl)
         elif profile.id == "normal":
@@ -165,7 +178,7 @@ class Guest:
         else:  # execute-only
             allowed = kind == "execute"
         if allowed:
-            return Allowed()
+            return _ALLOWED
         return Violation(address, kind, cpl, profile.id, rip)
 
     def switch_profile(self, profile_id: str) -> None:
@@ -207,35 +220,44 @@ class Guest:
     def read_memory(self, address: int, size: int) -> bytes:
         """Read bytes, serving the pristine view on hidden-hook pages."""
         out = bytearray()
-        for offset in range(size):
-            addr = address + offset
-            page = self.pages.get(addr // PAGE_SIZE)
-            if page is None:
-                raise SimulationError(f"read from unmapped {_hex(addr)}")
+        for _, page, lo, hi in self._page_spans(address, size, "read from"):
             source = page.pristine if page.perms.hidden_hook else page.content
-            out.append(source[addr % PAGE_SIZE])
+            out += source[lo:hi]
         return bytes(out)
 
     def fetch_memory(self, address: int, size: int) -> bytes:
         """Read bytes as the interpreter sees them (hooked content)."""
         out = bytearray()
-        for offset in range(size):
-            addr = address + offset
-            page = self.pages.get(addr // PAGE_SIZE)
-            if page is None:
-                raise SimulationError(f"fetch from unmapped {_hex(addr)}")
-            out.append(page.content[addr % PAGE_SIZE])
+        for _, page, lo, hi in self._page_spans(address, size, "fetch from"):
+            out += page.content[lo:hi]
         return bytes(out)
 
     def write_memory(self, address: int, data: bytes) -> None:
-        for offset, byte in enumerate(data):
-            addr = address + offset
+        """Write bytes page by page; the pages before an unmapped one keep
+        what was written to them.  An unhooked page's pristine copy
+        follows its content."""
+        for start, page, lo, hi in self._page_spans(address, len(data), "write to"):
+            chunk = data[start:start + hi - lo]
+            page.content[lo:hi] = chunk
+            if page.pristine is not None and not page.perms.hidden_hook:
+                page.pristine[lo:hi] = chunk
+
+    def _page_spans(self, address: int, size: int, action: str):
+        """Yield (start, page, lo, hi) for each page that [address,
+        address + size) overlaps, in address order: bytes lo:hi of `page`
+        hold the range's bytes from `start` on.  Raises SimulationError
+        at the first byte on an unmapped page, once the spans before it
+        have been yielded."""
+        start = 0
+        while start < size:
+            addr = address + start
             page = self.pages.get(addr // PAGE_SIZE)
             if page is None:
-                raise SimulationError(f"write to unmapped {_hex(addr)}")
-            page.content[addr % PAGE_SIZE] = byte
-            if page.pristine is not None and not page.perms.hidden_hook:
-                page.pristine[addr % PAGE_SIZE] = byte
+                raise SimulationError(f"{action} unmapped {_hex(addr)}")
+            lo = addr % PAGE_SIZE
+            hi = min(PAGE_SIZE, lo + size - start)
+            yield start, page, lo, hi
+            start += hi - lo
 
 
 def _perm_lookup(perms: PagePerms, kind: str, cpl: str) -> bool:
@@ -323,6 +345,8 @@ def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
                 raise ModelParseError(lineno, "first line must carry entry_page")
             header = record
             continue
+        if not isinstance(record, dict):
+            raise ModelParseError(lineno, "an op line must be a JSON object")
         if "op" not in record:
             raise ModelParseError(lineno, "missing op")
         try:
@@ -433,30 +457,39 @@ class _Emitter:
     def __init__(self, tid: int):
         self.tid = tid
         self.events: list[AccessEvent] = []
-        self._seq = 0
+        # One descriptor per distinct instruction; args are keyed with
+        # their types, as in trace._instr_key, so `True` never stands in
+        # for an equal `1`.
+        self._instrs: dict = {}
 
     def emit(self, kind, address, size, cpl, rip, cat="other", sign="n/a",
              callee=None, args=None, value=None):
-        instr = InstrDescriptor(
-            category=cat,
-            signedness=sign,
-            callee_id=callee,
-            register_args=tuple(args) if args is not None else None,
-            value=value,
-        )
-        self.events.append(
-            AccessEvent(
-                seq=self._seq,
-                thread_id=self.tid,
-                cpl=cpl,
-                kind=kind,
-                address=address,
-                operand_size=size,
-                instr=instr,
-                rip=rip,
+        if args is not None:
+            args = tuple(args)
+            key = (cat, sign, callee, args, tuple(map(type, args)), value)
+        else:
+            key = (cat, sign, callee, None, None, value)
+        instr = self._instrs.get(key)
+        if instr is None:
+            instr = self._instrs[key] = InstrDescriptor(
+                category=cat,
+                signedness=sign,
+                callee_id=callee,
+                register_args=args,
+                value=value,
             )
-        )
-        self._seq += 1
+        # Filled through the slots and then checked, as parse_trace does.
+        event = _new_object(AccessEvent)
+        _set_seq(event, len(self.events))
+        _set_thread_id(event, self.tid)
+        _set_cpl(event, cpl)
+        _set_kind(event, kind)
+        _set_address(event, address)
+        _set_operand_size(event, size)
+        _set_instr(event, instr)
+        _set_rip(event, rip)
+        event.__post_init__()
+        self.events.append(event)
 
 
 def run(guest: Guest, model: ProgramModel,
@@ -524,14 +557,16 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig):
             page.perms.exec_user = False
             page.perms.exec_kernel = False
 
-    def monitored(address: int) -> bool:
-        return cfg.monitor_pages is None or address // PAGE_SIZE in cfg.monitor_pages
+    pages = guest.pages
+    monitor_pages, monitor_kinds = cfg.monitor_pages, cfg.monitor_kinds
 
     def demand_page(address: int, size: int, lazy_code: bool = False) -> None:
-        for page in range(address // PAGE_SIZE, (address + size - 1) // PAGE_SIZE + 1):
-            addr = page * PAGE_SIZE
-            if guest.page_present(addr):
+        first = address // PAGE_SIZE
+        for page in range(first, (address + size - 1) // PAGE_SIZE + 1):
+            present = pages.get(page)
+            if present is not None and present.perms.present:
                 continue
+            addr = page * PAGE_SIZE
             if not (lazy_code or guest.is_allocatable(addr)
                     or page == model.entry_page):
                 raise SimulationError(
@@ -541,21 +576,27 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig):
             guest.inject_page_fault(addr)
             if was_absent_entry:
                 # Demand-zeroed entry page still has execute revoked.
-                perms = guest.pages[page].perms
+                perms = pages[page].perms
                 perms.exec_user = False
                 perms.exec_kernel = False
-            emitter.emit("read", address if page == address // PAGE_SIZE else addr,
+            emitter.emit("read", address if page == first else addr,
                          1, guest.mode, rip, cat="other")
+
+    def trap(kind, address, size, cat, sign="n/a", callee=None, args=None,
+             value=None):
+        """Check an access to present pages; emit it if it is trapped."""
+        outcome = guest.check_access(address, kind, guest.mode, rip)
+        if isinstance(outcome, Violation) or (
+            (monitor_pages is None or address // PAGE_SIZE in monitor_pages)
+            and kind in monitor_kinds
+        ):
+            emitter.emit(kind, address, size, guest.mode, rip, cat, sign,
+                         callee, args, value)
 
     def data_access(kind, address, size, cat, sign="n/a", callee=None,
                     args=None, value=None):
         demand_page(address, size)
-        outcome = guest.check_access(address, kind, guest.mode, rip)
-        if isinstance(outcome, Violation) or (
-            monitored(address) and kind in cfg.monitor_kinds
-        ):
-            emitter.emit(kind, address, size, guest.mode, rip, cat=cat,
-                         sign=sign, callee=callee, args=args, value=value)
+        trap(kind, address, size, cat, sign, callee, args, value)
 
     for op in model.ops:
         if op.rip is not None:
@@ -596,8 +637,8 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig):
             size = op.size or 8
             demand_page(op.addr, size)
             value = int.from_bytes(guest.read_memory(op.addr, size), "little")
-            data_access("read", op.addr, size, op.cat or "int-move",
-                        sign=op.sign or "n/a", value=value)
+            trap("read", op.addr, size, op.cat or "int-move",
+                 sign=op.sign or "n/a", value=value)
         elif op.op == "mov-write":
             size = op.size or 8
             value = op.value or 0

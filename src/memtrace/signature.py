@@ -263,7 +263,10 @@ def read_signature(data) -> tuple[AddressPattern, int]:
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    record = json.loads(data)
+    try:
+        record = json.loads(data)
+    except RecursionError:
+        raise ValueError("signature JSON is nested too deeply") from None
     if not isinstance(record, dict):
         raise ValueError("a signature file holds one JSON object")
     if "offsets" not in record or "base" not in record:

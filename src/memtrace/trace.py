@@ -155,24 +155,14 @@ def _hex(value: int) -> str:
     return f"0x{value:x}"
 
 
-def _event_to_record(event: AccessEvent) -> dict:
-    instr: dict = {"cat": event.instr.category, "sign": event.instr.signedness}
-    if event.instr.callee_id is not None:
-        instr["callee"] = event.instr.callee_id
-    if event.instr.register_args is not None:
-        instr["args"] = list(event.instr.register_args)
-    if event.instr.value is not None:
-        instr["val"] = _hex(event.instr.value)
-    return {
-        "seq": event.seq,
-        "tid": event.thread_id,
-        "cpl": _CPL_WIRE[event.cpl],
-        "kind": _KIND_WIRE[event.kind],
-        "addr": _hex(event.address),
-        "size": event.operand_size,
-        "rip": _hex(event.rip),
-        "instr": instr,
-    }
+def _instr_shape(instr: InstrDescriptor) -> dict:
+    """An `instr` record without its value: the part events share."""
+    record: dict = {"cat": instr.category, "sign": instr.signedness}
+    if instr.callee_id is not None:
+        record["callee"] = instr.callee_id
+    if instr.register_args is not None:
+        record["args"] = list(instr.register_args)
+    return record
 
 
 def _parse_addr(value) -> int:
@@ -302,7 +292,8 @@ def iter_json_lines(
 
     A line that is not exactly one JSON value raises
     `error(lineno, "invalid JSON: " + reason)`, with the reason
-    `json.loads` gives.
+    `json.loads` gives, or "nested too deeply" where the decoder ran out
+    of recursion depth.
     """
     for lineno, line in enumerate(_iter_lines(stream), start=1):
         # json.loads skips only JSON whitespace, but a line of any
@@ -319,6 +310,8 @@ def iter_json_lines(
             if line.startswith("\ufeff"):
                 reason = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
             raise error(lineno, f"invalid JSON: {reason}") from exc
+        except RecursionError:
+            raise error(lineno, "invalid JSON: nested too deeply") from None
         if end != len(text):
             raise error(lineno, "invalid JSON: Extra data")
         yield lineno, record
@@ -361,7 +354,15 @@ def parse_trace(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
 
 
 def serialize_trace(log: TraceLog) -> bytes:
-    """Serialize a TraceLog; parse_trace(serialize_trace(log)) == log."""
+    """Serialize a TraceLog; parse_trace(serialize_trace(log)) == log.
+
+    Each line is the bytes `json.dumps` gives for the event's record,
+    written by hand: `json.dumps` runs once per distinct instruction
+    shape (all of `instr` but its value), and the fixed-order event
+    fields are formatted directly.  seq, tid and size go through
+    `json.dumps` unless they are exact ints, which it spells as an
+    f-string does.
+    """
     if not log.events and log.module_range == (0, 0):
         return b""
     lines = [
@@ -374,7 +375,28 @@ def serialize_trace(log: TraceLog) -> bytes:
             }
         )
     ]
-    lines.extend(json.dumps(_event_to_record(e)) for e in log.events)
+    dumps, cpl_wire, kind_wire = json.dumps, _CPL_WIRE, _KIND_WIRE
+    prefixes: dict = {}  # shape -> its record's JSON without the closing }
+    for event in log.events:
+        instr = event.instr
+        args = instr.register_args
+        # Arg types are part of the key: `True == 1`, but they dump apart.
+        shape = (instr.category, instr.signedness, instr.callee_id, args,
+                 None if args is None else tuple(map(type, args)))
+        prefix = prefixes.get(shape)
+        if prefix is None:
+            prefix = prefixes[shape] = dumps(_instr_shape(instr))[:-1]
+        value = instr.value
+        record = (prefix + "}" if value is None
+                  else f'{prefix}, "val": "0x{value:x}"}}')
+        seq, tid, size = event.seq, event.thread_id, event.operand_size
+        if type(seq) is not int or type(tid) is not int or type(size) is not int:
+            seq, tid, size = dumps(seq), dumps(tid), dumps(size)
+        lines.append(
+            f'{{"seq": {seq}, "tid": {tid}, "cpl": "{cpl_wire[event.cpl]}", '
+            f'"kind": "{kind_wire[event.kind]}", "addr": "0x{event.address:x}", '
+            f'"size": {size}, "rip": "0x{event.rip:x}", "instr": {record}}}'
+        )
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

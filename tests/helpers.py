@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from memtrace.guest import (
     INSTR_STRIDE,
+    PAGE_SIZE,
+    Guest,
     ModelOp,
     ProgramModel,
+    SimulationError,
     build_guest,
     run,
 )
@@ -24,12 +27,15 @@ from memtrace.signature import (
 )
 from memtrace.trace import (
     _CPL_UNWIRE,
+    _CPL_WIRE,
     _KIND_UNWIRE,
+    _KIND_WIRE,
     AccessEvent,
     InstrDescriptor,
     TraceLog,
     TraceOrderError,
     TraceParseError,
+    _hex,
     _int_or_hex,
     _iter_lines,
     _parse_addr,
@@ -187,6 +193,88 @@ def reference_parse_trace(stream) -> TraceLog:
         last_seq = event.seq
         events.append(event)
     return TraceLog(events=tuple(events), module_range=module_range)
+
+
+# -- whole-record trace writer oracle -----------------------------------
+
+
+def _reference_event_to_record(event: AccessEvent) -> dict:
+    instr: dict = {"cat": event.instr.category, "sign": event.instr.signedness}
+    if event.instr.callee_id is not None:
+        instr["callee"] = event.instr.callee_id
+    if event.instr.register_args is not None:
+        instr["args"] = list(event.instr.register_args)
+    if event.instr.value is not None:
+        instr["val"] = _hex(event.instr.value)
+    return {
+        "seq": event.seq,
+        "tid": event.thread_id,
+        "cpl": _CPL_WIRE[event.cpl],
+        "kind": _KIND_WIRE[event.kind],
+        "addr": _hex(event.address),
+        "size": event.operand_size,
+        "rip": _hex(event.rip),
+        "instr": instr,
+    }
+
+
+def reference_serialize_trace(log: TraceLog) -> bytes:
+    """`trace.serialize_trace` as it was before per-shape prefixes: one
+    `json.dumps` of a whole record per event."""
+    if not log.events and log.module_range == (0, 0):
+        return b""
+    lines = [
+        json.dumps(
+            {
+                "module_range": {
+                    "lo": _hex(log.module_range[0]),
+                    "hi": _hex(log.module_range[1]),
+                }
+            }
+        )
+    ]
+    lines.extend(json.dumps(_reference_event_to_record(e)) for e in log.events)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# -- byte-loop guest memory oracle --------------------------------------
+
+
+def reference_read_memory(guest: Guest, address: int, size: int) -> bytes:
+    """`Guest.read_memory` as it was before per-page slices."""
+    out = bytearray()
+    for offset in range(size):
+        addr = address + offset
+        page = guest.pages.get(addr // PAGE_SIZE)
+        if page is None:
+            raise SimulationError(f"read from unmapped {_hex(addr)}")
+        source = page.pristine if page.perms.hidden_hook else page.content
+        out.append(source[addr % PAGE_SIZE])
+    return bytes(out)
+
+
+def reference_fetch_memory(guest: Guest, address: int, size: int) -> bytes:
+    """`Guest.fetch_memory` as it was before per-page slices."""
+    out = bytearray()
+    for offset in range(size):
+        addr = address + offset
+        page = guest.pages.get(addr // PAGE_SIZE)
+        if page is None:
+            raise SimulationError(f"fetch from unmapped {_hex(addr)}")
+        out.append(page.content[addr % PAGE_SIZE])
+    return bytes(out)
+
+
+def reference_write_memory(guest: Guest, address: int, data: bytes) -> None:
+    """`Guest.write_memory` as it was before per-page slices."""
+    for offset, byte in enumerate(data):
+        addr = address + offset
+        page = guest.pages.get(addr // PAGE_SIZE)
+        if page is None:
+            raise SimulationError(f"write to unmapped {_hex(addr)}")
+        page.content[addr % PAGE_SIZE] = byte
+        if page.pristine is not None and not page.perms.hidden_hook:
+            page.pristine[addr % PAGE_SIZE] = byte
 
 
 # -- per-call fastcall oracle ------------------------------------------

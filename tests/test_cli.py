@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from memtrace import signature
+from memtrace import cli, signature
 from memtrace.cli import main
 from memtrace.guest import ModelOp, ModelParseError, parse_model, serialize_model
 from memtrace.signature import write_signature
@@ -258,6 +258,7 @@ def assert_exit_2(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    return err
 
 
 class TestMalformedSignatureFiles:
@@ -308,6 +309,65 @@ class TestSimulationAndRulesErrors:
         path.write_text(json.dumps(rules))
         capsys.readouterr()
         assert_exit_2(capsys, ["flags", trace_path, "--rules", str(path)])
+
+
+    @pytest.mark.parametrize("line", ["null", "5", "[]"])
+    def test_non_object_op_line_is_exit_2(self, tmp_path, capsys, line):
+        path = tmp_path / "model.jsonl"
+        path.write_text('{"entry_page": 1025, "sp_init": "0x7ff000"}\n'
+                        f"{line}\n")
+        assert "line 2" in assert_exit_2(capsys, ["simulate", str(path)])
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+class TestDeepNesting:
+    """JSON nested far past the recursion limit is a parse error of the
+    reader that hit it, never a RecursionError traceback."""
+
+    def test_model(self, tmp_path, capsys):
+        path = tmp_path / "deep.model"
+        path.write_text('{"entry_page": 1025, "sp_init": "0x7ff000"}\n'
+                        + DEEP + "\n")
+        assert "line 2" in assert_exit_2(capsys, ["simulate", str(path)])
+
+    def test_trace(self, tmp_path, capsys):
+        path = tmp_path / "deep.trace"
+        path.write_text('{"module_range": {"lo": "0x0", "hi": "0x1000"}}\n'
+                        + DEEP + "\n")
+        assert "line 2" in assert_exit_2(capsys, ["bases", str(path)])
+
+    def test_signature(self, tmp_path, capsys):
+        path = tmp_path / "deep.sig"
+        path.write_text(DEEP)
+        assert_exit_2(capsys, ["match", str(path), str(path)])
+
+    def test_rules(self, tmp_path, capsys):
+        model = write_model(tmp_path, basic_ops())
+        trace_path = str(tmp_path / "t.jsonl")
+        main(["simulate", model, "--out", trace_path])
+        path = tmp_path / "rules.json"
+        path.write_text(DEEP)
+        capsys.readouterr()
+        assert_exit_2(capsys, ["flags", trace_path, "--rules", str(path)])
+
+
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    sig = write_sig(tmp_path, [0, 8, 16], "a.json")
+    for argv in (["match", sig, sig], ["match", sig, sig, "--tau", "0"],
+                 ["frobnicate"]):
+        main(argv)
+    assert len(built) == 1
 
 
 def test_end_to_end_diff_localizes_one_change(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Fuzz the CLI boundary: mutated input files never break the exit codes.
 
 Each example starts from a valid seed file (model, trace, signature or
-rules), replaces or inserts JSON tokens and flips bytes, and runs the
-subcommands that read that kind of file.  `cli.main` must return, never
+rules), replaces or inserts JSON tokens (deep nesting among them), inserts
+whole lines that are not objects, flips bytes, and runs the subcommands
+that read that kind of file.  `cli.main` must return, never
 raise; the code must be 0, 1 or 2; and 1 ("no match") may only come from
 match and diff, so a corrupt file can never pass for a negative verdict.
 """
@@ -21,7 +22,12 @@ from memtrace.trace import AddressPattern
 
 from helpers import make_model
 
-TOKENS = ["true", "null", "1.5", "-1", '"x"', "[]", "{}", "[1,2]", "1e400"]
+# Nested far past the recursion limit.
+DEEP = "[" * 100_000 + "]" * 100_000
+TOKENS = ["true", "null", "1.5", "-1", '"x"', "[]", "{}", "[1,2]", "1e400",
+          DEEP]
+# Whole lines that are valid JSON but not objects.
+LINES = ["null", "5", "[]", '"x"', DEEP]
 # A JSON string, number or literal: the values a mutation may replace.
 VALUE = re.compile(rb'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?'
                    rb"|true|false|null")
@@ -84,6 +90,11 @@ def mutate(data: bytes, mutations) -> bytes:
             opens = [m.end() for m in re.finditer(rb"\[", data)] or [0]
             at = opens[position % len(opens)]
             data = data[:at] + token + b"," + data[at:]
+        elif action == "line":
+            starts = [0] + [m.end() for m in re.finditer(rb"\n", data)]
+            at = starts[position % len(starts)]
+            line = LINES[position % len(LINES)].encode()
+            data = data[:at] + line + b"\n" + data[at:]
         elif data:
             at = position % len(data)
             data = data[:at] + bytes([data[at] ^ 1 << bit]) + data[at + 1:]
@@ -91,7 +102,7 @@ def mutate(data: bytes, mutations) -> bytes:
 
 
 MUTATION = st.tuples(
-    st.sampled_from(["replace", "insert", "flip"]),
+    st.sampled_from(["replace", "insert", "line", "flip"]),
     st.integers(min_value=0, max_value=1 << 16),
     st.sampled_from(TOKENS).map(str.encode),
     st.integers(min_value=0, max_value=7),

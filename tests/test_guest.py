@@ -1,8 +1,12 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from memtrace.cli import main
 from memtrace.guest import (
     PAGE_SIZE,
     Allowed,
@@ -22,15 +26,21 @@ from memtrace.guest import (
     serialize_model,
     transitions,
 )
+from memtrace.trace import InstrDescriptor
 
 from helpers import (
     MODULE_PAGE,
     SP_INIT,
     event_tuples,
     make_model,
+    reference_fetch_memory,
     reference_interpret,
+    reference_read_memory,
+    reference_write_memory,
     run_model,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def fresh_guest(page=0x3, present=True, hook=False):
@@ -170,6 +180,79 @@ class TestHiddenHooks:
             guest.install_hidden_hook(0x3000, b"\xcc")
 
 
+# Pages 0x10-0x15: 0x12 and 0x14 are unmapped, 0x11 and 0x13 hooked, and
+# 0x15 keeps a pristine copy with its hook flag cleared, so writes there
+# must update both views.
+MEMORY_PAGES = range(0x10, 0x16)
+
+
+def _memory_guest(seed: int) -> Guest:
+    rng = random.Random(seed)
+    guest = Guest()
+    for page in MEMORY_PAGES:
+        if page in (0x12, 0x14):
+            continue
+        guest.map_range(page * PAGE_SIZE, (page + 1) * PAGE_SIZE)
+        guest.pages[page].content[:] = rng.randbytes(PAGE_SIZE)
+    guest.install_hidden_hook(0x11 * PAGE_SIZE + 7, b"\xcc" * 9)
+    guest.install_hidden_hook(0x13 * PAGE_SIZE + PAGE_SIZE - 3, b"\xcc\xcc")
+    guest.install_hidden_hook(0x15 * PAGE_SIZE, b"\xcc")
+    guest.pages[0x15].perms.hidden_hook = False
+    return guest
+
+
+def _page_state(guest: Guest):
+    return {number: (bytes(page.content),
+                     None if page.pristine is None else bytes(page.pristine),
+                     page.perms.hidden_hook)
+            for number, page in guest.pages.items()}
+
+
+def _memory_outcome(call):
+    try:
+        return call()
+    except SimulationError as exc:
+        return ("SimulationError", str(exc))
+
+
+MEMORY_OP = st.tuples(
+    st.sampled_from(["read", "fetch", "write"]),
+    st.integers(0x10 * PAGE_SIZE - 16, 0x16 * PAGE_SIZE + 16),
+    st.one_of(st.integers(0, 24), st.integers(0, 3 * PAGE_SIZE)),
+)
+
+
+class TestPageSlicedMemory:
+    @given(seed=st.integers(0, 2**16), ops=st.lists(MEMORY_OP, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_byte_loop(self, seed, ops):
+        """Reads, fetches and writes equal a byte-at-a-time loop: the same
+        bytes, the same error at the same first unmapped address, and the
+        same pages after a write that stopped part-way."""
+        guest, reference = _memory_guest(seed), _memory_guest(seed)
+        rng = random.Random(seed)
+        for action, address, size in ops:
+            if action == "write":
+                data = rng.randbytes(size)
+                got = _memory_outcome(lambda: guest.write_memory(address, data))
+                want = _memory_outcome(
+                    lambda: reference_write_memory(reference, address, data))
+            else:
+                method = {"read": (guest.read_memory, reference_read_memory),
+                          "fetch": (guest.fetch_memory,
+                                    reference_fetch_memory)}[action]
+                got = _memory_outcome(lambda: method[0](address, size))
+                want = _memory_outcome(
+                    lambda: method[1](reference, address, size))
+            assert got == want
+            assert _page_state(guest) == _page_state(reference)
+
+    def test_allowed_is_one_shared_instance(self):
+        guest = fresh_guest()
+        assert guest.check_access(0x3000, "read", "user") is guest.check_access(
+            0x3008, "write", "kernel")
+
+
 class TestInjectPageFault:
     def test_absent_page_becomes_zero_filled(self):
         guest = Guest()
@@ -276,6 +359,60 @@ class TestRun:
         model = make_model(ops)
         log = run_model(model)
         assert event_tuples(log) == reference_interpret(model)
+
+
+class TestCaptureWork:
+    def test_one_descriptor_per_distinct_instruction(self, monkeypatch):
+        """The emitter checks each distinct (cat, sign, callee, args,
+        value) once per run, not once per event."""
+        checked = []
+        post_init = InstrDescriptor.__post_init__
+
+        def counting(self):
+            checked.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(InstrDescriptor, "__post_init__", counting)
+        ops = [ModelOp("alloc", callee="malloc", size=0x40)]
+        for k in range(40):
+            ops += [ModelOp("mov-write", addr=0x9000 + 8 * (k % 4), value=k % 3),
+                    ModelOp("mov-read", addr=0x9000 + 8 * (k % 4)),
+                    ModelOp("push", value=5),
+                    ModelOp("call", callee="Foo", args=[1, 2, 3, 4, 5]),
+                    ModelOp("ret"), ModelOp("ret")]
+        log = run_model(make_model(ops))
+        distinct = {(e.instr.category, e.instr.signedness, e.instr.callee_id,
+                     e.instr.register_args, e.instr.value) for e in log.events}
+        assert len(log.events) > 200
+        assert len(checked) == len(distinct)
+
+    def test_equal_args_of_other_types_are_not_shared(self):
+        """`True == 1`, so the descriptor key holds each arg's type: the
+        second call keeps its own `True`, as an unshared build would."""
+        ops = [ModelOp("call", callee="Foo", args=[arg, 0, 0, 0],
+                       rip=MODULE_PAGE * PAGE_SIZE) for arg in (1, True)]
+        first, second = run_model(make_model(ops)).events
+        assert first.instr.value == second.instr.value
+        assert [type(e.instr.register_args[0]) for e in (first, second)] == [
+            int, bool]
+
+    @pytest.mark.parametrize("op, message", [
+        (ModelOp("mov-write", addr=0x3000, size=3), "bad operand size 3"),
+        (ModelOp("mov-read", addr=0x3000, size=2, cat="float-move"),
+         "float-move implies operand_size 4 or 8"),
+    ], ids=["size-3", "short-float"])
+    def test_emitted_events_are_checked(self, op, message):
+        with pytest.raises(ValueError, match=message):
+            run_model(make_model([op]))
+
+    def test_golden_trace(self, tmp_path, capsys):
+        """A model touching every op, page-crossing accesses, demand paging,
+        escaped callees and values past 2**64 traces to the committed bytes."""
+        out = tmp_path / "golden.trace"
+        assert main(["simulate", str(DATA / "golden.model"),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "30 events\n"
+        assert out.read_bytes() == (DATA / "golden.trace").read_bytes()
 
 
 class TestEntryCapture:

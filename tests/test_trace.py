@@ -22,7 +22,12 @@ from memtrace.trace import (
     split_by_thread,
 )
 
-from helpers import random_event, random_log, reference_parse_trace
+from helpers import (
+    random_event,
+    random_log,
+    reference_parse_trace,
+    reference_serialize_trace,
+)
 
 
 def make_event(seq=0, **kwargs):
@@ -320,6 +325,77 @@ def test_parse_trace_matches_reference_parser(seed, mutations, form):
             "stream": lambda: io.StringIO(text)}[form]
     assert _outcome(parse_trace, make()) == _outcome(reference_parse_trace,
                                                      make())
+
+
+CALLEES = st.one_of(
+    st.sampled_from(['Foo', 'q"uo"te', 'back\\slash\\', 'n\u00efc\u00f6de \u2603',
+                     'tab\tnew\nline', '\x00\x1f\x7f', '\U0001f600']),
+    st.text(max_size=6),
+)
+VALUES = st.one_of(st.none(), st.just(0), st.integers(0, 2**64 - 1),
+                   st.integers(2**64, 2**80))
+ARG = st.one_of(st.sampled_from([0, 1, False, True]), st.integers(0, 2**16),
+                st.integers(2**64, 2**70))
+
+
+@st.composite
+def writer_logs(draw):
+    """Logs whose events repeat a few instruction shapes with varying
+    values; seq, tid and size are sometimes not ints (json.dumps has its
+    own spelling of those)."""
+    shapes = []
+    for _ in range(draw(st.integers(1, 4))):
+        cat = draw(st.sampled_from(
+            ["int-move", "float-move", "xmm-zero-store", "push", "other",
+             "call", "api-call", "syscall"]))
+        callee = (draw(st.one_of(st.none(), CALLEES))
+                  if cat in ("call", "api-call", "syscall") else None)
+        args = (draw(st.one_of(st.none(), st.tuples(ARG, ARG, ARG, ARG)))
+                if cat in ("call", "api-call") else None)
+        shapes.append((cat, draw(st.sampled_from(["signed", "unsigned", "n/a"])),
+                       callee, args))
+    events = []
+    for seq in range(draw(st.integers(0, 12))):
+        cat, sign, callee, args = draw(st.sampled_from(shapes))
+        kind = draw(st.sampled_from(["read", "write", "execute"]))
+        size = {"float-move": 8, "xmm-zero-store": 16}.get(cat, 1)
+        if kind == "execute" and size != 1:
+            kind = "write"
+        if size == 1:
+            size = draw(st.sampled_from([1, True]))
+        events.append(AccessEvent(
+            seq=draw(st.sampled_from([seq, seq, float(seq), bool(seq % 2)])),
+            thread_id=draw(st.one_of(st.integers(0, 2**70), st.just(True))),
+            cpl=draw(st.sampled_from(["user", "kernel"])),
+            kind=kind,
+            address=draw(st.integers(0, 2**72)),
+            operand_size=size,
+            instr=InstrDescriptor(category=cat, signedness=sign,
+                                  callee_id=callee, register_args=args,
+                                  value=draw(VALUES)),
+            rip=draw(st.integers(0, 2**72)),
+        ))
+    module_range = draw(st.sampled_from([(0, 0), (0x401000, 0x402000)]))
+    return TraceLog(events=tuple(events), module_range=module_range)
+
+
+@given(log=writer_logs())
+@settings(max_examples=500, deadline=None)
+def test_serialize_trace_matches_reference_writer(log):
+    assert serialize_trace(log) == reference_serialize_trace(log)
+
+
+def test_equal_args_of_other_types_keep_their_spelling():
+    """`(True, 0, 0, 0) == (1, 0, 0, 0)`, but json.dumps spells them apart,
+    so the two shapes must not share a cached prefix."""
+    events = tuple(
+        make_event(seq=seq, kind="write", instr=InstrDescriptor(
+            category="call", callee_id="Foo", register_args=(arg, 0, 0, 0)))
+        for seq, arg in enumerate([1, True, 1.0]))
+    log = TraceLog(events=events, module_range=(0, 0x1000))
+    data = serialize_trace(log)
+    assert data == reference_serialize_trace(log)
+    assert b'"args": [true, 0, 0, 0]' in data.splitlines()[2]
 
 
 @pytest.mark.parametrize("line", [
