@@ -27,9 +27,10 @@ def _non_negative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        raise argparse.ArgumentTypeError(
+            f"{trace._shown(text)} is not an integer") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+        raise argparse.ArgumentTypeError(f"{trace._shown(text)} is negative")
     return value
 
 
@@ -40,7 +41,7 @@ def _load_trace(path: str) -> trace.TraceLog:
 
 def _parse_base(text: str) -> int:
     if not text.lower().startswith("0x"):
-        raise ValueError(f"base {text!r} must be 0x-prefixed hex")
+        raise ValueError(f"base {trace._shown(text)} must be 0x-prefixed hex")
     return int(text, 16)
 
 
@@ -159,8 +160,8 @@ def _load_rules(path: Optional[str]):
             or isinstance(step, list) and all(isinstance(s, str) for s in step)
             for step in steps
         ):
-            raise ValueError(f"rule {entry['name']!r}: steps must be a "
-                             "non-empty list of names or lists of names")
+            raise ValueError(f"rule {trace._shown(entry['name'])}: steps must "
+                             "be a non-empty list of names or lists of names")
         rules.append((entry["name"], [
             tuple(step) if isinstance(step, list) else step for step in steps
         ]))

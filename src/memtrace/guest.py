@@ -31,6 +31,7 @@ from .trace import (
     _set_rip,
     _set_seq,
     _set_thread_id,
+    _shown,
     iter_json_lines,
 )
 
@@ -301,9 +302,9 @@ class ModelOp:
 
     def __post_init__(self):
         if self.op not in MODEL_OPS:
-            raise ValueError(f"unknown model op {self.op!r}")
+            raise ValueError(f"unknown model op {_shown(self.op)}")
         if self.addr is None and self.op in ("mov-read", "mov-write", "xmm-zero"):
-            raise ValueError(f"model op {self.op!r} needs an addr")
+            raise ValueError(f"model op {_shown(self.op)} needs an addr")
 
 
 @dataclass
@@ -352,15 +353,20 @@ def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
         try:
             kwargs = {"op": record["op"]}
             for key in _OP_INT_KEYS:
-                if record.get(key) is not None:
-                    kwargs[key] = _int_or_hex(record[key])
+                value = record.get(key)
+                if value is not None:
+                    kwargs[key] = _int_or_hex(value)
             for key in ("callee", "cpl", "cat", "sign"):
-                if record.get(key) is not None:
-                    if not isinstance(record[key], str):
+                value = record.get(key)
+                if value is not None:
+                    if not isinstance(value, str):
                         raise ValueError(f"{key} must be a string")
-                    kwargs[key] = record[key]
-            if record.get("args") is not None:
-                kwargs["args"] = [_int_or_hex(a) for a in record["args"]]
+                    kwargs[key] = value
+            args = record.get("args")
+            if args is not None:
+                if not isinstance(args, list):
+                    raise ValueError("args must be a list")
+                kwargs["args"] = [_int_or_hex(a) for a in args]
             ops.append(ModelOp(**kwargs))
         except (TypeError, ValueError) as exc:
             raise ModelParseError(lineno, str(exc)) from exc

@@ -6,17 +6,21 @@ threshold tau, by dynamic programming.  The DP is bit-parallel: each
 row updates every column at once, with the run lengths held as binary
 digit slices in Python ints, so an m x n match costs O(m log L)
 big-int operations rather than m n interpreted steps.  Every other
-question about two patterns is answered from that one kernel: the
+question about two patterns is answered from that one sweep: the
 normalized similarity score, and a greedy diff that splits ranges off a
 worklist to localize source-level modifications between near-identical
-patterns.  Events are attributed to allocations through recon's
-OwnerIndex, one bisection per event.
+patterns.  The diff sweeps the pair once for its first split and each
+leftover box once more, collecting the maximal diagonal near-runs, and
+answers every later range from those runs, clipped to it.  Events are
+attributed to allocations through recon's OwnerIndex, one bisection per
+event.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
+from heapq import heapify, heappop, heapreplace
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -70,34 +74,40 @@ def _offsets(pattern) -> tuple[int, ...]:
     return tuple(pattern)
 
 
-def lcmap(p, p_prime, tau: int = DEFAULT_TAU) -> LcmapResult:
-    """Longest common memory address pattern by a bit-parallel DP.
+def _sweep(first: Sequence[int], second: Sequence[int], tau: int,
+           min_run: Optional[int] = None):
+    """The LCMAP dynamic program over first x second, one row at a time.
+
+    Returns (length, end_i, end_j, runs): the longest run and the
+    row-major earliest cell where it ends, (0, -1, -1) when no pair is
+    near, and, when min_run is given, every maximal diagonal near-run of
+    at least max(min_run, 1) cells as (start_i, start_j, length) in
+    row-end order.  This is the only LCMAP dynamic program: lcmap wraps
+    it without collecting, and diff_modified collects from it.
 
     D[i][j] extends D[i-1][j-1] by one when near(P[i-1], P'[j-1], tau)
-    and resets to zero otherwise; the result is the run of P ending at
-    the smallest index attaining the maximum.  Ties on the P' side break
-    toward the earliest match for reproducible output.  This is the only
-    LCMAP dynamic program; similarity and diff_modified read its result.
-
-    One row of D is computed at a time, for every column at once, on
-    Python ints used as bit vectors (bit j is column j), after Allison
-    and Dix's bit-string LCS and Myers' bit-vector matching.  Row i's
-    near set is the XOR of two prefix-OR masks over P' in sorted order,
-    found by two bisections.  The run lengths are kept as binary digit
-    slices: bit j of digits[k] is bit k of D[i][j].  A row shifts every
-    slice by one column, clears the columns that are not near, and adds
-    one to the near columns by a ripple carry.  A run grows by at most
-    one per row, so a new maximum is best + 1; one slice-equality test
-    per row finds its columns and the lowest set bit the earliest one.
-    Cost: O(m log L) operations on n-bit ints, about m n log L / 64 word
-    operations for the longest run L, plus n + 1 prefix masks of n bits.
-    A negative tau makes no pair near.
+    and resets to zero otherwise.  Row i of D is computed for every
+    column at once, on Python ints used as bit vectors (bit j is column
+    j), after Allison and Dix's bit-string LCS and Myers' bit-vector
+    matching.  Row i's near set is the XOR of two prefix-OR masks over P'
+    in sorted order, found by two bisections.  The run lengths are kept
+    as binary digit slices: bit j of digits[k] is bit k of D[i][j].  A
+    row shifts every slice by one column, clears the columns that are not
+    near, and adds one to the near columns by a ripple carry.  A run
+    grows by at most one per row, so a new maximum is best + 1; one
+    slice-equality test per row finds its columns and the lowest set bit
+    the earliest one.  The run at (i - 1, j) ends unless (i, j + 1) is
+    near, and is at least two long when (i - 2, j - 1) is near too, so
+    the ended runs worth decoding are a few masks away; their lengths are
+    read from the slices before row i overwrites them.  Cost: O(m log L)
+    operations on n-bit ints, about m n log L / 64 word operations for
+    the longest run L, plus n + 1 prefix masks of n bits and O(log L)
+    per collected run.  A negative tau makes no pair near.
     """
-    first = _offsets(p)
-    second = _offsets(p_prime)
     m, n = len(first), len(second)
     best_len = 0
     best_i = best_j = -1
+    runs: list[tuple[int, int, int]] = []
     if tau >= 0 and m and n:
         order = sorted(range(n), key=second.__getitem__)
         values = [second[j] for j in order]
@@ -105,9 +115,16 @@ def lcmap(p, p_prime, tau: int = DEFAULT_TAU) -> LcmapResult:
         for j in order:
             prefix.append(prefix[-1] | 1 << j)
         digits: list[int] = []  # digits[k]: bit k of every column's run
+        row = above = 0  # the near sets of rows i - 1 and i - 2
         for i, a in enumerate(first):
             near_mask = (prefix[bisect_right(values, a + tau)]
                          ^ prefix[bisect_left(values, a - tau)])
+            if min_run is not None:
+                ended = row & (above << 1) if min_run > 1 else row
+                ended &= ~(near_mask >> 1)
+                if ended:
+                    _collect(runs, digits, ended, i - 1, min_run)
+                above, row = row, near_mask
             carry = near_mask
             for k, digit in enumerate(digits):
                 digit = (digit << 1) & near_mask
@@ -126,6 +143,45 @@ def lcmap(p, p_prime, tau: int = DEFAULT_TAU) -> LcmapResult:
             if hits:
                 best_len, best_i = target, i
                 best_j = (hits & -hits).bit_length() - 1
+        if min_run is not None:
+            # Every run still open in the last row ends there.
+            ended = row & (above << 1) if min_run > 1 else row
+            if ended:
+                _collect(runs, digits, ended, m - 1, min_run)
+    return best_len, best_i, best_j, runs
+
+
+def _collect(runs: list, digits: list[int], ended: int, i: int,
+             min_run: int) -> None:
+    """Append the runs ending at row i in the columns of `ended` whose
+    length, read from row i's digit slices, is at least min_run."""
+    while ended:
+        low = ended & -ended
+        ended ^= low
+        length = 0
+        for k, digit in enumerate(digits):
+            if digit & low:
+                length |= 1 << k
+        if length >= min_run:
+            j = low.bit_length() - 1
+            runs.append((i - length + 1, j - length + 1, length))
+
+
+def lcmap(p, p_prime, tau: int = DEFAULT_TAU) -> LcmapResult:
+    """Longest common memory address pattern by a bit-parallel DP.
+
+    The result is the run of P ending at the smallest index attaining
+    the maximum; ties on the P' side break toward the earliest match for
+    reproducible output.  A thin wrapper over `_sweep`, the only LCMAP
+    dynamic program, that collects no runs; similarity reads its result,
+    and diff_modified reads it for the threshold and the first split.
+    Cost: O(m log L) operations on n-bit ints for the longest run L.  A
+    negative tau makes no pair near.
+    """
+    first = _offsets(p)
+    second = _offsets(p_prime)
+    m, n = len(first), len(second)
+    best_len, best_i, best_j, _ = _sweep(first, second, tau)
     return LcmapResult(
         pattern=first[best_i - best_len + 1 : best_i + 1],
         length=best_len,
@@ -198,9 +254,21 @@ def diff_modified(p, p_prime, tau: int = DEFAULT_TAU,
     manner of difflib's get_matching_blocks: take a range's LCMAP as a
     matched run and queue the unmatched ranges before and after it; a
     range whose LCMAP is shorter than min_run (and does not cover both
-    sides) becomes one combined unmatched region.  The full-size DP runs
-    once: it decides the threshold and is the first split.  Raises
+    sides) becomes one combined unmatched region.  Raises
     NotSimilarError when the patterns do not meet the match threshold.
+
+    The whole-pair lcmap decides the threshold and is the first split.
+    Each of the two leftover boxes is then swept once, collecting its
+    maximal near-runs of at least min_run, and every later range is
+    answered from those runs: a range's DP is the whole DP clipped,
+    D_R[i][j] = min(D[i][j], i - i0 + 1, j - j0 + 1), so a run's best
+    cell in a range is its last cell inside it (`_clip`).  A range keeps
+    its candidate runs in a lazy heap keyed by (-clipped length, end i,
+    end j), the sub-DP's row-major earliest tie-break; a popped run is
+    re-clipped and pushed back, which is sound because keys only get
+    worse as ranges nest.  No run reaches into both halves of a split,
+    so the child with the larger half-perimeter inherits the heap and
+    the other builds its own from a per-diagonal index of the runs.
     """
     first = _offsets(p)
     second = _offsets(p_prime)
@@ -208,27 +276,101 @@ def diff_modified(p, p_prime, tau: int = DEFAULT_TAU,
     if whole.ratio < threshold:
         raise NotSimilarError(whole.ratio, threshold)
     min_run = max(min_run, 1)  # a zero-length run cannot split a range
+    m, n = len(first), len(second)
     report = DiffReport()
-    pending = [(0, len(first), 0, len(second), whole)]
+    pending = []
+    index: dict[int, tuple[list[int], list]] = {}  # diagonal -> (ends, runs)
+    length = whole.length
+    if length < min_run and not length == m == n:
+        report.unmatched.append(((0, m), (0, n)))
+    elif m:  # two empty patterns have nothing to report
+        mi0 = whole.end_index - length + 1
+        mj0 = whole.end_index_prime - length + 1
+        report.matched.append(((mi0, mi0 + length), (mj0, mj0 + length)))
+        for i0, i1, j0, j1 in ((0, mi0, 0, mj0),
+                               (mi0 + length, m, mj0 + length, n)):
+            runs = [(s + i0, t + j0, size) for s, t, size
+                    in _sweep(first[i0:i1], second[j0:j1], tau, min_run)[3]]
+            for run in runs:
+                ends, on_diagonal = index.setdefault(run[1] - run[0], ([], []))
+                ends.append(run[0] + run[2] - 1)
+                on_diagonal.append(run)
+            heap = [(_clip(run, i0, i1, j0, j1), run) for run in runs]
+            heapify(heap)
+            pending.append((i0, i1, j0, j1, heap))
+    diagonals = sorted(index)
     while pending:
-        i0, i1, j0, j1, best = pending.pop()
+        i0, i1, j0, j1, heap = pending.pop()
         if i0 >= i1 and j0 >= j1:
             continue
-        if best is None:
-            best = lcmap(first[i0:i1], second[j0:j1], tau)
-        length = best.length
-        if length < min_run and not length == i1 - i0 == j1 - j0:
+        while heap:
+            stored, run = heap[0]
+            key = _clip(run, i0, i1, j0, j1)
+            if key == stored:
+                break
+            if key is None:
+                heappop(heap)
+            else:
+                heapreplace(heap, (key, run))
+        else:
+            key = None
+        if key is not None and -key[0] >= min_run:
+            heappop(heap)  # the chosen run reaches into neither child
+            length = -key[0]
+            mi0, mj0 = key[1] - length + 1, key[2] - length + 1
+        elif i1 - i0 == j1 - j0 and all(
+                near(first[i0 + k], second[j0 + k], tau)
+                for k in range(i1 - i0)):
+            # Shorter than min_run, but the LCMAP covers both sides.
+            length, mi0, mj0 = i1 - i0, i0, j0
+        else:
             report.unmatched.append(((i0, i1), (j0, j1)))
             continue
-        mi0 = i0 + best.end_index - length + 1
-        mj0 = j0 + best.end_index_prime - length + 1
         report.matched.append(((mi0, mi0 + length), (mj0, mj0 + length)))
-        pending.append((i0, mi0, j0, mj0, None))
-        pending.append((mi0 + length, i1, mj0 + length, j1, None))
+        larger = (i0, mi0, j0, mj0)
+        smaller = (mi0 + length, i1, mj0 + length, j1)
+        if mi0 - i0 + mj0 - j0 < i1 - mi0 + j1 - mj0 - 2 * length:
+            larger, smaller = smaller, larger
+        pending.append(larger + (heap,))
+        pending.append(smaller + (_range_heap(index, diagonals, *smaller),))
     # The worklist order is arbitrary; sorting makes the report canonical.
     report.matched.sort()
     report.unmatched.sort()
     return report
+
+
+def _clip(run: tuple[int, int, int], i0: int, i1: int, j0: int, j1: int):
+    """A run's heap key in a range, or None when it has no cell there.
+
+    The key is (-clipped length, end i, end j) for the run's last cell
+    inside the range; its clipped length is the number of its cells
+    inside the range."""
+    s, t, length = run
+    first = max(0, i0 - s, j0 - t)
+    last = min(length - 1, i1 - 1 - s, j1 - 1 - t)
+    if last < first:
+        return None
+    return first - last - 1, s + last, t + last
+
+
+def _range_heap(index: dict, diagonals: list[int],
+                i0: int, i1: int, j0: int, j1: int) -> list:
+    """A heap of the indexed runs with a cell in a range, keyed by
+    `_clip`: for each diagonal that crosses the range, the runs from the
+    first one ending inside it to the last one starting inside it."""
+    heap = []
+    if i0 < i1 and j0 < j1:
+        for d in diagonals[bisect_left(diagonals, j0 - i1 + 1):
+                           bisect_right(diagonals, j1 - i0 - 1)]:
+            ends, runs = index[d]
+            row_end = min(i1, j1 - d)
+            for k in range(bisect_left(ends, max(i0, j0 - d)), len(ends)):
+                run = runs[k]
+                if run[0] >= row_end:
+                    break
+                heap.append((_clip(run, i0, i1, j0, j1), run))
+        heapify(heap)
+    return heap
 
 
 # -- signature files ----------------------------------------------------

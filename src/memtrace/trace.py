@@ -76,15 +76,17 @@ class InstrDescriptor:
 
     def __post_init__(self):
         if self.category not in CATEGORIES:
-            raise ValueError(f"unknown instruction category {self.category!r}")
+            raise ValueError(
+                f"unknown instruction category {_shown(self.category)}")
         if self.signedness not in SIGN_VALUES:
-            raise ValueError(f"unknown signedness {self.signedness!r}")
+            raise ValueError(f"unknown signedness {_shown(self.signedness)}")
         if self.callee_id is not None and self.category not in CALLEE_CATEGORIES:
-            raise ValueError(f"callee_id not allowed for category {self.category!r}")
+            raise ValueError(
+                f"callee_id not allowed for category {_shown(self.category)}")
         if self.register_args is not None:
             if self.category not in ARG_CATEGORIES:
                 raise ValueError(
-                    f"register_args not allowed for category {self.category!r}"
+                    f"register_args not allowed for category {_shown(self.category)}"
                 )
             if len(self.register_args) != 4:
                 raise ValueError("register_args must hold exactly 4 values")
@@ -106,11 +108,11 @@ class AccessEvent:
 
     def __post_init__(self):
         if self.cpl not in CPL_VALUES:
-            raise ValueError(f"bad cpl {self.cpl!r}")
+            raise ValueError(f"bad cpl {_shown(self.cpl)}")
         if self.kind not in KIND_VALUES:
-            raise ValueError(f"bad access kind {self.kind!r}")
+            raise ValueError(f"bad access kind {_shown(self.kind)}")
         if self.operand_size not in OPERAND_SIZES:
-            raise ValueError(f"bad operand size {self.operand_size}")
+            raise ValueError(f"bad operand size {_shown(self.operand_size)}")
         if self.kind == "execute" and self.operand_size != 1:
             raise ValueError("execute events have operand_size 1")
         if self.operand_size == 16 and self.instr.category != "xmm-zero-store":
@@ -165,9 +167,24 @@ def _instr_shape(instr: InstrDescriptor) -> dict:
     return record
 
 
+_SHOWN_CHARS = 72  # how much of an input value an error message repeats
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, cut to its first _SHOWN_CHARS
+    characters plus a marker when longer.  Every message that repeats a
+    value from an input file or argv goes through here, so a megabyte
+    string or a list nested a thousand deep costs one short line."""
+    text = repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return f"{text[:_SHOWN_CHARS]}... ({len(text)} characters)"
+
+
 def _parse_addr(value) -> int:
     if not isinstance(value, str) or not value.startswith("0x"):
-        raise ValueError(f"address {value!r} is not a 0x-prefixed hex string")
+        raise ValueError(
+            f"address {_shown(value)} is not a 0x-prefixed hex string")
     return int(value, 16)
 
 
@@ -177,7 +194,8 @@ def _int_or_hex(value) -> int:
         return value
     if isinstance(value, str):
         return _parse_addr(value)
-    raise ValueError(f"{value!r} is neither an integer nor a 0x-prefixed hex string")
+    raise ValueError(
+        f"{_shown(value)} is neither an integer nor a 0x-prefixed hex string")
 
 
 _EVENT_KEYS = ("seq", "tid", "cpl", "kind", "addr", "size", "rip", "instr")

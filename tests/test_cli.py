@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -166,13 +167,13 @@ class TestMatchAndDiff:
     def test_one_full_size_dp_per_verdict(self, tmp_path, capsys,
                                           monkeypatch):
         sizes = []
-        kernel = signature.lcmap
+        kernel = signature._sweep
 
-        def counting_lcmap(p, p_prime, tau=signature.DEFAULT_TAU):
-            sizes.append((len(p), len(p_prime)))
-            return kernel(p, p_prime, tau)
+        def counting_sweep(first, second, tau, min_run=None):
+            sizes.append((len(first), len(second)))
+            return kernel(first, second, tau, min_run)
 
-        monkeypatch.setattr(signature, "lcmap", counting_lcmap)
+        monkeypatch.setattr(signature, "_sweep", counting_sweep)
         a = write_sig(tmp_path, [0, 8, 16, 24, 32], "a.json")
         b = write_sig(tmp_path, [0, 8, 16, 24, 32, 40], "b.json")
         assert main(["match", a, b]) == 0
@@ -317,6 +318,36 @@ class TestSimulationAndRulesErrors:
         path.write_text('{"entry_page": 1025, "sp_init": "0x7ff000"}\n'
                         f"{line}\n")
         assert "line 2" in assert_exit_2(capsys, ["simulate", str(path)])
+
+    @pytest.mark.parametrize("args", ['{"0x10": 0, "0x20": 1}', '"0x1"'],
+                             ids=["object", "string"])
+    def test_non_list_args_is_exit_2(self, tmp_path, capsys, args):
+        path = tmp_path / "model.jsonl"
+        path.write_text('{"entry_page": 1025, "sp_init": "0x7ff000"}\n'
+                        '{"op": "call", "callee": "f", "args": ' + args + '}\n')
+        err = assert_exit_2(capsys, ["simulate", str(path)])
+        assert err == "error: line 2: args must be a list\n"
+
+
+class TestLongValuesInErrors:
+    """An error message repeats at most a short prefix of the value."""
+
+    @pytest.mark.parametrize("field", [
+        '"addr": "' + "z" * 100_000 + '"',
+        '"args": ' + "[" * 980 + "]" * 980,
+    ], ids=["long-addr", "nested-args"])
+    def test_model_op_error_is_short(self, tmp_path, capsys, field):
+        path = tmp_path / "model.jsonl"
+        path.write_text('{"entry_page": 1025, "sp_init": "0x7ff000"}\n'
+                        '{"op": "call", "callee": "f", ' + field + '}\n')
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 2000)  # so the JSON reader takes it
+        try:
+            err = assert_exit_2(capsys, ["simulate", str(path)])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert err.count("\n") == 1
+        assert len(err.encode()) < 300
 
 
 DEEP = "[" * 100_000 + "]" * 100_000

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memtrace import signature
 from memtrace.recon import AllocationRecord
 from memtrace.signature import (
     DEFAULT_MATCH_THRESHOLD,
@@ -55,6 +56,37 @@ def lcmap_cases(draw):
         run = [x + draw(jitter) for x in p[start:stop]]
         at = draw(st.integers(0, len(q)))
         q = q[:at] + run + q[at:]
+    return p, q, tau
+
+
+@st.composite
+def diff_cases(draw):
+    """(p, q, tau) for the diff: dense (every pair near), duplicate-heavy,
+    pathological (every k-th offset of a copy shifted by 5 tau) and
+    random pairs, with either side possibly empty."""
+    tau = draw(st.sampled_from([-1, 0, 4, 100]))
+    width = max(tau, 1)
+    shape = draw(st.sampled_from(["dense", "duplicates", "pathological",
+                                  "random"]))
+    if shape == "dense":
+        values = st.lists(st.integers(0, max(tau, 0)), max_size=30)
+        p, q = draw(values), draw(values)
+    elif shape == "duplicates":
+        values = st.lists(st.sampled_from([0, 8, 8 + width, 400]),
+                          max_size=30)
+        p, q = draw(values), draw(values)
+    elif shape == "pathological":
+        k = draw(st.integers(2, 5))
+        p = [8 * i for i in range(draw(st.integers(0, 40)))]
+        q = [x + 5 * width if i % k == k - 1 else x for i, x in enumerate(p)]
+        q = q[draw(st.integers(0, 3)):]
+    else:
+        p, q = random_pattern_pair(random.Random(draw(st.integers(0, 2**32))))
+    empty = draw(st.sampled_from([None, None, None, "p", "q"]))
+    if empty == "p":
+        p = []
+    elif empty == "q":
+        q = []
     return p, q, tau
 
 
@@ -366,13 +398,15 @@ class TestDiffModified:
             for i, j in zip(range(a, b), range(c, d)):
                 assert p[i] == q[j]
 
-    @given(st.integers(0, 2**32), st.sampled_from([0, 4, 100]),
-           st.sampled_from([0.0, 0.5, 0.8]), st.sampled_from([1, 2, 3]))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_recursive_reference(self, seed, tau, threshold, min_run):
-        p, q = random_pattern_pair(random.Random(seed))
+    @given(diff_cases(), st.sampled_from([-1, 0, 1, 2, 3, 5]),
+           st.sampled_from([0, 0.5, 0.8]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_recursive_reference(self, case, min_run, threshold):
+        # The oracle has no guard for min_run < 1 and would loop on an
+        # empty run; diff_modified treats such a min_run as 1.
+        p, q, tau = case
         try:
-            want = reference_diff(p, q, tau, threshold, min_run)
+            want = reference_diff(p, q, tau, threshold, max(min_run, 1))
         except NotSimilarError as exc:
             with pytest.raises(NotSimilarError) as info:
                 diff_modified(p, q, tau, threshold, min_run)
@@ -400,6 +434,41 @@ class TestDiffModified:
         finally:
             sys.setrecursionlimit(limit)
         assert report == want
+
+    def test_three_sweeps_per_diff(self, monkeypatch):
+        # The whole pair once, then each leftover box once: every later
+        # range is answered from the runs those sweeps collect.
+        rows = []
+        kernel = signature._sweep
+
+        def counting_sweep(first, second, tau, min_run=None):
+            rows.append(len(first))
+            return kernel(first, second, tau, min_run)
+
+        monkeypatch.setattr(signature, "_sweep", counting_sweep)
+        p, q = pathological_pair(600)
+        report = diff_modified(p, q, tau=100, threshold=0.0)
+        assert len(report.matched) == 200
+        assert len(rows) <= 3
+        assert sum(rows) <= 2 * len(p)
+
+    def test_clip_steps_grow_linearly(self, monkeypatch):
+        steps = [0]
+        clip = signature._clip
+
+        def counting_clip(*args):
+            steps[0] += 1
+            return clip(*args)
+
+        monkeypatch.setattr(signature, "_clip", counting_clip)
+        counts = []
+        for n in (1200, 2400, 4800):
+            steps[0] = 0
+            diff_modified(*pathological_pair(n), tau=100, threshold=0.0)
+            counts.append(steps[0])
+        assert counts[0] > 0
+        assert counts[1] <= 2.5 * counts[0]
+        assert counts[2] <= 2.5 * counts[1]
 
 
 class TestSignatureFiles:

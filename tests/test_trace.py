@@ -424,6 +424,22 @@ def test_json_line_errors_match_json_loads(parse, error, line):
     assert got.value.lineno == 3
 
 
+@pytest.mark.parametrize("value", ["0x1g", "", 2.5, [[1], 2], "x" * 70],
+                         ids=["bad-hex", "empty", "float", "nested", "70-chars"])
+def test_short_values_show_in_full(value):
+    assert trace._shown(value) == repr(value)
+
+
+@pytest.mark.parametrize("value", ["z" * 100_000, [1] * 1000, "x" * 71],
+                         ids=["long-string", "long-list", "71-chars"])
+def test_long_values_show_a_prefix(value):
+    text = repr(value)
+    shown = trace._shown(value)
+    assert shown.startswith(text[:trace._SHOWN_CHARS])
+    assert shown.endswith(f"... ({len(text)} characters)")
+    assert len(shown) < 100
+
+
 class TestSplitByThread:
     def test_single_thread(self):
         events = tuple(make_event(seq=i, thread_id=7) for i in range(5))
