@@ -1,9 +1,12 @@
 """Batch front-end for the simulate / reconstruct / sign / match pipeline.
 
 Exit codes are stable across subcommands: 0 success (or match), 1
-no-match, 2 usage, parse or simulation error.  The MEMTRACE_TAU
-environment variable overrides the built-in alignment-threshold default;
-an explicit --tau still wins.  Both must be non-negative integers.
+no-match, 2 usage, parse or simulation error.
+
+The alignment threshold tau comes from, in order of precedence: --tau,
+the MEMTRACE_TAU environment variable, and then, for match and diff, the
+first signature's tau_default (written by `sign`); the built-in default
+is 100.  Each must be a non-negative integer.
 """
 
 from __future__ import annotations
@@ -92,7 +95,8 @@ def cmd_sign(args) -> int:
     log = _load_trace(args.trace)
     bases = recon.collect_bases(log)
     pattern = signature.extract_pattern(log, bases)
-    _write_out(args.out, signature.write_signature(pattern, tau=args.tau))
+    tau = signature.DEFAULT_TAU if args.tau is None else args.tau
+    _write_out(args.out, signature.write_signature(pattern, tau=tau))
     print(f"{len(pattern.offsets)} offsets")
     return EXIT_OK
 
@@ -102,10 +106,17 @@ def _load_signature(path: str):
         return signature.read_signature(handle.read())
 
 
-def cmd_match(args) -> int:
-    first, _ = _load_signature(args.first)
+def _load_pair(args):
+    """(first, second, tau): the two signatures, and --tau or
+    MEMTRACE_TAU when given, else the first file's tau_default."""
+    first, tau = _load_signature(args.first)
     second, _ = _load_signature(args.second)
-    result = signature.lcmap(first, second, args.tau)
+    return first, second, tau if args.tau is None else args.tau
+
+
+def cmd_match(args) -> int:
+    first, second, tau = _load_pair(args)
+    result = signature.lcmap(first, second, tau)
     verdict = "match" if result.ratio >= args.threshold else "no-match"
     print(json.dumps({
         "L": result.length,
@@ -117,10 +128,9 @@ def cmd_match(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    first, _ = _load_signature(args.first)
-    second, _ = _load_signature(args.second)
+    first, second, tau = _load_pair(args)
     try:
-        report = signature.diff_modified(first, second, args.tau,
+        report = signature.diff_modified(first, second, tau,
                                          threshold=args.threshold)
     except signature.NotSimilarError as exc:
         print(json.dumps({"declined": True, "ratio": round(exc.ratio, 6)}))
@@ -184,9 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulated memory-trace capture and analysis pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # A --tau left out stays None: main() fills it from MEMTRACE_TAU on
-    # every call and reports a bad value through `usage_error`, the
-    # subcommand's own parser.
+    # A --tau left out stays None: main() fills it from MEMTRACE_TAU, when
+    # set, on every call and reports a bad value through `usage_error`,
+    # the subcommand's own parser.
 
     p = sub.add_parser("simulate", help="run a program model, emit a trace")
     p.add_argument("model")
@@ -239,10 +249,10 @@ _parser: Optional[argparse.ArgumentParser] = None
 
 
 def _resolve_tau(args) -> None:
-    """Fill a --tau that was left out from MEMTRACE_TAU, else DEFAULT_TAU."""
-    if not hasattr(args, "tau") or args.tau is not None:
+    """Fill a --tau that was left out from MEMTRACE_TAU, when it is set."""
+    text = os.environ.get("MEMTRACE_TAU")
+    if text is None or not hasattr(args, "tau") or args.tau is not None:
         return
-    text = os.environ.get("MEMTRACE_TAU", str(signature.DEFAULT_TAU))
     try:
         args.tau = _non_negative_int(text)
     except argparse.ArgumentTypeError as exc:

@@ -21,16 +21,8 @@ from .trace import (
     TraceLog,
     _hex,
     _int_or_hex,
-    _new_object,
+    _new_event,
     _parse_addr,
-    _set_address,
-    _set_cpl,
-    _set_instr,
-    _set_kind,
-    _set_operand_size,
-    _set_rip,
-    _set_seq,
-    _set_thread_id,
     _shown,
     iter_json_lines,
 )
@@ -112,14 +104,14 @@ class Guest:
     and merge the resulting traces.
     """
 
-    def __init__(self, alloc_base: int = DEFAULT_ALLOC_BASE):
+    def __init__(self):
         self.pages: dict[int, _Page] = {}
         self.profiles: dict[str, EptProfile] = {
             pid: EptProfile(pid) for pid in PROFILE_IDS
         }
         self.active_profile = "normal"
         self.mode = "user"
-        self._alloc_cursor = alloc_base
+        self._alloc_cursor = DEFAULT_ALLOC_BASE
         self._reserved: list[tuple[int, int]] = []  # allocated but not yet present
 
     # -- memory layout -------------------------------------------------
@@ -456,7 +448,6 @@ class TrapConfig:
     monitor_kinds: frozenset = frozenset({"read", "write"})
     monitor_pages: Optional[frozenset] = None  # None = all pages
     transition_mode: Optional[str] = "mbec"  # "mbec" | "legacy" | None
-    capture_entry: bool = False
 
 
 class _Emitter:
@@ -484,18 +475,8 @@ class _Emitter:
                 register_args=args,
                 value=value,
             )
-        # Filled through the slots and then checked, as parse_trace does.
-        event = _new_object(AccessEvent)
-        _set_seq(event, len(self.events))
-        _set_thread_id(event, self.tid)
-        _set_cpl(event, cpl)
-        _set_kind(event, kind)
-        _set_address(event, address)
-        _set_operand_size(event, size)
-        _set_instr(event, instr)
-        _set_rip(event, rip)
-        event.__post_init__()
-        self.events.append(event)
+        self.events.append(_new_event(len(self.events), self.tid, cpl, kind,
+                                      address, size, instr, rip))
 
 
 def run(guest: Guest, model: ProgramModel,
@@ -514,9 +495,8 @@ def capture_entry_point(guest: Guest, model: ProgramModel,
     If the page is absent a page fault is injected first, then execute
     permission is restored and the run continues.
     """
-    cfg = trap_config or TrapConfig()
-    cfg = replace(cfg, capture_entry=True)
-    log, entry_address = _run(guest, model, cfg)
+    log, entry_address = _run(guest, model, trap_config or TrapConfig(),
+                              capture_entry=True)
     if entry_address is None:
         raise SimulationError("model exhausted before executing the entry page")
     prefix_end = next(
@@ -548,14 +528,15 @@ def transitions(log: TraceLog) -> list[tuple[int, str]]:
     ]
 
 
-def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig):
+def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
+         capture_entry: bool = False):
     emitter = _Emitter(model.tid)
     module_range = model.resolved_module_range()
     sp = model.sp_init
     rip = model.entry_address
     last_mode = guest.mode
     entry_address = None
-    entry_pending = cfg.capture_entry
+    entry_pending = capture_entry
     if entry_pending:
         # Step 1 of lazy capture: revoke execute on the entry page.
         page = guest.pages.get(model.entry_page)
@@ -586,7 +567,7 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig):
                 perms.exec_user = False
                 perms.exec_kernel = False
             emitter.emit("read", address if page == first else addr,
-                         1, guest.mode, rip, cat="other")
+                         1, guest.mode, rip, cat="page-fault")
 
     def trap(kind, address, size, cat, sign="n/a", callee=None, args=None,
              value=None):

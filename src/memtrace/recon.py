@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
-from .trace import PAGE_SIZE, AccessEvent, TraceLog, split_by_thread
+from .trace import (ARG_CATEGORIES, PAGE_SIZE, AccessEvent, TraceLog,
+                    _program_accesses, split_by_thread)
 
 SHADOW_SPACE = 0x20
 STACK_SLOT_BASE = 0x20  # 5th parameter lives at [RSP+0x20], then +8 per slot
@@ -131,14 +132,16 @@ class LayoutRecord:
     fields: list[FieldRecord]
 
 
-def find_allocations(log: TraceLog,
-                     allocator_names: Iterable[str] = ALLOCATOR_NAMES
-                     ) -> list[AllocationRecord]:
-    """One record per hooked allocator call, with the modeled return base."""
-    names = frozenset(allocator_names)
+def find_allocations(log: TraceLog) -> list[AllocationRecord]:
+    """One record per hooked allocator call, with the modeled return base.
+
+    Only hook events (api-call and syscall) name an allocation: a call
+    event is the return-address push, and its value is that address.
+    """
     records = []
-    for event in log.events:  # only call, syscall and api-call carry a callee
-        if event.instr.callee_id not in names:
+    for event in log.events:
+        if (event.instr.callee_id not in ALLOCATOR_NAMES
+                or event.instr.category == "call"):
             continue
         if event.instr.value is None:
             continue  # hook saw the call but not the returned base
@@ -199,7 +202,7 @@ def recover_calls(log: TraceLog,
     records = []
     for event in log.events:
         slots = writes.setdefault(event.thread_id, {})
-        if event.instr.category not in ("call", "api-call"):
+        if event.instr.category not in ARG_CATEGORIES:
             if event.kind == "write":
                 slots[event.address] = event.instr.value or 0
             continue
@@ -236,9 +239,9 @@ def recover_call(log: TraceLog, call_event: AccessEvent,
                  allocations: Sequence[AllocationRecord] = ()
                  ) -> CallRecord:
     """The CallRecord recover_calls gives for one call event of the log."""
-    if call_event.instr.category not in ("call", "api-call"):
+    if call_event.instr.category not in ARG_CATEGORIES:
         raise ValueError("not a call event")
-    calls = [e for e in log.events if e.instr.category in ("call", "api-call")]
+    calls = [e for e in log.events if e.instr.category in ARG_CATEGORIES]
     if call_event not in calls:
         raise ValueError("call event is not in the log")
     return recover_calls(log, allocations)[calls.index(call_event)]
@@ -254,7 +257,7 @@ def find_stack_buffers(log: TraceLog) -> list[AllocationRecord]:
     """
     records = []
     for threads in split_by_thread(log).values():
-        for index, event in enumerate(threads):
+        for event in threads:
             if event.instr.category != "sub-sp":
                 continue
             amount = event.instr.value or 0
@@ -264,28 +267,35 @@ def find_stack_buffers(log: TraceLog) -> list[AllocationRecord]:
                 base=event.address, size=amount - SHADOW_SPACE,
                 source="stack-pattern", site_rip=event.rip,
             ))
-        index = 0
-        while index < len(threads):
-            event = threads[index]
-            if event.instr.category != "xmm-zero-store":
-                index += 1
-                continue
-            run = 1
-            while (index + run < len(threads)
-                   and threads[index + run].instr.category == "xmm-zero-store"
-                   and threads[index + run].address == event.address + 16 * run):
-                run += 1
+        stores = [(index, event) for index, event in enumerate(threads)
+                  if event.instr.category == "xmm-zero-store"]
+        for run in _maximal_runs(stores, lambda a, b: (
+                b[0] == a[0] + 1 and b[1].address == a[1].address + 16)):
+            event = run[0][1]
             records.append(AllocationRecord(
-                base=event.address, size=16 * run,
+                base=event.address, size=16 * len(run),
                 source="stack-pattern", site_rip=event.rip,
             ))
-            index += run
     return records
 
 
-def collect_bases(log: TraceLog,
-                  allocator_names: Iterable[str] = ALLOCATOR_NAMES
-                  ) -> list[AllocationRecord]:
+def _maximal_runs(items: Sequence, follows: Callable[[object, object], bool]
+                  ) -> Iterator[list]:
+    """Split items, in order, into maximal runs: lists of consecutive
+    items in which every item follows(previous, item) the one before."""
+    run: list = []
+    for item in items:
+        if run and follows(run[-1], item):
+            run.append(item)
+            continue
+        if run:
+            yield run
+        run = [item]
+    if run:
+        yield run
+
+
+def collect_bases(log: TraceLog) -> list[AllocationRecord]:
     """Merged, deduplicated union of the three base-address sources.
 
     On a duplicate base the heap-hook record wins: it carries the exact
@@ -294,7 +304,7 @@ def collect_bases(log: TraceLog,
     The trace is read in a fixed number of linear passes: the allocator
     hooks, the touched pages, the call pass and the per-thread split.
     """
-    heap = find_allocations(log, allocator_names)
+    heap = find_allocations(log)
     merged: dict[int, AllocationRecord] = {}
     for record in heap:
         merged[record.base] = record
@@ -372,7 +382,8 @@ def reconstruct_layout(log: TraceLog, base: int,
                        ) -> LayoutRecord:
     """Two-phase layout reconstruction over [base, base + window).
 
-    Phase 1 groups in-module read/write accesses by offset from the base;
+    Phase 1 groups the program's own accesses (in-module reads and
+    writes, no injected page faults) by offset from the base;
     phase 2 types each offset.  Untouched ranges become char arrays, and
     adjacent byte-granular evidence is merged into a single char array
     with an ambiguity note, since consecutive same-size byte arrays are
@@ -382,17 +393,10 @@ def reconstruct_layout(log: TraceLog, base: int,
     owners = OwnerIndex(find_allocations(log) if allocations is None
                         else allocations)
     mapped = _TouchedMemory(log)
-    lo, hi = log.module_range
-    in_module = lambda rip: lo <= rip < hi if hi > lo else True
     by_offset: dict[int, list[AccessEvent]] = {}
-    for event in log.events:
-        if event.kind not in ("read", "write"):
-            continue
-        if not in_module(event.rip):
-            continue  # heap-manager style noise
-        if not base <= event.address < base + window:
-            continue
-        by_offset.setdefault(event.address - base, []).append(event)
+    for event in _program_accesses(log):
+        if base <= event.address < base + window:
+            by_offset.setdefault(event.address - base, []).append(event)
 
     if not by_offset:
         gap = FieldRecord(offset=0, size=window, category="char-array")
@@ -422,30 +426,23 @@ def reconstruct_layout(log: TraceLog, base: int,
     return LayoutRecord(base=base, total_size=window, fields=fields)
 
 
+def _is_byte(record: FieldRecord) -> bool:
+    return record.size == 1 and record.category in ("char", "unsigned char")
+
+
 def _merge_byte_runs(typed: list[FieldRecord]) -> list[FieldRecord]:
     """Merge contiguous 1-byte evidence into one ambiguous char array."""
     merged: list[FieldRecord] = []
-    index = 0
-    while index < len(typed):
-        record = typed[index]
-        if record.size == 1 and record.category in ("char", "unsigned char"):
-            run = [record]
-            while (index + len(run) < len(typed)
-                   and typed[index + len(run)].size == 1
-                   and typed[index + len(run)].category in ("char", "unsigned char")
-                   and typed[index + len(run)].offset == record.offset + len(run)):
-                run.append(typed[index + len(run)])
-            if len(run) > 1:
-                array = FieldRecord(
-                    offset=record.offset, size=len(run), category="char-array",
-                    evidence_count=sum(r.evidence_count for r in run),
-                )
-                array.notes.append(AMBIGUITY_NOTE)
-                merged.append(array)
-                index += len(run)
-                continue
-        merged.append(record)
-        index += 1
+    for run in _maximal_runs(typed, lambda a, b: (
+            _is_byte(a) and _is_byte(b) and b.offset == a.offset + 1)):
+        if len(run) == 1:
+            merged.append(run[0])
+            continue
+        merged.append(FieldRecord(
+            offset=run[0].offset, size=len(run), category="char-array",
+            evidence_count=sum(r.evidence_count for r in run),
+            notes=[AMBIGUITY_NOTE],
+        ))
     return merged
 
 
@@ -467,22 +464,13 @@ def _fill_gaps(fields: list[FieldRecord], window: int) -> list[FieldRecord]:
 
 def _note_stride_runs(fields: list[FieldRecord]) -> None:
     """Flag >=3 equally-spaced same-size same-category fields as array-like."""
-    index = 0
-    while index < len(fields):
-        record = fields[index]
-        run = 1
-        while (index + run < len(fields)
-               and fields[index + run].size == record.size
-               and fields[index + run].category == record.category
-               and record.category != "char-array"
-               and fields[index + run].offset
-               == record.offset + run * record.size):
-            run += 1
-        if run >= 3:
-            for member in fields[index:index + run]:
+    for run in _maximal_runs(fields, lambda a, b: (
+            a.category != "char-array" and b.category == a.category
+            and b.size == a.size and b.offset == a.offset + a.size)):
+        if len(run) >= 3:
+            for member in run:
                 if ARRAY_RUN_NOTE not in member.notes:
                     member.notes.append(ARRAY_RUN_NOTE)
-        index += run
 
 
 _C_TYPES = {

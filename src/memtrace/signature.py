@@ -24,7 +24,8 @@ from heapq import heapify, heappop, heapreplace
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .trace import AccessEvent, AddressPattern, TraceLog, _hex, _int_or_hex
+from .trace import (AccessEvent, AddressPattern, TraceLog, _hex, _int_or_hex,
+                    _program_accesses)
 from .recon import AllocationRecord, OwnerIndex
 
 DEFAULT_TAU = 100
@@ -210,16 +211,14 @@ def extract_pattern(log: TraceLog,
     Each access inside a known allocation is taken relative to the base
     of the first one in `bases` that contains it, found by one bisection
     in an OwnerIndex; leftovers fall back to the lowest address among
-    them.  The default filter keeps reads/writes issued from within the
-    main module.
+    them.  Without an event_filter the events are the program's own
+    reads and writes: those from the main module, less injected page
+    faults.
     """
-    lo, hi = log.module_range
     if event_filter is None:
-        def event_filter(e: AccessEvent) -> bool:
-            if e.kind not in ("read", "write"):
-                return False
-            return lo <= e.rip < hi if hi > lo else True
-    selected = [e for e in log.events if event_filter(e)]
+        selected = _program_accesses(log)
+    else:
+        selected = [e for e in log.events if event_filter(e)]
     owners = OwnerIndex(bases)
     resolved: list[Optional[int]] = []
     leftovers = []
@@ -401,7 +400,7 @@ def read_signature(data) -> tuple[AddressPattern, int]:
 
     Raises ValueError unless the file is one JSON object whose offsets,
     sizes (one per offset, when present), base and tau_default are
-    integers or 0x-hex strings.
+    integers or 0x-hex strings, and tau_default is not negative.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -421,4 +420,7 @@ def read_signature(data) -> tuple[AddressPattern, int]:
             raise ValueError("sizes and offsets differ in length")
     pattern = AddressPattern(offsets=offsets, base=_int_or_hex(record["base"]),
                              sizes=sizes)
-    return pattern, _int_or_hex(record.get("tau_default", DEFAULT_TAU))
+    tau = _int_or_hex(record.get("tau_default", DEFAULT_TAU))
+    if tau < 0:
+        raise ValueError(f"tau_default {tau} is negative")
+    return pattern, tau

@@ -9,7 +9,8 @@ strings so traces stay greppable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from itertools import zip_longest
 from typing import IO, Callable, Iterable, Iterator, Optional, Union
 
 CPL_VALUES = ("user", "kernel")
@@ -27,6 +28,7 @@ CATEGORIES = (
     "sub-sp",
     "syscall",
     "api-call",
+    "page-fault",  # a page brought in by the capture, not the program
     "other",
 )
 SIGN_VALUES = ("signed", "unsigned", "n/a")
@@ -199,8 +201,6 @@ def _int_or_hex(value) -> int:
 
 
 _EVENT_KEYS = ("seq", "tid", "cpl", "kind", "addr", "size", "rip", "instr")
-# The parser fills an event's slots through these and then runs
-# __post_init__: half the cost of the frozen dataclass __init__.
 _new_object = object.__new__
 (_set_seq, _set_thread_id, _set_cpl, _set_kind, _set_address,
  _set_operand_size, _set_instr, _set_rip) = (
@@ -208,6 +208,24 @@ _new_object = object.__new__
     for name in ("seq", "thread_id", "cpl", "kind", "address",
                  "operand_size", "instr", "rip")
 )
+
+
+def _new_event(seq, thread_id, cpl, kind, address, operand_size, instr,
+               rip) -> AccessEvent:
+    """The AccessEvent the constructor gives, at half its cost: the
+    slots are filled directly and then checked by __post_init__.  The
+    trace parser and the guest's emitter build every event here."""
+    event = _new_object(AccessEvent)
+    _set_seq(event, seq)
+    _set_thread_id(event, thread_id)
+    _set_cpl(event, cpl)
+    _set_kind(event, kind)
+    _set_address(event, address)
+    _set_operand_size(event, operand_size)
+    _set_instr(event, instr)
+    _set_rip(event, rip)
+    event.__post_init__()
+    return event
 
 
 def _instr_key(raw: dict):
@@ -272,17 +290,9 @@ def _record_to_event(record, instrs: dict) -> AccessEvent:
         instr = _record_to_instr(raw)
         if key is not None:
             instrs[key] = instr
-    event = _new_object(AccessEvent)
-    _set_seq(event, seq)
-    _set_thread_id(event, tid)
-    _set_cpl(event, _CPL_UNWIRE.get(cpl, cpl))
-    _set_kind(event, _KIND_UNWIRE.get(kind, kind))
-    _set_address(event, _parse_addr(addr))
-    _set_operand_size(event, size)
-    _set_instr(event, instr)
-    _set_rip(event, _parse_addr(rip))
-    event.__post_init__()
-    return event
+    return _new_event(seq, tid, _CPL_UNWIRE.get(cpl, cpl),
+                      _KIND_UNWIRE.get(kind, kind), _parse_addr(addr), size,
+                      instr, _parse_addr(rip))
 
 
 def _iter_lines(stream) -> Iterator[str]:
@@ -426,6 +436,16 @@ def split_by_thread(log: TraceLog) -> dict[int, list[AccessEvent]]:
     return threads
 
 
+def _program_accesses(log: TraceLog) -> list[AccessEvent]:
+    """The reads and writes the traced program issued, in trace order:
+    those from the main module (from anywhere when the module range is
+    empty), less the page faults the capture injected."""
+    lo, hi = log.module_range
+    return [e for e in log.events
+            if e.kind in ("read", "write") and e.instr.category != "page-fault"
+            and (lo <= e.rip < hi if hi > lo else True)]
+
+
 def normalize_offsets(
     events: Iterable[AccessEvent], base: Optional[int] = None
 ) -> AddressPattern:
@@ -455,25 +475,10 @@ def merge_round_robin(logs: Iterable[TraceLog]) -> TraceLog:
     log.
     """
     logs = list(logs)
-    queues = [list(log.events) for log in logs]
     merged: list[AccessEvent] = []
-    seq = 0
-    while any(queues):
-        for queue in queues:
-            if queue:
-                event = queue.pop(0)
-                merged.append(
-                    AccessEvent(
-                        seq=seq,
-                        thread_id=event.thread_id,
-                        cpl=event.cpl,
-                        kind=event.kind,
-                        address=event.address,
-                        operand_size=event.operand_size,
-                        instr=event.instr,
-                        rip=event.rip,
-                    )
-                )
-                seq += 1
+    for column in zip_longest(*(log.events for log in logs)):
+        for event in column:
+            if event is not None:  # that log has run out
+                merged.append(replace(event, seq=len(merged)))
     module_range = logs[0].module_range if logs else (0, 0)
     return TraceLog(events=tuple(merged), module_range=module_range)

@@ -492,8 +492,10 @@ def reference_diff(p, q, tau=DEFAULT_TAU, threshold=DEFAULT_MATCH_THRESHOLD,
                    min_run=DEFAULT_MIN_RUN):
     """Greedy recursive diff: the LCMAP of a range is a matched run, and
     the ranges before and after it are diffed the same way.  Raises
-    NotSimilarError below the threshold, like diff_modified."""
+    NotSimilarError below the threshold, and treats a min_run below 1 as
+    1, like diff_modified."""
     first, second = tuple(p), tuple(q)
+    min_run = max(min_run, 1)  # a zero-length run cannot split a range
     length = reference_lcmap(first, second, tau)[0]
     ratio = length / min(len(first), len(second)) if first and second else 0.0
     if ratio < threshold:

@@ -151,6 +151,31 @@ class TestMatchAndDiff:
         monkeypatch.setenv("MEMTRACE_TAU", "0")
         assert main(["match", a, b, "--tau", "100"]) == 0
 
+    @pytest.mark.parametrize("command", ["match", "diff"])
+    def test_first_file_tau_applies_without_flag_or_env(
+            self, tmp_path, capsys, monkeypatch, command):
+        """--tau > MEMTRACE_TAU > the first file's tau_default > 100."""
+        monkeypatch.delenv("MEMTRACE_TAU", raising=False)
+        paths = []
+        for name, offsets in (("a.sig", [0, 8, 16]), ("b.sig", [50, 58, 66])):
+            path = tmp_path / name
+            path.write_bytes(write_signature(AddressPattern(offsets), tau=0))
+            paths.append(str(path))
+        assert main([command, *paths]) == 1
+        capsys.readouterr()
+        assert main([command, *paths, "--tau", "100"]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("MEMTRACE_TAU", "100")
+        assert main([command, *paths]) == 0
+
+    def test_sign_tau_is_written(self, tmp_path, capsys):
+        model = write_model(tmp_path, basic_ops())
+        trace, sig = str(tmp_path / "t.jsonl"), str(tmp_path / "t.sig")
+        assert main(["simulate", model, "--out", trace]) == 0
+        assert main(["sign", trace, "--tau", "7", "--out", sig]) == 0
+        with open(sig, "rb") as handle:
+            assert signature.read_signature(handle.read())[1] == 7
+
     def test_negative_tau_is_exit_2(self, tmp_path, capsys):
         sig = write_sig(tmp_path, [0, 8, 16, 24], "a.json")
         assert main(["match", sig, sig, "--tau", "-1"]) == 2
@@ -274,8 +299,9 @@ class TestMalformedSignatureFiles:
         '{"base": "0x0", "offsets": [[1], 2, 8]}',
         '{"base": "0x0", "offsets": [0, 8], "tau_default": 1e400}',
         '{"base": "0x0", "offsets": [0, 8], "sizes": [4]}',
+        '{"base": "0x0", "offsets": [0, 8], "tau_default": -1}',
     ], ids=["bool-and-float-offsets", "nested-offset", "infinite-tau",
-            "short-sizes"])
+            "short-sizes", "negative-tau"])
     def test_bad_field_is_exit_2(self, tmp_path, capsys, record):
         path = tmp_path / "bad.sig"
         path.write_text(record)

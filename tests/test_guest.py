@@ -312,8 +312,8 @@ class TestRun:
         ])
         log = run_model(model)
         cats = [e.instr.category for e in log.events]
-        # api-call, injected fault (other/read), then the write
-        assert cats == ["api-call", "other", "int-move"]
+        # api-call, injected fault (page-fault/read), then the write
+        assert cats == ["api-call", "page-fault", "int-move"]
         assert log.events[1].kind == "read"
 
     def test_unmapped_address_faults_simulation(self):
@@ -431,7 +431,7 @@ class TestEntryCapture:
         entry, prefix = capture_entry_point(guest, model)
         assert entry == MODULE_PAGE * PAGE_SIZE
         kinds = [(e.kind, e.instr.category) for e in prefix.events]
-        assert kinds[-2:] == [("read", "other"), ("execute", "other")]
+        assert kinds[-2:] == [("read", "page-fault"), ("execute", "other")]
 
     def test_entry_reported_once_then_run_continues(self):
         model = make_model([

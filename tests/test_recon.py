@@ -26,13 +26,16 @@ from memtrace.recon import (
     render_layout_c,
     _TouchedMemory,
 )
+from memtrace.guest import ModelOp
 from memtrace.trace import AccessEvent, InstrDescriptor, TraceLog
 
 from helpers import (
     ALLOCATION_RECORDS,
     first_owner,
+    make_model,
     probe_addresses,
     reference_recover_call,
+    run_model,
 )
 
 MODULE_RANGE = (0x401000, 0x402000)
@@ -92,6 +95,14 @@ class TestFindAllocations:
 
     def test_empty_log(self):
         assert find_allocations(TraceLog()) == []
+
+    def test_direct_call_is_not_an_allocation(self):
+        # The call event is the return-address push: its value is the
+        # return address, not a returned base.
+        log = run_model(make_model([ModelOp("call", callee="malloc",
+                                            args=[64])]))
+        assert [e.instr.category for e in log.events] == ["call"]
+        assert find_allocations(log) == []
 
     def test_call_without_observed_base_skipped(self):
         b = LogBuilder()
@@ -350,6 +361,18 @@ class TestReconstructLayout:
         assert len(layout.fields) == 1
         assert layout.fields[0].size == 0x40
         assert NO_ACCESS_NOTE in layout.fields[0].notes
+
+    def test_injected_page_fault_is_not_evidence(self):
+        log = run_model(make_model([
+            ModelOp("alloc", callee="malloc", size=0x40),
+            ModelOp("mov-write", addr=0x9000, size=8, value=1),
+            ModelOp("mov-read", addr=0x9008, size=8),
+        ]))
+        assert [e.address for e in log.events
+                if e.instr.category == "page-fault"] == [0x9000]
+        first = reconstruct_layout(log, 0x9000, size_hint=16).fields[0]
+        assert (first.offset, first.size, first.evidence_count) == (0, 8, 1)
+        assert CONFLICT_NOTE not in first.notes
 
     def test_heap_manager_noise_filtered_by_rip(self):
         b = LogBuilder()

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memtrace import signature
-from memtrace.recon import AllocationRecord
+from memtrace.guest import ModelOp
+from memtrace.recon import AllocationRecord, collect_bases
 from memtrace.signature import (
     DEFAULT_MATCH_THRESHOLD,
     DEFAULT_TAU,
@@ -20,17 +21,26 @@ from memtrace.signature import (
     similarity,
     write_signature,
 )
-from memtrace.trace import AccessEvent, AddressPattern, InstrDescriptor, TraceLog
+from memtrace.trace import (
+    AccessEvent,
+    AddressPattern,
+    InstrDescriptor,
+    TraceLog,
+    parse_trace,
+    serialize_trace,
+)
 
 from helpers import (
     ALLOCATION_RECORDS,
     brute_lcmap,
     first_owner,
+    make_model,
     pathological_pair,
     probe_addresses,
     random_pattern_pair,
     reference_diff,
     reference_lcmap,
+    run_model,
 )
 
 
@@ -280,6 +290,22 @@ class TestExtractPattern:
         )
         assert len(extract_pattern(log).offsets) == 1
 
+    def test_injected_page_faults_excluded(self):
+        """The same program signs alike whether or not the capture had
+        to fault its pages in."""
+        ops = [ModelOp("alloc", callee="malloc", size=0x40),
+               ModelOp("mov-write", addr=0x9000, size=8, value=1),
+               ModelOp("mov-read", addr=0x9008, size=8)]
+        faults, offsets = [], []
+        for mapped in ([], [(0x9000, 0xa000)]):
+            log = parse_trace(serialize_trace(run_model(
+                make_model(ops, mapped=mapped))))
+            faults.append([e.instr.category for e in log.events].count(
+                "page-fault"))
+            offsets.append(extract_pattern(log, collect_bases(log)).offsets)
+        assert faults == [1, 0]
+        assert offsets == [(0, 8), (0, 8)]
+
     def test_execute_events_excluded(self):
         log = TraceLog(
             events=(
@@ -402,11 +428,9 @@ class TestDiffModified:
            st.sampled_from([0, 0.5, 0.8]))
     @settings(max_examples=400, deadline=None)
     def test_matches_recursive_reference(self, case, min_run, threshold):
-        # The oracle has no guard for min_run < 1 and would loop on an
-        # empty run; diff_modified treats such a min_run as 1.
         p, q, tau = case
         try:
-            want = reference_diff(p, q, tau, threshold, max(min_run, 1))
+            want = reference_diff(p, q, tau, threshold, min_run)
         except NotSimilarError as exc:
             with pytest.raises(NotSimilarError) as info:
                 diff_modified(p, q, tau, threshold, min_run)
