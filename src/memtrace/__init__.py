@@ -13,7 +13,6 @@ from .trace import (
 )
 from .guest import (
     Allowed,
-    EptProfile,
     Guest,
     ModelOp,
     PageFault,

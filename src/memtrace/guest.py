@@ -4,14 +4,15 @@ Models a single-vCPU guest: paged memory with per-page permissions, four
 permission profiles with mode-based execution control (MBEC) semantics,
 hidden hooks (execute-allowed / read-denied pages), demand paging via
 injected page faults, and lazy entry-point capture.  Abstract program
-models are interpreted against this state and every access is funneled
-through the permission check, emitting AccessEvents.
+models are interpreted against this state: every data access is trapped
+and emitted as an AccessEvent, and instruction fetches go through the
+permission check for entry capture and mode-transition detection.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from .trace import (
@@ -28,6 +29,7 @@ from .trace import (
 )
 
 PROFILE_IDS = ("normal", "user-exec-denied", "kernel-exec-denied", "execute-only")
+TRANSITION_MODES = ("mbec", "legacy")
 
 DEFAULT_ALLOC_BASE = 0x9000
 DEFAULT_STACK_GUARD = 0x10000
@@ -46,24 +48,10 @@ class ModelParseError(ValueError):
 
 @dataclass
 class PagePerms:
-    read: bool = True
-    write: bool = True
     exec_user: bool = True
     exec_kernel: bool = True
     present: bool = True
     hidden_hook: bool = False
-
-
-@dataclass
-class EptProfile:
-    """A permission profile over guest pages, with per-page overrides."""
-
-    id: str
-    overrides: dict[int, PagePerms] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.id not in PROFILE_IDS:
-            raise ValueError(f"unknown profile id {self.id!r}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +79,8 @@ class Violation:
 class _Page:
     __slots__ = ("perms", "content", "pristine")
 
-    def __init__(self, perms: Optional[PagePerms] = None):
-        self.perms = perms or PagePerms()
+    def __init__(self):
+        self.perms = PagePerms()
         self.content = bytearray(PAGE_SIZE)
         self.pristine: Optional[bytearray] = None  # set while hooked
 
@@ -106,20 +94,17 @@ class Guest:
 
     def __init__(self):
         self.pages: dict[int, _Page] = {}
-        self.profiles: dict[str, EptProfile] = {
-            pid: EptProfile(pid) for pid in PROFILE_IDS
-        }
-        self.active_profile = "normal"
+        self.active_profile = "normal"  # one of PROFILE_IDS
         self.mode = "user"
         self._alloc_cursor = DEFAULT_ALLOC_BASE
         self._reserved: list[tuple[int, int]] = []  # allocated but not yet present
 
     # -- memory layout -------------------------------------------------
 
-    def map_range(self, lo: int, hi: int, perms: Optional[PagePerms] = None) -> None:
+    def map_range(self, lo: int, hi: int) -> None:
         for page in range(lo // PAGE_SIZE, (hi + PAGE_SIZE - 1) // PAGE_SIZE):
             if page not in self.pages:
-                self.pages[page] = _Page(replace(perms) if perms else None)
+                self.pages[page] = _Page()
 
     def allocate(self, size: int) -> int:
         """Reserve a demand-paged buffer; pages appear on first fault."""
@@ -145,37 +130,33 @@ class Guest:
         Not-present pages yield a PageFault outcome, distinct from a
         permission Violation.
         """
-        if address < 0 or address >= 1 << 48:
-            raise ValueError("address outside 48-bit canonical range")
-        number = address // PAGE_SIZE
-        page = self.pages.get(number)
+        _check_canonical(address)
+        page = self.pages.get(address // PAGE_SIZE)
         if page is None or not page.perms.present:
             return PageFault(address)
-        profile = self.profiles[self.active_profile]
+        profile = self.active_profile
         perms = page.perms
         if perms.hidden_hook:
             # Hooked bytes execute; reads trap and are served pristine.
             if kind == "execute":
                 return _ALLOWED
             if kind == "read":
-                return Violation(address, kind, cpl, profile.id, rip)
-        override = profile.overrides.get(number)
-        if override is not None:
-            allowed = _perm_lookup(override, kind, cpl)
-        elif profile.id == "normal":
-            allowed = _perm_lookup(perms, kind, cpl)
-        elif profile.id == "user-exec-denied":
+                return Violation(address, kind, cpl, profile, rip)
+        if profile == "normal":
+            allowed = kind != "execute" or (
+                perms.exec_user if cpl == "user" else perms.exec_kernel)
+        elif profile == "user-exec-denied":
             allowed = not (kind == "execute" and cpl == "user")
-        elif profile.id == "kernel-exec-denied":
+        elif profile == "kernel-exec-denied":
             allowed = not (kind == "execute" and cpl == "kernel")
         else:  # execute-only
             allowed = kind == "execute"
         if allowed:
             return _ALLOWED
-        return Violation(address, kind, cpl, profile.id, rip)
+        return Violation(address, kind, cpl, profile, rip)
 
     def switch_profile(self, profile_id: str) -> None:
-        if profile_id not in self.profiles:
+        if profile_id not in PROFILE_IDS:
             raise ValueError(f"unknown profile id {profile_id!r}")
         self.active_profile = profile_id
 
@@ -253,12 +234,9 @@ class Guest:
             start += hi - lo
 
 
-def _perm_lookup(perms: PagePerms, kind: str, cpl: str) -> bool:
-    if kind == "read":
-        return perms.read
-    if kind == "write":
-        return perms.write
-    return perms.exec_user if cpl == "user" else perms.exec_kernel
+def _check_canonical(address: int) -> None:
+    if address < 0 or address >= 1 << 48:
+        raise ValueError("address outside 48-bit canonical range")
 
 
 # -- program models -----------------------------------------------------
@@ -443,11 +421,15 @@ def build_guest(model: ProgramModel) -> Guest:
 
 @dataclass
 class TrapConfig:
-    """Selects which accesses are monitored and how transitions are caught."""
+    """How mode transitions are caught: "mbec" (EPT violations under the
+    exec-denied profiles) or "legacy" (U/S-bit page faults)."""
 
-    monitor_kinds: frozenset = frozenset({"read", "write"})
-    monitor_pages: Optional[frozenset] = None  # None = all pages
-    transition_mode: Optional[str] = "mbec"  # "mbec" | "legacy" | None
+    transition_mode: str = "mbec"
+
+    def __post_init__(self):
+        if self.transition_mode not in TRANSITION_MODES:
+            raise ValueError(
+                f"unknown transition mode {_shown(self.transition_mode)}")
 
 
 class _Emitter:
@@ -486,8 +468,7 @@ def run(guest: Guest, model: ProgramModel,
     return log
 
 
-def capture_entry_point(guest: Guest, model: ProgramModel,
-                        trap_config: Optional[TrapConfig] = None):
+def capture_entry_point(guest: Guest, model: ProgramModel):
     """Run with lazy entry capture; return (entry_address, trace prefix).
 
     Execute permission on the entry page is revoked up front; the first
@@ -495,8 +476,7 @@ def capture_entry_point(guest: Guest, model: ProgramModel,
     If the page is absent a page fault is injected first, then execute
     permission is restored and the run continues.
     """
-    log, entry_address = _run(guest, model, trap_config or TrapConfig(),
-                              capture_entry=True)
+    log, entry_address = _run(guest, model, TrapConfig(), capture_entry=True)
     if entry_address is None:
         raise SimulationError("model exhausted before executing the entry page")
     prefix_end = next(
@@ -545,7 +525,6 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
             page.perms.exec_kernel = False
 
     pages = guest.pages
-    monitor_pages, monitor_kinds = cfg.monitor_pages, cfg.monitor_kinds
 
     def demand_page(address: int, size: int, lazy_code: bool = False) -> None:
         first = address // PAGE_SIZE
@@ -571,14 +550,10 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
 
     def trap(kind, address, size, cat, sign="n/a", callee=None, args=None,
              value=None):
-        """Check an access to present pages; emit it if it is trapped."""
-        outcome = guest.check_access(address, kind, guest.mode, rip)
-        if isinstance(outcome, Violation) or (
-            (monitor_pages is None or address // PAGE_SIZE in monitor_pages)
-            and kind in monitor_kinds
-        ):
-            emitter.emit(kind, address, size, guest.mode, rip, cat, sign,
-                         callee, args, value)
+        """Emit a data access to present pages: every one is trapped."""
+        _check_canonical(address)
+        emitter.emit(kind, address, size, guest.mode, rip, cat, sign,
+                     callee, args, value)
 
     def data_access(kind, address, size, cat, sign="n/a", callee=None,
                     args=None, value=None):
@@ -602,22 +577,23 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
                 perms.exec_kernel = True
                 entry_address = rip
                 entry_pending = False
-        if cfg.transition_mode == "mbec" and guest.mode != last_mode:
-            # The EPT denying the previous mode's opposite is active; this
-            # fetch raises an EPT violation that marks the transition.
-            previous = guest.active_profile
-            guest.switch_profile(
-                "user-exec-denied" if last_mode == "kernel" else "kernel-exec-denied"
-            )
-            outcome = guest.check_access(rip, "execute", guest.mode, rip)
-            guest.switch_profile(previous)
-            if isinstance(outcome, Violation):
+        if guest.mode != last_mode:
+            if cfg.transition_mode == "mbec":
+                # The EPT denying the previous mode's opposite is active;
+                # this fetch raises an EPT violation that marks the
+                # transition.
+                previous = guest.active_profile
+                guest.switch_profile("user-exec-denied" if last_mode == "kernel"
+                                     else "kernel-exec-denied")
+                outcome = guest.check_access(rip, "execute", guest.mode, rip)
+                guest.switch_profile(previous)
+                if isinstance(outcome, Violation):
+                    emitter.emit("execute", rip, 1, guest.mode, rip, cat="other")
+            else:
+                # Legacy: the U/S-bit mismatch page-faults the fetch; the
+                # monitor intercepts and swallows the fault, and reports
+                # the switch.
                 emitter.emit("execute", rip, 1, guest.mode, rip, cat="other")
-            last_mode = guest.mode
-        elif cfg.transition_mode == "legacy" and guest.mode != last_mode:
-            # U/S-bit mismatch: the fetch page-faults, the monitor
-            # intercepts and swallows the fault, and reports the switch.
-            emitter.emit("execute", rip, 1, guest.mode, rip, cat="other")
             last_mode = guest.mode
 
         if op.op == "mov-read":

@@ -30,7 +30,9 @@ from .recon import AllocationRecord, OwnerIndex
 
 DEFAULT_TAU = 100
 DEFAULT_MATCH_THRESHOLD = 0.8
-DEFAULT_MIN_RUN = 2  # shortest diff run worth calling a match
+# The shortest diff run worth calling a match.  _sweep collects only
+# runs of two or more cells, so it cannot be lowered to 1.
+DEFAULT_MIN_RUN = 2
 
 
 class NotSimilarError(ValueError):
@@ -76,15 +78,15 @@ def _offsets(pattern) -> tuple[int, ...]:
 
 
 def _sweep(first: Sequence[int], second: Sequence[int], tau: int,
-           min_run: Optional[int] = None):
+           collect: bool = False):
     """The LCMAP dynamic program over first x second, one row at a time.
 
     Returns (length, end_i, end_j, runs): the longest run and the
     row-major earliest cell where it ends, (0, -1, -1) when no pair is
-    near, and, when min_run is given, every maximal diagonal near-run of
-    at least max(min_run, 1) cells as (start_i, start_j, length) in
-    row-end order.  This is the only LCMAP dynamic program: lcmap wraps
-    it without collecting, and diff_modified collects from it.
+    near, and, when collect is set, every maximal diagonal near-run of
+    at least two cells (DEFAULT_MIN_RUN) as (start_i, start_j, length)
+    in row-end order.  This is the only LCMAP dynamic program: lcmap
+    wraps it without collecting, and diff_modified collects from it.
 
     D[i][j] extends D[i-1][j-1] by one when near(P[i-1], P'[j-1], tau)
     and resets to zero otherwise.  Row i of D is computed for every
@@ -120,11 +122,10 @@ def _sweep(first: Sequence[int], second: Sequence[int], tau: int,
         for i, a in enumerate(first):
             near_mask = (prefix[bisect_right(values, a + tau)]
                          ^ prefix[bisect_left(values, a - tau)])
-            if min_run is not None:
-                ended = row & (above << 1) if min_run > 1 else row
-                ended &= ~(near_mask >> 1)
+            if collect:
+                ended = row & (above << 1) & ~(near_mask >> 1)
                 if ended:
-                    _collect(runs, digits, ended, i - 1, min_run)
+                    _collect(runs, digits, ended, i - 1)
                 above, row = row, near_mask
             carry = near_mask
             for k, digit in enumerate(digits):
@@ -144,18 +145,17 @@ def _sweep(first: Sequence[int], second: Sequence[int], tau: int,
             if hits:
                 best_len, best_i = target, i
                 best_j = (hits & -hits).bit_length() - 1
-        if min_run is not None:
+        if collect:
             # Every run still open in the last row ends there.
-            ended = row & (above << 1) if min_run > 1 else row
+            ended = row & (above << 1)
             if ended:
-                _collect(runs, digits, ended, m - 1, min_run)
+                _collect(runs, digits, ended, m - 1)
     return best_len, best_i, best_j, runs
 
 
-def _collect(runs: list, digits: list[int], ended: int, i: int,
-             min_run: int) -> None:
-    """Append the runs ending at row i in the columns of `ended` whose
-    length, read from row i's digit slices, is at least min_run."""
+def _collect(runs: list, digits: list[int], ended: int, i: int) -> None:
+    """Append the runs ending at row i in the columns of `ended`, their
+    lengths read from row i's digit slices."""
     while ended:
         low = ended & -ended
         ended ^= low
@@ -163,9 +163,8 @@ def _collect(runs: list, digits: list[int], ended: int, i: int,
         for k, digit in enumerate(digits):
             if digit & low:
                 length |= 1 << k
-        if length >= min_run:
-            j = low.bit_length() - 1
-            runs.append((i - length + 1, j - length + 1, length))
+        j = low.bit_length() - 1
+        runs.append((i - length + 1, j - length + 1, length))
 
 
 def lcmap(p, p_prime, tau: int = DEFAULT_TAU) -> LcmapResult:
@@ -245,21 +244,20 @@ def extract_pattern(log: TraceLog,
 
 
 def diff_modified(p, p_prime, tau: int = DEFAULT_TAU,
-                  threshold: float = DEFAULT_MATCH_THRESHOLD,
-                  min_run: int = DEFAULT_MIN_RUN) -> DiffReport:
+                  threshold: float = DEFAULT_MATCH_THRESHOLD) -> DiffReport:
     """Localize modifications between two similar patterns.
 
     Greedy splitting over a worklist of (i0, i1, j0, j1) ranges, in the
     manner of difflib's get_matching_blocks: take a range's LCMAP as a
     matched run and queue the unmatched ranges before and after it; a
-    range whose LCMAP is shorter than min_run (and does not cover both
-    sides) becomes one combined unmatched region.  Raises
+    range whose LCMAP is shorter than DEFAULT_MIN_RUN (and does not
+    cover both sides) becomes one combined unmatched region.  Raises
     NotSimilarError when the patterns do not meet the match threshold.
 
     The whole-pair lcmap decides the threshold and is the first split.
     Each of the two leftover boxes is then swept once, collecting its
-    maximal near-runs of at least min_run, and every later range is
-    answered from those runs: a range's DP is the whole DP clipped,
+    maximal near-runs of at least DEFAULT_MIN_RUN, and every later range
+    is answered from those runs: a range's DP is the whole DP clipped,
     D_R[i][j] = min(D[i][j], i - i0 + 1, j - j0 + 1), so a run's best
     cell in a range is its last cell inside it (`_clip`).  A range keeps
     its candidate runs in a lazy heap keyed by (-clipped length, end i,
@@ -274,13 +272,12 @@ def diff_modified(p, p_prime, tau: int = DEFAULT_TAU,
     whole = lcmap(first, second, tau)
     if whole.ratio < threshold:
         raise NotSimilarError(whole.ratio, threshold)
-    min_run = max(min_run, 1)  # a zero-length run cannot split a range
     m, n = len(first), len(second)
     report = DiffReport()
     pending = []
     index: dict[int, tuple[list[int], list]] = {}  # diagonal -> (ends, runs)
     length = whole.length
-    if length < min_run and not length == m == n:
+    if length < DEFAULT_MIN_RUN and not length == m == n:
         report.unmatched.append(((0, m), (0, n)))
     elif m:  # two empty patterns have nothing to report
         mi0 = whole.end_index - length + 1
@@ -289,7 +286,7 @@ def diff_modified(p, p_prime, tau: int = DEFAULT_TAU,
         for i0, i1, j0, j1 in ((0, mi0, 0, mj0),
                                (mi0 + length, m, mj0 + length, n)):
             runs = [(s + i0, t + j0, size) for s, t, size
-                    in _sweep(first[i0:i1], second[j0:j1], tau, min_run)[3]]
+                    in _sweep(first[i0:i1], second[j0:j1], tau, collect=True)[3]]
             for run in runs:
                 ends, on_diagonal = index.setdefault(run[1] - run[0], ([], []))
                 ends.append(run[0] + run[2] - 1)
@@ -313,14 +310,14 @@ def diff_modified(p, p_prime, tau: int = DEFAULT_TAU,
                 heapreplace(heap, (key, run))
         else:
             key = None
-        if key is not None and -key[0] >= min_run:
+        if key is not None and -key[0] >= DEFAULT_MIN_RUN:
             heappop(heap)  # the chosen run reaches into neither child
             length = -key[0]
             mi0, mj0 = key[1] - length + 1, key[2] - length + 1
         elif i1 - i0 == j1 - j0 and all(
                 near(first[i0 + k], second[j0 + k], tau)
                 for k in range(i1 - i0)):
-            # Shorter than min_run, but the LCMAP covers both sides.
+            # Shorter than DEFAULT_MIN_RUN, but the LCMAP covers both sides.
             length, mi0, mj0 = i1 - i0, i0, j0
         else:
             report.unmatched.append(((i0, i1), (j0, j1)))

@@ -9,7 +9,7 @@ strings so traces stay greppable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import zip_longest
 from typing import IO, Callable, Iterable, Iterator, Optional, Union
 
@@ -214,7 +214,8 @@ def _new_event(seq, thread_id, cpl, kind, address, operand_size, instr,
                rip) -> AccessEvent:
     """The AccessEvent the constructor gives, at half its cost: the
     slots are filled directly and then checked by __post_init__.  The
-    trace parser and the guest's emitter build every event here."""
+    trace parser, the guest's emitter and merge_round_robin build every
+    event here."""
     event = _new_object(AccessEvent)
     _set_seq(event, seq)
     _set_thread_id(event, thread_id)
@@ -479,6 +480,9 @@ def merge_round_robin(logs: Iterable[TraceLog]) -> TraceLog:
     for column in zip_longest(*(log.events for log in logs)):
         for event in column:
             if event is not None:  # that log has run out
-                merged.append(replace(event, seq=len(merged)))
+                merged.append(_new_event(
+                    len(merged), event.thread_id, event.cpl, event.kind,
+                    event.address, event.operand_size, event.instr,
+                    event.rip))
     module_range = logs[0].module_range if logs else (0, 0)
     return TraceLog(events=tuple(merged), module_range=module_range)

@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from memtrace.signature import write_signature
 from memtrace.trace import AddressPattern, parse_trace
 
 from helpers import make_model, pathological_pair
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_model(tmp_path, ops, name="model.jsonl", **kwargs):
@@ -69,6 +72,13 @@ class TestSimulate:
         path = tmp_path / "model.jsonl"
         path.write_text(data)
         assert main(["simulate", str(path)]) == 2
+
+    def test_noncanonical_address_is_exit_2(self, capsys):
+        """A write to a mapped page past 2**48 is refused by the
+        interpreter, after demand paging and before it is logged."""
+        err = assert_exit_2(capsys, ["simulate",
+                                     str(DATA / "noncanonical.model")])
+        assert err == "error: address outside 48-bit canonical range\n"
 
 
 class TestReconstruct:
@@ -194,9 +204,9 @@ class TestMatchAndDiff:
         sizes = []
         kernel = signature._sweep
 
-        def counting_sweep(first, second, tau, min_run=None):
+        def counting_sweep(first, second, tau, collect=False):
             sizes.append((len(first), len(second)))
-            return kernel(first, second, tau, min_run)
+            return kernel(first, second, tau, collect)
 
         monkeypatch.setattr(signature, "_sweep", counting_sweep)
         a = write_sig(tmp_path, [0, 8, 16, 24, 32], "a.json")

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from memtrace.cli import main
 from memtrace.guest import (
     PAGE_SIZE,
+    PROFILE_IDS,
     Allowed,
     Guest,
     ModelOp,
     PageFault,
-    PagePerms,
     ProgramModel,
     SimulationError,
     TrapConfig,
@@ -107,12 +107,6 @@ class TestCheckAccess:
             assert got == want, (profile, kind, cpl, hook, present)
             checked += 1
         assert checked == 96
-
-    def test_per_page_override_beats_profile(self):
-        guest = fresh_guest()
-        guest.switch_profile("execute-only")
-        guest.profiles["execute-only"].overrides[3] = PagePerms()
-        assert isinstance(guest.check_access(0x3000, "read", "user"), Allowed)
 
     def test_noncanonical_address_rejected(self):
         guest = fresh_guest()
@@ -285,25 +279,48 @@ class TestRun:
         log = run_model(make_model([]))
         assert len(log.events) == 0
 
-    def test_write_event_via_execute_only_violation(self):
-        model = make_model([ModelOp("mov-write", addr=0x3000, size=8)])
-        guest = build_guest(model)
-        guest.switch_profile("execute-only")
-        # Executes denied nowhere relevant: module fetch is execute, allowed.
-        cfg = TrapConfig(monitor_kinds=frozenset(), transition_mode=None)
-        log = run(guest, model, cfg)
-        writes = [e for e in log.events if e.kind == "write"]
-        assert len(writes) == 1
-        assert writes[0].address == 0x3000
-
-    def test_monitored_pages_filter(self):
+    @pytest.mark.parametrize("profile", PROFILE_IDS)
+    def test_every_data_access_is_logged(self, profile):
+        """Whatever the active profile allows, every data access, to a
+        hooked page too, is trapped and logged in program order."""
         model = make_model([
-            ModelOp("mov-write", addr=0x3000, size=4),
-            ModelOp("mov-write", addr=0x4000, size=4),
+            ModelOp("mov-write", addr=0x3000, size=8, value=1),
+            ModelOp("mov-read", addr=0x3000, size=8),
+            ModelOp("mov-read", addr=0x4000, size=4),
+            ModelOp("push", value=2),
+            ModelOp("xmm-zero", addr=0x5000),
         ])
-        cfg = TrapConfig(monitor_pages=frozenset({0x4}), transition_mode=None)
-        log = run_model(model, cfg)
-        assert [e.address for e in log.events] == [0x4000]
+        guest = build_guest(model)
+        guest.install_hidden_hook(0x4000, b"\xcc")
+        guest.switch_profile(profile)
+        log = run(guest, model)
+        assert [(e.kind, e.address) for e in log.events] == [
+            ("write", 0x3000), ("read", 0x3000), ("read", 0x4000),
+            ("write", SP_INIT - 8), ("write", 0x5000)]
+
+    def test_one_permission_check_per_fetch(self, monkeypatch):
+        """Data accesses are trapped without a permission check: k data
+        ops with no mode switch cost k checks, one per fetch."""
+        calls = []
+        check = Guest.check_access
+
+        def counting(self, *args):
+            calls.append(args[1])
+            return check(self, *args)
+
+        monkeypatch.setattr(Guest, "check_access", counting)
+        ops = [ModelOp("mov-write", addr=0x3000 + 8 * k, value=k)
+               for k in range(10)]
+        ops += [ModelOp("mov-read", addr=0x3000 + 8 * k) for k in range(10)]
+        ops += [ModelOp("push", value=1), ModelOp("xmm-zero", addr=0x4000)]
+        log = run_model(make_model(ops))
+        assert len(log.events) == len(ops)
+        assert calls == ["execute"] * len(ops)
+
+    @pytest.mark.parametrize("mode", [None, "MBEC", "bogus"])
+    def test_unknown_transition_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="unknown transition mode"):
+            TrapConfig(transition_mode=mode)
 
     def test_demand_paging_of_allocated_buffer(self):
         model = make_model([
@@ -439,8 +456,7 @@ class TestEntryCapture:
             ModelOp("mov-write", addr=0x3000, size=4),
         ])
         guest = build_guest(model)
-        cfg = TrapConfig(transition_mode=None)
-        entry, prefix = capture_entry_point(guest, model, cfg)
+        entry, prefix = capture_entry_point(guest, model)
         assert len(prefix.events) == 1
 
     def test_pre_entry_kernel_phase(self):
@@ -456,8 +472,7 @@ class TestEntryCapture:
             mapped=[(0x3000, 0x8000), (0x500000, 0x501000)],
         )
         guest = build_guest(model)
-        entry, prefix = capture_entry_point(
-            guest, model, TrapConfig(transition_mode=None))
+        entry, prefix = capture_entry_point(guest, model)
         assert entry == MODULE_PAGE * PAGE_SIZE
         entry_event = prefix.events[-1]
         assert entry_event.cpl == "user"

@@ -424,25 +424,18 @@ class TestDiffModified:
             for i, j in zip(range(a, b), range(c, d)):
                 assert p[i] == q[j]
 
-    @given(diff_cases(), st.sampled_from([-1, 0, 1, 2, 3, 5]),
-           st.sampled_from([0, 0.5, 0.8]))
+    @given(diff_cases(), st.sampled_from([0, 0.5, 0.8]))
     @settings(max_examples=400, deadline=None)
-    def test_matches_recursive_reference(self, case, min_run, threshold):
+    def test_matches_recursive_reference(self, case, threshold):
         p, q, tau = case
         try:
-            want = reference_diff(p, q, tau, threshold, min_run)
+            want = reference_diff(p, q, tau, threshold)
         except NotSimilarError as exc:
             with pytest.raises(NotSimilarError) as info:
-                diff_modified(p, q, tau, threshold, min_run)
+                diff_modified(p, q, tau, threshold)
             assert info.value.ratio == exc.ratio
             return
-        assert diff_modified(p, q, tau, threshold, min_run) == want
-
-    def test_zero_min_run_terminates(self):
-        report = diff_modified([0, 8, 16], [0, 5000, 16], tau=0,
-                               threshold=0.0, min_run=0)
-        assert report.matched == [((0, 1), (0, 1)), ((2, 3), (2, 3))]
-        assert report.unmatched == [((1, 2), (1, 2))]
+        assert diff_modified(p, q, tau, threshold) == want
 
     def test_many_runs_need_no_recursion_depth(self):
         p, q = pathological_pair(150)
@@ -465,9 +458,9 @@ class TestDiffModified:
         rows = []
         kernel = signature._sweep
 
-        def counting_sweep(first, second, tau, min_run=None):
+        def counting_sweep(first, second, tau, collect=False):
             rows.append(len(first))
-            return kernel(first, second, tau, min_run)
+            return kernel(first, second, tau, collect)
 
         monkeypatch.setattr(signature, "_sweep", counting_sweep)
         p, q = pathological_pair(600)

@@ -512,3 +512,30 @@ def test_merge_round_robin_preserves_thread_order():
     per_thread = split_by_thread(merged)
     assert [e.address for e in per_thread[1]] == [0, 1, 2]
     assert [e.address for e in per_thread[2]] == [100, 101, 102, 103, 104]
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_merged_events_are_renumbered_originals(seed):
+    """The k-th merged event is the original with seq k, every field the
+    same object type and value, taken turn by turn across the logs."""
+    rng = random.Random(seed)
+    logs = [random_log(rng, rng.randrange(0, 30))
+            for _ in range(rng.randrange(1, 5))]
+    merged = merge_round_robin(logs)
+    turns = sorted((k, n) for n, log in enumerate(logs)
+                   for k in range(len(log.events)))
+    want = [dataclasses.replace(logs[n].events[k], seq=seq)
+            for seq, (k, n) in enumerate(turns)]
+    names = [f.name for f in dataclasses.fields(AccessEvent)]
+    assert [[(type(getattr(e, name)), getattr(e, name)) for name in names]
+            for e in merged.events] == [
+        [(type(getattr(e, name)), getattr(e, name)) for name in names]
+        for e in want]
+    assert merged.module_range == logs[0].module_range
+
+
+def test_merging_no_logs_is_empty():
+    merged = merge_round_robin([])
+    assert merged.events == ()
+    assert merged.module_range == (0, 0)
