@@ -12,6 +12,7 @@ permission check for entry capture and mode-transition detection.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Optional, Union
 
@@ -85,6 +86,47 @@ class _Page:
         self.pristine: Optional[bytearray] = None  # set while hooked
 
 
+class _PageTable(dict):
+    """The pages built so far, by page number, over the mapped page
+    numbers, which are kept as sorted, disjoint [first, end) intervals.
+    `table[number]` builds a mapped page on first touch and raises
+    KeyError for an unmapped one; `get` never builds a page."""
+
+    def __init__(self):
+        super().__init__()
+        self._ranges: list[tuple[int, int]] = []
+        self._firsts: list[int] = []  # each range's first page
+
+    def map(self, first: int, end: int) -> None:
+        if first >= end:
+            return
+        kept = []
+        for a, b in self._ranges:
+            if b < first or a > end:
+                kept.append((a, b))
+            else:  # overlapping or adjacent: merge
+                first, end = min(a, first), max(b, end)
+        kept.append((first, end))
+        kept.sort()
+        self._ranges = kept
+        self._firsts = [a for a, _ in kept]
+
+    def __missing__(self, number: int) -> _Page:
+        at = bisect_right(self._firsts, number) - 1
+        if at < 0 or number >= self._ranges[at][1]:
+            raise KeyError(number)
+        page = self[number] = _Page()
+        return page
+
+    def lookup(self, number: int) -> Optional[_Page]:
+        """The page `number`, or None when it is neither built nor
+        mapped."""
+        try:
+            return self[number]
+        except KeyError:
+            return None
+
+
 class Guest:
     """Single-vCPU guest memory state.
 
@@ -93,7 +135,7 @@ class Guest:
     """
 
     def __init__(self):
-        self.pages: dict[int, _Page] = {}
+        self.pages = _PageTable()
         self.active_profile = "normal"  # one of PROFILE_IDS
         self.mode = "user"
         self._alloc_cursor = DEFAULT_ALLOC_BASE
@@ -102,9 +144,9 @@ class Guest:
     # -- memory layout -------------------------------------------------
 
     def map_range(self, lo: int, hi: int) -> None:
-        for page in range(lo // PAGE_SIZE, (hi + PAGE_SIZE - 1) // PAGE_SIZE):
-            if page not in self.pages:
-                self.pages[page] = _Page()
+        """Map the pages [lo, hi) overlaps.  None is built here: each is
+        built on first touch, so the range's size costs nothing."""
+        self.pages.map(lo // PAGE_SIZE, (hi + PAGE_SIZE - 1) // PAGE_SIZE)
 
     def allocate(self, size: int) -> int:
         """Reserve a demand-paged buffer; pages appear on first fault."""
@@ -119,7 +161,7 @@ class Guest:
         return any(lo <= address < hi for lo, hi in self._reserved)
 
     def page_present(self, address: int) -> bool:
-        page = self.pages.get(address // PAGE_SIZE)
+        page = self.pages.lookup(address // PAGE_SIZE)
         return page is not None and page.perms.present
 
     # -- permission semantics ------------------------------------------
@@ -131,8 +173,11 @@ class Guest:
         permission Violation.
         """
         _check_canonical(address)
-        page = self.pages.get(address // PAGE_SIZE)
-        if page is None or not page.perms.present:
+        try:
+            page = self.pages[address // PAGE_SIZE]
+        except KeyError:
+            return PageFault(address)
+        if not page.perms.present:
             return PageFault(address)
         profile = self.active_profile
         perms = page.perms
@@ -163,7 +208,7 @@ class Guest:
     # -- hooks and faults ----------------------------------------------
 
     def install_hidden_hook(self, address: int, hooked_bytes: bytes) -> None:
-        page = self.pages.get(address // PAGE_SIZE)
+        page = self.pages.lookup(address // PAGE_SIZE)
         if page is None or not page.perms.present:
             raise SimulationError(f"cannot hook non-present page at {_hex(address)}")
         if page.pristine is None:
@@ -173,7 +218,7 @@ class Guest:
         page.perms.hidden_hook = True
 
     def remove_hidden_hook(self, address: int) -> None:
-        page = self.pages.get(address // PAGE_SIZE)
+        page = self.pages.lookup(address // PAGE_SIZE)
         if page is None or not page.perms.hidden_hook:
             return
         page.content = bytearray(page.pristine)
@@ -183,7 +228,7 @@ class Guest:
     def inject_page_fault(self, address: int) -> str:
         """Materialize a demand-zero page; 'injected' or 'already-present'."""
         number = address // PAGE_SIZE
-        page = self.pages.get(number)
+        page = self.pages.lookup(number)
         if page is not None and page.perms.present:
             return "already-present"
         self.pages[number] = _Page()
@@ -225,17 +270,20 @@ class Guest:
         start = 0
         while start < size:
             addr = address + start
-            page = self.pages.get(addr // PAGE_SIZE)
-            if page is None:
-                raise SimulationError(f"{action} unmapped {_hex(addr)}")
+            try:
+                page = self.pages[addr // PAGE_SIZE]
+            except KeyError:
+                raise SimulationError(f"{action} unmapped {_hex(addr)}") from None
             lo = addr % PAGE_SIZE
             hi = min(PAGE_SIZE, lo + size - start)
             yield start, page, lo, hi
             start += hi - lo
 
 
-def _check_canonical(address: int) -> None:
-    if address < 0 or address >= 1 << 48:
+def _check_canonical(address: int, size: int = 1) -> None:
+    """Raise ValueError unless all of [address, address + size) lies
+    below 2**48."""
+    if address < 0 or address + size > 1 << 48:
         raise ValueError("address outside 48-bit canonical range")
 
 
@@ -407,7 +455,7 @@ def build_guest(model: ProgramModel) -> Guest:
     lo, hi = model.resolved_module_range()
     guest.map_range(lo, hi)
     if not model.entry_present:
-        entry = guest.pages.get(model.entry_page)
+        entry = guest.pages.lookup(model.entry_page)
         if entry is not None:
             entry.perms.present = False
     guest.map_range(model.sp_init - DEFAULT_STACK_GUARD, model.sp_init + DEFAULT_STACK_GUARD)
@@ -437,8 +485,8 @@ class _Emitter:
         self.tid = tid
         self.events: list[AccessEvent] = []
         # One descriptor per distinct instruction; args are keyed with
-        # their types, as in trace._instr_key, so `True` never stands in
-        # for an equal `1`.
+        # their types, as the trace writer keys shapes, so `True` never
+        # stands in for an equal `1`.
         self._instrs: dict = {}
 
     def emit(self, kind, address, size, cpl, rip, cat="other", sign="n/a",
@@ -519,7 +567,7 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
     entry_pending = capture_entry
     if entry_pending:
         # Step 1 of lazy capture: revoke execute on the entry page.
-        page = guest.pages.get(model.entry_page)
+        page = guest.pages.lookup(model.entry_page)
         if page is not None:
             page.perms.exec_user = False
             page.perms.exec_kernel = False
@@ -529,7 +577,7 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
     def demand_page(address: int, size: int, lazy_code: bool = False) -> None:
         first = address // PAGE_SIZE
         for page in range(first, (address + size - 1) // PAGE_SIZE + 1):
-            present = pages.get(page)
+            present = pages.lookup(page)
             if present is not None and present.perms.present:
                 continue
             addr = page * PAGE_SIZE
@@ -551,7 +599,7 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
     def trap(kind, address, size, cat, sign="n/a", callee=None, args=None,
              value=None):
         """Emit a data access to present pages: every one is trapped."""
-        _check_canonical(address)
+        _check_canonical(address, size)
         emitter.emit(kind, address, size, guest.mode, rip, cat, sign,
                      callee, args, value)
 

@@ -1,9 +1,13 @@
 """Event model and on-disk trace format.
 
-A trace is a line-delimited stream of JSON records, one access event per
-line, preceded by a single header line carrying the virtual address range
-of the traced program's main module.  Addresses are 0x-prefixed hex
-strings so traces stay greppable.
+A trace is a line-delimited stream of JSON values: a header object
+carrying the virtual address range of the traced program's main module
+and the names of the event columns, then one event per line as a JSON
+array in COLUMNS order.  An event's `instr` is a shape object (category,
+signedness, callee, arguments) where that shape first appears and the
+shape's index, counted from 0 in order of definition, after that.
+Addresses and values are 0x-prefixed hex strings so traces stay
+greppable.
 """
 
 from __future__ import annotations
@@ -200,7 +204,7 @@ def _int_or_hex(value) -> int:
         f"{_shown(value)} is neither an integer nor a 0x-prefixed hex string")
 
 
-_EVENT_KEYS = ("seq", "tid", "cpl", "kind", "addr", "size", "rip", "instr")
+COLUMNS = ("seq", "tid", "cpl", "kind", "addr", "size", "rip", "instr", "val")
 _new_object = object.__new__
 (_set_seq, _set_thread_id, _set_cpl, _set_kind, _set_address,
  _set_operand_size, _set_instr, _set_rip) = (
@@ -229,20 +233,12 @@ def _new_event(seq, thread_id, cpl, kind, address, operand_size, instr,
     return event
 
 
-def _instr_key(raw: dict):
-    """A dict key for an `instr` record, equal only between records that
-    decode alike.  Equality alone would let `true` or `1.0` in args stand
-    for `1`, so the key also holds the type of each arg.  Raises TypeError
-    when args is not a list; the key is unhashable when a field is."""
-    args = raw.get("args")
-    if args is not None:
-        if type(args) is not list:
-            raise TypeError("args is not a list")
-        args = (tuple(args), tuple(map(type, args)))
-    return raw["cat"], raw["sign"], raw.get("callee"), args, raw.get("val")
-
-
 def _record_to_instr(raw: dict) -> InstrDescriptor:
+    """The descriptor, without a value, of a shape object."""
+    if "cat" not in raw or "sign" not in raw:
+        raise ValueError("a shape object needs cat and sign")
+    if "val" in raw:
+        raise ValueError("a shape object holds no val")
     args = raw.get("args")
     if args is not None:
         if not isinstance(args, list):
@@ -256,44 +252,7 @@ def _record_to_instr(raw: dict) -> InstrDescriptor:
         signedness=raw["sign"],
         callee_id=callee,
         register_args=args,
-        value=_parse_addr(raw["val"]) if raw.get("val") is not None else None,
     )
-
-
-def _record_to_event(record, instrs: dict) -> AccessEvent:
-    """Decode one event record.  `instrs` maps `_instr_key`s to the
-    descriptors already built, so each distinct `instr` record is
-    validated once per trace."""
-    try:
-        seq, tid, cpl = record["seq"], record["tid"], record["cpl"]
-        kind, addr, size = record["kind"], record["addr"], record["size"]
-        rip, raw = record["rip"], record["instr"]
-    except KeyError as exc:
-        raise ValueError(f"missing key {exc.args[0]!r}") from None
-    except TypeError:
-        # Not an object: fail as a membership test of each key would.
-        for key in _EVENT_KEYS:
-            if key not in record:
-                raise ValueError(f"missing key {key!r}") from None
-        raise
-    if type(raw) is not dict or "cat" not in raw or "sign" not in raw:
-        raise ValueError("instr must be an object with cat and sign")
-    # The writer emits these as JSON integers; a bool, float or string
-    # would slip through the comparisons and dict keys downstream.
-    if type(seq) is not int or type(tid) is not int or type(size) is not int:
-        raise ValueError("seq, tid and size must be integers")
-    try:
-        key = _instr_key(raw)
-        instr = instrs.get(key)
-    except TypeError:
-        key = instr = None
-    if instr is None:
-        instr = _record_to_instr(raw)
-        if key is not None:
-            instrs[key] = instr
-    return _new_event(seq, tid, _CPL_UNWIRE.get(cpl, cpl),
-                      _KIND_UNWIRE.get(kind, kind), _parse_addr(addr), size,
-                      instr, _parse_addr(rip))
 
 
 def _iter_lines(stream) -> Iterator[str]:
@@ -346,38 +305,91 @@ def iter_json_lines(
         yield lineno, record
 
 
+def _parse_header(lineno: int, record) -> tuple[int, int]:
+    """The module range of a header record, whose columns must be
+    COLUMNS."""
+    if not isinstance(record, dict) or "module_range" not in record:
+        raise TraceParseError(lineno, "first line must carry module_range")
+    try:
+        rng = record["module_range"]
+        module_range = (_parse_addr(rng["lo"]), _parse_addr(rng["hi"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceParseError(lineno, f"bad module_range: {exc}") from exc
+    if "columns" not in record:
+        raise TraceParseError(
+            lineno, "header has no columns (a trace of an older format?)")
+    if record["columns"] != list(COLUMNS):
+        raise TraceParseError(
+            lineno, f"columns must be {json.dumps(COLUMNS)}, "
+            f"not {_shown(record['columns'])}")
+    return module_range
+
+
 def parse_trace(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
     """Parse a line-delimited trace stream into a TraceLog.
 
-    The first non-empty line is the header carrying module_range.  An
-    entirely empty stream parses to an empty log.  Raises TraceParseError
-    (naming the line) on malformed input and TraceOrderError when seq is
-    not strictly increasing.
+    The first non-empty line is the header, carrying module_range and
+    the column names; every later line is one event row.  An entirely
+    empty stream parses to an empty log.  Raises TraceParseError (naming
+    the line) on malformed input and TraceOrderError when seq is not
+    strictly increasing.
+
+    Each shape object is checked and built into a descriptor once; every
+    (shape, val) pair is then one shared descriptor.
     """
     events: list[AccessEvent] = []
     module_range = (0, 0)
     records = iter_json_lines(stream, TraceParseError)
     for lineno, record in records:  # the header: the first record only
-        if not isinstance(record, dict) or "module_range" not in record:
-            raise TraceParseError(lineno, "first line must carry module_range")
-        try:
-            rng = record["module_range"]
-            module_range = (_parse_addr(rng["lo"]), _parse_addr(rng["hi"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceParseError(lineno, f"bad module_range: {exc}") from exc
+        module_range = _parse_header(lineno, record)
         break
-    instrs: dict = {}
+    # shapes[k] maps the val strings seen with shape k to descriptors;
+    # None maps to the shape's own, value-less descriptor.
+    shapes: list[dict] = []
+    new_event, parse_addr = _new_event, _parse_addr
+    cpl_unwire, kind_unwire = _CPL_UNWIRE, _KIND_UNWIRE
     last_seq = None
-    for lineno, record in records:
+    for lineno, row in records:
         try:
-            event = _record_to_event(record, instrs)
+            if type(row) is not list or len(row) != 9:
+                raise ValueError(
+                    f"an event row is a list of {len(COLUMNS)} values")
+            seq, tid, cpl, kind, addr, size, rip, shape, val = row
+            # The writer emits these as JSON integers; a bool, float or
+            # string would slip through the comparisons downstream.
+            if (type(seq) is not int or type(tid) is not int
+                    or type(size) is not int):
+                raise ValueError("seq, tid and size must be integers")
+            if type(shape) is int:
+                if not 0 <= shape < len(shapes):
+                    raise ValueError(
+                        f"instr {shape} names no shape defined before it")
+                by_val = shapes[shape]
+            elif type(shape) is dict:
+                by_val = {None: _record_to_instr(shape)}
+                shapes.append(by_val)
+            else:
+                raise ValueError(
+                    "instr must be a shape object or a shape's index")
+            try:
+                instr = by_val.get(val)
+            except TypeError:  # unhashable: not a hex string either
+                instr = None
+            if instr is None:
+                bare = by_val[None]
+                instr = by_val[val] = InstrDescriptor(
+                    bare.category, bare.signedness, bare.callee_id,
+                    bare.register_args, parse_addr(val))
+            event = new_event(seq, tid, cpl_unwire.get(cpl, cpl),
+                              kind_unwire.get(kind, kind), parse_addr(addr),
+                              size, instr, parse_addr(rip))
         except (TypeError, ValueError) as exc:
             raise TraceParseError(lineno, str(exc)) from exc
-        if last_seq is not None and event.seq <= last_seq:
+        if last_seq is not None and seq <= last_seq:
             raise TraceOrderError(
-                f"line {lineno}: seq {event.seq} not greater than {last_seq}"
+                f"line {lineno}: seq {seq} not greater than {last_seq}"
             )
-        last_seq = event.seq
+        last_seq = seq
         events.append(event)
     return TraceLog(events=tuple(events), module_range=module_range)
 
@@ -385,10 +397,10 @@ def parse_trace(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
 def serialize_trace(log: TraceLog) -> bytes:
     """Serialize a TraceLog; parse_trace(serialize_trace(log)) == log.
 
-    Each line is the bytes `json.dumps` gives for the event's record,
-    written by hand: `json.dumps` runs once per distinct instruction
-    shape (all of `instr` but its value), and the fixed-order event
-    fields are formatted directly.  seq, tid and size go through
+    Each event row is the bytes `json.dumps` gives for it, written by
+    hand: `json.dumps` runs once per distinct instruction shape (all of
+    `instr` but its value), at the shape's first use, and later rows
+    name the shape by its index.  seq, tid and size go through
     `json.dumps` unless they are exact ints, which it spells as an
     f-string does.
     """
@@ -400,31 +412,32 @@ def serialize_trace(log: TraceLog) -> bytes:
                 "module_range": {
                     "lo": _hex(log.module_range[0]),
                     "hi": _hex(log.module_range[1]),
-                }
+                },
+                "columns": list(COLUMNS),
             }
         )
     ]
     dumps, cpl_wire, kind_wire = json.dumps, _CPL_WIRE, _KIND_WIRE
-    prefixes: dict = {}  # shape -> its record's JSON without the closing }
+    shapes: dict = {}  # shape -> its index
     for event in log.events:
         instr = event.instr
         args = instr.register_args
         # Arg types are part of the key: `True == 1`, but they dump apart.
-        shape = (instr.category, instr.signedness, instr.callee_id, args,
-                 None if args is None else tuple(map(type, args)))
-        prefix = prefixes.get(shape)
-        if prefix is None:
-            prefix = prefixes[shape] = dumps(_instr_shape(instr))[:-1]
+        key = (instr.category, instr.signedness, instr.callee_id, args,
+               None if args is None else tuple(map(type, args)))
+        shape = shapes.get(key)
+        if shape is None:
+            shapes[key] = len(shapes)
+            shape = dumps(_instr_shape(instr))
         value = instr.value
-        record = (prefix + "}" if value is None
-                  else f'{prefix}, "val": "0x{value:x}"}}')
+        val = "null" if value is None else f'"0x{value:x}"'
         seq, tid, size = event.seq, event.thread_id, event.operand_size
         if type(seq) is not int or type(tid) is not int or type(size) is not int:
             seq, tid, size = dumps(seq), dumps(tid), dumps(size)
         lines.append(
-            f'{{"seq": {seq}, "tid": {tid}, "cpl": "{cpl_wire[event.cpl]}", '
-            f'"kind": "{kind_wire[event.kind]}", "addr": "0x{event.address:x}", '
-            f'"size": {size}, "rip": "0x{event.rip:x}", "instr": {record}}}'
+            f'[{seq}, {tid}, "{cpl_wire[event.cpl]}", '
+            f'"{kind_wire[event.kind]}", "0x{event.address:x}", {size}, '
+            f'"0x{event.rip:x}", {shape}, {val}]'
         )
     return ("\n".join(lines) + "\n").encode("utf-8")
 

@@ -26,6 +26,7 @@ from memtrace.signature import (
     NotSimilarError,
 )
 from memtrace.trace import (
+    COLUMNS,
     _CPL_UNWIRE,
     _CPL_WIRE,
     _KIND_UNWIRE,
@@ -39,6 +40,7 @@ from memtrace.trace import (
     _int_or_hex,
     _iter_lines,
     _parse_addr,
+    _shown,
 )
 
 MODULE_PAGE = 0x401
@@ -118,18 +120,12 @@ def random_log(rng: random.Random, n_events: int) -> TraceLog:
 # -- line-by-line trace parser oracle ------------------------------------
 
 
-def _reference_record_to_event(record: dict) -> AccessEvent:
-    for key in ("seq", "tid", "cpl", "kind", "addr", "size", "rip", "instr"):
-        if key not in record:
-            raise ValueError(f"missing key {key!r}")
-    raw = record["instr"]
-    if not isinstance(raw, dict) or "cat" not in raw or "sign" not in raw:
-        raise ValueError("instr must be an object with cat and sign")
-    seq, tid, size = record["seq"], record["tid"], record["size"]
-    # The writer emits these as JSON integers; a bool, float or string
-    # would slip through the comparisons and dict keys downstream.
-    if type(seq) is not int or type(tid) is not int or type(size) is not int:
-        raise ValueError("seq, tid and size must be integers")
+def _reference_shape(raw: dict) -> dict:
+    """Check a shape object and return its descriptor's arguments."""
+    if "cat" not in raw or "sign" not in raw:
+        raise ValueError("a shape object needs cat and sign")
+    if "val" in raw:
+        raise ValueError("a shape object holds no val")
     args = raw.get("args")
     if args is not None:
         if not isinstance(args, list):
@@ -138,13 +134,32 @@ def _reference_record_to_event(record: dict) -> AccessEvent:
     callee = raw.get("callee")
     if callee is not None and not isinstance(callee, str):
         raise ValueError("instr callee must be a string")
+    shape = dict(category=raw["cat"], signedness=raw["sign"],
+                 callee_id=callee, register_args=args)
+    InstrDescriptor(**shape)  # the shape's own checks, at its definition
+    return shape
+
+
+def _reference_row_to_event(row, shapes: list) -> AccessEvent:
+    if not isinstance(row, list) or len(row) != len(COLUMNS):
+        raise ValueError(f"an event row is a list of {len(COLUMNS)} values")
+    record = dict(zip(COLUMNS, row))
+    seq, tid, size = record["seq"], record["tid"], record["size"]
+    if type(seq) is not int or type(tid) is not int or type(size) is not int:
+        raise ValueError("seq, tid and size must be integers")
+    raw = record["instr"]
+    if isinstance(raw, dict):
+        shapes.append(_reference_shape(raw))
+        shape = shapes[-1]
+    elif isinstance(raw, int) and not isinstance(raw, bool):
+        if raw < 0 or raw >= len(shapes):
+            raise ValueError(f"instr {raw} names no shape defined before it")
+        shape = shapes[raw]
+    else:
+        raise ValueError("instr must be a shape object or a shape's index")
+    val = record["val"]
     instr = InstrDescriptor(
-        category=raw["cat"],
-        signedness=raw["sign"],
-        callee_id=callee,
-        register_args=args,
-        value=_parse_addr(raw["val"]) if raw.get("val") is not None else None,
-    )
+        **shape, value=None if val is None else _parse_addr(val))
     return AccessEvent(
         seq=seq,
         thread_id=tid,
@@ -158,12 +173,13 @@ def _reference_record_to_event(record: dict) -> AccessEvent:
 
 
 def reference_parse_trace(stream) -> TraceLog:
-    """`trace.parse_trace` as it was before descriptor interning: one
-    `json.loads` per line, and every event and descriptor built and
+    """`trace.parse_trace` without descriptor sharing or slot filling:
+    one `json.loads` per line, and every event and descriptor built and
     checked through its constructor."""
     events: list[AccessEvent] = []
     module_range = (0, 0)
     saw_header = False
+    shapes: list = []
     last_seq = None
     for lineno, line in enumerate(_iter_lines(stream), start=1):
         if not line.strip():
@@ -180,10 +196,17 @@ def reference_parse_trace(stream) -> TraceLog:
                 module_range = (_parse_addr(rng["lo"]), _parse_addr(rng["hi"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise TraceParseError(lineno, f"bad module_range: {exc}") from exc
+            if "columns" not in record:
+                raise TraceParseError(
+                    lineno, "header has no columns (a trace of an older format?)")
+            if record["columns"] != list(COLUMNS):
+                raise TraceParseError(
+                    lineno, f"columns must be {json.dumps(COLUMNS)}, "
+                    f"not {_shown(record['columns'])}")
             saw_header = True
             continue
         try:
-            event = _reference_record_to_event(record)
+            event = _reference_row_to_event(record, shapes)
         except (TypeError, ValueError) as exc:
             raise TraceParseError(lineno, str(exc)) from exc
         if last_seq is not None and event.seq <= last_seq:
@@ -195,32 +218,13 @@ def reference_parse_trace(stream) -> TraceLog:
     return TraceLog(events=tuple(events), module_range=module_range)
 
 
-# -- whole-record trace writer oracle -----------------------------------
-
-
-def _reference_event_to_record(event: AccessEvent) -> dict:
-    instr: dict = {"cat": event.instr.category, "sign": event.instr.signedness}
-    if event.instr.callee_id is not None:
-        instr["callee"] = event.instr.callee_id
-    if event.instr.register_args is not None:
-        instr["args"] = list(event.instr.register_args)
-    if event.instr.value is not None:
-        instr["val"] = _hex(event.instr.value)
-    return {
-        "seq": event.seq,
-        "tid": event.thread_id,
-        "cpl": _CPL_WIRE[event.cpl],
-        "kind": _KIND_WIRE[event.kind],
-        "addr": _hex(event.address),
-        "size": event.operand_size,
-        "rip": _hex(event.rip),
-        "instr": instr,
-    }
+# -- whole-row trace writer oracle --------------------------------------
 
 
 def reference_serialize_trace(log: TraceLog) -> bytes:
-    """`trace.serialize_trace` as it was before per-shape prefixes: one
-    `json.dumps` of a whole record per event."""
+    """`trace.serialize_trace` without cached shapes: one `json.dumps` of
+    a whole row per event, and a linear search of the shapes written so
+    far, compared as JSON text."""
     if not log.events and log.module_range == (0, 0):
         return b""
     lines = [
@@ -229,11 +233,28 @@ def reference_serialize_trace(log: TraceLog) -> bytes:
                 "module_range": {
                     "lo": _hex(log.module_range[0]),
                     "hi": _hex(log.module_range[1]),
-                }
+                },
+                "columns": list(COLUMNS),
             }
         )
     ]
-    lines.extend(json.dumps(_reference_event_to_record(e)) for e in log.events)
+    written: list[str] = []  # the JSON of each shape defined so far
+    for e in log.events:
+        shape: dict = {"cat": e.instr.category, "sign": e.instr.signedness}
+        if e.instr.callee_id is not None:
+            shape["callee"] = e.instr.callee_id
+        if e.instr.register_args is not None:
+            shape["args"] = list(e.instr.register_args)
+        text = json.dumps(shape)
+        if text in written:
+            instr = written.index(text)
+        else:
+            written.append(text)
+            instr = shape
+        val = None if e.instr.value is None else _hex(e.instr.value)
+        lines.append(json.dumps([e.seq, e.thread_id, _CPL_WIRE[e.cpl],
+                                 _KIND_WIRE[e.kind], _hex(e.address),
+                                 e.operand_size, _hex(e.rip), instr, val]))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -245,7 +266,7 @@ def reference_read_memory(guest: Guest, address: int, size: int) -> bytes:
     out = bytearray()
     for offset in range(size):
         addr = address + offset
-        page = guest.pages.get(addr // PAGE_SIZE)
+        page = guest.pages.lookup(addr // PAGE_SIZE)
         if page is None:
             raise SimulationError(f"read from unmapped {_hex(addr)}")
         source = page.pristine if page.perms.hidden_hook else page.content
@@ -258,7 +279,7 @@ def reference_fetch_memory(guest: Guest, address: int, size: int) -> bytes:
     out = bytearray()
     for offset in range(size):
         addr = address + offset
-        page = guest.pages.get(addr // PAGE_SIZE)
+        page = guest.pages.lookup(addr // PAGE_SIZE)
         if page is None:
             raise SimulationError(f"fetch from unmapped {_hex(addr)}")
         out.append(page.content[addr % PAGE_SIZE])
@@ -269,7 +290,7 @@ def reference_write_memory(guest: Guest, address: int, data: bytes) -> None:
     """`Guest.write_memory` as it was before per-page slices."""
     for offset, byte in enumerate(data):
         addr = address + offset
-        page = guest.pages.get(addr // PAGE_SIZE)
+        page = guest.pages.lookup(addr // PAGE_SIZE)
         if page is None:
             raise SimulationError(f"write to unmapped {_hex(addr)}")
         page.content[addr % PAGE_SIZE] = byte

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from memtrace import cli, signature
+from memtrace import cli, signature, trace
 from memtrace.cli import main
 from memtrace.guest import ModelOp, ModelParseError, parse_model, serialize_model
 from memtrace.signature import write_signature
@@ -74,11 +74,12 @@ class TestSimulate:
         assert main(["simulate", str(path)]) == 2
 
     def test_noncanonical_address_is_exit_2(self, capsys):
-        """A write to a mapped page past 2**48 is refused by the
-        interpreter, after demand paging and before it is logged."""
-        err = assert_exit_2(capsys, ["simulate",
-                                     str(DATA / "noncanonical.model")])
-        assert err == "error: address outside 48-bit canonical range\n"
+        """A write to a mapped page past 2**48, or one whose last bytes
+        lie past it, is refused by the interpreter, after demand paging
+        and before it is logged."""
+        for name in ("noncanonical.model", "straddling.model"):
+            err = assert_exit_2(capsys, ["simulate", str(DATA / name)])
+            assert err == "error: address outside 48-bit canonical range\n"
 
 
 class TestReconstruct:
@@ -284,6 +285,19 @@ class TestUsageErrors:
         path = tmp_path / "bad.jsonl"
         path.write_bytes(b"not a trace\n")
         assert main(["bases", str(path)]) == 2
+        # A trace of one object per event, the format before columns.
+        path.write_text(
+            '{"module_range": {"lo": "0x401000", "hi": "0x402000"}}\n'
+            '{"seq": 0, "tid": 0, "cpl": "u", "kind": "w", "addr": "0x9000",'
+            ' "size": 8, "rip": "0x401000",'
+            ' "instr": {"cat": "int-move", "sign": "n/a", "val": "0x1"}}\n')
+        capsys.readouterr()
+        for argv in (["bases"], ["sign"], ["flags"],
+                     ["reconstruct", "--base", "0x9000"]):
+            err = assert_exit_2(capsys, argv + [str(path)])
+            assert err.count("\n") == 1
+            assert err.startswith("error: line 1: ")
+            assert "columns" in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -401,8 +415,9 @@ class TestDeepNesting:
 
     def test_trace(self, tmp_path, capsys):
         path = tmp_path / "deep.trace"
-        path.write_text('{"module_range": {"lo": "0x0", "hi": "0x1000"}}\n'
-                        + DEEP + "\n")
+        path.write_text(json.dumps({"module_range": {"lo": "0x0", "hi": "0x1000"},
+                                    "columns": list(trace.COLUMNS)})
+                        + "\n" + DEEP + "\n")
         assert "line 2" in assert_exit_2(capsys, ["bases", str(path)])
 
     def test_signature(self, tmp_path, capsys):

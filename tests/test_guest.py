@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memtrace import guest as guest_mod
 from memtrace.cli import main
 from memtrace.guest import (
     PAGE_SIZE,
@@ -113,6 +114,73 @@ class TestCheckAccess:
         with pytest.raises(ValueError):
             guest.check_access(1 << 50, "read", "user")
 
+    def test_access_must_end_below_2_48(self):
+        """The last byte counts too: 4 bytes at 2**48 - 4 fit, 8 run
+        past it."""
+        top = 1 << 48
+        mapped = [(top - PAGE_SIZE, top + PAGE_SIZE)]
+
+        def write(size):
+            op = ModelOp("mov-write", addr=top - 4, size=size, value=1)
+            return run_model(make_model([op], mapped=mapped))
+
+        assert [e.address for e in write(4).events if e.kind == "write"] == [
+            top - 4]
+        with pytest.raises(ValueError, match="canonical"):
+            write(8)
+
+
+class TestMapRange:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every _Page built while the test runs."""
+        built = []
+
+        class CountedPage(guest_mod._Page):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(guest_mod, "_Page", CountedPage)
+        return built
+
+    def test_whole_address_space_builds_pages_on_touch(self, built):
+        guest = Guest()
+        guest.map_range(0, 1 << 48)
+        assert built == [] and len(guest.pages) == 0
+        assert isinstance(guest.check_access(0x5000, "read", "user"), Allowed)
+        guest.write_memory(0x7ffffffc, b"\x01" * 8)  # two pages
+        assert guest.read_memory(0x7ffffffc, 8) == b"\x01" * 8
+        assert guest.inject_page_fault(0x5008) == "already-present"
+        assert guest.page_present((1 << 48) - 1)
+        assert not guest.page_present(1 << 48)
+        assert len(built) == len(guest.pages) == 4
+        assert set(guest.pages) == {0x5, 0x7ffff, 0x80000, (1 << 36) - 1}
+
+    def test_overlapping_and_adjacent_ranges(self, built):
+        guest = Guest()
+        for lo, hi in [(0x8000, 0xa000), (0x3000, 0x5000), (0x5000, 0x6000),
+                       (0x9000, 0xc001), (0x20000, 0x20000)]:
+            guest.map_range(lo, hi)
+        mapped = {n for n in range(0x30) if guest.page_present(n * PAGE_SIZE)}
+        assert mapped == set(range(0x3, 0x6)) | set(range(0x8, 0xd))
+        assert len(built) == len(mapped)
+
+    def test_huge_mapped_header_simulates_alike(self, built):
+        """A model mapping all of [0, 2**48) traces exactly as one that
+        maps only its scratch range, building a page per page touched."""
+        ops = [ModelOp("mov-write", addr=0x3ffc, size=8, value=7),
+               ModelOp("mov-read", addr=0x3ffc, size=8),
+               ModelOp("push", value=1),
+               ModelOp("mov-write", addr=0x7000, size=4, value=2)]
+        small = run_model(make_model(ops))
+        del built[:]
+        huge = run_model(make_model(ops, mapped=[(0, 1 << 48)]))
+        assert huge == small
+        assert len(built) <= 6
+
 
 class TestSwitchProfile:
     def test_switch_changes_decisions(self):
@@ -174,9 +242,10 @@ class TestHiddenHooks:
             guest.install_hidden_hook(0x3000, b"\xcc")
 
 
-# Pages 0x10-0x15: 0x12 and 0x14 are unmapped, 0x11 and 0x13 hooked, and
-# 0x15 keeps a pristine copy with its hook flag cleared, so writes there
-# must update both views.
+# Pages 0x10-0x15: 0x12 and 0x14 are unmapped, 0x10 is mapped but not
+# built until first touched, 0x11 and 0x13 hooked, and 0x15 keeps a
+# pristine copy with its hook flag cleared, so writes there must update
+# both views.
 MEMORY_PAGES = range(0x10, 0x16)
 
 
@@ -187,7 +256,8 @@ def _memory_guest(seed: int) -> Guest:
         if page in (0x12, 0x14):
             continue
         guest.map_range(page * PAGE_SIZE, (page + 1) * PAGE_SIZE)
-        guest.pages[page].content[:] = rng.randbytes(PAGE_SIZE)
+        if page != 0x10:
+            guest.pages[page].content[:] = rng.randbytes(PAGE_SIZE)
     guest.install_hidden_hook(0x11 * PAGE_SIZE + 7, b"\xcc" * 9)
     guest.install_hidden_hook(0x13 * PAGE_SIZE + PAGE_SIZE - 3, b"\xcc\xcc")
     guest.install_hidden_hook(0x15 * PAGE_SIZE, b"\xcc")
@@ -224,6 +294,7 @@ class TestPageSlicedMemory:
         bytes, the same error at the same first unmapped address, and the
         same pages after a write that stopped part-way."""
         guest, reference = _memory_guest(seed), _memory_guest(seed)
+        assert 0x10 not in guest.pages  # mapped, built on first touch
         rng = random.Random(seed)
         for action, address, size in ops:
             if action == "write":

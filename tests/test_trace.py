@@ -40,6 +40,10 @@ def make_event(seq=0, **kwargs):
     return AccessEvent(seq=seq, **defaults)
 
 
+HEADER = {"module_range": {"lo": "0x0", "hi": "0x1000"},
+          "columns": list(trace.COLUMNS)}
+
+
 class TestEventInvariants:
     def test_execute_operand_size_fixed(self):
         with pytest.raises(ValueError):
@@ -77,14 +81,14 @@ class TestParseSerialize:
         data = serialize_trace(log)
         lines = data.decode().strip().split("\n")
         assert len(lines) == 2  # header + one event
-        import json
-        record = json.loads(lines[1])
-        assert set(record) == {"seq", "tid", "cpl", "kind", "addr", "size",
-                               "rip", "instr"}
+        assert json.loads(lines[0])["columns"] == list(trace.COLUMNS)
+        assert json.loads(lines[1]) == [
+            0, 0, "u", "r", "0x1000", 8, "0x401000",
+            {"cat": "int-move", "sign": "n/a"}, None]
         assert parse_trace(data) == log
 
     def test_malformed_line_names_line_number(self):
-        data = b'{"module_range": {"lo": "0x0", "hi": "0x1000"}}\nnot json\n'
+        data = json.dumps(HEADER) + "\nnot json\n"
         with pytest.raises(TraceParseError, match="line 2"):
             parse_trace(data)
 
@@ -104,11 +108,11 @@ class TestParseSerialize:
     @pytest.mark.parametrize("field, value",
                              [("seq", "x"), ("tid", []), ("size", True)])
     def test_non_integer_event_field_rejected(self, field, value):
-        record = {"seq": 1, "tid": 1, "cpl": "u", "kind": "w", "addr": "0x10",
-                  "size": 4, "rip": "0x20",
-                  "instr": {"cat": "int-move", "sign": "n/a"}}
-        lines = [{"module_range": {"lo": "0x0", "hi": "0x1000"}}, record,
-                 {**record, "seq": 2, field: value}]
+        row = [1, 1, "u", "w", "0x10", 4, "0x20",
+               {"cat": "int-move", "sign": "n/a"}, None]
+        bad = [2] + row[1:7] + [0, None]
+        bad[trace.COLUMNS.index(field)] = value
+        lines = [HEADER, row, bad]
         with pytest.raises(TraceParseError, match="line 3"):
             parse_trace("\n".join(json.dumps(line) for line in lines))
 
@@ -118,20 +122,59 @@ class TestParseSerialize:
         '"cat": "call", "sign": "n/a", "args": "abcd"',
     ], ids=["list-callee", "string-args", "args-string"])
     def test_malformed_call_descriptor_rejected(self, instr):
-        data = ('{"module_range": {"lo": "0x0", "hi": "0x1000"}}\n'
-                '{"seq": 1, "tid": 1, "cpl": "u", "kind": "w", "addr": "0x10",'
-                ' "size": 8, "rip": "0x20", "instr": {%s}}\n' % instr)
+        data = (json.dumps(HEADER) + '\n'
+                '[1, 1, "u", "w", "0x10", 8, "0x20", {%s}, null]\n' % instr)
         with pytest.raises(TraceParseError, match="line 2"):
             parse_trace(data)
 
     def test_unknown_keys_ignored(self):
-        data = (b'{"module_range": {"lo": "0x0", "hi": "0x1000"}, "extra": 1}\n'
-                b'{"seq": 0, "tid": 1, "cpl": "k", "kind": "w", "addr": "0x10",'
-                b' "size": 4, "rip": "0x20", "mystery": true,'
-                b' "instr": {"cat": "int-move", "sign": "signed", "zzz": 9}}\n')
+        data = (json.dumps({**HEADER, "extra": 1}) + '\n'
+                '[0, 1, "k", "w", "0x10", 4, "0x20",'
+                ' {"cat": "int-move", "sign": "signed", "zzz": 9}, null]\n')
         log = parse_trace(data)
         assert log.events[0].cpl == "kernel"
         assert log.events[0].kind == "write"
+        assert log.events[0].instr == InstrDescriptor("int-move", "signed")
+
+    @pytest.mark.parametrize("header", [
+        {"module_range": {"lo": "0x0", "hi": "0x1000"}},
+        {"module_range": {"lo": "0x0", "hi": "0x1000"},
+         "columns": list(trace.COLUMNS[:-1])},
+        {"module_range": {"lo": "0x0", "hi": "0x1000"},
+         "columns": ",".join(trace.COLUMNS)},
+    ], ids=["missing", "short", "string"])
+    def test_header_must_name_the_columns(self, header):
+        """A trace of one object per event, the format before columns,
+        fails at its header."""
+        data = (json.dumps(header) + '\n'
+                '{"seq": 0, "tid": 1, "cpl": "u", "kind": "w", "addr": "0x10",'
+                ' "size": 4, "rip": "0x20",'
+                ' "instr": {"cat": "int-move", "sign": "n/a"}}\n')
+        with pytest.raises(TraceParseError, match="^line 1: .*columns"):
+            parse_trace(data)
+
+    @pytest.mark.parametrize("row, message", [
+        ([0, 1, "u", "w", "0x10", 4, "0x20", 0], "list of 9 values"),
+        ([0, 1, "u", "w", "0x10", 4, "0x20", 0, None, None],
+         "list of 9 values"),
+        ({str(k): 0 for k in range(9)}, "list of 9 values"),
+        ([0, 1, "u", "w", "0x10", 4, "0x20", 1, None], "instr 1 names no"),
+        ([0, 1, "u", "w", "0x10", 4, "0x20", -1, None], "instr -1 names no"),
+        ([0, 1, "u", "w", "0x10", 4, "0x20", True, None], "shape's index"),
+        ([0, 1, "u", "w", "0x10", 4, "0x20", 0.0, None], "shape's index"),
+        ([0, 1, "u", "w", "0x10", 4, "0x20",
+          {"cat": "int-move", "sign": "n/a", "val": "0x1"}, None],
+         "holds no val"),
+    ], ids=["short", "long", "object", "undefined", "negative", "bool",
+            "float", "val-in-shape"])
+    def test_bad_rows_rejected(self, row, message):
+        defined = [0, 1, "u", "w", "0x8", 4, "0x20",
+                   {"cat": "int-move", "sign": "n/a"}, None]
+        data = "\n".join(json.dumps(r) for r in (HEADER, defined, row))
+        with pytest.raises(TraceParseError, match=f"line 3: .*{message}"):
+            parse_trace(data)
+        assert _outcome(parse_trace, data) == _outcome(reference_parse_trace,
+                                                       data)
 
     def test_thousand_event_round_trip(self):
         rng = random.Random(42)
@@ -146,11 +189,8 @@ class TestParseSerialize:
         assert parse_trace(serialize_trace(log)) == log
 
 
-HEADER = {"module_range": {"lo": "0x0", "hi": "0x1000"}}
-CALL = {"seq": 1, "tid": 0, "cpl": "u", "kind": "x", "addr": "0x10",
-        "size": 1, "rip": "0x10",
-        "instr": {"cat": "call", "sign": "n/a", "callee": "Foo",
-                  "args": [1, 0, 0, 0]}}
+CALL_SHAPE = {"cat": "call", "sign": "n/a", "callee": "Foo",
+              "args": [1, 0, 0, 0]}
 
 
 def _outcome(parse, data):
@@ -173,15 +213,18 @@ class TestInternedDescriptors:
     def test_equal_but_differently_typed_args_rejected(self, first, later):
         """A later `instr` record that equals an accepted one under == (or
         iterates like it) is still checked on its own."""
-        records = [HEADER, {**CALL, "instr": {**CALL["instr"], "args": first}},
-                   {**CALL, "seq": 2,
-                    "instr": {**CALL["instr"], "args": later}}]
+        call = [1, 0, "u", "x", "0x10", 1, "0x10"]
+        records = [HEADER, call + [{**CALL_SHAPE, "args": first}, None],
+                   [2] + call[1:] + [{**CALL_SHAPE, "args": later}, None]]
         data = "\n".join(json.dumps(r) for r in records)
         with pytest.raises(TraceParseError, match="line 3"):
             parse_trace(data)
         assert _outcome(parse_trace, data) == _outcome(reference_parse_trace, data)
 
     def test_one_descriptor_built_per_distinct_instr_record(self, monkeypatch):
+        """The constructor runs once per shape object in the file and
+        once per further (shape, val) pair with a val, and events with
+        the same shape and val share one descriptor."""
         rng = random.Random(7)
         pool = [random_event(rng, 0) for _ in range(6)]
         events = []
@@ -191,8 +234,8 @@ class TestInternedDescriptors:
                 template, seq=seq, address=rng.randrange(1 << 40)))
         data = serialize_trace(TraceLog(events=tuple(events),
                                         module_range=(0, 0x1000)))
-        distinct = {json.dumps(json.loads(line)["instr"], sort_keys=True)
-                    for line in data.decode().splitlines()[1:]}
+        rows = [json.loads(line) for line in data.decode().splitlines()[1:]]
+        shapes = [row[7] for row in rows if isinstance(row[7], dict)]
         built = []
 
         def counting(*args, **kwargs):
@@ -202,35 +245,52 @@ class TestInternedDescriptors:
         monkeypatch.setattr(trace, "InstrDescriptor", counting)
         log = parse_trace(data)
         assert len(log) == 300
-        assert len(built) == len(distinct) <= 6
+        pairs = {}
+        defined = 0
+        for row, event in zip(rows, log.events):
+            if isinstance(row[7], dict):
+                row[7], defined = defined, defined + 1
+            pairs.setdefault((row[7], row[8]), event.instr)
+            assert event.instr is pairs[(row[7], row[8])]
+        valued = [pair for pair in pairs if pair[1] is not None]
+        assert len(shapes) <= 6
+        assert len(built) == len(shapes) + len(valued)
 
 
-# Record-level mutations: JSON values that equal a valid one under ==
-# (true for 1, 1.0 for 1), hex and non-hex strings, wrong types, dropped
-# keys.  Text-level ones: stray whitespace of every kind, trailing data,
-# blank lines, swapped lines and lines that are not objects.
+# Row-level mutations: JSON values that equal a valid one under ==
+# (true for 1, 1.0 for 1), hex and non-hex strings, wrong types, shape
+# indices that are not yet defined, dropped and added row values,
+# dropped shape keys and a val inside a shape; and header columns that
+# are missing or differ.  Text-level ones: stray whitespace of every
+# kind, trailing data, blank lines, swapped lines and other JSON lines.
 ARG_TOKENS = [True, False, 1.0, 0.0, "0x1", "0X1", "1", -1, 1 << 70, None,
               [1], {}]
-VAL_TOKENS = ["0x10", 16, True, 1.5, "16", "0x", None, []]
+VAL_TOKENS = ["0x10", 16, True, 1.5, "16", "0x", None, [], "0x010"]
 FIELD_TOKENS = [True, 1.0, 0, 8, 16, "x", "0x10", "u", "k", "r", "w",
                 "user", None, [], {}]
-EVENT_KEYS = ["seq", "tid", "cpl", "kind", "addr", "size", "rip", "instr"]
 INSTR_KEYS = ["cat", "sign", "callee", "args", "val"]
+COLUMN_TOKENS = [None, list(trace.COLUMNS[:-1]), list(trace.COLUMNS[::-1]),
+                 list(trace.COLUMNS) + ["extra"], ",".join(trace.COLUMNS),
+                 {}, list(trace.COLUMNS)]
 WHITESPACE = [" ", "\t", "\x0c", "\x0b", "\xa0", "\ufeff", " \t "]
 TRAILING = [" x", "{}", " 1", ",", "]", " \x0c", "\t"]
 RAW_LINES = ["[]", "5", "null", "NaN", "{", '"seq tid cpl kind addr size rip'
-             ' instr"', json.dumps(EVENT_KEYS), json.dumps(HEADER)]
+             ' instr val"', json.dumps(trace.COLUMNS), json.dumps(HEADER),
+             '{"seq": 0, "tid": 1, "cpl": "u", "kind": "w", "addr": "0x10",'
+             ' "size": 4, "rip": "0x20", "instr": {"cat": "int-move",'
+             ' "sign": "n/a"}}']
 
 MUTATION = st.tuples(
     st.sampled_from(["arg", "swap", "val", "field", "instr", "drop", "cat",
-                     "space", "blank", "trail", "order", "raw"]),
+                     "index", "extend", "inval", "columns", "space", "blank",
+                     "trail", "order", "raw"]),
     st.integers(0, 1 << 16),
     st.integers(0, 1 << 16),
 )
 
 
 def _template_log(rng: random.Random, n_events: int) -> TraceLog:
-    """Events copied from a few templates, so `instr` records repeat;
+    """Events copied from a few templates, so instruction shapes repeat;
     call arguments are small, so many are 0 or 1."""
     pool = []
     for _ in range(rng.randrange(1, 5)):
@@ -254,25 +314,31 @@ def _template_log(rng: random.Random, n_events: int) -> TraceLog:
 def _mutate(log: TraceLog, mutations) -> str:
     text = serialize_trace(log).decode()
     records = [json.loads(line) for line in text.splitlines()]
-    events = records[1:]
+    rows = records[1:]
     for action, where, which in mutations:
-        if action in ("space", "blank", "trail", "order", "raw"):
+        if action == "columns":
+            token = COLUMN_TOKENS[which % len(COLUMN_TOKENS)]
+            if token is None:
+                records[0].pop("columns", None)
+            else:
+                records[0]["columns"] = token
             continue
-        if not events:
-            break
-        record = events[where % len(events)]
-        instr = record.get("instr")
-        if action == "arg" and isinstance(instr, dict):
-            args = instr.setdefault("args", [0, 0, 0, 0])
+        if not rows or action in ("space", "blank", "trail", "order", "raw"):
+            continue
+        at = where % len(rows)
+        row = rows[at]
+        shape = row[7] if len(row) > 7 else None
+        if action == "arg" and isinstance(shape, dict):
+            args = shape.setdefault("args", [0, 0, 0, 0])
             if isinstance(args, list) and args:
                 args[which % len(args)] = ARG_TOKENS[which % len(ARG_TOKENS)]
-        elif action == "swap":
-            # A later copy of an earlier instr record, one int made a
-            # bool or float of equal value.
-            earlier = [r["instr"] for r in events[:where % len(events)]
-                       if isinstance(r.get("instr"), dict)
-                       and isinstance(r["instr"].get("args"), list)
-                       and r["instr"]["args"]]
+        elif action == "swap" and len(row) > 7:
+            # A new definition of an earlier shape, one int made a bool
+            # or float of equal value.
+            earlier = [r[7] for r in rows[:at]
+                       if len(r) > 7 and isinstance(r[7], dict)
+                       and isinstance(r[7].get("args"), list)
+                       and r[7]["args"]]
             if earlier:
                 copy = json.loads(json.dumps(earlier[which % len(earlier)]))
                 args = copy["args"]
@@ -280,22 +346,33 @@ def _mutate(log: TraceLog, mutations) -> str:
                 if type(args[slot]) is int:
                     args[slot] = (bool(args[slot]) if args[slot] in (0, 1)
                                   and which % 2 else float(args[slot]))
-                record["instr"] = copy
-        elif action == "val" and isinstance(instr, dict):
-            instr["val"] = VAL_TOKENS[which % len(VAL_TOKENS)]
-        elif action == "field":
-            record[EVENT_KEYS[which % 8]] = FIELD_TOKENS[
-                which % len(FIELD_TOKENS)]
-        elif action == "instr" and isinstance(instr, dict):
-            instr[INSTR_KEYS[which % 5]] = FIELD_TOKENS[
+                row[7] = copy
+        elif action == "val" and len(row) > 8:
+            row[8] = VAL_TOKENS[which % len(VAL_TOKENS)]
+        elif action == "field" and row:
+            row[which % len(row)] = FIELD_TOKENS[which % len(FIELD_TOKENS)]
+        elif action == "instr" and isinstance(shape, dict):
+            shape[INSTR_KEYS[which % 5]] = FIELD_TOKENS[
                 which % len(FIELD_TOKENS)]
         elif action == "drop":
-            target = (instr if isinstance(instr, dict) and which % 2
-                      else record)
-            if target:
-                del target[sorted(target)[which % len(target)]]
-        elif action == "cat" and isinstance(instr, dict):
-            instr["cat"] = trace.CATEGORIES[which % len(trace.CATEGORIES)]
+            if isinstance(shape, dict) and which % 2:
+                if shape:
+                    del shape[sorted(shape)[which % len(shape)]]
+            elif row:
+                del row[which % len(row)]
+        elif action == "cat" and isinstance(shape, dict):
+            shape["cat"] = trace.CATEGORIES[which % len(trace.CATEGORIES)]
+        elif action == "index" and len(row) > 7:
+            # Around the number of shapes defined before this row.
+            defined = sum(isinstance(r[7], dict) for r in rows[:at]
+                          if len(r) > 7)
+            row[7] = [defined - 1, defined, defined + 1, 0, -1, True, False,
+                      0.0, float(max(defined - 1, 0))][which % 9]
+        elif action == "extend":
+            row.append(FIELD_TOKENS[which % len(FIELD_TOKENS)])
+        elif action == "inval" and isinstance(shape, dict):
+            # The value inside the shape, as the object lines had it.
+            shape["val"] = row[8] if len(row) > 8 and which % 2 else "0x1"
     lines = [json.dumps(r) for r in records]
     for action, where, which in mutations:
         at = where % len(lines)
@@ -412,7 +489,8 @@ def test_equal_args_of_other_types_keep_their_spelling():
 def test_json_line_errors_match_json_loads(parse, error, line):
     """Both line readers skip whitespace-only lines, count them, and reject
     a line for the same reason json.loads gives."""
-    header = {"module_range": {"lo": "0x0", "hi": "0x1"}, "entry_page": 1,
+    header = {"module_range": {"lo": "0x0", "hi": "0x1"},
+              "columns": list(trace.COLUMNS), "entry_page": 1,
               "sp_init": "0x7ff000"}
     # A list of lines: str.splitlines would split at the form feeds.
     data = [json.dumps(header), " \x0c\t\xa0", line]
