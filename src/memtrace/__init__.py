@@ -5,8 +5,6 @@ from .trace import (
     AddressPattern,
     InstrDescriptor,
     TraceLog,
-    merge_round_robin,
-    normalize_offsets,
     parse_trace,
     serialize_trace,
     split_by_thread,

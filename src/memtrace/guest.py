@@ -6,7 +6,8 @@ hidden hooks (execute-allowed / read-denied pages), demand paging via
 injected page faults, and lazy entry-point capture.  Abstract program
 models are interpreted against this state: every data access is trapped
 and emitted as an AccessEvent, and instruction fetches go through the
-permission check for entry capture and mode-transition detection.
+permission check for entry capture.  A mode transition is reported at
+the first fetch after it, by MBEC and legacy detection alike.
 """
 
 from __future__ import annotations
@@ -470,7 +471,8 @@ def build_guest(model: ProgramModel) -> Guest:
 @dataclass
 class TrapConfig:
     """How mode transitions are caught: "mbec" (EPT violations under the
-    exec-denied profiles) or "legacy" (U/S-bit page faults)."""
+    exec-denied profiles) or "legacy" (U/S-bit page faults).  Both report
+    the same transitions, on hidden-hook pages too."""
 
     transition_mode: str = "mbec"
 
@@ -556,6 +558,15 @@ def transitions(log: TraceLog) -> list[tuple[int, str]]:
     ]
 
 
+def _mbec_denies_execute(last_mode: str, mode: str) -> bool:
+    """Whether the EPT profile kept while the guest ran in `last_mode`,
+    the one denying execute in the other mode, denies a fetch in `mode`.
+    It reads no page: a hidden hook lets its bytes execute, but the
+    profile still traps the fetch that crosses modes."""
+    profile = "user-exec-denied" if last_mode == "kernel" else "kernel-exec-denied"
+    return profile == f"{mode}-exec-denied"
+
+
 def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
          capture_entry: bool = False):
     emitter = _Emitter(model.tid)
@@ -626,21 +637,12 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
                 entry_address = rip
                 entry_pending = False
         if guest.mode != last_mode:
-            if cfg.transition_mode == "mbec":
-                # The EPT denying the previous mode's opposite is active;
-                # this fetch raises an EPT violation that marks the
-                # transition.
-                previous = guest.active_profile
-                guest.switch_profile("user-exec-denied" if last_mode == "kernel"
-                                     else "kernel-exec-denied")
-                outcome = guest.check_access(rip, "execute", guest.mode, rip)
-                guest.switch_profile(previous)
-                if isinstance(outcome, Violation):
-                    emitter.emit("execute", rip, 1, guest.mode, rip, cat="other")
-            else:
-                # Legacy: the U/S-bit mismatch page-faults the fetch; the
-                # monitor intercepts and swallows the fault, and reports
-                # the switch.
+            # MBEC: the fetch raises an EPT violation under the profile
+            # kept for the previous mode.  Legacy: the U/S-bit mismatch
+            # page-faults it; the monitor swallows the fault.  Either
+            # way the monitor reports the switch.
+            if (cfg.transition_mode == "legacy"
+                    or _mbec_denies_execute(last_mode, guest.mode)):
                 emitter.emit("execute", rip, 1, guest.mode, rip, cat="other")
             last_mode = guest.mode
 

@@ -8,13 +8,20 @@ signedness, callee, arguments) where that shape first appears and the
 shape's index, counted from 0 in order of definition, after that.
 Addresses and values are 0x-prefixed hex strings so traces stay
 greppable.
+
+parse_trace reads bytes and text in bulk, a chunk of lines per
+json.loads call, where it can tell that the chunk holds one plain row
+per line; it reads everything else, and every stream, one line at a
+time.  Only the line reader reports errors.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import compress, count, repeat
+from operator import attrgetter, is_, lt
 from typing import IO, Callable, Iterable, Iterator, Optional, Union
 
 CPL_VALUES = ("user", "kernel")
@@ -218,8 +225,8 @@ def _new_event(seq, thread_id, cpl, kind, address, operand_size, instr,
                rip) -> AccessEvent:
     """The AccessEvent the constructor gives, at half its cost: the
     slots are filled directly and then checked by __post_init__.  The
-    trace parser, the guest's emitter and merge_round_robin build every
-    event here."""
+    trace parser's line reader and the guest's emitter build every event
+    here."""
     event = _new_object(AccessEvent)
     _set_seq(event, seq)
     _set_thread_id(event, thread_id)
@@ -334,9 +341,27 @@ def parse_trace(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
     the line) on malformed input and TraceOrderError when seq is not
     strictly increasing.
 
-    Each shape object is checked and built into a descriptor once; every
-    (shape, val) pair is then one shared descriptor.
+    bytes and str input is first read in bulk (_parse_chunks), which
+    decodes about a thousand rows per json.loads call and checks them
+    column by column.  Where that reader declines, and for streams, the
+    line reader (_parse_lines) reads the input row by row; it alone
+    builds the errors.  Both give the same log.  Each shape object is
+    checked and built into a descriptor once; every (shape, val) pair is
+    then one shared descriptor.
     """
+    if isinstance(stream, (bytes, str)):
+        try:
+            log = _parse_chunks(stream)
+        except (TypeError, ValueError, RecursionError):
+            log = None
+        if log is not None:
+            return log
+    return _parse_lines(stream)
+
+
+def _parse_lines(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
+    """parse_trace, one row at a time: the reader of every input the bulk
+    reader declines, and the only one that raises parse errors."""
     events: list[AccessEvent] = []
     module_range = (0, 0)
     records = iter_json_lines(stream, TraceParseError)
@@ -391,6 +416,117 @@ def parse_trace(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
             )
         last_seq = seq
         events.append(event)
+    return TraceLog(events=tuple(events), module_range=module_range)
+
+
+_CHUNK_ROWS = 1024  # event lines per json.loads call in _parse_chunks
+_SHAPE_KEYS = frozenset(("cat", "sign", "callee", "args"))
+_SLOT_SETTERS = (_set_seq, _set_thread_id, _set_cpl, _set_kind, _set_address,
+                 _set_operand_size, _set_instr, _set_rip)
+_category = attrgetter("category")
+
+
+def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
+    """parse_trace's bulk reader: the log _parse_lines gives, or None (or
+    a TypeError, ValueError or RecursionError) for any input it does not
+    take, which _parse_lines then reads again.
+
+    It takes a text only if the header is line 1, every later line
+    starts with "[" and ends with "]", no U+0085, U+2028 or U+2029
+    appears, each chunk of lines, joined into one JSON array by ",\n",
+    decodes to as many rows as it has lines, and every shape object
+    holds only cat, sign, callee and args.  These guards make each line
+    exactly one row, decoded from the text the line reader decodes:
+    - both readers split lines with str.splitlines, so they see the
+      same lines;
+    - a join inside a string would put a raw newline there, which
+      json.loads rejects, so every join lies between values.  (A cut at
+      one of the three line breaks JSON allows raw in a string would be
+      such a join; text holding one is declined before it is split.)
+    - a join closes a list ("]") and opens one ("[") in the same
+      container.  That container is a list, since in an object a "," is
+      followed by a key.  It is not a row, whose columns are never lists,
+      nor inside a shape, none of whose four keys holds a list of lists.
+      So it is the chunk's own array, and every join separates two rows;
+    - with as many rows as lines, no line holds a second row.
+    The rows are then checked column by column with the line reader's
+    rules: exact ints, strictly increasing seq, shape indices naming an
+    earlier shape, 0x-hex addr, rip and val, and AccessEvent's
+    __post_init__ once per distinct (cpl, kind, size, category).
+    """
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    if "\x85" in text or "\u2028" in text or "\u2029" in text:
+        return None
+    lines = text.splitlines()
+    if not lines:
+        return TraceLog()
+    module_range = _parse_header(1, json.loads(lines[0]))
+    shapes: list[InstrDescriptor] = []  # each shape's value-less descriptor
+    instr_of: dict = {}  # (shape index, val) -> its shared descriptor
+    events: list[AccessEvent] = []
+    last_seq: tuple = ()  # the seq of the row before the chunk, if any
+    for start in range(1, len(lines), _CHUNK_ROWS):
+        chunk = lines[start:start + _CHUNK_ROWS]
+        body = ",\n".join(chunk)
+        # Each line starts with "[" and ends with "]" when every join
+        # is "],\n[" (no line holds a "\n" to match it elsewhere).
+        if (body[:1] != "[" or body[-1:] != "]"
+                or body.count("],\n[") != len(chunk) - 1):
+            return None
+        rows = json.loads("[" + body + "]")
+        if (len(rows) != len(chunk) or set(map(type, rows)) != {list}
+                or set(map(len, rows)) != {9}):
+            return None
+        seqs, tids, cpls, kinds, addrs, sizes, rips, shape_col, vals = zip(
+            *rows)
+        seq_run = last_seq + seqs
+        shape_types = list(map(type, shape_col))
+        if (set(map(type, seqs + tids + sizes)) != {int}
+                or not set(shape_types) <= {int, dict}
+                or not all(map(lt, seq_run, seq_run[1:]))
+                or not all(map(str.startswith, addrs, repeat("0x")))
+                or not all(map(str.startswith, rips, repeat("0x")))):
+            return None
+        last_seq = seqs[-1:]
+        # Shape objects are few: build each and put its index in its
+        # place.  A row may name only the shapes defined up to it.
+        shape_col = list(shape_col)
+        seg = 0
+        for at in compress(count(), map(is_, shape_types, repeat(dict))):
+            if (max(shape_col[seg:at], default=-1) >= len(shapes)
+                    or not shape_col[at].keys() <= _SHAPE_KEYS):
+                return None
+            shapes.append(_record_to_instr(shape_col[at]))
+            shape_col[at] = len(shapes) - 1
+            seg = at
+        if (max(shape_col[seg:], default=-1) >= len(shapes)
+                or min(shape_col) < 0):
+            return None
+        # Most rows repeat a (shape, val) pair seen before; only the
+        # rest take a Python step.  They are found by identity, since ==
+        # on a descriptor runs its Python __eq__.
+        instrs = list(map(instr_of.get, zip(shape_col, vals)))
+        for at in list(compress(count(), map(is_, instrs, repeat(None)))):
+            shape, val = shape_col[at], vals[at]
+            instr = instr_of.get((shape, val))  # built for an earlier row?
+            if instr is None:
+                bare = shapes[shape]
+                instr = instr_of[shape, val] = bare if val is None else (
+                    InstrDescriptor(bare.category, bare.signedness,
+                                    bare.callee_id, bare.register_args,
+                                    _parse_addr(val)))
+            instrs[at] = instr
+        cpls = list(map(_CPL_UNWIRE.get, cpls, cpls))
+        kinds = list(map(_KIND_UNWIRE.get, kinds, kinds))
+        columns = (seqs, tids, cpls, kinds, map(int, addrs, repeat(16)),
+                   sizes, instrs, map(int, rips, repeat(16)))
+        chunk_events = list(map(_new_object, repeat(AccessEvent, len(rows))))
+        for set_slot, column in zip(_SLOT_SETTERS, columns):
+            deque(map(set_slot, chunk_events, column), 0)
+        checked = zip(cpls, kinds, sizes, map(_category, instrs))
+        for event in dict(zip(checked, chunk_events)).values():
+            event.__post_init__()
+        events += chunk_events
     return TraceLog(events=tuple(events), module_range=module_range)
 
 
@@ -459,43 +595,3 @@ def _program_accesses(log: TraceLog) -> list[AccessEvent]:
             if e.kind in ("read", "write") and e.instr.category != "page-fault"
             and (lo <= e.rip < hi if hi > lo else True)]
 
-
-def normalize_offsets(
-    events: Iterable[AccessEvent], base: Optional[int] = None
-) -> AddressPattern:
-    """Turn accessed addresses into relative offsets.
-
-    With an explicit base, offsets are address - base.  Without one the
-    lowest accessed address becomes the reference, so min(offsets) == 0.
-    Event order is preserved.
-    """
-    events = list(events)
-    if base is None:
-        if not events:
-            raise ValueError("cannot normalize an empty event list without a base")
-        base = min(e.address for e in events)
-    return AddressPattern(
-        offsets=tuple(e.address - base for e in events),
-        base=base,
-        sizes=tuple(e.operand_size for e in events),
-    )
-
-
-def merge_round_robin(logs: Iterable[TraceLog]) -> TraceLog:
-    """Deterministically interleave per-thread logs into one trace.
-
-    Takes one event from each input in turn and reassigns the global seq;
-    per-thread order is preserved.  module_range is taken from the first
-    log.
-    """
-    logs = list(logs)
-    merged: list[AccessEvent] = []
-    for column in zip_longest(*(log.events for log in logs)):
-        for event in column:
-            if event is not None:  # that log has run out
-                merged.append(_new_event(
-                    len(merged), event.thread_id, event.cpl, event.kind,
-                    event.address, event.operand_size, event.instr,
-                    event.rip))
-    module_range = logs[0].module_range if logs else (0, 0)
-    return TraceLog(events=tuple(merged), module_range=module_range)

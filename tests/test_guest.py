@@ -587,6 +587,48 @@ class TestTransitions:
             guest = build_guest(model)
             assert transitions(mbec_log) == legacy_transition_detect(guest, model)
 
+    # Code pages outside the module, faulted in on their first fetch.
+    LAZY_PAGES = (0x500, 0x502)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mbec_legacy_equivalence_on_hooked_pages(self, data):
+        """A hidden hook lets its page's bytes execute under every
+        profile, but a fetch that crosses modes is still reported."""
+        modes = st.sampled_from(["user", "kernel"])
+        ops = []
+        for _switch in range(data.draw(st.integers(0, 12))):
+            ops.append(ModelOp("mode-switch", cpl=data.draw(modes)))
+            page = data.draw(st.sampled_from((None,) + self.LAZY_PAGES))
+            ops.append(ModelOp("nop", rip=None if page is None
+                               else page * PAGE_SIZE + 4 * len(ops)))
+        model = make_model(ops, cpl=data.draw(modes))
+        hooked = data.draw(st.sets(st.sampled_from(
+            (model.entry_page,) + self.LAZY_PAGES), min_size=1))
+
+        def hooked_guest():
+            guest = build_guest(model)
+            for page in hooked:
+                # A hook needs a present page: bring each lazy page in
+                # as demand paging would (a no-op on the entry page).
+                guest.inject_page_fault(page * PAGE_SIZE)
+                guest.install_hidden_hook(page * PAGE_SIZE, b"\xcc" * 64)
+            return guest
+
+        mbec = transitions(run(hooked_guest(), model,
+                               TrapConfig(transition_mode="mbec")))
+        assert mbec == legacy_transition_detect(hooked_guest(), model)
+        switches = [op.cpl for op in ops[::2]]
+        assert len(mbec) == sum(
+            mode != before for before, mode in zip([model.cpl] + switches,
+                                                   switches))
+
+    def test_switch_on_a_hooked_entry_page_is_reported(self):
+        model = self._switch_model(["kernel"])
+        guest = build_guest(model)
+        guest.install_hidden_hook(model.entry_address, b"\xcc")
+        assert transitions(run(guest, model)) == [(0, "kernel")]
+
 
 class TestModelFiles:
     def test_round_trip(self):

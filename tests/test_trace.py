@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,6 @@ from memtrace.trace import (
     TraceLog,
     TraceOrderError,
     TraceParseError,
-    merge_round_robin,
-    normalize_offsets,
     parse_trace,
     serialize_trace,
     split_by_thread,
@@ -154,15 +153,15 @@ class TestParseSerialize:
             parse_trace(data)
 
     @pytest.mark.parametrize("row, message", [
-        ([0, 1, "u", "w", "0x10", 4, "0x20", 0], "list of 9 values"),
-        ([0, 1, "u", "w", "0x10", 4, "0x20", 0, None, None],
+        ([1, 1, "u", "w", "0x10", 4, "0x20", 0], "list of 9 values"),
+        ([1, 1, "u", "w", "0x10", 4, "0x20", 0, None, None],
          "list of 9 values"),
         ({str(k): 0 for k in range(9)}, "list of 9 values"),
-        ([0, 1, "u", "w", "0x10", 4, "0x20", 1, None], "instr 1 names no"),
-        ([0, 1, "u", "w", "0x10", 4, "0x20", -1, None], "instr -1 names no"),
-        ([0, 1, "u", "w", "0x10", 4, "0x20", True, None], "shape's index"),
-        ([0, 1, "u", "w", "0x10", 4, "0x20", 0.0, None], "shape's index"),
-        ([0, 1, "u", "w", "0x10", 4, "0x20",
+        ([1, 1, "u", "w", "0x10", 4, "0x20", 1, None], "instr 1 names no"),
+        ([1, 1, "u", "w", "0x10", 4, "0x20", -1, None], "instr -1 names no"),
+        ([1, 1, "u", "w", "0x10", 4, "0x20", True, None], "shape's index"),
+        ([1, 1, "u", "w", "0x10", 4, "0x20", 0.0, None], "shape's index"),
+        ([1, 1, "u", "w", "0x10", 4, "0x20",
           {"cat": "int-move", "sign": "n/a", "val": "0x1"}, None],
          "holds no val"),
     ], ids=["short", "long", "object", "undefined", "negative", "bool",
@@ -262,7 +261,9 @@ class TestInternedDescriptors:
 # indices that are not yet defined, dropped and added row values,
 # dropped shape keys and a val inside a shape; and header columns that
 # are missing or differ.  Text-level ones: stray whitespace of every
-# kind, trailing data, blank lines, swapped lines and other JSON lines.
+# kind, trailing data, blank lines, swapped lines and other JSON lines;
+# raw line breaks inside a callee string, two rows on one line, a row
+# split over two lines, and CR or CRLF line ends.
 ARG_TOKENS = [True, False, 1.0, 0.0, "0x1", "0X1", "1", -1, 1 << 70, None,
               [1], {}]
 VAL_TOKENS = ["0x10", 16, True, 1.5, "16", "0x", None, [], "0x010"]
@@ -274,6 +275,10 @@ COLUMN_TOKENS = [None, list(trace.COLUMNS[:-1]), list(trace.COLUMNS[::-1]),
                  {}, list(trace.COLUMNS)]
 WHITESPACE = [" ", "\t", "\x0c", "\x0b", "\xa0", "\ufeff", " \t "]
 TRAILING = [" x", "{}", " 1", ",", "]", " \x0c", "\t"]
+# Line breaks inside a string: the first three are legal raw in JSON,
+# and the bracketed ones leave both halves looking like rows.
+BREAKS = ["\u2028", "\u2029", "\x85", "]\u2028[", "]\u2029[", "]\x85[",
+          "]\n[", "]\r\n["]
 RAW_LINES = ["[]", "5", "null", "NaN", "{", '"seq tid cpl kind addr size rip'
              ' instr val"', json.dumps(trace.COLUMNS), json.dumps(HEADER),
              '{"seq": 0, "tid": 1, "cpl": "u", "kind": "w", "addr": "0x10",'
@@ -282,8 +287,9 @@ RAW_LINES = ["[]", "5", "null", "NaN", "{", '"seq tid cpl kind addr size rip'
 
 MUTATION = st.tuples(
     st.sampled_from(["arg", "swap", "val", "field", "instr", "drop", "cat",
-                     "index", "extend", "inval", "columns", "space", "blank",
-                     "trail", "order", "raw"]),
+                     "index", "extend", "inval", "nest", "columns", "space",
+                     "blank", "trail", "order", "raw", "break", "join",
+                     "split", "crlf"]),
     st.integers(0, 1 << 16),
     st.integers(0, 1 << 16),
 )
@@ -323,7 +329,8 @@ def _mutate(log: TraceLog, mutations) -> str:
             else:
                 records[0]["columns"] = token
             continue
-        if not rows or action in ("space", "blank", "trail", "order", "raw"):
+        if not rows or action in ("space", "blank", "trail", "order", "raw",
+                                  "break", "join", "split", "crlf"):
             continue
         at = where % len(rows)
         row = rows[at]
@@ -373,7 +380,11 @@ def _mutate(log: TraceLog, mutations) -> str:
         elif action == "inval" and isinstance(shape, dict):
             # The value inside the shape, as the object lines had it.
             shape["val"] = row[8] if len(row) > 8 and which % 2 else "0x1"
+        elif action == "nest" and isinstance(shape, dict):
+            # An unknown key holding lists: "], [" inside a row.
+            shape["x"] = [[which % 3], [0]]
     lines = [json.dumps(r) for r in records]
+    end = "\n"
     for action, where, which in mutations:
         at = where % len(lines)
         if action == "space":
@@ -388,20 +399,140 @@ def _mutate(log: TraceLog, mutations) -> str:
             lines[at], lines[other] = lines[other], lines[at]
         elif action == "raw":
             lines[at] = RAW_LINES[which % len(RAW_LINES)]
-    return "\n".join(lines)
+        elif action == "break":
+            lines[at] = lines[at].replace(
+                '"callee": "', '"callee": "' + BREAKS[which % len(BREAKS)], 1)
+        elif action == "join" and at + 1 < len(lines):
+            lines[at:at + 2] = [lines[at] + ", "[:which % 3] + lines[at + 1]]
+        elif action == "split":
+            # At the comma of a "], [" where there is one, else at some
+            # ", ".
+            cut = lines[at].find("], [")
+            cut = (cut + 1 if cut >= 0 and which % 2
+                   else lines[at].find(", ", which % (len(lines[at]) + 1)))
+            if cut >= 0:
+                lines[at:at + 1] = [lines[at][:cut],
+                                    lines[at][cut + 1:].lstrip(" ")]
+        elif action == "crlf":
+            end = "\r\n" if which % 2 else "\r"
+    return end.join(lines)
 
 
 @given(seed=st.integers(0, 2**32), mutations=st.lists(MUTATION, max_size=4),
-       form=st.sampled_from(["str", "bytes", "stream"]))
+       form=st.sampled_from(["str", "bytes", "stream"]),
+       chunk=st.sampled_from([1, 2, 3, trace._CHUNK_ROWS]))
 @settings(max_examples=500, deadline=None)
-def test_parse_trace_matches_reference_parser(seed, mutations, form):
+def test_parse_trace_matches_reference_parser(seed, mutations, form, chunk):
     rng = random.Random(seed)
     text = _mutate(_template_log(rng, rng.randrange(0, 25)), mutations)
     # A stream is split at "\n" only, so form feeds stay inside lines.
     make = {"str": lambda: text, "bytes": text.encode,
             "stream": lambda: io.StringIO(text)}[form]
-    assert _outcome(parse_trace, make()) == _outcome(reference_parse_trace,
-                                                     make())
+    with mock.patch.object(trace, "_CHUNK_ROWS", chunk):
+        got = _outcome(parse_trace, make())
+    assert got == _outcome(reference_parse_trace, make())
+
+
+SPLIT_CALLEE = ('[1, 0, "u", "w", "0x10", 8, "0x20", {"cat": "call", '
+                '"sign": "n/a", "callee": "ab]%s[cd"}, null]')
+
+
+@pytest.mark.parametrize("row", [
+    SPLIT_CALLEE % "\u2028", SPLIT_CALLEE % "\u2029", SPLIT_CALLEE % "\x85",
+    SPLIT_CALLEE % "\n", SPLIT_CALLEE % "\r\n",
+    '[1, 0, "u", "w", "0x10", 8, "0x20", {"cat": "other", "sign": "n/a", '
+    '"x": [[1]\n[2]]}, null]',
+    '[1, 0, "u", "w", "0x10", 8\n"0x20", {"cat": "other", "sign": "n/a"}, '
+    'null]',
+], ids=["u2028", "u2029", "u0085", "lf", "crlf", "list-of-lists",
+        "between-columns"])
+def test_row_split_over_two_lines_is_rejected(row):
+    """Row 1 is split over lines 2 and 3, and line 4 holds rows 2 and 3,
+    so the body has as many rows as lines.  Joined into one array, the
+    lines decode to three rows, the first with the callee "ab],[cd" (or
+    an unknown key [[1],[2]]); read line by line, line 2 is not JSON."""
+    pair = ", ".join(f'[{seq}, 0, "u", "w", "0x10", 8, "0x20", 0, null]'
+                     for seq in (2, 3))
+    data = "\n".join([json.dumps(HEADER), row, pair])
+    with pytest.raises(TraceParseError, match="^line 2: invalid JSON"):
+        parse_trace(data)
+    assert _outcome(parse_trace, data) == _outcome(reference_parse_trace,
+                                                   data)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, trace._CHUNK_ROWS])
+@pytest.mark.parametrize("shapes, bad", [
+    ([{}, 1], 1),
+    ([{}, 1, {}], 1),
+    ([{}, 0, 2, {}, {}], 2),
+    ([-1], 0),
+    ([{}, -1], 1),
+    ([{}, {}, 2], 2),
+], ids=["past-the-last", "ahead-of-its-definition", "two-ahead",
+        "negative-first", "negative", "past-two"])
+def test_shape_index_must_name_an_earlier_shape(chunk, shapes, bad):
+    """Rows with increasing seq whose `instr` is a shape object ({}) or
+    an index; row `bad` names a shape not defined before it."""
+    rows = [[seq, 0, "u", "w", "0x10", 8, "0x20",
+             {"cat": "other", "sign": "n/a"} if shape == {}
+             else shape, None] for seq, shape in enumerate(shapes)]
+    data = "\n".join(json.dumps(r) for r in [HEADER] + rows)
+    with mock.patch.object(trace, "_CHUNK_ROWS", chunk):
+        got = _outcome(parse_trace, data)
+    assert got == _outcome(reference_parse_trace, data)
+    index = shapes[bad]
+    assert got[2] == (f"line {bad + 2}: instr {index} names no shape "
+                      "defined before it")
+
+
+@pytest.mark.parametrize("joint", [", ", ",", ",\t"])
+def test_two_rows_on_one_line_are_rejected(joint):
+    lines = serialize_trace(_template_log(random.Random(5), 4)).decode(
+        ).splitlines()
+    lines[2:4] = [lines[2] + joint + lines[3]]
+    data = "\n".join(lines)
+    with pytest.raises(TraceParseError, match="^line 3: invalid JSON"):
+        parse_trace(data)
+    assert _outcome(parse_trace, data) == _outcome(reference_parse_trace,
+                                                   data)
+
+
+@pytest.mark.parametrize("before, after", [
+    ("\n", ""), ("", "\n \t"), (" ", ""), ("", "\t"), ("\ufeff", ""),
+    ("\xa0", ""),
+], ids=["blank-before", "blank-after", "space", "tab", "bom", "nbsp"])
+def test_body_line_oddities_match_the_line_reader(before, after):
+    log = _template_log(random.Random(3), 6)
+    lines = serialize_trace(log).decode().splitlines()
+    lines[3] = before + lines[3] + after
+    data = "\n".join(lines)
+    assert _outcome(parse_trace, data) == _outcome(reference_parse_trace,
+                                                   data)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("at", [-1, 0], ids=["last-in-chunk",
+                                             "first-in-next"])
+@pytest.mark.parametrize("fault", ["seq", "addr", "index"])
+def test_bad_row_at_a_chunk_boundary(chunk, at, fault):
+    """A fault in the row just before or just after the boundary of the
+    second chunk gets the line reader's error."""
+    log = _template_log(random.Random(chunk), 12)
+    lines = serialize_trace(log).decode().splitlines()
+    k = 1 + 2 * chunk + at  # line of the faulty row
+    row = json.loads(lines[k])
+    if fault == "seq":
+        row[0] = json.loads(lines[k - 1])[0]
+    elif fault == "addr":
+        row[4] = "0x1g"
+    else:
+        row[7] = 5
+    lines[k] = json.dumps(row)
+    data = "\n".join(lines)
+    with mock.patch.object(trace, "_CHUNK_ROWS", chunk):
+        got = _outcome(parse_trace, data)
+    assert got == _outcome(reference_parse_trace, data)
+    assert got[2].startswith(f"line {k + 1}: ")
 
 
 CALLEES = st.one_of(
@@ -475,6 +606,45 @@ def test_equal_args_of_other_types_keep_their_spelling():
     assert b'"args": [true, 0, 0, 0]' in data.splitlines()[2]
 
 
+def _readable(log: TraceLog) -> TraceLog:
+    """`log` with seq 0, 1, ... and exact-int tids, sizes and args: what
+    the writer writes of it then reads back as `log`."""
+    events = []
+    for seq, event in enumerate(log.events):
+        instr = event.instr
+        if instr.register_args is not None:
+            instr = dataclasses.replace(
+                instr, register_args=tuple(map(int, instr.register_args)))
+        events.append(dataclasses.replace(
+            event, seq=seq, thread_id=int(event.thread_id),
+            operand_size=int(event.operand_size), instr=instr))
+    return dataclasses.replace(log, events=tuple(events))
+
+
+def _read_in_bulk(data, chunk=trace._CHUNK_ROWS):
+    """parse_trace(data), asserting that the line reader never ran."""
+    with mock.patch.object(trace, "_CHUNK_ROWS", chunk), \
+            mock.patch.object(trace, "_parse_lines",
+                              side_effect=AssertionError("line reader ran")):
+        return parse_trace(data)
+
+
+@given(log=writer_logs(), chunk=st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_writer_output_never_takes_the_line_reader(log, chunk):
+    """Without this, a guard that is too strict would lose the bulk
+    reader's speed and every output would still match."""
+    log = _readable(log)
+    data = serialize_trace(log)
+    for form in (data, data.decode(), data.replace(b"\n", b"\r\n")):
+        assert _read_in_bulk(form, chunk) == log
+
+
+def test_long_writer_output_never_takes_the_line_reader():
+    log = _template_log(random.Random(11), 3 * trace._CHUNK_ROWS + 5)
+    assert _read_in_bulk(serialize_trace(log)) == log
+
+
 @pytest.mark.parametrize("line", [
     '{"op": "nop"} x',
     '{"op": "nop"}\x0c',
@@ -542,78 +712,3 @@ class TestSplitByThread:
         )
         assert tuple(recombined) == log.events
 
-
-class TestNormalizeOffsets:
-    def test_min_becomes_reference(self):
-        events = [make_event(seq=i, address=a)
-                  for i, a in enumerate([0x2010, 0x2000, 0x2008])]
-        pattern = normalize_offsets(events)
-        assert pattern.base == 0x2000
-        assert pattern.offsets == (0x10, 0x0, 0x8)
-
-    def test_explicit_base(self):
-        pattern = normalize_offsets([make_event(address=0x5000)], base=0x5000)
-        assert pattern.offsets == (0,)
-
-    def test_empty_without_base_errors(self):
-        with pytest.raises(ValueError):
-            normalize_offsets([])
-
-    @given(st.integers(0, 2**32))
-    @settings(max_examples=100, deadline=None)
-    def test_elementwise_oracle(self, seed):
-        rng = random.Random(seed)
-        base = rng.randrange(1 << 30)
-        addresses = [base + rng.randrange(1 << 12) for _ in range(10)]
-        events = [make_event(seq=i, address=a)
-                  for i, a in enumerate(addresses)]
-        pattern = normalize_offsets(events, base=base)
-        assert list(pattern.offsets) == [a - base for a in addresses]
-
-    @given(st.integers(0, 2**32))
-    @settings(max_examples=100, deadline=None)
-    def test_min_offset_zero_property(self, seed):
-        rng = random.Random(seed)
-        events = [make_event(seq=i, address=rng.randrange(1 << 20))
-                  for i in range(rng.randrange(1, 20))]
-        assert min(normalize_offsets(events).offsets) == 0
-
-
-def test_merge_round_robin_preserves_thread_order():
-    a = TraceLog(events=tuple(make_event(seq=i, thread_id=1, address=i)
-                              for i in range(3)),
-                 module_range=(0, 0x1000))
-    b = TraceLog(events=tuple(make_event(seq=i, thread_id=2, address=100 + i)
-                              for i in range(5)))
-    merged = merge_round_robin([a, b])
-    assert [e.seq for e in merged.events] == list(range(8))
-    per_thread = split_by_thread(merged)
-    assert [e.address for e in per_thread[1]] == [0, 1, 2]
-    assert [e.address for e in per_thread[2]] == [100, 101, 102, 103, 104]
-
-
-@given(st.integers(0, 2**32))
-@settings(max_examples=100, deadline=None)
-def test_merged_events_are_renumbered_originals(seed):
-    """The k-th merged event is the original with seq k, every field the
-    same object type and value, taken turn by turn across the logs."""
-    rng = random.Random(seed)
-    logs = [random_log(rng, rng.randrange(0, 30))
-            for _ in range(rng.randrange(1, 5))]
-    merged = merge_round_robin(logs)
-    turns = sorted((k, n) for n, log in enumerate(logs)
-                   for k in range(len(log.events)))
-    want = [dataclasses.replace(logs[n].events[k], seq=seq)
-            for seq, (k, n) in enumerate(turns)]
-    names = [f.name for f in dataclasses.fields(AccessEvent)]
-    assert [[(type(getattr(e, name)), getattr(e, name)) for name in names]
-            for e in merged.events] == [
-        [(type(getattr(e, name)), getattr(e, name)) for name in names]
-        for e in want]
-    assert merged.module_range == logs[0].module_range
-
-
-def test_merging_no_logs_is_empty():
-    merged = merge_round_robin([])
-    assert merged.events == ()
-    assert merged.module_range == (0, 0)
