@@ -37,9 +37,7 @@ from .recon import (
     find_allocations,
     find_stack_buffers,
     flag_call_sequences,
-    infer_field_type,
     reconstruct_layout,
-    recover_call,
     recover_calls,
     render_layout_c,
 )

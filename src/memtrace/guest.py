@@ -18,7 +18,10 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from .trace import (
+    CATEGORIES,
+    CPL_VALUES,
     PAGE_SIZE,
+    SIGN_VALUES,
     AccessEvent,
     InstrDescriptor,
     TraceLog,
@@ -324,6 +327,12 @@ class ModelOp:
             raise ValueError(f"unknown model op {_shown(self.op)}")
         if self.addr is None and self.op in ("mov-read", "mov-write", "xmm-zero"):
             raise ValueError(f"model op {_shown(self.op)} needs an addr")
+        if self.cpl is not None and self.cpl not in CPL_VALUES:
+            raise ValueError(f"bad cpl {_shown(self.cpl)}")
+        if self.cat is not None and self.cat not in CATEGORIES:
+            raise ValueError(f"unknown instruction category {_shown(self.cat)}")
+        if self.sign is not None and self.sign not in SIGN_VALUES:
+            raise ValueError(f"unknown signedness {_shown(self.sign)}")
 
 
 @dataclass
@@ -338,6 +347,10 @@ class ProgramModel:
     entry_present: bool = True
     mapped: list[tuple[int, int]] = field(default_factory=list)
     module_range: Optional[tuple[int, int]] = None
+
+    def __post_init__(self):
+        if self.cpl not in CPL_VALUES:
+            raise ValueError(f"bad cpl {_shown(self.cpl)}")
 
     @property
     def entry_address(self) -> int:
@@ -486,18 +499,19 @@ class _Emitter:
     def __init__(self, tid: int):
         self.tid = tid
         self.events: list[AccessEvent] = []
-        # One descriptor per distinct instruction; args are keyed with
-        # their types, as the trace writer keys shapes, so `True` never
-        # stands in for an equal `1`.
+        # One descriptor per instruction shape, which the events share
+        # while each keeps its own value; args are keyed with their
+        # types, as the trace writer keys shapes, so `True` never stands
+        # in for an equal `1`.
         self._instrs: dict = {}
 
     def emit(self, kind, address, size, cpl, rip, cat="other", sign="n/a",
              callee=None, args=None, value=None):
         if args is not None:
             args = tuple(args)
-            key = (cat, sign, callee, args, tuple(map(type, args)), value)
+            key = (cat, sign, callee, args, tuple(map(type, args)))
         else:
-            key = (cat, sign, callee, None, None, value)
+            key = (cat, sign, callee, None, None)
         instr = self._instrs.get(key)
         if instr is None:
             instr = self._instrs[key] = InstrDescriptor(
@@ -505,10 +519,9 @@ class _Emitter:
                 signedness=sign,
                 callee_id=callee,
                 register_args=args,
-                value=value,
             )
         self.events.append(_new_event(len(self.events), self.tid, cpl, kind,
-                                      address, size, instr, rip))
+                                      address, size, instr, rip, value))
 
 
 def run(guest: Guest, model: ProgramModel,

@@ -143,14 +143,14 @@ def find_allocations(log: TraceLog) -> list[AllocationRecord]:
         if (event.instr.callee_id not in ALLOCATOR_NAMES
                 or event.instr.category == "call"):
             continue
-        if event.instr.value is None:
+        if event.value is None:
             continue  # hook saw the call but not the returned base
         args = event.instr.register_args or (0, 0, 0, 0)
         size = args[0]
         if not isinstance(size, int) or size < 0:
             size = 0
         records.append(AllocationRecord(
-            base=event.instr.value, size=size, source="heap-hook",
+            base=event.value, size=size, source="heap-hook",
             site_rip=event.rip,
         ))
     return records
@@ -204,7 +204,7 @@ def recover_calls(log: TraceLog,
         slots = writes.setdefault(event.thread_id, {})
         if event.instr.category not in ARG_CATEGORIES:
             if event.kind == "write":
-                slots[event.address] = event.instr.value or 0
+                slots[event.address] = event.value or 0
             continue
         stack_params: list[int] = []
         slot = event.address + 8 + STACK_SLOT_BASE
@@ -223,7 +223,7 @@ def recover_calls(log: TraceLog,
             reg_params=reg_params,
             stack_params=tuple(stack_params),
             param_count=param_count,
-            return_address=event.instr.value,
+            return_address=event.value,
             pointer_flags=tuple(
                 _is_pointer_value(v, owners, mapped)
                 for v in list(reg_params) + stack_params
@@ -233,18 +233,6 @@ def recover_calls(log: TraceLog,
             rip=event.rip,
         ))
     return records
-
-
-def recover_call(log: TraceLog, call_event: AccessEvent,
-                 allocations: Sequence[AllocationRecord] = ()
-                 ) -> CallRecord:
-    """The CallRecord recover_calls gives for one call event of the log."""
-    if call_event.instr.category not in ARG_CATEGORIES:
-        raise ValueError("not a call event")
-    calls = [e for e in log.events if e.instr.category in ARG_CATEGORIES]
-    if call_event not in calls:
-        raise ValueError("call event is not in the log")
-    return recover_calls(log, allocations)[calls.index(call_event)]
 
 
 def find_stack_buffers(log: TraceLog) -> list[AllocationRecord]:
@@ -260,7 +248,7 @@ def find_stack_buffers(log: TraceLog) -> list[AllocationRecord]:
         for event in threads:
             if event.instr.category != "sub-sp":
                 continue
-            amount = event.instr.value or 0
+            amount = event.value or 0
             if amount <= SHADOW_SPACE:
                 continue
             records.append(AllocationRecord(
@@ -335,20 +323,13 @@ _UNSIGNED = {
 _FLOAT = {4: "float", 8: "double"}
 
 
-def infer_field_type(accesses: Sequence[AccessEvent],
-                     allocations: Sequence[AllocationRecord] = (),
-                     mapped: Container[int] = ()
-                     ) -> FieldRecord:
-    """Assign a primitive category to all accesses at one offset.
-
-    An 8-byte value is a pointer when it lies in an allocation or in
-    `mapped`, any container of mapped addresses.
-    """
-    return _infer_field_type(accesses, OwnerIndex(allocations), mapped)
-
-
 def _infer_field_type(accesses: Sequence[AccessEvent], owners: OwnerIndex,
                       mapped: Container[int]) -> FieldRecord:
+    """Assign a primitive category to all accesses at one offset.
+
+    An 8-byte value is a pointer when it lies in an allocation (one of
+    `owners`) or in `mapped`, any container of mapped addresses.
+    """
     if not accesses:
         raise ValueError("no accesses")
     offsets = {a.address for a in accesses}
@@ -364,7 +345,7 @@ def _infer_field_type(accesses: Sequence[AccessEvent], owners: OwnerIndex,
     elif is_float and size in _FLOAT:
         category = _FLOAT[size]
     elif size == 8 and any(
-        _is_pointer_value(a.instr.value, owners, mapped)
+        _is_pointer_value(a.value, owners, mapped)
         for a in accesses
     ):
         category = "pointer"

@@ -75,17 +75,15 @@ class InstrDescriptor:
     """Modeled output of instruction decoding at a trapped access.
 
     Stands in for fetching and disassembling the 16 bytes at the faulting
-    instruction pointer: the simulator fills these fields directly.
-    `value` carries the decoded operand value where one is meaningful
-    (stored/loaded data, pushed value, subtracted stack amount, or the
-    modeled return value of an allocator call).
+    instruction pointer: the simulator fills these fields directly.  A
+    descriptor is one instruction shape, as a trace writes it; the
+    operand an access moved is the event's `value`.
     """
 
     category: str = "other"
     signedness: str = "n/a"
     callee_id: Optional[str] = None
     register_args: Optional[tuple[int, int, int, int]] = None
-    value: Optional[int] = None
 
     def __post_init__(self):
         if self.category not in CATEGORIES:
@@ -108,7 +106,12 @@ class InstrDescriptor:
 
 @dataclass(frozen=True, slots=True)
 class AccessEvent:
-    """One intercepted memory access."""
+    """One intercepted memory access.
+
+    `value` carries the decoded operand value where one is meaningful
+    (stored/loaded data, pushed value, subtracted stack amount, or the
+    modeled return value of an allocator call).
+    """
 
     seq: int
     thread_id: int
@@ -118,6 +121,7 @@ class AccessEvent:
     operand_size: int
     instr: InstrDescriptor
     rip: int
+    value: Optional[int] = None
 
     def __post_init__(self):
         if self.cpl not in CPL_VALUES:
@@ -171,7 +175,7 @@ def _hex(value: int) -> str:
 
 
 def _instr_shape(instr: InstrDescriptor) -> dict:
-    """An `instr` record without its value: the part events share."""
+    """The `instr` record of a descriptor: the part events share."""
     record: dict = {"cat": instr.category, "sign": instr.signedness}
     if instr.callee_id is not None:
         record["callee"] = instr.callee_id
@@ -214,19 +218,19 @@ def _int_or_hex(value) -> int:
 COLUMNS = ("seq", "tid", "cpl", "kind", "addr", "size", "rip", "instr", "val")
 _new_object = object.__new__
 (_set_seq, _set_thread_id, _set_cpl, _set_kind, _set_address,
- _set_operand_size, _set_instr, _set_rip) = (
+ _set_operand_size, _set_instr, _set_rip, _set_value) = (
     AccessEvent.__dict__[name].__set__
     for name in ("seq", "thread_id", "cpl", "kind", "address",
-                 "operand_size", "instr", "rip")
+                 "operand_size", "instr", "rip", "value")
 )
 
 
 def _new_event(seq, thread_id, cpl, kind, address, operand_size, instr,
-               rip) -> AccessEvent:
+               rip, value) -> AccessEvent:
     """The AccessEvent the constructor gives, at half its cost: the
-    slots are filled directly and then checked by __post_init__.  The
-    trace parser's line reader and the guest's emitter build every event
-    here."""
+    slots, value included, are filled directly and then checked by
+    __post_init__.  The trace parser's line reader and the guest's
+    emitter build every event here, around shared descriptors."""
     event = _new_object(AccessEvent)
     _set_seq(event, seq)
     _set_thread_id(event, thread_id)
@@ -236,12 +240,13 @@ def _new_event(seq, thread_id, cpl, kind, address, operand_size, instr,
     _set_operand_size(event, operand_size)
     _set_instr(event, instr)
     _set_rip(event, rip)
+    _set_value(event, value)
     event.__post_init__()
     return event
 
 
 def _record_to_instr(raw: dict) -> InstrDescriptor:
-    """The descriptor, without a value, of a shape object."""
+    """The descriptor of a shape object."""
     if "cat" not in raw or "sign" not in raw:
         raise ValueError("a shape object needs cat and sign")
     if "val" in raw:
@@ -346,8 +351,8 @@ def parse_trace(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
     column by column.  Where that reader declines, and for streams, the
     line reader (_parse_lines) reads the input row by row; it alone
     builds the errors.  Both give the same log.  Each shape object is
-    checked and built into a descriptor once; every (shape, val) pair is
-    then one shared descriptor.
+    checked and built into a descriptor once, which every row citing the
+    shape shares; a row's `val` becomes its event's `value`.
     """
     if isinstance(stream, (bytes, str)):
         try:
@@ -368,9 +373,7 @@ def _parse_lines(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
     for lineno, record in records:  # the header: the first record only
         module_range = _parse_header(lineno, record)
         break
-    # shapes[k] maps the val strings seen with shape k to descriptors;
-    # None maps to the shape's own, value-less descriptor.
-    shapes: list[dict] = []
+    shapes: list[InstrDescriptor] = []
     new_event, parse_addr = _new_event, _parse_addr
     cpl_unwire, kind_unwire = _CPL_UNWIRE, _KIND_UNWIRE
     last_seq = None
@@ -389,25 +392,18 @@ def _parse_lines(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
                 if not 0 <= shape < len(shapes):
                     raise ValueError(
                         f"instr {shape} names no shape defined before it")
-                by_val = shapes[shape]
+                instr = shapes[shape]
             elif type(shape) is dict:
-                by_val = {None: _record_to_instr(shape)}
-                shapes.append(by_val)
+                instr = _record_to_instr(shape)
+                shapes.append(instr)
             else:
                 raise ValueError(
                     "instr must be a shape object or a shape's index")
-            try:
-                instr = by_val.get(val)
-            except TypeError:  # unhashable: not a hex string either
-                instr = None
-            if instr is None:
-                bare = by_val[None]
-                instr = by_val[val] = InstrDescriptor(
-                    bare.category, bare.signedness, bare.callee_id,
-                    bare.register_args, parse_addr(val))
+            # val before addr and rip: a row bad in both names its val.
+            value = None if val is None else parse_addr(val)
             event = new_event(seq, tid, cpl_unwire.get(cpl, cpl),
                               kind_unwire.get(kind, kind), parse_addr(addr),
-                              size, instr, parse_addr(rip))
+                              size, instr, parse_addr(rip), value)
         except (TypeError, ValueError) as exc:
             raise TraceParseError(lineno, str(exc)) from exc
         if last_seq is not None and seq <= last_seq:
@@ -422,7 +418,7 @@ def _parse_lines(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
 _CHUNK_ROWS = 1024  # event lines per json.loads call in _parse_chunks
 _SHAPE_KEYS = frozenset(("cat", "sign", "callee", "args"))
 _SLOT_SETTERS = (_set_seq, _set_thread_id, _set_cpl, _set_kind, _set_address,
-                 _set_operand_size, _set_instr, _set_rip)
+                 _set_operand_size, _set_instr, _set_rip, _set_value)
 _category = attrgetter("category")
 
 
@@ -451,8 +447,9 @@ def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
     - with as many rows as lines, no line holds a second row.
     The rows are then checked column by column with the line reader's
     rules: exact ints, strictly increasing seq, shape indices naming an
-    earlier shape, 0x-hex addr, rip and val, and AccessEvent's
-    __post_init__ once per distinct (cpl, kind, size, category).
+    earlier shape, 0x-hex addr and rip, a val that is null or 0x-hex,
+    and AccessEvent's __post_init__ once per distinct (cpl, kind, size,
+    category).
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     if "\x85" in text or "\u2028" in text or "\u2029" in text:
@@ -461,8 +458,7 @@ def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
     if not lines:
         return TraceLog()
     module_range = _parse_header(1, json.loads(lines[0]))
-    shapes: list[InstrDescriptor] = []  # each shape's value-less descriptor
-    instr_of: dict = {}  # (shape index, val) -> its shared descriptor
+    shapes: list[InstrDescriptor] = []
     events: list[AccessEvent] = []
     last_seq: tuple = ()  # the seq of the row before the chunk, if any
     for start in range(1, len(lines), _CHUNK_ROWS):
@@ -481,11 +477,15 @@ def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
             *rows)
         seq_run = last_seq + seqs
         shape_types = list(map(type, shape_col))
+        # filter(None, ...) drops each null val, and with it any other
+        # false one (0, "", [], ...), on which int(val, 16) raises below.
         if (set(map(type, seqs + tids + sizes)) != {int}
                 or not set(shape_types) <= {int, dict}
                 or not all(map(lt, seq_run, seq_run[1:]))
                 or not all(map(str.startswith, addrs, repeat("0x")))
-                or not all(map(str.startswith, rips, repeat("0x")))):
+                or not all(map(str.startswith, rips, repeat("0x")))
+                or not all(map(str.startswith, filter(None, vals),
+                               repeat("0x")))):
             return None
         last_seq = seqs[-1:]
         # Shape objects are few: build each and put its index in its
@@ -502,24 +502,12 @@ def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
         if (max(shape_col[seg:], default=-1) >= len(shapes)
                 or min(shape_col) < 0):
             return None
-        # Most rows repeat a (shape, val) pair seen before; only the
-        # rest take a Python step.  They are found by identity, since ==
-        # on a descriptor runs its Python __eq__.
-        instrs = list(map(instr_of.get, zip(shape_col, vals)))
-        for at in list(compress(count(), map(is_, instrs, repeat(None)))):
-            shape, val = shape_col[at], vals[at]
-            instr = instr_of.get((shape, val))  # built for an earlier row?
-            if instr is None:
-                bare = shapes[shape]
-                instr = instr_of[shape, val] = bare if val is None else (
-                    InstrDescriptor(bare.category, bare.signedness,
-                                    bare.callee_id, bare.register_args,
-                                    _parse_addr(val)))
-            instrs[at] = instr
+        instrs = list(map(shapes.__getitem__, shape_col))
+        values = [val if val is None else int(val, 16) for val in vals]
         cpls = list(map(_CPL_UNWIRE.get, cpls, cpls))
         kinds = list(map(_KIND_UNWIRE.get, kinds, kinds))
         columns = (seqs, tids, cpls, kinds, map(int, addrs, repeat(16)),
-                   sizes, instrs, map(int, rips, repeat(16)))
+                   sizes, instrs, map(int, rips, repeat(16)), values)
         chunk_events = list(map(_new_object, repeat(AccessEvent, len(rows))))
         for set_slot, column in zip(_SLOT_SETTERS, columns):
             deque(map(set_slot, chunk_events, column), 0)
@@ -565,7 +553,7 @@ def serialize_trace(log: TraceLog) -> bytes:
         if shape is None:
             shapes[key] = len(shapes)
             shape = dumps(_instr_shape(instr))
-        value = instr.value
+        value = event.value
         val = "null" if value is None else f'"0x{value:x}"'
         seq, tid, size = event.seq, event.thread_id, event.operand_size
         if type(seq) is not int or type(tid) is not int or type(size) is not int:

@@ -93,7 +93,6 @@ def random_event(rng: random.Random, seq: int) -> AccessEvent:
         signedness=rng.choice(["signed", "unsigned", "n/a"]),
         callee_id=callee,
         register_args=args,
-        value=value,
     )
     return AccessEvent(
         seq=seq,
@@ -104,6 +103,7 @@ def random_event(rng: random.Random, seq: int) -> AccessEvent:
         operand_size=size,
         instr=instr,
         rip=rng.randrange(1 << 40),
+        value=value,
     )
 
 
@@ -157,9 +157,9 @@ def _reference_row_to_event(row, shapes: list) -> AccessEvent:
         shape = shapes[raw]
     else:
         raise ValueError("instr must be a shape object or a shape's index")
+    instr = InstrDescriptor(**shape)
     val = record["val"]
-    instr = InstrDescriptor(
-        **shape, value=None if val is None else _parse_addr(val))
+    value = None if val is None else _parse_addr(val)
     return AccessEvent(
         seq=seq,
         thread_id=tid,
@@ -169,6 +169,7 @@ def _reference_row_to_event(row, shapes: list) -> AccessEvent:
         operand_size=size,
         instr=instr,
         rip=_parse_addr(record["rip"]),
+        value=value,
     )
 
 
@@ -251,7 +252,7 @@ def reference_serialize_trace(log: TraceLog) -> bytes:
         else:
             written.append(text)
             instr = shape
-        val = None if e.instr.value is None else _hex(e.instr.value)
+        val = None if e.value is None else _hex(e.value)
         lines.append(json.dumps([e.seq, e.thread_id, _CPL_WIRE[e.cpl],
                                  _KIND_WIRE[e.kind], _hex(e.address),
                                  e.operand_size, _hex(e.rip), instr, val]))
@@ -328,7 +329,7 @@ def reference_recover_call(log: TraceLog, call_event: AccessEvent,
         writes = [e for e in prior if e.address == slot]
         if not writes:
             break
-        stack_params.append(writes[-1].instr.value or 0)
+        stack_params.append(writes[-1].value or 0)
         slot += 8
     if stack_params:
         param_count = 4 + len(stack_params)
@@ -347,7 +348,7 @@ def reference_recover_call(log: TraceLog, call_event: AccessEvent,
         reg_params=tuple(reg_params),
         stack_params=tuple(stack_params),
         param_count=param_count,
-        return_address=call_event.instr.value,
+        return_address=call_event.value,
         pointer_flags=flags,
         seq=call_event.seq,
         thread_id=call_event.thread_id,
@@ -455,7 +456,7 @@ def event_tuples(log: TraceLog):
     # straight-line reference does not model; compare them as None.
     return [
         (e.kind, e.address, e.operand_size, e.cpl, e.instr.category,
-         None if e.kind == "read" else e.instr.value)
+         None if e.kind == "read" else e.value)
         for e in log.events
     ]
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from pathlib import Path
 
@@ -451,8 +452,8 @@ class TestRun:
 
 class TestCaptureWork:
     def test_one_descriptor_per_distinct_instruction(self, monkeypatch):
-        """The emitter checks each distinct (cat, sign, callee, args,
-        value) once per run, not once per event."""
+        """The emitter checks each distinct (cat, sign, callee, typed
+        args) once per run, not once per event or per value."""
         checked = []
         post_init = InstrDescriptor.__post_init__
 
@@ -469,9 +470,12 @@ class TestCaptureWork:
                     ModelOp("call", callee="Foo", args=[1, 2, 3, 4, 5]),
                     ModelOp("ret"), ModelOp("ret")]
         log = run_model(make_model(ops))
-        distinct = {(e.instr.category, e.instr.signedness, e.instr.callee_id,
-                     e.instr.register_args, e.instr.value) for e in log.events}
+        distinct = {(i.category, i.signedness, i.callee_id, i.register_args,
+                     None if i.register_args is None
+                     else tuple(map(type, i.register_args)))
+                    for i in (e.instr for e in log.events)}
         assert len(log.events) > 200
+        assert len({e.value for e in log.events}) > 3
         assert len(checked) == len(distinct)
 
     def test_equal_args_of_other_types_are_not_shared(self):
@@ -480,7 +484,7 @@ class TestCaptureWork:
         ops = [ModelOp("call", callee="Foo", args=[arg, 0, 0, 0],
                        rip=MODULE_PAGE * PAGE_SIZE) for arg in (1, True)]
         first, second = run_model(make_model(ops)).events
-        assert first.instr.value == second.instr.value
+        assert first.value == second.value
         assert [type(e.instr.register_args[0]) for e in (first, second)] == [
             int, bool]
 
@@ -662,6 +666,33 @@ class TestModelFiles:
         from memtrace.guest import ModelParseError
         with pytest.raises(ModelParseError):
             parse_model(data)
+
+    @pytest.mark.parametrize("cpl, lines, message", [
+        ("user", ['{"op": "mode-switch", "cpl": "root"}', '{"op": "nop"}'],
+         "line 2: bad cpl 'root'"),
+        ("user", ['{"op": "mode-switch", "cpl": "User"}'],
+         "line 2: bad cpl 'User'"),
+        ("user", ['{"op": "nop"}', '{"op": "mov-write", "addr": "0x3000",'
+                  ' "cat": "bogus"}'],
+         "line 3: unknown instruction category 'bogus'"),
+        ("user", ['{"op": "mov-read", "addr": "0x3000", "sign": "maybe"}'],
+         "line 2: unknown signedness 'maybe'"),
+        ("root", ['{"op": "nop"}'], "line 1: bad header: bad cpl 'root'"),
+        ("root", ['{"op": "push", "value": 1}'],
+         "line 1: bad header: bad cpl 'root'"),
+        (5, [], "line 1: bad header: bad cpl 5"),
+    ], ids=["op-cpl", "op-cpl-case", "op-cat", "op-sign", "header-cpl-nop",
+            "header-cpl-push", "header-cpl-int"])
+    def test_unknown_cpl_cat_or_sign_names_its_line(self, cpl, lines, message):
+        """A model must not simulate with a cpl, category or signedness
+        a trace cannot hold: an op's cpl of "root" once simulated to a
+        trace without its mode switch."""
+        from memtrace.guest import ModelParseError
+        header = {"entry_page": 1025, "sp_init": "0x7ff000", "cpl": cpl}
+        data = "\n".join([json.dumps(header)] + lines) + "\n"
+        with pytest.raises(ModelParseError) as info:
+            parse_model(data)
+        assert str(info.value) == message
 
     def test_missing_header(self):
         from memtrace.guest import ModelParseError

@@ -19,11 +19,10 @@ from memtrace.recon import (
     find_allocations,
     find_stack_buffers,
     flag_call_sequences,
-    infer_field_type,
     reconstruct_layout,
-    recover_call,
     recover_calls,
     render_layout_c,
+    _infer_field_type,
     _TouchedMemory,
 )
 from memtrace.guest import ModelOp
@@ -56,11 +55,11 @@ class LogBuilder:
             callee=None, args=None, tid=0, rip=RIP, sign="n/a", cpl="user"):
         instr = InstrDescriptor(category=cat, signedness=sign,
                                 callee_id=callee,
-                                register_args=tuple(args) if args else None,
-                                value=value)
+                                register_args=tuple(args) if args else None)
         self.events.append(AccessEvent(
             seq=self._next(), thread_id=tid, cpl=cpl, kind=kind,
             address=address, operand_size=size, instr=instr, rip=rip,
+            value=value,
         ))
         return self.events[-1]
 
@@ -125,6 +124,13 @@ class TestFindAllocations:
         assert got == expected
 
 
+def call_record(log, event, allocations=()):
+    """The record recover_calls gives for one call event of the log."""
+    (record,) = [r for r in recover_calls(log, allocations)
+                 if r.seq == event.seq]
+    return record
+
+
 class TestRecoverCall:
     def push_addr(self):
         # SP before the call is push address + 8.
@@ -134,7 +140,7 @@ class TestRecoverCall:
         b = LogBuilder()
         event = b.call("Foo", [0x11, 0x22, 0x33, 0x44], self.push_addr(),
                        value=RIP + 4)
-        record = recover_call(b.log(), event)
+        record = call_record(b.log(), event)
         assert record.reg_params == (0x11, 0x22, 0x33, 0x44)
         assert record.stack_params == ()
         assert record.param_count == 4
@@ -143,7 +149,7 @@ class TestRecoverCall:
     def test_trailing_zero_registers_lower_count(self):
         b = LogBuilder()
         event = b.call("Foo", [0x11, 0x22, 0, 0], self.push_addr())
-        assert recover_call(b.log(), event).param_count == 2
+        assert call_record(b.log(), event).param_count == 2
 
     def test_stack_slots_at_sp_plus_0x20(self):
         b = LogBuilder()
@@ -151,7 +157,7 @@ class TestRecoverCall:
         b.add("write", sp + 0x20, value=0x55)
         b.add("write", sp + 0x28, value=0x66)
         event = b.call("Foo", [1, 2, 3, 4], self.push_addr())
-        record = recover_call(b.log(), event)
+        record = call_record(b.log(), event)
         assert record.stack_params == (0x55, 0x66)
         assert record.param_count == 6
 
@@ -161,7 +167,7 @@ class TestRecoverCall:
         b.add("write", sp + 0x20, value=0x99)
         b.call("First", [1, 0, 0, 0], self.push_addr())
         event = b.call("Second", [1, 2, 0, 0], self.push_addr())
-        record = recover_call(b.log(), event)
+        record = call_record(b.log(), event)
         assert record.stack_params == ()
         assert record.param_count == 2
 
@@ -174,7 +180,7 @@ class TestRecoverCall:
                 b.add("write", sp + 0x20 + 8 * k, value=value)
             regs = (values[:4] + [0, 0, 0, 0])[:4]
             event = b.call("Foo", regs, self.push_addr())
-            record = recover_call(b.log(), event)
+            record = call_record(b.log(), event)
             assert record.param_count == n, n
             assert list(record.stack_params) == values[4:]
 
@@ -183,20 +189,8 @@ class TestRecoverCall:
                                    source="heap-hook")]
         b = LogBuilder()
         event = b.call("Foo", [0x9010, 0x5, 0, 0], self.push_addr())
-        record = recover_call(b.log(), event, allocs)
+        record = call_record(b.log(), event, allocs)
         assert record.pointer_flags[:2] == (True, False)
-
-    def test_non_call_event_rejected(self):
-        b = LogBuilder()
-        event = b.add("write", 0x5000, value=1)
-        with pytest.raises(ValueError):
-            recover_call(b.log(), event)
-
-    def test_call_event_from_another_log_rejected(self):
-        b = LogBuilder()
-        event = b.call("Foo", [1, 0, 0, 0], self.push_addr())
-        with pytest.raises(ValueError, match="not in the log"):
-            recover_call(LogBuilder().log(), event)
 
 
 class TestFindStackBuffers:
@@ -295,9 +289,14 @@ def make_access(address, size=4, cat="int-move", sign="signed", value=None,
     return AccessEvent(
         seq=seq, thread_id=0, cpl="user", kind="write", address=address,
         operand_size=size,
-        instr=InstrDescriptor(category=cat, signedness=sign, value=value),
-        rip=rip,
+        instr=InstrDescriptor(category=cat, signedness=sign),
+        rip=rip, value=value,
     )
+
+
+def infer_field(accesses, allocations=()):
+    """_infer_field_type over the allocations, with nothing else mapped."""
+    return _infer_field_type(accesses, OwnerIndex(allocations), ())
 
 
 class TestInferFieldType:
@@ -309,26 +308,26 @@ class TestInferFieldType:
             (8, "signed"): "long long", (8, "unsigned"): "unsigned long long",
         }
         for (size, sign), want in table.items():
-            record = infer_field_type([make_access(0x100, size=size, sign=sign)])
+            record = infer_field([make_access(0x100, size=size, sign=sign)])
             assert (record.size, record.category) == (size, want)
 
     def test_float_and_double(self):
         for size, want in ((4, "float"), (8, "double")):
-            record = infer_field_type(
+            record = infer_field(
                 [make_access(0x100, size=size, cat="float-move")])
             assert record.category == want
 
     def test_pointer_requires_target_in_allocation(self):
         allocs = [AllocationRecord(base=0x9000, size=0x100, source="heap-hook")]
-        ptr = infer_field_type([make_access(0x100, size=8, value=0x9040)],
+        ptr = infer_field([make_access(0x100, size=8, value=0x9040)],
                                allocs)
         assert ptr.category == "pointer"
-        scalar = infer_field_type([make_access(0x100, size=8, value=0x40)],
+        scalar = infer_field([make_access(0x100, size=8, value=0x40)],
                                   allocs)
         assert scalar.category == "long long"
 
     def test_conflicting_sizes_take_max_and_note(self):
-        record = infer_field_type([
+        record = infer_field([
             make_access(0x100, size=2, seq=0),
             make_access(0x100, size=4, seq=1),
         ])
@@ -337,10 +336,10 @@ class TestInferFieldType:
 
     def test_mixed_addresses_rejected(self):
         with pytest.raises(ValueError):
-            infer_field_type([make_access(0x100), make_access(0x104, seq=1)])
+            infer_field([make_access(0x100), make_access(0x104, seq=1)])
 
     def test_evidence_count(self):
-        record = infer_field_type(
+        record = infer_field(
             [make_access(0x100, seq=i) for i in range(7)])
         assert record.evidence_count == 7
 
@@ -605,7 +604,6 @@ def test_recover_calls_matches_per_call_reference(specs):
     expected = [reference_recover_call(log, e, allocations, mapped)
                 for e in calls]
     assert recover_calls(log, allocations) == expected
-    assert [recover_call(log, e, allocations) for e in calls] == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -164,8 +164,9 @@ class TestParseSerialize:
         ([1, 1, "u", "w", "0x10", 4, "0x20",
           {"cat": "int-move", "sign": "n/a", "val": "0x1"}, None],
          "holds no val"),
+        ([1, 1, "u", "w", "0x1g", 4, "0x20", 0, "0x2g"], "'0x2g'$"),
     ], ids=["short", "long", "object", "undefined", "negative", "bool",
-            "float", "val-in-shape"])
+            "float", "val-in-shape", "bad-addr-and-val"])
     def test_bad_rows_rejected(self, row, message):
         defined = [0, 1, "u", "w", "0x8", 4, "0x20",
                    {"cat": "int-move", "sign": "n/a"}, None]
@@ -221,9 +222,9 @@ class TestInternedDescriptors:
         assert _outcome(parse_trace, data) == _outcome(reference_parse_trace, data)
 
     def test_one_descriptor_built_per_distinct_instr_record(self, monkeypatch):
-        """The constructor runs once per shape object in the file and
-        once per further (shape, val) pair with a val, and events with
-        the same shape and val share one descriptor."""
+        """The constructor runs once per shape object in the file, every
+        event citing a shape shares its descriptor, and each event's val
+        is its own value."""
         rng = random.Random(7)
         pool = [random_event(rng, 0) for _ in range(6)]
         events = []
@@ -244,16 +245,15 @@ class TestInternedDescriptors:
         monkeypatch.setattr(trace, "InstrDescriptor", counting)
         log = parse_trace(data)
         assert len(log) == 300
-        pairs = {}
         defined = 0
         for row, event in zip(rows, log.events):
             if isinstance(row[7], dict):
                 row[7], defined = defined, defined + 1
-            pairs.setdefault((row[7], row[8]), event.instr)
-            assert event.instr is pairs[(row[7], row[8])]
-        valued = [pair for pair in pairs if pair[1] is not None]
+            assert event.instr is built[row[7]]
+            assert event.value == (None if row[8] is None
+                                   else int(row[8], 16))
         assert len(shapes) <= 6
-        assert len(built) == len(shapes) + len(valued)
+        assert len(built) == len(shapes)
 
 
 # Row-level mutations: JSON values that equal a valid one under ==
@@ -513,10 +513,11 @@ def test_body_line_oddities_match_the_line_reader(before, after):
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 @pytest.mark.parametrize("at", [-1, 0], ids=["last-in-chunk",
                                              "first-in-next"])
-@pytest.mark.parametrize("fault", ["seq", "addr", "index"])
+@pytest.mark.parametrize("fault", ["seq", "addr", "index", "addr-and-val"])
 def test_bad_row_at_a_chunk_boundary(chunk, at, fault):
     """A fault in the row just before or just after the boundary of the
-    second chunk gets the line reader's error."""
+    second chunk gets the line reader's error.  A row whose addr and val
+    are both bad is named for its val, which is read first."""
     log = _template_log(random.Random(chunk), 12)
     lines = serialize_trace(log).decode().splitlines()
     k = 1 + 2 * chunk + at  # line of the faulty row
@@ -525,6 +526,8 @@ def test_bad_row_at_a_chunk_boundary(chunk, at, fault):
         row[0] = json.loads(lines[k - 1])[0]
     elif fault == "addr":
         row[4] = "0x1g"
+    elif fault == "addr-and-val":
+        row[4], row[8] = "0x1g", "0x2g"
     else:
         row[7] = 5
     lines[k] = json.dumps(row)
@@ -533,6 +536,8 @@ def test_bad_row_at_a_chunk_boundary(chunk, at, fault):
         got = _outcome(parse_trace, data)
     assert got == _outcome(reference_parse_trace, data)
     assert got[2].startswith(f"line {k + 1}: ")
+    if fault == "addr-and-val":
+        assert got[2].endswith("'0x2g'")
 
 
 CALLEES = st.one_of(
@@ -579,9 +584,9 @@ def writer_logs(draw):
             address=draw(st.integers(0, 2**72)),
             operand_size=size,
             instr=InstrDescriptor(category=cat, signedness=sign,
-                                  callee_id=callee, register_args=args,
-                                  value=draw(VALUES)),
+                                  callee_id=callee, register_args=args),
             rip=draw(st.integers(0, 2**72)),
+            value=draw(VALUES),
         ))
     module_range = draw(st.sampled_from([(0, 0), (0x401000, 0x402000)]))
     return TraceLog(events=tuple(events), module_range=module_range)
