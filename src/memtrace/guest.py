@@ -305,6 +305,9 @@ MODEL_OPS = (
     "mode-switch",
     "nop",
 )
+# The categories a mov-read or mov-write may log its access under: the
+# others are a push, a call or the capture's own events.
+ACCESS_CATEGORIES = ("int-move", "float-move", "xmm-zero-store", "other")
 
 
 @dataclass
@@ -331,6 +334,10 @@ class ModelOp:
             raise ValueError(f"bad cpl {_shown(self.cpl)}")
         if self.cat is not None and self.cat not in CATEGORIES:
             raise ValueError(f"unknown instruction category {_shown(self.cat)}")
+        if (self.cat is not None and self.op in ("mov-read", "mov-write")
+                and self.cat not in ACCESS_CATEGORIES):
+            raise ValueError(f"model op {_shown(self.op)} cannot log "
+                             f"category {_shown(self.cat)}")
         if self.sign is not None and self.sign not in SIGN_VALUES:
             raise ValueError(f"unknown signedness {_shown(self.sign)}")
 
@@ -351,6 +358,10 @@ class ProgramModel:
     def __post_init__(self):
         if self.cpl not in CPL_VALUES:
             raise ValueError(f"bad cpl {_shown(self.cpl)}")
+        if type(self.entry_present) is not bool:
+            raise ValueError(
+                f"entry_present must be true or false, not "
+                f"{_shown(self.entry_present)}")
 
     @property
     def entry_address(self) -> int:
@@ -420,7 +431,7 @@ def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
             sp_init=sp_init,
             tid=_int_or_hex(header.get("tid", 0)),
             cpl=header.get("cpl", "user"),
-            entry_present=bool(header.get("entry_present", True)),
+            entry_present=header.get("entry_present", True),
             mapped=mapped,
             module_range=module_range,
         )
@@ -500,28 +511,21 @@ class _Emitter:
         self.tid = tid
         self.events: list[AccessEvent] = []
         # One descriptor per instruction shape, which the events share
-        # while each keeps its own value; args are keyed with their
-        # types, as the trace writer keys shapes, so `True` never stands
-        # in for an equal `1`.
+        # while each keeps its own value and register arguments.
         self._instrs: dict = {}
 
     def emit(self, kind, address, size, cpl, rip, cat="other", sign="n/a",
              callee=None, args=None, value=None):
-        if args is not None:
-            args = tuple(args)
-            key = (cat, sign, callee, args, tuple(map(type, args)))
-        else:
-            key = (cat, sign, callee, None, None)
+        key = (cat, sign, callee)
         instr = self._instrs.get(key)
         if instr is None:
             instr = self._instrs[key] = InstrDescriptor(
                 category=cat,
                 signedness=sign,
                 callee_id=callee,
-                register_args=args,
             )
         self.events.append(_new_event(len(self.events), self.tid, cpl, kind,
-                                      address, size, instr, rip, value))
+                                      address, size, instr, rip, value, args))
 
 
 def run(guest: Guest, model: ProgramModel,
@@ -689,7 +693,7 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
                 slot = sp + 0x20 + 8 * index
                 data_access("write", slot, 8, "int-move", value=value)
                 guest.write_memory(slot, (value & ((1 << 64) - 1)).to_bytes(8, "little"))
-            reg_args = (args[:4] + [0, 0, 0, 0])[:4]
+            reg_args = tuple((args + [0, 0, 0, 0])[:4])
             sp -= 8
             return_address = rip + INSTR_STRIDE
             data_access("write", sp, 8, "call", callee=op.callee,
@@ -703,7 +707,7 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
             # first register slot, returned base in the value channel).
             emitter.emit("execute", rip, 1, guest.mode, rip, cat="api-call",
                          callee=op.callee or "NtAllocateVirtualMemory",
-                         args=[size, 0, 0, 0], value=base)
+                         args=(size, 0, 0, 0), value=base)
         elif op.op == "xmm-zero":
             data_access("write", op.addr, 16, "xmm-zero-store", value=0)
             guest.write_memory(op.addr, bytes(16))

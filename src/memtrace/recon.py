@@ -145,7 +145,7 @@ def find_allocations(log: TraceLog) -> list[AllocationRecord]:
             continue
         if event.value is None:
             continue  # hook saw the call but not the returned base
-        args = event.instr.register_args or (0, 0, 0, 0)
+        args = event.register_args or (0, 0, 0, 0)
         size = args[0]
         if not isinstance(size, int) or size < 0:
             size = 0
@@ -212,7 +212,7 @@ def recover_calls(log: TraceLog,
             stack_params.append(slots[slot])
             slot += 8
         slots.clear()
-        reg_params = event.instr.register_args or (0, 0, 0, 0)
+        reg_params = event.register_args or (0, 0, 0, 0)
         if stack_params:
             param_count = 4 + len(stack_params)
         else:  # up to the last non-zero register

@@ -4,10 +4,11 @@ A trace is a line-delimited stream of JSON values: a header object
 carrying the virtual address range of the traced program's main module
 and the names of the event columns, then one event per line as a JSON
 array in COLUMNS order.  An event's `instr` is a shape object (category,
-signedness, callee, arguments) where that shape first appears and the
-shape's index, counted from 0 in order of definition, after that.
-Addresses and values are 0x-prefixed hex strings so traces stay
-greppable.
+signedness, callee) where that shape first appears and the shape's
+index, counted from 0 in order of definition, after that.  Its `val`
+(the operand) and `args` (the four argument registers of a call) are
+runtime state, so they sit in columns of their own.  Addresses and
+values are 0x-prefixed hex strings so traces stay greppable.
 
 parse_trace reads bytes and text in bulk, a chunk of lines per
 json.loads call, where it can tell that the chunk holds one plain row
@@ -17,10 +18,11 @@ time.  Only the line reader reports errors.
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import attrgetter, is_, lt
 from typing import IO, Callable, Iterable, Iterator, Optional, Union
 
@@ -76,14 +78,14 @@ class InstrDescriptor:
 
     Stands in for fetching and disassembling the 16 bytes at the faulting
     instruction pointer: the simulator fills these fields directly.  A
-    descriptor is one instruction shape, as a trace writes it; the
-    operand an access moved is the event's `value`.
+    descriptor is one instruction shape, as a trace writes it; what the
+    instruction saw at run time, the operand an access moved and the
+    argument registers of a call, is on the event.
     """
 
     category: str = "other"
     signedness: str = "n/a"
     callee_id: Optional[str] = None
-    register_args: Optional[tuple[int, int, int, int]] = None
 
     def __post_init__(self):
         if self.category not in CATEGORIES:
@@ -94,14 +96,6 @@ class InstrDescriptor:
         if self.callee_id is not None and self.category not in CALLEE_CATEGORIES:
             raise ValueError(
                 f"callee_id not allowed for category {_shown(self.category)}")
-        if self.register_args is not None:
-            if self.category not in ARG_CATEGORIES:
-                raise ValueError(
-                    f"register_args not allowed for category {_shown(self.category)}"
-                )
-            if len(self.register_args) != 4:
-                raise ValueError("register_args must hold exactly 4 values")
-            object.__setattr__(self, "register_args", tuple(self.register_args))
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +104,9 @@ class AccessEvent:
 
     `value` carries the decoded operand value where one is meaningful
     (stored/loaded data, pushed value, subtracted stack amount, or the
-    modeled return value of an allocator call).
+    modeled return value of an allocator call).  `register_args` holds
+    RCX, RDX, R8 and R9 as a call or api-call event read them, and is
+    None on every other event.
     """
 
     seq: int
@@ -122,6 +118,7 @@ class AccessEvent:
     instr: InstrDescriptor
     rip: int
     value: Optional[int] = None
+    register_args: Optional[tuple[int, int, int, int]] = None
 
     def __post_init__(self):
         if self.cpl not in CPL_VALUES:
@@ -136,6 +133,13 @@ class AccessEvent:
             raise ValueError("operand_size 16 is reserved for xmm-zero-store")
         if self.instr.category == "float-move" and self.operand_size not in (4, 8):
             raise ValueError("float-move implies operand_size 4 or 8")
+        if self.register_args is not None:
+            if self.instr.category not in ARG_CATEGORIES:
+                raise ValueError("register_args not allowed for category "
+                                 f"{_shown(self.instr.category)}")
+            if len(self.register_args) != 4:
+                raise ValueError("register_args must hold exactly 4 values")
+            object.__setattr__(self, "register_args", tuple(self.register_args))
 
 
 @dataclass(frozen=True)
@@ -179,8 +183,6 @@ def _instr_shape(instr: InstrDescriptor) -> dict:
     record: dict = {"cat": instr.category, "sign": instr.signedness}
     if instr.callee_id is not None:
         record["callee"] = instr.callee_id
-    if instr.register_args is not None:
-        record["args"] = list(instr.register_args)
     return record
 
 
@@ -215,22 +217,24 @@ def _int_or_hex(value) -> int:
         f"{_shown(value)} is neither an integer nor a 0x-prefixed hex string")
 
 
-COLUMNS = ("seq", "tid", "cpl", "kind", "addr", "size", "rip", "instr", "val")
+COLUMNS = ("seq", "tid", "cpl", "kind", "addr", "size", "rip", "instr", "val",
+           "args")
 _new_object = object.__new__
 (_set_seq, _set_thread_id, _set_cpl, _set_kind, _set_address,
- _set_operand_size, _set_instr, _set_rip, _set_value) = (
+ _set_operand_size, _set_instr, _set_rip, _set_value, _set_register_args) = (
     AccessEvent.__dict__[name].__set__
     for name in ("seq", "thread_id", "cpl", "kind", "address",
-                 "operand_size", "instr", "rip", "value")
+                 "operand_size", "instr", "rip", "value", "register_args")
 )
 
 
 def _new_event(seq, thread_id, cpl, kind, address, operand_size, instr,
-               rip, value) -> AccessEvent:
+               rip, value, register_args=None) -> AccessEvent:
     """The AccessEvent the constructor gives, at half its cost: the
-    slots, value included, are filled directly and then checked by
-    __post_init__.  The trace parser's line reader and the guest's
-    emitter build every event here, around shared descriptors."""
+    slots, value and register_args included, are filled directly and
+    then checked by __post_init__.  The trace parser's line reader and
+    the guest's emitter build every event here, around shared
+    descriptors."""
     event = _new_object(AccessEvent)
     _set_seq(event, seq)
     _set_thread_id(event, thread_id)
@@ -241,6 +245,7 @@ def _new_event(seq, thread_id, cpl, kind, address, operand_size, instr,
     _set_instr(event, instr)
     _set_rip(event, rip)
     _set_value(event, value)
+    _set_register_args(event, register_args)
     event.__post_init__()
     return event
 
@@ -249,13 +254,9 @@ def _record_to_instr(raw: dict) -> InstrDescriptor:
     """The descriptor of a shape object."""
     if "cat" not in raw or "sign" not in raw:
         raise ValueError("a shape object needs cat and sign")
-    if "val" in raw:
-        raise ValueError("a shape object holds no val")
-    args = raw.get("args")
-    if args is not None:
-        if not isinstance(args, list):
-            raise ValueError("instr args must be a list")
-        args = tuple(_int_or_hex(a) for a in args)
+    for key in ("val", "args"):  # an event's own columns
+        if key in raw:
+            raise ValueError(f"a shape object holds no {key}")
     callee = raw.get("callee")
     if callee is not None and not isinstance(callee, str):
         raise ValueError("instr callee must be a string")
@@ -263,8 +264,15 @@ def _record_to_instr(raw: dict) -> InstrDescriptor:
         category=raw["cat"],
         signedness=raw["sign"],
         callee_id=callee,
-        register_args=args,
     )
+
+
+def _parse_args(raw) -> tuple:
+    """The register arguments of an `args` cell that is not null;
+    AccessEvent checks their count and the event's category."""
+    if not isinstance(raw, list):
+        raise ValueError(f"args must be a list, not {_shown(raw)}")
+    return tuple(map(_int_or_hex, raw))
 
 
 def _iter_lines(stream) -> Iterator[str]:
@@ -352,7 +360,8 @@ def parse_trace(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
     line reader (_parse_lines) reads the input row by row; it alone
     builds the errors.  Both give the same log.  Each shape object is
     checked and built into a descriptor once, which every row citing the
-    shape shares; a row's `val` becomes its event's `value`.
+    shape shares; a row's `val` and `args` become its event's `value`
+    and `register_args`.
     """
     if isinstance(stream, (bytes, str)):
         try:
@@ -379,10 +388,10 @@ def _parse_lines(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
     last_seq = None
     for lineno, row in records:
         try:
-            if type(row) is not list or len(row) != 9:
+            if type(row) is not list or len(row) != len(COLUMNS):
                 raise ValueError(
                     f"an event row is a list of {len(COLUMNS)} values")
-            seq, tid, cpl, kind, addr, size, rip, shape, val = row
+            seq, tid, cpl, kind, addr, size, rip, shape, val, args = row
             # The writer emits these as JSON integers; a bool, float or
             # string would slip through the comparisons downstream.
             if (type(seq) is not int or type(tid) is not int
@@ -399,11 +408,14 @@ def _parse_lines(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
             else:
                 raise ValueError(
                     "instr must be a shape object or a shape's index")
-            # val before addr and rip: a row bad in both names its val.
+            # val and args before addr and rip: a row bad in several
+            # names its val, then its args.
             value = None if val is None else parse_addr(val)
+            if args is not None:
+                args = _parse_args(args)
             event = new_event(seq, tid, cpl_unwire.get(cpl, cpl),
                               kind_unwire.get(kind, kind), parse_addr(addr),
-                              size, instr, parse_addr(rip), value)
+                              size, instr, parse_addr(rip), value, args)
         except (TypeError, ValueError) as exc:
             raise TraceParseError(lineno, str(exc)) from exc
         if last_seq is not None and seq <= last_seq:
@@ -416,10 +428,42 @@ def _parse_lines(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
 
 
 _CHUNK_ROWS = 1024  # event lines per json.loads call in _parse_chunks
-_SHAPE_KEYS = frozenset(("cat", "sign", "callee", "args"))
+_SHAPE_KEYS = frozenset(("cat", "sign", "callee"))
 _SLOT_SETTERS = (_set_seq, _set_thread_id, _set_cpl, _set_kind, _set_address,
-                 _set_operand_size, _set_instr, _set_rip, _set_value)
+                 _set_operand_size, _set_instr, _set_rip, _set_value,
+                 _set_register_args)
 _category = attrgetter("category")
+
+
+def _decode_columns(body: str, n_rows: int) -> Optional[tuple]:
+    """The columns of the rows in `body`, a chunk's lines joined into one
+    JSON array, or None unless that holds n_rows lists of len(COLUMNS)
+    values.  The cyclic collector is paused meanwhile: the row lists are
+    gone before it resumes, so a collection run while they live would
+    only trace them and promote them to an older generation.  It is
+    left as it was found, enabled or not (a switch that another thread
+    makes meanwhile may be undone)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rows = json.loads(body)
+        if (len(rows) != n_rows or set(map(type, rows)) != {list}
+                or set(map(len, rows)) != {len(COLUMNS)}):
+            return None
+        columns = tuple(zip(*rows))
+        del rows
+        return columns
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _hex_prefixed(column) -> bool:
+    """Whether every string in `column` starts with "0x", given that each
+    parses with int(s, 16), as _parse_chunks checks later: then none
+    holds a ",", so ",0x" occurs in "," + ",".join(column) once per
+    string that starts with "0x" and nowhere else."""
+    return ("," + ",".join(column)).count(",0x") == len(column)
 
 
 def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
@@ -430,9 +474,10 @@ def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
     It takes a text only if the header is line 1, every later line
     starts with "[" and ends with "]", no U+0085, U+2028 or U+2029
     appears, each chunk of lines, joined into one JSON array by ",\n",
-    decodes to as many rows as it has lines, and every shape object
-    holds only cat, sign, callee and args.  These guards make each line
-    exactly one row, decoded from the text the line reader decodes:
+    decodes to as many rows as it has lines, every shape object holds
+    only cat, sign and callee, and every args cell is null or a list of
+    four exact ints.  These guards make each line exactly one row,
+    decoded from the text the line reader decodes:
     - both readers split lines with str.splitlines, so they see the
       same lines;
     - a join inside a string would put a raw newline there, which
@@ -441,15 +486,19 @@ def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
       such a join; text holding one is declined before it is split.)
     - a join closes a list ("]") and opens one ("[") in the same
       container.  That container is a list, since in an object a "," is
-      followed by a key.  It is not a row, whose columns are never lists,
-      nor inside a shape, none of whose four keys holds a list of lists.
-      So it is the chunk's own array, and every join separates two rows;
+      followed by a key.  It is not inside a shape, whose three keys
+      hold strings, nor an args list, which holds ints only.  Nor is it
+      a row: there the two lists would be adjacent columns, but only a
+      row's last column, args, may be a list; the checks below reject a
+      list in any other (an int, a string, a shape or null).  So it is
+      the chunk's own array, and every join separates two rows;
     - with as many rows as lines, no line holds a second row.
     The rows are then checked column by column with the line reader's
     rules: exact ints, strictly increasing seq, shape indices naming an
     earlier shape, 0x-hex addr and rip, a val that is null or 0x-hex,
     and AccessEvent's __post_init__ once per distinct (cpl, kind, size,
-    category).
+    category, args or not).  Only the rows that carry args convert
+    them; args spelled in hex are left to the line reader.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     if "\x85" in text or "\u2028" in text or "\u2029" in text:
@@ -469,12 +518,12 @@ def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
         if (body[:1] != "[" or body[-1:] != "]"
                 or body.count("],\n[") != len(chunk) - 1):
             return None
-        rows = json.loads("[" + body + "]")
-        if (len(rows) != len(chunk) or set(map(type, rows)) != {list}
-                or set(map(len, rows)) != {9}):
+        decoded = _decode_columns("[" + body + "]", len(chunk))
+        if decoded is None:
             return None
-        seqs, tids, cpls, kinds, addrs, sizes, rips, shape_col, vals = zip(
-            *rows)
+        (seqs, tids, cpls, kinds, addrs, sizes, rips, shape_col, vals,
+         args_col) = decoded
+        carried = [args for args in args_col if args is not None]
         seq_run = last_seq + seqs
         shape_types = list(map(type, shape_col))
         # filter(None, ...) drops each null val, and with it any other
@@ -482,10 +531,11 @@ def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
         if (set(map(type, seqs + tids + sizes)) != {int}
                 or not set(shape_types) <= {int, dict}
                 or not all(map(lt, seq_run, seq_run[1:]))
-                or not all(map(str.startswith, addrs, repeat("0x")))
-                or not all(map(str.startswith, rips, repeat("0x")))
-                or not all(map(str.startswith, filter(None, vals),
-                               repeat("0x")))):
+                or not _hex_prefixed(addrs) or not _hex_prefixed(rips)
+                or not _hex_prefixed(list(filter(None, vals)))
+                or not set(map(type, carried)) <= {list}
+                or not set(map(len, carried)) <= {4}
+                or not set(map(type, chain.from_iterable(carried))) <= {int}):
             return None
         last_seq = seqs[-1:]
         # Shape objects are few: build each and put its index in its
@@ -504,14 +554,18 @@ def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
             return None
         instrs = list(map(shapes.__getitem__, shape_col))
         values = [val if val is None else int(val, 16) for val in vals]
+        register_args = [args if args is None else tuple(args)
+                         for args in args_col]
         cpls = list(map(_CPL_UNWIRE.get, cpls, cpls))
         kinds = list(map(_KIND_UNWIRE.get, kinds, kinds))
         columns = (seqs, tids, cpls, kinds, map(int, addrs, repeat(16)),
-                   sizes, instrs, map(int, rips, repeat(16)), values)
-        chunk_events = list(map(_new_object, repeat(AccessEvent, len(rows))))
+                   sizes, instrs, map(int, rips, repeat(16)), values,
+                   register_args)
+        chunk_events = list(map(_new_object, repeat(AccessEvent, len(seqs))))
         for set_slot, column in zip(_SLOT_SETTERS, columns):
             deque(map(set_slot, chunk_events, column), 0)
-        checked = zip(cpls, kinds, sizes, map(_category, instrs))
+        checked = zip(cpls, kinds, sizes, map(_category, instrs),
+                      map(is_, args_col, repeat(None)))
         for event in dict(zip(checked, chunk_events)).values():
             event.__post_init__()
         events += chunk_events
@@ -522,11 +576,11 @@ def serialize_trace(log: TraceLog) -> bytes:
     """Serialize a TraceLog; parse_trace(serialize_trace(log)) == log.
 
     Each event row is the bytes `json.dumps` gives for it, written by
-    hand: `json.dumps` runs once per distinct instruction shape (all of
-    `instr` but its value), at the shape's first use, and later rows
-    name the shape by its index.  seq, tid and size go through
-    `json.dumps` unless they are exact ints, which it spells as an
-    f-string does.
+    hand: `json.dumps` runs once per distinct instruction shape (cat,
+    sign, callee), at the shape's first use, and later rows name the
+    shape by its index.  seq, tid and size, and each register argument,
+    go through `json.dumps` unless they are exact ints, which it spells
+    as an f-string does.
     """
     if not log.events and log.module_range == (0, 0):
         return b""
@@ -542,26 +596,30 @@ def serialize_trace(log: TraceLog) -> bytes:
         )
     ]
     dumps, cpl_wire, kind_wire = json.dumps, _CPL_WIRE, _KIND_WIRE
-    shapes: dict = {}  # shape -> its index
+    shapes: dict = {}  # (cat, sign, callee) -> the shape's index
     for event in log.events:
         instr = event.instr
-        args = instr.register_args
-        # Arg types are part of the key: `True == 1`, but they dump apart.
-        key = (instr.category, instr.signedness, instr.callee_id, args,
-               None if args is None else tuple(map(type, args)))
+        key = (instr.category, instr.signedness, instr.callee_id)
         shape = shapes.get(key)
         if shape is None:
             shapes[key] = len(shapes)
             shape = dumps(_instr_shape(instr))
         value = event.value
         val = "null" if value is None else f'"0x{value:x}"'
+        args = event.register_args
+        if args is None:
+            args = "null"
+        elif set(map(type, args)) == {int}:
+            args = "[{}, {}, {}, {}]".format(*args)
+        else:
+            args = dumps(args)
         seq, tid, size = event.seq, event.thread_id, event.operand_size
         if type(seq) is not int or type(tid) is not int or type(size) is not int:
             seq, tid, size = dumps(seq), dumps(tid), dumps(size)
         lines.append(
             f'[{seq}, {tid}, "{cpl_wire[event.cpl]}", '
             f'"{kind_wire[event.kind]}", "0x{event.address:x}", {size}, '
-            f'"0x{event.rip:x}", {shape}, {val}]'
+            f'"0x{event.rip:x}", {shape}, {val}, {args}]'
         )
     return ("\n".join(lines) + "\n").encode("utf-8")
 

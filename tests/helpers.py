@@ -92,7 +92,6 @@ def random_event(rng: random.Random, seq: int) -> AccessEvent:
         category=cat,
         signedness=rng.choice(["signed", "unsigned", "n/a"]),
         callee_id=callee,
-        register_args=args,
     )
     return AccessEvent(
         seq=seq,
@@ -104,6 +103,7 @@ def random_event(rng: random.Random, seq: int) -> AccessEvent:
         instr=instr,
         rip=rng.randrange(1 << 40),
         value=value,
+        register_args=args,
     )
 
 
@@ -126,16 +126,13 @@ def _reference_shape(raw: dict) -> dict:
         raise ValueError("a shape object needs cat and sign")
     if "val" in raw:
         raise ValueError("a shape object holds no val")
-    args = raw.get("args")
-    if args is not None:
-        if not isinstance(args, list):
-            raise ValueError("instr args must be a list")
-        args = tuple(_int_or_hex(a) for a in args)
+    if "args" in raw:
+        raise ValueError("a shape object holds no args")
     callee = raw.get("callee")
     if callee is not None and not isinstance(callee, str):
         raise ValueError("instr callee must be a string")
     shape = dict(category=raw["cat"], signedness=raw["sign"],
-                 callee_id=callee, register_args=args)
+                 callee_id=callee)
     InstrDescriptor(**shape)  # the shape's own checks, at its definition
     return shape
 
@@ -160,6 +157,11 @@ def _reference_row_to_event(row, shapes: list) -> AccessEvent:
     instr = InstrDescriptor(**shape)
     val = record["val"]
     value = None if val is None else _parse_addr(val)
+    args = record["args"]
+    if args is not None:
+        if not isinstance(args, list):
+            raise ValueError(f"args must be a list, not {_shown(args)}")
+        args = tuple(_int_or_hex(a) for a in args)
     return AccessEvent(
         seq=seq,
         thread_id=tid,
@@ -170,6 +172,7 @@ def _reference_row_to_event(row, shapes: list) -> AccessEvent:
         instr=instr,
         rip=_parse_addr(record["rip"]),
         value=value,
+        register_args=args,
     )
 
 
@@ -244,8 +247,6 @@ def reference_serialize_trace(log: TraceLog) -> bytes:
         shape: dict = {"cat": e.instr.category, "sign": e.instr.signedness}
         if e.instr.callee_id is not None:
             shape["callee"] = e.instr.callee_id
-        if e.instr.register_args is not None:
-            shape["args"] = list(e.instr.register_args)
         text = json.dumps(shape)
         if text in written:
             instr = written.index(text)
@@ -253,9 +254,11 @@ def reference_serialize_trace(log: TraceLog) -> bytes:
             written.append(text)
             instr = shape
         val = None if e.value is None else _hex(e.value)
+        args = None if e.register_args is None else list(e.register_args)
         lines.append(json.dumps([e.seq, e.thread_id, _CPL_WIRE[e.cpl],
                                  _KIND_WIRE[e.kind], _hex(e.address),
-                                 e.operand_size, _hex(e.rip), instr, val]))
+                                 e.operand_size, _hex(e.rip), instr, val,
+                                 args]))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -322,7 +325,7 @@ def reference_recover_call(log: TraceLog, call_event: AccessEvent,
             continue
         if e.kind == "write":
             prior.append(e)
-    reg_params = call_event.instr.register_args or (0, 0, 0, 0)
+    reg_params = call_event.register_args or (0, 0, 0, 0)
     stack_params = []
     slot = call_event.address + 8 + 0x20
     while True:

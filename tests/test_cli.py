@@ -299,6 +299,23 @@ class TestUsageErrors:
             assert err.startswith("error: line 1: ")
             assert "columns" in err
 
+    def test_nine_column_trace_exit_2(self, tmp_path, capsys):
+        """A trace whose call shapes hold their args, the format before
+        the args column, fails at its header."""
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"module_range": {"lo": "0x401000", "hi": "0x402000"}, "columns":'
+            ' ["seq", "tid", "cpl", "kind", "addr", "size", "rip", "instr",'
+            ' "val"]}\n'
+            '[0, 0, "u", "x", "0x401000", 1, "0x401000", {"cat": "api-call",'
+            ' "sign": "n/a", "callee": "malloc", "args": [64, 0, 0, 0]},'
+            ' "0x9000"]\n')
+        for argv in (["bases"], ["sign"], ["flags"],
+                     ["reconstruct", "--base", "0x9000"]):
+            err = assert_exit_2(capsys, argv + [str(path)])
+            assert err.count("\n") == 1
+            assert err.startswith("error: line 1: columns must be ")
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
@@ -377,6 +394,28 @@ class TestSimulationAndRulesErrors:
                         '{"op": "call", "callee": "f", "args": ' + args + '}\n')
         err = assert_exit_2(capsys, ["simulate", str(path)])
         assert err == "error: line 2: args must be a list\n"
+
+    @pytest.mark.parametrize("cat", ["sub-sp", "call"])
+    def test_access_op_with_a_non_data_category_is_exit_2(
+            self, tmp_path, capsys, cat):
+        """Once simulated, the sub-sp write made `bases` report a 0x3e0-byte
+        stack-pattern buffer, and the call write a call with no callee."""
+        path = tmp_path / "model.jsonl"
+        path.write_text('{"entry_page": 1025, "sp_init": "0x7ff000",'
+                        ' "mapped": [["0x3000", "0x8000"]]}\n'
+                        '{"op": "mov-write", "addr": "0x3000", "value": "0x400",'
+                        f' "cat": "{cat}"}}\n')
+        err = assert_exit_2(capsys, ["simulate", str(path)])
+        assert err == (f"error: line 2: model op 'mov-write' cannot log "
+                       f"category '{cat}'\n")
+
+    def test_entry_present_string_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "model.jsonl"
+        path.write_text('{"entry_page": 1025, "sp_init": "0x7ff000",'
+                        ' "entry_present": "false"}\n{"op": "nop"}\n')
+        err = assert_exit_2(capsys, ["simulate", str(path)])
+        assert err == ("error: line 1: bad header: entry_present must be true"
+                       " or false, not 'false'\n")
 
 
 class TestLongValuesInErrors:

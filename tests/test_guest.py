@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from memtrace import guest as guest_mod
 from memtrace.cli import main
 from memtrace.guest import (
+    ACCESS_CATEGORIES,
     PAGE_SIZE,
     PROFILE_IDS,
     Allowed,
@@ -28,7 +29,7 @@ from memtrace.guest import (
     serialize_model,
     transitions,
 )
-from memtrace.trace import InstrDescriptor
+from memtrace.trace import CATEGORIES, InstrDescriptor
 
 from helpers import (
     MODULE_PAGE,
@@ -452,8 +453,8 @@ class TestRun:
 
 class TestCaptureWork:
     def test_one_descriptor_per_distinct_instruction(self, monkeypatch):
-        """The emitter checks each distinct (cat, sign, callee, typed
-        args) once per run, not once per event or per value."""
+        """The emitter checks each distinct (cat, sign, callee) once per
+        run, not once per event, per value or per call's arguments."""
         checked = []
         post_init = InstrDescriptor.__post_init__
 
@@ -467,25 +468,25 @@ class TestCaptureWork:
             ops += [ModelOp("mov-write", addr=0x9000 + 8 * (k % 4), value=k % 3),
                     ModelOp("mov-read", addr=0x9000 + 8 * (k % 4)),
                     ModelOp("push", value=5),
-                    ModelOp("call", callee="Foo", args=[1, 2, 3, 4, 5]),
+                    ModelOp("call", callee="Foo", args=[k, 2, 3, 4, 5]),
                     ModelOp("ret"), ModelOp("ret")]
         log = run_model(make_model(ops))
-        distinct = {(i.category, i.signedness, i.callee_id, i.register_args,
-                     None if i.register_args is None
-                     else tuple(map(type, i.register_args)))
+        distinct = {(i.category, i.signedness, i.callee_id)
                     for i in (e.instr for e in log.events)}
         assert len(log.events) > 200
         assert len({e.value for e in log.events}) > 3
+        assert len({e.register_args for e in log.events}) > 40
         assert len(checked) == len(distinct)
 
     def test_equal_args_of_other_types_are_not_shared(self):
-        """`True == 1`, so the descriptor key holds each arg's type: the
+        """`True == 1`, but each event holds its own arguments: the
         second call keeps its own `True`, as an unshared build would."""
         ops = [ModelOp("call", callee="Foo", args=[arg, 0, 0, 0],
                        rip=MODULE_PAGE * PAGE_SIZE) for arg in (1, True)]
         first, second = run_model(make_model(ops)).events
         assert first.value == second.value
-        assert [type(e.instr.register_args[0]) for e in (first, second)] == [
+        assert first.instr is second.instr
+        assert [type(e.register_args[0]) for e in (first, second)] == [
             int, bool]
 
     @pytest.mark.parametrize("op, message", [
@@ -693,6 +694,44 @@ class TestModelFiles:
         with pytest.raises(ModelParseError) as info:
             parse_model(data)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("op", ["mov-read", "mov-write"])
+    @pytest.mark.parametrize("cat", [c for c in CATEGORIES
+                                     if c not in ACCESS_CATEGORIES])
+    def test_access_op_takes_a_data_category_only(self, op, cat):
+        """A mov-read or mov-write logged as a push, a stack adjustment, a
+        call or a capture event would feed that category's analysis."""
+        from memtrace.guest import ModelParseError
+        data = ('{"entry_page": 1025, "sp_init": "0x7ff000"}\n{"op": "nop"}\n'
+                f'{{"op": "{op}", "addr": "0x3000", "cat": "{cat}"}}\n')
+        with pytest.raises(ModelParseError) as info:
+            parse_model(data)
+        assert str(info.value) == (
+            f"line 3: model op '{op}' cannot log category '{cat}'")
+
+    def test_access_op_data_categories_simulate(self):
+        ops = [ModelOp(op, addr=0x3000, size=8, cat=cat)
+               for op in ("mov-write", "mov-read") for cat in ACCESS_CATEGORIES]
+        log = run_model(make_model(ops))
+        assert [e.instr.category for e in log.events] == list(
+            ACCESS_CATEGORIES) * 2
+
+    @pytest.mark.parametrize("value", ['"false"', "0", "1", "null", '"true"'])
+    def test_entry_present_must_be_a_boolean(self, value):
+        from memtrace.guest import ModelParseError
+        data = ('{"entry_page": 1025, "sp_init": "0x7ff000", "entry_present": '
+                + value + '}\n{"op": "nop"}\n')
+        with pytest.raises(ModelParseError) as info:
+            parse_model(data)
+        assert str(info.value) == (
+            "line 1: bad header: entry_present must be true or false, not "
+            f"{json.loads(value)!r}")
+
+    @pytest.mark.parametrize("present", [True, False])
+    def test_entry_present_boolean_is_kept(self, present):
+        data = ('{"entry_page": 1025, "sp_init": "0x7ff000", "entry_present": '
+                + json.dumps(present) + '}\n')
+        assert parse_model(data).entry_present is present
 
     def test_missing_header(self):
         from memtrace.guest import ModelParseError

@@ -54,12 +54,11 @@ class LogBuilder:
     def add(self, kind, address, size=8, cat="int-move", value=None,
             callee=None, args=None, tid=0, rip=RIP, sign="n/a", cpl="user"):
         instr = InstrDescriptor(category=cat, signedness=sign,
-                                callee_id=callee,
-                                register_args=tuple(args) if args else None)
+                                callee_id=callee)
         self.events.append(AccessEvent(
             seq=self._next(), thread_id=tid, cpl=cpl, kind=kind,
             address=address, operand_size=size, instr=instr, rip=rip,
-            value=value,
+            value=value, register_args=tuple(args) if args else None,
         ))
         return self.events[-1]
 

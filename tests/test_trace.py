@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import io
 import json
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memtrace import trace
-from memtrace.guest import ModelParseError, parse_model
+from memtrace.guest import ModelOp, ModelParseError, parse_model
 from memtrace.trace import (
     AccessEvent,
     InstrDescriptor,
@@ -22,10 +24,12 @@ from memtrace.trace import (
 )
 
 from helpers import (
+    make_model,
     random_event,
     random_log,
     reference_parse_trace,
     reference_serialize_trace,
+    run_model,
 )
 
 
@@ -83,7 +87,7 @@ class TestParseSerialize:
         assert json.loads(lines[0])["columns"] == list(trace.COLUMNS)
         assert json.loads(lines[1]) == [
             0, 0, "u", "r", "0x1000", 8, "0x401000",
-            {"cat": "int-move", "sign": "n/a"}, None]
+            {"cat": "int-move", "sign": "n/a"}, None, None]
         assert parse_trace(data) == log
 
     def test_malformed_line_names_line_number(self):
@@ -108,28 +112,29 @@ class TestParseSerialize:
                              [("seq", "x"), ("tid", []), ("size", True)])
     def test_non_integer_event_field_rejected(self, field, value):
         row = [1, 1, "u", "w", "0x10", 4, "0x20",
-               {"cat": "int-move", "sign": "n/a"}, None]
-        bad = [2] + row[1:7] + [0, None]
+               {"cat": "int-move", "sign": "n/a"}, None, None]
+        bad = [2] + row[1:7] + [0, None, None]
         bad[trace.COLUMNS.index(field)] = value
         lines = [HEADER, row, bad]
         with pytest.raises(TraceParseError, match="line 3"):
             parse_trace("\n".join(json.dumps(line) for line in lines))
 
-    @pytest.mark.parametrize("instr", [
-        '"cat": "call", "sign": "n/a", "callee": [1]',
-        '"cat": "call", "sign": "n/a", "args": ["a", "b", "c", "d"]',
-        '"cat": "call", "sign": "n/a", "args": "abcd"',
+    @pytest.mark.parametrize("instr, args", [
+        ('"cat": "call", "sign": "n/a", "callee": [1]', 'null'),
+        ('"cat": "call", "sign": "n/a"', '["a", "b", "c", "d"]'),
+        ('"cat": "call", "sign": "n/a"', '"abcd"'),
     ], ids=["list-callee", "string-args", "args-string"])
-    def test_malformed_call_descriptor_rejected(self, instr):
+    def test_malformed_call_descriptor_rejected(self, instr, args):
         data = (json.dumps(HEADER) + '\n'
-                '[1, 1, "u", "w", "0x10", 8, "0x20", {%s}, null]\n' % instr)
+                '[1, 1, "u", "w", "0x10", 8, "0x20", {%s}, null, %s]\n'
+                % (instr, args))
         with pytest.raises(TraceParseError, match="line 2"):
             parse_trace(data)
 
     def test_unknown_keys_ignored(self):
         data = (json.dumps({**HEADER, "extra": 1}) + '\n'
                 '[0, 1, "k", "w", "0x10", 4, "0x20",'
-                ' {"cat": "int-move", "sign": "signed", "zzz": 9}, null]\n')
+                ' {"cat": "int-move", "sign": "signed", "zzz": 9}, null, null]\n')
         log = parse_trace(data)
         assert log.events[0].cpl == "kernel"
         assert log.events[0].kind == "write"
@@ -153,23 +158,43 @@ class TestParseSerialize:
             parse_trace(data)
 
     @pytest.mark.parametrize("row, message", [
-        ([1, 1, "u", "w", "0x10", 4, "0x20", 0], "list of 9 values"),
-        ([1, 1, "u", "w", "0x10", 4, "0x20", 0, None, None],
-         "list of 9 values"),
-        ({str(k): 0 for k in range(9)}, "list of 9 values"),
-        ([1, 1, "u", "w", "0x10", 4, "0x20", 1, None], "instr 1 names no"),
-        ([1, 1, "u", "w", "0x10", 4, "0x20", -1, None], "instr -1 names no"),
-        ([1, 1, "u", "w", "0x10", 4, "0x20", True, None], "shape's index"),
-        ([1, 1, "u", "w", "0x10", 4, "0x20", 0.0, None], "shape's index"),
+        ([1, 1, "u", "w", "0x10", 4, "0x20", 0, None], "list of 10 values"),
+        ([1, 1, "u", "w", "0x10", 4, "0x20", 0, None, None, None],
+         "list of 10 values"),
+        ({str(k): 0 for k in range(10)}, "list of 10 values"),
+        ([1, 1, "u", "w", "0x10", 4, "0x20", 1, None, None],
+         "instr 1 names no"),
+        ([1, 1, "u", "w", "0x10", 4, "0x20", -1, None, None],
+         "instr -1 names no"),
+        ([1, 1, "u", "w", "0x10", 4, "0x20", True, None, None],
+         "shape's index"),
+        ([1, 1, "u", "w", "0x10", 4, "0x20", 0.0, None, None],
+         "shape's index"),
         ([1, 1, "u", "w", "0x10", 4, "0x20",
-          {"cat": "int-move", "sign": "n/a", "val": "0x1"}, None],
+          {"cat": "int-move", "sign": "n/a", "val": "0x1"}, None, None],
          "holds no val"),
-        ([1, 1, "u", "w", "0x1g", 4, "0x20", 0, "0x2g"], "'0x2g'$"),
+        ([1, 1, "u", "w", "0x1g", 4, "0x20", 0, "0x2g", None], "'0x2g'$"),
+        ([1, 1, "u", "w", "10", 4, "0x20", 0, None, None], "'10' is not"),
+        ([1, 1, "u", "w", "0x10", 4, "20", 0, None, None], "'20' is not"),
+        ([1, 1, "u", "w", "0x10", 4, "0x20", 0, "30", None], "'30' is not"),
+        ([1, 1, "u", "x", "0x10", 1, "0x20",
+          {"cat": "call", "sign": "n/a", "args": [1, 0, 0, 0]}, None, None],
+         "holds no args"),
+        ([1, 1, "u", "w", "0x10", 4, "0x20", 0, None, [1, 0, 0, 0]],
+         "register_args not allowed for category 'int-move'"),
+        ([1, 1, "u", "x", "0x10", 1, "0x20",
+          {"cat": "call", "sign": "n/a"}, None, [1, 0, 0]],
+         "exactly 4 values"),
+        ([1, 1, "u", "x", "0x1g", 1, "0x20",
+          {"cat": "call", "sign": "n/a"}, None, {"0": 1}],
+         "args must be a list, not {'0': 1}$"),
     ], ids=["short", "long", "object", "undefined", "negative", "bool",
-            "float", "val-in-shape", "bad-addr-and-val"])
+            "float", "val-in-shape", "bad-addr-and-val", "unprefixed-addr",
+            "unprefixed-rip", "unprefixed-val", "args-in-shape",
+            "args-off-a-call", "three-args", "bad-addr-and-args"])
     def test_bad_rows_rejected(self, row, message):
         defined = [0, 1, "u", "w", "0x8", 4, "0x20",
-                   {"cat": "int-move", "sign": "n/a"}, None]
+                   {"cat": "int-move", "sign": "n/a"}, None, None]
         data = "\n".join(json.dumps(r) for r in (HEADER, defined, row))
         with pytest.raises(TraceParseError, match=f"line 3: .*{message}"):
             parse_trace(data)
@@ -189,8 +214,7 @@ class TestParseSerialize:
         assert parse_trace(serialize_trace(log)) == log
 
 
-CALL_SHAPE = {"cat": "call", "sign": "n/a", "callee": "Foo",
-              "args": [1, 0, 0, 0]}
+CALL_SHAPE = {"cat": "call", "sign": "n/a", "callee": "Foo"}
 
 
 def _outcome(parse, data):
@@ -211,11 +235,11 @@ class TestInternedDescriptors:
         (HEX, dict.fromkeys(HEX, 0)),
     ], ids=["bool", "float", "object"])
     def test_equal_but_differently_typed_args_rejected(self, first, later):
-        """A later `instr` record that equals an accepted one under == (or
-        iterates like it) is still checked on its own."""
+        """A later row's args that equal an accepted row's under == (or
+        iterate like them) are still checked on their own."""
         call = [1, 0, "u", "x", "0x10", 1, "0x10"]
-        records = [HEADER, call + [{**CALL_SHAPE, "args": first}, None],
-                   [2] + call[1:] + [{**CALL_SHAPE, "args": later}, None]]
+        records = [HEADER, call + [CALL_SHAPE, None, first],
+                   [2] + call[1:] + [0, None, later]]
         data = "\n".join(json.dumps(r) for r in records)
         with pytest.raises(TraceParseError, match="line 3"):
             parse_trace(data)
@@ -224,7 +248,7 @@ class TestInternedDescriptors:
     def test_one_descriptor_built_per_distinct_instr_record(self, monkeypatch):
         """The constructor runs once per shape object in the file, every
         event citing a shape shares its descriptor, and each event's val
-        is its own value."""
+        and args are its own."""
         rng = random.Random(7)
         pool = [random_event(rng, 0) for _ in range(6)]
         events = []
@@ -252,6 +276,8 @@ class TestInternedDescriptors:
             assert event.instr is built[row[7]]
             assert event.value == (None if row[8] is None
                                    else int(row[8], 16))
+            assert event.register_args == (None if row[9] is None
+                                           else tuple(row[9]))
         assert len(shapes) <= 6
         assert len(built) == len(shapes)
 
@@ -259,13 +285,20 @@ class TestInternedDescriptors:
 # Row-level mutations: JSON values that equal a valid one under ==
 # (true for 1, 1.0 for 1), hex and non-hex strings, wrong types, shape
 # indices that are not yet defined, dropped and added row values,
-# dropped shape keys and a val inside a shape; and header columns that
-# are missing or differ.  Text-level ones: stray whitespace of every
+# dropped shape keys and a val or args inside a shape; args cells of the
+# wrong type or length, holding a list, or on a row that is no call; and
+# header columns that are missing or differ.  Text-level ones: stray whitespace of every
 # kind, trailing data, blank lines, swapped lines and other JSON lines;
 # raw line breaks inside a callee string, two rows on one line, a row
 # split over two lines, and CR or CRLF line ends.
 ARG_TOKENS = [True, False, 1.0, 0.0, "0x1", "0X1", "1", -1, 1 << 70, None,
               [1], {}]
+# Whole args cells: a string or an object in place of the list, 3 or 5
+# values, hex strings, a list inside the list, and valid lists that land
+# on rows that are no calls.
+ARGS_CELLS = ["0x1", "[0, 0, 0, 0]", {}, {"0": 1}, [0, 0, 0], [0, 0, 0, 0, 0],
+              [], ["0x1", "0x0", "0x00", "0x40"], [[0], 0, 0, 0], [[0, 0, 0, 0]],
+              [0, 0, 0, 0], [1, 2, 3, 4], None, True]
 VAL_TOKENS = ["0x10", 16, True, 1.5, "16", "0x", None, [], "0x010"]
 FIELD_TOKENS = [True, 1.0, 0, 8, 16, "x", "0x10", "u", "k", "r", "w",
                 "user", None, [], {}]
@@ -286,10 +319,10 @@ RAW_LINES = ["[]", "5", "null", "NaN", "{", '"seq tid cpl kind addr size rip'
              ' "sign": "n/a"}}']
 
 MUTATION = st.tuples(
-    st.sampled_from(["arg", "swap", "val", "field", "instr", "drop", "cat",
-                     "index", "extend", "inval", "nest", "columns", "space",
-                     "blank", "trail", "order", "raw", "break", "join",
-                     "split", "crlf"]),
+    st.sampled_from(["arg", "args", "swap", "val", "field", "instr", "drop",
+                     "cat", "index", "extend", "inval", "nest", "columns",
+                     "space", "blank", "trail", "order", "raw", "break",
+                     "join", "split", "crlf"]),
     st.integers(0, 1 << 16),
     st.integers(0, 1 << 16),
 )
@@ -297,23 +330,19 @@ MUTATION = st.tuples(
 
 def _template_log(rng: random.Random, n_events: int) -> TraceLog:
     """Events copied from a few templates, so instruction shapes repeat;
-    call arguments are small, so many are 0 or 1."""
-    pool = []
-    for _ in range(rng.randrange(1, 5)):
-        event = random_event(rng, 0)
-        if event.instr.register_args is not None:
-            args = tuple(rng.choice([0, 1, 2, 0x40]) for _ in range(4))
-            event = dataclasses.replace(
-                event, instr=dataclasses.replace(event.instr,
-                                                 register_args=args))
-        pool.append(event)
+    each call gets its own arguments, small, so many are 0 or 1."""
+    pool = [random_event(rng, 0) for _ in range(rng.randrange(1, 5))]
     events = []
     seq = 0
     for _ in range(n_events):
         seq += rng.randrange(1, 3)
+        event = rng.choice(pool)
+        args = event.register_args
+        if args is not None:
+            args = tuple(rng.choice([0, 1, 2, 0x40]) for _ in range(4))
         events.append(dataclasses.replace(
-            rng.choice(pool), seq=seq, thread_id=rng.randrange(3),
-            address=rng.randrange(1 << 40)))
+            event, seq=seq, thread_id=rng.randrange(3),
+            address=rng.randrange(1 << 40), register_args=args))
     return TraceLog(events=tuple(events), module_range=(0x1000, 0x2000))
 
 
@@ -335,25 +364,27 @@ def _mutate(log: TraceLog, mutations) -> str:
         at = where % len(rows)
         row = rows[at]
         shape = row[7] if len(row) > 7 else None
-        if action == "arg" and isinstance(shape, dict):
-            args = shape.setdefault("args", [0, 0, 0, 0])
-            if isinstance(args, list) and args:
-                args[which % len(args)] = ARG_TOKENS[which % len(ARG_TOKENS)]
-        elif action == "swap" and len(row) > 7:
-            # A new definition of an earlier shape, one int made a bool
-            # or float of equal value.
-            earlier = [r[7] for r in rows[:at]
-                       if len(r) > 7 and isinstance(r[7], dict)
-                       and isinstance(r[7].get("args"), list)
-                       and r[7]["args"]]
+        if action == "arg" and len(row) > 9:
+            # One value of the args, which a row that is no call gains.
+            if row[9] is None:
+                row[9] = [0, 0, 0, 0]
+            if isinstance(row[9], list) and row[9]:
+                row[9][which % len(row[9])] = ARG_TOKENS[
+                    which % len(ARG_TOKENS)]
+        elif action == "args" and len(row) > 9:
+            row[9] = json.loads(json.dumps(ARGS_CELLS[which % len(ARGS_CELLS)]))
+        elif action == "swap" and len(row) > 9:
+            # An earlier row's args, one int made a bool or float of
+            # equal value.
+            earlier = [r[9] for r in rows[:at]
+                       if len(r) > 9 and isinstance(r[9], list) and r[9]]
             if earlier:
-                copy = json.loads(json.dumps(earlier[which % len(earlier)]))
-                args = copy["args"]
+                args = json.loads(json.dumps(earlier[which % len(earlier)]))
                 slot = which % len(args)
                 if type(args[slot]) is int:
                     args[slot] = (bool(args[slot]) if args[slot] in (0, 1)
                                   and which % 2 else float(args[slot]))
-                row[7] = copy
+                row[9] = args
         elif action == "val" and len(row) > 8:
             row[8] = VAL_TOKENS[which % len(VAL_TOKENS)]
         elif action == "field" and row:
@@ -434,24 +465,30 @@ def test_parse_trace_matches_reference_parser(seed, mutations, form, chunk):
 
 
 SPLIT_CALLEE = ('[1, 0, "u", "w", "0x10", 8, "0x20", {"cat": "call", '
-                '"sign": "n/a", "callee": "ab]%s[cd"}, null]')
+                '"sign": "n/a", "callee": "ab]%s[cd"}, null, null]')
 
 
 @pytest.mark.parametrize("row", [
     SPLIT_CALLEE % "\u2028", SPLIT_CALLEE % "\u2029", SPLIT_CALLEE % "\x85",
     SPLIT_CALLEE % "\n", SPLIT_CALLEE % "\r\n",
     '[1, 0, "u", "w", "0x10", 8, "0x20", {"cat": "other", "sign": "n/a", '
-    '"x": [[1]\n[2]]}, null]',
+    '"x": [[1]\n[2]]}, null, null]',
     '[1, 0, "u", "w", "0x10", 8\n"0x20", {"cat": "other", "sign": "n/a"}, '
-    'null]',
+    'null, null]',
+    '[1, 0, "u", "w", "0x10", 8, "0x20", {"cat": "call", "sign": "n/a"}, '
+    'null, [1, 2]\n[3, 4]]',
+    '[1, 0, "u", "w", "0x10", 8, "0x20", {"cat": "call", "sign": "n/a"}, '
+    '[1, 2]\n[3, 4]]',
 ], ids=["u2028", "u2029", "u0085", "lf", "crlf", "list-of-lists",
-        "between-columns"])
+        "between-columns", "inside-args", "args-after-a-list"])
 def test_row_split_over_two_lines_is_rejected(row):
     """Row 1 is split over lines 2 and 3, and line 4 holds rows 2 and 3,
     so the body has as many rows as lines.  Joined into one array, the
     lines decode to three rows, the first with the callee "ab],[cd" (or
-    an unknown key [[1],[2]]); read line by line, line 2 is not JSON."""
-    pair = ", ".join(f'[{seq}, 0, "u", "w", "0x10", 8, "0x20", 0, null]'
+    an unknown key [[1],[2]], or the args [1, 2] and then [3, 4], the
+    first of them in place of the val); read line by line, line 2 is not
+    JSON."""
+    pair = ", ".join(f'[{seq}, 0, "u", "w", "0x10", 8, "0x20", 0, null, null]'
                      for seq in (2, 3))
     data = "\n".join([json.dumps(HEADER), row, pair])
     with pytest.raises(TraceParseError, match="^line 2: invalid JSON"):
@@ -475,7 +512,7 @@ def test_shape_index_must_name_an_earlier_shape(chunk, shapes, bad):
     an index; row `bad` names a shape not defined before it."""
     rows = [[seq, 0, "u", "w", "0x10", 8, "0x20",
              {"cat": "other", "sign": "n/a"} if shape == {}
-             else shape, None] for seq, shape in enumerate(shapes)]
+             else shape, None, None] for seq, shape in enumerate(shapes)]
     data = "\n".join(json.dumps(r) for r in [HEADER] + rows)
     with mock.patch.object(trace, "_CHUNK_ROWS", chunk):
         got = _outcome(parse_trace, data)
@@ -483,6 +520,39 @@ def test_shape_index_must_name_an_earlier_shape(chunk, shapes, bad):
     index = shapes[bad]
     assert got[2] == (f"line {bad + 2}: instr {index} names no shape "
                       "defined before it")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, trace._CHUNK_ROWS])
+@pytest.mark.parametrize("cat, args, message", [
+    ("call", [0, 0, 0], "exactly 4 values"),
+    ("call", [0, 0, 0, 0, 0], "exactly 4 values"),
+    ("call", [], "exactly 4 values"),
+    ("call", [True, 0, 0, 0], "True is neither"),
+    ("call", [1.0, 0, 0, 0], "1.0 is neither"),
+    ("call", [[0], 0, 0, 0], r"\[0\] is neither"),
+    ("call", "0x1", "args must be a list"),
+    ("api-call", {"0": 1}, "args must be a list"),
+    ("int-move", [0, 0, 0, 0], "not allowed for category 'int-move'"),
+    ("call", ["0x1", "0x0", "0x00", "0x40"], None),
+], ids=["three", "five", "empty", "bool", "float", "nested", "string",
+        "object", "off-a-call", "hex"])
+def test_args_checked_on_every_row(chunk, cat, args, message):
+    """Row 1's args, then a valid row with the same cpl, kind, size and
+    category: in bulk, AccessEvent's own checks run on one row of those,
+    so the args guards must cover row 1.  Hex args are valid."""
+    rows = [[1, 0, "u", "w", "0x10", 8, "0x20", {"cat": cat, "sign": "n/a"},
+             None, args],
+            [2, 0, "u", "w", "0x18", 8, "0x20", 0, None,
+             [1, 2, 3, 4] if cat != "int-move" else None]]
+    data = "\n".join(json.dumps(r) for r in [HEADER] + rows)
+    with mock.patch.object(trace, "_CHUNK_ROWS", chunk):
+        got = _outcome(parse_trace, data)
+    assert got == _outcome(reference_parse_trace, data)
+    if message is None:
+        assert got.events[0].register_args == (1, 0, 0, 0x40)
+    else:
+        assert got[0] is TraceParseError
+        assert re.match(f"line 2: .*{message}", got[2])
 
 
 @pytest.mark.parametrize("joint", [", ", ",", ",\t"])
@@ -513,7 +583,8 @@ def test_body_line_oddities_match_the_line_reader(before, after):
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 @pytest.mark.parametrize("at", [-1, 0], ids=["last-in-chunk",
                                              "first-in-next"])
-@pytest.mark.parametrize("fault", ["seq", "addr", "index", "addr-and-val"])
+@pytest.mark.parametrize("fault", ["seq", "addr", "index", "addr-and-val",
+                                   "args"])
 def test_bad_row_at_a_chunk_boundary(chunk, at, fault):
     """A fault in the row just before or just after the boundary of the
     second chunk gets the line reader's error.  A row whose addr and val
@@ -528,6 +599,8 @@ def test_bad_row_at_a_chunk_boundary(chunk, at, fault):
         row[4] = "0x1g"
     elif fault == "addr-and-val":
         row[4], row[8] = "0x1g", "0x2g"
+    elif fault == "args":
+        row[9] = [0, 0, 0]
     else:
         row[7] = 5
     lines[k] = json.dumps(row)
@@ -554,8 +627,8 @@ ARG = st.one_of(st.sampled_from([0, 1, False, True]), st.integers(0, 2**16),
 @st.composite
 def writer_logs(draw):
     """Logs whose events repeat a few instruction shapes with varying
-    values; seq, tid and size are sometimes not ints (json.dumps has its
-    own spelling of those)."""
+    values and call arguments; seq, tid, size and arguments are
+    sometimes not ints (json.dumps has its own spelling of those)."""
     shapes = []
     for _ in range(draw(st.integers(1, 4))):
         cat = draw(st.sampled_from(
@@ -563,13 +636,13 @@ def writer_logs(draw):
              "call", "api-call", "syscall"]))
         callee = (draw(st.one_of(st.none(), CALLEES))
                   if cat in ("call", "api-call", "syscall") else None)
-        args = (draw(st.one_of(st.none(), st.tuples(ARG, ARG, ARG, ARG)))
-                if cat in ("call", "api-call") else None)
         shapes.append((cat, draw(st.sampled_from(["signed", "unsigned", "n/a"])),
-                       callee, args))
+                       callee))
     events = []
     for seq in range(draw(st.integers(0, 12))):
-        cat, sign, callee, args = draw(st.sampled_from(shapes))
+        cat, sign, callee = draw(st.sampled_from(shapes))
+        args = (draw(st.one_of(st.none(), st.tuples(ARG, ARG, ARG, ARG)))
+                if cat in ("call", "api-call") else None)
         kind = draw(st.sampled_from(["read", "write", "execute"]))
         size = {"float-move": 8, "xmm-zero-store": 16}.get(cat, 1)
         if kind == "execute" and size != 1:
@@ -584,9 +657,10 @@ def writer_logs(draw):
             address=draw(st.integers(0, 2**72)),
             operand_size=size,
             instr=InstrDescriptor(category=cat, signedness=sign,
-                                  callee_id=callee, register_args=args),
+                                  callee_id=callee),
             rip=draw(st.integers(0, 2**72)),
             value=draw(VALUES),
+            register_args=args,
         ))
     module_range = draw(st.sampled_from([(0, 0), (0x401000, 0x402000)]))
     return TraceLog(events=tuple(events), module_range=module_range)
@@ -600,15 +674,18 @@ def test_serialize_trace_matches_reference_writer(log):
 
 def test_equal_args_of_other_types_keep_their_spelling():
     """`(True, 0, 0, 0) == (1, 0, 0, 0)`, but json.dumps spells them apart,
-    so the two shapes must not share a cached prefix."""
+    so each row spells its own args, while all three share one shape."""
     events = tuple(
-        make_event(seq=seq, kind="write", instr=InstrDescriptor(
-            category="call", callee_id="Foo", register_args=(arg, 0, 0, 0)))
+        make_event(seq=seq, kind="write",
+                   instr=InstrDescriptor(category="call", callee_id="Foo"),
+                   register_args=(arg, 0, 0, 0))
         for seq, arg in enumerate([1, True, 1.0]))
     log = TraceLog(events=events, module_range=(0, 0x1000))
     data = serialize_trace(log)
     assert data == reference_serialize_trace(log)
-    assert b'"args": [true, 0, 0, 0]' in data.splitlines()[2]
+    assert [line.rsplit(b", [", 1)[1] for line in data.splitlines()[1:]] == [
+        b"1, 0, 0, 0]]", b"true, 0, 0, 0]]", b"1.0, 0, 0, 0]]"]
+    assert data.count(b'"callee"') == 1
 
 
 def _readable(log: TraceLog) -> TraceLog:
@@ -616,13 +693,12 @@ def _readable(log: TraceLog) -> TraceLog:
     the writer writes of it then reads back as `log`."""
     events = []
     for seq, event in enumerate(log.events):
-        instr = event.instr
-        if instr.register_args is not None:
-            instr = dataclasses.replace(
-                instr, register_args=tuple(map(int, instr.register_args)))
+        args = event.register_args
+        if args is not None:
+            args = tuple(map(int, args))
         events.append(dataclasses.replace(
             event, seq=seq, thread_id=int(event.thread_id),
-            operand_size=int(event.operand_size), instr=instr))
+            operand_size=int(event.operand_size), register_args=args))
     return dataclasses.replace(log, events=tuple(events))
 
 
@@ -643,6 +719,53 @@ def test_writer_output_never_takes_the_line_reader(log, chunk):
     data = serialize_trace(log)
     for form in (data, data.decode(), data.replace(b"\n", b"\r\n")):
         assert _read_in_bulk(form, chunk) == log
+
+
+def test_calls_with_distinct_args_share_one_descriptor(monkeypatch):
+    """N calls to one callee, each with its own arguments, build one call
+    descriptor in the emitter and in each reader, define one shape in
+    the trace, and keep their arguments on their events."""
+    n = 60
+    ops = [ModelOp("call", callee="Foo", args=[k, 1 << 40, 0, k % 3])
+           for k in range(n)] + [ModelOp("alloc", callee="malloc", size=k)
+                                 for k in range(1, 4)]
+    built = []
+    post_init = InstrDescriptor.__post_init__
+
+    def counting(self):
+        built.append(self.category)
+        post_init(self)
+
+    monkeypatch.setattr(InstrDescriptor, "__post_init__", counting)
+    log = run_model(make_model(ops))
+    assert [e.register_args for e in log.events] == [
+        (k, 1 << 40, 0, k % 3) for k in range(n)] + [
+        (k, 0, 0, 0) for k in range(1, 4)]
+    assert built.count("call") == built.count("api-call") == 1
+    data = serialize_trace(log)
+    assert data.count(b'"callee"') == 2
+    for read in (_read_in_bulk, trace._parse_lines):
+        built.clear()
+        assert read(data) == log
+        assert sorted(built) == ["api-call", "call"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_bulk_reader_leaves_the_collector_as_it_found_it(enabled):
+    """The collector is paused only while a chunk decodes, whether the
+    chunk is taken, declined or fails to decode."""
+    good = serialize_trace(_template_log(random.Random(2), 30))
+    lines = good.splitlines()
+    short_row = b"\n".join(lines[:5] + [b"[1]"] + lines[6:])
+    not_json = b"\n".join(lines[:5] + [b"[0, x]"] + lines[6:])
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for data in (good, short_row, not_json):
+            _outcome(parse_trace, data)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_long_writer_output_never_takes_the_line_reader():
