@@ -8,6 +8,15 @@ models are interpreted against this state: every data access is trapped
 and emitted as an AccessEvent, and instruction fetches go through the
 permission check for entry capture.  A mode transition is reported at
 the first fetch after it, by MBEC and legacy detection alike.
+
+Capture keeps its per-op work small.  The emitter runs AccessEvent's
+checks on the first event of each kind (category, signedness, callee,
+cpl, access kind, size, arguments or not) and fills the rest slot by
+slot.  Memory accesses that lie on one built page skip the per-page
+walk.  parse_model reads bytes and text a chunk of op lines per
+json.loads call where it can tell that each line holds one plain op,
+and everything else one line at a time; only the line reader reports
+errors.
 """
 
 from __future__ import annotations
@@ -15,9 +24,11 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Optional, Union
+from itertools import chain
+from typing import IO, Iterable, Optional, Union
 
 from .trace import (
+    _CHUNK_ROWS,
     CATEGORIES,
     CPL_VALUES,
     PAGE_SIZE,
@@ -25,6 +36,9 @@ from .trace import (
     AccessEvent,
     InstrDescriptor,
     TraceLog,
+    _bulk_lines,
+    _decode_chunk,
+    _fill_event,
     _hex,
     _int_or_hex,
     _new_event,
@@ -39,6 +53,7 @@ TRANSITION_MODES = ("mbec", "legacy")
 DEFAULT_ALLOC_BASE = 0x9000
 DEFAULT_STACK_GUARD = 0x10000
 INSTR_STRIDE = 4  # modeled instruction length; rip advances by this per op
+_ADDRESS_LIMIT = 1 << 48  # canonical addresses lie below this
 
 
 class SimulationError(RuntimeError):
@@ -242,6 +257,11 @@ class Guest:
 
     def read_memory(self, address: int, size: int) -> bytes:
         """Read bytes, serving the pristine view on hidden-hook pages."""
+        lo = address % PAGE_SIZE
+        page = self.pages.get(address // PAGE_SIZE)
+        if page is not None and 0 < size <= PAGE_SIZE - lo:  # one built page
+            source = page.pristine if page.perms.hidden_hook else page.content
+            return bytes(source[lo:lo + size])
         out = bytearray()
         for _, page, lo, hi in self._page_spans(address, size, "read from"):
             source = page.pristine if page.perms.hidden_hook else page.content
@@ -259,7 +279,15 @@ class Guest:
         """Write bytes page by page; the pages before an unmapped one keep
         what was written to them.  An unhooked page's pristine copy
         follows its content."""
-        for start, page, lo, hi in self._page_spans(address, len(data), "write to"):
+        size = len(data)
+        lo = address % PAGE_SIZE
+        page = self.pages.get(address // PAGE_SIZE)
+        if page is not None and 0 < size <= PAGE_SIZE - lo:  # one built page
+            page.content[lo:lo + size] = data
+            if page.pristine is not None and not page.perms.hidden_hook:
+                page.pristine[lo:lo + size] = data
+            return
+        for start, page, lo, hi in self._page_spans(address, size, "write to"):
             chunk = data[start:start + hi - lo]
             page.content[lo:hi] = chunk
             if page.pristine is not None and not page.perms.hidden_hook:
@@ -287,7 +315,7 @@ class Guest:
 def _check_canonical(address: int, size: int = 1) -> None:
     """Raise ValueError unless all of [address, address + size) lies
     below 2**48."""
-    if address < 0 or address + size > 1 << 48:
+    if address < 0 or address + size > _ADDRESS_LIMIT:
         raise ValueError("address outside 48-bit canonical range")
 
 
@@ -340,6 +368,17 @@ class ModelOp:
                              f"category {_shown(self.cat)}")
         if self.sign is not None and self.sign not in SIGN_VALUES:
             raise ValueError(f"unknown signedness {_shown(self.sign)}")
+        # The emitter checks one event of each kind, so the values it
+        # puts in a call's arguments unchecked are checked here.
+        if self.callee is not None and not isinstance(self.callee, str):
+            raise ValueError(f"callee {_shown(self.callee)} is not a string")
+        if self.size is not None and not isinstance(self.size, int):
+            raise ValueError(f"size {_shown(self.size)} is not an integer")
+        if self.args is not None and not (
+                isinstance(self.args, (list, tuple))
+                and all(isinstance(arg, int) for arg in self.args)):
+            raise ValueError(f"args {_shown(self.args)} must be a list of "
+                             "integers")
 
 
 @dataclass
@@ -377,44 +416,26 @@ class ProgramModel:
 
 
 _OP_INT_KEYS = ("addr", "size", "value", "n_stack", "amount", "rip")
+_OP_STR_KEYS = ("callee", "cpl", "cat", "sign")
+_OP_KEYS = frozenset(("op", "args") + _OP_INT_KEYS + _OP_STR_KEYS)
 
 
 def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
-    """Parse a line-delimited program model (header line + one op per line)."""
-    header = None
-    ops: list[ModelOp] = []
-    for lineno, record in iter_json_lines(stream, ModelParseError):
-        if header is None:
-            if not isinstance(record, dict) or "entry_page" not in record:
-                raise ModelParseError(lineno, "first line must carry entry_page")
-            header = record
-            continue
-        if not isinstance(record, dict):
-            raise ModelParseError(lineno, "an op line must be a JSON object")
-        if "op" not in record:
-            raise ModelParseError(lineno, "missing op")
+    """Parse a line-delimited program model (header line + one op per line).
+
+    bytes and str input is first read in bulk (_read_model_chunks), a
+    chunk of op lines per json.loads call; where that reader declines,
+    and for streams, the line reader (_read_model_lines) reads the input
+    line by line and alone reports errors in its lines.  Both build each
+    op through _record_to_op, so both give the same model.
+    """
+    read = None
+    if isinstance(stream, (bytes, str)):
         try:
-            kwargs = {"op": record["op"]}
-            for key in _OP_INT_KEYS:
-                value = record.get(key)
-                if value is not None:
-                    kwargs[key] = _int_or_hex(value)
-            for key in ("callee", "cpl", "cat", "sign"):
-                value = record.get(key)
-                if value is not None:
-                    if not isinstance(value, str):
-                        raise ValueError(f"{key} must be a string")
-                    kwargs[key] = value
-            args = record.get("args")
-            if args is not None:
-                if not isinstance(args, list):
-                    raise ValueError("args must be a list")
-                kwargs["args"] = [_int_or_hex(a) for a in args]
-            ops.append(ModelOp(**kwargs))
-        except (TypeError, ValueError) as exc:
-            raise ModelParseError(lineno, str(exc)) from exc
-    if header is None:
-        raise ModelParseError(1, "empty model file (missing header)")
+            read = _read_model_chunks(stream)
+        except (TypeError, ValueError, RecursionError):
+            read = None
+    header, ops = read or _read_model_lines(stream)
     try:
         sp_init = _int_or_hex(header["sp_init"])
         mapped = [
@@ -437,6 +458,90 @@ def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelParseError(1, f"bad header: {exc}") from exc
+
+
+def _record_to_op(record) -> ModelOp:
+    """The op of an op line's record; a ValueError says what is wrong."""
+    if not isinstance(record, dict):
+        raise ValueError("an op line must be a JSON object")
+    if "op" not in record:
+        raise ValueError("missing op")
+    kwargs = {"op": record["op"]}
+    for key in _OP_INT_KEYS:
+        value = record.get(key)
+        if value is not None:
+            kwargs[key] = value if type(value) is int else _int_or_hex(value)
+    for key in _OP_STR_KEYS:
+        value = record.get(key)
+        if value is not None:
+            if not isinstance(value, str):
+                raise ValueError(f"{key} must be a string")
+            kwargs[key] = value
+    args = record.get("args")
+    if args is not None:
+        if not isinstance(args, list):
+            raise ValueError("args must be a list")
+        kwargs["args"] = [_int_or_hex(a) for a in args]
+    return ModelOp(**kwargs)
+
+
+def _read_model_lines(stream) -> tuple[dict, list[ModelOp]]:
+    """The header record and the ops of a model, one line at a time: the
+    reader of every input the bulk reader declines, and the only one
+    that raises parse errors."""
+    header = None
+    ops: list[ModelOp] = []
+    for lineno, record in iter_json_lines(stream, ModelParseError):
+        if header is None:
+            if not isinstance(record, dict) or "entry_page" not in record:
+                raise ModelParseError(lineno, "first line must carry entry_page")
+            header = record
+            continue
+        try:
+            ops.append(_record_to_op(record))
+        except (TypeError, ValueError) as exc:
+            raise ModelParseError(lineno, str(exc)) from exc
+    if header is None:
+        raise ModelParseError(1, "empty model file (missing header)")
+    return header, ops
+
+
+def _read_model_chunks(
+        data: Union[bytes, str]) -> Optional[tuple[dict, list[ModelOp]]]:
+    """parse_model's bulk reader: what _read_model_lines gives, or None
+    (or a TypeError, ValueError or RecursionError) for any input it does
+    not take, which _read_model_lines then reads again.
+
+    It takes a text only if line 1 is the header and every chunk of op
+    lines passes _decode_chunk's guards and holds plain ops (_plain_ops),
+    which hold no array with two objects side by side.  So, as
+    _decode_chunk argues, each line is exactly one op record, decoded
+    from the text the line reader decodes.
+    """
+    lines = _bulk_lines(data)
+    if not lines:
+        return None
+    header = json.loads(lines[0])
+    if not isinstance(header, dict) or "entry_page" not in header:
+        return None
+    ops: list[ModelOp] = []
+    for start in range(1, len(lines), _CHUNK_ROWS):
+        chunk_ops = _decode_chunk(lines[start:start + _CHUNK_ROWS], dict,
+                                  _plain_ops)
+        if chunk_ops is None:
+            return None
+        ops += chunk_ops
+    return header, ops
+
+
+def _plain_ops(records: list[dict]) -> Optional[list[ModelOp]]:
+    """The ops of a chunk's records, or None unless every key is an op
+    key.  _record_to_op takes no value of such a key that is an object
+    or a list, save an args list of ints and hex strings, so then no
+    record holds an array with two objects side by side."""
+    if not set(chain.from_iterable(records)) <= _OP_KEYS:
+        return None
+    return list(map(_record_to_op, records))
 
 
 def serialize_model(model: ProgramModel) -> bytes:
@@ -512,19 +617,32 @@ class _Emitter:
         self.events: list[AccessEvent] = []
         # One descriptor per instruction shape, which the events share
         # while each keeps its own value and register arguments.
-        self._instrs: dict = {}
+        self._shapes: dict = {}
+        # The descriptor of each (cat, sign, callee, cpl, kind, size,
+        # args or not) that an event has passed AccessEvent's checks
+        # with.  They read nothing else but the arguments, which need
+        # only be four in a tuple: ModelOp checks their types.
+        self._checked: dict = {}
 
     def emit(self, kind, address, size, cpl, rip, cat="other", sign="n/a",
              callee=None, args=None, value=None):
-        key = (cat, sign, callee)
-        instr = self._instrs.get(key)
-        if instr is None:
-            instr = self._instrs[key] = InstrDescriptor(
-                category=cat,
-                signedness=sign,
-                callee_id=callee,
-            )
-        self.events.append(_new_event(len(self.events), self.tid, cpl, kind,
+        events = self.events
+        key = (cat, sign, callee, cpl, kind, size, args is None)
+        instr = self._checked.get(key)
+        if instr is None or args is not None and (
+                type(args) is not tuple or len(args) != 4):
+            instr = self._shapes.get(key[:3])
+            if instr is None:
+                instr = self._shapes[key[:3]] = InstrDescriptor(
+                    category=cat,
+                    signedness=sign,
+                    callee_id=callee,
+                )
+            events.append(_new_event(len(events), self.tid, cpl, kind,
+                                     address, size, instr, rip, value, args))
+            self._checked[key] = instr
+        else:
+            events.append(_fill_event(len(events), self.tid, cpl, kind,
                                       address, size, instr, rip, value, args))
 
 
@@ -601,10 +719,15 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
             page.perms.exec_kernel = False
 
     pages = guest.pages
+    built_page = pages.get
 
     def demand_page(address: int, size: int, lazy_code: bool = False) -> None:
-        first = address // PAGE_SIZE
-        for page in range(first, (address + size - 1) // PAGE_SIZE + 1):
+        first, last = address // PAGE_SIZE, (address + size - 1) // PAGE_SIZE
+        if first == last:
+            present = built_page(first)
+            if present is not None and present.perms.present:
+                return
+        for page in range(first, last + 1):
             present = pages.lookup(page)
             if present is not None and present.perms.present:
                 continue
@@ -627,7 +750,8 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
     def trap(kind, address, size, cat, sign="n/a", callee=None, args=None,
              value=None):
         """Emit a data access to present pages: every one is trapped."""
-        _check_canonical(address, size)
+        if address < 0 or address + size > _ADDRESS_LIMIT:
+            _check_canonical(address, size)
         emitter.emit(kind, address, size, guest.mode, rip, cat, sign,
                      callee, args, value)
 
@@ -641,11 +765,12 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
             rip = op.rip
         # Instruction fetch: demand paging, entry capture, transition trap.
         fetch = guest.check_access(rip, "execute", guest.mode, rip)
-        if isinstance(fetch, PageFault):
-            demand_page(rip, 1, lazy_code=True)
-            fetch = guest.check_access(rip, "execute", guest.mode, rip)
-        if isinstance(fetch, Violation):
-            if entry_pending and rip // PAGE_SIZE == model.entry_page:
+        if fetch is not _ALLOWED:
+            if isinstance(fetch, PageFault):
+                demand_page(rip, 1, lazy_code=True)
+                fetch = guest.check_access(rip, "execute", guest.mode, rip)
+            if (isinstance(fetch, Violation) and entry_pending
+                    and rip // PAGE_SIZE == model.entry_page):
                 # Log the entry first, then restore the revoked permission.
                 emitter.emit("execute", rip, 1, guest.mode, rip, cat="other")
                 perms = guest.pages[model.entry_page].perms

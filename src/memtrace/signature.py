@@ -387,9 +387,9 @@ def _int_list(record: dict, key: str) -> tuple[int, ...]:
     values = record[key]
     if not isinstance(values, list):
         raise ValueError(f"{key} must be a list")
-    if all(type(x) is int for x in values):
+    if set(map(type, values)) <= {int}:
         return tuple(values)
-    return tuple(_int_or_hex(x) for x in values)
+    return tuple(map(_int_or_hex, values))
 
 
 def read_signature(data) -> tuple[AddressPattern, int]:

@@ -93,9 +93,13 @@ class InstrDescriptor:
                 f"unknown instruction category {_shown(self.category)}")
         if self.signedness not in SIGN_VALUES:
             raise ValueError(f"unknown signedness {_shown(self.signedness)}")
-        if self.callee_id is not None and self.category not in CALLEE_CATEGORIES:
-            raise ValueError(
-                f"callee_id not allowed for category {_shown(self.category)}")
+        if self.callee_id is not None:
+            if self.category not in CALLEE_CATEGORIES:
+                raise ValueError("callee_id not allowed for category "
+                                 f"{_shown(self.category)}")
+            if not isinstance(self.callee_id, str):
+                raise ValueError(
+                    f"callee_id {_shown(self.callee_id)} is not a string")
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,6 +143,9 @@ class AccessEvent:
                                  f"{_shown(self.instr.category)}")
             if len(self.register_args) != 4:
                 raise ValueError("register_args must hold exactly 4 values")
+            if not all(isinstance(arg, int) for arg in self.register_args):
+                raise ValueError(f"register_args {_shown(self.register_args)} "
+                                 "must be integers")
             object.__setattr__(self, "register_args", tuple(self.register_args))
 
 
@@ -211,8 +218,8 @@ def _int_or_hex(value) -> int:
     """An int (never a bool or a float) or a 0x-prefixed hex string."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str):
-        return _parse_addr(value)
+    if isinstance(value, str) and value.startswith("0x"):
+        return int(value, 16)
     raise ValueError(
         f"{_shown(value)} is neither an integer nor a 0x-prefixed hex string")
 
@@ -228,13 +235,12 @@ _new_object = object.__new__
 )
 
 
-def _new_event(seq, thread_id, cpl, kind, address, operand_size, instr,
-               rip, value, register_args=None) -> AccessEvent:
-    """The AccessEvent the constructor gives, at half its cost: the
-    slots, value and register_args included, are filled directly and
-    then checked by __post_init__.  The trace parser's line reader and
-    the guest's emitter build every event here, around shared
-    descriptors."""
+def _fill_event(seq, thread_id, cpl, kind, address, operand_size, instr,
+                rip, value, register_args) -> AccessEvent:
+    """An AccessEvent with its slots filled directly and left unchecked:
+    for a caller that has checked an event of the same cpl, kind, size,
+    category and presence of register_args, on which all of
+    __post_init__'s checks but the arguments' own depend."""
     event = _new_object(AccessEvent)
     _set_seq(event, seq)
     _set_thread_id(event, thread_id)
@@ -246,6 +252,17 @@ def _new_event(seq, thread_id, cpl, kind, address, operand_size, instr,
     _set_rip(event, rip)
     _set_value(event, value)
     _set_register_args(event, register_args)
+    return event
+
+
+def _new_event(seq, thread_id, cpl, kind, address, operand_size, instr,
+               rip, value, register_args) -> AccessEvent:
+    """The AccessEvent the constructor gives, at half its cost: the
+    slots are filled directly and then checked by __post_init__.  The
+    trace parser's line reader builds every event here, and the guest's
+    emitter the first of each kind, around shared descriptors."""
+    event = _fill_event(seq, thread_id, cpl, kind, address, operand_size,
+                        instr, rip, value, register_args)
     event.__post_init__()
     return event
 
@@ -435,27 +452,72 @@ _SLOT_SETTERS = (_set_seq, _set_thread_id, _set_cpl, _set_kind, _set_address,
 _category = attrgetter("category")
 
 
-def _decode_columns(body: str, n_rows: int) -> Optional[tuple]:
-    """The columns of the rows in `body`, a chunk's lines joined into one
-    JSON array, or None unless that holds n_rows lists of len(COLUMNS)
-    values.  The cyclic collector is paused meanwhile: the row lists are
-    gone before it resumes, so a collection run while they live would
-    only trace them and promote them to an older generation.  It is
-    left as it was found, enabled or not (a switch that another thread
-    makes meanwhile may be undone)."""
+def _bulk_lines(data: Union[bytes, str]) -> Optional[list[str]]:
+    """The lines of `data`, split as the line reader splits them, for a
+    bulk reader; None when the text holds a U+0085, U+2028 or U+2029,
+    where str.splitlines ends a line but JSON allows the character raw
+    in a string, so a line could end inside a value."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    if "\x85" in text or "\u2028" in text or "\u2029" in text:
+        return None
+    return text.splitlines()
+
+
+_BRACKETS = {list: "[]", dict: "{}"}
+
+
+def _decode_chunk(chunk: list[str], row_type: type,
+                  convert: Callable[[list], Optional[object]]):
+    """convert(rows) for the rows the lines of `chunk` hold, or None
+    unless every line starts and ends with the brackets of `row_type`
+    (a list or an object) and the lines, joined into one JSON array by
+    ",\n", decode to one value of that type per line.
+
+    A bulk reader of _bulk_lines' lines that keeps to these guards reads
+    each line as exactly the one row the line reader reads there, if it
+    takes no row that holds, at any depth, an array with two values of
+    `row_type` side by side:
+    - a join inside a string would put a raw newline there, which
+      json.loads rejects, so every join lies between values;
+    - each line starts with the opening bracket and ends with the
+      closing one exactly when every join reads close ",\n" open (no
+      line holds a "\n" to match it elsewhere).  So a join closes a
+      value and opens one in the same container, and that container is
+      an array, since in an object a "," is followed by a key.  No row
+      holds such an array, so it is the chunk's own, and every join
+      separates two rows;
+    - with as many rows as lines, no line holds a second row.
+
+    The cyclic collector is paused meanwhile: the rows are gone before
+    it resumes, so a collection run while they live would only trace
+    them and promote them to an older generation.  It is left as it was
+    found, enabled or not (a switch that another thread makes meanwhile
+    may be undone)."""
+    open_, close = _BRACKETS[row_type]
+    body = ",\n".join(chunk)
+    if (body[:1] != open_ or body[-1:] != close
+            or body.count(close + ",\n" + open_) != len(chunk) - 1):
+        return None
     enabled = gc.isenabled()
     gc.disable()
     try:
-        rows = json.loads(body)
-        if (len(rows) != n_rows or set(map(type, rows)) != {list}
-                or set(map(len, rows)) != {len(COLUMNS)}):
-            return None
-        columns = tuple(zip(*rows))
+        rows = json.loads("[" + body + "]")
+        result = None
+        if len(rows) == len(chunk) and set(map(type, rows)) == {row_type}:
+            result = convert(rows)
         del rows
-        return columns
+        return result
     finally:
         if enabled:
             gc.enable()
+
+
+def _columns(rows: list[list]) -> Optional[tuple]:
+    """The columns of a chunk's rows, or None unless each row holds
+    len(COLUMNS) values."""
+    if set(map(len, rows)) != {len(COLUMNS)}:
+        return None
+    return tuple(zip(*rows))
 
 
 def _hex_prefixed(column) -> bool:
@@ -471,28 +533,15 @@ def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
     a TypeError, ValueError or RecursionError) for any input it does not
     take, which _parse_lines then reads again.
 
-    It takes a text only if the header is line 1, every later line
-    starts with "[" and ends with "]", no U+0085, U+2028 or U+2029
-    appears, each chunk of lines, joined into one JSON array by ",\n",
-    decodes to as many rows as it has lines, every shape object holds
-    only cat, sign and callee, and every args cell is null or a list of
-    four exact ints.  These guards make each line exactly one row,
-    decoded from the text the line reader decodes:
-    - both readers split lines with str.splitlines, so they see the
-      same lines;
-    - a join inside a string would put a raw newline there, which
-      json.loads rejects, so every join lies between values.  (A cut at
-      one of the three line breaks JSON allows raw in a string would be
-      such a join; text holding one is declined before it is split.)
-    - a join closes a list ("]") and opens one ("[") in the same
-      container.  That container is a list, since in an object a "," is
-      followed by a key.  It is not inside a shape, whose three keys
-      hold strings, nor an args list, which holds ints only.  Nor is it
-      a row: there the two lists would be adjacent columns, but only a
-      row's last column, args, may be a list; the checks below reject a
-      list in any other (an int, a string, a shape or null).  So it is
-      the chunk's own array, and every join separates two rows;
-    - with as many rows as lines, no line holds a second row.
+    It takes a text only if the header is line 1, every chunk passes
+    _decode_chunk's guards, every shape object holds only cat, sign and
+    callee, and every args cell is null or a list of four exact ints.
+    Then no row holds two lists side by side in an array: a row's only
+    list column is args, its last, since the checks below reject a list
+    in any other (an int, a string, a shape or null); a shape holds
+    strings only, and an args list ints only.  So, as _decode_chunk
+    argues, each line is exactly one row, decoded from the text the line
+    reader decodes.
     The rows are then checked column by column with the line reader's
     rules: exact ints, strictly increasing seq, shape indices naming an
     earlier shape, 0x-hex addr and rip, a val that is null or 0x-hex,
@@ -500,10 +549,9 @@ def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
     category, args or not).  Only the rows that carry args convert
     them; args spelled in hex are left to the line reader.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    if "\x85" in text or "\u2028" in text or "\u2029" in text:
+    lines = _bulk_lines(data)
+    if lines is None:
         return None
-    lines = text.splitlines()
     if not lines:
         return TraceLog()
     module_range = _parse_header(1, json.loads(lines[0]))
@@ -511,14 +559,8 @@ def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
     events: list[AccessEvent] = []
     last_seq: tuple = ()  # the seq of the row before the chunk, if any
     for start in range(1, len(lines), _CHUNK_ROWS):
-        chunk = lines[start:start + _CHUNK_ROWS]
-        body = ",\n".join(chunk)
-        # Each line starts with "[" and ends with "]" when every join
-        # is "],\n[" (no line holds a "\n" to match it elsewhere).
-        if (body[:1] != "[" or body[-1:] != "]"
-                or body.count("],\n[") != len(chunk) - 1):
-            return None
-        decoded = _decode_columns("[" + body + "]", len(chunk))
+        decoded = _decode_chunk(lines[start:start + _CHUNK_ROWS], list,
+                                _columns)
         if decoded is None:
             return None
         (seqs, tids, cpls, kinds, addrs, sizes, rips, shape_col, vals,

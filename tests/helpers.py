@@ -37,7 +37,6 @@ from memtrace.trace import (
     TraceOrderError,
     TraceParseError,
     _hex,
-    _int_or_hex,
     _iter_lines,
     _parse_addr,
     _shown,
@@ -120,6 +119,16 @@ def random_log(rng: random.Random, n_events: int) -> TraceLog:
 # -- line-by-line trace parser oracle ------------------------------------
 
 
+def _reference_int_or_hex(value) -> int:
+    """An exact int or a 0x-prefixed hex string, as `args` cells hold."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.startswith("0x"):
+        return int(value, 16)
+    raise ValueError(f"{_shown(value)} is neither an integer nor a "
+                     "0x-prefixed hex string")
+
+
 def _reference_shape(raw: dict) -> dict:
     """Check a shape object and return its descriptor's arguments."""
     if "cat" not in raw or "sign" not in raw:
@@ -161,7 +170,7 @@ def _reference_row_to_event(row, shapes: list) -> AccessEvent:
     if args is not None:
         if not isinstance(args, list):
             raise ValueError(f"args must be a list, not {_shown(args)}")
-        args = tuple(_int_or_hex(a) for a in args)
+        args = tuple(_reference_int_or_hex(a) for a in args)
     return AccessEvent(
         seq=seq,
         thread_id=tid,

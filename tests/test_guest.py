@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from memtrace.guest import (
     Allowed,
     Guest,
     ModelOp,
+    ModelParseError,
     PageFault,
     ProgramModel,
     SimulationError,
@@ -29,7 +31,7 @@ from memtrace.guest import (
     serialize_model,
     transitions,
 )
-from memtrace.trace import CATEGORIES, InstrDescriptor
+from memtrace.trace import CATEGORIES, AccessEvent, InstrDescriptor
 
 from helpers import (
     MODULE_PAGE,
@@ -284,7 +286,7 @@ def _memory_outcome(call):
 MEMORY_OP = st.tuples(
     st.sampled_from(["read", "fetch", "write"]),
     st.integers(0x10 * PAGE_SIZE - 16, 0x16 * PAGE_SIZE + 16),
-    st.one_of(st.integers(0, 24), st.integers(0, 3 * PAGE_SIZE)),
+    st.one_of(st.integers(-PAGE_SIZE - 24, 24), st.integers(0, 3 * PAGE_SIZE)),
 )
 
 
@@ -300,7 +302,7 @@ class TestPageSlicedMemory:
         rng = random.Random(seed)
         for action, address, size in ops:
             if action == "write":
-                data = rng.randbytes(size)
+                data = rng.randbytes(max(size, 0))
                 got = _memory_outcome(lambda: guest.write_memory(address, data))
                 want = _memory_outcome(
                     lambda: reference_write_memory(reference, address, data))
@@ -477,6 +479,104 @@ class TestCaptureWork:
         assert len({e.value for e in log.events}) > 3
         assert len({e.register_args for e in log.events}) > 40
         assert len(checked) == len(distinct)
+
+    def test_one_event_check_per_emitter_key(self, monkeypatch):
+        """AccessEvent's checks run on the first event of each (cat,
+        sign, callee, cpl, kind, size, args or not), not on every event:
+        the others differ from it only in what the checks do not read."""
+        checked = []
+        post_init = AccessEvent.__post_init__
+
+        def counting(self):
+            checked.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(AccessEvent, "__post_init__", counting)
+        rng = random.Random(4)
+        ops = [ModelOp("alloc", callee="malloc", size=0x2000)]
+        for _ in range(3000):
+            choice = rng.randrange(7)
+            address = 0x9000 + 8 * rng.randrange(0x400)
+            if choice == 0:
+                ops.append(ModelOp("mov-write", addr=address,
+                                   size=rng.choice([1, 2, 4, 8]),
+                                   value=rng.randrange(1 << 16),
+                                   sign=rng.choice(["signed", "unsigned"])))
+            elif choice == 1:
+                ops.append(ModelOp("mov-read", addr=address,
+                                   size=rng.choice([4, 8]),
+                                   cat=rng.choice(["int-move", "float-move"])))
+            elif choice == 2:
+                ops.append(ModelOp("call", callee=rng.choice(["F", "G"]),
+                                   args=[rng.randrange(1 << 12)
+                                         for _ in range(rng.randrange(7))]))
+            elif choice == 3:
+                ops += [ModelOp("push", value=rng.randrange(9)),
+                        ModelOp("ret")]
+            elif choice == 4:
+                ops.append(ModelOp("xmm-zero", addr=address))
+            elif choice == 5:
+                ops.append(ModelOp("mode-switch"))
+            else:
+                ops += [ModelOp("sub-sp", amount=0x20), ModelOp("ret")]
+        log = run_model(make_model(ops))
+
+        def key(event):
+            return (event.instr.category, event.instr.signedness,
+                    event.instr.callee_id, event.cpl, event.kind,
+                    event.operand_size, event.register_args is None)
+
+        first = {}
+        for event in log.events:
+            first.setdefault(key(event), event)
+        assert len(log.events) > 3000
+        assert checked == list(first.values())
+        assert len(checked) < 64
+
+    @pytest.mark.parametrize("args", [(1, 2, 3), (1, 2, 3, 4, 5), [1, 2, 3],
+                                      ()])
+    def test_register_args_not_four_are_caught_after_the_first(self, args):
+        """The emitter checks an event of a checked key anew unless its
+        arguments are four in a tuple."""
+        emitter = guest_mod._Emitter(0)
+        for _ in range(2):
+            emitter.emit("write", 0x3000, 8, "user", 0x401000, cat="call",
+                         callee="Foo", args=(1, 2, 3, 4), value=0x401004)
+        with pytest.raises(ValueError, match="exactly 4 values"):
+            emitter.emit("write", 0x3000, 8, "user", 0x401000, cat="call",
+                         callee="Foo", args=args, value=0x401004)
+
+    def test_register_args_list_becomes_a_tuple(self):
+        emitter = guest_mod._Emitter(0)
+        for args in ((1, 2, 3, 4), [5, 6, 7, 8]):
+            emitter.emit("write", 0x3000, 8, "user", 0x401000, cat="call",
+                         callee="Foo", args=args, value=0x401004)
+        assert emitter.events[1].register_args == (5, 6, 7, 8)
+        assert type(emitter.events[1].register_args) is tuple
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(callee=1), "callee 1 is not a string"),
+        (dict(callee=["Foo"]), r"callee \['Foo'\] is not a string"),
+        (dict(args=["a", "b", "c", "d"]),
+         r"args \['a', 'b', 'c', 'd'\] must be a list of integers"),
+        (dict(args=[1.5]), r"args \[1.5\] must be a list of integers"),
+        (dict(args=[0, None]), r"args \[0, None\] must be a list of integers"),
+        (dict(args="abcd"), "args 'abcd' must be a list of integers"),
+        (dict(args=5), "args 5 must be a list of integers"),
+    ], ids=["int-callee", "list-callee", "string-args", "float-arg",
+            "none-arg", "string", "int"])
+    def test_call_values_checked_at_construction(self, kwargs, message):
+        """The emitter checks one event per kind, so a callee or an
+        argument of the wrong type must stop at the op: it would write a
+        trace that parse_trace rejects."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ModelOp("call", **kwargs)
+
+    @pytest.mark.parametrize("size", [1.5, "8", [8]])
+    def test_alloc_size_checked_at_construction(self, size):
+        """An alloc's size becomes its event's first argument."""
+        with pytest.raises(ValueError, match="^size .* is not an integer$"):
+            ModelOp("alloc", callee="malloc", size=size)
 
     def test_equal_args_of_other_types_are_not_shared(self):
         """`True == 1`, but each event holds its own arguments: the
@@ -737,3 +837,194 @@ class TestModelFiles:
         from memtrace.guest import ModelParseError
         with pytest.raises(ModelParseError):
             parse_model(b'{"op": "nop"}\n')
+
+    @pytest.mark.parametrize("field, op, value", [
+        ("size", "mov-write", "x"),
+        ("size", "mov-write", "16"),
+        ("amount", "sub-sp", "8"),
+        ("n_stack", "call", True),
+        ("args", "call", ["x", 0]),
+        ("args", "call", [1.5]),
+    ])
+    def test_bad_int_field_is_not_called_an_address(self, field, op, value):
+        record = {"op": op, "addr": "0x3000", field: value}
+        data = '{"entry_page": 1025, "sp_init": "0x7ff000"}\n' + json.dumps(
+            record)
+        shown = value[0] if field == "args" else value
+        with pytest.raises(ModelParseError) as info:
+            parse_model(data)
+        assert str(info.value) == (f"line 2: {shown!r} is neither an integer "
+                                   "nor a 0x-prefixed hex string")
+
+
+# -- the bulk model reader against the line reader ------------------------
+
+MODEL_HEADER = '{"entry_page": 1025, "sp_init": "0x7ff000", "tid": 2}'
+
+
+def _model_outcome(data):
+    """What parse_model makes of `data`: its model, or the line number and
+    text of the ModelParseError it raised."""
+    try:
+        return parse_model(data)
+    except ModelParseError as exc:
+        return exc.lineno, str(exc)
+
+
+def _random_model(rng: random.Random, n_ops: int):
+    ops = []
+    for _ in range(n_ops):
+        choice = rng.randrange(8)
+        if choice == 0:
+            ops.append(ModelOp("mov-write", addr=rng.randrange(0x3000, 0x8000),
+                               size=rng.choice([1, 2, 4, 8]),
+                               value=rng.randrange(1 << 70),
+                               sign=rng.choice([None, "signed"])))
+        elif choice == 1:
+            ops.append(ModelOp("mov-read", addr=rng.randrange(0x3000, 0x8000),
+                               cat=rng.choice([None, "float-move"])))
+        elif choice == 2:
+            ops.append(ModelOp("call", callee=rng.choice(
+                ["Fn", 'q"uo\\te', "n\u00efc\u00f6de", "\u2028", "tab\tnl\n"]),
+                args=[rng.randrange(1 << 40) for _ in range(rng.randrange(7))],
+                n_stack=rng.randrange(3)))
+        elif choice == 3:
+            ops.append(ModelOp("alloc", callee="malloc",
+                               size=rng.randrange(1, 0x2000)))
+        elif choice == 4:
+            ops.append(ModelOp("sub-sp", amount=0x20, rip=0x401000))
+        elif choice == 5:
+            ops.append(ModelOp("mode-switch", cpl=rng.choice([None, "kernel"])))
+        else:
+            ops.append(ModelOp(rng.choice(["push", "ret", "nop"]),
+                               value=rng.choice([None, 7])))
+    return make_model(ops, tid=2)
+
+
+# Values an op key may take: wrong types, an object, and lists holding
+# lists or objects, the values that could hide a line join inside an op.
+BAD_VALUES = ["x", "0x", 1.5, True, None, {}, {"a": 1}, [], [1, [2]],
+              [{"a": 1}, {"b": 2}], ["0x1", 2], [None], "kernel", "call"]
+OP_KEYS = ["op", "addr", "size", "value", "callee", "args", "n_stack",
+           "amount", "cpl", "cat", "sign", "rip", "x", "extra"]
+BREAKS = ["\u2028", "\u2029", "\x85", "}\u2028{", "}\u2029{", "}\x85{"]
+WHITESPACE = [" ", "\t", "\x0c", "\x0b", "\xa0", " \t "]
+MODEL_MUTATION = st.tuples(
+    st.sampled_from(["value", "join", "split", "blank", "space", "crlf",
+                     "bom", "break"]),
+    st.integers(0, 1 << 16),
+    st.integers(0, 1 << 16),
+)
+
+
+def _mutate_model(model, mutations) -> str:
+    lines = serialize_model(model).decode().splitlines()
+    records = [json.loads(line) for line in lines]
+    for action, where, which in mutations:
+        if action == "value" and len(records) > 1:
+            record = records[1 + where % (len(records) - 1)]
+            key = OP_KEYS[which // len(BAD_VALUES) % len(OP_KEYS)]
+            record[key] = BAD_VALUES[which % len(BAD_VALUES)]
+    lines = [json.dumps(r) for r in records]
+    end = "\n"
+    for action, where, which in mutations:
+        at = where % len(lines)
+        if action == "join" and at + 1 < len(lines):
+            lines[at:at + 2] = [lines[at] + ", "[:which % 3] + lines[at + 1]]
+        elif action == "split":
+            # At "}, {" where there is one, else at some ", "; then two
+            # later lines are joined, keeping the count of lines.
+            cut = lines[at].find("}, {")
+            cut = (cut + 1 if cut >= 0
+                   else lines[at].find(", ", which % (len(lines[at]) + 1)))
+            if cut >= 0:
+                lines[at:at + 1] = [lines[at][:cut],
+                                    lines[at][cut + 1:].lstrip(" ")]
+                if which % 2 and at + 3 < len(lines):
+                    lines[at + 2:at + 4] = [lines[at + 2] + ", "
+                                            + lines[at + 3]]
+        elif action == "blank":
+            lines.insert(at, WHITESPACE[which % len(WHITESPACE)] * (which % 3))
+        elif action == "space":
+            pad = WHITESPACE[which % len(WHITESPACE)]
+            lines[at] = pad + lines[at] if which % 2 else lines[at] + pad
+        elif action == "crlf":
+            end = "\r\n" if which % 2 else "\r"
+        elif action == "bom":
+            lines[at] = "\ufeff" + lines[at]
+        elif action == "break":
+            lines[at] = lines[at].replace(
+                '{"op": ', '{"callee": "ab%scd", "op": ' % BREAKS[
+                    which % len(BREAKS)], 1)
+    return end.join(lines)
+
+
+@given(seed=st.integers(0, 2**32), mutations=st.lists(MODEL_MUTATION,
+                                                      max_size=4),
+       chunk=st.sampled_from([1, 2, 3, guest_mod._CHUNK_ROWS]))
+@settings(max_examples=400, deadline=None)
+def test_bulk_model_reader_matches_line_reader(seed, mutations, chunk):
+    """parse_model on bytes and on text, read in bulk where the guards
+    allow, equals parse_model on the same lines as a stream, which only
+    the line reader reads: the model, or the line and text of the
+    error."""
+    rng = random.Random(seed)
+    text = _mutate_model(_random_model(rng, rng.randrange(0, 12)), mutations)
+    want = _model_outcome(iter(text.splitlines()))
+    with mock.patch.object(guest_mod, "_CHUNK_ROWS", chunk):
+        assert _model_outcome(text.encode()) == want
+        assert _model_outcome(text) == want
+
+
+def _split_op(op_line: str) -> str:
+    """`op_line` cut after its first "}," into two lines, with the next
+    two ops on one line, so the body holds as many ops as lines."""
+    cut = op_line.index("},") + 1
+    return "\n".join([MODEL_HEADER, op_line[:cut], op_line[cut + 1:].lstrip(),
+                      '{"op": "nop"}, {"op": "ret"}'])
+
+
+@pytest.mark.parametrize("op_line", [
+    '{"op": "call", "args": [{"a": 1}, {"b": 2}]}',
+    '{"op": "call", "callee": [{"a": 1}, {"b": 2}]}',
+    '{"op": "call", "x": [{"a": 1}, {"b": 2}]}',
+    '{"op": "call", "args": [[{"a": 1}, {"b": 2}]]}',
+    '{"op": "call", "callee": "ab},\u2028{cd"}',
+    '{"op": "call", "callee": "ab},\x85{cd"}',
+], ids=["args", "callee", "unknown-key", "nested", "u2028", "u0085"])
+def test_op_split_over_two_lines_is_rejected(op_line):
+    """Joined into one array, the body decodes to three ops from three
+    lines; read line by line, line 2 is not JSON."""
+    data = _split_op(op_line)
+    want = _model_outcome(iter(data.splitlines()))
+    assert want[0] == 2 and want[1].startswith("line 2: invalid JSON")
+    assert _model_outcome(data.encode()) == want
+
+
+@pytest.mark.parametrize("at", [0, 1, 5], ids=["first", "second", "sixth"])
+def test_bad_op_in_the_second_chunk(at):
+    """A fault past the first chunk of the default size is named at its
+    line, as the line reader names it."""
+    ops = ['{"op": "push", "value": "0x%x"}' % k
+           for k in range(guest_mod._CHUNK_ROWS + 8)]
+    bad = guest_mod._CHUNK_ROWS + at
+    ops[bad] = '{"op": "push", "value": "0x1g"}'
+    data = "\n".join([MODEL_HEADER] + ops).encode()
+    assert _model_outcome(data) == (
+        bad + 2, f"line {bad + 2}: invalid literal for int() with base 16: "
+        "'0x1g'")
+
+
+@given(seed=st.integers(0, 2**32), chunk=st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_written_models_never_take_the_line_reader(seed, chunk):
+    """Without this, a guard that is too strict would lose the bulk
+    reader's speed and every output would still match."""
+    rng = random.Random(seed)
+    model = _random_model(rng, rng.randrange(0, 12))
+    data = serialize_model(model)
+    with mock.patch.object(guest_mod, "_CHUNK_ROWS", chunk), \
+            mock.patch.object(guest_mod, "_read_model_lines",
+                              side_effect=AssertionError("line reader ran")):
+        for form in (data, data.decode(), data.replace(b"\n", b"\r\n")):
+            assert parse_model(form) == model
