@@ -11,12 +11,12 @@ the first fetch after it, by MBEC and legacy detection alike.
 
 Capture keeps its per-op work small.  The emitter runs AccessEvent's
 checks on the first event of each kind (category, signedness, callee,
-cpl, access kind, size, arguments or not) and fills the rest slot by
-slot.  Memory accesses that lie on one built page skip the per-page
-walk.  parse_model reads bytes and text a chunk of op lines per
-json.loads call where it can tell that each line holds one plain op,
-and everything else one line at a time; only the line reader reports
-errors.
+cpl, access kind, size, arguments or not) and builds the rest with one
+tuple.__new__ call each.  Memory accesses that lie on one built page
+skip the per-page walk.  parse_model reads bytes and text a chunk of op
+lines per json.loads call where it can tell that each line holds one
+plain op, and everything else one line at a time; only the line reader
+reports errors.
 """
 
 from __future__ import annotations
@@ -38,10 +38,8 @@ from .trace import (
     TraceLog,
     _bulk_lines,
     _decode_chunk,
-    _fill_event,
     _hex,
     _int_or_hex,
-    _new_event,
     _parse_addr,
     _shown,
     iter_json_lines,
@@ -638,12 +636,13 @@ class _Emitter:
                     signedness=sign,
                     callee_id=callee,
                 )
-            events.append(_new_event(len(events), self.tid, cpl, kind,
-                                     address, size, instr, rip, value, args))
+            events.append(AccessEvent(len(events), self.tid, cpl, kind,
+                                      address, size, instr, rip, value, args))
             self._checked[key] = instr
         else:
-            events.append(_fill_event(len(events), self.tid, cpl, kind,
-                                      address, size, instr, rip, value, args))
+            events.append(tuple.__new__(AccessEvent, (
+                len(events), self.tid, cpl, kind, address, size, instr, rip,
+                value, args)))
 
 
 def run(guest: Guest, model: ProgramModel,

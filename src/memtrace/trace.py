@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import gc
 import json
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
-from operator import attrgetter, is_, lt
-from typing import IO, Callable, Iterable, Iterator, Optional, Union
+from operator import is_, lt
+from typing import (IO, Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Union)
 
 CPL_VALUES = ("user", "kernel")
 KIND_VALUES = ("read", "write", "execute")
@@ -102,16 +102,8 @@ class InstrDescriptor:
                     f"callee_id {_shown(self.callee_id)} is not a string")
 
 
-@dataclass(frozen=True, slots=True)
-class AccessEvent:
-    """One intercepted memory access.
-
-    `value` carries the decoded operand value where one is meaningful
-    (stored/loaded data, pushed value, subtracted stack amount, or the
-    modeled return value of an allocator call).  `register_args` holds
-    RCX, RDX, R8 and R9 as a call or api-call event read them, and is
-    None on every other event.
-    """
+class _EventFields(NamedTuple):
+    """AccessEvent's fields; AccessEvent adds the checks."""
 
     seq: int
     thread_id: int
@@ -124,7 +116,46 @@ class AccessEvent:
     value: Optional[int] = None
     register_args: Optional[tuple[int, int, int, int]] = None
 
+
+class AccessEvent(_EventFields):
+    """One intercepted memory access.
+
+    `value` carries the decoded operand value where one is meaningful
+    (stored/loaded data, pushed value, subtracted stack amount, or the
+    modeled return value of an allocator call).  `register_args` holds
+    RCX, RDX, R8 and R9 as a call or api-call event read them, and is
+    None on every other event.
+
+    An event is an immutable named tuple of these ten fields, so it
+    equals the plain tuple of its fields, iterates over them, has length
+    10 and orders as that tuple does.  The constructor, _make, _replace
+    (and so copy.replace), pickle and copy all run __post_init__'s
+    checks on the fields, and the constructor stores a register_args of
+    another sequence type as a tuple.  The bulk trace reader and the
+    guest's emitter build most events with tuple.__new__(AccessEvent,
+    fields), which checks nothing, and run the checks on one event of
+    each (cpl, kind, size, shape, args or not), all that the checks read
+    but the args' own count and types.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, seq, thread_id, cpl, kind, address, operand_size, instr,
+                rip, value=None, register_args=None):
+        event = tuple.__new__(cls, (seq, thread_id, cpl, kind, address,
+                                    operand_size, instr, rip, value,
+                                    register_args))
+        event.__post_init__()
+        if register_args is None or type(register_args) is tuple:
+            return event
+        return tuple.__new__(cls, (*event[:-1], tuple(register_args)))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
     def __post_init__(self):
+        """The checks every public way of making an event runs."""
         if self.cpl not in CPL_VALUES:
             raise ValueError(f"bad cpl {_shown(self.cpl)}")
         if self.kind not in KIND_VALUES:
@@ -146,7 +177,6 @@ class AccessEvent:
             if not all(isinstance(arg, int) for arg in self.register_args):
                 raise ValueError(f"register_args {_shown(self.register_args)} "
                                  "must be integers")
-            object.__setattr__(self, "register_args", tuple(self.register_args))
 
 
 @dataclass(frozen=True)
@@ -226,47 +256,6 @@ def _int_or_hex(value) -> int:
 
 COLUMNS = ("seq", "tid", "cpl", "kind", "addr", "size", "rip", "instr", "val",
            "args")
-_new_object = object.__new__
-(_set_seq, _set_thread_id, _set_cpl, _set_kind, _set_address,
- _set_operand_size, _set_instr, _set_rip, _set_value, _set_register_args) = (
-    AccessEvent.__dict__[name].__set__
-    for name in ("seq", "thread_id", "cpl", "kind", "address",
-                 "operand_size", "instr", "rip", "value", "register_args")
-)
-
-
-def _fill_event(seq, thread_id, cpl, kind, address, operand_size, instr,
-                rip, value, register_args) -> AccessEvent:
-    """An AccessEvent with its slots filled directly and left unchecked:
-    for a caller that has checked an event of the same cpl, kind, size,
-    category and presence of register_args, on which all of
-    __post_init__'s checks but the arguments' own depend."""
-    event = _new_object(AccessEvent)
-    _set_seq(event, seq)
-    _set_thread_id(event, thread_id)
-    _set_cpl(event, cpl)
-    _set_kind(event, kind)
-    _set_address(event, address)
-    _set_operand_size(event, operand_size)
-    _set_instr(event, instr)
-    _set_rip(event, rip)
-    _set_value(event, value)
-    _set_register_args(event, register_args)
-    return event
-
-
-def _new_event(seq, thread_id, cpl, kind, address, operand_size, instr,
-               rip, value, register_args) -> AccessEvent:
-    """The AccessEvent the constructor gives, at half its cost: the
-    slots are filled directly and then checked by __post_init__.  The
-    trace parser's line reader builds every event here, and the guest's
-    emitter the first of each kind, around shared descriptors."""
-    event = _fill_event(seq, thread_id, cpl, kind, address, operand_size,
-                        instr, rip, value, register_args)
-    event.__post_init__()
-    return event
-
-
 def _record_to_instr(raw: dict) -> InstrDescriptor:
     """The descriptor of a shape object."""
     if "cat" not in raw or "sign" not in raw:
@@ -400,7 +389,7 @@ def _parse_lines(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
         module_range = _parse_header(lineno, record)
         break
     shapes: list[InstrDescriptor] = []
-    new_event, parse_addr = _new_event, _parse_addr
+    parse_addr = _parse_addr
     cpl_unwire, kind_unwire = _CPL_UNWIRE, _KIND_UNWIRE
     last_seq = None
     for lineno, row in records:
@@ -430,9 +419,9 @@ def _parse_lines(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
             value = None if val is None else parse_addr(val)
             if args is not None:
                 args = _parse_args(args)
-            event = new_event(seq, tid, cpl_unwire.get(cpl, cpl),
-                              kind_unwire.get(kind, kind), parse_addr(addr),
-                              size, instr, parse_addr(rip), value, args)
+            event = AccessEvent(seq, tid, cpl_unwire.get(cpl, cpl),
+                                kind_unwire.get(kind, kind), parse_addr(addr),
+                                size, instr, parse_addr(rip), value, args)
         except (TypeError, ValueError) as exc:
             raise TraceParseError(lineno, str(exc)) from exc
         if last_seq is not None and seq <= last_seq:
@@ -446,20 +435,12 @@ def _parse_lines(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
 
 _CHUNK_ROWS = 1024  # event lines per json.loads call in _parse_chunks
 _SHAPE_KEYS = frozenset(("cat", "sign", "callee"))
-_SLOT_SETTERS = (_set_seq, _set_thread_id, _set_cpl, _set_kind, _set_address,
-                 _set_operand_size, _set_instr, _set_rip, _set_value,
-                 _set_register_args)
-_category = attrgetter("category")
 
 
-def _bulk_lines(data: Union[bytes, str]) -> Optional[list[str]]:
+def _bulk_lines(data: Union[bytes, str]) -> list[str]:
     """The lines of `data`, split as the line reader splits them, for a
-    bulk reader; None when the text holds a U+0085, U+2028 or U+2029,
-    where str.splitlines ends a line but JSON allows the character raw
-    in a string, so a line could end inside a value."""
+    bulk reader."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    if "\x85" in text or "\u2028" in text or "\u2029" in text:
-        return None
     return text.splitlines()
 
 
@@ -477,8 +458,11 @@ def _decode_chunk(chunk: list[str], row_type: type,
     each line as exactly the one row the line reader reads there, if it
     takes no row that holds, at any depth, an array with two values of
     `row_type` side by side:
-    - a join inside a string would put a raw newline there, which
-      json.loads rejects, so every join lies between values;
+    - both readers split lines with str.splitlines, which also ends a
+      line at a U+0085, U+2028 or U+2029 that JSON allows raw in a
+      string.  A line cut inside a string leaves that string open at
+      the end of its chunk, or the join puts a raw "\n" inside it; both
+      fail in json.loads, so every join lies between values;
     - each line starts with the opening bracket and ends with the
       closing one exactly when every join reads close ",\n" open (no
       line holds a "\n" to match it elsewhere).  So a join closes a
@@ -545,18 +529,20 @@ def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
     The rows are then checked column by column with the line reader's
     rules: exact ints, strictly increasing seq, shape indices naming an
     earlier shape, 0x-hex addr and rip, a val that is null or 0x-hex,
-    and AccessEvent's __post_init__ once per distinct (cpl, kind, size,
-    category, args or not).  Only the rows that carry args convert
-    them; args spelled in hex are left to the line reader.
+    and AccessEvent's checks on one event of each distinct (cpl, kind,
+    size, shape, args or not) in the text: they read nothing else but
+    the args' count and types, which are checked by column.  Each event
+    is built by one tuple.__new__ call.  Only the rows that carry args
+    convert them; args spelled in hex are left to the line reader.
     """
     lines = _bulk_lines(data)
-    if lines is None:
-        return None
     if not lines:
         return TraceLog()
     module_range = _parse_header(1, json.loads(lines[0]))
     shapes: list[InstrDescriptor] = []
     events: list[AccessEvent] = []
+    # An event of each (cpl, kind, size, shape, args or not).
+    representatives: dict = {}
     last_seq: tuple = ()  # the seq of the row before the chunk, if any
     for start in range(1, len(lines), _CHUNK_ROWS):
         decoded = _decode_chunk(lines[start:start + _CHUNK_ROWS], list,
@@ -603,14 +589,14 @@ def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
         columns = (seqs, tids, cpls, kinds, map(int, addrs, repeat(16)),
                    sizes, instrs, map(int, rips, repeat(16)), values,
                    register_args)
-        chunk_events = list(map(_new_object, repeat(AccessEvent, len(seqs))))
-        for set_slot, column in zip(_SLOT_SETTERS, columns):
-            deque(map(set_slot, chunk_events, column), 0)
-        checked = zip(cpls, kinds, sizes, map(_category, instrs),
-                      map(is_, args_col, repeat(None)))
-        for event in dict(zip(checked, chunk_events)).values():
-            event.__post_init__()
+        chunk_events = list(map(tuple.__new__, repeat(AccessEvent),
+                                zip(*columns)))
+        keys = zip(cpls, kinds, sizes, shape_col,
+                   map(is_, args_col, repeat(None)))
+        representatives.update(zip(keys, chunk_events))
         events += chunk_events
+    for event in representatives.values():
+        event.__post_init__()
     return TraceLog(events=tuple(events), module_range=module_range)
 
 
@@ -639,29 +625,27 @@ def serialize_trace(log: TraceLog) -> bytes:
     ]
     dumps, cpl_wire, kind_wire = json.dumps, _CPL_WIRE, _KIND_WIRE
     shapes: dict = {}  # (cat, sign, callee) -> the shape's index
-    for event in log.events:
-        instr = event.instr
+    # Unpacking an event reads its fields faster than its attributes do.
+    for seq, tid, cpl, kind, address, size, instr, rip, value, args in (
+            log.events):
         key = (instr.category, instr.signedness, instr.callee_id)
         shape = shapes.get(key)
         if shape is None:
             shapes[key] = len(shapes)
             shape = dumps(_instr_shape(instr))
-        value = event.value
         val = "null" if value is None else f'"0x{value:x}"'
-        args = event.register_args
         if args is None:
             args = "null"
         elif set(map(type, args)) == {int}:
             args = "[{}, {}, {}, {}]".format(*args)
         else:
             args = dumps(args)
-        seq, tid, size = event.seq, event.thread_id, event.operand_size
         if type(seq) is not int or type(tid) is not int or type(size) is not int:
             seq, tid, size = dumps(seq), dumps(tid), dumps(size)
         lines.append(
-            f'[{seq}, {tid}, "{cpl_wire[event.cpl]}", '
-            f'"{kind_wire[event.kind]}", "0x{event.address:x}", {size}, '
-            f'"0x{event.rip:x}", {shape}, {val}, {args}]'
+            f'[{seq}, {tid}, "{cpl_wire[cpl]}", '
+            f'"{kind_wire[kind]}", "0x{address:x}", {size}, '
+            f'"0x{rip:x}", {shape}, {val}, {args}]'
         )
     return ("\n".join(lines) + "\n").encode("utf-8")
 

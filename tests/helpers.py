@@ -106,6 +106,49 @@ def random_event(rng: random.Random, seq: int) -> AccessEvent:
     )
 
 
+def capture_mix_ops(rng: random.Random, n: int) -> list:
+    """An alloc, then n ops of many event kinds: writes and reads of
+    several sizes, categories and signs, calls with 0 to 6 arguments,
+    pushes, xmm zeroing, mode switches and stack buffers."""
+    ops = [ModelOp("alloc", callee="malloc", size=0x2000)]
+    for _ in range(n):
+        choice = rng.randrange(7)
+        address = 0x9000 + 8 * rng.randrange(0x400)
+        if choice == 0:
+            ops.append(ModelOp("mov-write", addr=address,
+                               size=rng.choice([1, 2, 4, 8]),
+                               value=rng.randrange(1 << 16),
+                               sign=rng.choice(["signed", "unsigned"])))
+        elif choice == 1:
+            ops.append(ModelOp("mov-read", addr=address,
+                               size=rng.choice([4, 8]),
+                               cat=rng.choice(["int-move", "float-move"])))
+        elif choice == 2:
+            ops.append(ModelOp("call", callee=rng.choice(["F", "G"]),
+                               args=[rng.randrange(1 << 12)
+                                     for _ in range(rng.randrange(7))]))
+        elif choice == 3:
+            ops += [ModelOp("push", value=rng.randrange(9)), ModelOp("ret")]
+        elif choice == 4:
+            ops.append(ModelOp("xmm-zero", addr=address))
+        elif choice == 5:
+            ops.append(ModelOp("mode-switch"))
+        else:
+            ops += [ModelOp("sub-sp", amount=0x20), ModelOp("ret")]
+    return ops
+
+
+def assert_built_as_constructed(events) -> None:
+    """Each event is an AccessEvent, exactly, and equals, field by field
+    and type by type, the event the public constructor builds from its
+    fields: what an event built without the checks must be."""
+    for event in events:
+        assert type(event) is AccessEvent
+        rebuilt = AccessEvent(*event)
+        assert rebuilt == event
+        assert list(map(type, rebuilt)) == list(map(type, event))
+
+
 def random_log(rng: random.Random, n_events: int) -> TraceLog:
     seq = 0
     events = []
@@ -186,7 +229,7 @@ def _reference_row_to_event(row, shapes: list) -> AccessEvent:
 
 
 def reference_parse_trace(stream) -> TraceLog:
-    """`trace.parse_trace` without descriptor sharing or slot filling:
+    """`trace.parse_trace` without descriptor sharing or unchecked events:
     one `json.loads` per line, and every event and descriptor built and
     checked through its constructor."""
     events: list[AccessEvent] = []

@@ -36,6 +36,8 @@ from memtrace.trace import CATEGORIES, AccessEvent, InstrDescriptor
 from helpers import (
     MODULE_PAGE,
     SP_INIT,
+    assert_built_as_constructed,
+    capture_mix_ops,
     event_tuples,
     make_model,
     reference_fetch_memory,
@@ -492,34 +494,7 @@ class TestCaptureWork:
             post_init(self)
 
         monkeypatch.setattr(AccessEvent, "__post_init__", counting)
-        rng = random.Random(4)
-        ops = [ModelOp("alloc", callee="malloc", size=0x2000)]
-        for _ in range(3000):
-            choice = rng.randrange(7)
-            address = 0x9000 + 8 * rng.randrange(0x400)
-            if choice == 0:
-                ops.append(ModelOp("mov-write", addr=address,
-                                   size=rng.choice([1, 2, 4, 8]),
-                                   value=rng.randrange(1 << 16),
-                                   sign=rng.choice(["signed", "unsigned"])))
-            elif choice == 1:
-                ops.append(ModelOp("mov-read", addr=address,
-                                   size=rng.choice([4, 8]),
-                                   cat=rng.choice(["int-move", "float-move"])))
-            elif choice == 2:
-                ops.append(ModelOp("call", callee=rng.choice(["F", "G"]),
-                                   args=[rng.randrange(1 << 12)
-                                         for _ in range(rng.randrange(7))]))
-            elif choice == 3:
-                ops += [ModelOp("push", value=rng.randrange(9)),
-                        ModelOp("ret")]
-            elif choice == 4:
-                ops.append(ModelOp("xmm-zero", addr=address))
-            elif choice == 5:
-                ops.append(ModelOp("mode-switch"))
-            else:
-                ops += [ModelOp("sub-sp", amount=0x20), ModelOp("ret")]
-        log = run_model(make_model(ops))
+        log = run_model(make_model(capture_mix_ops(random.Random(4), 3000)))
 
         def key(event):
             return (event.instr.category, event.instr.signedness,
@@ -1028,3 +1003,13 @@ def test_written_models_never_take_the_line_reader(seed, chunk):
                               side_effect=AssertionError("line reader ran")):
         for form in (data, data.decode(), data.replace(b"\n", b"\r\n")):
             assert parse_model(form) == model
+
+
+@given(seed=st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_emitted_events_are_the_constructors_events(seed):
+    """Every event the emitter builds, all but the first of each kind
+    without the checks, is the event the checking constructor builds."""
+    rng = random.Random(seed)
+    log = run_model(_random_model(rng, rng.randrange(0, 40)))
+    assert_built_as_constructed(log.events)

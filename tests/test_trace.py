@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import gc
 import io
 import json
+import pickle
 import random
 import re
 from unittest import mock
@@ -24,6 +26,8 @@ from memtrace.trace import (
 )
 
 from helpers import (
+    assert_built_as_constructed,
+    capture_mix_ops,
     make_model,
     random_event,
     random_log,
@@ -84,6 +88,76 @@ class TestEventInvariants:
         with pytest.raises(ValueError, match="must be integers$"):
             make_event(kind="write", instr=InstrDescriptor(category="call"),
                        register_args=args)
+
+
+class TestEventIsANamedTuple:
+    CALL = InstrDescriptor(category="call", callee_id="Foo")
+
+    def test_equals_the_tuple_of_its_fields(self):
+        event = make_event(seq=3, value=7)
+        fields = (3, 0, "user", "read", 0x1000, 8,
+                  InstrDescriptor(category="int-move"), 0x401000, 7, None)
+        assert event == fields
+        assert tuple(event) == fields
+        assert len(event) == 10
+        assert event._fields == ("seq", "thread_id", "cpl", "kind", "address",
+                                 "operand_size", "instr", "rip", "value",
+                                 "register_args")
+        with pytest.raises(AttributeError):
+            event.seq = 4
+
+    def test_replace_runs_the_checks(self):
+        event = make_event()
+        with pytest.raises(ValueError, match="^bad cpl 'bogus'$"):
+            event._replace(cpl="bogus")
+        with pytest.raises(ValueError, match="not allowed for category"):
+            event._replace(register_args=(0, 0, 0, 0))
+        with pytest.raises(ValueError, match="unexpected field names"):
+            event._replace(bogus=1)
+        assert event._replace(seq=5).seq == 5
+
+    def test_make_runs_the_checks(self):
+        fields = list(make_event(kind="write", instr=self.CALL,
+                                 register_args=(1, 2, 3, 4)))
+        assert type(AccessEvent._make(fields)) is AccessEvent
+        for at, bad in [(2, "root"), (3, "jump"), (5, 3),
+                        (9, (1, 2, 3)), (9, ("a", 0, 0, 0))]:
+            wrong = fields[:at] + [bad] + fields[at + 1:]
+            with pytest.raises(ValueError):
+                AccessEvent._make(wrong)
+        with pytest.raises(TypeError):
+            AccessEvent._make(fields[:9] + [None, None])
+
+    def test_every_constructor_stores_args_as_a_tuple(self):
+        event = make_event(kind="write", instr=self.CALL,
+                           register_args=[1, 2, 3, 4])
+        assert type(event.register_args) is tuple
+        for made in (event._replace(register_args=[5, 6, 7, 8]),
+                     AccessEvent._make(list(event)[:9] + [[5, 6, 7, 8]])):
+            assert made.register_args == (5, 6, 7, 8)
+            assert type(made.register_args) is tuple
+
+    @pytest.mark.parametrize("clone", [
+        lambda event: pickle.loads(pickle.dumps(event)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_round_trips(self, clone):
+        for event in (make_event(seq=9, value=1 << 70),
+                      make_event(kind="write", instr=self.CALL,
+                                 register_args=(1, 2, 3, 1 << 64))):
+            got = clone(event)
+            assert got == event
+            assert type(got) is AccessEvent
+            assert type(got.register_args) is type(event.register_args)
+
+    def test_unpickling_runs_the_checks(self):
+        """pickle rebuilds an event through its constructor, so a pickle
+        of a bad event, built without the checks, fails to load."""
+        fields = tuple(make_event())
+        bad = tuple.__new__(AccessEvent, fields[:2] + ("root",) + fields[3:])
+        with pytest.raises(ValueError, match="^bad cpl 'root'$"):
+            pickle.loads(pickle.dumps(bad))
 
 
 class TestParseSerialize:
@@ -271,8 +345,8 @@ class TestInternedDescriptors:
         events = []
         for seq in range(300):
             template = rng.choice(pool)
-            events.append(dataclasses.replace(
-                template, seq=seq, address=rng.randrange(1 << 40)))
+            events.append(template._replace(
+                seq=seq, address=rng.randrange(1 << 40)))
         data = serialize_trace(TraceLog(events=tuple(events),
                                         module_range=(0, 0x1000)))
         rows = [json.loads(line) for line in data.decode().splitlines()[1:]]
@@ -357,8 +431,8 @@ def _template_log(rng: random.Random, n_events: int) -> TraceLog:
         args = event.register_args
         if args is not None:
             args = tuple(rng.choice([0, 1, 2, 0x40]) for _ in range(4))
-        events.append(dataclasses.replace(
-            event, seq=seq, thread_id=rng.randrange(3),
+        events.append(event._replace(
+            seq=seq, thread_id=rng.randrange(3),
             address=rng.randrange(1 << 40), register_args=args))
     return TraceLog(events=tuple(events), module_range=(0x1000, 0x2000))
 
@@ -717,8 +791,8 @@ def _readable(log: TraceLog) -> TraceLog:
         args = event.register_args
         if args is not None:
             args = tuple(map(int, args))
-        events.append(dataclasses.replace(
-            event, seq=seq, thread_id=int(event.thread_id),
+        events.append(event._replace(
+            seq=seq, thread_id=int(event.thread_id),
             operand_size=int(event.operand_size), register_args=args))
     return dataclasses.replace(log, events=tuple(events))
 
@@ -792,6 +866,45 @@ def test_bulk_reader_leaves_the_collector_as_it_found_it(enabled):
 def test_long_writer_output_never_takes_the_line_reader():
     log = _template_log(random.Random(11), 3 * trace._CHUNK_ROWS + 5)
     assert _read_in_bulk(serialize_trace(log)) == log
+
+
+@pytest.mark.parametrize("chunk", [7, trace._CHUNK_ROWS])
+def test_one_event_check_per_bulk_reader_key(monkeypatch, chunk):
+    """The bulk reader runs AccessEvent's checks on one event of each
+    (cpl, kind, size, shape, args or not) in the whole text, over every
+    chunk, not on every row: the other rows differ from it only in what
+    the checks do not read, or in the args' count and types, which the
+    reader checks by column."""
+    log = run_model(make_model(capture_mix_ops(random.Random(4), 3000)))
+    data = serialize_trace(log)
+    checked = []
+    post_init = AccessEvent.__post_init__
+
+    def counting(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(AccessEvent, "__post_init__", counting)
+    got = _read_in_bulk(data, chunk)
+    assert got == log
+    keys = {(e.cpl, e.kind, e.operand_size, e.instr, e.register_args is None)
+            for e in got.events}
+    assert len(got.events) > 10 * len(keys)
+    assert len(checked) == len(keys)
+    assert {(e.cpl, e.kind, e.operand_size, e.instr,
+             e.register_args is None) for e in checked} == keys
+
+
+@given(log=writer_logs(), seed=st.integers(0, 2**32), chunk=st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_read_events_are_the_constructors_events(log, seed, chunk):
+    """Every event either reader builds, most of them without the
+    checks, is the event the checking constructor builds."""
+    for log in (_readable(log), _template_log(random.Random(seed), 30)):
+        data = serialize_trace(log)
+        for got in (_read_in_bulk(data, chunk), trace._parse_lines(data)):
+            assert got == log
+            assert_built_as_constructed(got.events)
 
 
 @pytest.mark.parametrize("line", [
