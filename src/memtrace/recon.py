@@ -5,21 +5,31 @@ pointer-valued call parameters, stack patterns), recover per-call
 parameters under the Windows x64 fastcall convention, reconstruct
 structure layouts with typed fields, and flag known API-call sequences.
 
-Every analysis reads a trace in a fixed number of linear passes.  Call
-parameters come from one forward pass that keeps, per thread, the writes
-since that thread's previous call.  A value counts as a pointer when it
-falls inside a known allocation (one bisection in an OwnerIndex) or in
-mapped memory, and mapped memory is the set of pages the trace touched
-plus the main-module range: an address no event came near is never
-taken for a pointer.
+Every analysis reads a trace in a fixed number of linear passes.  One
+forward pass, _frames, unpacks each event once and gives the call frames
+and the stack patterns together: per thread it keeps the writes since
+that thread's previous call, which the call's stack parameters are read
+from, its sub-sp amounts and its runs of XMM zeroing stores.
+collect_bases adds two more passes, the allocator hooks
+(find_allocations) and the touched pages (_TouchedMemory).  These keep
+their own passes: each reads little of an event, and reconstruct_layout
+needs them without the frames, where a scan fused with the frames pass
+cost about three times as much per event as the two of them.
+
+A value counts as a pointer when it falls inside a known allocation (one
+bisection in an OwnerIndex) or in mapped memory, and mapped memory is
+the set of pages the trace touched plus the main-module range: an
+address no event came near is never taken for a pointer.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
+# Unused here: bench/spans.py times split_by_thread through this module.
 from .trace import (ARG_CATEGORIES, PAGE_SIZE, AccessEvent, TraceLog,
                     _program_accesses, split_by_thread)
 
@@ -181,90 +191,106 @@ def _is_pointer_value(value: Optional[int], owners: OwnerIndex,
     return value in mapped
 
 
+def _frames(log: TraceLog) -> tuple[list, list[AllocationRecord]]:
+    """Call frames and stack-pattern records, in one forward pass.
+
+    Returns (calls, stack).  `calls` pairs every call and api-call event,
+    in seq order, with its stack parameters.  Each thread keeps a dict
+    address -> last written value of its writes (syscall writes included)
+    since its previous call.  A call event is the return-address push, so
+    the pre-call stack pointer is its address + 8; its extra parameters
+    are the values in that dict at SP+0x20, SP+0x28, ..., up to the first
+    slot with no write.  The dict is then cleared, so an earlier frame's
+    stale slots are never read.  This relies on seq order, which
+    parse_trace enforces.
+
+    `stack` lists the threads by first appearance; each gives its sub-sp
+    records, then its XMM runs.  A sub of at most 0x20 is shadow space
+    and ignored; a larger one yields a buffer shrunk by the shadow
+    adjustment.  A maximal run of zeroing stores, each 16 bytes above
+    the one before with no other event of the thread between them,
+    yields a buffer from the lowest stored address to the run's end.
+    """
+    # tid -> [written slots, sub-sp records, XMM runs, the open run]; a
+    # run is [first store, the address that would extend it].
+    threads: dict[int, list] = defaultdict(lambda: [{}, [], [], None])
+    calls = []
+    for event in log.events:
+        _, tid, _, kind, address, _, instr, rip, value, _ = event
+        thread = threads[tid]
+        category = instr.category
+        if category in ARG_CATEGORIES:
+            slots = thread[0]
+            stack_params = []
+            slot = address + 8 + STACK_SLOT_BASE
+            while slot in slots:
+                stack_params.append(slots[slot])
+                slot += 8
+            slots.clear()
+            calls.append((event, tuple(stack_params)))
+        elif kind == "write":
+            thread[0][address] = value or 0
+        if category == "xmm-zero-store":
+            run = thread[3]
+            if run is not None and run[1] == address:
+                run[1] += 16
+            else:
+                thread[3] = [event, address + 16]
+                thread[2].append(thread[3])
+            continue
+        thread[3] = None
+        if category == "sub-sp" and (value or 0) > SHADOW_SPACE:
+            thread[1].append(AllocationRecord(
+                base=address, size=value - SHADOW_SPACE,
+                source="stack-pattern", site_rip=rip))
+    stack = []
+    for _, subs, runs, _ in threads.values():
+        stack += subs
+        stack += [AllocationRecord(base=first.address, size=end - first.address,
+                                   source="stack-pattern", site_rip=first.rip)
+                  for first, end in runs]
+    return calls, stack
+
+
 def recover_calls(log: TraceLog,
                   allocations: Sequence[AllocationRecord] = ()
                   ) -> list[CallRecord]:
     """Fastcall parameters of every call/api-call event, in seq order.
 
-    One forward pass.  Each thread keeps a dict address -> last written
-    value of its writes (syscall writes included) since its previous
-    call.  A call event is the return-address push, so the pre-call stack
-    pointer is its address + 8; its extra parameters are the values in
-    that dict at SP+0x20, SP+0x28, ..., up to the first slot with no
-    write.  The dict is then cleared, so an earlier frame's stale slots
-    are never read.  This relies on seq order, which parse_trace
-    enforces.  Pointer flags test the allocations, through one
-    OwnerIndex, and _TouchedMemory.
+    The stack parameters come from _frames.  Pointer flags test the
+    allocations, through one OwnerIndex, and _TouchedMemory.
     """
     owners = OwnerIndex(allocations)
     mapped = _TouchedMemory(log)
-    writes: dict[int, dict[int, int]] = {}
     records = []
-    for event in log.events:
-        slots = writes.setdefault(event.thread_id, {})
-        if event.instr.category not in ARG_CATEGORIES:
-            if event.kind == "write":
-                slots[event.address] = event.value or 0
-            continue
-        stack_params: list[int] = []
-        slot = event.address + 8 + STACK_SLOT_BASE
-        while slot in slots:
-            stack_params.append(slots[slot])
-            slot += 8
-        slots.clear()
-        reg_params = event.register_args or (0, 0, 0, 0)
+    for event, stack_params in _frames(log)[0]:
+        seq, tid, _, _, _, _, instr, rip, value, args = event
+        reg_params = args or (0, 0, 0, 0)
         if stack_params:
             param_count = 4 + len(stack_params)
         else:  # up to the last non-zero register
             param_count = max((k + 1 for k, v in enumerate(reg_params) if v),
                               default=0)
         records.append(CallRecord(
-            callee_id=event.instr.callee_id,
+            callee_id=instr.callee_id,
             reg_params=reg_params,
-            stack_params=tuple(stack_params),
+            stack_params=stack_params,
             param_count=param_count,
-            return_address=event.value,
-            pointer_flags=tuple(
-                _is_pointer_value(v, owners, mapped)
-                for v in list(reg_params) + stack_params
-            ),
-            seq=event.seq,
-            thread_id=event.thread_id,
-            rip=event.rip,
+            return_address=value,
+            pointer_flags=tuple(_is_pointer_value(v, owners, mapped)
+                                for v in reg_params + stack_params),
+            seq=seq,
+            thread_id=tid,
+            rip=rip,
         ))
     return records
 
 
 def find_stack_buffers(log: TraceLog) -> list[AllocationRecord]:
-    """Stack-pattern allocation records from sub-sp amounts and XMM runs.
-
-    A sub of exactly 0x20 immediately before a call is shadow space and
-    ignored; larger subs yield a buffer shrunk by the shadow adjustment.
-    A maximal run of k consecutive 16-byte-stepped zeroing stores yields
-    a 16k-byte buffer at the lowest stored address.
-    """
-    records = []
-    for threads in split_by_thread(log).values():
-        for event in threads:
-            if event.instr.category != "sub-sp":
-                continue
-            amount = event.value or 0
-            if amount <= SHADOW_SPACE:
-                continue
-            records.append(AllocationRecord(
-                base=event.address, size=amount - SHADOW_SPACE,
-                source="stack-pattern", site_rip=event.rip,
-            ))
-        stores = [(index, event) for index, event in enumerate(threads)
-                  if event.instr.category == "xmm-zero-store"]
-        for run in _maximal_runs(stores, lambda a, b: (
-                b[0] == a[0] + 1 and b[1].address == a[1].address + 16)):
-            event = run[0][1]
-            records.append(AllocationRecord(
-                base=event.address, size=16 * len(run),
-                source="stack-pattern", site_rip=event.rip,
-            ))
-    return records
+    """Stack-pattern allocation records from sub-sp amounts and XMM runs,
+    as _frames finds them: threads by first appearance, each with its
+    sub-sp records, then its XMM runs."""
+    return _frames(log)[1]
 
 
 def _maximal_runs(items: Sequence, follows: Callable[[object, object], bool]
@@ -289,25 +315,22 @@ def collect_bases(log: TraceLog) -> list[AllocationRecord]:
     On a duplicate base the heap-hook record wins: it carries the exact
     size.  A call parameter becomes a base when it points into a heap
     allocation or into a page the trace touched (or the main module).
-    The trace is read in a fixed number of linear passes: the allocator
-    hooks, the touched pages, the call pass and the per-thread split.
+    The trace is read in three linear passes: the allocator hooks, the
+    touched pages, and _frames, which gives the call frames and the
+    stack-pattern records together.
     """
     heap = find_allocations(log)
-    merged: dict[int, AllocationRecord] = {}
-    for record in heap:
-        merged[record.base] = record
-    for call in recover_calls(log, heap):
-        for value, is_pointer in zip(
-            list(call.reg_params) + list(call.stack_params), call.pointer_flags
-        ):
-            if not is_pointer or value in merged:
-                continue
-            merged[value] = AllocationRecord(
-                base=value, size=0, source="call-param", site_rip=call.rip,
-            )
-    for record in find_stack_buffers(log):
-        if record.base not in merged:
-            merged[record.base] = record
+    owners = OwnerIndex(heap)
+    mapped = _TouchedMemory(log)
+    merged = {record.base: record for record in heap}
+    calls, stack = _frames(log)
+    for event, stack_params in calls:
+        for value in (event.register_args or (0, 0, 0, 0)) + stack_params:
+            if value not in merged and _is_pointer_value(value, owners, mapped):
+                merged[value] = AllocationRecord(
+                    base=value, size=0, source="call-param", site_rip=event.rip)
+    for record in stack:
+        merged.setdefault(record.base, record)
     return sorted(merged.values(), key=lambda r: r.base)
 
 
@@ -358,9 +381,7 @@ def _infer_field_type(accesses: Sequence[AccessEvent], owners: OwnerIndex,
 
 
 def reconstruct_layout(log: TraceLog, base: int,
-                       size_hint: Optional[int] = None,
-                       allocations: Optional[Sequence[AllocationRecord]] = None
-                       ) -> LayoutRecord:
+                       size_hint: Optional[int] = None) -> LayoutRecord:
     """Two-phase layout reconstruction over [base, base + window).
 
     Phase 1 groups the program's own accesses (in-module reads and
@@ -371,8 +392,7 @@ def reconstruct_layout(log: TraceLog, base: int,
     indistinguishable from one.
     """
     window = size_hint or DEFAULT_WINDOW
-    owners = OwnerIndex(find_allocations(log) if allocations is None
-                        else allocations)
+    owners = OwnerIndex(find_allocations(log))
     mapped = _TouchedMemory(log)
     by_offset: dict[int, list[AccessEvent]] = {}
     for event in _program_accesses(log):

@@ -311,8 +311,10 @@ def iter_json_lines(
     """
     for lineno, line in enumerate(_iter_lines(stream), start=1):
         # json.loads skips only JSON whitespace, but a line of any
-        # whitespace at all counts as blank.
-        text = line.strip(_JSON_WHITESPACE)
+        # whitespace at all counts as blank.  Trailing whitespace stays
+        # until the value is decoded: a "\r" inside an unterminated
+        # string is an invalid control character to json.loads.
+        text = line.lstrip(_JSON_WHITESPACE)
         if not text or text.isspace():
             continue
         try:
@@ -326,7 +328,7 @@ def iter_json_lines(
             raise error(lineno, f"invalid JSON: {reason}") from exc
         except RecursionError:
             raise error(lineno, "invalid JSON: nested too deeply") from None
-        if end != len(text):
+        if text[end:].strip(_JSON_WHITESPACE):
             raise error(lineno, "invalid JSON: Extra data")
         yield lineno, record
 

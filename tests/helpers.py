@@ -17,7 +17,15 @@ from memtrace.guest import (
     build_guest,
     run,
 )
-from memtrace.recon import DEFAULT_WINDOW, AllocationRecord, CallRecord
+from memtrace.recon import (
+    DEFAULT_WINDOW,
+    SHADOW_SPACE,
+    AllocationRecord,
+    CallRecord,
+    _maximal_runs,
+    _TouchedMemory,
+    find_allocations,
+)
 from memtrace.signature import (
     DEFAULT_MATCH_THRESHOLD,
     DEFAULT_MIN_RUN,
@@ -40,6 +48,7 @@ from memtrace.trace import (
     _iter_lines,
     _parse_addr,
     _shown,
+    split_by_thread,
 )
 
 MODULE_PAGE = 0x401
@@ -409,6 +418,66 @@ def reference_recover_call(log: TraceLog, call_event: AccessEvent,
         thread_id=call_event.thread_id,
         rip=call_event.rip,
     )
+
+
+# -- stack-pattern and merged-bases oracles ----------------------------
+
+
+def reference_find_stack_buffers(log: TraceLog) -> list[AllocationRecord]:
+    """Stack-pattern records, thread by thread (by first appearance).
+
+    A sub of exactly 0x20 immediately before a call is shadow space and
+    ignored; larger subs yield a buffer shrunk by the shadow adjustment.
+    A maximal run of k consecutive 16-byte-stepped zeroing stores yields
+    a 16k-byte buffer at the lowest stored address.
+    """
+    records = []
+    for threads in split_by_thread(log).values():
+        for event in threads:
+            if event.instr.category != "sub-sp":
+                continue
+            amount = event.value or 0
+            if amount <= SHADOW_SPACE:
+                continue
+            records.append(AllocationRecord(
+                base=event.address, size=amount - SHADOW_SPACE,
+                source="stack-pattern", site_rip=event.rip,
+            ))
+        stores = [(index, event) for index, event in enumerate(threads)
+                  if event.instr.category == "xmm-zero-store"]
+        for run in _maximal_runs(stores, lambda a, b: (
+                b[0] == a[0] + 1 and b[1].address == a[1].address + 16)):
+            event = run[0][1]
+            records.append(AllocationRecord(
+                base=event.address, size=16 * len(run),
+                source="stack-pattern", site_rip=event.rip,
+            ))
+    return records
+
+
+def reference_collect_bases(log: TraceLog) -> list[AllocationRecord]:
+    """The merge collect_bases makes, from the reference sources: heap
+    hooks first (the last of a duplicate base wins), then each call's
+    pointer parameters in call order, then the stack patterns, a later
+    source never replacing a base; sorted by base."""
+    heap = find_allocations(log)
+    mapped = _TouchedMemory(log)
+    merged = {}
+    for record in heap:
+        merged[record.base] = record
+    for event in log.events:
+        if event.instr.category not in ("call", "api-call"):
+            continue
+        call = reference_recover_call(log, event, heap, mapped)
+        for value, is_pointer in zip(call.reg_params + call.stack_params,
+                                     call.pointer_flags):
+            if is_pointer and value not in merged:
+                merged[value] = AllocationRecord(
+                    base=value, size=0, source="call-param",
+                    site_rip=call.rip)
+    for record in reference_find_stack_buffers(log):
+        merged.setdefault(record.base, record)
+    return sorted(merged.values(), key=lambda r: r.base)
 
 
 # -- allocation records for owner lookups -------------------------------

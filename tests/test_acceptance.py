@@ -188,8 +188,7 @@ def test_criterion_4_layout_round_trip():
                                        size=size, cat=cat, sign=sign,
                                        value=value))
             log = run_model(make_model(ops))
-            layout = reconstruct_layout(log, ALLOC_BASE, size_hint=total,
-                                        allocations=find_allocations(log))
+            layout = reconstruct_layout(log, ALLOC_BASE, size_hint=total)
             got = [(f.offset, f.size, f.category) for f in layout.fields]
             want = []
             cursor = 0
@@ -211,8 +210,7 @@ def test_criterion_4_layout_round_trip():
             ops.append(ModelOp("mov-write", addr=ALLOC_BASE + off, size=1,
                                sign="signed", value=0x41))
         log = run_model(make_model(ops))
-        layout = reconstruct_layout(log, ALLOC_BASE, size_hint=123,
-                                    allocations=find_allocations(log))
+        layout = reconstruct_layout(log, ALLOC_BASE, size_hint=123)
         shape = [(f.offset, f.size, f.category) for f in layout.fields]
         assert shape == [(0, 4, "unsigned int"), (4, 119, "char-array")]
         assert AMBIGUITY_NOTE in layout.fields[1].notes

@@ -187,6 +187,25 @@ class TestMatchAndDiff:
         with open(sig, "rb") as handle:
             assert signature.read_signature(handle.read())[1] == 7
 
+    def test_sign_drops_accesses_from_outside_the_module_range(
+            self, tmp_path, capsys):
+        # Ops run at 0x401000, 0x401004 and 0x401008; the model's module
+        # range ends before the third.
+        ops = [ModelOp("mov-write", addr=0x3000 + 8 * k, size=8, value=k)
+               for k in range(3)]
+        model = write_model(tmp_path, ops, module_range=(0x401000, 0x401008))
+        trace_path, sig = str(tmp_path / "t.jsonl"), str(tmp_path / "t.sig")
+        assert main(["simulate", model, "--out", trace_path]) == 0
+        with open(trace_path, "rb") as handle:
+            log = parse_trace(handle.read())
+        assert log.module_range == (0x401000, 0x401008)
+        assert [e.rip for e in log.events if e.kind == "write"] == [
+            0x401000, 0x401004, 0x401008]
+        assert main(["sign", trace_path, "--out", sig]) == 0
+        with open(sig, "rb") as handle:
+            pattern, _ = signature.read_signature(handle.read())
+        assert pattern.offsets == (0, 8)
+
     def test_negative_tau_is_exit_2(self, tmp_path, capsys):
         sig = write_sig(tmp_path, [0, 8, 16, 24], "a.json")
         assert main(["match", sig, sig, "--tau", "-1"]) == 2

@@ -726,6 +726,16 @@ class TestModelFiles:
         parsed = parse_model(data)
         assert parsed == model
 
+    def test_round_trip_keeps_the_module_range(self):
+        model = make_model([ModelOp("mov-write", addr=0x3000, size=4, value=9)],
+                           module_range=(0x401000, 0x401008))
+        data = serialize_model(model)
+        assert json.loads(data.splitlines()[0])["module_range"] == {
+            "lo": "0x401000", "hi": "0x401008"}
+        parsed = parse_model(data)
+        assert parsed == model
+        assert parsed.resolved_module_range() == (0x401000, 0x401008)
+
     def test_bad_json_names_line(self):
         from memtrace.guest import ModelParseError
         with pytest.raises(ModelParseError, match="line 2"):

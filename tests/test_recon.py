@@ -33,6 +33,8 @@ from helpers import (
     first_owner,
     make_model,
     probe_addresses,
+    reference_collect_bases,
+    reference_find_stack_buffers,
     reference_recover_call,
     run_model,
 )
@@ -455,6 +457,34 @@ class TestReconstructLayout:
                    for f in layout.fields if f.category != "char-array"]
             assert got == truth
 
+    def test_access_inside_a_typed_extent_folds_into_its_evidence(self):
+        b = LogBuilder()
+        b.add("write", 0x50000, size=4, sign="signed", value=1)
+        b.add("read", 0x50002, size=1, sign="signed")
+        layout = reconstruct_layout(b.log(), 0x50000, size_hint=8)
+        first = layout.fields[0]
+        assert (first.offset, first.size, first.category) == (0, 4, "int")
+        assert first.evidence_count == 2
+        assert first.notes == [CONFLICT_NOTE]
+        assert [(f.offset, f.size) for f in layout.fields] == [(0, 4), (4, 4)]
+
+    def test_field_past_the_window_is_clipped_to_a_char_array(self):
+        b = LogBuilder()
+        b.add("write", 0x50000 + 12, size=8, value=1)
+        layout = reconstruct_layout(b.log(), 0x50000, size_hint=16)
+        shape = [(f.offset, f.size, f.category, f.evidence_count)
+                 for f in layout.fields]
+        assert shape == [(0, 12, "char-array", 0), (12, 4, "char-array", 1)]
+
+    def test_xmm_zero_store_is_a_char_array(self):
+        b = LogBuilder()
+        b.add("write", 0x50010, size=16, cat="xmm-zero-store")
+        layout = reconstruct_layout(b.log(), 0x50000, size_hint=0x40)
+        shape = [(f.offset, f.size, f.category, f.evidence_count)
+                 for f in layout.fields]
+        assert shape == [(0, 16, "char-array", 0), (16, 16, "char-array", 1),
+                         (32, 32, "char-array", 0)]
+
     def test_render_c_mentions_every_field(self):
         b = LogBuilder()
         b.add("write", 0x50000, size=4, value=1)
@@ -547,22 +577,29 @@ class _CountingEvents(tuple):
         return super().__iter__()
 
 
-def _collect_bases_scans(n_calls):
+def _scans(function, n_calls):
+    """How many times `function` iterates the events of a log holding
+    n_calls calls, heap hooks, stack slot writes and stack patterns."""
     b = LogBuilder()
     push = 0x7FEFF8
     for k in range(n_calls):
         b.add("write", push + 8 + 0x20, value=k)
         b.call("Foo", [0x9000, 1, 0, 0], push)
         b.api_call("malloc", [0x40], value=0x9000 + 0x1000 * k)
+        b.add("write", 0x7FE000, cat="sub-sp", value=0x40)
+        b.add("write", 0x7FE100, size=16, cat="xmm-zero-store")
     log = b.log()
     events = _CountingEvents(log.events)
     object.__setattr__(log, "events", events)
-    collect_bases(log)
+    function(log)
     return events.iterations
 
 
 def test_collect_bases_scans_the_trace_a_fixed_number_of_times():
-    assert _collect_bases_scans(10) == _collect_bases_scans(100)
+    for function, scans in ((collect_bases, 3),  # hooks, pages, frames
+                            (recover_calls, 2),  # pages, frames
+                            (find_stack_buffers, 1)):  # frames
+        assert _scans(function, 10) == _scans(function, 100) == scans, function
 
 
 PUSH_ADDRESSES = (0x7FEFF8, 0x7FEFE8)
@@ -611,3 +648,42 @@ def test_owner_index_matches_first_containing_record(records, rng):
     owners = OwnerIndex(records)
     for address in probe_addresses(records, rng):
         assert owners.owner(address) is first_owner(records, address), address
+
+
+XMM_BASE = 0x7FE000
+STACK_SPECS = st.tuples(
+    st.sampled_from(["xmm", "xmm", "xmm", "sub-sp", "write", "call",
+                     "api-call"]),
+    st.integers(0, 2),  # thread
+    st.sampled_from([16, 16, 16, 0, 8, 32, -16]),  # from the thread's last store
+    st.sampled_from([None, 0, 0x10, 0x20, 0x21, 0x58]),  # sub-sp amount
+    st.integers(0, 2),  # stack slot
+    st.one_of(VALUES, st.sampled_from([XMM_BASE, XMM_BASE + 0x400])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs=st.lists(STACK_SPECS, max_size=60))
+def test_stack_buffers_and_bases_match_references(specs):
+    # 1-3 interleaved threads; XMM stores that step 16 bytes from the
+    # thread's last store and ones that do not; sub-sp amounts below, at
+    # and above the shadow space, and without a value.
+    b = LogBuilder()
+    last_store = {}
+    for kind, tid, step, amount, slot, value in specs:
+        push = PUSH_ADDRESSES[tid % 2]
+        if kind == "xmm":
+            address = last_store.get(tid, XMM_BASE + 0x400 * tid - 16) + step
+            last_store[tid] = address
+            b.add("write", address, size=16, cat="xmm-zero-store", tid=tid)
+        elif kind == "sub-sp":
+            b.add("write", push - 0x40, cat="sub-sp", value=amount, tid=tid)
+        elif kind == "call":
+            b.call("Foo", [value or 0, slot, 0, 0], push, tid=tid)
+        elif kind == "api-call":
+            b.api_call("malloc", [0x40 * slot], value=value, tid=tid)
+        else:
+            b.add("write", push + 8 + 0x20 + 8 * slot, value=value, tid=tid)
+    log = b.log()
+    assert find_stack_buffers(log) == reference_find_stack_buffers(log)
+    assert collect_bases(log) == reference_collect_bases(log)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -72,12 +73,15 @@ def lcmap_cases(draw):
 @st.composite
 def diff_cases(draw):
     """(p, q, tau) for the diff: dense (every pair near), duplicate-heavy,
-    pathological (every k-th offset of a copy shifted by 5 tau) and
-    random pairs, with either side possibly empty."""
+    pathological (every k-th offset of a copy shifted by 5 tau), nested
+    and random pairs, with either side possibly empty.  A nested pair
+    alternates shared runs of mixed lengths with stretches found on one
+    side only, so a leftover box splits again and its smaller child can
+    hold a run of its own."""
     tau = draw(st.sampled_from([-1, 0, 4, 100]))
     width = max(tau, 1)
     shape = draw(st.sampled_from(["dense", "duplicates", "pathological",
-                                  "random"]))
+                                  "nested", "random"]))
     if shape == "dense":
         values = st.lists(st.integers(0, max(tau, 0)), max_size=30)
         p, q = draw(values), draw(values)
@@ -90,6 +94,19 @@ def diff_cases(draw):
         p = [8 * i for i in range(draw(st.integers(0, 40)))]
         q = [x + 5 * width if i % k == k - 1 else x for i, x in enumerate(p)]
         q = q[draw(st.integers(0, 3)):]
+    elif shape == "nested":
+        # Offsets 10 tau apart are never near; one-sided ones lie far
+        # above every shared one.
+        fresh = itertools.count(1)
+        step = 10 * width
+        p, q = [], []
+        for _ in range(draw(st.integers(3, 8))):
+            for side in (p, q):
+                side += [(1 << 30) + step * next(fresh)
+                         for _ in range(draw(st.integers(0, 3)))]
+            shared = [step * next(fresh) for _ in range(draw(st.integers(2, 8)))]
+            p += shared
+            q += shared
     else:
         p, q = random_pattern_pair(random.Random(draw(st.integers(0, 2**32))))
     empty = draw(st.sampled_from([None, None, None, "p", "q"]))
@@ -436,6 +453,18 @@ class TestDiffModified:
             assert info.value.ratio == exc.ratio
             return
         assert diff_modified(p, q, tau, threshold) == want
+
+    def test_smaller_child_takes_its_run_from_the_range_heap(self):
+        # After [0..5] and then [10, 11, 12] match, the box before the
+        # second match is the smaller child; its run [20, 21] reaches it
+        # only through _range_heap.
+        p = list(range(6)) + [100, 20, 21, 300, 10, 11, 12] + list(
+            range(7000, 7010))
+        q = list(range(6)) + [101, 20, 21, 301, 10, 11, 12] + list(
+            range(9000, 9010))
+        report = diff_modified(p, q, tau=0, threshold=0)
+        assert ((7, 9), (7, 9)) in report.matched
+        assert report == reference_diff(p, q, tau=0, threshold=0)
 
     def test_many_runs_need_no_recursion_depth(self):
         p, q = pathological_pair(150)

@@ -915,6 +915,7 @@ def test_read_events_are_the_constructors_events(log, seed, chunk):
     ' \ufeff{"op": "nop"}',
     '{"op": ',
     '{"op": "nop"}{}',
+    '{"op": "nop\r',  # a CR inside an open string, where a stream's line ends
 ])
 @pytest.mark.parametrize("parse, error", [(parse_trace, TraceParseError),
                                           (parse_model, ModelParseError)])
