@@ -180,8 +180,8 @@ def _load_rules(path: Optional[str]):
 
 def cmd_flags(args) -> int:
     log = _load_trace(args.trace)
-    calls = recon.recover_calls(log)
-    hits = recon.flag_call_sequences(calls, _load_rules(args.rules))
+    hits = recon.flag_call_sequences(recon.call_names(log),
+                                     _load_rules(args.rules))
     for hit in hits:
         print(f"{hit.rule} tid={hit.thread_id} "
               f"first={hit.first_seq} last={hit.last_seq}")

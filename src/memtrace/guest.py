@@ -9,14 +9,19 @@ and emitted as an AccessEvent, and instruction fetches go through the
 permission check for entry capture.  A mode transition is reported at
 the first fetch after it, by MBEC and legacy detection alike.
 
-Capture keeps its per-op work small.  The emitter runs AccessEvent's
+Capture keeps its per-op work small.  A ModelOp is an immutable named
+tuple, and the run unpacks each op once.  The emitter runs AccessEvent's
 checks on the first event of each kind (category, signedness, callee,
 cpl, access kind, size, arguments or not) and builds the rest with one
 tuple.__new__ call each.  Memory accesses that lie on one built page
 skip the per-page walk.  parse_model reads bytes and text a chunk of op
 lines per json.loads call where it can tell that each line holds one
-plain op, and everything else one line at a time; only the line reader
-reports errors.
+plain op, and builds a chunk's ops column by column, each with one
+tuple.__new__ call, running ModelOp's checks once per distinct (op,
+addr or not, cpl, cat, sign); it reads everything else one line at a
+time, and only the line reader reports errors.  The bulk model reader
+and the run keep the cyclic collector paused while they build, and
+leave it as they found it: the ops and events outlive them.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import IO, Iterable, Optional, Union
+from itertools import chain, repeat
+from operator import is_
+from typing import IO, Iterable, NamedTuple, Optional, Union
 
 from .trace import (
     _CHUNK_ROWS,
@@ -37,8 +43,10 @@ from .trace import (
     InstrDescriptor,
     TraceLog,
     _bulk_lines,
+    _collector_paused,
     _decode_chunk,
     _hex,
+    _hex_prefixed,
     _int_or_hex,
     _parse_addr,
     _shown,
@@ -336,14 +344,15 @@ MODEL_OPS = (
 ACCESS_CATEGORIES = ("int-move", "float-move", "xmm-zero-store", "other")
 
 
-@dataclass
-class ModelOp:
+class _OpFields(NamedTuple):
+    """ModelOp's fields; ModelOp adds the checks."""
+
     op: str
     addr: Optional[int] = None
     size: Optional[int] = None
     value: Optional[int] = None
     callee: Optional[str] = None
-    args: Optional[list[int]] = None
+    args: Optional[tuple[int, ...]] = None
     n_stack: int = 0
     amount: Optional[int] = None
     cpl: Optional[str] = None
@@ -351,31 +360,63 @@ class ModelOp:
     sign: Optional[str] = None
     rip: Optional[int] = None  # optional override of the modeled rip
 
+
+class ModelOp(_OpFields):
+    """One op of a program model, an immutable named tuple of its twelve
+    fields, as AccessEvent is one of its ten.
+
+    The constructor, _make, _replace (and so copy.replace), pickle and
+    copy all run __post_init__'s checks on the fields as given, and the
+    constructor stores an args list, or any other sequence, as a tuple.
+    The bulk model reader builds most ops with tuple.__new__(ModelOp,
+    fields), which checks nothing, and runs the checks on one op of each
+    (op, addr or not, cpl, cat, sign): they read nothing else but the
+    types of callee, size and args, which that reader checks by column.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, op, addr=None, size=None, value=None, callee=None,
+                args=None, n_stack=0, amount=None, cpl=None, cat=None,
+                sign=None, rip=None):
+        made = tuple.__new__(cls, (op, addr, size, value, callee, args,
+                                   n_stack, amount, cpl, cat, sign, rip))
+        made.__post_init__()
+        if args is None or type(args) is tuple:
+            return made
+        return tuple.__new__(cls, (*made[:5], tuple(args), *made[6:]))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
     def __post_init__(self):
-        if self.op not in MODEL_OPS:
-            raise ValueError(f"unknown model op {_shown(self.op)}")
-        if self.addr is None and self.op in ("mov-read", "mov-write", "xmm-zero"):
-            raise ValueError(f"model op {_shown(self.op)} needs an addr")
-        if self.cpl is not None and self.cpl not in CPL_VALUES:
-            raise ValueError(f"bad cpl {_shown(self.cpl)}")
-        if self.cat is not None and self.cat not in CATEGORIES:
-            raise ValueError(f"unknown instruction category {_shown(self.cat)}")
-        if (self.cat is not None and self.op in ("mov-read", "mov-write")
-                and self.cat not in ACCESS_CATEGORIES):
-            raise ValueError(f"model op {_shown(self.op)} cannot log "
-                             f"category {_shown(self.cat)}")
-        if self.sign is not None and self.sign not in SIGN_VALUES:
-            raise ValueError(f"unknown signedness {_shown(self.sign)}")
+        """The checks every public way of making an op runs."""
+        op, addr, size, _, callee, args, _, _, cpl, cat, sign, _ = self
+        if op not in MODEL_OPS:
+            raise ValueError(f"unknown model op {_shown(op)}")
+        if addr is None and op in ("mov-read", "mov-write", "xmm-zero"):
+            raise ValueError(f"model op {_shown(op)} needs an addr")
+        if cpl is not None and cpl not in CPL_VALUES:
+            raise ValueError(f"bad cpl {_shown(cpl)}")
+        if cat is not None and cat not in CATEGORIES:
+            raise ValueError(f"unknown instruction category {_shown(cat)}")
+        if (cat is not None and op in ("mov-read", "mov-write")
+                and cat not in ACCESS_CATEGORIES):
+            raise ValueError(f"model op {_shown(op)} cannot log "
+                             f"category {_shown(cat)}")
+        if sign is not None and sign not in SIGN_VALUES:
+            raise ValueError(f"unknown signedness {_shown(sign)}")
         # The emitter checks one event of each kind, so the values it
         # puts in a call's arguments unchecked are checked here.
-        if self.callee is not None and not isinstance(self.callee, str):
-            raise ValueError(f"callee {_shown(self.callee)} is not a string")
-        if self.size is not None and not isinstance(self.size, int):
-            raise ValueError(f"size {_shown(self.size)} is not an integer")
-        if self.args is not None and not (
-                isinstance(self.args, (list, tuple))
-                and all(isinstance(arg, int) for arg in self.args)):
-            raise ValueError(f"args {_shown(self.args)} must be a list of "
+        if callee is not None and not isinstance(callee, str):
+            raise ValueError(f"callee {_shown(callee)} is not a string")
+        if size is not None and not isinstance(size, int):
+            raise ValueError(f"size {_shown(size)} is not an integer")
+        if args is not None and not (
+                isinstance(args, (list, tuple))
+                and all(isinstance(arg, int) for arg in args)):
+            raise ValueError(f"args {_shown(args)} must be a list of "
                              "integers")
 
 
@@ -415,17 +456,21 @@ class ProgramModel:
 
 _OP_INT_KEYS = ("addr", "size", "value", "n_stack", "amount", "rip")
 _OP_STR_KEYS = ("callee", "cpl", "cat", "sign")
-_OP_KEYS = frozenset(("op", "args") + _OP_INT_KEYS + _OP_STR_KEYS)
+_OP_KEYS = frozenset(ModelOp._fields)
+_OP_DEFAULTS = tuple(map(ModelOp._field_defaults.get, ModelOp._fields))
 
 
 def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
     """Parse a line-delimited program model (header line + one op per line).
 
     bytes and str input is first read in bulk (_read_model_chunks), a
-    chunk of op lines per json.loads call; where that reader declines,
-    and for streams, the line reader (_read_model_lines) reads the input
-    line by line and alone reports errors in its lines.  Both build each
-    op through _record_to_op, so both give the same model.
+    chunk of op lines per json.loads call, with the cyclic collector
+    paused; where that reader declines, and for streams, the line reader
+    (_read_model_lines) reads the input line by line and alone reports
+    errors in its lines.  Both give the same model: the line reader
+    builds each op through _record_to_op, and the bulk reader builds a
+    chunk's ops column by column from only the values that _record_to_op
+    takes as they are.
     """
     read = None
     if isinstance(stream, (bytes, str)):
@@ -504,6 +549,7 @@ def _read_model_lines(stream) -> tuple[dict, list[ModelOp]]:
     return header, ops
 
 
+@_collector_paused()
 def _read_model_chunks(
         data: Union[bytes, str]) -> Optional[tuple[dict, list[ModelOp]]]:
     """parse_model's bulk reader: what _read_model_lines gives, or None
@@ -514,7 +560,8 @@ def _read_model_chunks(
     lines passes _decode_chunk's guards and holds plain ops (_plain_ops),
     which hold no array with two objects side by side.  So, as
     _decode_chunk argues, each line is exactly one op record, decoded
-    from the text the line reader decodes.
+    from the text the line reader decodes.  ModelOp's checks run on one
+    op of each (op, addr or not, cpl, cat, sign) in the text.
     """
     lines = _bulk_lines(data)
     if not lines:
@@ -523,23 +570,68 @@ def _read_model_chunks(
     if not isinstance(header, dict) or "entry_page" not in header:
         return None
     ops: list[ModelOp] = []
+    representatives: dict = {}
     for start in range(1, len(lines), _CHUNK_ROWS):
-        chunk_ops = _decode_chunk(lines[start:start + _CHUNK_ROWS], dict,
-                                  _plain_ops)
+        records = _decode_chunk(lines[start:start + _CHUNK_ROWS], dict)
+        chunk_ops = records and _plain_ops(records, representatives)
         if chunk_ops is None:
             return None
         ops += chunk_ops
+    for op in representatives.values():
+        op.__post_init__()
     return header, ops
 
 
-def _plain_ops(records: list[dict]) -> Optional[list[ModelOp]]:
-    """The ops of a chunk's records, or None unless every key is an op
-    key.  _record_to_op takes no value of such a key that is an object
-    or a list, save an args list of ints and hex strings, so then no
-    record holds an array with two objects side by side."""
-    if not set(chain.from_iterable(records)) <= _OP_KEYS:
+# The types of the values _plain_ops takes under each key, with null
+# meaning the key's default; an int key's strings are 0x-hex.
+_OP_TYPES = {**dict.fromkeys(_OP_INT_KEYS, {int, str, type(None)}),
+             **dict.fromkeys(_OP_STR_KEYS, {str, type(None)}),
+             "op": {str}, "args": {list, type(None)}, "n_stack": {int, str}}
+
+
+def _plain_ops(records: list[dict], representatives: dict
+               ) -> Optional[list[ModelOp]]:
+    """The ops of a chunk's records, built column by column, or None
+    unless every value is one _record_to_op takes as it is (_OP_TYPES):
+    every key an op key, a string op, an exact int (never a bool or a
+    float), a 0x-hex string or null under an int key, but no null
+    n_stack, a string or null under a string key, and a null or a list
+    of exact ints as args.  So no record holds an array with two objects
+    side by side.
+
+    Each op is built by one tuple.__new__ call.  `representatives` keeps
+    an op of each (op, addr or not, cpl, cat, sign) for ModelOp's
+    checks: they read nothing else but the types of callee, size and
+    args, which hold for every op once its columns pass.  (A chunk with
+    no op at all leaves None in its op column, which those checks
+    reject.)
+    """
+    present = set(chain.from_iterable(records))
+    if not present <= _OP_KEYS:
         return None
-    return list(map(_record_to_op, records))
+    columns = [[default] * len(records) for default in _OP_DEFAULTS]
+    for key in present:
+        at = ModelOp._fields.index(key)
+        column = list(map(dict.get, records, repeat(key),
+                          repeat(_OP_DEFAULTS[at])))
+        types = set(map(type, column))
+        if not types <= _OP_TYPES[key]:
+            return None
+        if str in types and key in _OP_INT_KEYS:
+            if not _hex_prefixed([v for v in column if type(v) is str]):
+                return None
+            column = [int(v, 16) if type(v) is str else v for v in column]
+        elif key == "args":
+            if not set(map(type, chain.from_iterable(filter(None, column)))
+                       ) <= {int}:
+                return None
+            column = [v if v is None else tuple(v) for v in column]
+        columns[at] = column
+    ops = list(map(tuple.__new__, repeat(ModelOp), zip(*columns)))
+    names, addrs, *_, cpls, cats, signs, _ = columns
+    keys = zip(names, map(is_, addrs, repeat(None)), cpls, cats, signs)
+    representatives.update(zip(keys, ops))
+    return ops
 
 
 def serialize_model(model: ProgramModel) -> bytes:
@@ -701,6 +793,7 @@ def _mbec_denies_execute(last_mode: str, mode: str) -> bool:
     return profile == f"{mode}-exec-denied"
 
 
+@_collector_paused()  # the events outlive the run
 def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
          capture_entry: bool = False):
     emitter = _Emitter(model.tid)
@@ -759,9 +852,10 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
         demand_page(address, size)
         trap(kind, address, size, cat, sign, callee, args, value)
 
-    for op in model.ops:
-        if op.rip is not None:
-            rip = op.rip
+    for (name, addr, size, value, callee, args, n_stack, amount, cpl, cat,
+         sign, op_rip) in model.ops:
+        if op_rip is not None:
+            rip = op_rip
         # Instruction fetch: demand paging, entry capture, transition trap.
         fetch = guest.check_access(rip, "execute", guest.mode, rip)
         if fetch is not _ALLOWED:
@@ -787,59 +881,58 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
                 emitter.emit("execute", rip, 1, guest.mode, rip, cat="other")
             last_mode = guest.mode
 
-        if op.op == "mov-read":
-            size = op.size or 8
-            demand_page(op.addr, size)
-            value = int.from_bytes(guest.read_memory(op.addr, size), "little")
-            trap("read", op.addr, size, op.cat or "int-move",
-                 sign=op.sign or "n/a", value=value)
-        elif op.op == "mov-write":
-            size = op.size or 8
-            value = op.value or 0
-            data_access("write", op.addr, size, op.cat or "int-move",
-                        sign=op.sign or "n/a", value=value)
-            guest.write_memory(op.addr, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
-        elif op.op == "push":
+        if name == "mov-read":
+            size = size or 8
+            demand_page(addr, size)
+            value = int.from_bytes(guest.read_memory(addr, size), "little")
+            trap("read", addr, size, cat or "int-move",
+                 sign=sign or "n/a", value=value)
+        elif name == "mov-write":
+            size = size or 8
+            value = value or 0
+            data_access("write", addr, size, cat or "int-move",
+                        sign=sign or "n/a", value=value)
+            guest.write_memory(addr, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
+        elif name == "push":
             sp -= 8
-            value = op.value or 0
+            value = value or 0
             data_access("write", sp, 8, "push", value=value)
             guest.write_memory(sp, (value & ((1 << 64) - 1)).to_bytes(8, "little"))
-        elif op.op == "sub-sp":
-            amount = op.amount or 0
+        elif name == "sub-sp":
+            amount = amount or 0
             sp -= amount
             data_access("write", sp, 8, "sub-sp", value=amount)
-        elif op.op == "call":
-            args = list(op.args or [])
+        elif name == "call":
+            args = args or ()
             stack_args = args[4:]
-            if not stack_args and op.n_stack:
-                stack_args = [0] * op.n_stack
+            if not stack_args and n_stack:
+                stack_args = (0,) * n_stack
             for index, value in enumerate(stack_args):
                 slot = sp + 0x20 + 8 * index
                 data_access("write", slot, 8, "int-move", value=value)
                 guest.write_memory(slot, (value & ((1 << 64) - 1)).to_bytes(8, "little"))
-            reg_args = tuple((args + [0, 0, 0, 0])[:4])
             sp -= 8
             return_address = rip + INSTR_STRIDE
-            data_access("write", sp, 8, "call", callee=op.callee,
-                        args=reg_args, value=return_address)
+            data_access("write", sp, 8, "call", callee=callee,
+                        args=(args + (0, 0, 0, 0))[:4], value=return_address)
             guest.write_memory(sp, return_address.to_bytes(8, "little"))
-        elif op.op == "alloc":
-            size = op.size or 0
+        elif name == "alloc":
+            size = size or 0
             base = guest.allocate(size)
             # Hidden hook on the allocator: the call and its modeled
             # return value surface as one api-call event (size in the
             # first register slot, returned base in the value channel).
             emitter.emit("execute", rip, 1, guest.mode, rip, cat="api-call",
-                         callee=op.callee or "NtAllocateVirtualMemory",
+                         callee=callee or "NtAllocateVirtualMemory",
                          args=(size, 0, 0, 0), value=base)
-        elif op.op == "xmm-zero":
-            data_access("write", op.addr, 16, "xmm-zero-store", value=0)
-            guest.write_memory(op.addr, bytes(16))
-        elif op.op == "ret":
+        elif name == "xmm-zero":
+            data_access("write", addr, 16, "xmm-zero-store", value=0)
+            guest.write_memory(addr, bytes(16))
+        elif name == "ret":
             sp += 8
-        elif op.op == "mode-switch":
-            guest.mode = op.cpl or ("kernel" if guest.mode == "user" else "user")
-        elif op.op == "nop":
+        elif name == "mode-switch":
+            guest.mode = cpl or ("kernel" if guest.mode == "user" else "user")
+        elif name == "nop":
             pass
         rip += INSTR_STRIDE
 

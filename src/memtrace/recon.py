@@ -27,7 +27,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
+from typing import (Callable, Container, Iterable, Iterator, NamedTuple,
+                    Optional, Sequence)
 
 # Unused here: bench/spans.py times split_by_thread through this module.
 from .trace import (ARG_CATEGORIES, PAGE_SIZE, AccessEvent, TraceLog,
@@ -126,6 +127,15 @@ class CallRecord:
     rip: int
 
 
+class CallName(NamedTuple):
+    """What flag_call_sequences reads of a call: its seq, its thread and
+    its callee."""
+
+    seq: int
+    thread_id: int
+    callee_id: Optional[str]
+
+
 @dataclass
 class FieldRecord:
     offset: int
@@ -150,19 +160,17 @@ def find_allocations(log: TraceLog) -> list[AllocationRecord]:
     """
     records = []
     for event in log.events:
-        if (event.instr.callee_id not in ALLOCATOR_NAMES
-                or event.instr.category == "call"):
+        instr = event[6]  # by position, as _program_accesses reads events
+        if instr.callee_id not in ALLOCATOR_NAMES or instr.category == "call":
             continue
-        if event.value is None:
+        _, _, _, _, _, _, _, rip, value, args = event
+        if value is None:
             continue  # hook saw the call but not the returned base
-        args = event.register_args or (0, 0, 0, 0)
-        size = args[0]
+        size = (args or (0, 0, 0, 0))[0]
         if not isinstance(size, int) or size < 0:
             size = 0
         records.append(AllocationRecord(
-            base=event.value, size=size, source="heap-hook",
-            site_rip=event.rip,
-        ))
+            base=value, size=size, source="heap-hook", site_rip=rip))
     return records
 
 
@@ -174,7 +182,7 @@ class _TouchedMemory:
     """
 
     def __init__(self, log: TraceLog):
-        self.pages = {e.address // PAGE_SIZE for e in log.events}
+        self.pages = {e[4] // PAGE_SIZE for e in log.events}  # e.address
         self.module_lo, self.module_hi = log.module_range
 
     def __contains__(self, address: int) -> bool:
@@ -284,6 +292,14 @@ def recover_calls(log: TraceLog,
             rip=rip,
         ))
     return records
+
+
+def call_names(log: TraceLog) -> list[CallName]:
+    """The seq, thread and callee of every call and api-call event, in
+    seq order, in one pass: all that flag_call_sequences reads of
+    recover_calls' records, without their frames and pointer flags."""
+    return [CallName(e[0], e[1], e[6].callee_id)  # seq, thread_id, instr
+            for e in log.events if e[6].category in ARG_CATEGORIES]
 
 
 def find_stack_buffers(log: TraceLog) -> list[AllocationRecord]:
@@ -538,12 +554,14 @@ def _step_matches(step, callee: Optional[str]) -> bool:
     return callee in step
 
 
-def flag_call_sequences(calls: Sequence[CallRecord],
+def flag_call_sequences(calls: Sequence[CallRecord | CallName],
                         rules: Sequence[tuple[str, list]] = EVASIVE_SEQUENCES
                         ) -> list[RuleHit]:
     """A rule hits when its callee ids appear as an ordered (not
-    necessarily contiguous) subsequence within one thread's calls."""
-    by_thread: dict[int, list[CallRecord]] = {}
+    necessarily contiguous) subsequence within one thread's calls.  It
+    reads a call's seq, thread_id and callee_id only, so the CallNames of
+    call_names(log) give the hits that recover_calls(log) gives."""
+    by_thread: dict[int, list] = {}
     for call in sorted(calls, key=lambda c: c.seq):
         by_thread.setdefault(call.thread_id, []).append(call)
     hits = []

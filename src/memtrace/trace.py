@@ -13,13 +13,16 @@ values are 0x-prefixed hex strings so traces stay greppable.
 parse_trace reads bytes and text in bulk, a chunk of lines per
 json.loads call, where it can tell that the chunk holds one plain row
 per line; it reads everything else, and every stream, one line at a
-time.  Only the line reader reports errors.
+time.  Only the line reader reports errors.  The bulk reader, like the
+guest's model reader and its run, keeps the cyclic collector paused
+while it builds: what it builds outlives it.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import is_, lt
@@ -364,7 +367,8 @@ def parse_trace(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
 
     bytes and str input is first read in bulk (_parse_chunks), which
     decodes about a thousand rows per json.loads call and checks them
-    column by column.  Where that reader declines, and for streams, the
+    column by column, with the cyclic collector paused while it builds
+    the log.  Where that reader declines, and for streams, the
     line reader (_parse_lines) reads the input row by row; it alone
     builds the errors.  Both give the same log.  Each shape object is
     checked and built into a descriptor once, which every row citing the
@@ -449,12 +453,11 @@ def _bulk_lines(data: Union[bytes, str]) -> list[str]:
 _BRACKETS = {list: "[]", dict: "{}"}
 
 
-def _decode_chunk(chunk: list[str], row_type: type,
-                  convert: Callable[[list], Optional[object]]):
-    """convert(rows) for the rows the lines of `chunk` hold, or None
-    unless every line starts and ends with the brackets of `row_type`
-    (a list or an object) and the lines, joined into one JSON array by
-    ",\n", decode to one value of that type per line.
+def _decode_chunk(chunk: list[str], row_type: type) -> Optional[list]:
+    """The rows the lines of `chunk` hold, or None unless every line
+    starts and ends with the brackets of `row_type` (a list or an
+    object) and the lines, joined into one JSON array by ",\n", decode
+    to one value of that type per line.
 
     A bulk reader of _bulk_lines' lines that keeps to these guards reads
     each line as exactly the one row the line reader reads there, if it
@@ -472,48 +475,43 @@ def _decode_chunk(chunk: list[str], row_type: type,
       an array, since in an object a "," is followed by a key.  No row
       holds such an array, so it is the chunk's own, and every join
       separates two rows;
-    - with as many rows as lines, no line holds a second row.
-
-    The cyclic collector is paused meanwhile: the rows are gone before
-    it resumes, so a collection run while they live would only trace
-    them and promote them to an older generation.  It is left as it was
-    found, enabled or not (a switch that another thread makes meanwhile
-    may be undone)."""
+    - with as many rows as lines, no line holds a second row."""
     open_, close = _BRACKETS[row_type]
     body = ",\n".join(chunk)
     if (body[:1] != open_ or body[-1:] != close
             or body.count(close + ",\n" + open_) != len(chunk) - 1):
         return None
+    rows = json.loads("[" + body + "]")
+    if len(rows) == len(chunk) and set(map(type, rows)) == {row_type}:
+        return rows
+    return None
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector for the block: what a bulk reader or a
+    run builds outlives it, so a collection meanwhile would only trace
+    the new objects and promote them to an older generation.  It is left
+    as it was found, enabled or not, also when the block raises (a
+    switch that another thread makes meanwhile may be undone)."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        rows = json.loads("[" + body + "]")
-        result = None
-        if len(rows) == len(chunk) and set(map(type, rows)) == {row_type}:
-            result = convert(rows)
-        del rows
-        return result
+        yield
     finally:
         if enabled:
             gc.enable()
 
 
-def _columns(rows: list[list]) -> Optional[tuple]:
-    """The columns of a chunk's rows, or None unless each row holds
-    len(COLUMNS) values."""
-    if set(map(len, rows)) != {len(COLUMNS)}:
-        return None
-    return tuple(zip(*rows))
-
-
 def _hex_prefixed(column) -> bool:
     """Whether every string in `column` starts with "0x", given that each
-    parses with int(s, 16), as _parse_chunks checks later: then none
+    parses with int(s, 16), as the bulk readers check later: then none
     holds a ",", so ",0x" occurs in "," + ",".join(column) once per
     string that starts with "0x" and nowhere else."""
     return ("," + ",".join(column)).count(",0x") == len(column)
 
 
+@_collector_paused()
 def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
     """parse_trace's bulk reader: the log _parse_lines gives, or None (or
     a TypeError, ValueError or RecursionError) for any input it does not
@@ -535,7 +533,8 @@ def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
     size, shape, args or not) in the text: they read nothing else but
     the args' count and types, which are checked by column.  Each event
     is built by one tuple.__new__ call.  Only the rows that carry args
-    convert them; args spelled in hex are left to the line reader.
+    convert them; args spelled in hex are left to the line reader.  The
+    cyclic collector stays paused throughout (_collector_paused).
     """
     lines = _bulk_lines(data)
     if not lines:
@@ -547,12 +546,11 @@ def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
     representatives: dict = {}
     last_seq: tuple = ()  # the seq of the row before the chunk, if any
     for start in range(1, len(lines), _CHUNK_ROWS):
-        decoded = _decode_chunk(lines[start:start + _CHUNK_ROWS], list,
-                                _columns)
-        if decoded is None:
+        rows = _decode_chunk(lines[start:start + _CHUNK_ROWS], list)
+        if rows is None or set(map(len, rows)) != {len(COLUMNS)}:
             return None
         (seqs, tids, cpls, kinds, addrs, sizes, rips, shape_col, vals,
-         args_col) = decoded
+         args_col) = zip(*rows)
         carried = [args for args in args_col if args is not None]
         seq_run = last_seq + seqs
         shape_types = list(map(type, shape_col))
@@ -665,7 +663,12 @@ def _program_accesses(log: TraceLog) -> list[AccessEvent]:
     those from the main module (from anywhere when the module range is
     empty), less the page faults the capture injected."""
     lo, hi = log.module_range
+    if hi <= lo:
+        lo, hi = float("-inf"), float("inf")
+    # An event's kind, instr and rip by position: on a named tuple that
+    # is faster than by name, and than unpacking, which CPython speeds up
+    # only for plain tuples.
     return [e for e in log.events
-            if e.kind in ("read", "write") and e.instr.category != "page-fault"
-            and (lo <= e.rip < hi if hi > lo else True)]
+            if e[3] in ("read", "write") and e[6].category != "page-fault"
+            and lo <= e[7] < hi]
 

@@ -72,6 +72,16 @@ def run_model(model, trap_config=None):
     return run(build_guest(model), model, trap_config)
 
 
+class CountingEvents(tuple):
+    """An events tuple that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
 # -- random traces ------------------------------------------------------
 
 

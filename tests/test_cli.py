@@ -1,16 +1,20 @@
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from memtrace import cli, signature, trace
+from memtrace import cli, recon, signature, trace
 from memtrace.cli import main
 from memtrace.guest import ModelOp, ModelParseError, parse_model, serialize_model
 from memtrace.signature import write_signature
 from memtrace.trace import AddressPattern, parse_trace
 
-from helpers import make_model, pathological_pair
+from helpers import CountingEvents, make_model, pathological_pair
 
 DATA = Path(__file__).parent / "data"
 
@@ -536,3 +540,135 @@ def test_end_to_end_diff_localizes_one_change(tmp_path, capsys):
     assert len(record["unmatched"]) == 1
     (lo_a, hi_a), (lo_b, hi_b) = record["unmatched"][0]
     assert (hi_a - lo_a, hi_b - lo_b) == (0, 1)
+
+
+# -- flags against recover_calls ------------------------------------------
+
+RULE_STEPS = sorted({name for _, steps in recon.EVASIVE_SEQUENCES
+                     for step in steps
+                     for name in ([step] if isinstance(step, str) else step)})
+FLAG_CALLEES = RULE_STEPS + ["memcpy", "Sleep"]
+# (kind, category) of the events a flags trace holds besides its calls.
+NOISE_EVENTS = [("write", "int-move"), ("read", "int-move"),
+                ("write", "push"), ("write", "syscall")]
+FLAG_EVENTS = st.tuples(
+    st.sampled_from(["call", "api-call", "noise"]),
+    st.integers(0, 2),  # thread
+    st.integers(0, len(FLAG_CALLEES) - 1),
+    st.integers(0, len(NOISE_EVENTS) - 1),
+)
+RULES_FILES = st.lists(
+    st.tuples(st.sampled_from(["one", "two", "three"]),
+              st.lists(st.one_of(st.sampled_from(FLAG_CALLEES),
+                                 st.lists(st.sampled_from(FLAG_CALLEES),
+                                          min_size=1, max_size=3)),
+                       min_size=1, max_size=4)),
+    max_size=3)
+
+
+def _flags_trace(specs, planted) -> bytes:
+    """A trace of up to three interleaved threads: calls, api-calls and
+    other events, with each planted (rule, thread, picks) rule's steps
+    called in order in that thread, among the other events."""
+    events = [(kind, tid, FLAG_CALLEES[callee], NOISE_EVENTS[noise])
+              for kind, tid, callee, noise in specs]
+    for rule, tid, picks in planted:
+        _, steps = recon.EVASIVE_SEQUENCES[rule]
+        at = 0
+        for step, pick in zip(steps, picks):
+            callee = step if isinstance(step, str) else step[pick % len(step)]
+            at = min(len(events), at + pick)
+            events.insert(at, ("call" if pick % 2 else "api-call", tid,
+                               callee, None))
+            at += 1
+    log = []
+    for seq, (kind, tid, callee, noise) in enumerate(events):
+        if kind == "noise":
+            access, category = noise
+            instr = trace.InstrDescriptor(
+                category=category,
+                callee_id=callee if category == "syscall" else None)
+            log.append(trace.AccessEvent(seq, tid, "user", access, 0x7FEF00,
+                                         8, instr, 0x401000, seq))
+        else:
+            instr = trace.InstrDescriptor(category=kind, callee_id=callee)
+            call = kind == "call"
+            log.append(trace.AccessEvent(
+                seq, tid, "user", "write" if call else "execute",
+                0x7FEFF8 if call else 0x401000, 8 if call else 1, instr,
+                0x401000, 0x401004, (seq, 0x9000, 0, 0)))
+    return trace.serialize_trace(trace.TraceLog(
+        events=tuple(log), module_range=(0x401000, 0x402000)))
+
+
+def _expected_flags(data: bytes, rules) -> str:
+    hits = recon.flag_call_sequences(recon.recover_calls(parse_trace(data)),
+                                     rules)
+    return "".join(f"{hit.rule} tid={hit.thread_id} first={hit.first_seq} "
+                   f"last={hit.last_seq}\n" for hit in hits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=st.lists(FLAG_EVENTS, max_size=40),
+       planted=st.lists(st.tuples(
+           st.integers(0, len(recon.EVASIVE_SEQUENCES) - 1), st.integers(0, 2),
+           st.lists(st.integers(0, 5), min_size=4, max_size=4)), max_size=3),
+       rules=RULES_FILES)
+def test_flags_prints_the_hits_of_recover_calls(tmp_path_factory, specs,
+                                                planted, rules):
+    """flags reads only the names of the calls, and prints what
+    flag_call_sequences makes of recover_calls' records, under the
+    built-in rules and under a rules file."""
+    root = tmp_path_factory.mktemp("flags")
+    data = _flags_trace(specs, planted)
+    trace_path = root / "t.trace"
+    trace_path.write_bytes(data)
+    rules_path = root / "rules.json"
+    rules_path.write_text(json.dumps([{"name": name, "steps": steps}
+                                      for name, steps in rules]))
+    for argv, want in (
+            ([], _expected_flags(data, recon.EVASIVE_SEQUENCES)),
+            (["--rules", str(rules_path)],
+             _expected_flags(data, cli._load_rules(str(rules_path))))):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(["flags", str(trace_path)] + argv) == 0
+        assert out.getvalue() == want
+        assert err.getvalue() == ""
+
+
+def test_planted_sequences_are_flagged(tmp_path, capsys):
+    """The generator plants hits: one per planted rule here."""
+    data = _flags_trace([("noise", 0, 0, 0)] * 5,
+                        [(1, 2, [0, 1, 2, 3]), (6, 0, [1, 0, 1, 0])])
+    path = tmp_path / "t.trace"
+    path.write_bytes(data)
+    assert main(["flags", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == _expected_flags(data, recon.EVASIVE_SEQUENCES)
+    assert [line.split(" tid=")[0] for line in out.splitlines()] == [
+        "Process Injection", "Map View of Section"]
+
+
+def test_flags_reads_the_trace_once(tmp_path, capsys, monkeypatch):
+    """flags iterates the events once: no frames, pages or pointer
+    flags, only the names of the calls."""
+    ops = [ModelOp("call", callee="ConvertThreadToFiber", args=[0]),
+           ModelOp("alloc", callee="VirtualAlloc", size=0x1000),
+           ModelOp("push", value=1), ModelOp("call", callee="CreateFiber")]
+    trace_path = str(tmp_path / "t.trace")
+    main(["simulate", write_model(tmp_path, ops * 10), "--out", trace_path])
+    capsys.readouterr()
+    logs = []
+    parse = trace.parse_trace
+
+    def counting_parse(data):
+        log = parse(data)
+        object.__setattr__(log, "events", CountingEvents(log.events))
+        logs.append(log)
+        return log
+
+    monkeypatch.setattr(trace, "parse_trace", counting_parse)
+    assert main(["flags", trace_path]) == 0
+    assert capsys.readouterr().out.count("Fibers") == 10
+    assert [log.events.iterations for log in logs] == [1]

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 from pathlib import Path
 from unittest import mock
@@ -12,6 +14,7 @@ from memtrace import guest as guest_mod
 from memtrace.cli import main
 from memtrace.guest import (
     ACCESS_CATEGORIES,
+    MODEL_OPS,
     PAGE_SIZE,
     PROFILE_IDS,
     Allowed,
@@ -843,6 +846,87 @@ class TestModelFiles:
                                    "nor a 0x-prefixed hex string")
 
 
+class TestModelOpIsANamedTuple:
+    FIELDS = ("op", "addr", "size", "value", "callee", "args", "n_stack",
+              "amount", "cpl", "cat", "sign", "rip")
+
+    def test_equals_the_tuple_of_its_fields(self):
+        op = ModelOp("call", callee="Foo", args=[1, 2], n_stack=1)
+        fields = ("call", None, None, None, "Foo", (1, 2), 1, None, None, None,
+                  None, None)
+        assert op == fields
+        assert tuple(op) == fields
+        assert len(op) == 12
+        assert op._fields == self.FIELDS
+        with pytest.raises(AttributeError):
+            op.addr = 0x3000
+
+    def test_replace_runs_the_checks(self):
+        op = ModelOp("mov-write", addr=0x3000, size=4, value=7)
+        with pytest.raises(ValueError, match="^unknown model op 'jump'$"):
+            op._replace(op="jump")
+        with pytest.raises(ValueError, match="^model op 'mov-write' needs an "
+                           "addr$"):
+            op._replace(addr=None)
+        with pytest.raises(ValueError, match="cannot log category 'push'$"):
+            op._replace(cat="push")
+        with pytest.raises(ValueError, match="unexpected field names"):
+            op._replace(bogus=1)
+        assert op._replace(size=8).size == 8
+
+    def test_make_runs_the_checks(self):
+        fields = list(ModelOp("call", callee="Foo", args=[1]))
+        assert type(ModelOp._make(fields)) is ModelOp
+        for at, bad in [(0, "jump"), (2, "8"), (4, 5), (5, ["a"]), (5, 5),
+                        (8, "root"), (9, "bogus"), (10, "maybe")]:
+            wrong = fields[:at] + [bad] + fields[at + 1:]
+            with pytest.raises(ValueError):
+                ModelOp._make(wrong)
+        with pytest.raises(TypeError):
+            ModelOp._make(fields + [None])
+
+    def test_every_constructor_stores_args_as_a_tuple(self):
+        op = ModelOp("call", callee="Foo", args=[1, 2])
+        assert type(op.args) is tuple
+        for made in (op._replace(args=[3, 4]),
+                     ModelOp._make(list(op)[:5] + [[3, 4]] + list(op)[6:])):
+            assert made.args == (3, 4)
+            assert type(made.args) is tuple
+
+    def test_args_are_checked_as_given(self):
+        """The error names the list the caller gave, not its tuple."""
+        with pytest.raises(ValueError, match=r"^args \[1, 'x'\] must be a "
+                           "list of integers$"):
+            ModelOp("call", args=[1, "x"])
+
+    @pytest.mark.parametrize("clone", [
+        lambda op: pickle.loads(pickle.dumps(op)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_round_trips(self, clone):
+        for op in (ModelOp("mov-write", addr=0x3000, size=8, value=1 << 70),
+                   ModelOp("call", callee="Foo", args=[1, 2, 3, 1 << 64],
+                           n_stack=2)):
+            got = clone(op)
+            assert got == op
+            assert type(got) is ModelOp
+            assert type(got.args) is type(op.args)
+
+    @pytest.mark.parametrize("clone", [
+        lambda op: pickle.loads(pickle.dumps(op)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_cloning_runs_the_checks(self, clone):
+        """A clone is rebuilt through the constructor, so a clone of a bad
+        op, built without the checks, fails."""
+        fields = tuple(ModelOp("mode-switch"))
+        bad = tuple.__new__(ModelOp, fields[:8] + ("root",) + fields[9:])
+        with pytest.raises(ValueError, match="^bad cpl 'root'$"):
+            clone(bad)
+
+
 # -- the bulk model reader against the line reader ------------------------
 
 MODEL_HEADER = '{"entry_page": 1025, "sp_init": "0x7ff000", "tid": 2}'
@@ -1029,3 +1113,103 @@ def test_emitted_events_are_the_constructors_events(seed):
     log = run_model(_random_model(rng, rng.randrange(0, 40),
                                   addr_end=SCRATCH[0][1] - 8))
     assert_built_as_constructed(log.events)
+
+
+# Number fields as a model file may spell them: exact ints, hex strings
+# and spellings int(s, 16) takes but the readers must not (no "0x" in
+# front, upper case, blanks), bools, floats and nulls.
+NUMBERS = st.one_of(
+    st.integers(-3, 1 << 70),
+    st.integers(0, 1 << 70).map(hex),
+    st.sampled_from(["0x", "1f", "0X1F", " 0x1", "0x1 ", "0x_1", "-0x1",
+                     "0x1g"]),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.none(),
+)
+OP_RECORDS = st.fixed_dictionaries(
+    {"op": st.one_of(st.sampled_from(MODEL_OPS), st.none())},
+    optional={**dict.fromkeys(guest_mod._OP_INT_KEYS, NUMBERS),
+              "args": st.one_of(st.none(), st.lists(NUMBERS, max_size=6)),
+              "callee": st.sampled_from(["Fn", "malloc"]),
+              "cat": st.sampled_from(["int-move", "float-move"]),
+              "sign": st.sampled_from(["signed", "n/a"])})
+
+
+def _typed_outcome(data):
+    """_model_outcome, with the type of every op field and argument: an
+    equal model with a True where the other holds a 1 is another model."""
+    outcome = _model_outcome(data)
+    if isinstance(outcome, ProgramModel):
+        return outcome, [(tuple(map(type, op)), tuple(map(type, op.args or ())))
+                         for op in outcome.ops]
+    return outcome
+
+
+@given(records=st.lists(OP_RECORDS, min_size=1, max_size=12),
+       chunk=st.sampled_from([1, 2, 3, guest_mod._CHUNK_ROWS]))
+@settings(max_examples=400, deadline=None)
+def test_bulk_model_reader_matches_line_reader_on_number_fields(records,
+                                                                 chunk):
+    """The column-wise bulk reader gives the ops the line reader gives,
+    field types included, or the same error, whatever mix of ints, hex
+    strings, bools, floats and nulls the number fields hold."""
+    text = "\n".join([MODEL_HEADER] + [json.dumps(r) for r in records])
+    want = _typed_outcome(iter(text.splitlines()))
+    with mock.patch.object(guest_mod, "_CHUNK_ROWS", chunk):
+        assert _typed_outcome(text.encode()) == want
+        assert _typed_outcome(text) == want
+
+
+def test_mixed_int_and_hex_fields_take_the_bulk_reader():
+    """A column may mix exact ints, hex strings and nulls."""
+    lines = [MODEL_HEADER,
+             '{"op": "mov-write", "addr": 12288, "size": "0x4", "value": 7}',
+             '{"op": "mov-write", "addr": "0x3008", "size": 8, "value": null}',
+             '{"op": "call", "args": [1, 2], "n_stack": "0x2", "rip": 4198400}',
+             '{"op": "sub-sp", "amount": "0x40", "rip": null}']
+    with mock.patch.object(guest_mod, "_read_model_lines",
+                           side_effect=AssertionError("line reader ran")):
+        model = parse_model("\n".join(lines))
+    assert model.ops == [
+        ModelOp("mov-write", addr=0x3000, size=4, value=7),
+        ModelOp("mov-write", addr=0x3008, size=8),
+        ModelOp("call", args=(1, 2), n_stack=2, rip=0x401000),
+        ModelOp("sub-sp", amount=0x40)]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, guest_mod._CHUNK_ROWS])
+def test_chunk_without_an_op_is_named_at_its_line(chunk):
+    """A chunk whose records hold no op key at all is declined too."""
+    data = "\n".join([MODEL_HEADER, '{"op": "nop"}', '{"addr": "0x3000"}',
+                      '{"size": 8}'])
+    with mock.patch.object(guest_mod, "_CHUNK_ROWS", chunk):
+        assert _model_outcome(data) == (3, "line 3: missing op")
+
+
+@pytest.mark.parametrize("chunk", [7, guest_mod._CHUNK_ROWS])
+def test_one_op_check_per_bulk_reader_key(monkeypatch, chunk):
+    """The bulk model reader runs ModelOp's checks on one op of each (op,
+    addr or not, cpl, cat, sign) in the whole text, over every chunk: the
+    other ops differ from it only in what the checks do not read, or in
+    the types of callee, size and args, which it checks by column."""
+    model = _random_model(random.Random(5), 600)
+    data = serialize_model(model)
+    checked = []
+    post_init = ModelOp.__post_init__
+
+    def counting(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ModelOp, "__post_init__", counting)
+    with mock.patch.object(guest_mod, "_CHUNK_ROWS", chunk):
+        assert parse_model(data) == model
+
+    def key(op):
+        return op.op, op.addr is None, op.cpl, op.cat, op.sign
+
+    keys = set(map(key, model.ops))
+    assert len(model.ops) > 10 * len(keys)
+    assert len(checked) == len(keys)
+    assert set(map(key, checked)) == keys

@@ -30,6 +30,7 @@ from memtrace.trace import AccessEvent, InstrDescriptor, TraceLog
 
 from helpers import (
     ALLOCATION_RECORDS,
+    CountingEvents,
     first_owner,
     make_model,
     probe_addresses,
@@ -567,16 +568,6 @@ def test_recover_calls_matches_singletons():
     assert [r.param_count for r in records] == [1, 2]
 
 
-class _CountingEvents(tuple):
-    """An events tuple that counts how often it is iterated."""
-
-    iterations = 0
-
-    def __iter__(self):
-        self.iterations += 1
-        return super().__iter__()
-
-
 def _scans(function, n_calls):
     """How many times `function` iterates the events of a log holding
     n_calls calls, heap hooks, stack slot writes and stack patterns."""
@@ -589,7 +580,7 @@ def _scans(function, n_calls):
         b.add("write", 0x7FE000, cat="sub-sp", value=0x40)
         b.add("write", 0x7FE100, size=16, cat="xmm-zero-store")
     log = b.log()
-    events = _CountingEvents(log.events)
+    events = CountingEvents(log.events)
     object.__setattr__(log, "events", events)
     function(log)
     return events.iterations

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memtrace import guest as guest_mod
 from memtrace import trace
-from memtrace.guest import ModelOp, ModelParseError, parse_model
+from memtrace.guest import (ModelOp, ModelParseError, SimulationError,
+                            parse_model, serialize_model)
 from memtrace.trace import (
     AccessEvent,
     InstrDescriptor,
@@ -846,21 +848,55 @@ def test_calls_with_distinct_args_share_one_descriptor(monkeypatch):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_bulk_reader_leaves_the_collector_as_it_found_it(enabled):
-    """The collector is paused only while a chunk decodes, whether the
-    chunk is taken, declined or fails to decode."""
+def test_bulk_reader_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
+    """The bulk readers and the run pause the collector while they build,
+    and leave it as they found it, enabled or not: whether parse_trace or
+    parse_model takes its input, declines it or fails on it, and whether
+    the run ends or raises a SimulationError midway."""
     good = serialize_trace(_template_log(random.Random(2), 30))
     lines = good.splitlines()
     short_row = b"\n".join(lines[:5] + [b"[1]"] + lines[6:])
     not_json = b"\n".join(lines[:5] + [b"[0, x]"] + lines[6:])
+    model = serialize_model(make_model([ModelOp("push", value=k)
+                                        for k in range(30)]))
+    ops = model.splitlines()
+    null_n_stack = b"\n".join(ops[:5] + [b'{"op": "call", "n_stack": null}']
+                              + ops[6:])  # declined, and read line by line
+    bad_hex = b"\n".join(ops[:5] + [b'{"op": "push", "value": "0x1g"}']
+                         + ops[6:])
+    ends = make_model([ModelOp("mov-write", addr=0x3000 + 8 * k, value=k)
+                       for k in range(30)])
+    raises = make_model(ends.ops[:20] + [ModelOp("mov-write", addr=0xdead0000)]
+                        + ends.ops[20:])
+    seen = []  # the collector's state inside each bulk build and run
+
+    def spy(function):
+        def spied(*args):
+            seen.append(gc.isenabled())
+            return function(*args)
+        return spied
+
+    for module, name in ((trace, "_decode_chunk"), (guest_mod, "_plain_ops")):
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    monkeypatch.setattr(guest_mod._Emitter, "emit",
+                        spy(guest_mod._Emitter.emit))
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
-        for data in (good, short_row, not_json):
-            _outcome(parse_trace, data)
+        for parse, data in ((parse_trace, good), (parse_trace, short_row),
+                            (parse_trace, not_json), (parse_model, model),
+                            (parse_model, null_n_stack),
+                            (parse_model, bad_hex)):
+            _outcome(parse, data)
             assert gc.isenabled() is enabled
+        assert run_model(ends).events
+        with pytest.raises(SimulationError):
+            run_model(raises)
+        assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+    assert len(seen) > 50  # 30 + 20 events emitted, and the chunks
+    assert not any(seen)
 
 
 def test_long_writer_output_never_takes_the_line_reader():
