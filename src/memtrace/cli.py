@@ -217,21 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sign, usage_error=p.error)
 
-    p = sub.add_parser("match", help="match two signatures")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--tau", type=_non_negative_int, default=None)
-    p.add_argument("--threshold", type=float,
-                   default=signature.DEFAULT_MATCH_THRESHOLD)
-    p.set_defaults(func=cmd_match, usage_error=p.error)
-
-    p = sub.add_parser("diff", help="diff two similar signatures")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--tau", type=_non_negative_int, default=None)
-    p.add_argument("--threshold", type=float,
-                   default=signature.DEFAULT_MATCH_THRESHOLD)
-    p.set_defaults(func=cmd_diff, usage_error=p.error)
+    for name, func, text in (("match", cmd_match, "match two signatures"),
+                             ("diff", cmd_diff, "diff two similar signatures")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("first")
+        p.add_argument("second")
+        p.add_argument("--tau", type=_non_negative_int, default=None)
+        p.add_argument("--threshold", type=float,
+                       default=signature.DEFAULT_MATCH_THRESHOLD)
+        p.set_defaults(func=func, usage_error=p.error)
 
     p = sub.add_parser("bases", help="list discovered allocation bases")
     p.add_argument("trace")

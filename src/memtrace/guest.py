@@ -7,21 +7,24 @@ injected page faults, and lazy entry-point capture.  Abstract program
 models are interpreted against this state: every data access is trapped
 and emitted as an AccessEvent, and instruction fetches go through the
 permission check for entry capture.  A mode transition is reported at
-the first fetch after it, by MBEC and legacy detection alike.
+the first fetch after it, by MBEC and legacy detection alike, so both
+give one trace.
 
 Capture keeps its per-op work small.  A ModelOp is an immutable named
-tuple, and the run unpacks each op once.  The emitter runs AccessEvent's
-checks on the first event of each kind (category, signedness, callee,
-cpl, access kind, size, arguments or not) and builds the rest with one
-tuple.__new__ call each.  Memory accesses that lie on one built page
-skip the per-page walk.  parse_model reads bytes and text a chunk of op
-lines per json.loads call where it can tell that each line holds one
-plain op, and builds a chunk's ops column by column, each with one
-tuple.__new__ call, running ModelOp's checks once per distinct (op,
-addr or not, cpl, cat, sign); it reads everything else one line at a
-time, and only the line reader reports errors.  The bulk model reader
-and the run keep the cyclic collector paused while they build, and
-leave it as they found it: the ops and events outlive them.
+tuple, and the run unpacks each op once.  Every write the program makes
+takes one store path: demand paging, the trap, then the masked write.
+The emitter runs AccessEvent's checks on the first event of each kind
+(category, signedness, callee, cpl, access kind, size, arguments or not)
+and builds the rest with one tuple.__new__ call each.  Memory accesses
+that lie on one built page skip the per-page walk.  parse_model reads
+through trace's pipeline (_read, _read_chunks), as parse_trace does: a
+chunk of op lines per json.loads call where each line holds one plain
+op, a chunk's ops built column by column (_plain_ops), each with one
+tuple.__new__ call, and ModelOp's checks run once per distinct (op,
+addr or not, cpl, cat, sign); everything else is read one line at a
+time, and only the line reader reports errors.  The bulk readers and
+the run keep the cyclic collector paused while they build, and leave it
+as they found it: the ops and events outlive them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from operator import is_
 from typing import IO, Iterable, NamedTuple, Optional, Union
 
 from .trace import (
-    _CHUNK_ROWS,
     CATEGORIES,
     CPL_VALUES,
     PAGE_SIZE,
@@ -42,13 +44,13 @@ from .trace import (
     AccessEvent,
     InstrDescriptor,
     TraceLog,
-    _bulk_lines,
     _collector_paused,
-    _decode_chunk,
     _hex,
     _hex_prefixed,
     _int_or_hex,
     _parse_addr,
+    _read,
+    _read_chunks,
     _shown,
     iter_json_lines,
 )
@@ -408,14 +410,17 @@ class ModelOp(_OpFields):
         if sign is not None and sign not in SIGN_VALUES:
             raise ValueError(f"unknown signedness {_shown(sign)}")
         # The emitter checks one event of each kind, so the values it
-        # puts in a call's arguments unchecked are checked here.
+        # puts in a call's arguments unchecked are checked here.  A bool
+        # is no integer here, as in _int_or_hex: a trace cannot hold one.
         if callee is not None and not isinstance(callee, str):
             raise ValueError(f"callee {_shown(callee)} is not a string")
-        if size is not None and not isinstance(size, int):
+        if size is not None and (not isinstance(size, int)
+                                 or type(size) is bool):
             raise ValueError(f"size {_shown(size)} is not an integer")
         if args is not None and not (
                 isinstance(args, (list, tuple))
-                and all(isinstance(arg, int) for arg in args)):
+                and all(isinstance(arg, int) and type(arg) is not bool
+                        for arg in args)):
             raise ValueError(f"args {_shown(args)} must be a list of "
                              "integers")
 
@@ -436,6 +441,8 @@ class ProgramModel:
     def __post_init__(self):
         if self.cpl not in CPL_VALUES:
             raise ValueError(f"bad cpl {_shown(self.cpl)}")
+        if type(self.tid) is not int:
+            raise ValueError(f"tid {_shown(self.tid)} is not an integer")
         if type(self.entry_present) is not bool:
             raise ValueError(
                 f"entry_present must be true or false, not "
@@ -472,13 +479,7 @@ def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
     chunk's ops column by column from only the values that _record_to_op
     takes as they are.
     """
-    read = None
-    if isinstance(stream, (bytes, str)):
-        try:
-            read = _read_model_chunks(stream)
-        except (TypeError, ValueError, RecursionError):
-            read = None
-    header, ops = read or _read_model_lines(stream)
+    header, ops = _read(stream, _read_model_chunks, _read_model_lines)
     try:
         sp_init = _int_or_hex(header["sp_init"])
         mapped = [
@@ -528,6 +529,13 @@ def _record_to_op(record) -> ModelOp:
     return ModelOp(**kwargs)
 
 
+def _model_header(lineno: int, record) -> dict:
+    """The header record, which must be an object carrying entry_page."""
+    if not isinstance(record, dict) or "entry_page" not in record:
+        raise ModelParseError(lineno, "first line must carry entry_page")
+    return record
+
+
 def _read_model_lines(stream) -> tuple[dict, list[ModelOp]]:
     """The header record and the ops of a model, one line at a time: the
     reader of every input the bulk reader declines, and the only one
@@ -536,9 +544,7 @@ def _read_model_lines(stream) -> tuple[dict, list[ModelOp]]:
     ops: list[ModelOp] = []
     for lineno, record in iter_json_lines(stream, ModelParseError):
         if header is None:
-            if not isinstance(record, dict) or "entry_page" not in record:
-                raise ModelParseError(lineno, "first line must carry entry_page")
-            header = record
+            header = _model_header(lineno, record)
             continue
         try:
             ops.append(_record_to_op(record))
@@ -549,37 +555,22 @@ def _read_model_lines(stream) -> tuple[dict, list[ModelOp]]:
     return header, ops
 
 
-@_collector_paused()
 def _read_model_chunks(
         data: Union[bytes, str]) -> Optional[tuple[dict, list[ModelOp]]]:
     """parse_model's bulk reader: what _read_model_lines gives, or None
     (or a TypeError, ValueError or RecursionError) for any input it does
     not take, which _read_model_lines then reads again.
 
-    It takes a text only if line 1 is the header and every chunk of op
-    lines passes _decode_chunk's guards and holds plain ops (_plain_ops),
-    which hold no array with two objects side by side.  So, as
-    _decode_chunk argues, each line is exactly one op record, decoded
-    from the text the line reader decodes.  ModelOp's checks run on one
-    op of each (op, addr or not, cpl, cat, sign) in the text.
+    It takes a text only if line 1 is the header (_model_header), which
+    trace._read_chunks checks before it decodes any op line, and every
+    chunk of op lines that it hands on passes _decode_chunk's guards
+    and holds plain ops (_plain_ops), which hold no array with two
+    objects side by side.  So, as _decode_chunk argues, each line is
+    exactly one op record, decoded from the text the line reader
+    decodes.  ModelOp's checks run on one op of each (op, addr or not,
+    cpl, cat, sign) in the text.
     """
-    lines = _bulk_lines(data)
-    if not lines:
-        return None
-    header = json.loads(lines[0])
-    if not isinstance(header, dict) or "entry_page" not in header:
-        return None
-    ops: list[ModelOp] = []
-    representatives: dict = {}
-    for start in range(1, len(lines), _CHUNK_ROWS):
-        records = _decode_chunk(lines[start:start + _CHUNK_ROWS], dict)
-        chunk_ops = records and _plain_ops(records, representatives)
-        if chunk_ops is None:
-            return None
-        ops += chunk_ops
-    for op in representatives.values():
-        op.__post_init__()
-    return header, ops
+    return _read_chunks(data, _model_header, dict, _plain_ops)
 
 
 # The types of the values _plain_ops takes under each key, with null
@@ -691,7 +682,9 @@ def build_guest(model: ProgramModel) -> Guest:
 class TrapConfig:
     """How mode transitions are caught: "mbec" (EPT violations under the
     exec-denied profiles) or "legacy" (U/S-bit page faults).  Both report
-    the same transitions, on hidden-hook pages too."""
+    every switch, on hidden-hook pages too, so both yield the same trace:
+    with two CPL values, the profile kept for the previous mode always
+    denies execute in the new one."""
 
     transition_mode: str = "mbec"
 
@@ -739,8 +732,9 @@ class _Emitter:
 
 def run(guest: Guest, model: ProgramModel,
         trap_config: Optional[TrapConfig] = None) -> TraceLog:
-    """Interpret the model against the guest and return the trace."""
-    log, _ = _run(guest, model, trap_config or TrapConfig())
+    """Interpret the model against the guest and return the trace, which
+    is the same under either TrapConfig."""
+    log, _ = _run(guest, model)
     return log
 
 
@@ -752,7 +746,7 @@ def capture_entry_point(guest: Guest, model: ProgramModel):
     If the page is absent a page fault is injected first, then execute
     permission is restored and the run continues.
     """
-    log, entry_address = _run(guest, model, TrapConfig(), capture_entry=True)
+    log, entry_address = _run(guest, model, capture_entry=True)
     if entry_address is None:
         raise SimulationError("model exhausted before executing the entry page")
     prefix_end = next(
@@ -784,18 +778,8 @@ def transitions(log: TraceLog) -> list[tuple[int, str]]:
     ]
 
 
-def _mbec_denies_execute(last_mode: str, mode: str) -> bool:
-    """Whether the EPT profile kept while the guest ran in `last_mode`,
-    the one denying execute in the other mode, denies a fetch in `mode`.
-    It reads no page: a hidden hook lets its bytes execute, but the
-    profile still traps the fetch that crosses modes."""
-    profile = "user-exec-denied" if last_mode == "kernel" else "kernel-exec-denied"
-    return profile == f"{mode}-exec-denied"
-
-
 @_collector_paused()  # the events outlive the run
-def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
-         capture_entry: bool = False):
+def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
     emitter = _Emitter(model.tid)
     module_range = model.resolved_module_range()
     sp = model.sp_init
@@ -847,10 +831,12 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
         emitter.emit(kind, address, size, guest.mode, rip, cat, sign,
                      callee, args, value)
 
-    def data_access(kind, address, size, cat, sign="n/a", callee=None,
-                    args=None, value=None):
+    def store(address, size, value, cat, sign="n/a", callee=None, args=None):
+        """A trapped write of `value`'s low `size` bytes."""
         demand_page(address, size)
-        trap(kind, address, size, cat, sign, callee, args, value)
+        trap("write", address, size, cat, sign, callee, args, value)
+        mask = (1 << 8 * size) - 1
+        guest.write_memory(address, (value & mask).to_bytes(size, "little"))
 
     for (name, addr, size, value, callee, args, n_stack, amount, cpl, cat,
          sign, op_rip) in model.ops:
@@ -873,12 +859,11 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
                 entry_pending = False
         if guest.mode != last_mode:
             # MBEC: the fetch raises an EPT violation under the profile
-            # kept for the previous mode.  Legacy: the U/S-bit mismatch
-            # page-faults it; the monitor swallows the fault.  Either
-            # way the monitor reports the switch.
-            if (cfg.transition_mode == "legacy"
-                    or _mbec_denies_execute(last_mode, guest.mode)):
-                emitter.emit("execute", rip, 1, guest.mode, rip, cat="other")
+            # kept for the previous mode, which denies execute in the
+            # other one, on a hidden-hook page too.  Legacy: the U/S-bit
+            # mismatch page-faults it; the monitor swallows the fault.
+            # Either way the monitor reports the switch.
+            emitter.emit("execute", rip, 1, guest.mode, rip, cat="other")
             last_mode = guest.mode
 
         if name == "mov-read":
@@ -888,34 +873,25 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
             trap("read", addr, size, cat or "int-move",
                  sign=sign or "n/a", value=value)
         elif name == "mov-write":
-            size = size or 8
-            value = value or 0
-            data_access("write", addr, size, cat or "int-move",
-                        sign=sign or "n/a", value=value)
-            guest.write_memory(addr, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
+            store(addr, size or 8, value or 0, cat or "int-move", sign or "n/a")
         elif name == "push":
             sp -= 8
-            value = value or 0
-            data_access("write", sp, 8, "push", value=value)
-            guest.write_memory(sp, (value & ((1 << 64) - 1)).to_bytes(8, "little"))
+            store(sp, 8, value or 0, "push")
         elif name == "sub-sp":
             amount = amount or 0
             sp -= amount
-            data_access("write", sp, 8, "sub-sp", value=amount)
+            demand_page(sp, 8)
+            trap("write", sp, 8, "sub-sp", value=amount)
         elif name == "call":
             args = args or ()
             stack_args = args[4:]
             if not stack_args and n_stack:
                 stack_args = (0,) * n_stack
             for index, value in enumerate(stack_args):
-                slot = sp + 0x20 + 8 * index
-                data_access("write", slot, 8, "int-move", value=value)
-                guest.write_memory(slot, (value & ((1 << 64) - 1)).to_bytes(8, "little"))
+                store(sp + 0x20 + 8 * index, 8, value, "int-move")
             sp -= 8
-            return_address = rip + INSTR_STRIDE
-            data_access("write", sp, 8, "call", callee=callee,
-                        args=(args + (0, 0, 0, 0))[:4], value=return_address)
-            guest.write_memory(sp, return_address.to_bytes(8, "little"))
+            store(sp, 8, rip + INSTR_STRIDE, "call", callee=callee,
+                  args=(args + (0, 0, 0, 0))[:4])
         elif name == "alloc":
             size = size or 0
             base = guest.allocate(size)
@@ -926,8 +902,7 @@ def _run(guest: Guest, model: ProgramModel, cfg: TrapConfig,
                          callee=callee or "NtAllocateVirtualMemory",
                          args=(size, 0, 0, 0), value=base)
         elif name == "xmm-zero":
-            data_access("write", addr, 16, "xmm-zero-store", value=0)
-            guest.write_memory(addr, bytes(16))
+            store(addr, 16, 0, "xmm-zero-store")
         elif name == "ret":
             sp += 8
         elif name == "mode-switch":

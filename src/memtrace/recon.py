@@ -547,8 +547,6 @@ class RuleHit:
 
 
 def _step_matches(step, callee: Optional[str]) -> bool:
-    if callee is None:
-        return False
     if isinstance(step, str):
         return callee == step
     return callee in step

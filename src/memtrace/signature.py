@@ -250,9 +250,12 @@ def diff_modified(p, p_prime, tau: int = DEFAULT_TAU,
     Greedy splitting over a worklist of (i0, i1, j0, j1) ranges, in the
     manner of difflib's get_matching_blocks: take a range's LCMAP as a
     matched run and queue the unmatched ranges before and after it; a
-    range whose LCMAP is shorter than DEFAULT_MIN_RUN (and does not
-    cover both sides) becomes one combined unmatched region.  Raises
-    NotSimilarError when the patterns do not meet the match threshold.
+    range whose LCMAP is shorter than DEFAULT_MIN_RUN becomes one
+    combined unmatched region, unless it is the whole pair and its LCMAP
+    covers both sides.  (No later range can be near cell by cell along
+    two equal sides: its corner cell would extend the maximal run that
+    bounds it.)  Raises NotSimilarError when the patterns do not meet
+    the match threshold.
 
     The whole-pair lcmap decides the threshold and is the first split.
     Each of the two leftover boxes is then swept once, collecting its
@@ -314,11 +317,6 @@ def diff_modified(p, p_prime, tau: int = DEFAULT_TAU,
             heappop(heap)  # the chosen run reaches into neither child
             length = -key[0]
             mi0, mj0 = key[1] - length + 1, key[2] - length + 1
-        elif i1 - i0 == j1 - j0 and all(
-                near(first[i0 + k], second[j0 + k], tau)
-                for k in range(i1 - i0)):
-            # Shorter than DEFAULT_MIN_RUN, but the LCMAP covers both sides.
-            length, mi0, mj0 = i1 - i0, i0, j0
         else:
             report.unmatched.append(((i0, i1), (j0, j1)))
             continue

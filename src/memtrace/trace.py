@@ -10,12 +10,15 @@ index, counted from 0 in order of definition, after that.  Its `val`
 runtime state, so they sit in columns of their own.  Addresses and
 values are 0x-prefixed hex strings so traces stay greppable.
 
-parse_trace reads bytes and text in bulk, a chunk of lines per
-json.loads call, where it can tell that the chunk holds one plain row
-per line; it reads everything else, and every stream, one line at a
-time.  Only the line reader reports errors.  The bulk reader, like the
-guest's model reader and its run, keeps the cyclic collector paused
-while it builds: what it builds outlives it.
+Bulk reading lives here, for traces and the guest's program models
+alike.  _read sends bytes and text to a bulk reader first, and whatever
+that reader declines, and every stream, to a line reader, which alone
+reports errors.  Both bulk readers run on _read_chunks: it hands back
+line 1 as the header, decodes the later lines a chunk per json.loads
+call where it can tell that each line holds one plain row, passes each
+chunk's rows to the reader's own column checks, and runs the full
+checks on one row of each kind.  It keeps the cyclic collector paused
+while it builds, as the guest's run does: what they build outlives them.
 """
 
 from __future__ import annotations
@@ -375,14 +378,22 @@ def parse_trace(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
     shape shares; a row's `val` and `args` become its event's `value`
     and `register_args`.
     """
+    return _read(stream, _parse_chunks, _parse_lines)
+
+
+def _read(stream, in_bulk: Callable, by_line: Callable):
+    """Read `stream` with `in_bulk` where it is bytes or text, and with
+    `by_line` where it is a stream or `in_bulk` declines it (gives None,
+    or raises a TypeError, ValueError or RecursionError).  parse_trace
+    and the guest's parse_model both choose their reader here."""
     if isinstance(stream, (bytes, str)):
         try:
-            log = _parse_chunks(stream)
+            read = in_bulk(stream)
         except (TypeError, ValueError, RecursionError):
-            log = None
-        if log is not None:
-            return log
-    return _parse_lines(stream)
+            read = None
+        if read is not None:
+            return read
+    return by_line(stream)
 
 
 def _parse_lines(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
@@ -439,17 +450,8 @@ def _parse_lines(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
     return TraceLog(events=tuple(events), module_range=module_range)
 
 
-_CHUNK_ROWS = 1024  # event lines per json.loads call in _parse_chunks
+_CHUNK_ROWS = 1024  # lines per json.loads call in the bulk readers
 _SHAPE_KEYS = frozenset(("cat", "sign", "callee"))
-
-
-def _bulk_lines(data: Union[bytes, str]) -> list[str]:
-    """The lines of `data`, split as the line reader splits them, for a
-    bulk reader."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    return text.splitlines()
-
-
 _BRACKETS = {list: "[]", dict: "{}"}
 
 
@@ -459,10 +461,10 @@ def _decode_chunk(chunk: list[str], row_type: type) -> Optional[list]:
     object) and the lines, joined into one JSON array by ",\n", decode
     to one value of that type per line.
 
-    A bulk reader of _bulk_lines' lines that keeps to these guards reads
-    each line as exactly the one row the line reader reads there, if it
-    takes no row that holds, at any depth, an array with two values of
-    `row_type` side by side:
+    A bulk reader of str.splitlines' lines that keeps to these guards
+    reads each line as exactly the one row the line reader reads there,
+    if it takes no row that holds, at any depth, an array with two values
+    of `row_type` side by side:
     - both readers split lines with str.splitlines, which also ends a
       line at a U+0085, U+2028 or U+2029 that JSON allows raw in a
       string.  A line cut inside a string leaves that string open at
@@ -503,6 +505,40 @@ def _collector_paused():
             gc.enable()
 
 
+@_collector_paused()
+def _read_chunks(data: Union[bytes, str], head: Callable, row_type: type,
+                 take: Callable) -> Optional[tuple[object, list]]:
+    """The work both bulk readers share: (the header, what `take` made
+    of the lines after it), or None where the text is empty, `take`
+    declines a chunk or _decode_chunk rejects one.
+
+    head(1, record) gives the header of line 1's record, or raises a
+    ValueError, before any later line is decoded.  The later lines go to
+    _decode_chunk, _CHUNK_ROWS lines at a time, as rows of `row_type`.
+    take(rows, representatives) gives what it made of a chunk's rows, or
+    None to decline the input, and keeps in `representatives` one made
+    row of each kind that the rows' checks tell apart; __post_init__'s
+    checks run on those alone, once every chunk is taken.  The cyclic
+    collector stays paused throughout (_collector_paused).
+    """
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    lines = text.splitlines()
+    if not lines:
+        return None
+    header = head(1, json.loads(lines[0]))
+    made: list = []
+    representatives: dict = {}
+    for start in range(1, len(lines), _CHUNK_ROWS):
+        rows = _decode_chunk(lines[start:start + _CHUNK_ROWS], row_type)
+        chunk = None if rows is None else take(rows, representatives)
+        if chunk is None:
+            return None
+        made += chunk
+    for row in representatives.values():
+        row.__post_init__()
+    return header, made
+
+
 def _hex_prefixed(column) -> bool:
     """Whether every string in `column` starts with "0x", given that each
     parses with int(s, 16), as the bulk readers check later: then none
@@ -511,43 +547,39 @@ def _hex_prefixed(column) -> bool:
     return ("," + ",".join(column)).count(",0x") == len(column)
 
 
-@_collector_paused()
 def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
     """parse_trace's bulk reader: the log _parse_lines gives, or None (or
     a TypeError, ValueError or RecursionError) for any input it does not
     take, which _parse_lines then reads again.
 
-    It takes a text only if the header is line 1, every chunk passes
-    _decode_chunk's guards, every shape object holds only cat, sign and
-    callee, and every args cell is null or a list of four exact ints.
-    Then no row holds two lists side by side in an array: a row's only
+    An empty text is the empty log, as the line reader reads it too.
+    Any other text it takes only if the header is line 1, every chunk
+    passes _decode_chunk's guards, every shape object holds only cat,
+    sign and callee, and every args cell is null or a list of four exact
+    ints.  Then no row holds two lists side by side in an array: a row's only
     list column is args, its last, since the checks below reject a list
     in any other (an int, a string, a shape or null); a shape holds
     strings only, and an args list ints only.  So, as _decode_chunk
     argues, each line is exactly one row, decoded from the text the line
     reader decodes.
-    The rows are then checked column by column with the line reader's
-    rules: exact ints, strictly increasing seq, shape indices naming an
-    earlier shape, 0x-hex addr and rip, a val that is null or 0x-hex,
-    and AccessEvent's checks on one event of each distinct (cpl, kind,
-    size, shape, args or not) in the text: they read nothing else but
-    the args' count and types, which are checked by column.  Each event
-    is built by one tuple.__new__ call.  Only the rows that carry args
-    convert them; args spelled in hex are left to the line reader.  The
-    cyclic collector stays paused throughout (_collector_paused).
+    _read_chunks hands each chunk's rows to `take`, which checks them
+    column by column with the line reader's rules: exact ints, strictly
+    increasing seq (across chunks too), shape indices naming an earlier
+    shape, 0x-hex addr and rip, a val that is null or 0x-hex, and
+    AccessEvent's checks on one event of each distinct (cpl, kind, size,
+    shape, args or not) in the text: they read nothing else but the
+    args' count and types, which are checked by column.  Each event is
+    built by one tuple.__new__ call.  Only the rows that carry args
+    convert them; args spelled in hex are left to the line reader.
     """
-    lines = _bulk_lines(data)
-    if not lines:
+    if not data:
         return TraceLog()
-    module_range = _parse_header(1, json.loads(lines[0]))
     shapes: list[InstrDescriptor] = []
-    events: list[AccessEvent] = []
-    # An event of each (cpl, kind, size, shape, args or not).
-    representatives: dict = {}
     last_seq: tuple = ()  # the seq of the row before the chunk, if any
-    for start in range(1, len(lines), _CHUNK_ROWS):
-        rows = _decode_chunk(lines[start:start + _CHUNK_ROWS], list)
-        if rows is None or set(map(len, rows)) != {len(COLUMNS)}:
+
+    def take(rows: list, representatives: dict) -> Optional[list]:
+        nonlocal last_seq
+        if set(map(len, rows)) != {len(COLUMNS)}:
             return None
         (seqs, tids, cpls, kinds, addrs, sizes, rips, shape_col, vals,
          args_col) = zip(*rows)
@@ -589,14 +621,16 @@ def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
         columns = (seqs, tids, cpls, kinds, map(int, addrs, repeat(16)),
                    sizes, instrs, map(int, rips, repeat(16)), values,
                    register_args)
-        chunk_events = list(map(tuple.__new__, repeat(AccessEvent),
-                                zip(*columns)))
+        events = list(map(tuple.__new__, repeat(AccessEvent), zip(*columns)))
         keys = zip(cpls, kinds, sizes, shape_col,
                    map(is_, args_col, repeat(None)))
-        representatives.update(zip(keys, chunk_events))
-        events += chunk_events
-    for event in representatives.values():
-        event.__post_init__()
+        representatives.update(zip(keys, events))
+        return events
+
+    read = _read_chunks(data, _parse_header, list, take)
+    if read is None:
+        return None
+    module_range, events = read
     return TraceLog(events=tuple(events), module_range=module_range)
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memtrace import guest as guest_mod
+from memtrace import trace
 from memtrace.cli import main
 from memtrace.guest import (
     ACCESS_CATEGORIES,
@@ -34,7 +35,8 @@ from memtrace.guest import (
     serialize_model,
     transitions,
 )
-from memtrace.trace import CATEGORIES, AccessEvent, InstrDescriptor
+from memtrace.trace import (CATEGORIES, AccessEvent, InstrDescriptor,
+                            serialize_trace)
 
 from helpers import (
     MODULE_PAGE,
@@ -542,8 +544,9 @@ class TestCaptureWork:
         (dict(args=[0, None]), r"args \[0, None\] must be a list of integers"),
         (dict(args="abcd"), "args 'abcd' must be a list of integers"),
         (dict(args=5), "args 5 must be a list of integers"),
+        (dict(args=[True, 2]), r"args \[True, 2\] must be a list of integers"),
     ], ids=["int-callee", "list-callee", "string-args", "float-arg",
-            "none-arg", "string", "int"])
+            "none-arg", "string", "int", "bool-arg"])
     def test_call_values_checked_at_construction(self, kwargs, message):
         """The emitter checks one event per kind, so a callee or an
         argument of the wrong type must stop at the op: it would write a
@@ -551,22 +554,36 @@ class TestCaptureWork:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ModelOp("call", **kwargs)
 
-    @pytest.mark.parametrize("size", [1.5, "8", [8]])
+    @pytest.mark.parametrize("size", [1.5, "8", [8], True])
     def test_alloc_size_checked_at_construction(self, size):
-        """An alloc's size becomes its event's first argument."""
+        """An alloc's size becomes its event's first argument, and a
+        mov-write's its operand size."""
         with pytest.raises(ValueError, match="^size .* is not an integer$"):
             ModelOp("alloc", callee="malloc", size=size)
+        with pytest.raises(ValueError, match="^size .* is not an integer$"):
+            ModelOp("mov-write", addr=0x7fe000, size=size, value=1)
+
+    @pytest.mark.parametrize("tid", [True, 1.0, "0x1", None])
+    def test_tid_checked_at_construction(self, tid):
+        """A model's tid is the tid column of every event, which
+        parse_trace takes only as an exact int."""
+        with pytest.raises(ValueError, match="^tid .* is not an integer$"):
+            make_model([ModelOp("nop")], tid=tid)
 
     def test_equal_args_of_other_types_are_not_shared(self):
-        """`True == 1`, but each event holds its own arguments: the
-        second call keeps its own `True`, as an unshared build would."""
+        """An int subclass's 1 equals 1, but each event holds its own
+        arguments: the second call keeps its own, as an unshared build
+        would.  (A bool, the other int that equals 1, stops at the op.)"""
+        class Int(int):
+            pass
+
         ops = [ModelOp("call", callee="Foo", args=[arg, 0, 0, 0],
-                       rip=MODULE_PAGE * PAGE_SIZE) for arg in (1, True)]
+                       rip=MODULE_PAGE * PAGE_SIZE) for arg in (1, Int(1))]
         first, second = run_model(make_model(ops)).events
         assert first.value == second.value
         assert first.instr is second.instr
         assert [type(e.register_args[0]) for e in (first, second)] == [
-            int, bool]
+            int, Int]
 
     @pytest.mark.parametrize("op, message", [
         (ModelOp("mov-write", addr=0x3000, size=3), "bad operand size 3"),
@@ -707,6 +724,37 @@ class TestTransitions:
             mode != before for before, mode in zip([model.cpl] + switches,
                                                    switches))
 
+    @given(seed=st.integers(0, 2**32), entry_present=st.booleans(),
+           hooked=st.sets(st.sampled_from((MODULE_PAGE,) + LAZY_PAGES)))
+    @settings(max_examples=150, deadline=None)
+    def test_trap_configs_write_the_same_trace(self, seed, entry_present,
+                                               hooked):
+        """MBEC and legacy detection both report every switch, so a run
+        writes the same trace bytes under either TrapConfig: with mode
+        switches, an absent entry page and hidden hooks on code pages."""
+        rng = random.Random(seed)
+        ops = list(_random_model(rng, rng.randrange(0, 30),
+                                 addr_end=SCRATCH[0][1] - 8).ops)
+        for _switch in range(rng.randrange(0, 8)):
+            at = rng.randrange(len(ops) + 1)
+            page = rng.choice((None,) + self.LAZY_PAGES)
+            ops[at:at] = [
+                ModelOp("mode-switch", cpl=rng.choice([None, "user", "kernel"])),
+                ModelOp("nop", rip=None if page is None
+                        else page * PAGE_SIZE + 4 * at)]
+        model = make_model(ops, cpl=rng.choice(["user", "kernel"]),
+                           entry_present=entry_present)
+
+        def trace_bytes(mode):
+            guest = build_guest(model)
+            for page in hooked:
+                guest.inject_page_fault(page * PAGE_SIZE)
+                guest.install_hidden_hook(page * PAGE_SIZE, b"\xcc" * 64)
+            return serialize_trace(run(guest, model,
+                                       TrapConfig(transition_mode=mode)))
+
+        assert trace_bytes("mbec") == trace_bytes("legacy")
+
     def test_switch_on_a_hooked_entry_page_is_reported(self):
         model = self._switch_model(["kernel"])
         guest = build_guest(model)
@@ -715,6 +763,13 @@ class TestTransitions:
 
 
 class TestModelFiles:
+    @pytest.mark.parametrize("data", [b"", "", " \n\n", iter([])],
+                             ids=["bytes", "text", "blank", "stream"])
+    def test_empty_model_file_is_named_at_line_1(self, data):
+        with pytest.raises(ModelParseError, match=r"^line 1: empty model "
+                           r"file \(missing header\)$"):
+            parse_model(data)
+
     def test_round_trip(self):
         model = make_model(
             [
@@ -1035,7 +1090,7 @@ def _mutate_model(model, mutations) -> str:
 
 @given(seed=st.integers(0, 2**32), mutations=st.lists(MODEL_MUTATION,
                                                       max_size=4),
-       chunk=st.sampled_from([1, 2, 3, guest_mod._CHUNK_ROWS]))
+       chunk=st.sampled_from([1, 2, 3, trace._CHUNK_ROWS]))
 @settings(max_examples=400, deadline=None)
 def test_bulk_model_reader_matches_line_reader(seed, mutations, chunk):
     """parse_model on bytes and on text, read in bulk where the guards
@@ -1045,7 +1100,7 @@ def test_bulk_model_reader_matches_line_reader(seed, mutations, chunk):
     rng = random.Random(seed)
     text = _mutate_model(_random_model(rng, rng.randrange(0, 12)), mutations)
     want = _model_outcome(iter(text.splitlines()))
-    with mock.patch.object(guest_mod, "_CHUNK_ROWS", chunk):
+    with mock.patch.object(trace, "_CHUNK_ROWS", chunk):
         assert _model_outcome(text.encode()) == want
         assert _model_outcome(text) == want
 
@@ -1080,8 +1135,8 @@ def test_bad_op_in_the_second_chunk(at):
     """A fault past the first chunk of the default size is named at its
     line, as the line reader names it."""
     ops = ['{"op": "push", "value": "0x%x"}' % k
-           for k in range(guest_mod._CHUNK_ROWS + 8)]
-    bad = guest_mod._CHUNK_ROWS + at
+           for k in range(trace._CHUNK_ROWS + 8)]
+    bad = trace._CHUNK_ROWS + at
     ops[bad] = '{"op": "push", "value": "0x1g"}'
     data = "\n".join([MODEL_HEADER] + ops).encode()
     assert _model_outcome(data) == (
@@ -1097,7 +1152,7 @@ def test_written_models_never_take_the_line_reader(seed, chunk):
     rng = random.Random(seed)
     model = _random_model(rng, rng.randrange(0, 12))
     data = serialize_model(model)
-    with mock.patch.object(guest_mod, "_CHUNK_ROWS", chunk), \
+    with mock.patch.object(trace, "_CHUNK_ROWS", chunk), \
             mock.patch.object(guest_mod, "_read_model_lines",
                               side_effect=AssertionError("line reader ran")):
         for form in (data, data.decode(), data.replace(b"\n", b"\r\n")):
@@ -1147,7 +1202,7 @@ def _typed_outcome(data):
 
 
 @given(records=st.lists(OP_RECORDS, min_size=1, max_size=12),
-       chunk=st.sampled_from([1, 2, 3, guest_mod._CHUNK_ROWS]))
+       chunk=st.sampled_from([1, 2, 3, trace._CHUNK_ROWS]))
 @settings(max_examples=400, deadline=None)
 def test_bulk_model_reader_matches_line_reader_on_number_fields(records,
                                                                  chunk):
@@ -1156,7 +1211,7 @@ def test_bulk_model_reader_matches_line_reader_on_number_fields(records,
     strings, bools, floats and nulls the number fields hold."""
     text = "\n".join([MODEL_HEADER] + [json.dumps(r) for r in records])
     want = _typed_outcome(iter(text.splitlines()))
-    with mock.patch.object(guest_mod, "_CHUNK_ROWS", chunk):
+    with mock.patch.object(trace, "_CHUNK_ROWS", chunk):
         assert _typed_outcome(text.encode()) == want
         assert _typed_outcome(text) == want
 
@@ -1178,16 +1233,16 @@ def test_mixed_int_and_hex_fields_take_the_bulk_reader():
         ModelOp("sub-sp", amount=0x40)]
 
 
-@pytest.mark.parametrize("chunk", [1, 2, guest_mod._CHUNK_ROWS])
+@pytest.mark.parametrize("chunk", [1, 2, trace._CHUNK_ROWS])
 def test_chunk_without_an_op_is_named_at_its_line(chunk):
     """A chunk whose records hold no op key at all is declined too."""
     data = "\n".join([MODEL_HEADER, '{"op": "nop"}', '{"addr": "0x3000"}',
                       '{"size": 8}'])
-    with mock.patch.object(guest_mod, "_CHUNK_ROWS", chunk):
+    with mock.patch.object(trace, "_CHUNK_ROWS", chunk):
         assert _model_outcome(data) == (3, "line 3: missing op")
 
 
-@pytest.mark.parametrize("chunk", [7, guest_mod._CHUNK_ROWS])
+@pytest.mark.parametrize("chunk", [7, trace._CHUNK_ROWS])
 def test_one_op_check_per_bulk_reader_key(monkeypatch, chunk):
     """The bulk model reader runs ModelOp's checks on one op of each (op,
     addr or not, cpl, cat, sign) in the whole text, over every chunk: the
@@ -1203,7 +1258,7 @@ def test_one_op_check_per_bulk_reader_key(monkeypatch, chunk):
         post_init(self)
 
     monkeypatch.setattr(ModelOp, "__post_init__", counting)
-    with mock.patch.object(guest_mod, "_CHUNK_ROWS", chunk):
+    with mock.patch.object(trace, "_CHUNK_ROWS", chunk):
         assert parse_model(data) == model
 
     def key(op):

@@ -110,6 +110,14 @@ class TestFindAllocations:
         b.api_call("malloc", [0x40], value=None)
         assert find_allocations(b.log()) == []
 
+    def test_negative_size_gives_a_base_of_size_0(self):
+        b = LogBuilder()
+        b.api_call("malloc", [-0x40], value=0x9000)
+        want = [AllocationRecord(base=0x9000, size=0, source="heap-hook",
+                                 site_rip=RIP)]
+        assert find_allocations(b.log()) == want
+        assert collect_bases(b.log()) == want
+
     def test_fifty_allocations_ground_truth(self):
         rng = random.Random(3)
         b = LogBuilder()

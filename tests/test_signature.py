@@ -73,15 +73,20 @@ def lcmap_cases(draw):
 @st.composite
 def diff_cases(draw):
     """(p, q, tau) for the diff: dense (every pair near), duplicate-heavy,
-    pathological (every k-th offset of a copy shifted by 5 tau), nested
-    and random pairs, with either side possibly empty.  A nested pair
-    alternates shared runs of mixed lengths with stretches found on one
-    side only, so a leftover box splits again and its smaller child can
-    hold a run of its own."""
+    pathological (every k-th offset of a copy shifted by 5 tau), nested,
+    edited and random pairs, with either side possibly empty.  A nested
+    pair alternates shared runs of mixed lengths with stretches found on
+    one side only, so a leftover box splits again and its smaller child
+    can hold a run of its own.  An edited pair, at tau 0, is p over two
+    to four values and p after one to three inserts, deletes or
+    substitutions: its repeated values leave many ranges with two equal
+    sides between matched runs, which the reference matches in full
+    where they are near cell by cell (diff_modified cannot meet such a
+    range after the first split)."""
     tau = draw(st.sampled_from([-1, 0, 4, 100]))
     width = max(tau, 1)
     shape = draw(st.sampled_from(["dense", "duplicates", "pathological",
-                                  "nested", "random"]))
+                                  "nested", "edited", "random"]))
     if shape == "dense":
         values = st.lists(st.integers(0, max(tau, 0)), max_size=30)
         p, q = draw(values), draw(values)
@@ -107,6 +112,20 @@ def diff_cases(draw):
             shared = [step * next(fresh) for _ in range(draw(st.integers(2, 8)))]
             p += shared
             q += shared
+    elif shape == "edited":
+        tau = 0
+        alphabet = st.integers(0, draw(st.integers(1, 3)))
+        p = draw(st.lists(alphabet, max_size=30))
+        q = list(p)
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(q)))
+            edit = draw(st.sampled_from(["insert", "delete", "substitute"]))
+            if edit == "insert":
+                q.insert(at, draw(alphabet))
+            elif at < len(q) and edit == "delete":
+                del q[at]
+            elif at < len(q):
+                q[at] = draw(alphabet)
     else:
         p, q = random_pattern_pair(random.Random(draw(st.integers(0, 2**32))))
     empty = draw(st.sampled_from([None, None, None, "p", "q"]))
@@ -307,6 +326,16 @@ class TestExtractPattern:
         )
         assert len(extract_pattern(log).offsets) == 1
 
+    def test_empty_module_range_takes_every_access(self):
+        """A header whose module range is empty (lo == hi) filters by no
+        module: every read and write is the program's, from any rip."""
+        log = TraceLog(
+            events=(make_event(0, 0x5000), make_event(1, 0x5004, rip=0x10),
+                    make_event(2, 0x5008, kind="read", rip=0x77001000)),
+            module_range=(0x401000, 0x401000),
+        )
+        assert extract_pattern(log).offsets == (0x0, 0x4, 0x8)
+
     def test_injected_page_faults_excluded(self):
         """The same program signs alike whether or not the capture had
         to fault its pages in."""
@@ -442,7 +471,7 @@ class TestDiffModified:
                 assert p[i] == q[j]
 
     @given(diff_cases(), st.sampled_from([0, 0.5, 0.8]))
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=480, deadline=None)
     def test_matches_recursive_reference(self, case, threshold):
         p, q, tau = case
         try:

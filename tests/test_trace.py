@@ -193,6 +193,21 @@ class TestParseSerialize:
         with pytest.raises(TraceParseError, match="module_range"):
             parse_trace(data)
 
+    def test_module_range_without_hi_rejected(self):
+        data = json.dumps({"module_range": {"lo": "0x0"},
+                           "columns": list(trace.COLUMNS)}) + "\n"
+        with pytest.raises(TraceParseError,
+                           match="^line 1: bad module_range: 'hi'$"):
+            parse_trace(data)
+
+    def test_unknown_signedness_rejected(self):
+        data = (json.dumps(HEADER) + '\n'
+                '[0, 1, "u", "w", "0x10", 4, "0x20",'
+                ' {"cat": "int-move", "sign": "maybe"}, null, null]\n')
+        with pytest.raises(TraceParseError,
+                           match="^line 2: unknown signedness 'maybe'$"):
+            parse_trace(data)
+
     def test_duplicate_seq_rejected(self):
         log = TraceLog(events=(make_event(seq=5),), module_range=(0, 0x1000))
         line = serialize_trace(log).decode().strip().split("\n")[1]
