@@ -13,18 +13,18 @@ give one trace.
 Capture keeps its per-op work small.  A ModelOp is an immutable named
 tuple, and the run unpacks each op once.  Every write the program makes
 takes one store path: demand paging, the trap, then the masked write.
-The emitter runs AccessEvent's checks on the first event of each kind
-(category, signedness, callee, cpl, access kind, size, arguments or not)
-and builds the rest with one tuple.__new__ call each.  Memory accesses
+Every event is logged by one trap closure, one tuple.__new__ call each,
+with no AccessEvent check: ModelOp checks the access a mov op logs, so
+every event of a run of checked ops is valid as built.  Memory accesses
 that lie on one built page skip the per-page walk.  parse_model reads
 through trace's pipeline (_read, _read_chunks), as parse_trace does: a
 chunk of op lines per json.loads call where each line holds one plain
 op, a chunk's ops built column by column (_plain_ops), each with one
 tuple.__new__ call, and ModelOp's checks run once per distinct (op,
-addr or not, cpl, cat, sign); everything else is read one line at a
-time, and only the line reader reports errors.  The bulk readers and
-the run keep the cyclic collector paused while they build, and leave it
-as they found it: the ops and events outlive them.
+addr or not, cpl, cat, sign, a mov op's size); everything else is read
+one line at a time, and only the line reader reports errors.  The bulk
+readers and the run keep the cyclic collector paused while they build,
+and leave it as they found it: the ops and events outlive them.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .trace import (
     AccessEvent,
     InstrDescriptor,
     TraceLog,
+    _check_operand,
     _collector_paused,
     _hex,
     _hex_prefixed,
@@ -341,6 +342,7 @@ MODEL_OPS = (
     "mode-switch",
     "nop",
 )
+_MOV_OPS = ("mov-read", "mov-write")  # the ops whose access a model sizes
 # The categories a mov-read or mov-write may log its access under: the
 # others are a push, a call or the capture's own events.
 ACCESS_CATEGORIES = ("int-move", "float-move", "xmm-zero-store", "other")
@@ -370,10 +372,13 @@ class ModelOp(_OpFields):
     The constructor, _make, _replace (and so copy.replace), pickle and
     copy all run __post_init__'s checks on the fields as given, and the
     constructor stores an args list, or any other sequence, as a tuple.
+    Those checks include AccessEvent's operand rules on the access a
+    mov-read or mov-write logs, so the run checks no event it logs.
     The bulk model reader builds most ops with tuple.__new__(ModelOp,
     fields), which checks nothing, and runs the checks on one op of each
-    (op, addr or not, cpl, cat, sign): they read nothing else but the
-    types of callee, size and args, which that reader checks by column.
+    (op, addr or not, cpl, cat, sign, a mov op's size): they read
+    nothing else but the types of callee, size and args, which that
+    reader checks by column.
     """
 
     __slots__ = ()
@@ -403,15 +408,14 @@ class ModelOp(_OpFields):
             raise ValueError(f"bad cpl {_shown(cpl)}")
         if cat is not None and cat not in CATEGORIES:
             raise ValueError(f"unknown instruction category {_shown(cat)}")
-        if (cat is not None and op in ("mov-read", "mov-write")
-                and cat not in ACCESS_CATEGORIES):
+        if cat is not None and op in _MOV_OPS and cat not in ACCESS_CATEGORIES:
             raise ValueError(f"model op {_shown(op)} cannot log "
                              f"category {_shown(cat)}")
         if sign is not None and sign not in SIGN_VALUES:
             raise ValueError(f"unknown signedness {_shown(sign)}")
-        # The emitter checks one event of each kind, so the values it
-        # puts in a call's arguments unchecked are checked here.  A bool
-        # is no integer here, as in _int_or_hex: a trace cannot hold one.
+        # The run checks no event it logs, so the values it puts in an
+        # event unchecked are checked here.  A bool is no integer here,
+        # as in _int_or_hex: a trace cannot hold one.
         if callee is not None and not isinstance(callee, str):
             raise ValueError(f"callee {_shown(callee)} is not a string")
         if size is not None and (not isinstance(size, int)
@@ -423,6 +427,8 @@ class ModelOp(_OpFields):
                         for arg in args)):
             raise ValueError(f"args {_shown(args)} must be a list of "
                              "integers")
+        if op in _MOV_OPS:  # the access the run logs; op[4:] is its kind
+            _check_operand(op[4:], size or 8, cat or "int-move")
 
 
 @dataclass
@@ -441,8 +447,14 @@ class ProgramModel:
     def __post_init__(self):
         if self.cpl not in CPL_VALUES:
             raise ValueError(f"bad cpl {_shown(self.cpl)}")
-        if type(self.tid) is not int:
-            raise ValueError(f"tid {_shown(self.tid)} is not an integer")
+        # Exact ints, as a model file holds them: never a bool or a float.
+        numbers = [("tid", self.tid), ("entry_page", self.entry_page),
+                   ("sp_init", self.sp_init)]
+        numbers += [("mapped bound", n) for pair in self.mapped for n in pair]
+        numbers += [("module_range bound", n) for n in self.module_range or ()]
+        for name, number in numbers:
+            if type(number) is not int:
+                raise ValueError(f"{name} {_shown(number)} is not an integer")
         if type(self.entry_present) is not bool:
             raise ValueError(
                 f"entry_present must be true or false, not "
@@ -568,7 +580,7 @@ def _read_model_chunks(
     objects side by side.  So, as _decode_chunk argues, each line is
     exactly one op record, decoded from the text the line reader
     decodes.  ModelOp's checks run on one op of each (op, addr or not,
-    cpl, cat, sign) in the text.
+    cpl, cat, sign, a mov op's size) in the text.
     """
     return _read_chunks(data, _model_header, dict, _plain_ops)
 
@@ -591,11 +603,13 @@ def _plain_ops(records: list[dict], representatives: dict
     side by side.
 
     Each op is built by one tuple.__new__ call.  `representatives` keeps
-    an op of each (op, addr or not, cpl, cat, sign) for ModelOp's
-    checks: they read nothing else but the types of callee, size and
-    args, which hold for every op once its columns pass.  (A chunk with
-    no op at all leaves None in its op column, which those checks
-    reject.)
+    an op of each (op, addr or not, cpl, cat, sign, size) for ModelOp's
+    checks, with the size of a mov op only: the checks read no other
+    op's size but for its type, nor anything else but the types of
+    callee and args, which hold for every op once its columns pass.  So
+    an alloc's size, which varies from op to op, stays out of the key.
+    (A chunk with no op at all leaves None in its op column, which those
+    checks reject.)
     """
     present = set(chain.from_iterable(records))
     if not present <= _OP_KEYS:
@@ -619,8 +633,10 @@ def _plain_ops(records: list[dict], representatives: dict
             column = [v if v is None else tuple(v) for v in column]
         columns[at] = column
     ops = list(map(tuple.__new__, repeat(ModelOp), zip(*columns)))
-    names, addrs, *_, cpls, cats, signs, _ = columns
-    keys = zip(names, map(is_, addrs, repeat(None)), cpls, cats, signs)
+    names, addrs, sizes, *_, cpls, cats, signs, _ = columns
+    sizes = [size if name in _MOV_OPS else None
+             for name, size in zip(names, sizes)]
+    keys = zip(names, map(is_, addrs, repeat(None)), cpls, cats, signs, sizes)
     representatives.update(zip(keys, ops))
     return ops
 
@@ -694,42 +710,6 @@ class TrapConfig:
                 f"unknown transition mode {_shown(self.transition_mode)}")
 
 
-class _Emitter:
-    def __init__(self, tid: int):
-        self.tid = tid
-        self.events: list[AccessEvent] = []
-        # One descriptor per instruction shape, which the events share
-        # while each keeps its own value and register arguments.
-        self._shapes: dict = {}
-        # The descriptor of each (cat, sign, callee, cpl, kind, size,
-        # args or not) that an event has passed AccessEvent's checks
-        # with.  They read nothing else but the arguments, which need
-        # only be four in a tuple: ModelOp checks their types.
-        self._checked: dict = {}
-
-    def emit(self, kind, address, size, cpl, rip, cat="other", sign="n/a",
-             callee=None, args=None, value=None):
-        events = self.events
-        key = (cat, sign, callee, cpl, kind, size, args is None)
-        instr = self._checked.get(key)
-        if instr is None or args is not None and (
-                type(args) is not tuple or len(args) != 4):
-            instr = self._shapes.get(key[:3])
-            if instr is None:
-                instr = self._shapes[key[:3]] = InstrDescriptor(
-                    category=cat,
-                    signedness=sign,
-                    callee_id=callee,
-                )
-            events.append(AccessEvent(len(events), self.tid, cpl, kind,
-                                      address, size, instr, rip, value, args))
-            self._checked[key] = instr
-        else:
-            events.append(tuple.__new__(AccessEvent, (
-                len(events), self.tid, cpl, kind, address, size, instr, rip,
-                value, args)))
-
-
 def run(guest: Guest, model: ProgramModel,
         trap_config: Optional[TrapConfig] = None) -> TraceLog:
     """Interpret the model against the guest and return the trace, which
@@ -746,16 +726,11 @@ def capture_entry_point(guest: Guest, model: ProgramModel):
     If the page is absent a page fault is injected first, then execute
     permission is restored and the run continues.
     """
-    log, entry_address = _run(guest, model, capture_entry=True)
-    if entry_address is None:
+    log, entry = _run(guest, model, capture_entry=True)
+    if entry is None:
         raise SimulationError("model exhausted before executing the entry page")
-    prefix_end = next(
-        i for i, e in enumerate(log.events)
-        if e.kind == "execute" and e.address == entry_address
-    )
-    prefix = TraceLog(events=log.events[: prefix_end + 1],
-                      module_range=log.module_range)
-    return entry_address, prefix
+    prefix = TraceLog(log.events[:entry + 1], log.module_range)
+    return log.events[entry].address, prefix
 
 
 def legacy_transition_detect(guest: Guest, model: ProgramModel) -> list[tuple[int, str]]:
@@ -780,12 +755,25 @@ def transitions(log: TraceLog) -> list[tuple[int, str]]:
 
 @_collector_paused()  # the events outlive the run
 def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
-    emitter = _Emitter(model.tid)
+    """(The model's trace, the index of its entry event or None).
+
+    Each event is built by one tuple.__new__ call, with no AccessEvent
+    check.  It needs none: every field those checks read is fixed by the
+    op that logs the event or comes from a checked ModelOp or
+    ProgramModel, but for the guest's mode, which is checked here.
+    """
+    if guest.mode not in CPL_VALUES:
+        raise ValueError(f"bad cpl {_shown(guest.mode)}")
+    events: list[AccessEvent] = []
+    # One descriptor per instruction shape, which the events share
+    # while each keeps its own value and register arguments.
+    shapes: dict = {}
+    tid = model.tid
     module_range = model.resolved_module_range()
     sp = model.sp_init
     rip = model.entry_address
     last_mode = guest.mode
-    entry_address = None
+    entry = None
     entry_pending = capture_entry
     if entry_pending:
         # Step 1 of lazy capture: revoke execute on the entry page.
@@ -813,23 +801,27 @@ def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
                 raise SimulationError(
                     f"access to unmapped, un-allocatable address {_hex(address)}"
                 )
-            was_absent_entry = entry_pending and page == model.entry_page
             guest.inject_page_fault(addr)
-            if was_absent_entry:
+            if entry_pending and page == model.entry_page:
                 # Demand-zeroed entry page still has execute revoked.
                 perms = pages[page].perms
                 perms.exec_user = False
                 perms.exec_kernel = False
-            emitter.emit("read", address if page == first else addr,
-                         1, guest.mode, rip, cat="page-fault")
+            trap("read", address if page == first else addr, 1,
+                 "page-fault")
 
     def trap(kind, address, size, cat, sign="n/a", callee=None, args=None,
              value=None):
-        """Emit a data access to present pages: every one is trapped."""
+        """Log an event at rip: every access to present pages is trapped."""
         if address < 0 or address + size > _ADDRESS_LIMIT:
             _check_canonical(address, size)
-        emitter.emit(kind, address, size, guest.mode, rip, cat, sign,
-                     callee, args, value)
+        instr = shapes.get((cat, sign, callee))
+        if instr is None:
+            instr = shapes[cat, sign, callee] = InstrDescriptor(
+                cat, sign, callee)
+        events.append(tuple.__new__(AccessEvent, (
+            len(events), tid, guest.mode, kind, address, size, instr, rip,
+            value, args)))
 
     def store(address, size, value, cat, sign="n/a", callee=None, args=None):
         """A trapped write of `value`'s low `size` bytes."""
@@ -851,11 +843,11 @@ def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
             if (isinstance(fetch, Violation) and entry_pending
                     and rip // PAGE_SIZE == model.entry_page):
                 # Log the entry first, then restore the revoked permission.
-                emitter.emit("execute", rip, 1, guest.mode, rip, cat="other")
+                entry = len(events)
+                trap("execute", rip, 1, "other")
                 perms = guest.pages[model.entry_page].perms
                 perms.exec_user = True
                 perms.exec_kernel = True
-                entry_address = rip
                 entry_pending = False
         if guest.mode != last_mode:
             # MBEC: the fetch raises an EPT violation under the profile
@@ -863,7 +855,7 @@ def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
             # other one, on a hidden-hook page too.  Legacy: the U/S-bit
             # mismatch page-faults it; the monitor swallows the fault.
             # Either way the monitor reports the switch.
-            emitter.emit("execute", rip, 1, guest.mode, rip, cat="other")
+            trap("execute", rip, 1, "other")
             last_mode = guest.mode
 
         if name == "mov-read":
@@ -898,9 +890,9 @@ def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
             # Hidden hook on the allocator: the call and its modeled
             # return value surface as one api-call event (size in the
             # first register slot, returned base in the value channel).
-            emitter.emit("execute", rip, 1, guest.mode, rip, cat="api-call",
-                         callee=callee or "NtAllocateVirtualMemory",
-                         args=(size, 0, 0, 0), value=base)
+            trap("execute", rip, 1, "api-call",
+                 callee=callee or "NtAllocateVirtualMemory",
+                 args=(size, 0, 0, 0), value=base)
         elif name == "xmm-zero":
             store(addr, 16, 0, "xmm-zero-store")
         elif name == "ret":
@@ -911,5 +903,4 @@ def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
             pass
         rip += INSTR_STRIDE
 
-    log = TraceLog(events=tuple(emitter.events), module_range=module_range)
-    return log, entry_address
+    return TraceLog(events=tuple(events), module_range=module_range), entry

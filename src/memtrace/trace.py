@@ -108,6 +108,20 @@ class InstrDescriptor:
                     f"callee_id {_shown(self.callee_id)} is not a string")
 
 
+def _check_operand(kind: str, size, category: str) -> None:
+    """The operand rules of an access: AccessEvent's, and the guest's
+    ModelOp's for the access a mov op logs, so that a run logs no access
+    these rules reject."""
+    if size not in OPERAND_SIZES:
+        raise ValueError(f"bad operand size {_shown(size)}")
+    if kind == "execute" and size != 1:
+        raise ValueError("execute events have operand_size 1")
+    if size == 16 and category != "xmm-zero-store":
+        raise ValueError("operand_size 16 is reserved for xmm-zero-store")
+    if category == "float-move" and size not in (4, 8):
+        raise ValueError("float-move implies operand_size 4 or 8")
+
+
 class _EventFields(NamedTuple):
     """AccessEvent's fields; AccessEvent adds the checks."""
 
@@ -137,11 +151,13 @@ class AccessEvent(_EventFields):
     10 and orders as that tuple does.  The constructor, _make, _replace
     (and so copy.replace), pickle and copy all run __post_init__'s
     checks on the fields, and the constructor stores a register_args of
-    another sequence type as a tuple.  The bulk trace reader and the
-    guest's emitter build most events with tuple.__new__(AccessEvent,
-    fields), which checks nothing, and run the checks on one event of
-    each (cpl, kind, size, shape, args or not), all that the checks read
-    but the args' own count and types.
+    another sequence type as a tuple.  The bulk trace reader builds most
+    events with tuple.__new__(AccessEvent, fields), which checks nothing,
+    and runs the checks on one event of each (cpl, kind, size, shape,
+    args or not), all that the checks read but the args' own count and
+    types.  The guest's run builds every event that way and checks none:
+    each field the checks read comes from a checked op or model, or is
+    fixed by the op (_check_operand).
     """
 
     __slots__ = ()
@@ -166,14 +182,7 @@ class AccessEvent(_EventFields):
             raise ValueError(f"bad cpl {_shown(self.cpl)}")
         if self.kind not in KIND_VALUES:
             raise ValueError(f"bad access kind {_shown(self.kind)}")
-        if self.operand_size not in OPERAND_SIZES:
-            raise ValueError(f"bad operand size {_shown(self.operand_size)}")
-        if self.kind == "execute" and self.operand_size != 1:
-            raise ValueError("execute events have operand_size 1")
-        if self.operand_size == 16 and self.instr.category != "xmm-zero-store":
-            raise ValueError("operand_size 16 is reserved for xmm-zero-store")
-        if self.instr.category == "float-move" and self.operand_size not in (4, 8):
-            raise ValueError("float-move implies operand_size 4 or 8")
+        _check_operand(self.kind, self.operand_size, self.instr.category)
         if self.register_args is not None:
             if self.instr.category not in ARG_CATEGORIES:
                 raise ValueError("register_args not allowed for category "

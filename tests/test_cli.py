@@ -191,6 +191,22 @@ class TestMatchAndDiff:
         with open(sig, "rb") as handle:
             assert signature.read_signature(handle.read())[1] == 7
 
+    def test_sign_without_out_writes_the_signature_to_stdout(
+            self, tmp_path, monkeypatch):
+        model = write_model(tmp_path, basic_ops())
+        trace_path, sig = str(tmp_path / "t.jsonl"), str(tmp_path / "t.sig")
+        assert main(["simulate", model, "--out", trace_path]) == 0
+        assert main(["sign", trace_path, "--out", sig]) == 0
+        raw = io.BytesIO()
+        stdout = io.TextIOWrapper(raw, encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["sign", trace_path]) == 0
+        stdout.flush()
+        with open(sig, "rb") as handle:
+            written = handle.read()
+        count = len(signature.read_signature(written)[0].offsets)
+        assert raw.getvalue() == written + f"{count} offsets\n".encode()
+
     def test_sign_drops_accesses_from_outside_the_module_range(
             self, tmp_path, capsys):
         # Ops run at 0x401000, 0x401004 and 0x401008; the model's module
@@ -371,6 +387,15 @@ class TestMalformedSignatureFiles:
         path.write_text(record)
         good = write_sig(tmp_path, [0, 8, 16], "good.sig")
         assert_exit_2(capsys, ["match", str(path), good])
+
+    def test_offsets_object_is_exit_2(self, tmp_path, capsys):
+        """An object is no list of offsets, though its keys would read as
+        offsets."""
+        path = tmp_path / "object.sig"
+        path.write_text('{"base": "0x0", "offsets": {"0x0": 1, "0x8": 2}}')
+        good = write_sig(tmp_path, [0, 8, 16], "good.sig")
+        err = assert_exit_2(capsys, ["match", str(path), good])
+        assert err == "error: offsets must be a list\n"
 
     def test_reader_returns_exact_integers(self):
         pattern, tau = signature.read_signature(

@@ -3,6 +3,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -35,8 +36,8 @@ from memtrace.guest import (
     serialize_model,
     transitions,
 )
-from memtrace.trace import (CATEGORIES, AccessEvent, InstrDescriptor,
-                            serialize_trace)
+from memtrace.trace import (CATEGORIES, SIGN_VALUES, AccessEvent,
+                            InstrDescriptor, serialize_trace)
 
 from helpers import (
     MODULE_PAGE,
@@ -247,6 +248,17 @@ class TestHiddenHooks:
         guest.remove_hidden_hook(0x3000)
         assert guest.read_memory(0x3000, 2) == before
         assert guest.fetch_memory(0x3000, 2) == before
+
+    def test_unhooking_an_unhooked_page_changes_nothing(self):
+        guest = fresh_guest()
+        guest.write_memory(0x3000, b"\xaa\xbb")
+        guest.remove_hidden_hook(0x3000)
+        guest.remove_hidden_hook(0x5000)  # a page that is not mapped
+        assert guest.read_memory(0x3000, 2) == b"\xaa\xbb"
+        assert guest.fetch_memory(0x3000, 2) == b"\xaa\xbb"
+        assert guest.pages[3].pristine is None
+        assert not guest.pages[3].perms.hidden_hook
+        assert list(guest.pages) == [3]
 
     def test_hook_on_absent_page_rejected(self):
         guest = fresh_guest(present=False)
@@ -463,8 +475,8 @@ class TestRun:
 
 class TestCaptureWork:
     def test_one_descriptor_per_distinct_instruction(self, monkeypatch):
-        """The emitter checks each distinct (cat, sign, callee) once per
-        run, not once per event, per value or per call's arguments."""
+        """The run checks each distinct (cat, sign, callee) once, not once
+        per event, per value or per call's arguments."""
         checked = []
         post_init = InstrDescriptor.__post_init__
 
@@ -488,10 +500,9 @@ class TestCaptureWork:
         assert len({e.register_args for e in log.events}) > 40
         assert len(checked) == len(distinct)
 
-    def test_one_event_check_per_emitter_key(self, monkeypatch):
-        """AccessEvent's checks run on the first event of each (cat,
-        sign, callee, cpl, kind, size, args or not), not on every event:
-        the others differ from it only in what the checks do not read."""
+    def test_no_event_check_in_the_run(self, monkeypatch):
+        """The run builds every event without AccessEvent's checks: the
+        ops were checked when they were made."""
         checked = []
         post_init = AccessEvent.__post_init__
 
@@ -501,39 +512,8 @@ class TestCaptureWork:
 
         monkeypatch.setattr(AccessEvent, "__post_init__", counting)
         log = run_model(make_model(capture_mix_ops(random.Random(4), 3000)))
-
-        def key(event):
-            return (event.instr.category, event.instr.signedness,
-                    event.instr.callee_id, event.cpl, event.kind,
-                    event.operand_size, event.register_args is None)
-
-        first = {}
-        for event in log.events:
-            first.setdefault(key(event), event)
         assert len(log.events) > 3000
-        assert checked == list(first.values())
-        assert len(checked) < 64
-
-    @pytest.mark.parametrize("args", [(1, 2, 3), (1, 2, 3, 4, 5), [1, 2, 3],
-                                      ()])
-    def test_register_args_not_four_are_caught_after_the_first(self, args):
-        """The emitter checks an event of a checked key anew unless its
-        arguments are four in a tuple."""
-        emitter = guest_mod._Emitter(0)
-        for _ in range(2):
-            emitter.emit("write", 0x3000, 8, "user", 0x401000, cat="call",
-                         callee="Foo", args=(1, 2, 3, 4), value=0x401004)
-        with pytest.raises(ValueError, match="exactly 4 values"):
-            emitter.emit("write", 0x3000, 8, "user", 0x401000, cat="call",
-                         callee="Foo", args=args, value=0x401004)
-
-    def test_register_args_list_becomes_a_tuple(self):
-        emitter = guest_mod._Emitter(0)
-        for args in ((1, 2, 3, 4), [5, 6, 7, 8]):
-            emitter.emit("write", 0x3000, 8, "user", 0x401000, cat="call",
-                         callee="Foo", args=args, value=0x401004)
-        assert emitter.events[1].register_args == (5, 6, 7, 8)
-        assert type(emitter.events[1].register_args) is tuple
+        assert checked == []
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(callee=1), "callee 1 is not a string"),
@@ -548,9 +528,9 @@ class TestCaptureWork:
     ], ids=["int-callee", "list-callee", "string-args", "float-arg",
             "none-arg", "string", "int", "bool-arg"])
     def test_call_values_checked_at_construction(self, kwargs, message):
-        """The emitter checks one event per kind, so a callee or an
-        argument of the wrong type must stop at the op: it would write a
-        trace that parse_trace rejects."""
+        """The run checks no event, so a callee or an argument of the
+        wrong type must stop at the op: it would write a trace that
+        parse_trace rejects."""
         with pytest.raises(ValueError, match=f"^{message}$"):
             ModelOp("call", **kwargs)
 
@@ -570,6 +550,34 @@ class TestCaptureWork:
         with pytest.raises(ValueError, match="^tid .* is not an integer$"):
             make_model([ModelOp("nop")], tid=tid)
 
+    @pytest.mark.parametrize("entry_page", [True, 1.0, "0x401"])
+    def test_entry_page_checked_at_construction(self, entry_page):
+        """True ran, and wrote a header that parse_model rejects; 1.0 ran
+        to the module range (4096.0, 8192.0)."""
+        with pytest.raises(ValueError,
+                           match="^entry_page .* is not an integer$"):
+            make_model([ModelOp("nop")], entry_page=entry_page)
+
+    @pytest.mark.parametrize("sp_init", [SP_INIT + 0.5, True, None])
+    def test_sp_init_checked_at_construction(self, sp_init):
+        """SP_INIT + 0.5 made serialize_model and run raise TypeError."""
+        with pytest.raises(ValueError, match="^sp_init .* is not an integer$"):
+            make_model([ModelOp("nop")], sp_init=sp_init)
+
+    @pytest.mark.parametrize("mapped", [[(0x3000, 32768.0)],
+                                        [(0x3000, 0x4000), (True, 0x8000)]])
+    def test_mapped_bounds_checked_at_construction(self, mapped):
+        with pytest.raises(ValueError,
+                           match="^mapped bound .* is not an integer$"):
+            make_model([ModelOp("nop")], mapped=mapped)
+
+    @pytest.mark.parametrize("module_range", [(4096.0, 8192),
+                                              (0x401000, True)])
+    def test_module_range_bounds_checked_at_construction(self, module_range):
+        with pytest.raises(ValueError,
+                           match="^module_range bound .* is not an integer$"):
+            make_model([ModelOp("nop")], module_range=module_range)
+
     def test_equal_args_of_other_types_are_not_shared(self):
         """An int subclass's 1 equals 1, but each event holds its own
         arguments: the second call keeps its own, as an unshared build
@@ -585,14 +593,15 @@ class TestCaptureWork:
         assert [type(e.register_args[0]) for e in (first, second)] == [
             int, Int]
 
-    @pytest.mark.parametrize("op, message", [
-        (ModelOp("mov-write", addr=0x3000, size=3), "bad operand size 3"),
-        (ModelOp("mov-read", addr=0x3000, size=2, cat="float-move"),
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(op="mov-write", addr=0x3000, size=3), "bad operand size 3"),
+        (dict(op="mov-read", addr=0x3000, size=2, cat="float-move"),
          "float-move implies operand_size 4 or 8"),
     ], ids=["size-3", "short-float"])
-    def test_emitted_events_are_checked(self, op, message):
-        with pytest.raises(ValueError, match=message):
-            run_model(make_model([op]))
+    def test_emitted_events_are_checked(self, kwargs, message):
+        """An access the event checks would reject stops at its op."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_model(make_model([ModelOp(**kwargs)]))
 
     def test_golden_trace(self, tmp_path, capsys):
         """A model touching every op, page-crossing accesses, demand paging,
@@ -655,6 +664,20 @@ class TestEntryCapture:
         guest = build_guest(model)
         with pytest.raises(SimulationError):
             capture_entry_point(guest, model)
+
+    def test_prefix_ends_at_the_entry_event(self):
+        """An earlier execute event at the entry address (an alloc's hook,
+        on a fetch the profile allowed) does not end the prefix."""
+        entry = MODULE_PAGE * PAGE_SIZE
+        model = make_model([ModelOp("alloc", size=0x40, rip=entry),
+                            ModelOp("mode-switch", cpl="kernel"),
+                            ModelOp("nop", rip=entry)])
+        guest = build_guest(model)
+        guest.switch_profile("kernel-exec-denied")
+        address, prefix = capture_entry_point(guest, model)
+        assert address == entry
+        assert [(e.kind, e.instr.category, e.cpl) for e in prefix.events] == [
+            ("execute", "api-call", "user"), ("execute", "other", "kernel")]
 
 
 class TestTransitions:
@@ -1162,12 +1185,76 @@ def test_written_models_never_take_the_line_reader(seed, chunk):
 @given(seed=st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
 def test_emitted_events_are_the_constructors_events(seed):
-    """Every event the emitter builds, all but the first of each kind
-    without the checks, is the event the checking constructor builds."""
+    """Every event the run builds, each without the checks, is the event
+    the checking constructor builds."""
     rng = random.Random(seed)
     log = run_model(_random_model(rng, rng.randrange(0, 40),
                                   addr_end=SCRATCH[0][1] - 8))
     assert_built_as_constructed(log.events)
+
+
+# mov ops of every size and access category, some of which log an access
+# that AccessEvent's checks reject.
+MOV_OPS = st.fixed_dictionaries(
+    {"op": st.sampled_from(["mov-read", "mov-write"])},
+    optional={"size": st.one_of(st.none(), st.integers(-2, 20)),
+              "cat": st.one_of(st.none(), st.sampled_from(ACCESS_CATEGORIES)),
+              "sign": st.one_of(st.none(), st.sampled_from(SIGN_VALUES))})
+
+
+def _access_error(record):
+    """The message of the ValueError that AccessEvent raises for the
+    access a mov op of this record logs, or None."""
+    kind = "read" if record["op"] == "mov-read" else "write"
+    instr = InstrDescriptor(record.get("cat") or "int-move",
+                            record.get("sign") or "n/a")
+    try:
+        AccessEvent(0, 0, "user", kind, 0x3000, record.get("size") or 8,
+                    instr, MODULE_PAGE * PAGE_SIZE)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(records=st.lists(MOV_OPS, min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_an_op_stops_exactly_where_its_access_would(records):
+    """A mov op is rejected with the message AccessEvent gives for the
+    access it would log; every other op runs to events that the checking
+    constructor builds."""
+    ops = []
+    for k, record in enumerate(records):
+        fields = {key: value for key, value in record.items()
+                  if value is not None}
+        error = _access_error(record)
+        if error is None:
+            ops.append(ModelOp(addr=0x3000 + 0x20 * k, value=k, **fields))
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                ModelOp(addr=0x3000 + 0x20 * k, value=k, **fields)
+    assert_built_as_constructed(run_model(make_model(ops)).events)
+
+
+@given(records=st.lists(MOV_OPS, min_size=1, max_size=8),
+       chunk=st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_model_readers_reject_a_bad_access_at_its_line(records, chunk):
+    """Both model readers name the line of the first op whose access
+    AccessEvent's checks reject, with their message."""
+    lines = [MODEL_HEADER]
+    for k, record in enumerate(records):
+        lines.append(json.dumps({**record, "addr": hex(0x3000 + 0x20 * k)}))
+    errors = [(k + 2, _access_error(r)) for k, r in enumerate(records)
+              if _access_error(r) is not None]
+    text = "\n".join(lines)
+    with mock.patch.object(trace, "_CHUNK_ROWS", chunk):
+        for data in (text, text.encode(), iter(lines)):
+            outcome = _model_outcome(data)
+            if errors:
+                lineno, message = errors[0]
+                assert outcome == (lineno, f"line {lineno}: {message}")
+            else:
+                assert len(outcome.ops) == len(records)
 
 
 # Number fields as a model file may spell them: exact ints, hex strings
@@ -1245,9 +1332,10 @@ def test_chunk_without_an_op_is_named_at_its_line(chunk):
 @pytest.mark.parametrize("chunk", [7, trace._CHUNK_ROWS])
 def test_one_op_check_per_bulk_reader_key(monkeypatch, chunk):
     """The bulk model reader runs ModelOp's checks on one op of each (op,
-    addr or not, cpl, cat, sign) in the whole text, over every chunk: the
-    other ops differ from it only in what the checks do not read, or in
-    the types of callee, size and args, which it checks by column."""
+    addr or not, cpl, cat, sign, a mov op's size) in the whole text, over
+    every chunk: the other ops differ from it only in what the checks do
+    not read, or in the types of callee, size and args, which it checks
+    by column."""
     model = _random_model(random.Random(5), 600)
     data = serialize_model(model)
     checked = []
@@ -1262,7 +1350,8 @@ def test_one_op_check_per_bulk_reader_key(monkeypatch, chunk):
         assert parse_model(data) == model
 
     def key(op):
-        return op.op, op.addr is None, op.cpl, op.cat, op.sign
+        size = op.size if op.op in ("mov-read", "mov-write") else None
+        return op.op, op.addr is None, op.cpl, op.cat, op.sign, size
 
     keys = set(map(key, model.ops))
     assert len(model.ops) > 10 * len(keys)

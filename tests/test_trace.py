@@ -183,6 +183,15 @@ class TestParseSerialize:
             {"cat": "int-move", "sign": "n/a"}, None, None]
         assert parse_trace(data) == log
 
+    def test_byte_streams_read_as_bytes(self):
+        """A stream of byte lines, as a file opened in binary yields, reads
+        as its bytes do: a trace and a model alike."""
+        data = serialize_trace(_template_log(random.Random(3), 20))
+        assert parse_trace(io.BytesIO(data)) == parse_trace(data)
+        model = serialize_model(make_model([ModelOp("push", value=k)
+                                            for k in range(20)]))
+        assert parse_model(io.BytesIO(model)) == parse_model(model)
+
     def test_malformed_line_names_line_number(self):
         data = json.dumps(HEADER) + "\nnot json\n"
         with pytest.raises(TraceParseError, match="line 2"):
@@ -835,7 +844,7 @@ def test_writer_output_never_takes_the_line_reader(log, chunk):
 
 def test_calls_with_distinct_args_share_one_descriptor(monkeypatch):
     """N calls to one callee, each with its own arguments, build one call
-    descriptor in the emitter and in each reader, define one shape in
+    descriptor in the run and in each reader, define one shape in
     the trace, and keep their arguments on their events."""
     n = 60
     ops = [ModelOp("call", callee="Foo", args=[k, 1 << 40, 0, k % 3])
@@ -893,8 +902,8 @@ def test_bulk_reader_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
 
     for module, name in ((trace, "_decode_chunk"), (guest_mod, "_plain_ops")):
         monkeypatch.setattr(module, name, spy(getattr(module, name)))
-    monkeypatch.setattr(guest_mod._Emitter, "emit",
-                        spy(guest_mod._Emitter.emit))
+    monkeypatch.setattr(guest_mod.Guest, "write_memory",
+                        spy(guest_mod.Guest.write_memory))
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
@@ -910,7 +919,7 @@ def test_bulk_reader_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert len(seen) > 50  # 30 + 20 events emitted, and the chunks
+    assert len(seen) > 50  # 30 + 20 writes run, and the chunks
     assert not any(seen)
 
 
