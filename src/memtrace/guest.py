@@ -17,14 +17,15 @@ Every event is logged by one trap closure, one tuple.__new__ call each,
 with no AccessEvent check: ModelOp checks the access a mov op logs, so
 every event of a run of checked ops is valid as built.  Memory accesses
 that lie on one built page skip the per-page walk.  parse_model reads
-through trace's pipeline (_read, _read_chunks), as parse_trace does: a
-chunk of op lines per json.loads call where each line holds one plain
-op, a chunk's ops built column by column (_plain_ops), each with one
+through trace's one reader (_read_rows), as parse_trace does: a chunk
+of op lines per json.loads call where each line holds one plain op, a
+chunk's ops built column by column (_plain_ops), each with one
 tuple.__new__ call, and ModelOp's checks run once per distinct (op,
-addr or not, cpl, cat, sign, a mov op's size); everything else is read
-one line at a time, and only the line reader reports errors.  The bulk
-readers and the run keep the cyclic collector paused while they build,
-and leave it as they found it: the ops and events outlive them.
+addr or not, cpl, cat, sign, a mov op's size).  A chunk it declines is
+read again one line at a time (_record_to_op), which alone reports
+errors.  The reader and the run keep the cyclic collector paused while
+they build, and leave it as they found it: the ops and events outlive
+them.
 """
 
 from __future__ import annotations
@@ -44,16 +45,15 @@ from .trace import (
     AccessEvent,
     InstrDescriptor,
     TraceLog,
+    _check_new,
     _check_operand,
     _collector_paused,
     _hex,
     _hex_prefixed,
     _int_or_hex,
     _parse_addr,
-    _read,
-    _read_chunks,
+    _read_rows,
     _shown,
-    iter_json_lines,
 )
 
 PROFILE_IDS = ("normal", "user-exec-denied", "kernel-exec-denied", "execute-only")
@@ -373,12 +373,14 @@ class ModelOp(_OpFields):
     copy all run __post_init__'s checks on the fields as given, and the
     constructor stores an args list, or any other sequence, as a tuple.
     Those checks include AccessEvent's operand rules on the access a
-    mov-read or mov-write logs, so the run checks no event it logs.
-    The bulk model reader builds most ops with tuple.__new__(ModelOp,
-    fields), which checks nothing, and runs the checks on one op of each
-    (op, addr or not, cpl, cat, sign, a mov op's size): they read
-    nothing else but the types of callee, size and args, which that
-    reader checks by column.
+    mov-read or mov-write logs, and reject a negative value, amount or
+    argument, which a trace would spell "0x-1"; so the run checks no
+    event it logs.  The model reader builds most ops with
+    tuple.__new__(ModelOp, fields), which checks nothing, and runs the
+    checks on one op of each (op, addr or not, cpl, cat, sign, a mov
+    op's size): they read nothing else but the types of callee, size
+    and args and the signs of value, amount and args, which that reader
+    checks by column.
     """
 
     __slots__ = ()
@@ -399,7 +401,8 @@ class ModelOp(_OpFields):
 
     def __post_init__(self):
         """The checks every public way of making an op runs."""
-        op, addr, size, _, callee, args, _, _, cpl, cat, sign, _ = self
+        (op, addr, size, value, callee, args, _, amount, cpl, cat, sign,
+         _) = self
         if op not in MODEL_OPS:
             raise ValueError(f"unknown model op {_shown(op)}")
         if addr is None and op in ("mov-read", "mov-write", "xmm-zero"):
@@ -427,13 +430,19 @@ class ModelOp(_OpFields):
                         for arg in args)):
             raise ValueError(f"args {_shown(args)} must be a list of "
                              "integers")
+        for name, number in (("value", value), ("amount", amount),
+                             ("argument", min(args or [0]))):
+            if isinstance(number, int) and number < 0:
+                raise ValueError(f"{name} {_shown(number)} is negative")
         if op in _MOV_OPS:  # the access the run logs; op[4:] is its kind
             _check_operand(op[4:], size or 8, cat or "int-move")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProgramModel:
-    """Deterministic abstract stand-in for a guest binary."""
+    """Deterministic abstract stand-in for a guest binary.  It is frozen,
+    and its checks run when it is made: the run trusts every op to be a
+    checked ModelOp and every field to be what was checked."""
 
     ops: list[ModelOp]
     entry_page: int
@@ -445,6 +454,8 @@ class ProgramModel:
     module_range: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
+        if not {ModelOp}.issuperset(map(type, self.ops)):
+            raise ValueError("every op must be a ModelOp")
         if self.cpl not in CPL_VALUES:
             raise ValueError(f"bad cpl {_shown(self.cpl)}")
         # Exact ints, as a model file holds them: never a bool or a float.
@@ -482,16 +493,18 @@ _OP_DEFAULTS = tuple(map(ModelOp._field_defaults.get, ModelOp._fields))
 def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
     """Parse a line-delimited program model (header line + one op per line).
 
-    bytes and str input is first read in bulk (_read_model_chunks), a
+    Bytes, text and streams alike are read through trace._read_rows: a
     chunk of op lines per json.loads call, with the cyclic collector
-    paused; where that reader declines, and for streams, the line reader
-    (_read_model_lines) reads the input line by line and alone reports
-    errors in its lines.  Both give the same model: the line reader
-    builds each op through _record_to_op, and the bulk reader builds a
-    chunk's ops column by column from only the values that _record_to_op
-    takes as they are.
+    paused, and the chunk's ops built column by column (_plain_ops)
+    from only the values that _record_to_op takes as they are.  A chunk
+    that _plain_ops declines is read again line by line through
+    _record_to_op, which alone reports errors in op lines, so both ways
+    give the same ops.
     """
-    header, ops = _read(stream, _read_model_chunks, _read_model_lines)
+    header, ops = _read_rows(stream, ModelParseError, _model_header, dict,
+                             _plain_ops, _record_to_op)
+    if header is None:
+        raise ModelParseError(1, "empty model file (missing header)")
     try:
         sp_init = _int_or_hex(header["sp_init"])
         mapped = [
@@ -516,29 +529,34 @@ def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
         raise ModelParseError(1, f"bad header: {exc}") from exc
 
 
-def _record_to_op(record) -> ModelOp:
-    """The op of an op line's record; a ValueError says what is wrong."""
-    if not isinstance(record, dict):
-        raise ValueError("an op line must be a JSON object")
-    if "op" not in record:
-        raise ValueError("missing op")
-    kwargs = {"op": record["op"]}
-    for key in _OP_INT_KEYS:
-        value = record.get(key)
-        if value is not None:
-            kwargs[key] = value if type(value) is int else _int_or_hex(value)
-    for key in _OP_STR_KEYS:
-        value = record.get(key)
-        if value is not None:
-            if not isinstance(value, str):
-                raise ValueError(f"{key} must be a string")
-            kwargs[key] = value
-    args = record.get("args")
-    if args is not None:
-        if not isinstance(args, list):
-            raise ValueError("args must be a list")
-        kwargs["args"] = [_int_or_hex(a) for a in args]
-    return ModelOp(**kwargs)
+def _record_to_op(lineno: int, record) -> ModelOp:
+    """The op of the record on op line `lineno`; a ModelParseError that
+    names the line says what is wrong."""
+    try:
+        if not isinstance(record, dict):
+            raise ValueError("an op line must be a JSON object")
+        if "op" not in record:
+            raise ValueError("missing op")
+        kwargs = {"op": record["op"]}
+        for key in _OP_INT_KEYS:
+            value = record.get(key)
+            if value is not None:
+                kwargs[key] = (value if type(value) is int
+                               else _int_or_hex(value))
+        for key in _OP_STR_KEYS:
+            value = record.get(key)
+            if value is not None:
+                if not isinstance(value, str):
+                    raise ValueError(f"{key} must be a string")
+                kwargs[key] = value
+        args = record.get("args")
+        if args is not None:
+            if not isinstance(args, list):
+                raise ValueError("args must be a list")
+            kwargs["args"] = [_int_or_hex(a) for a in args]
+        return ModelOp(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ModelParseError(lineno, str(exc)) from exc
 
 
 def _model_header(lineno: int, record) -> dict:
@@ -548,43 +566,6 @@ def _model_header(lineno: int, record) -> dict:
     return record
 
 
-def _read_model_lines(stream) -> tuple[dict, list[ModelOp]]:
-    """The header record and the ops of a model, one line at a time: the
-    reader of every input the bulk reader declines, and the only one
-    that raises parse errors."""
-    header = None
-    ops: list[ModelOp] = []
-    for lineno, record in iter_json_lines(stream, ModelParseError):
-        if header is None:
-            header = _model_header(lineno, record)
-            continue
-        try:
-            ops.append(_record_to_op(record))
-        except (TypeError, ValueError) as exc:
-            raise ModelParseError(lineno, str(exc)) from exc
-    if header is None:
-        raise ModelParseError(1, "empty model file (missing header)")
-    return header, ops
-
-
-def _read_model_chunks(
-        data: Union[bytes, str]) -> Optional[tuple[dict, list[ModelOp]]]:
-    """parse_model's bulk reader: what _read_model_lines gives, or None
-    (or a TypeError, ValueError or RecursionError) for any input it does
-    not take, which _read_model_lines then reads again.
-
-    It takes a text only if line 1 is the header (_model_header), which
-    trace._read_chunks checks before it decodes any op line, and every
-    chunk of op lines that it hands on passes _decode_chunk's guards
-    and holds plain ops (_plain_ops), which hold no array with two
-    objects side by side.  So, as _decode_chunk argues, each line is
-    exactly one op record, decoded from the text the line reader
-    decodes.  ModelOp's checks run on one op of each (op, addr or not,
-    cpl, cat, sign, a mov op's size) in the text.
-    """
-    return _read_chunks(data, _model_header, dict, _plain_ops)
-
-
 # The types of the values _plain_ops takes under each key, with null
 # meaning the key's default; an int key's strings are 0x-hex.
 _OP_TYPES = {**dict.fromkeys(_OP_INT_KEYS, {int, str, type(None)}),
@@ -592,24 +573,25 @@ _OP_TYPES = {**dict.fromkeys(_OP_INT_KEYS, {int, str, type(None)}),
              "op": {str}, "args": {list, type(None)}, "n_stack": {int, str}}
 
 
-def _plain_ops(records: list[dict], representatives: dict
+def _plain_ops(records: list[dict], checked: set
                ) -> Optional[list[ModelOp]]:
     """The ops of a chunk's records, built column by column, or None
     unless every value is one _record_to_op takes as it is (_OP_TYPES):
     every key an op key, a string op, an exact int (never a bool or a
     float), a 0x-hex string or null under an int key, but no null
-    n_stack, a string or null under a string key, and a null or a list
-    of exact ints as args.  So no record holds an array with two objects
-    side by side.
+    n_stack and no negative value or amount, a string or null under a
+    string key, and a null or a list of non-negative exact ints as args.
+    So no record holds an array with two objects side by side.
 
-    Each op is built by one tuple.__new__ call.  `representatives` keeps
-    an op of each (op, addr or not, cpl, cat, sign, size) for ModelOp's
-    checks, with the size of a mov op only: the checks read no other
-    op's size but for its type, nor anything else but the types of
-    callee and args, which hold for every op once its columns pass.  So
-    an alloc's size, which varies from op to op, stays out of the key.
-    (A chunk with no op at all leaves None in its op column, which those
-    checks reject.)
+    Each op is built by one tuple.__new__ call.  ModelOp's checks run
+    on an op of each (op, addr or not, cpl, cat, sign, size) that
+    `checked` does not hold (trace._check_new), with the size of a mov
+    op only: the checks read no other op's size but for its type, nor
+    anything else but the types of callee and args and the signs of
+    value, amount and args, which hold for every op once its columns
+    pass.  So an alloc's size, which varies from op to op, stays out of
+    the key.  (A chunk with no op at all leaves None in its op column,
+    which those checks reject.)
     """
     present = set(chain.from_iterable(records))
     if not present <= _OP_KEYS:
@@ -627,17 +609,21 @@ def _plain_ops(records: list[dict], representatives: dict
                 return None
             column = [int(v, 16) if type(v) is str else v for v in column]
         elif key == "args":
-            if not set(map(type, chain.from_iterable(filter(None, column)))
-                       ) <= {int}:
+            numbers = list(chain.from_iterable(filter(None, column)))
+            if (not set(map(type, numbers)) <= {int}
+                    or min(numbers, default=0) < 0):
                 return None
             column = [v if v is None else tuple(v) for v in column]
+        if (key in ("value", "amount")
+                and min(filter(None, column), default=0) < 0):
+            return None
         columns[at] = column
     ops = list(map(tuple.__new__, repeat(ModelOp), zip(*columns)))
     names, addrs, sizes, *_, cpls, cats, signs, _ = columns
     sizes = [size if name in _MOV_OPS else None
              for name, size in zip(names, sizes)]
-    keys = zip(names, map(is_, addrs, repeat(None)), cpls, cats, signs, sizes)
-    representatives.update(zip(keys, ops))
+    _check_new(zip(names, map(is_, addrs, repeat(None)), cpls, cats, signs,
+                   sizes), ops, checked)
     return ops
 
 

@@ -10,15 +10,15 @@ index, counted from 0 in order of definition, after that.  Its `val`
 runtime state, so they sit in columns of their own.  Addresses and
 values are 0x-prefixed hex strings so traces stay greppable.
 
-Bulk reading lives here, for traces and the guest's program models
-alike.  _read sends bytes and text to a bulk reader first, and whatever
-that reader declines, and every stream, to a line reader, which alone
-reports errors.  Both bulk readers run on _read_chunks: it hands back
-line 1 as the header, decodes the later lines a chunk per json.loads
-call where it can tell that each line holds one plain row, passes each
-chunk's rows to the reader's own column checks, and runs the full
-checks on one row of each kind.  It keeps the cyclic collector paused
-while it builds, as the guest's run does: what they build outlives them.
+Reading lives here, for traces and the guest's program models alike.
+Both read through _read_rows, which takes the header from the first
+non-blank line and the later lines a chunk at a time: one json.loads
+call per chunk where it can tell that each line holds one plain row,
+the reader's own column checks on the chunk's rows, and the full checks
+on one row of each kind not seen before.  A chunk that fails any of
+these is read again a line at a time by the reader's per-row rules,
+which alone report errors.  It keeps the cyclic collector paused while
+it builds, as the guest's run does: what they build outlives them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import gc
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
+from functools import partial
+from itertools import chain, compress, count, islice, repeat
 from operator import is_, lt
 from typing import (IO, Callable, Iterable, Iterator, NamedTuple, Optional,
                     Union)
@@ -151,13 +152,13 @@ class AccessEvent(_EventFields):
     10 and orders as that tuple does.  The constructor, _make, _replace
     (and so copy.replace), pickle and copy all run __post_init__'s
     checks on the fields, and the constructor stores a register_args of
-    another sequence type as a tuple.  The bulk trace reader builds most
-    events with tuple.__new__(AccessEvent, fields), which checks nothing,
-    and runs the checks on one event of each (cpl, kind, size, shape,
-    args or not), all that the checks read but the args' own count and
-    types.  The guest's run builds every event that way and checks none:
-    each field the checks read comes from a checked op or model, or is
-    fixed by the op (_check_operand).
+    another sequence type as a tuple.  The trace reader's column checks
+    build most events with tuple.__new__(AccessEvent, fields), which
+    checks nothing, and run the checks on one event of each (cpl, kind,
+    size, shape, args or not), all that the checks read but the args'
+    own count and types.  The guest's run builds every event that way
+    and checks none: each field the checks read comes from a checked op
+    or model, or is fixed by the op (_check_operand).
     """
 
     __slots__ = ()
@@ -297,54 +298,39 @@ def _parse_args(raw) -> tuple:
 
 
 def _iter_lines(stream) -> Iterator[str]:
+    """The lines of bytes or text as str.splitlines splits them, or of a
+    stream as it yields them, without their "\n"."""
     if isinstance(stream, bytes):
         stream = stream.decode("utf-8")
     if isinstance(stream, str):
-        yield from stream.splitlines()
-        return
-    for line in stream:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        yield line.rstrip("\n")
-
-
-_JSON_WHITESPACE = " \t\n\r"
-_raw_decode = json.JSONDecoder().raw_decode
+        return iter(stream.splitlines())
+    return ((line.decode("utf-8") if isinstance(line, bytes) else line
+             ).rstrip("\n") for line in stream)
 
 
 def iter_json_lines(
     stream: Union[bytes, str, IO, Iterable[str]],
     error: Callable[[int, str], Exception],
+    start: int = 1,
 ) -> Iterator[tuple[int, object]]:
     """Yield (lineno, record) for each non-blank line of a JSON-lines
-    stream, numbering lines from 1 with blank ones counted.
+    stream, numbering lines from `start` with blank ones counted.
 
-    A line that is not exactly one JSON value raises
+    A line of whitespace alone is blank.  Any other line is decoded with
+    json.loads, and one that is not exactly one JSON value raises
     `error(lineno, "invalid JSON: " + reason)`, with the reason
-    `json.loads` gives, or "nested too deeply" where the decoder ran out
+    json.loads gives, or "nested too deeply" where the decoder ran out
     of recursion depth.
     """
-    for lineno, line in enumerate(_iter_lines(stream), start=1):
-        # json.loads skips only JSON whitespace, but a line of any
-        # whitespace at all counts as blank.  Trailing whitespace stays
-        # until the value is decoded: a "\r" inside an unterminated
-        # string is an invalid control character to json.loads.
-        text = line.lstrip(_JSON_WHITESPACE)
-        if not text or text.isspace():
+    for lineno, line in enumerate(_iter_lines(stream), start):
+        if not line.strip():
             continue
         try:
-            record, end = _raw_decode(text)
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
-            reason = exc.msg
-            # json.loads checks for a BOM before it decodes; a line that
-            # starts with one never decodes, so it always lands here.
-            if line.startswith("\ufeff"):
-                reason = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
-            raise error(lineno, f"invalid JSON: {reason}") from exc
+            raise error(lineno, f"invalid JSON: {exc.msg}") from exc
         except RecursionError:
             raise error(lineno, "invalid JSON: nested too deeply") from None
-        if text[end:].strip(_JSON_WHITESPACE):
-            raise error(lineno, "invalid JSON: Extra data")
         yield lineno, record
 
 
@@ -371,95 +357,74 @@ def _parse_header(lineno: int, record) -> tuple[int, int]:
 def parse_trace(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
     """Parse a line-delimited trace stream into a TraceLog.
 
-    The first non-empty line is the header, carrying module_range and
-    the column names; every later line is one event row.  An entirely
-    empty stream parses to an empty log.  Raises TraceParseError (naming
+    The first non-blank line is the header, carrying module_range and
+    the column names; every later line is one event row.  A stream with
+    no header parses to an empty log.  Raises TraceParseError (naming
     the line) on malformed input and TraceOrderError when seq is not
     strictly increasing.
 
-    bytes and str input is first read in bulk (_parse_chunks), which
-    decodes about a thousand rows per json.loads call and checks them
-    column by column, with the cyclic collector paused while it builds
-    the log.  Where that reader declines, and for streams, the
-    line reader (_parse_lines) reads the input row by row; it alone
-    builds the errors.  Both give the same log.  Each shape object is
-    checked and built into a descriptor once, which every row citing the
-    shape shares; a row's `val` and `args` become its event's `value`
-    and `register_args`.
+    Bytes, text and streams alike are read through _read_rows: about a
+    thousand rows per json.loads call, checked column by column
+    (_take_events), with the cyclic collector paused while it builds
+    the log.  A chunk those checks decline is read again row by row
+    (_row_to_event), which alone builds the errors.  Both ways share one
+    shape table and one seq carry and give the same events.  Each shape
+    object is checked and built into a descriptor once, which every row
+    citing the shape shares; a row's `val` and `args` become its event's
+    `value` and `register_args`.
     """
-    return _read(stream, _parse_chunks, _parse_lines)
+    shared = ([], [])  # the shape table, and the last row's seq once read
+    module_range, events = _read_rows(
+        stream, TraceParseError, _parse_header, list,
+        partial(_take_events, *shared), partial(_row_to_event, *shared))
+    return TraceLog(events=tuple(events), module_range=module_range or (0, 0))
 
 
-def _read(stream, in_bulk: Callable, by_line: Callable):
-    """Read `stream` with `in_bulk` where it is bytes or text, and with
-    `by_line` where it is a stream or `in_bulk` declines it (gives None,
-    or raises a TypeError, ValueError or RecursionError).  parse_trace
-    and the guest's parse_model both choose their reader here."""
-    if isinstance(stream, (bytes, str)):
-        try:
-            read = in_bulk(stream)
-        except (TypeError, ValueError, RecursionError):
-            read = None
-        if read is not None:
-            return read
-    return by_line(stream)
-
-
-def _parse_lines(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
-    """parse_trace, one row at a time: the reader of every input the bulk
-    reader declines, and the only one that raises parse errors."""
-    events: list[AccessEvent] = []
-    module_range = (0, 0)
-    records = iter_json_lines(stream, TraceParseError)
-    for lineno, record in records:  # the header: the first record only
-        module_range = _parse_header(lineno, record)
-        break
-    shapes: list[InstrDescriptor] = []
-    parse_addr = _parse_addr
-    cpl_unwire, kind_unwire = _CPL_UNWIRE, _KIND_UNWIRE
-    last_seq = None
-    for lineno, row in records:
-        try:
-            if type(row) is not list or len(row) != len(COLUMNS):
+def _row_to_event(shapes: list, last_seq: list, lineno: int,
+                  row) -> AccessEvent:
+    """The event of the row on line `lineno`, by the per-row rules: how
+    parse_trace reads each chunk that _take_events declines, and the
+    only reading that raises parse errors.  A shape object joins
+    `shapes`, and the row's seq becomes `last_seq`'s one value."""
+    try:
+        if type(row) is not list or len(row) != len(COLUMNS):
+            raise ValueError(
+                f"an event row is a list of {len(COLUMNS)} values")
+        seq, tid, cpl, kind, addr, size, rip, shape, val, args = row
+        # The writer emits these as JSON integers; a bool, float or
+        # string would slip through the comparisons downstream.
+        if (type(seq) is not int or type(tid) is not int
+                or type(size) is not int):
+            raise ValueError("seq, tid and size must be integers")
+        if type(shape) is int:
+            if not 0 <= shape < len(shapes):
                 raise ValueError(
-                    f"an event row is a list of {len(COLUMNS)} values")
-            seq, tid, cpl, kind, addr, size, rip, shape, val, args = row
-            # The writer emits these as JSON integers; a bool, float or
-            # string would slip through the comparisons downstream.
-            if (type(seq) is not int or type(tid) is not int
-                    or type(size) is not int):
-                raise ValueError("seq, tid and size must be integers")
-            if type(shape) is int:
-                if not 0 <= shape < len(shapes):
-                    raise ValueError(
-                        f"instr {shape} names no shape defined before it")
-                instr = shapes[shape]
-            elif type(shape) is dict:
-                instr = _record_to_instr(shape)
-                shapes.append(instr)
-            else:
-                raise ValueError(
-                    "instr must be a shape object or a shape's index")
-            # val and args before addr and rip: a row bad in several
-            # names its val, then its args.
-            value = None if val is None else parse_addr(val)
-            if args is not None:
-                args = _parse_args(args)
-            event = AccessEvent(seq, tid, cpl_unwire.get(cpl, cpl),
-                                kind_unwire.get(kind, kind), parse_addr(addr),
-                                size, instr, parse_addr(rip), value, args)
-        except (TypeError, ValueError) as exc:
-            raise TraceParseError(lineno, str(exc)) from exc
-        if last_seq is not None and seq <= last_seq:
-            raise TraceOrderError(
-                f"line {lineno}: seq {seq} not greater than {last_seq}"
-            )
-        last_seq = seq
-        events.append(event)
-    return TraceLog(events=tuple(events), module_range=module_range)
+                    f"instr {shape} names no shape defined before it")
+            instr = shapes[shape]
+        elif type(shape) is dict:
+            instr = _record_to_instr(shape)
+            shapes.append(instr)
+        else:
+            raise ValueError(
+                "instr must be a shape object or a shape's index")
+        # val and args before addr and rip: a row bad in several
+        # names its val, then its args.
+        value = None if val is None else _parse_addr(val)
+        if args is not None:
+            args = _parse_args(args)
+        event = AccessEvent(seq, tid, _CPL_UNWIRE.get(cpl, cpl),
+                            _KIND_UNWIRE.get(kind, kind), _parse_addr(addr),
+                            size, instr, _parse_addr(rip), value, args)
+    except (TypeError, ValueError) as exc:
+        raise TraceParseError(lineno, str(exc)) from exc
+    if last_seq and seq <= last_seq[0]:
+        raise TraceOrderError(
+            f"line {lineno}: seq {seq} not greater than {last_seq[0]}")
+    last_seq[:] = [seq]
+    return event
 
 
-_CHUNK_ROWS = 1024  # lines per json.loads call in the bulk readers
+_CHUNK_ROWS = 1024  # lines per json.loads call in _read_rows
 _SHAPE_KEYS = frozenset(("cat", "sign", "callee"))
 _BRACKETS = {list: "[]", dict: "{}"}
 
@@ -470,22 +435,22 @@ def _decode_chunk(chunk: list[str], row_type: type) -> Optional[list]:
     object) and the lines, joined into one JSON array by ",\n", decode
     to one value of that type per line.
 
-    A bulk reader of str.splitlines' lines that keeps to these guards
-    reads each line as exactly the one row the line reader reads there,
-    if it takes no row that holds, at any depth, an array with two values
-    of `row_type` side by side:
-    - both readers split lines with str.splitlines, which also ends a
-      line at a U+0085, U+2028 or U+2029 that JSON allows raw in a
-      string.  A line cut inside a string leaves that string open at
-      the end of its chunk, or the join puts a raw "\n" inside it; both
-      fail in json.loads, so every join lies between values;
+    A reader that keeps to these guards reads each line as exactly the
+    one row that json.loads reads from the line alone, if it takes no
+    row that holds, at any depth, an array with two values of
+    `row_type` side by side:
+    - a line may end inside a string: str.splitlines also ends a line
+      at a U+0085, U+2028 or U+2029 that JSON allows raw in a string.
+      That string is then left open at the end of its chunk, or the
+      join puts a raw "\n" inside it; both fail in json.loads, so every
+      join lies between values;
     - each line starts with the opening bracket and ends with the
-      closing one exactly when every join reads close ",\n" open (no
-      line holds a "\n" to match it elsewhere).  So a join closes a
-      value and opens one in the same container, and that container is
-      an array, since in an object a "," is followed by a key.  No row
-      holds such an array, so it is the chunk's own, and every join
-      separates two rows;
+      closing one, so every join reads close ",\n" open, and with as
+      many of these as joins, no line holds one of its own.  So a join
+      closes a value and opens one in the same container, and that
+      container is an array, since in an object a "," is followed by a
+      key.  No row holds such an array, so it is the chunk's own, and
+      every join separates two rows;
     - with as many rows as lines, no line holds a second row."""
     open_, close = _BRACKETS[row_type]
     body = ",\n".join(chunk)
@@ -500,9 +465,9 @@ def _decode_chunk(chunk: list[str], row_type: type) -> Optional[list]:
 
 @contextmanager
 def _collector_paused():
-    """Pause the cyclic collector for the block: what a bulk reader or a
-    run builds outlives it, so a collection meanwhile would only trace
-    the new objects and promote them to an older generation.  It is left
+    """Pause the cyclic collector for the block: what a reader or a run
+    builds outlives it, so a collection meanwhile would only trace the
+    new objects and promote them to an older generation.  It is left
     as it was found, enabled or not, also when the block raises (a
     switch that another thread makes meanwhile may be undone)."""
     enabled = gc.isenabled()
@@ -515,132 +480,140 @@ def _collector_paused():
 
 
 @_collector_paused()
-def _read_chunks(data: Union[bytes, str], head: Callable, row_type: type,
-                 take: Callable) -> Optional[tuple[object, list]]:
-    """The work both bulk readers share: (the header, what `take` made
-    of the lines after it), or None where the text is empty, `take`
-    declines a chunk or _decode_chunk rejects one.
+def _read_rows(stream: Union[bytes, str, IO, Iterable[str]],
+               error: Callable[[int, str], Exception], head: Callable,
+               row_type: type, take: Callable, build: Callable
+               ) -> tuple[object, list]:
+    """(The header, the rows made of the lines after it) of a JSON-lines
+    stream, or (None, []) where it has no header: the one reader of
+    parse_trace and the guest's parse_model.
 
-    head(1, record) gives the header of line 1's record, or raises a
-    ValueError, before any later line is decoded.  The later lines go to
-    _decode_chunk, _CHUNK_ROWS lines at a time, as rows of `row_type`.
-    take(rows, representatives) gives what it made of a chunk's rows, or
-    None to decline the input, and keeps in `representatives` one made
-    row of each kind that the rows' checks tell apart; __post_init__'s
-    checks run on those alone, once every chunk is taken.  The cyclic
-    collector stays paused throughout (_collector_paused).
+    head(lineno, record) gives the header of the first non-blank line
+    (iter_json_lines, which raises error(lineno, message) for a line
+    that is not JSON).  The later lines go _CHUNK_ROWS at a time to
+    _decode_chunk, as rows of `row_type`, and then to take(rows,
+    checked), the reader's column checks.  It gives what it made of the
+    rows, or None to decline them, and runs __post_init__'s checks on
+    one made row of each kind that the column checks tell apart and
+    that `checked` does not hold yet (_check_new).  A chunk that either
+    declines (also by a TypeError, ValueError or RecursionError) is
+    read again a line at a time with build(lineno, record), which alone
+    raises errors; so an odd line costs the line-by-line reading of its
+    own chunk only.  `take` changes what it shares with `build` only
+    when it takes a chunk.  The cyclic collector stays paused
+    throughout (_collector_paused).
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    lines = text.splitlines()
-    if not lines:
-        return None
-    header = head(1, json.loads(lines[0]))
+    lines = _iter_lines(stream)
+    header, lineno = None, 0
+    for lineno, record in iter_json_lines(lines, error):
+        header = head(lineno, record)
+        break
     made: list = []
-    representatives: dict = {}
-    for start in range(1, len(lines), _CHUNK_ROWS):
-        rows = _decode_chunk(lines[start:start + _CHUNK_ROWS], row_type)
-        chunk = None if rows is None else take(rows, representatives)
-        if chunk is None:
-            return None
-        made += chunk
-    for row in representatives.values():
-        row.__post_init__()
+    checked: set = set()
+    while chunk := list(islice(lines, _CHUNK_ROWS)):
+        try:
+            rows = _decode_chunk(chunk, row_type)
+            got = None if rows is None else take(rows, checked)
+        except (TypeError, ValueError, RecursionError):
+            got = None
+        if got is None:
+            got = [build(*line)
+                   for line in iter_json_lines(chunk, error, lineno + 1)]
+        made += got
+        lineno += len(chunk)
     return header, made
+
+
+def _check_new(keys: Iterable, made: list, checked: set) -> None:
+    """Run __post_init__'s checks on one row of `made` for each of its
+    `keys` that `checked` does not hold, and add those keys: a reader
+    keys its rows so that every row of a key passes the checks if one
+    does."""
+    for key, row in dict(zip(keys, made)).items():
+        if key not in checked:
+            row.__post_init__()
+            checked.add(key)
 
 
 def _hex_prefixed(column) -> bool:
     """Whether every string in `column` starts with "0x", given that each
-    parses with int(s, 16), as the bulk readers check later: then none
+    parses with int(s, 16), as the column checks check later: then none
     holds a ",", so ",0x" occurs in "," + ",".join(column) once per
     string that starts with "0x" and nowhere else."""
     return ("," + ",".join(column)).count(",0x") == len(column)
 
 
-def _parse_chunks(data: Union[bytes, str]) -> Optional[TraceLog]:
-    """parse_trace's bulk reader: the log _parse_lines gives, or None (or
-    a TypeError, ValueError or RecursionError) for any input it does not
-    take, which _parse_lines then reads again.
+def _take_events(shapes: list, last_seq: list, rows: list,
+                 checked: set) -> Optional[list[AccessEvent]]:
+    """The events of a chunk's rows, checked column by column with
+    _row_to_event's rules, or None (or a TypeError or ValueError) for a
+    chunk it does not take, which _read_rows then reads row by row.
 
-    An empty text is the empty log, as the line reader reads it too.
-    Any other text it takes only if the header is line 1, every chunk
-    passes _decode_chunk's guards, every shape object holds only cat,
-    sign and callee, and every args cell is null or a list of four exact
-    ints.  Then no row holds two lists side by side in an array: a row's only
-    list column is args, its last, since the checks below reject a list
-    in any other (an int, a string, a shape or null); a shape holds
-    strings only, and an args list ints only.  So, as _decode_chunk
-    argues, each line is exactly one row, decoded from the text the line
-    reader decodes.
-    _read_chunks hands each chunk's rows to `take`, which checks them
-    column by column with the line reader's rules: exact ints, strictly
-    increasing seq (across chunks too), shape indices naming an earlier
-    shape, 0x-hex addr and rip, a val that is null or 0x-hex, and
-    AccessEvent's checks on one event of each distinct (cpl, kind, size,
-    shape, args or not) in the text: they read nothing else but the
-    args' count and types, which are checked by column.  Each event is
-    built by one tuple.__new__ call.  Only the rows that carry args
-    convert them; args spelled in hex are left to the line reader.
+    It takes a chunk only if every shape object holds only cat, sign
+    and callee, and every args cell is null or a list of four exact
+    ints.  Then no row holds two lists side by side in an array: a
+    row's only list column is args, its last, since the checks below
+    reject a list in any other (an int, a string, a shape or null); a
+    shape holds strings only, and an args list ints only.  So, as
+    _decode_chunk argues, each line is exactly one row, decoded from
+    the text the row reader decodes.
+    The rules: exact ints, strictly increasing seq (from `last_seq`
+    on), shape indices naming an earlier shape, 0x-hex addr and rip, a
+    val that is null or 0x-hex, and AccessEvent's checks on one event
+    of each distinct (cpl, kind, size, shape, args or not): they read
+    nothing else but the args' count and types, which are checked by
+    column.  Each event is built by one tuple.__new__ call.  Only the
+    rows that carry args convert them; args spelled in hex are left to
+    the row reader.  A chunk taken adds its shapes to `shapes` and its
+    last seq to `last_seq`.
     """
-    if not data:
-        return TraceLog()
-    shapes: list[InstrDescriptor] = []
-    last_seq: tuple = ()  # the seq of the row before the chunk, if any
-
-    def take(rows: list, representatives: dict) -> Optional[list]:
-        nonlocal last_seq
-        if set(map(len, rows)) != {len(COLUMNS)}:
-            return None
-        (seqs, tids, cpls, kinds, addrs, sizes, rips, shape_col, vals,
-         args_col) = zip(*rows)
-        carried = [args for args in args_col if args is not None]
-        seq_run = last_seq + seqs
-        shape_types = list(map(type, shape_col))
-        # filter(None, ...) drops each null val, and with it any other
-        # false one (0, "", [], ...), on which int(val, 16) raises below.
-        if (set(map(type, seqs + tids + sizes)) != {int}
-                or not set(shape_types) <= {int, dict}
-                or not all(map(lt, seq_run, seq_run[1:]))
-                or not _hex_prefixed(addrs) or not _hex_prefixed(rips)
-                or not _hex_prefixed(list(filter(None, vals)))
-                or not set(map(type, carried)) <= {list}
-                or not set(map(len, carried)) <= {4}
-                or not set(map(type, chain.from_iterable(carried))) <= {int}):
-            return None
-        last_seq = seqs[-1:]
-        # Shape objects are few: build each and put its index in its
-        # place.  A row may name only the shapes defined up to it.
-        shape_col = list(shape_col)
-        seg = 0
-        for at in compress(count(), map(is_, shape_types, repeat(dict))):
-            if (max(shape_col[seg:at], default=-1) >= len(shapes)
-                    or not shape_col[at].keys() <= _SHAPE_KEYS):
-                return None
-            shapes.append(_record_to_instr(shape_col[at]))
-            shape_col[at] = len(shapes) - 1
-            seg = at
-        if (max(shape_col[seg:], default=-1) >= len(shapes)
-                or min(shape_col) < 0):
-            return None
-        instrs = list(map(shapes.__getitem__, shape_col))
-        values = [val if val is None else int(val, 16) for val in vals]
-        register_args = [args if args is None else tuple(args)
-                         for args in args_col]
-        cpls = list(map(_CPL_UNWIRE.get, cpls, cpls))
-        kinds = list(map(_KIND_UNWIRE.get, kinds, kinds))
-        columns = (seqs, tids, cpls, kinds, map(int, addrs, repeat(16)),
-                   sizes, instrs, map(int, rips, repeat(16)), values,
-                   register_args)
-        events = list(map(tuple.__new__, repeat(AccessEvent), zip(*columns)))
-        keys = zip(cpls, kinds, sizes, shape_col,
-                   map(is_, args_col, repeat(None)))
-        representatives.update(zip(keys, events))
-        return events
-
-    read = _read_chunks(data, _parse_header, list, take)
-    if read is None:
+    if set(map(len, rows)) != {len(COLUMNS)}:
         return None
-    module_range, events = read
-    return TraceLog(events=tuple(events), module_range=module_range)
+    (seqs, tids, cpls, kinds, addrs, sizes, rips, shape_col, vals,
+     args_col) = zip(*rows)
+    carried = [args for args in args_col if args is not None]
+    seq_run = (*last_seq, *seqs)
+    shape_types = list(map(type, shape_col))
+    # filter(None, ...) drops each null val, and with it any other
+    # false one (0, "", [], ...), on which int(val, 16) raises below.
+    if (set(map(type, seqs + tids + sizes)) != {int}
+            or not set(shape_types) <= {int, dict}
+            or not all(map(lt, seq_run, seq_run[1:]))
+            or not _hex_prefixed(addrs) or not _hex_prefixed(rips)
+            or not _hex_prefixed(list(filter(None, vals)))
+            or not set(map(type, carried)) <= {list}
+            or not set(map(len, carried)) <= {4}
+            or not set(map(type, chain.from_iterable(carried))) <= {int}):
+        return None
+    # Shape objects are few: build each and put its index in its
+    # place.  A row may name only the shapes defined up to it.
+    table = list(shapes)
+    shape_col = list(shape_col)
+    seg = 0
+    for at in compress(count(), map(is_, shape_types, repeat(dict))):
+        if (max(shape_col[seg:at], default=-1) >= len(table)
+                or not shape_col[at].keys() <= _SHAPE_KEYS):
+            return None
+        table.append(_record_to_instr(shape_col[at]))
+        shape_col[at] = len(table) - 1
+        seg = at
+    if max(shape_col[seg:], default=-1) >= len(table) or min(shape_col) < 0:
+        return None
+    instrs = list(map(table.__getitem__, shape_col))
+    values = [val if val is None else int(val, 16) for val in vals]
+    register_args = [args if args is None else tuple(args)
+                     for args in args_col]
+    cpls = list(map(_CPL_UNWIRE.get, cpls, cpls))
+    kinds = list(map(_KIND_UNWIRE.get, kinds, kinds))
+    columns = (seqs, tids, cpls, kinds, map(int, addrs, repeat(16)),
+               sizes, instrs, map(int, rips, repeat(16)), values,
+               register_args)
+    events = list(map(tuple.__new__, repeat(AccessEvent), zip(*columns)))
+    _check_new(zip(cpls, kinds, sizes, shape_col,
+                   map(is_, args_col, repeat(None))), events, checked)
+    shapes[:] = table
+    last_seq[:] = seqs[-1:]
+    return events
 
 
 def serialize_trace(log: TraceLog) -> bytes:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 import pickle
@@ -577,6 +578,40 @@ class TestCaptureWork:
         with pytest.raises(ValueError,
                            match="^module_range bound .* is not an integer$"):
             make_model([ModelOp("nop")], module_range=module_range)
+
+    def test_model_is_frozen_after_its_checks(self):
+        """The run trusts what the checks checked, so no field can
+        change after them: entry_page = True would run."""
+        model = make_model([ModelOp("nop")])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.entry_page = True
+
+    @pytest.mark.parametrize("op", [
+        ("mov-write", 0x7fe000, 3, 1, None, None, 0, None, None, None, None,
+         None),
+        ["nop"],
+        None,
+    ], ids=["twelve-tuple", "list", "none"])
+    def test_every_op_must_be_a_model_op(self, op):
+        """A plain 12-tuple skipped every op check, and its 3-byte write
+        reached the trace, which parse_trace rejects."""
+        with pytest.raises(ValueError, match="^every op must be a ModelOp$"):
+            make_model([ModelOp("nop"), op])
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(op="push", value=-1), "value -1 is negative"),
+        (dict(op="mov-write", addr=0x3000, value=-(1 << 64)),
+         "value -18446744073709551616 is negative"),
+        (dict(op="sub-sp", amount=-8), "amount -8 is negative"),
+        (dict(op="call", args=[1, 2, 3, 4, -5]), "argument -5 is negative"),
+        (dict(op="call", args=[-1, 2]), "argument -1 is negative"),
+    ], ids=["push", "mov-write", "sub-sp", "stack-arg", "register-arg"])
+    def test_negative_numbers_stop_at_the_op(self, kwargs, message):
+        """The trace spells a value "0x-1", which no reader takes: a
+        negative value, amount or stack argument simulated with exit 0
+        and left `bases` to exit 2."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ModelOp(**kwargs)
 
     def test_equal_args_of_other_types_are_not_shared(self):
         """An int subclass's 1 equals 1, but each event holds its own
@@ -1176,8 +1211,9 @@ def test_written_models_never_take_the_line_reader(seed, chunk):
     model = _random_model(rng, rng.randrange(0, 12))
     data = serialize_model(model)
     with mock.patch.object(trace, "_CHUNK_ROWS", chunk), \
-            mock.patch.object(guest_mod, "_read_model_lines",
-                              side_effect=AssertionError("line reader ran")):
+            mock.patch.object(guest_mod, "_record_to_op",
+                              side_effect=AssertionError("an op line was "
+                                                         "read by itself")):
         for form in (data, data.decode(), data.replace(b"\n", b"\r\n")):
             assert parse_model(form) == model
 
@@ -1310,14 +1346,39 @@ def test_mixed_int_and_hex_fields_take_the_bulk_reader():
              '{"op": "mov-write", "addr": "0x3008", "size": 8, "value": null}',
              '{"op": "call", "args": [1, 2], "n_stack": "0x2", "rip": 4198400}',
              '{"op": "sub-sp", "amount": "0x40", "rip": null}']
-    with mock.patch.object(guest_mod, "_read_model_lines",
-                           side_effect=AssertionError("line reader ran")):
+    with mock.patch.object(guest_mod, "_record_to_op",
+                           side_effect=AssertionError("an op line was read "
+                                                      "by itself")):
         model = parse_model("\n".join(lines))
     assert model.ops == [
         ModelOp("mov-write", addr=0x3000, size=4, value=7),
         ModelOp("mov-write", addr=0x3008, size=8),
         ModelOp("call", args=(1, 2), n_stack=2, rip=0x401000),
         ModelOp("sub-sp", amount=0x40)]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("by_line", [False, True],
+                         ids=["columns", "line-by-line"])
+@pytest.mark.parametrize("good, bad, message", [
+    ('{"op": "push", "value": 8}', '{"op": "push", "value": -1}',
+     "value -1 is negative"),
+    ('{"op": "sub-sp", "amount": 8}', '{"op": "sub-sp", "amount": -8}',
+     "amount -8 is negative"),
+    ('{"op": "call", "args": [1]}', '{"op": "call", "args": [1, 2, 3, 4, -5]}',
+     "argument -5 is negative"),
+], ids=["value", "amount", "stack-arg"])
+def test_negative_number_is_named_at_its_line(chunk, by_line, good, bad,
+                                              message):
+    """Line 5 holds a negative number, after ops of its own kind whose
+    checks already ran.  The column checks decline its chunk, so the
+    line is read by itself and named; a leading blank declines the chunk
+    before the column checks."""
+    ops = [good] * 3 + [(" " if by_line else "") + bad, good, '{"op": "nop"}']
+    data = "\n".join([MODEL_HEADER] + ops)
+    with mock.patch.object(trace, "_CHUNK_ROWS", chunk):
+        for form in (data, data.encode(), iter(data.splitlines())):
+            assert _model_outcome(form) == (5, f"line 5: {message}")
 
 
 @pytest.mark.parametrize("chunk", [1, 2, trace._CHUNK_ROWS])

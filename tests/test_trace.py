@@ -824,11 +824,47 @@ def _readable(log: TraceLog) -> TraceLog:
 
 
 def _read_in_bulk(data, chunk=trace._CHUNK_ROWS):
-    """parse_trace(data), asserting that the line reader never ran."""
+    """parse_trace(data), asserting that no row was read by itself."""
     with mock.patch.object(trace, "_CHUNK_ROWS", chunk), \
-            mock.patch.object(trace, "_parse_lines",
-                              side_effect=AssertionError("line reader ran")):
+            mock.patch.object(trace, "_row_to_event",
+                              side_effect=AssertionError("a row was read "
+                                                         "by itself")):
         return parse_trace(data)
+
+
+def _read_by_row(data):
+    """parse_trace(data) with every chunk declined, so that each row is
+    read by itself."""
+    with mock.patch.object(trace, "_decode_chunk", return_value=None):
+        return parse_trace(data)
+
+
+@pytest.mark.parametrize("blank_at, read", [(13, [10, 11, 12]),
+                                             (6, [7, 8, 9])],
+                         ids=["trailing", "in-the-middle"])
+@pytest.mark.parametrize("parse, module, builder, lineno_at", [
+    (parse_trace, trace, "_row_to_event", 2),
+    (parse_model, guest_mod, "_record_to_op", 0),
+], ids=["trace", "model"])
+def test_a_declined_chunk_alone_is_read_line_by_line(
+        parse, module, builder, lineno_at, blank_at, read):
+    """Eleven rows after the header and one blank line make three chunks
+    of four lines.  Only the chunk that holds the blank line goes to the
+    per-line builder, which runs on its three rows; the other two are
+    taken by their column checks."""
+    if parse is parse_trace:
+        data = serialize_trace(_template_log(random.Random(6), 11))
+    else:
+        data = serialize_model(make_model([ModelOp("push", value=k)
+                                           for k in range(11)]))
+    lines = data.splitlines()
+    assert len(lines) == 12
+    lines.insert(blank_at - 1, b"")
+    with mock.patch.object(trace, "_CHUNK_ROWS", 4), \
+            mock.patch.object(module, builder,
+                              wraps=getattr(module, builder)) as built:
+        assert parse(b"\n".join(lines) + b"\n") == parse(data)
+    assert [call.args[lineno_at] for call in built.call_args_list] == read
 
 
 @given(log=writer_logs(), chunk=st.integers(1, 3))
@@ -865,7 +901,7 @@ def test_calls_with_distinct_args_share_one_descriptor(monkeypatch):
     assert built.count("call") == built.count("api-call") == 1
     data = serialize_trace(log)
     assert data.count(b'"callee"') == 2
-    for read in (_read_in_bulk, trace._parse_lines):
+    for read in (_read_in_bulk, _read_by_row):
         built.clear()
         assert read(data) == log
         assert sorted(built) == ["api-call", "call"]
@@ -962,7 +998,7 @@ def test_read_events_are_the_constructors_events(log, seed, chunk):
     checks, is the event the checking constructor builds."""
     for log in (_readable(log), _template_log(random.Random(seed), 30)):
         data = serialize_trace(log)
-        for got in (_read_in_bulk(data, chunk), trace._parse_lines(data)):
+        for got in (_read_in_bulk(data, chunk), _read_by_row(data)):
             assert got == log
             assert_built_as_constructed(got.events)
 
