@@ -5,27 +5,28 @@ permission profiles with mode-based execution control (MBEC) semantics,
 hidden hooks (execute-allowed / read-denied pages), demand paging via
 injected page faults, and lazy entry-point capture.  Abstract program
 models are interpreted against this state: every data access is trapped
-and emitted as an AccessEvent, and instruction fetches go through the
-permission check for entry capture.  A mode transition is reported at
-the first fetch after it, by MBEC and legacy detection alike, so both
-give one trace.
+and logged as one event of the trace, and instruction fetches go
+through the permission check for entry capture.  A mode transition is
+reported at the first fetch after it, by MBEC and legacy detection
+alike, so both give one trace.
 
 Capture keeps its per-op work small.  A ModelOp is an immutable named
 tuple, and the run unpacks each op once.  Every write the program makes
 takes one store path: demand paging, the trap, then the masked write.
-Every event is logged by one trap closure, one tuple.__new__ call each,
-with no AccessEvent check: ModelOp checks the access a mov op logs, so
-every event of a run of checked ops is valid as built.  Memory accesses
-that lie on one built page skip the per-page walk.  parse_model reads
-through trace's one reader (_read_rows), as parse_trace does: a chunk
-of op lines per json.loads call where each line holds one plain op, a
-chunk's ops built column by column (_plain_ops), each with one
-tuple.__new__ call, and ModelOp's checks run once per distinct (op,
-addr or not, cpl, cat, sign, a mov op's size).  A chunk it declines is
-read again one line at a time (_record_to_op), which alone reports
-errors.  The reader and the run keep the cyclic collector paused while
-they build, and leave it as they found it: the ops and events outlive
-them.
+Every event is logged by one trap closure as one plain tuple of its
+fields, with no AccessEvent check: ModelOp checks the access a mov op
+logs, so every event of a run of checked ops is valid as built.  The
+trace's columns are made of these rows once, when the run ends.
+Memory accesses that lie on one built page skip the per-page walk.
+parse_model reads through trace's one reader (_read_rows), as
+parse_trace does: a chunk of op lines per json.loads call where each
+line holds one plain op, a chunk's ops built column by column
+(_plain_ops), each with one tuple.__new__ call, and ModelOp's checks
+run once per distinct (op, addr or not, cpl, cat, sign, a mov op's
+size).  A chunk it declines is read again one line at a time
+(_record_to_op), which alone reports errors.  The reader and the run
+keep the cyclic collector paused while they build, and leave it as
+they found it: the ops and the trace outlive them.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, repeat
 from operator import is_
 from typing import IO, Iterable, NamedTuple, Optional, Union
@@ -42,7 +44,6 @@ from .trace import (
     CPL_VALUES,
     PAGE_SIZE,
     SIGN_VALUES,
-    AccessEvent,
     InstrDescriptor,
     TraceLog,
     _check_new,
@@ -501,8 +502,9 @@ def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
     _record_to_op, which alone reports errors in op lines, so both ways
     give the same ops.
     """
-    header, ops = _read_rows(stream, ModelParseError, _model_header, dict,
-                             _plain_ops, _record_to_op)
+    ops: list[ModelOp] = []
+    header = _read_rows(stream, ModelParseError, _model_header, dict,
+                        partial(_plain_ops, ops), _record_to_op, ops.extend)
     if header is None:
         raise ModelParseError(1, "empty model file (missing header)")
     try:
@@ -573,15 +575,16 @@ _OP_TYPES = {**dict.fromkeys(_OP_INT_KEYS, {int, str, type(None)}),
              "op": {str}, "args": {list, type(None)}, "n_stack": {int, str}}
 
 
-def _plain_ops(records: list[dict], checked: set
-               ) -> Optional[list[ModelOp]]:
-    """The ops of a chunk's records, built column by column, or None
-    unless every value is one _record_to_op takes as it is (_OP_TYPES):
-    every key an op key, a string op, an exact int (never a bool or a
-    float), a 0x-hex string or null under an int key, but no null
-    n_stack and no negative value or amount, a string or null under a
-    string key, and a null or a list of non-negative exact ints as args.
-    So no record holds an array with two objects side by side.
+def _plain_ops(ops: list[ModelOp], records: list[dict], checked: set
+               ) -> Optional[bool]:
+    """Add the ops of a chunk's records, built column by column, to
+    `ops` and give True; or give None unless every value is one
+    _record_to_op takes as it is (_OP_TYPES): every key an op key, a
+    string op, an exact int (never a bool or a float), a 0x-hex string
+    or null under an int key, but no null n_stack and no negative value
+    or amount, a string or null under a string key, and a null or a list
+    of non-negative exact ints as args.  So no record holds an array
+    with two objects side by side.
 
     Each op is built by one tuple.__new__ call.  ModelOp's checks run
     on an op of each (op, addr or not, cpl, cat, sign, size) that
@@ -618,13 +621,14 @@ def _plain_ops(records: list[dict], checked: set
                 and min(filter(None, column), default=0) < 0):
             return None
         columns[at] = column
-    ops = list(map(tuple.__new__, repeat(ModelOp), zip(*columns)))
+    made = list(map(tuple.__new__, repeat(ModelOp), zip(*columns)))
     names, addrs, sizes, *_, cpls, cats, signs, _ = columns
     sizes = [size if name in _MOV_OPS else None
              for name, size in zip(names, sizes)]
     _check_new(zip(names, map(is_, addrs, repeat(None)), cpls, cats, signs,
-                   sizes), ops, checked)
-    return ops
+                   sizes), checked, lambda at: made[at].__post_init__())
+    ops += made
+    return True
 
 
 def serialize_model(model: ProgramModel) -> bytes:
@@ -732,25 +736,26 @@ def legacy_transition_detect(guest: Guest, model: ProgramModel) -> list[tuple[in
 
 def transitions(log: TraceLog) -> list[tuple[int, str]]:
     """Extract (seq, mode) transition reports from a detection-mode trace."""
-    return [
-        (e.seq, e.cpl)
-        for e in log.events
-        if e.kind == "execute" and e.instr.category == "other"
-    ]
+    columns = log.columns
+    return [(seq, cpl) for seq, cpl, kind, instr in zip(
+                columns.seq, columns.cpl, columns.kind, columns.instr)
+            if kind == "execute" and instr.category == "other"]
 
 
-@_collector_paused()  # the events outlive the run
+@_collector_paused()  # the trace outlives the run
 def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
     """(The model's trace, the index of its entry event or None).
 
-    Each event is built by one tuple.__new__ call, with no AccessEvent
-    check.  It needs none: every field those checks read is fixed by the
-    op that logs the event or comes from a checked ModelOp or
-    ProgramModel, but for the guest's mode, which is checked here.
+    Each event is logged as one plain tuple of its fields, with no
+    AccessEvent check, and the log's columns are made of these rows in
+    one transposition at the end.  It needs no check: every field
+    those checks read is fixed by the op that logs the event or comes
+    from a checked ModelOp or ProgramModel, but for the guest's mode,
+    which is checked here.
     """
     if guest.mode not in CPL_VALUES:
         raise ValueError(f"bad cpl {_shown(guest.mode)}")
-    events: list[AccessEvent] = []
+    rows: list[tuple] = []
     # One descriptor per instruction shape, which the events share
     # while each keeps its own value and register arguments.
     shapes: dict = {}
@@ -805,9 +810,8 @@ def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
         if instr is None:
             instr = shapes[cat, sign, callee] = InstrDescriptor(
                 cat, sign, callee)
-        events.append(tuple.__new__(AccessEvent, (
-            len(events), tid, guest.mode, kind, address, size, instr, rip,
-            value, args)))
+        rows.append((len(rows), tid, guest.mode, kind, address, size, instr,
+                     rip, value, args))
 
     def store(address, size, value, cat, sign="n/a", callee=None, args=None):
         """A trapped write of `value`'s low `size` bytes."""
@@ -829,7 +833,7 @@ def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
             if (isinstance(fetch, Violation) and entry_pending
                     and rip // PAGE_SIZE == model.entry_page):
                 # Log the entry first, then restore the revoked permission.
-                entry = len(events)
+                entry = len(rows)
                 trap("execute", rip, 1, "other")
                 perms = guest.pages[model.entry_page].perms
                 perms.exec_user = True
@@ -889,4 +893,4 @@ def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
             pass
         rip += INSTR_STRIDE
 
-    return TraceLog(events=tuple(events), module_range=module_range), entry
+    return TraceLog(rows, module_range), entry

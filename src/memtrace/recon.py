@@ -5,16 +5,19 @@ pointer-valued call parameters, stack patterns), recover per-call
 parameters under the Windows x64 fastcall convention, reconstruct
 structure layouts with typed fields, and flag known API-call sequences.
 
-Every analysis reads a trace in a fixed number of linear passes.  One
-forward pass, _frames, unpacks each event once and gives the call frames
-and the stack patterns together: per thread it keeps the writes since
-that thread's previous call, which the call's stack parameters are read
-from, its sub-sp amounts and its runs of XMM zeroing stores.
-collect_bases adds two more passes, the allocator hooks
-(find_allocations) and the touched pages (_TouchedMemory).  These keep
-their own passes: each reads little of an event, and reconstruct_layout
-needs them without the frames, where a scan fused with the frames pass
-cost about three times as much per event as the two of them.
+Every analysis reads a trace's columns (TraceLog.columns), in a fixed
+number of linear passes, and builds no event but those it hands on.
+One forward pass, _frames, reads six columns at once and gives the
+call frames and the stack patterns together: per thread it keeps the
+writes since that thread's previous call, which the call's stack
+parameters are read from, its sub-sp amounts and its runs of XMM
+zeroing stores.  A call is kept as its event's index, and its other
+fields are read from the columns.  collect_bases adds two more
+passes, the allocator hooks (find_allocations, the instr column) and
+the touched pages (_TouchedMemory, the address column).  These keep
+their own passes: each reads one column, and reconstruct_layout needs
+them without the frames.  reconstruct_layout finds the accesses inside
+its window from the address column and builds an event for those alone.
 
 A value counts as a pointer when it falls inside a known allocation (one
 bisection in an OwnerIndex) or in mapped memory, and mapped memory is
@@ -27,6 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import count
 from typing import (Callable, Container, Iterable, Iterator, NamedTuple,
                     Optional, Sequence)
 
@@ -159,18 +163,18 @@ def find_allocations(log: TraceLog) -> list[AllocationRecord]:
     event is the return-address push, and its value is that address.
     """
     records = []
-    for event in log.events:
-        instr = event[6]  # by position, as _program_accesses reads events
-        if instr.callee_id not in ALLOCATOR_NAMES or instr.category == "call":
+    columns = log.columns
+    for at, instr in enumerate(columns.instr):
+        # Not a hook, or a hook that saw the call but not the returned base.
+        if (instr.callee_id not in ALLOCATOR_NAMES or instr.category == "call"
+                or columns.value[at] is None):
             continue
-        _, _, _, _, _, _, _, rip, value, args = event
-        if value is None:
-            continue  # hook saw the call but not the returned base
-        size = (args or (0, 0, 0, 0))[0]
+        size = (columns.register_args[at] or (0, 0, 0, 0))[0]
         if not isinstance(size, int) or size < 0:
             size = 0
-        records.append(AllocationRecord(
-            base=value, size=size, source="heap-hook", site_rip=rip))
+        records.append(AllocationRecord(base=columns.value[at], size=size,
+                                        source="heap-hook",
+                                        site_rip=columns.rip[at]))
     return records
 
 
@@ -182,7 +186,7 @@ class _TouchedMemory:
     """
 
     def __init__(self, log: TraceLog):
-        self.pages = {e[4] // PAGE_SIZE for e in log.events}  # e.address
+        self.pages = {address // PAGE_SIZE for address in log.columns.address}
         self.module_lo, self.module_hi = log.module_range
 
     def __contains__(self, address: int) -> bool:
@@ -202,15 +206,15 @@ def _is_pointer_value(value: Optional[int], owners: OwnerIndex,
 def _frames(log: TraceLog) -> tuple[list, list[AllocationRecord]]:
     """Call frames and stack-pattern records, in one forward pass.
 
-    Returns (calls, stack).  `calls` pairs every call and api-call event,
-    in seq order, with its stack parameters.  Each thread keeps a dict
-    address -> last written value of its writes (syscall writes included)
-    since its previous call.  A call event is the return-address push, so
-    the pre-call stack pointer is its address + 8; its extra parameters
-    are the values in that dict at SP+0x20, SP+0x28, ..., up to the first
-    slot with no write.  The dict is then cleared, so an earlier frame's
-    stale slots are never read.  This relies on seq order, which
-    parse_trace enforces.
+    Returns (calls, stack).  `calls` pairs the index of every call and
+    api-call event, in seq order, with its stack parameters.  Each
+    thread keeps a dict address -> last written value of its writes
+    (syscall writes included) since its previous call.  A call event is
+    the return-address push, so the pre-call stack pointer is its
+    address + 8; its extra parameters are the values in that dict at
+    SP+0x20, SP+0x28, ..., up to the first slot with no write.  The dict
+    is then cleared, so an earlier frame's stale slots are never read.
+    This relies on seq order, which parse_trace enforces.
 
     `stack` lists the threads by first appearance; each gives its sub-sp
     records, then its XMM runs.  A sub of at most 0x20 is shadow space
@@ -220,11 +224,14 @@ def _frames(log: TraceLog) -> tuple[list, list[AllocationRecord]]:
     yields a buffer from the lowest stored address to the run's end.
     """
     # tid -> [written slots, sub-sp records, XMM runs, the open run]; a
-    # run is [first store, the address that would extend it].
+    # run is [its first store's address and rip, the address that would
+    # extend it].
     threads: dict[int, list] = defaultdict(lambda: [{}, [], [], None])
     calls = []
-    for event in log.events:
-        _, tid, _, kind, address, _, instr, rip, value, _ = event
+    columns = log.columns
+    for at, tid, kind, address, instr, rip, value in zip(
+            count(), columns.thread_id, columns.kind, columns.address,
+            columns.instr, columns.rip, columns.value):
         thread = threads[tid]
         category = instr.category
         if category in ARG_CATEGORIES:
@@ -235,15 +242,15 @@ def _frames(log: TraceLog) -> tuple[list, list[AllocationRecord]]:
                 stack_params.append(slots[slot])
                 slot += 8
             slots.clear()
-            calls.append((event, tuple(stack_params)))
+            calls.append((at, tuple(stack_params)))
         elif kind == "write":
             thread[0][address] = value or 0
         if category == "xmm-zero-store":
             run = thread[3]
-            if run is not None and run[1] == address:
-                run[1] += 16
+            if run is not None and run[2] == address:
+                run[2] += 16
             else:
-                thread[3] = [event, address + 16]
+                thread[3] = [address, rip, address + 16]
                 thread[2].append(thread[3])
             continue
         thread[3] = None
@@ -254,9 +261,9 @@ def _frames(log: TraceLog) -> tuple[list, list[AllocationRecord]]:
     stack = []
     for _, subs, runs, _ in threads.values():
         stack += subs
-        stack += [AllocationRecord(base=first.address, size=end - first.address,
-                                   source="stack-pattern", site_rip=first.rip)
-                  for first, end in runs]
+        stack += [AllocationRecord(base=first, size=end - first,
+                                   source="stack-pattern", site_rip=rip)
+                  for first, rip, end in runs]
     return calls, stack
 
 
@@ -271,8 +278,8 @@ def recover_calls(log: TraceLog,
     owners = OwnerIndex(allocations)
     mapped = _TouchedMemory(log)
     records = []
-    for event, stack_params in _frames(log)[0]:
-        seq, tid, _, _, _, _, instr, rip, value, args = event
+    for at, stack_params in _frames(log)[0]:
+        seq, tid, _, _, _, _, instr, rip, value, args = log.events[at]
         reg_params = args or (0, 0, 0, 0)
         if stack_params:
             param_count = 4 + len(stack_params)
@@ -298,8 +305,9 @@ def call_names(log: TraceLog) -> list[CallName]:
     """The seq, thread and callee of every call and api-call event, in
     seq order, in one pass: all that flag_call_sequences reads of
     recover_calls' records, without their frames and pointer flags."""
-    return [CallName(e[0], e[1], e[6].callee_id)  # seq, thread_id, instr
-            for e in log.events if e[6].category in ARG_CATEGORIES]
+    rows = zip(log.columns.seq, log.columns.thread_id, log.columns.instr)
+    return [CallName(seq, tid, instr.callee_id) for seq, tid, instr in rows
+            if instr.category in ARG_CATEGORIES]
 
 
 def find_stack_buffers(log: TraceLog) -> list[AllocationRecord]:
@@ -340,11 +348,12 @@ def collect_bases(log: TraceLog) -> list[AllocationRecord]:
     mapped = _TouchedMemory(log)
     merged = {record.base: record for record in heap}
     calls, stack = _frames(log)
-    for event, stack_params in calls:
-        for value in (event.register_args or (0, 0, 0, 0)) + stack_params:
+    args, rips = log.columns.register_args, log.columns.rip
+    for at, stack_params in calls:
+        for value in (args[at] or (0, 0, 0, 0)) + stack_params:
             if value not in merged and _is_pointer_value(value, owners, mapped):
                 merged[value] = AllocationRecord(
-                    base=value, size=0, source="call-param", site_rip=event.rip)
+                    base=value, size=0, source="call-param", site_rip=rips[at])
     for record in stack:
         merged.setdefault(record.base, record)
     return sorted(merged.values(), key=lambda r: r.base)
@@ -411,9 +420,11 @@ def reconstruct_layout(log: TraceLog, base: int,
     owners = OwnerIndex(find_allocations(log))
     mapped = _TouchedMemory(log)
     by_offset: dict[int, list[AccessEvent]] = {}
-    for event in _program_accesses(log):
-        if base <= event.address < base + window:
-            by_offset.setdefault(event.address - base, []).append(event)
+    addresses, events = log.columns.address, log.events
+    inside = [at for at, address in zip(count(), addresses)
+              if base <= address < base + window]
+    for at in _program_accesses(log, inside):
+        by_offset.setdefault(addresses[at] - base, []).append(events[at])
 
     if not by_offset:
         gap = FieldRecord(offset=0, size=window, category="char-array")

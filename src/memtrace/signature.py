@@ -11,9 +11,11 @@ normalized similarity score, and a greedy diff that splits ranges off a
 worklist to localize source-level modifications between near-identical
 patterns.  The diff sweeps the pair once for its first split and each
 leftover box once more, collecting the maximal diagonal near-runs, and
-answers every later range from those runs, clipped to it.  Events are
-attributed to allocations through recon's OwnerIndex, one bisection per
-event.
+answers every later range from those runs, clipped to it.  A pattern
+is taken from a trace's address and size columns, at the indices of
+the program's own accesses, with no event built; each address is
+attributed to an allocation through recon's OwnerIndex, one bisection
+per access.
 """
 
 from __future__ import annotations
@@ -217,21 +219,23 @@ def extract_pattern(log: TraceLog,
     if event_filter is None:
         selected = _program_accesses(log)
     else:
-        selected = [e for e in log.events if event_filter(e)]
+        selected = [at for at, event in enumerate(log.events)
+                    if event_filter(event)]
+    addresses = list(map(log.columns.address.__getitem__, selected))
     owners = OwnerIndex(bases)
     resolved: list[Optional[int]] = []
     leftovers = []
-    for event in selected:
-        owner = owners.owner(event.address)
+    for address in addresses:
+        owner = owners.owner(address)
         if owner is None:
             resolved.append(None)
-            leftovers.append(event.address)
+            leftovers.append(address)
         else:
-            resolved.append(event.address - owner.base)
+            resolved.append(address - owner.base)
     floor = min(leftovers) if leftovers else 0
     offsets = [
-        (event.address - floor) if off is None else off
-        for off, event in zip(resolved, selected)
+        (address - floor) if off is None else off
+        for off, address in zip(resolved, addresses)
     ]
     if not selected:
         return AddressPattern(offsets=(), base=0, sizes=())
@@ -239,7 +243,7 @@ def extract_pattern(log: TraceLog,
     return AddressPattern(
         offsets=tuple(offsets),
         base=base,
-        sizes=tuple(e.operand_size for e in selected),
+        sizes=tuple(map(log.columns.operand_size.__getitem__, selected)),
     )
 
 

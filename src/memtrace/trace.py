@@ -10,6 +10,13 @@ index, counted from 0 in order of definition, after that.  Its `val`
 runtime state, so they sit in columns of their own.  Addresses and
 values are 0x-prefixed hex strings so traces stay greppable.
 
+In memory a TraceLog keeps its events as columns too, one list per
+AccessEvent field, as column stores such as MonetDB/X100 do: the
+reader extends them a chunk at a time, the guest's run transposes its
+rows once, and the analyses scan the columns they need.  No event
+object is kept.  log.events is the one view of the columns, which
+builds an AccessEvent only when one is asked for.
+
 Reading lives here, for traces and the guest's program models alike.
 Both read through _read_rows, which takes the header from the first
 non-blank line and the later lines a chunk at a time: one json.loads
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import gc
 import json
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -152,13 +160,16 @@ class AccessEvent(_EventFields):
     10 and orders as that tuple does.  The constructor, _make, _replace
     (and so copy.replace), pickle and copy all run __post_init__'s
     checks on the fields, and the constructor stores a register_args of
-    another sequence type as a tuple.  The trace reader's column checks
-    build most events with tuple.__new__(AccessEvent, fields), which
-    checks nothing, and run the checks on one event of each (cpl, kind,
-    size, shape, args or not), all that the checks read but the args'
-    own count and types.  The guest's run builds every event that way
-    and checks none: each field the checks read comes from a checked op
-    or model, or is fixed by the op (_check_operand).
+    another sequence type as a tuple.  A TraceLog keeps no events, only
+    their columns; its `events` view builds each event it hands out with
+    tuple.__new__(AccessEvent, fields), which checks nothing.  Those
+    fields passed the checks on their way in: the trace reader checks
+    its rows by column and runs the checks on one event of each (cpl,
+    kind, size, shape, args or not), all that the checks read but the
+    args' own count and types and the signs of address, rip and value,
+    which no hex string it reads can give.  The guest's run checks no
+    event: each field the checks read comes from a checked op or model,
+    or is fixed by the op (_check_operand).
     """
 
     __slots__ = ()
@@ -193,18 +204,88 @@ class AccessEvent(_EventFields):
             if not all(isinstance(arg, int) for arg in self.register_args):
                 raise ValueError(f"register_args {_shown(self.register_args)} "
                                  "must be integers")
+        for name in ("address", "rip", "value"):  # a trace spells -1 "0x-1"
+            number = getattr(self, name)
+            if isinstance(number, int) and number < 0:
+                raise ValueError(f"{name} {_shown(number)} is negative")
+
+
+def _events(rows: Iterable[Sequence]) -> Iterator[AccessEvent]:
+    """The event of each row of ten fields, built unchecked: how every
+    event that a TraceLog hands out is built from its columns."""
+    return map(tuple.__new__, repeat(AccessEvent), rows)
+
+
+def _extend(columns: _EventFields, rows: Iterable[Sequence]) -> None:
+    """Append each row's ten fields to the ten columns, transposing
+    _CHUNK_ROWS rows at a time: a long run's rows would not stay in the
+    cache over ten passes."""
+    rows = iter(rows)
+    while block := list(islice(rows, _CHUNK_ROWS)):
+        for column, values in zip(columns, zip(*block)):
+            column.extend(values)
+
+
+@dataclass(frozen=True, slots=True)
+class EventColumns(Sequence):
+    """The events of a trace, kept as ten columns: `columns` is an
+    _EventFields of one list per AccessEvent field, whose instr list
+    holds one shared descriptor per instruction shape.
+
+    It is a read-only sequence of AccessEvents.  Its length costs
+    nothing, and indexing, slicing (to a tuple) and iteration build
+    each event only when asked.  It compares and hashes as the tuple of
+    its events, to which it is equal.
+    """
+
+    columns: _EventFields
+
+    def __len__(self):
+        return len(self.columns.seq)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(_events(zip(*(column[index]
+                                       for column in self.columns))))
+        return next(_events([[column[index] for column in self.columns]]))
+
+    def __iter__(self):
+        return _events(zip(*self.columns))
+
+    def __eq__(self, other):
+        if isinstance(other, (EventColumns, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
 
 
 @dataclass(frozen=True)
 class TraceLog:
-    """An ordered trace plus the main-module address range [lo, hi)."""
+    """An ordered trace plus the main-module address range [lo, hi).
 
-    events: tuple[AccessEvent, ...] = ()
+    It keeps its events as columns, and `events` is their one view, an
+    EventColumns.  Given any other sequence of events, or of rows of
+    their ten fields, it copies them into new columns; given an
+    EventColumns, it shares its columns, which nothing changes once a
+    log holds them.
+    """
+
+    events: Sequence[AccessEvent] = ()
     module_range: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
+        if not isinstance(self.events, EventColumns):
+            columns = _EventFields._make([] for _ in _EventFields._fields)
+            _extend(columns, self.events)
+            object.__setattr__(self, "events", EventColumns(columns))
         object.__setattr__(self, "module_range", tuple(self.module_range))
+
+    @property
+    def columns(self) -> _EventFields:
+        """The ten columns of the events, one list per field."""
+        return self.events.columns
 
     def __len__(self):
         return len(self.events)
@@ -366,18 +447,24 @@ def parse_trace(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
     Bytes, text and streams alike are read through _read_rows: about a
     thousand rows per json.loads call, checked column by column
     (_take_events), with the cyclic collector paused while it builds
-    the log.  A chunk those checks decline is read again row by row
-    (_row_to_event), which alone builds the errors.  Both ways share one
-    shape table and one seq carry and give the same events.  Each shape
+    the log's columns, which each chunk extends.  A chunk those checks
+    decline is read again row by row (_row_to_event), which alone builds
+    the errors.  Both ways share one shape table and one seq carry and
+    give the same columns.  Each shape
     object is checked and built into a descriptor once, which every row
     citing the shape shares; a row's `val` and `args` become its event's
     `value` and `register_args`.
     """
+    columns = _EventFields._make([] for _ in _EventFields._fields)
     shared = ([], [])  # the shape table, and the last row's seq once read
-    module_range, events = _read_rows(
+    module_range = _read_rows(
         stream, TraceParseError, _parse_header, list,
-        partial(_take_events, *shared), partial(_row_to_event, *shared))
-    return TraceLog(events=tuple(events), module_range=module_range or (0, 0))
+        partial(_take_events, columns, *shared),
+        partial(_row_to_event, *shared), partial(_extend, columns))
+    # Copies fit their lists to size: extending a chunk at a time leaves
+    # up to an eighth of a long column spare.
+    return TraceLog(EventColumns(columns._make(map(list, columns))),
+                    module_range or (0, 0))
 
 
 def _row_to_event(shapes: list, last_seq: list, lineno: int,
@@ -482,56 +569,55 @@ def _collector_paused():
 @_collector_paused()
 def _read_rows(stream: Union[bytes, str, IO, Iterable[str]],
                error: Callable[[int, str], Exception], head: Callable,
-               row_type: type, take: Callable, build: Callable
-               ) -> tuple[object, list]:
-    """(The header, the rows made of the lines after it) of a JSON-lines
-    stream, or (None, []) where it has no header: the one reader of
-    parse_trace and the guest's parse_model.
+               row_type: type, take: Callable, build: Callable,
+               store: Callable) -> object:
+    """The header of a JSON-lines stream, or None where it has none, with
+    what the lines after it hold handed to `take` or `store`: the one
+    reader of parse_trace and the guest's parse_model.
 
     head(lineno, record) gives the header of the first non-blank line
     (iter_json_lines, which raises error(lineno, message) for a line
     that is not JSON).  The later lines go _CHUNK_ROWS at a time to
     _decode_chunk, as rows of `row_type`, and then to take(rows,
-    checked), the reader's column checks.  It gives what it made of the
-    rows, or None to decline them, and runs __post_init__'s checks on
-    one made row of each kind that the column checks tell apart and
-    that `checked` does not hold yet (_check_new).  A chunk that either
-    declines (also by a TypeError, ValueError or RecursionError) is
-    read again a line at a time with build(lineno, record), which alone
-    raises errors; so an odd line costs the line-by-line reading of its
-    own chunk only.  `take` changes what it shares with `build` only
-    when it takes a chunk.  The cyclic collector stays paused
-    throughout (_collector_paused).
+    checked), the reader's column checks.  It stores what it made of
+    the rows and gives True, or gives None to decline them, and runs
+    __post_init__'s checks on one made row of each kind that the column
+    checks tell apart and that `checked` does not hold yet
+    (_check_new).  A chunk that either declines (also by a TypeError,
+    ValueError or RecursionError) is read again a line at a time with
+    build(lineno, record), which alone raises errors, and the list of
+    what it builds goes to store(made); so an odd line costs the
+    line-by-line reading of its own chunk only.  `take` changes what it
+    shares with `build` and `store` only when it takes a chunk.  The
+    cyclic collector stays paused throughout (_collector_paused).
     """
     lines = _iter_lines(stream)
     header, lineno = None, 0
     for lineno, record in iter_json_lines(lines, error):
         header = head(lineno, record)
         break
-    made: list = []
     checked: set = set()
     while chunk := list(islice(lines, _CHUNK_ROWS)):
         try:
             rows = _decode_chunk(chunk, row_type)
-            got = None if rows is None else take(rows, checked)
+            taken = rows is not None and take(rows, checked)
         except (TypeError, ValueError, RecursionError):
-            got = None
-        if got is None:
-            got = [build(*line)
-                   for line in iter_json_lines(chunk, error, lineno + 1)]
-        made += got
+            taken = False
+        if not taken:
+            store([build(*line)
+                   for line in iter_json_lines(chunk, error, lineno + 1)])
         lineno += len(chunk)
-    return header, made
+    return header
 
 
-def _check_new(keys: Iterable, made: list, checked: set) -> None:
-    """Run __post_init__'s checks on one row of `made` for each of its
-    `keys` that `checked` does not hold, and add those keys: a reader
-    keys its rows so that every row of a key passes the checks if one
-    does."""
-    for key, row in dict(zip(keys, made)).items():
+def _check_new(keys: Iterable, checked: set, check: Callable) -> None:
+    """Call check(i), which runs __post_init__'s checks on the i-th row
+    made, on one row for each of `keys` that `checked` does not hold,
+    and add those keys: a reader keys its rows so that every row of a
+    key passes the checks if one does."""
+    for key, at in dict(zip(keys, count())).items():
         if key not in checked:
-            row.__post_init__()
+            check(at)
             checked.add(key)
 
 
@@ -543,11 +629,12 @@ def _hex_prefixed(column) -> bool:
     return ("," + ",".join(column)).count(",0x") == len(column)
 
 
-def _take_events(shapes: list, last_seq: list, rows: list,
-                 checked: set) -> Optional[list[AccessEvent]]:
-    """The events of a chunk's rows, checked column by column with
-    _row_to_event's rules, or None (or a TypeError or ValueError) for a
-    chunk it does not take, which _read_rows then reads row by row.
+def _take_events(columns: _EventFields, shapes: list, last_seq: list,
+                 rows: list, checked: set) -> Optional[bool]:
+    """Add the events of a chunk's rows to `columns`, checked column by
+    column with _row_to_event's rules, and give True; or give None (or
+    raise a TypeError or ValueError) for a chunk it does not take,
+    which _read_rows then reads row by row.
 
     It takes a chunk only if every shape object holds only cat, sign
     and callee, and every args cell is null or a list of four exact
@@ -560,12 +647,14 @@ def _take_events(shapes: list, last_seq: list, rows: list,
     The rules: exact ints, strictly increasing seq (from `last_seq`
     on), shape indices naming an earlier shape, 0x-hex addr and rip, a
     val that is null or 0x-hex, and AccessEvent's checks on one event
-    of each distinct (cpl, kind, size, shape, args or not): they read
-    nothing else but the args' count and types, which are checked by
-    column.  Each event is built by one tuple.__new__ call.  Only the
-    rows that carry args convert them; args spelled in hex are left to
-    the row reader.  A chunk taken adds its shapes to `shapes` and its
-    last seq to `last_seq`.
+    of each distinct (cpl, kind, size, shape, args or not), built by
+    its constructor: they read nothing else but the args' count and
+    types, which are checked by column, and the signs of addr, rip and
+    val, which no hex string that passes here has.  No other event is
+    built: the chunk's columns extend `columns`.  Only the rows that
+    carry args convert them; args spelled in hex are left to the row
+    reader.  A chunk taken adds its shapes to `shapes` and its last seq
+    to `last_seq`.
     """
     if set(map(len, rows)) != {len(COLUMNS)}:
         return None
@@ -599,21 +688,21 @@ def _take_events(shapes: list, last_seq: list, rows: list,
         seg = at
     if max(shape_col[seg:], default=-1) >= len(table) or min(shape_col) < 0:
         return None
-    instrs = list(map(table.__getitem__, shape_col))
-    values = [val if val is None else int(val, 16) for val in vals]
-    register_args = [args if args is None else tuple(args)
-                     for args in args_col]
     cpls = list(map(_CPL_UNWIRE.get, cpls, cpls))
     kinds = list(map(_KIND_UNWIRE.get, kinds, kinds))
-    columns = (seqs, tids, cpls, kinds, map(int, addrs, repeat(16)),
-               sizes, instrs, map(int, rips, repeat(16)), values,
-               register_args)
-    events = list(map(tuple.__new__, repeat(AccessEvent), zip(*columns)))
+    chunk = (seqs, tids, cpls, kinds, list(map(int, addrs, repeat(16))),
+             sizes, list(map(table.__getitem__, shape_col)),
+             list(map(int, rips, repeat(16))),
+             [val if val is None else int(val, 16) for val in vals],
+             [args if args is None else tuple(args) for args in args_col])
     _check_new(zip(cpls, kinds, sizes, shape_col,
-                   map(is_, args_col, repeat(None))), events, checked)
+                   map(is_, args_col, repeat(None))), checked,
+               lambda at: AccessEvent(*[column[at] for column in chunk]))
+    for column, values in zip(columns, chunk):
+        column.extend(values)
     shapes[:] = table
     last_seq[:] = seqs[-1:]
-    return events
+    return True
 
 
 def serialize_trace(log: TraceLog) -> bytes:
@@ -641,9 +730,9 @@ def serialize_trace(log: TraceLog) -> bytes:
     ]
     dumps, cpl_wire, kind_wire = json.dumps, _CPL_WIRE, _KIND_WIRE
     shapes: dict = {}  # (cat, sign, callee) -> the shape's index
-    # Unpacking an event reads its fields faster than its attributes do.
-    for seq, tid, cpl, kind, address, size, instr, rip, value, args in (
-            log.events):
+    # The rows of the columns are plain tuples, which unpack fastest.
+    for seq, tid, cpl, kind, address, size, instr, rip, value, args in zip(
+            *log.columns):
         key = (instr.category, instr.signedness, instr.callee_id)
         shape = shapes.get(key)
         if shape is None:
@@ -674,17 +763,20 @@ def split_by_thread(log: TraceLog) -> dict[int, list[AccessEvent]]:
     return threads
 
 
-def _program_accesses(log: TraceLog) -> list[AccessEvent]:
-    """The reads and writes the traced program issued, in trace order:
+def _program_accesses(log: TraceLog,
+                      among: Optional[list[int]] = None) -> list[int]:
+    """The indices of the reads and writes the traced program issued, in
+    trace order, of all events or of those `among` the given indices:
     those from the main module (from anywhere when the module range is
     empty), less the page faults the capture injected."""
     lo, hi = log.module_range
     if hi <= lo:
         lo, hi = float("-inf"), float("inf")
-    # An event's kind, instr and rip by position: on a named tuple that
-    # is faster than by name, and than unpacking, which CPython speeds up
-    # only for plain tuples.
-    return [e for e in log.events
-            if e[3] in ("read", "write") and e[6].category != "page-fault"
-            and lo <= e[7] < hi]
+    columns = log.columns
+    picked = [column if among is None else [column[at] for at in among]
+              for column in (columns.kind, columns.instr, columns.rip)]
+    # An empty `among` picks empty columns, so count() there yields none.
+    return [at for at, kind, instr, rip in zip(among or count(), *picked)
+            if kind in ("read", "write") and instr.category != "page-fault"
+            and lo <= rip < hi]
 

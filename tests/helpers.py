@@ -40,6 +40,7 @@ from memtrace.trace import (
     _KIND_UNWIRE,
     _KIND_WIRE,
     AccessEvent,
+    EventColumns,
     InstrDescriptor,
     TraceLog,
     TraceOrderError,
@@ -72,14 +73,20 @@ def run_model(model, trap_config=None):
     return run(build_guest(model), model, trap_config)
 
 
-class CountingEvents(tuple):
-    """An events tuple that counts how often it is iterated."""
+class CountingColumn(list):
+    """A trace column that counts how often it is iterated."""
 
     iterations = 0
 
     def __iter__(self):
         self.iterations += 1
         return super().__iter__()
+
+
+def counting_columns(log: TraceLog) -> TraceLog:
+    """`log` with each of its columns a CountingColumn."""
+    columns = log.columns._make(map(CountingColumn, log.columns))
+    return TraceLog(EventColumns(columns), log.module_range)
 
 
 # -- random traces ------------------------------------------------------

@@ -14,7 +14,8 @@ from memtrace.guest import ModelOp, ModelParseError, parse_model, serialize_mode
 from memtrace.signature import write_signature
 from memtrace.trace import AddressPattern, parse_trace
 
-from helpers import CountingEvents, make_model, pathological_pair
+from helpers import (counting_columns, make_model, pathological_pair,
+                     reference_parse_trace)
 
 DATA = Path(__file__).parent / "data"
 
@@ -676,8 +677,9 @@ def test_planted_sequences_are_flagged(tmp_path, capsys):
 
 
 def test_flags_reads_the_trace_once(tmp_path, capsys, monkeypatch):
-    """flags iterates the events once: no frames, pages or pointer
-    flags, only the names of the calls."""
+    """flags reads the seq, thread and instr columns once and no other
+    column: no frames, pages or pointer flags, only the names of the
+    calls."""
     ops = [ModelOp("call", callee="ConvertThreadToFiber", args=[0]),
            ModelOp("alloc", callee="VirtualAlloc", size=0x1000),
            ModelOp("push", value=1), ModelOp("call", callee="CreateFiber")]
@@ -688,12 +690,64 @@ def test_flags_reads_the_trace_once(tmp_path, capsys, monkeypatch):
     parse = trace.parse_trace
 
     def counting_parse(data):
-        log = parse(data)
-        object.__setattr__(log, "events", CountingEvents(log.events))
-        logs.append(log)
-        return log
+        logs.append(counting_columns(parse(data)))
+        return logs[-1]
 
     monkeypatch.setattr(trace, "parse_trace", counting_parse)
     assert main(["flags", trace_path]) == 0
     assert capsys.readouterr().out.count("Fibers") == 10
-    assert [log.events.iterations for log in logs] == [1]
+    assert [[column.iterations for column in log.columns]
+            for log in logs] == [[1, 1, 0, 0, 0, 0, 1, 0, 0, 0]]
+
+
+GOLDEN_TRACE = str(DATA / "golden.trace")
+
+
+def test_golden_signature_and_layout(tmp_path):
+    """sign and reconstruct --base 0x9000 write the committed bytes for
+    the golden trace."""
+    for argv, name in ((["sign", GOLDEN_TRACE], "golden.sig"),
+                       (["reconstruct", GOLDEN_TRACE, "--base", "0x9000"],
+                        "golden.layout")):
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sign", GOLDEN_TRACE, "--out", "{tmp}/golden.sig"],
+    ["flags", GOLDEN_TRACE],
+    ["bases", GOLDEN_TRACE],
+    ["reconstruct", GOLDEN_TRACE, "--base", "0x9000", "--out",
+     "{tmp}/golden.layout"],
+], ids=["sign", "flags", "bases", "reconstruct"])
+def test_commands_build_only_the_events_they_type(argv, tmp_path,
+                                                   monkeypatch):
+    """A command reads a trace's columns and builds no event from them,
+    but reconstruct, which builds the program's own accesses inside its
+    window and no other event: a count, not a clock, so that no change
+    falls back to a tuple per event unseen.  The length of a log's
+    events, which the benchmark's traced runs read, builds none."""
+    log = reference_parse_trace((DATA / "golden.trace").read_bytes())
+    lo, hi = log.module_range
+    window = [e for e in log.events
+              if e.kind in ("read", "write")
+              and e.instr.category != "page-fault" and lo <= e.rip < hi
+              and 0x9000 <= e.address < 0x9000 + recon.DEFAULT_WINDOW]
+    assert len(window) == 5 < len(log) // 5
+    built = []
+    events = trace._events
+
+    def counting(rows):
+        for event in events(rows):
+            built.append(event)
+            yield event
+
+    monkeypatch.setattr(trace, "_events", counting)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(argv) == 0
+    assert built == (window if argv[0] == "reconstruct" else [])
+    built.clear()
+    log = trace.parse_trace((DATA / "golden.trace").read_bytes())
+    assert len(log.events) == len(log) == 30 and log.events
+    assert built == []

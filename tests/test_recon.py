@@ -30,7 +30,7 @@ from memtrace.trace import AccessEvent, InstrDescriptor, TraceLog
 
 from helpers import (
     ALLOCATION_RECORDS,
-    CountingEvents,
+    counting_columns,
     first_owner,
     make_model,
     probe_addresses,
@@ -577,8 +577,9 @@ def test_recover_calls_matches_singletons():
 
 
 def _scans(function, n_calls):
-    """How many times `function` iterates the events of a log holding
-    n_calls calls, heap hooks, stack slot writes and stack patterns."""
+    """How many times `function` iterates the columns of a log holding
+    n_calls calls, heap hooks, stack slot writes and stack patterns,
+    summed over the columns."""
     b = LogBuilder()
     push = 0x7FEFF8
     for k in range(n_calls):
@@ -587,17 +588,17 @@ def _scans(function, n_calls):
         b.api_call("malloc", [0x40], value=0x9000 + 0x1000 * k)
         b.add("write", 0x7FE000, cat="sub-sp", value=0x40)
         b.add("write", 0x7FE100, size=16, cat="xmm-zero-store")
-    log = b.log()
-    events = CountingEvents(log.events)
-    object.__setattr__(log, "events", events)
+    log = counting_columns(b.log())
     function(log)
-    return events.iterations
+    return sum(column.iterations for column in log.columns)
 
 
 def test_collect_bases_scans_the_trace_a_fixed_number_of_times():
-    for function, scans in ((collect_bases, 3),  # hooks, pages, frames
-                            (recover_calls, 2),  # pages, frames
-                            (find_stack_buffers, 1)):  # frames
+    # The allocator hooks read 1 column, the touched pages 1 and the
+    # frames 6.
+    for function, scans in ((collect_bases, 1 + 1 + 6),
+                            (recover_calls, 1 + 6),  # pages, frames
+                            (find_stack_buffers, 6)):  # frames
         assert _scans(function, 10) == _scans(function, 100) == scans, function
 
 

@@ -391,7 +391,8 @@ class TestExtractPattern:
     @given(ALLOCATION_RECORDS, st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
     def test_owner_is_first_containing_base(self, bases, rng):
-        addresses = probe_addresses(bases, rng)
+        # An event's address is never negative.
+        addresses = [a for a in probe_addresses(bases, rng) if a >= 0]
         log = TraceLog(
             events=tuple(make_event(i, a) for i, a in enumerate(addresses)),
             module_range=MODULE_RANGE,

@@ -6,6 +6,7 @@ import json
 import pickle
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -745,11 +746,17 @@ ARG = st.one_of(st.sampled_from([0, 1, False, True]), st.integers(0, 2**16),
                 st.integers(2**64, 2**70))
 
 
+def writer_logs():
+    """Logs of writer_events."""
+    return writer_events().map(lambda drawn: TraceLog(*drawn))
+
+
 @st.composite
-def writer_logs(draw):
-    """Logs whose events repeat a few instruction shapes with varying
-    values and call arguments; seq, tid, size and arguments are
-    sometimes not ints (json.dumps has its own spelling of those)."""
+def writer_events(draw):
+    """(A tuple of events, a module range): events that repeat a few
+    instruction shapes with varying values and call arguments; seq, tid,
+    size and arguments are sometimes not ints (json.dumps has its own
+    spelling of those)."""
     shapes = []
     for _ in range(draw(st.integers(1, 4))):
         cat = draw(st.sampled_from(
@@ -784,7 +791,7 @@ def writer_logs(draw):
             register_args=args,
         ))
     module_range = draw(st.sampled_from([(0, 0), (0x401000, 0x402000)]))
-    return TraceLog(events=tuple(events), module_range=module_range)
+    return tuple(events), module_range
 
 
 @given(log=writer_logs())
@@ -1071,3 +1078,78 @@ class TestSplitByThread:
         )
         assert tuple(recombined) == log.events
 
+
+
+@pytest.mark.parametrize("field", ["address", "rip", "value"])
+def test_negative_numbers_fail_at_construction(field):
+    """Every public way of making an event rejects a negative address,
+    rip or value, which the writer would spell "0x-1" and the reader
+    reject, and names the field."""
+    event = make_event(value=1)
+    fields = event._asdict()
+    message = f"^{field} -1 is negative$"
+    for make in (lambda: AccessEvent(**{**fields, field: -1}),
+                 lambda: AccessEvent._make({**fields, field: -1}.values()),
+                 lambda: event._replace(**{field: -1})):
+        with pytest.raises(ValueError, match=message):
+            make()
+    zero = event._replace(**{field: 0})
+    log = TraceLog((zero,), (0, 0x1000))
+    assert parse_trace(serialize_trace(log)) == log
+
+
+@given(drawn=writer_events(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_event_view_is_the_tuple_of_events(drawn, data):
+    """A log's events view indexes, slices, iterates, compares and hashes
+    as the tuple of events it was made of, and a log made of the view's
+    slice, as capture_entry_point makes one, holds that slice."""
+    events, module_range = drawn
+    log = TraceLog(events, module_range)
+    view = log.events
+    assert len(view) == len(log) == len(events)
+    assert list(view) == list(events)
+    assert view == events and events == view and tuple(view) == events
+    assert hash(view) == hash(events)
+    assert [view[at] for at in range(-len(events), len(events))] == [
+        events[at] for at in range(-len(events), len(events))]
+    with pytest.raises(IndexError):
+        view[len(events)]
+    cut = slice(*(data.draw(st.one_of(st.none(), st.integers(-14, 14)))
+                  for _ in range(2)),
+                data.draw(st.sampled_from([None, 1, 2, -1, -3])))
+    assert type(view[cut]) is tuple
+    assert view[cut] == events[cut]
+    assert TraceLog(view[cut], module_range).events == events[cut]
+    assert_built_as_constructed(view)
+
+
+@given(drawn=writer_events())
+@settings(max_examples=200, deadline=None)
+def test_log_of_events_equals_the_parse_of_its_trace(drawn):
+    """A log made of events and the parse of the trace it writes compare
+    equal either way round, and a log made of the parsed log's events
+    equals both."""
+    log = _readable(TraceLog(*drawn))
+    parsed = parse_trace(serialize_trace(log))
+    assert log == parsed and parsed == log
+    assert TraceLog(tuple(parsed.events), parsed.module_range) == log
+
+
+def test_parsed_log_keeps_at_most_200_bytes_per_event():
+    """The parsed log keeps its events as columns: ten list slots per
+    event, the ints they name, and repeated addresses and values
+    shared.  A tuple per event kept beside them would cost about 130
+    bytes more."""
+    log = run_model(make_model(capture_mix_ops(random.Random(4), 12000)))
+    data = serialize_trace(log)
+    del log
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = parse_trace(data)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(got) >= 10_000
+    assert kept <= 200 * len(got)
