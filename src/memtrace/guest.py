@@ -10,6 +10,12 @@ through the permission check for entry capture.  A mode transition is
 reported at the first fetch after it, by MBEC and legacy detection
 alike, so both give one trace.
 
+A model file states its fields once, in two tables of trace's field
+kinds: the header's keys (_MODEL_FIELDS) and an op line's
+(_OP_FIELDS).  ProgramModel and ModelOp check each field by them,
+serialize_model spells the fields by them and parse_model reads them
+back by them.
+
 Capture keeps its per-op work small.  A ModelOp is an immutable named
 tuple, and the run unpacks each op once.  Every write the program makes
 takes one store path: demand paging, the trap, then the masked write.
@@ -22,11 +28,11 @@ parse_model reads through trace's one reader (_read_rows), as
 parse_trace does: a chunk of op lines per json.loads call where each
 line holds one plain op, a chunk's ops built column by column
 (_plain_ops), each with one tuple.__new__ call, and ModelOp's checks
-run once per distinct (op, addr or not, cpl, cat, sign, a mov op's
-size).  A chunk it declines is read again one line at a time
-(_record_to_op), which alone reports errors.  The reader and the run
-keep the cyclic collector paused while they build, and leave it as
-they found it: the ops and the trace outlive them.
+run on one op of each kind that the column checks cannot vouch for.
+A chunk it declines is read again one line at a time (_record_to_op),
+which alone reports errors.  The reader and the run keep the cyclic
+collector paused while they build, and leave it as they found it: the
+ops and the trace outlive them.
 """
 
 from __future__ import annotations
@@ -40,21 +46,35 @@ from operator import is_
 from typing import IO, Iterable, NamedTuple, Optional, Union
 
 from .trace import (
-    CATEGORIES,
     CPL_VALUES,
     PAGE_SIZE,
-    SIGN_VALUES,
     InstrDescriptor,
     TraceLog,
+    _BOOL,
+    _Bounds,
+    _CATEGORY,
+    _check,
     _check_new,
     _check_operand,
+    _Checked,
     _collector_paused,
+    _CPL,
+    _decode,
+    _encode,
+    _enum,
+    _Field,
+    _HEX,
     _hex,
     _hex_prefixed,
-    _int_or_hex,
-    _parse_addr,
+    _INT,
+    _Int,
+    _Ints,
+    _NAT,
+    _RANGE,
     _read_rows,
     _shown,
+    _SIGN,
+    _STR,
 )
 
 PROFILE_IDS = ("normal", "user-exec-denied", "kernel-exec-denied", "execute-only")
@@ -246,14 +266,6 @@ class Guest:
         page.content[offset : offset + len(hooked_bytes)] = hooked_bytes
         page.perms.hidden_hook = True
 
-    def remove_hidden_hook(self, address: int) -> None:
-        page = self.pages.lookup(address // PAGE_SIZE)
-        if page is None or not page.perms.hidden_hook:
-            return
-        page.content = bytearray(page.pristine)
-        page.pristine = None
-        page.perms.hidden_hook = False
-
     def inject_page_fault(self, address: int) -> str:
         """Materialize a demand-zero page; 'injected' or 'already-present'."""
         number = address // PAGE_SIZE
@@ -276,13 +288,6 @@ class Guest:
         for _, page, lo, hi in self._page_spans(address, size, "read from"):
             source = page.pristine if page.perms.hidden_hook else page.content
             out += source[lo:hi]
-        return bytes(out)
-
-    def fetch_memory(self, address: int, size: int) -> bytes:
-        """Read bytes as the interpreter sees them (hooked content)."""
-        out = bytearray()
-        for _, page, lo, hi in self._page_spans(address, size, "fetch from"):
-            out += page.content[lo:hi]
         return bytes(out)
 
     def write_memory(self, address: int, data: bytes) -> None:
@@ -366,84 +371,65 @@ class _OpFields(NamedTuple):
     rip: Optional[int] = None  # optional override of the modeled rip
 
 
-class ModelOp(_OpFields):
+class ModelOp(_Checked, _OpFields):
     """One op of a program model, an immutable named tuple of its twelve
-    fields, as AccessEvent is one of its ten.
+    fields, as AccessEvent is one of its ten, made by the same checking
+    constructor (_Checked).
 
-    The constructor, _make, _replace (and so copy.replace), pickle and
-    copy all run __post_init__'s checks on the fields as given, and the
-    constructor stores an args list, or any other sequence, as a tuple.
-    Those checks include AccessEvent's operand rules on the access a
-    mov-read or mov-write logs, and reject a negative value, amount or
-    argument, which a trace would spell "0x-1"; so the run checks no
-    event it logs.  The model reader builds most ops with
+    Its checks are each field's by its key in _OP_FIELDS, then the rules
+    between fields: a mov-read, mov-write or xmm-zero needs an addr, and
+    the access a mov-read or mov-write logs passes AccessEvent's operand
+    rules under a data category (ACCESS_CATEGORIES).  So the run checks
+    no event it logs.  The model reader builds most ops with
     tuple.__new__(ModelOp, fields), which checks nothing, and runs the
     checks on one op of each (op, addr or not, cpl, cat, sign, a mov
-    op's size): they read nothing else but the types of callee, size
-    and args and the signs of value, amount and args, which that reader
-    checks by column.
+    op's size): every other field passes its checks on every op once its
+    column passes that reader's column checks (_plain_ops).
     """
 
     __slots__ = ()
-
-    def __new__(cls, op, addr=None, size=None, value=None, callee=None,
-                args=None, n_stack=0, amount=None, cpl=None, cat=None,
-                sign=None, rip=None):
-        made = tuple.__new__(cls, (op, addr, size, value, callee, args,
-                                   n_stack, amount, cpl, cat, sign, rip))
-        made.__post_init__()
-        if args is None or type(args) is tuple:
-            return made
-        return tuple.__new__(cls, (*made[:5], tuple(args), *made[6:]))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    _TUPLE_AT = _OpFields._fields.index("args")
 
     def __post_init__(self):
         """The checks every public way of making an op runs."""
-        (op, addr, size, value, callee, args, _, amount, cpl, cat, sign,
-         _) = self
-        if op not in MODEL_OPS:
-            raise ValueError(f"unknown model op {_shown(op)}")
-        if addr is None and op in ("mov-read", "mov-write", "xmm-zero"):
+        _check(_OP_FIELDS, self)
+        op, cat = self.op, self.cat
+        if self.addr is None and op in ("mov-read", "mov-write", "xmm-zero"):
             raise ValueError(f"model op {_shown(op)} needs an addr")
-        if cpl is not None and cpl not in CPL_VALUES:
-            raise ValueError(f"bad cpl {_shown(cpl)}")
-        if cat is not None and cat not in CATEGORIES:
-            raise ValueError(f"unknown instruction category {_shown(cat)}")
-        if cat is not None and op in _MOV_OPS and cat not in ACCESS_CATEGORIES:
-            raise ValueError(f"model op {_shown(op)} cannot log "
-                             f"category {_shown(cat)}")
-        if sign is not None and sign not in SIGN_VALUES:
-            raise ValueError(f"unknown signedness {_shown(sign)}")
-        # The run checks no event it logs, so the values it puts in an
-        # event unchecked are checked here.  A bool is no integer here,
-        # as in _int_or_hex: a trace cannot hold one.
-        if callee is not None and not isinstance(callee, str):
-            raise ValueError(f"callee {_shown(callee)} is not a string")
-        if size is not None and (not isinstance(size, int)
-                                 or type(size) is bool):
-            raise ValueError(f"size {_shown(size)} is not an integer")
-        if args is not None and not (
-                isinstance(args, (list, tuple))
-                and all(isinstance(arg, int) and type(arg) is not bool
-                        for arg in args)):
-            raise ValueError(f"args {_shown(args)} must be a list of "
-                             "integers")
-        for name, number in (("value", value), ("amount", amount),
-                             ("argument", min(args or [0]))):
-            if isinstance(number, int) and number < 0:
-                raise ValueError(f"{name} {_shown(number)} is negative")
         if op in _MOV_OPS:  # the access the run logs; op[4:] is its kind
-            _check_operand(op[4:], size or 8, cat or "int-move")
+            if cat is not None and cat not in ACCESS_CATEGORIES:
+                raise ValueError(f"model op {_shown(op)} cannot log "
+                                 f"category {_shown(cat)}")
+            _check_operand(op[4:], self.size or 8, cat or "int-move")
+
+
+# A model file's op keys, in the order an op line spells them.  The run
+# puts an addr, value, rip, amount or stack argument into a trace, which
+# spells it in 0x-hex, so none is ever negative.
+_OP_FIELDS = (
+    _Field("op", _enum(MODEL_OPS, "unknown model op")),
+    _Field("addr", _HEX, optional=True),
+    _Field("value", _HEX, optional=True),
+    _Field("rip", _HEX, optional=True),
+    _Field("size", _INT, optional=True),
+    _Field("amount", _NAT, optional=True),
+    _Field("callee", _STR, optional=True),
+    _Field("cpl", _CPL, optional=True),
+    _Field("cat", _CATEGORY, optional=True),
+    _Field("sign", _SIGN, optional=True),
+    _Field("args", _Ints(each="argument"), optional=True),
+    _Field("n_stack", _INT, omit=0),
+)
 
 
 @dataclass(frozen=True)
 class ProgramModel:
     """Deterministic abstract stand-in for a guest binary.  It is frozen,
-    and its checks run when it is made: the run trusts every op to be a
-    checked ModelOp and every field to be what was checked."""
+    and its checks run when it is made: every op must be a ModelOp, and
+    every other field passes its checks in _MODEL_FIELDS.  The run
+    trusts every field to be what was checked.  It holds its ops as a
+    list, and each (lo, hi) range as a tuple, as parse_model gives
+    them."""
 
     ops: list[ModelOp]
     entry_page: int
@@ -455,22 +441,13 @@ class ProgramModel:
     module_range: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "ops", list(self.ops))
         if not {ModelOp}.issuperset(map(type, self.ops)):
             raise ValueError("every op must be a ModelOp")
-        if self.cpl not in CPL_VALUES:
-            raise ValueError(f"bad cpl {_shown(self.cpl)}")
-        # Exact ints, as a model file holds them: never a bool or a float.
-        numbers = [("tid", self.tid), ("entry_page", self.entry_page),
-                   ("sp_init", self.sp_init)]
-        numbers += [("mapped bound", n) for pair in self.mapped for n in pair]
-        numbers += [("module_range bound", n) for n in self.module_range or ()]
-        for name, number in numbers:
-            if type(number) is not int:
-                raise ValueError(f"{name} {_shown(number)} is not an integer")
-        if type(self.entry_present) is not bool:
-            raise ValueError(
-                f"entry_present must be true or false, not "
-                f"{_shown(self.entry_present)}")
+        _check(_MODEL_FIELDS, self)
+        object.__setattr__(self, "mapped", list(map(tuple, self.mapped)))
+        if self.module_range is not None:
+            object.__setattr__(self, "module_range", tuple(self.module_range))
 
     @property
     def entry_address(self) -> int:
@@ -478,15 +455,26 @@ class ProgramModel:
 
     def resolved_module_range(self) -> tuple[int, int]:
         if self.module_range is not None:
-            return tuple(self.module_range)
+            return self.module_range
         lo = self.entry_address
         span = max(len(self.ops) * INSTR_STRIDE, 1)
         hi = lo + ((span + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
         return (lo, hi)
 
 
-_OP_INT_KEYS = ("addr", "size", "value", "n_stack", "amount", "rip")
-_OP_STR_KEYS = ("callee", "cpl", "cat", "sign")
+# A model file's header keys, in the order it spells them.
+_MODEL_FIELDS = (
+    _Field("entry_page", _INT),
+    _Field("sp_init", _HEX),
+    _Field("tid", _INT),
+    _Field("cpl", _CPL),
+    _Field("entry_present", _BOOL),
+    _Field("mapped", _Bounds(_HEX, many=True), omit=[]),
+    _Field("module_range", _RANGE, optional=True),
+)
+_OP_INT_KEYS = tuple(f.key for f in _OP_FIELDS if isinstance(f.kind, _Int))
+_OP_NATURAL_KEYS = {f.key for f in _OP_FIELDS
+                    if f.key in _OP_INT_KEYS and f.kind.natural}
 _OP_KEYS = frozenset(ModelOp._fields)
 _OP_DEFAULTS = tuple(map(ModelOp._field_defaults.get, ModelOp._fields))
 
@@ -508,25 +496,7 @@ def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
     if header is None:
         raise ModelParseError(1, "empty model file (missing header)")
     try:
-        sp_init = _int_or_hex(header["sp_init"])
-        mapped = [
-            (_int_or_hex(lo), _int_or_hex(hi))
-            for lo, hi in header.get("mapped", [])
-        ]
-        module_range = None
-        if header.get("module_range") is not None:
-            rng = header["module_range"]
-            module_range = (_parse_addr(rng["lo"]), _parse_addr(rng["hi"]))
-        return ProgramModel(
-            ops=ops,
-            entry_page=_int_or_hex(header["entry_page"]),
-            sp_init=sp_init,
-            tid=_int_or_hex(header.get("tid", 0)),
-            cpl=header.get("cpl", "user"),
-            entry_present=header.get("entry_present", True),
-            mapped=mapped,
-            module_range=module_range,
-        )
+        return ProgramModel(ops, **_decode(_MODEL_FIELDS, header))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelParseError(1, f"bad header: {exc}") from exc
 
@@ -539,24 +509,7 @@ def _record_to_op(lineno: int, record) -> ModelOp:
             raise ValueError("an op line must be a JSON object")
         if "op" not in record:
             raise ValueError("missing op")
-        kwargs = {"op": record["op"]}
-        for key in _OP_INT_KEYS:
-            value = record.get(key)
-            if value is not None:
-                kwargs[key] = (value if type(value) is int
-                               else _int_or_hex(value))
-        for key in _OP_STR_KEYS:
-            value = record.get(key)
-            if value is not None:
-                if not isinstance(value, str):
-                    raise ValueError(f"{key} must be a string")
-                kwargs[key] = value
-        args = record.get("args")
-        if args is not None:
-            if not isinstance(args, list):
-                raise ValueError("args must be a list")
-            kwargs["args"] = [_int_or_hex(a) for a in args]
-        return ModelOp(**kwargs)
+        return ModelOp(**_decode(_OP_FIELDS, record))
     except (TypeError, ValueError) as exc:
         raise ModelParseError(lineno, str(exc)) from exc
 
@@ -569,32 +522,32 @@ def _model_header(lineno: int, record) -> dict:
 
 
 # The types of the values _plain_ops takes under each key, with null
-# meaning the key's default; an int key's strings are 0x-hex.
-_OP_TYPES = {**dict.fromkeys(_OP_INT_KEYS, {int, str, type(None)}),
-             **dict.fromkeys(_OP_STR_KEYS, {str, type(None)}),
-             "op": {str}, "args": {list, type(None)}, "n_stack": {int, str}}
+# meaning the key's default where that is None; an int key's strings are
+# 0x-hex.
+_OP_TYPES = {f.key: f.kind.types | ({type(None)} if f.optional else set())
+             for f in _OP_FIELDS}
 
 
 def _plain_ops(ops: list[ModelOp], records: list[dict], checked: set
                ) -> Optional[bool]:
     """Add the ops of a chunk's records, built column by column, to
     `ops` and give True; or give None unless every value is one
-    _record_to_op takes as it is (_OP_TYPES): every key an op key, a
-    string op, an exact int (never a bool or a float), a 0x-hex string
-    or null under an int key, but no null n_stack and no negative value
-    or amount, a string or null under a string key, and a null or a list
-    of non-negative exact ints as args.  So no record holds an array
-    with two objects side by side.
+    _record_to_op takes as it is, of a type its field's kind spells
+    (_OP_TYPES, derived from _OP_FIELDS): every key an op key, a string
+    op, an int (never a bool or a float), a 0x-hex string or null under
+    an int key, but no null n_stack and no negative number under a key
+    whose kind is never negative (_OP_NATURAL_KEYS), a string or null
+    under a string key, and a null or a list of non-negative ints as
+    args.  So no record holds an array with two objects side by side.
 
     Each op is built by one tuple.__new__ call.  ModelOp's checks run
     on an op of each (op, addr or not, cpl, cat, sign, size) that
     `checked` does not hold (trace._check_new), with the size of a mov
-    op only: the checks read no other op's size but for its type, nor
-    anything else but the types of callee and args and the signs of
-    value, amount and args, which hold for every op once its columns
-    pass.  So an alloc's size, which varies from op to op, stays out of
-    the key.  (A chunk with no op at all leaves None in its op column,
-    which those checks reject.)
+    op only.  Every other field passes its own check in _OP_FIELDS on
+    every op once its column passes the checks here, and the rules
+    between fields read no other op's size.  So an alloc's size, which
+    varies from op to op, stays out of the key.  (A chunk with no op at
+    all leaves None in its op column, which those checks reject.)
     """
     present = set(chain.from_iterable(records))
     if not present <= _OP_KEYS:
@@ -617,7 +570,8 @@ def _plain_ops(ops: list[ModelOp], records: list[dict], checked: set
                     or min(numbers, default=0) < 0):
                 return None
             column = [v if v is None else tuple(v) for v in column]
-        if (key in ("value", "amount")
+        # Only a JSON int can be negative: int(s, 16) took no "0x-".
+        if (key in _OP_NATURAL_KEYS and int in types
                 and min(filter(None, column), default=0) < 0):
             return None
         columns[at] = column
@@ -632,36 +586,10 @@ def _plain_ops(ops: list[ModelOp], records: list[dict], checked: set
 
 
 def serialize_model(model: ProgramModel) -> bytes:
-    header: dict = {
-        "entry_page": model.entry_page,
-        "sp_init": _hex(model.sp_init),
-        "tid": model.tid,
-        "cpl": model.cpl,
-        "entry_present": model.entry_present,
-    }
-    if model.mapped:
-        header["mapped"] = [[_hex(lo), _hex(hi)] for lo, hi in model.mapped]
-    if model.module_range is not None:
-        header["module_range"] = {
-            "lo": _hex(model.module_range[0]),
-            "hi": _hex(model.module_range[1]),
-        }
-    lines = [json.dumps(header)]
-    for op in model.ops:
-        record: dict = {"op": op.op}
-        for key in ("addr", "value", "rip"):
-            val = getattr(op, key)
-            if val is not None:
-                record[key] = _hex(val)
-        for key in ("size", "amount", "callee", "cpl", "cat", "sign"):
-            val = getattr(op, key)
-            if val is not None:
-                record[key] = val
-        if op.args is not None:
-            record["args"] = list(op.args)
-        if op.n_stack:
-            record["n_stack"] = op.n_stack
-        lines.append(json.dumps(record))
+    """The model file of `model`: its header, then one line per op, each
+    spelled by its table (_MODEL_FIELDS, _OP_FIELDS)."""
+    lines = [json.dumps(_encode(_MODEL_FIELDS, model))]
+    lines += [json.dumps(_encode(_OP_FIELDS, op)) for op in model.ops]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

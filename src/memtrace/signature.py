@@ -24,10 +24,11 @@ import json
 from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heapreplace
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
-from .trace import (AccessEvent, AddressPattern, TraceLog, _hex, _int_or_hex,
-                    _program_accesses)
+from .trace import (AccessEvent, AddressPattern, TraceLog, _decode, _encode,
+                    _Field, _NAT, _PATTERN_FIELDS, _program_accesses)
 from .recon import AllocationRecord, OwnerIndex
 
 DEFAULT_TAU = 100
@@ -374,32 +375,27 @@ def _range_heap(index: dict, diagonals: list[int],
 # -- signature files ----------------------------------------------------
 
 
+# A signature file's keys, in the order it spells them: the pattern's,
+# with the tau_default its matches use after its base.
+_TAU = _Field("tau_default", _NAT)
+_SIGNATURE_FIELDS = (_PATTERN_FIELDS[0], _TAU, *_PATTERN_FIELDS[1:])
+
+
 def write_signature(pattern: AddressPattern, tau: int = DEFAULT_TAU) -> bytes:
-    record = {
-        "base": _hex(pattern.base),
-        "tau_default": tau,
-        "offsets": list(pattern.offsets),
-    }
-    if pattern.sizes is not None:
-        record["sizes"] = list(pattern.sizes)
-    return (json.dumps(record) + "\n").encode("utf-8")
-
-
-def _int_list(record: dict, key: str) -> tuple[int, ...]:
-    values = record[key]
-    if not isinstance(values, list):
-        raise ValueError(f"{key} must be a list")
-    if set(map(type, values)) <= {int}:
-        return tuple(values)
-    return tuple(map(_int_or_hex, values))
+    """The signature file of `pattern` and the tau its matches use."""
+    _TAU.check(_TAU.name, tau)
+    record = SimpleNamespace(**vars(pattern), tau_default=tau)
+    return (json.dumps(_encode(_SIGNATURE_FIELDS, record)) + "\n").encode(
+        "utf-8")
 
 
 def read_signature(data) -> tuple[AddressPattern, int]:
     """Parse a signature file; returns (pattern, tau_default).
 
-    Raises ValueError unless the file is one JSON object whose offsets,
-    sizes (one per offset, when present), base and tau_default are
-    integers or 0x-hex strings, and tau_default is not negative.
+    Raises ValueError unless the file is one JSON object whose keys
+    hold what _SIGNATURE_FIELDS and AddressPattern take: offsets, sizes
+    (one per offset, when present), base and tau_default are integers or
+    0x-hex strings, and base and tau_default are not negative.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -411,15 +407,8 @@ def read_signature(data) -> tuple[AddressPattern, int]:
         raise ValueError("a signature file holds one JSON object")
     if "offsets" not in record or "base" not in record:
         raise ValueError("a signature needs offsets and base")
-    offsets = _int_list(record, "offsets")
-    sizes = None
-    if record.get("sizes") is not None:
-        sizes = _int_list(record, "sizes")
-        if len(sizes) != len(offsets):
-            raise ValueError("sizes and offsets differ in length")
-    pattern = AddressPattern(offsets=offsets, base=_int_or_hex(record["base"]),
-                             sizes=sizes)
-    tau = _int_or_hex(record.get("tau_default", DEFAULT_TAU))
-    if tau < 0:
-        raise ValueError(f"tau_default {tau} is negative")
+    values = _decode(_SIGNATURE_FIELDS, record)
+    tau = values.pop("tau_default", DEFAULT_TAU)
+    pattern = AddressPattern(**values)
+    _TAU.check(_TAU.name, tau)
     return pattern, tau

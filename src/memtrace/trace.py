@@ -103,18 +103,11 @@ class InstrDescriptor:
     callee_id: Optional[str] = None
 
     def __post_init__(self):
-        if self.category not in CATEGORIES:
-            raise ValueError(
-                f"unknown instruction category {_shown(self.category)}")
-        if self.signedness not in SIGN_VALUES:
-            raise ValueError(f"unknown signedness {_shown(self.signedness)}")
-        if self.callee_id is not None:
-            if self.category not in CALLEE_CATEGORIES:
-                raise ValueError("callee_id not allowed for category "
-                                 f"{_shown(self.category)}")
-            if not isinstance(self.callee_id, str):
-                raise ValueError(
-                    f"callee_id {_shown(self.callee_id)} is not a string")
+        _check(_SHAPE_FIELDS, self)
+        if (self.callee_id is not None
+                and self.category not in CALLEE_CATEGORIES):
+            raise ValueError("callee_id not allowed for category "
+                             f"{_shown(self.category)}")
 
 
 def _check_operand(kind: str, size, category: str) -> None:
@@ -146,7 +139,30 @@ class _EventFields(NamedTuple):
     register_args: Optional[tuple[int, int, int, int]] = None
 
 
-class AccessEvent(_EventFields):
+class _Checked:
+    """The constructor of a named tuple of checked fields, which comes
+    before the named tuple among its bases: it runs the class's
+    __post_init__ on the fields as given, and stores the list its field
+    _TUPLE_AT may be given as as a tuple.  _make, _replace (and so
+    copy.replace), pickle and copy all go through it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        made = super().__new__(cls, *args, **kwargs)
+        made.__post_init__()
+        at = cls._TUPLE_AT
+        if type(made[at]) is not list:
+            return made
+        return tuple.__new__(cls, (*made[:at], tuple(made[at]),
+                                   *made[at + 1:]))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class AccessEvent(_Checked, _EventFields):
     """One intercepted memory access.
 
     `value` carries the decoded operand value where one is meaningful
@@ -157,57 +173,31 @@ class AccessEvent(_EventFields):
 
     An event is an immutable named tuple of these ten fields, so it
     equals the plain tuple of its fields, iterates over them, has length
-    10 and orders as that tuple does.  The constructor, _make, _replace
-    (and so copy.replace), pickle and copy all run __post_init__'s
-    checks on the fields, and the constructor stores a register_args of
-    another sequence type as a tuple.  A TraceLog keeps no events, only
-    their columns; its `events` view builds each event it hands out with
+    10 and orders as that tuple does.  Every public way of making one
+    runs __post_init__'s checks (_Checked): each field's by its column
+    of _EVENT_FIELDS, then the operand rules (_check_operand) and args
+    only on a call or api-call.  A TraceLog keeps no events, only their
+    columns; its `events` view builds each event it hands out with
     tuple.__new__(AccessEvent, fields), which checks nothing.  Those
     fields passed the checks on their way in: the trace reader checks
     its rows by column and runs the checks on one event of each (cpl,
-    kind, size, shape, args or not), all that the checks read but the
-    args' own count and types and the signs of address, rip and value,
-    which no hex string it reads can give.  The guest's run checks no
+    kind, size, shape, args or not), all that the checks read but what
+    the column checks hold for every row.  The guest's run checks no
     event: each field the checks read comes from a checked op or model,
     or is fixed by the op (_check_operand).
     """
 
     __slots__ = ()
-
-    def __new__(cls, seq, thread_id, cpl, kind, address, operand_size, instr,
-                rip, value=None, register_args=None):
-        event = tuple.__new__(cls, (seq, thread_id, cpl, kind, address,
-                                    operand_size, instr, rip, value,
-                                    register_args))
-        event.__post_init__()
-        if register_args is None or type(register_args) is tuple:
-            return event
-        return tuple.__new__(cls, (*event[:-1], tuple(register_args)))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    _TUPLE_AT = _EventFields._fields.index("register_args")
 
     def __post_init__(self):
         """The checks every public way of making an event runs."""
-        if self.cpl not in CPL_VALUES:
-            raise ValueError(f"bad cpl {_shown(self.cpl)}")
-        if self.kind not in KIND_VALUES:
-            raise ValueError(f"bad access kind {_shown(self.kind)}")
+        _check(_EVENT_FIELDS, self)
         _check_operand(self.kind, self.operand_size, self.instr.category)
-        if self.register_args is not None:
-            if self.instr.category not in ARG_CATEGORIES:
-                raise ValueError("register_args not allowed for category "
-                                 f"{_shown(self.instr.category)}")
-            if len(self.register_args) != 4:
-                raise ValueError("register_args must hold exactly 4 values")
-            if not all(isinstance(arg, int) for arg in self.register_args):
-                raise ValueError(f"register_args {_shown(self.register_args)} "
-                                 "must be integers")
-        for name in ("address", "rip", "value"):  # a trace spells -1 "0x-1"
-            number = getattr(self, name)
-            if isinstance(number, int) and number < 0:
-                raise ValueError(f"{name} {_shown(number)} is negative")
+        if (self.register_args is not None
+                and self.instr.category not in ARG_CATEGORIES):
+            raise ValueError("register_args not allowed for category "
+                             f"{_shown(self.instr.category)}")
 
 
 def _events(rows: Iterable[Sequence]) -> Iterator[AccessEvent]:
@@ -269,13 +259,15 @@ class TraceLog:
     EventColumns.  Given any other sequence of events, or of rows of
     their ten fields, it copies them into new columns; given an
     EventColumns, it shares its columns, which nothing changes once a
-    log holds them.
+    log holds them.  Its module range is the header of a trace, which
+    spells both bounds in 0x-hex (_RANGE).
     """
 
     events: Sequence[AccessEvent] = ()
     module_range: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
+        _RANGE.check("module_range", self.module_range)
         if not isinstance(self.events, EventColumns):
             columns = _EventFields._make([] for _ in _EventFields._fields)
             _extend(columns, self.events)
@@ -293,13 +285,17 @@ class TraceLog:
 
 @dataclass(frozen=True)
 class AddressPattern:
-    """Ordered relative offsets used as a behavioral memory signature."""
+    """Ordered relative offsets used as a behavioral memory signature,
+    with one operand size per offset where `sizes` is given."""
 
     offsets: tuple[int, ...]
     base: int = 0
     sizes: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
+        _check(_PATTERN_FIELDS, self)
+        if self.sizes is not None and len(self.sizes) != len(self.offsets):
+            raise ValueError("sizes and offsets differ in length")
         object.__setattr__(self, "offsets", tuple(self.offsets))
         if self.sizes is not None:
             object.__setattr__(self, "sizes", tuple(self.sizes))
@@ -310,14 +306,6 @@ class AddressPattern:
 
 def _hex(value: int) -> str:
     return f"0x{value:x}"
-
-
-def _instr_shape(instr: InstrDescriptor) -> dict:
-    """The `instr` record of a descriptor: the part events share."""
-    record: dict = {"cat": instr.category, "sign": instr.signedness}
-    if instr.callee_id is not None:
-        record["callee"] = instr.callee_id
-    return record
 
 
 _SHOWN_CHARS = 72  # how much of an input value an error message repeats
@@ -343,7 +331,7 @@ def _parse_addr(value) -> int:
 
 def _int_or_hex(value) -> int:
     """An int (never a bool or a float) or a 0x-prefixed hex string."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return value
     if isinstance(value, str) and value.startswith("0x"):
         return int(value, 16)
@@ -351,8 +339,221 @@ def _int_or_hex(value) -> int:
         f"{_shown(value)} is neither an integer nor a 0x-prefixed hex string")
 
 
-COLUMNS = ("seq", "tid", "cpl", "kind", "addr", "size", "rip", "instr", "val",
-           "args")
+# -- field tables -------------------------------------------------------
+#
+# Each file format states its fields once, in a table of _Fields in the
+# order a file spells them: the trace's ten columns (_EVENT_FIELDS) and
+# shape objects (_SHAPE_FIELDS), its header's module range, the guest's
+# model header and op keys, and the signature's keys.  A constructor
+# checks its values against its table (_check), a writer spells them by
+# it (_encode) and a reader takes them back by it (_decode).  A value
+# kind holds each rule of a value once: its type test, where an int is
+# never a bool or a float; its spelling; and its bounds, where a value a
+# file spells in 0x-hex is never negative, since no reader takes "0x-1"
+# back.  Only the rules between fields are written out by hand.
+
+
+def _is_int(value) -> bool:
+    """Whether `value` is an int and no bool."""
+    return isinstance(value, int) and type(value) is not bool
+
+
+class _Int:
+    """Ints, spelled as JSON ints, or as 0x-hex strings where `write` is
+    _hex, and then never negative, as natural ones are not either.  A
+    reader takes either spelling, or only 0x-hex where `read` is
+    _parse_addr; `types` are the JSON types of those spellings."""
+
+    def __init__(self, natural=False, write=int, read=_int_or_hex):
+        self.natural = natural or write is _hex
+        self.write, self.take = write, read
+        self.types = {str} if read is _parse_addr else {int, str}
+
+    def check(self, label, value):
+        if type(value) is not int and not _is_int(value):
+            raise ValueError(f"{label} {_shown(value)} is not an integer")
+        if self.natural and value < 0:
+            raise ValueError(f"{label} {_shown(value)} is negative")
+
+    def read(self, key, spelled):
+        return self.take(spelled)
+
+
+class _Ints:
+    """A tuple of ints, `length` of them where given, spelled as a JSON
+    list of ints; a reader also takes 0x-hex strings in it.  An error
+    names the whole value, which must be `wants`, or its least int by
+    `each` where that names ints that are never negative."""
+
+    types = {list}
+
+    def __init__(self, length=None, wants="a list of integers", each=None):
+        self.length, self.wants, self.each = length, wants, each
+
+    def check(self, label, value):
+        if not isinstance(value, (list, tuple)) or not (
+                set(map(type, value)) <= {int} or all(map(_is_int, value))):
+            raise ValueError(f"{label} {_shown(value)} must be {self.wants}")
+        if self.length is not None and len(value) != self.length:
+            raise ValueError(
+                f"{label} must hold exactly {self.length} values")
+        if self.each and min(value, default=0) < 0:
+            raise ValueError(f"{self.each} {_shown(min(value))} is negative")
+
+    def write(self, value):
+        return list(value)
+
+    def read(self, key, spelled):
+        if not isinstance(spelled, list):
+            raise ValueError(f"{key} must be a list")
+        if set(map(type, spelled)) <= {int}:
+            return tuple(spelled)
+        return tuple(map(_int_or_hex, spelled))
+
+
+class _Is:
+    """Values that pass `test`, spelled as they are.  `error` formats the
+    label and the value of one that fails; `types` are their JSON
+    types."""
+
+    def __init__(self, test, error, types=(str,)):
+        self.test, self.error, self.types = test, error, set(types)
+
+    def check(self, label, value):
+        if not self.test(value):
+            raise ValueError(self.error.format(label, _shown(value)))
+
+    def write(self, value):
+        return value
+
+    def read(self, key, spelled):
+        return spelled
+
+
+def _of(cls) -> Callable[[object], bool]:
+    """The type test of `cls`."""
+    return lambda value: isinstance(value, cls)
+
+
+def _enum(values, error) -> _Is:
+    """The kind of one of `values`, whose error reads "<error> <value>"."""
+    return _Is(values.__contains__, error + " {1}")
+
+
+class _Bounds:
+    """A (lo, hi) pair of `bound` ints, spelled {"lo": lo, "hi": hi}; or,
+    where `many`, a list of such pairs, each spelled [lo, hi].  An error
+    names each int a "bound" of the field."""
+
+    def __init__(self, bound: _Int, many=False):
+        self.bound, self.many = bound, many
+
+    def check(self, label, value):
+        pairs = value if self.many else [value]
+        if not isinstance(pairs, (list, tuple)):
+            raise ValueError(f"{label} {_shown(value)} is not a list")
+        for pair in pairs:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValueError(
+                    f"{label} {_shown(pair)} is not a (lo, hi) pair")
+            for bound in pair:
+                self.bound.check(f"{label} bound", bound)
+
+    def write(self, value):
+        spell = self.bound.write
+        if self.many:
+            return [[spell(lo), spell(hi)] for lo, hi in value]
+        return {"lo": spell(value[0]), "hi": spell(value[1])}
+
+    def read(self, key, spelled):
+        take = self.bound.take
+        if self.many:
+            return [(take(lo), take(hi)) for lo, hi in spelled]
+        return take(spelled["lo"]), take(spelled["hi"])
+
+
+_INT, _NAT = _Int(), _Int(natural=True)
+_HEX = _Int(write=_hex)  # a reader also takes a JSON int
+_ADDR = _Int(write=_hex, read=_parse_addr)
+_STR = _Is(_of(str), "{} {} is not a string")
+_BOOL = _Is(_of(bool), "{} must be true or false, not {}", types=(bool,))
+_CPL = _enum(CPL_VALUES, "bad cpl")
+_CATEGORY = _enum(CATEGORIES, "unknown instruction category")
+_SIGN = _enum(SIGN_VALUES, "unknown signedness")
+_RANGE = _Bounds(_ADDR)
+
+
+class _Field:
+    """One field of a file format: its name in memory, its kind, and its
+    key in a file, the name unless given.  An optional field may hold
+    None.  A writer leaves out a value equal to `omit`, and a reader
+    reads null as it."""
+
+    __slots__ = ("name", "kind", "key", "optional", "omit", "check")
+
+    def __init__(self, name, kind, key=None, optional=False, omit=None):
+        self.name, self.kind, self.key = name, kind, key or name
+        self.optional, self.omit, self.check = optional, omit, kind.check
+
+
+def _check(table: Sequence[_Field], made) -> None:
+    """Raise the ValueError of the first field of `made` that its kind
+    rejects, in table order."""
+    for field in table:
+        value = getattr(made, field.name)
+        if value is not None or not field.optional:
+            field.check(field.name, value)
+
+
+def _encode(table: Sequence[_Field], made) -> dict:
+    """The record that spells the fields of `made`, key by key in table
+    order, less each value equal to its field's `omit`."""
+    return {field.key: field.kind.write(value) for field in table
+            if (value := getattr(made, field.name)) != field.omit}
+
+
+def _decode(table: Sequence[_Field], record: dict) -> dict:
+    """The values (by name) of the keys `record` holds, each read back
+    by its field's kind, and null as the value a writer leaves out: what
+    a constructor then checks.  A key it lacks is left out."""
+    return {field.name: field.omit if record[field.key] is None
+            else field.kind.read(field.key, record[field.key])
+            for field in table if field.key in record}
+
+
+# A trace's shape object: {"cat": ..., "sign": ..., "callee": ...}.
+_SHAPE_FIELDS = (_Field("category", _CATEGORY, "cat"),
+                 _Field("signedness", _SIGN, "sign"),
+                 _Field("callee_id", _STR, "callee", optional=True))
+
+
+# A trace's ten columns, in the order a row spells them.  An int a
+# trace spells as a JSON int may be negative.  A row spells cpl and kind
+# by their codes in _CPL_WIRE and _KIND_WIRE, and instr as a shape
+# (_SHAPE_FIELDS) or a shape's index; the trace reader takes seq, tid
+# and size only as JSON ints, and addr, rip and val only as 0x-hex.
+_EVENT_FIELDS = (
+    _Field("seq", _INT),
+    _Field("thread_id", _INT, "tid"),
+    _Field("cpl", _CPL),
+    _Field("kind", _enum(KIND_VALUES, "bad access kind")),
+    _Field("address", _ADDR, "addr"),
+    _Field("operand_size", _INT, "size"),
+    _Field("rip", _ADDR),
+    _Field("instr", _Is(_of(InstrDescriptor),
+                        "{} {} is not an InstrDescriptor")),
+    _Field("value", _ADDR, "val", optional=True),
+    _Field("register_args", _Ints(length=4, wants="integers"), "args",
+           optional=True),
+)
+COLUMNS = tuple(field.key for field in _EVENT_FIELDS)
+
+
+# A signature file's pattern keys; signature.py adds its tau_default.
+_PATTERN_FIELDS = (_Field("base", _HEX), _Field("offsets", _Ints()),
+                   _Field("sizes", _Ints(), optional=True))
+
+
 def _record_to_instr(raw: dict) -> InstrDescriptor:
     """The descriptor of a shape object."""
     if "cat" not in raw or "sign" not in raw:
@@ -363,11 +564,7 @@ def _record_to_instr(raw: dict) -> InstrDescriptor:
     callee = raw.get("callee")
     if callee is not None and not isinstance(callee, str):
         raise ValueError("instr callee must be a string")
-    return InstrDescriptor(
-        category=raw["cat"],
-        signedness=raw["sign"],
-        callee_id=callee,
-    )
+    return InstrDescriptor(**_decode(_SHAPE_FIELDS, raw))
 
 
 def _parse_args(raw) -> tuple:
@@ -421,8 +618,7 @@ def _parse_header(lineno: int, record) -> tuple[int, int]:
     if not isinstance(record, dict) or "module_range" not in record:
         raise TraceParseError(lineno, "first line must carry module_range")
     try:
-        rng = record["module_range"]
-        module_range = (_parse_addr(rng["lo"]), _parse_addr(rng["hi"]))
+        module_range = _RANGE.read("module_range", record["module_range"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceParseError(lineno, f"bad module_range: {exc}") from exc
     if "columns" not in record:
@@ -512,7 +708,7 @@ def _row_to_event(shapes: list, last_seq: list, lineno: int,
 
 
 _CHUNK_ROWS = 1024  # lines per json.loads call in _read_rows
-_SHAPE_KEYS = frozenset(("cat", "sign", "callee"))
+_SHAPE_KEYS = frozenset(field.key for field in _SHAPE_FIELDS)
 _BRACKETS = {list: "[]", dict: "{}"}
 
 
@@ -648,9 +844,10 @@ def _take_events(columns: _EventFields, shapes: list, last_seq: list,
     on), shape indices naming an earlier shape, 0x-hex addr and rip, a
     val that is null or 0x-hex, and AccessEvent's checks on one event
     of each distinct (cpl, kind, size, shape, args or not), built by
-    its constructor: they read nothing else but the args' count and
-    types, which are checked by column, and the signs of addr, rip and
-    val, which no hex string that passes here has.  No other event is
+    its constructor: every other field they read (_EVENT_FIELDS) passes
+    on every row once its column passes here, exact-int seq and tid,
+    args of four exact ints, and addr, rip and val, which no hex string
+    that passes here makes negative.  No other event is
     built: the chunk's columns extend `columns`.  Only the rows that
     carry args convert them; args spelled in hex are left to the row
     reader.  A chunk taken adds its shapes to `shapes` and its last seq
@@ -711,23 +908,13 @@ def serialize_trace(log: TraceLog) -> bytes:
     Each event row is the bytes `json.dumps` gives for it, written by
     hand: `json.dumps` runs once per distinct instruction shape (cat,
     sign, callee), at the shape's first use, and later rows name the
-    shape by its index.  seq, tid and size, and each register argument,
-    go through `json.dumps` unless they are exact ints, which it spells
-    as an f-string does.
+    shape by its index.  Every int of a row is an int, which an f-string
+    spells as `json.dumps` does (_EVENT_FIELDS).
     """
     if not log.events and log.module_range == (0, 0):
         return b""
-    lines = [
-        json.dumps(
-            {
-                "module_range": {
-                    "lo": _hex(log.module_range[0]),
-                    "hi": _hex(log.module_range[1]),
-                },
-                "columns": list(COLUMNS),
-            }
-        )
-    ]
+    lines = [json.dumps({"module_range": _RANGE.write(log.module_range),
+                         "columns": list(COLUMNS)})]
     dumps, cpl_wire, kind_wire = json.dumps, _CPL_WIRE, _KIND_WIRE
     shapes: dict = {}  # (cat, sign, callee) -> the shape's index
     # The rows of the columns are plain tuples, which unpack fastest.
@@ -737,16 +924,9 @@ def serialize_trace(log: TraceLog) -> bytes:
         shape = shapes.get(key)
         if shape is None:
             shapes[key] = len(shapes)
-            shape = dumps(_instr_shape(instr))
+            shape = dumps(_encode(_SHAPE_FIELDS, instr))
         val = "null" if value is None else f'"0x{value:x}"'
-        if args is None:
-            args = "null"
-        elif set(map(type, args)) == {int}:
-            args = "[{}, {}, {}, {}]".format(*args)
-        else:
-            args = dumps(args)
-        if type(seq) is not int or type(tid) is not int or type(size) is not int:
-            seq, tid, size = dumps(seq), dumps(tid), dumps(size)
+        args = "null" if args is None else "[{}, {}, {}, {}]".format(*args)
         lines.append(
             f'[{seq}, {tid}, "{cpl_wire[cpl]}", '
             f'"{kind_wire[kind]}", "0x{address:x}", {size}, '

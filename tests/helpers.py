@@ -356,18 +356,6 @@ def reference_read_memory(guest: Guest, address: int, size: int) -> bytes:
     return bytes(out)
 
 
-def reference_fetch_memory(guest: Guest, address: int, size: int) -> bytes:
-    """`Guest.fetch_memory` as it was before per-page slices."""
-    out = bytearray()
-    for offset in range(size):
-        addr = address + offset
-        page = guest.pages.lookup(addr // PAGE_SIZE)
-        if page is None:
-            raise SimulationError(f"fetch from unmapped {_hex(addr)}")
-        out.append(page.content[addr % PAGE_SIZE])
-    return bytes(out)
-
-
 def reference_write_memory(guest: Guest, address: int, data: bytes) -> None:
     """`Guest.write_memory` as it was before per-page slices."""
     for offset, byte in enumerate(data):

@@ -751,3 +751,14 @@ def test_commands_build_only_the_events_they_type(argv, tmp_path,
     log = trace.parse_trace((DATA / "golden.trace").read_bytes())
     assert len(log.events) == len(log) == 30 and log.events
     assert built == []
+
+
+def test_writers_reproduce_the_golden_files():
+    """Each writer gives back, byte for byte, the golden file its reader
+    read."""
+    model = (DATA / "golden.model").read_bytes()
+    log = (DATA / "golden.trace").read_bytes()
+    sig = (DATA / "golden.sig").read_bytes()
+    assert serialize_model(parse_model(model)) == model
+    assert trace.serialize_trace(parse_trace(log)) == log
+    assert write_signature(*signature.read_signature(sig)) == sig

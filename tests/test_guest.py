@@ -48,7 +48,6 @@ from helpers import (
     capture_mix_ops,
     event_tuples,
     make_model,
-    reference_fetch_memory,
     reference_interpret,
     reference_read_memory,
     reference_write_memory,
@@ -234,33 +233,6 @@ class TestHiddenHooks:
         guest.install_hidden_hook(0x3000, b"\xcc")
         assert guest.read_memory(0x3000, 2) == b"\x90\x90"
 
-    def test_execute_sees_hooked_bytes(self):
-        guest = fresh_guest()
-        guest.write_memory(0x3000, b"\x90")
-        guest.install_hidden_hook(0x3000, b"\xcc")
-        assert guest.fetch_memory(0x3000, 1) == b"\xcc"
-
-    def test_hook_unhook_restores_symmetry(self):
-        guest = fresh_guest()
-        guest.write_memory(0x3000, b"\xaa\xbb")
-        before = guest.read_memory(0x3000, 2)
-        guest.install_hidden_hook(0x3000, b"\xcc")
-        assert guest.read_memory(0x3000, 2) == before
-        guest.remove_hidden_hook(0x3000)
-        assert guest.read_memory(0x3000, 2) == before
-        assert guest.fetch_memory(0x3000, 2) == before
-
-    def test_unhooking_an_unhooked_page_changes_nothing(self):
-        guest = fresh_guest()
-        guest.write_memory(0x3000, b"\xaa\xbb")
-        guest.remove_hidden_hook(0x3000)
-        guest.remove_hidden_hook(0x5000)  # a page that is not mapped
-        assert guest.read_memory(0x3000, 2) == b"\xaa\xbb"
-        assert guest.fetch_memory(0x3000, 2) == b"\xaa\xbb"
-        assert guest.pages[3].pristine is None
-        assert not guest.pages[3].perms.hidden_hook
-        assert list(guest.pages) == [3]
-
     def test_hook_on_absent_page_rejected(self):
         guest = fresh_guest(present=False)
         with pytest.raises(SimulationError):
@@ -305,7 +277,7 @@ def _memory_outcome(call):
 
 
 MEMORY_OP = st.tuples(
-    st.sampled_from(["read", "fetch", "write"]),
+    st.sampled_from(["read", "write"]),
     st.integers(0x10 * PAGE_SIZE - 16, 0x16 * PAGE_SIZE + 16),
     st.one_of(st.integers(-PAGE_SIZE - 24, 24), st.integers(0, 3 * PAGE_SIZE)),
 )
@@ -315,7 +287,7 @@ class TestPageSlicedMemory:
     @given(seed=st.integers(0, 2**16), ops=st.lists(MEMORY_OP, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_matches_byte_loop(self, seed, ops):
-        """Reads, fetches and writes equal a byte-at-a-time loop: the same
+        """Reads and writes equal a byte-at-a-time loop: the same
         bytes, the same error at the same first unmapped address, and the
         same pages after a write that stopped part-way."""
         guest, reference = _memory_guest(seed), _memory_guest(seed)
@@ -328,12 +300,9 @@ class TestPageSlicedMemory:
                 want = _memory_outcome(
                     lambda: reference_write_memory(reference, address, data))
             else:
-                method = {"read": (guest.read_memory, reference_read_memory),
-                          "fetch": (guest.fetch_memory,
-                                    reference_fetch_memory)}[action]
-                got = _memory_outcome(lambda: method[0](address, size))
+                got = _memory_outcome(lambda: guest.read_memory(address, size))
                 want = _memory_outcome(
-                    lambda: method[1](reference, address, size))
+                    lambda: reference_read_memory(reference, address, size))
             assert got == want
             assert _page_state(guest) == _page_state(reference)
 
