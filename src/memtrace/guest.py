@@ -22,7 +22,8 @@ takes one store path: demand paging, the trap, then the masked write.
 Every event is logged by one trap closure as one plain tuple of its
 fields, with no AccessEvent check: ModelOp checks the access a mov op
 logs, so every event of a run of checked ops is valid as built.  The
-trace's columns are made of these rows once, when the run ends.
+trace's columns are made of these rows once, when the run ends, and
+handed to the TraceLog as they are.
 Memory accesses that lie on one built page skip the per-page walk.
 parse_model reads through trace's one reader (_read_rows), as
 parse_trace does: a chunk of op lines per json.loads call where each
@@ -48,6 +49,7 @@ from typing import IO, Iterable, NamedTuple, Optional, Union
 from .trace import (
     CPL_VALUES,
     PAGE_SIZE,
+    EventColumns,
     InstrDescriptor,
     TraceLog,
     _BOOL,
@@ -58,6 +60,7 @@ from .trace import (
     _check_operand,
     _Checked,
     _collector_paused,
+    _columns,
     _CPL,
     _decode,
     _encode,
@@ -382,9 +385,9 @@ class ModelOp(_Checked, _OpFields):
     rules under a data category (ACCESS_CATEGORIES).  So the run checks
     no event it logs.  The model reader builds most ops with
     tuple.__new__(ModelOp, fields), which checks nothing, and runs the
-    checks on one op of each (op, addr or not, cpl, cat, sign, a mov
-    op's size): every other field passes its checks on every op once its
-    column passes that reader's column checks (_plain_ops).
+    checks on one op of each (op, addr or not, cpl, cat, sign, size):
+    every other field passes its checks on every op once its column
+    passes that reader's column checks (_plain_ops).
     """
 
     __slots__ = ()
@@ -542,12 +545,10 @@ def _plain_ops(ops: list[ModelOp], records: list[dict], checked: set
 
     Each op is built by one tuple.__new__ call.  ModelOp's checks run
     on an op of each (op, addr or not, cpl, cat, sign, size) that
-    `checked` does not hold (trace._check_new), with the size of a mov
-    op only.  Every other field passes its own check in _OP_FIELDS on
-    every op once its column passes the checks here, and the rules
-    between fields read no other op's size.  So an alloc's size, which
-    varies from op to op, stays out of the key.  (A chunk with no op at
-    all leaves None in its op column, which those checks reject.)
+    `checked` does not hold (trace._check_new): every other field passes
+    its own check in _OP_FIELDS on every op once its column passes the
+    checks here.  (A chunk with no op at all leaves None in its op
+    column, which those checks reject.)
     """
     present = set(chain.from_iterable(records))
     if not present <= _OP_KEYS:
@@ -577,8 +578,6 @@ def _plain_ops(ops: list[ModelOp], records: list[dict], checked: set
         columns[at] = column
     made = list(map(tuple.__new__, repeat(ModelOp), zip(*columns)))
     names, addrs, sizes, *_, cpls, cats, signs, _ = columns
-    sizes = [size if name in _MOV_OPS else None
-             for name, size in zip(names, sizes)]
     _check_new(zip(names, map(is_, addrs, repeat(None)), cpls, cats, signs,
                    sizes), checked, lambda at: made[at].__post_init__())
     ops += made
@@ -676,7 +675,8 @@ def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
 
     Each event is logged as one plain tuple of its fields, with no
     AccessEvent check, and the log's columns are made of these rows in
-    one transposition at the end.  It needs no check: every field
+    one transposition at the end, which the TraceLog shares as they
+    are (an EventColumns).  It needs no check: every field
     those checks read is fixed by the op that logs the event or comes
     from a checked ModelOp or ProgramModel, but for the guest's mode,
     which is checked here.
@@ -817,8 +817,6 @@ def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
             sp += 8
         elif name == "mode-switch":
             guest.mode = cpl or ("kernel" if guest.mode == "user" else "user")
-        elif name == "nop":
-            pass
-        rip += INSTR_STRIDE
+        rip += INSTR_STRIDE  # a nop does nothing but this
 
-    return TraceLog(rows, module_range), entry
+    return TraceLog(EventColumns(_columns(rows)), module_range), entry

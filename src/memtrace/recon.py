@@ -27,9 +27,10 @@ address no event came near is never taken for a pointer.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import count
 from typing import (Callable, Container, Iterable, Iterator, NamedTuple,
                     Optional, Sequence)
@@ -71,47 +72,41 @@ class AllocationRecord:
     source: str  # heap-hook | call-param | stack-pattern
     site_rip: int = 0
 
+    @property
+    def end(self) -> int:
+        """The end of the record's range: a size of 0 spans DEFAULT_WINDOW."""
+        return self.base + (self.size or DEFAULT_WINDOW)
+
     def contains(self, address: int) -> bool:
-        if self.size:
-            return self.base <= address < self.base + self.size
-        return self.base <= address < self.base + DEFAULT_WINDOW
+        return self.base <= address < self.end
 
 
 class OwnerIndex:
     """The first record, in input order, whose range contains an address.
 
     owner(address) equals next((r for r in records if r.contains(address)),
-    None) for any record order, overlap or size (a size-0 record spans
-    DEFAULT_WINDOW), in one bisection.  The sorted range endpoints cut
-    the address space into elementary segments; each segment keeps the
-    first record covering it.  Records are painted in input order and a
-    union-find "next unpainted segment" pointer skips painted segments,
-    so building costs O((r + s) log s) for r records and s segments.
+    None) for any record order, overlap or size, in one bisection.  The
+    sorted range endpoints cut the address space into elementary
+    segments, and one sweep over them gives each segment its owner: a
+    min-heap holds the input indices of the records begun so far, and a
+    record that has ended leaves it once it comes to the top, so the top
+    is the first record covering the segment.  Building costs
+    O((r + s) log r) for r records and s segments.
     """
 
     def __init__(self, records: Iterable[AllocationRecord]):
-        spans = [(r, r.base, r.base + (r.size or DEFAULT_WINDOW))
-                 for r in records]
-        self.bounds = sorted({x for _, lo, hi in spans for x in (lo, hi)})
+        records = list(records)
+        self.bounds = sorted({x for r in records for x in (r.base, r.end)})
         # owners[k] covers [bounds[k], bounds[k + 1]); the last is unbounded.
-        self.owners: list[Optional[AllocationRecord]] = [None] * len(self.bounds)
-        unpainted = list(range(len(self.bounds)))
-
-        def next_unpainted(k: int) -> int:
-            root = k
-            while unpainted[root] != root:
-                root = unpainted[root]
-            while unpainted[k] != root:
-                unpainted[k], k = root, unpainted[k]
-            return root
-
-        for record, lo, hi in spans:
-            end = bisect_left(self.bounds, hi)
-            k = next_unpainted(bisect_left(self.bounds, lo))
-            while k < end:
-                self.owners[k] = record
-                unpainted[k] = k + 1
-                k = next_unpainted(k + 1)
+        self.owners: list[Optional[AllocationRecord]] = []
+        begun: list[int] = []
+        waiting = sorted(range(len(records)), key=lambda at: -records[at].base)
+        for bound in self.bounds:
+            while waiting and records[waiting[-1]].base == bound:
+                heappush(begun, waiting.pop())
+            while begun and records[begun[0]].end <= bound:
+                heappop(begun)
+            self.owners.append(records[begun[0]] if begun else None)
 
     def owner(self, address: int) -> Optional[AllocationRecord]:
         k = bisect_right(self.bounds, address) - 1
@@ -169,9 +164,7 @@ def find_allocations(log: TraceLog) -> list[AllocationRecord]:
         if (instr.callee_id not in ALLOCATOR_NAMES or instr.category == "call"
                 or columns.value[at] is None):
             continue
-        size = (columns.register_args[at] or (0, 0, 0, 0))[0]
-        if not isinstance(size, int) or size < 0:
-            size = 0
+        size = max((columns.register_args[at] or (0,))[0], 0)
         records.append(AllocationRecord(base=columns.value[at], size=size,
                                         source="heap-hook",
                                         site_rip=columns.rip[at]))
@@ -364,10 +357,6 @@ def collect_bases(log: TraceLog) -> list[AllocationRecord]:
 _SIGNED = {
     1: "char", 2: "short", 4: "int", 8: "long long",
 }
-_UNSIGNED = {
-    1: "unsigned char", 2: "unsigned short",
-    4: "unsigned int", 8: "unsigned long long",
-}
 _FLOAT = {4: "float", 8: "double"}
 
 
@@ -398,7 +387,7 @@ def _infer_field_type(accesses: Sequence[AccessEvent], owners: OwnerIndex,
     ):
         category = "pointer"
     else:
-        category = (_SIGNED if signed else _UNSIGNED)[size]
+        category = _SIGNED[size] if signed else "unsigned " + _SIGNED[size]
     record = FieldRecord(offset=accesses[0].address, size=size,
                          category=category, evidence_count=len(accesses))
     record.notes.extend(notes)
@@ -501,15 +490,6 @@ def _note_stride_runs(fields: list[FieldRecord]) -> None:
                     member.notes.append(ARRAY_RUN_NOTE)
 
 
-_C_TYPES = {
-    "char": "char", "unsigned char": "unsigned char",
-    "short": "short", "unsigned short": "unsigned short",
-    "int": "int", "unsigned int": "unsigned int",
-    "long long": "long long", "unsigned long long": "unsigned long long",
-    "float": "float", "double": "double", "pointer": "void *",
-}
-
-
 def render_layout_c(layout: LayoutRecord) -> str:
     """C-like rendering of a reconstructed layout for human review."""
     lines = [f"struct reconstructed_0x{layout.base:x} {{"
@@ -518,8 +498,10 @@ def render_layout_c(layout: LayoutRecord) -> str:
         note = f"  /* {'; '.join(record.notes)} */" if record.notes else ""
         if record.category == "char-array":
             decl = f"    char field_0x{record.offset:x}[{record.size}];"
-        else:
-            decl = f"    {_C_TYPES[record.category]} field_0x{record.offset:x};"
+        elif record.category == "pointer":
+            decl = f"    void * field_0x{record.offset:x};"
+        else:  # any other category is spelled as its C type
+            decl = f"    {record.category} field_0x{record.offset:x};"
         lines.append(decl + note)
     lines.append("};")
     return "\n".join(lines)
@@ -557,12 +539,6 @@ class RuleHit:
     last_seq: int
 
 
-def _step_matches(step, callee: Optional[str]) -> bool:
-    if isinstance(step, str):
-        return callee == step
-    return callee in step
-
-
 def flag_call_sequences(calls: Sequence[CallRecord | CallName],
                         rules: Sequence[tuple[str, list]] = EVASIVE_SEQUENCES
                         ) -> list[RuleHit]:
@@ -575,11 +551,12 @@ def flag_call_sequences(calls: Sequence[CallRecord | CallName],
         by_thread.setdefault(call.thread_id, []).append(call)
     hits = []
     for name, steps in rules:
+        steps = [(step,) if isinstance(step, str) else step for step in steps]
         for tid, thread_calls in sorted(by_thread.items()):
             position = 0
             first_seq = None
             for call in thread_calls:
-                if _step_matches(steps[position], call.callee_id):
+                if call.callee_id in steps[position]:
                     if position == 0:
                         first_seq = call.seq
                     position += 1

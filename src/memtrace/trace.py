@@ -18,14 +18,16 @@ object is kept.  log.events is the one view of the columns, which
 builds an AccessEvent only when one is asked for.
 
 Reading lives here, for traces and the guest's program models alike.
-Both read through _read_rows, which takes the header from the first
-non-blank line and the later lines a chunk at a time: one json.loads
-call per chunk where it can tell that each line holds one plain row,
-the reader's own column checks on the chunk's rows, and the full checks
-on one row of each kind not seen before.  A chunk that fails any of
-these is read again a line at a time by the reader's per-row rules,
-which alone report errors.  It keeps the cyclic collector paused while
-it builds, as the guest's run does: what they build outlives them.
+Every input, bytes, text or a stream, is split into lines by one rule,
+str.splitlines (_iter_lines).  Both read through _read_rows, which
+takes the header from the first non-blank line and the later lines a
+chunk at a time: one json.loads call per chunk where it can tell that
+each line holds one plain row, the reader's own column checks on the
+chunk's rows, and the full checks on one row of each kind not seen
+before.  A chunk that fails any of these is read again a line at a
+time by the reader's per-row rules, which alone report errors.  It
+keeps the cyclic collector paused while it builds, as the guest's run
+does: what they build outlives them.
 """
 
 from __future__ import annotations
@@ -216,6 +218,13 @@ def _extend(columns: _EventFields, rows: Iterable[Sequence]) -> None:
             column.extend(values)
 
 
+def _columns(rows: Iterable[Sequence] = ()) -> _EventFields:
+    """Ten new columns, which hold the fields of `rows`."""
+    columns = _EventFields._make([] for _ in _EventFields._fields)
+    _extend(columns, rows)
+    return columns
+
+
 @dataclass(frozen=True, slots=True)
 class EventColumns(Sequence):
     """The events of a trace, kept as ten columns: `columns` is an
@@ -256,11 +265,14 @@ class TraceLog:
     """An ordered trace plus the main-module address range [lo, hi).
 
     It keeps its events as columns, and `events` is their one view, an
-    EventColumns.  Given any other sequence of events, or of rows of
-    their ten fields, it copies them into new columns; given an
-    EventColumns, it shares its columns, which nothing changes once a
-    log holds them.  Its module range is the header of a trace, which
-    spells both bounds in 0x-hex (_RANGE).
+    EventColumns.  Given an EventColumns, it shares its columns, which
+    nothing changes once a log holds them: how the trace reader and the
+    guest's run hand theirs over.  Given anything else, it takes only
+    AccessEvents whose seq rises strictly, as a trace holds them, and
+    copies them into new columns; otherwise it raises a ValueError that
+    names the first event that is not one (or a TraceOrderError that
+    names the first whose seq does not rise).  Its module range is the
+    header of a trace, which spells both bounds in 0x-hex (_RANGE).
     """
 
     events: Sequence[AccessEvent] = ()
@@ -269,9 +281,16 @@ class TraceLog:
     def __post_init__(self):
         _RANGE.check("module_range", self.module_range)
         if not isinstance(self.events, EventColumns):
-            columns = _EventFields._make([] for _ in _EventFields._fields)
-            _extend(columns, self.events)
-            object.__setattr__(self, "events", EventColumns(columns))
+            events = tuple(self.events)
+            for at, event in enumerate(events):
+                if not isinstance(event, AccessEvent):
+                    raise ValueError(
+                        f"events[{at}] {_shown(event)} is not an AccessEvent")
+                if at and event.seq <= events[at - 1].seq:
+                    raise TraceOrderError(
+                        f"events[{at}]: seq {event.seq} not greater than "
+                        f"{events[at - 1].seq}")
+            object.__setattr__(self, "events", EventColumns(_columns(events)))
         object.__setattr__(self, "module_range", tuple(self.module_range))
 
     @property
@@ -576,14 +595,14 @@ def _parse_args(raw) -> tuple:
 
 
 def _iter_lines(stream) -> Iterator[str]:
-    """The lines of bytes or text as str.splitlines splits them, or of a
-    stream as it yields them, without their "\n"."""
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
-    if isinstance(stream, str):
-        return iter(stream.splitlines())
-    return ((line.decode("utf-8") if isinstance(line, bytes) else line
-             ).rstrip("\n") for line in stream)
+    """The lines of bytes, of text, or of each line a stream yields, as
+    str.splitlines splits them: one rule for every input.  A stream's
+    empty line, as a list of lines may hold, stays one line."""
+    if isinstance(stream, (bytes, str)):
+        stream = [stream]
+    return chain.from_iterable(
+        (line.decode("utf-8") if isinstance(line, bytes) else line
+         ).splitlines() or [""] for line in stream)
 
 
 def iter_json_lines(
@@ -651,7 +670,7 @@ def parse_trace(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
     citing the shape shares; a row's `val` and `args` become its event's
     `value` and `register_args`.
     """
-    columns = _EventFields._make([] for _ in _EventFields._fields)
+    columns = _columns()
     shared = ([], [])  # the shape table, and the last row's seq once read
     module_range = _read_rows(
         stream, TraceParseError, _parse_header, list,

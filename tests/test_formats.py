@@ -37,6 +37,8 @@ def _event(**fields):
     (lambda: _event(seq=1.5), "seq"),
     (lambda: _event(register_args=(True, 0, 0, 0)), "register_args"),
     (lambda: TraceLog((), (-1, 0x1000)), "module_range"),
+    (lambda: TraceLog([_event(seq=2), _event(seq=2)]), "events[1]: seq"),
+    (lambda: TraceLog([_event(), tuple(_event(seq=1))]), "events[1]"),
     (lambda: make_model([ModelOp("nop")], sp_init=-16), "sp_init"),
     (lambda: make_model([ModelOp("nop")], mapped=[(-0x1000, 0x1000)]),
      "mapped"),
@@ -48,8 +50,8 @@ def _event(**fields):
     (lambda: AddressPattern((1.5,)), "offsets"),
 ], ids=["op-addr", "op-rip", "n_stack-bool", "n_stack-string",
         "n_stack-none", "float-amount", "bool-tid", "float-seq", "bool-arg",
-        "log-range", "sp_init", "mapped", "model-range", "base",
-        "short-sizes", "bool-offset", "float-offset"])
+        "log-range", "log-seq-order", "log-row", "sp_init", "mapped",
+        "model-range", "base", "short-sizes", "bool-offset", "float-offset"])
 def test_unwritable_values_fail_at_construction(make, field):
     """Each of these was accepted, and then failed to serialize, was
     written to a file its own reader rejects, or read back as another

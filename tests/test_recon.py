@@ -14,6 +14,7 @@ from memtrace.recon import (
     NO_ACCESS_NOTE,
     AllocationRecord,
     CallRecord,
+    LayoutRecord,
     OwnerIndex,
     collect_bases,
     find_allocations,
@@ -502,6 +503,35 @@ class TestReconstructLayout:
         assert text.startswith("struct")
         for record in layout.fields:
             assert f"field_0x{record.offset:x}" in text
+
+
+C_TYPES = [  # (size, instr category, signedness, the field's C type)
+    (1, "int-move", "signed", "char"),
+    (1, "int-move", "unsigned", "unsigned char"),
+    (2, "int-move", "signed", "short"),
+    (2, "int-move", "unsigned", "unsigned short"),
+    (4, "int-move", "signed", "int"),
+    (4, "int-move", "unsigned", "unsigned int"),
+    (8, "int-move", "signed", "long long"),
+    (8, "int-move", "unsigned", "unsigned long long"),
+    (4, "float-move", "signed", "float"),
+    (8, "float-move", "signed", "double"),
+    (8, "int-move", "n/a", "void *"),  # its value lies in an allocation
+]
+
+
+@pytest.mark.parametrize("size, cat, sign, c_type", C_TYPES,
+                         ids=[c_type for *_, c_type in C_TYPES])
+def test_render_c_spells_each_category_as_its_c_type(size, cat, sign,
+                                                       c_type):
+    """Each of the eleven categories _infer_field_type gives is declared
+    with its C type: the category itself, but "void *" for a pointer."""
+    heap = AllocationRecord(base=0x9000, size=0x10, source="heap-hook")
+    value = 0x9008 if c_type == "void *" else None
+    record = infer_field([make_access(0, size=size, cat=cat, sign=sign,
+                                      value=value)], [heap])
+    layout = LayoutRecord(base=0x50000, total_size=size, fields=[record])
+    assert render_layout_c(layout).splitlines()[1] == f"    {c_type} field_0x0;"
 
 
 def make_call(callee, seq, tid=0):

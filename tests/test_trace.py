@@ -7,6 +7,7 @@ import pickle
 import random
 import re
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -574,7 +575,8 @@ def _mutate(log: TraceLog, mutations) -> str:
 def test_parse_trace_matches_reference_parser(seed, mutations, form, chunk):
     rng = random.Random(seed)
     text = _mutate(_template_log(rng, rng.randrange(0, 25)), mutations)
-    # A stream is split at "\n" only, so form feeds stay inside lines.
+    # Each line a stream yields is split again as text is, at form feeds
+    # too, so the three forms read alike.
     make = {"str": lambda: text, "bytes": text.encode,
             "stream": lambda: io.StringIO(text)}[form]
     with mock.patch.object(trace, "_CHUNK_ROWS", chunk):
@@ -990,6 +992,37 @@ def test_read_events_are_the_constructors_events(log, seed, chunk):
             assert_built_as_constructed(got.events)
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, parse, module, reader", [
+    ("golden.trace", parse_trace, trace, "_row_to_event"),
+    ("golden.model", parse_model, guest_mod, "_record_to_op"),
+], ids=["trace", "model"])
+def test_crlf_stream_is_read_in_bulk(name, parse, module, reader):
+    """A stream of CRLF lines reads as its bytes do, a chunk per json.loads
+    call: no line goes to the per-line reader."""
+    data = (DATA / name).read_bytes()
+    crlf = data.replace(b"\n", b"\r\n")
+    with mock.patch.object(module, reader,
+                           wraps=getattr(module, reader)) as per_line:
+        got = parse(io.BytesIO(crlf))
+    assert per_line.call_count == 0
+    assert got == parse(crlf) == parse(data)
+
+
+def test_u2028_in_a_callee_fails_in_a_stream_as_in_bytes():
+    """A raw U+2028 ends a line in a stream as it does in bytes, so a
+    callee that holds one splits its row there, and both fail at line 2."""
+    text = json.dumps(HEADER) + "\n" + SPLIT_CALLEE % "\u2028"
+    with pytest.raises(TraceParseError, match="^line 2: invalid JSON") as want:
+        parse_trace(text.encode())
+    for stream in (io.BytesIO(text.encode()), io.StringIO(text),
+                   text.split("\n")):
+        assert _outcome(parse_trace, stream) == (
+            TraceParseError, 2, str(want.value))
+
+
 @pytest.mark.parametrize("line", [
     '{"op": "nop"} x',
     '{"op": "nop"}\x0c',
@@ -1004,18 +1037,23 @@ def test_read_events_are_the_constructors_events(log, seed, chunk):
                                           (parse_model, ModelParseError)])
 def test_json_line_errors_match_json_loads(parse, error, line):
     """Both line readers skip whitespace-only lines, count them, and reject
-    a line for the same reason json.loads gives."""
+    a line for the same reason json.loads gives.  Each line of a list is
+    split as str.splitlines splits text, at a form feed or a CR too, so
+    the list reads as its text does."""
     header = {"module_range": {"lo": "0x0", "hi": "0x1"},
               "columns": list(trace.COLUMNS), "entry_page": 1,
               "sp_init": "0x7ff000"}
-    # A list of lines: str.splitlines would split at the form feeds.
     data = [json.dumps(header), " \x0c\t\xa0", line]
-    with pytest.raises(json.JSONDecodeError) as want:
-        json.loads(line)
-    with pytest.raises(error) as got:
-        parse(data)
-    assert str(got.value) == f"line 3: invalid JSON: {want.value.msg}"
-    assert got.value.lineno == 3
+    text = "\n".join(data)
+    assert _outcome(parse, data) == _outcome(parse, text)
+    lines = text.splitlines()
+    try:  # a form feed may split off a line that is valid JSON
+        json.loads(lines[-1])
+    except json.JSONDecodeError as want:
+        with pytest.raises(error) as got:
+            parse(data)
+        assert str(got.value) == f"line {len(lines)}: invalid JSON: {want.msg}"
+        assert got.value.lineno == len(lines)
 
 
 @pytest.mark.parametrize("value", ["0x1g", "", 2.5, [[1], 2], "x" * 70],
@@ -1100,7 +1138,9 @@ def test_event_view_is_the_tuple_of_events(drawn, data):
                 data.draw(st.sampled_from([None, 1, 2, -1, -3])))
     assert type(view[cut]) is tuple
     assert view[cut] == events[cut]
-    assert TraceLog(view[cut], module_range).events == events[cut]
+    # A log holds events whose seq rises: its slice runs forward.
+    rising = slice(cut.start, cut.stop, abs(cut.step or 1))
+    assert TraceLog(view[rising], module_range).events == events[rising]
     assert_built_as_constructed(view)
 
 
