@@ -29,7 +29,8 @@ parse_model reads through trace's one reader (_read_rows), as
 parse_trace does: a chunk of op lines per json.loads call where each
 line holds one plain op, a chunk's ops built column by column
 (_plain_ops), each with one tuple.__new__ call, and ModelOp's checks
-run on one op of each kind that the column checks cannot vouch for.
+run once per kind of op that the column checks cannot vouch for, on an
+op built from that kind.
 A chunk it declines is read again one line at a time (_record_to_op),
 which alone reports errors.  The reader and the run keep the cyclic
 collector paused while they build, and leave it as they found it: the
@@ -39,7 +40,6 @@ ops and the trace outlive them.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, repeat
@@ -56,7 +56,6 @@ from .trace import (
     _Bounds,
     _CATEGORY,
     _check,
-    _check_new,
     _check_operand,
     _Checked,
     _collector_paused,
@@ -140,32 +139,17 @@ class _Page:
 
 class _PageTable(dict):
     """The pages built so far, by page number, over the mapped page
-    numbers, which are kept as sorted, disjoint [first, end) intervals.
-    `table[number]` builds a mapped page on first touch and raises
-    KeyError for an unmapped one; `get` never builds a page."""
+    numbers, which are kept as [first, end) intervals in the order they
+    were mapped.  `table[number]` builds a page on first touch where a
+    range holds it and raises KeyError for an unmapped one; `get` never
+    builds a page."""
 
     def __init__(self):
         super().__init__()
-        self._ranges: list[tuple[int, int]] = []
-        self._firsts: list[int] = []  # each range's first page
-
-    def map(self, first: int, end: int) -> None:
-        if first >= end:
-            return
-        kept = []
-        for a, b in self._ranges:
-            if b < first or a > end:
-                kept.append((a, b))
-            else:  # overlapping or adjacent: merge
-                first, end = min(a, first), max(b, end)
-        kept.append((first, end))
-        kept.sort()
-        self._ranges = kept
-        self._firsts = [a for a, _ in kept]
+        self.ranges: list[tuple[int, int]] = []
 
     def __missing__(self, number: int) -> _Page:
-        at = bisect_right(self._firsts, number) - 1
-        if at < 0 or number >= self._ranges[at][1]:
+        if not any(first <= number < end for first, end in self.ranges):
             raise KeyError(number)
         page = self[number] = _Page()
         return page
@@ -198,7 +182,8 @@ class Guest:
     def map_range(self, lo: int, hi: int) -> None:
         """Map the pages [lo, hi) overlaps.  None is built here: each is
         built on first touch, so the range's size costs nothing."""
-        self.pages.map(lo // PAGE_SIZE, (hi + PAGE_SIZE - 1) // PAGE_SIZE)
+        self.pages.ranges.append(
+            (lo // PAGE_SIZE, (hi + PAGE_SIZE - 1) // PAGE_SIZE))
 
     def allocate(self, size: int) -> int:
         """Reserve a demand-paged buffer; pages appear on first fault."""
@@ -385,9 +370,9 @@ class ModelOp(_Checked, _OpFields):
     rules under a data category (ACCESS_CATEGORIES).  So the run checks
     no event it logs.  The model reader builds most ops with
     tuple.__new__(ModelOp, fields), which checks nothing, and runs the
-    checks on one op of each (op, addr or not, cpl, cat, sign, size):
-    every other field passes its checks on every op once its column
-    passes that reader's column checks (_plain_ops).
+    checks once per (op, addr or not, cpl, cat, sign, size), on an op
+    built from that key: every other field passes its checks on every
+    op once its column passes that reader's column checks (_plain_ops).
     """
 
     __slots__ = ()
@@ -544,11 +529,12 @@ def _plain_ops(ops: list[ModelOp], records: list[dict], checked: set
     args.  So no record holds an array with two objects side by side.
 
     Each op is built by one tuple.__new__ call.  ModelOp's checks run
-    on an op of each (op, addr or not, cpl, cat, sign, size) that
-    `checked` does not hold (trace._check_new): every other field passes
-    its own check in _OP_FIELDS on every op once its column passes the
-    checks here.  (A chunk with no op at all leaves None in its op
-    column, which those checks reject.)
+    once for each (op, addr or not, cpl, cat, sign, size) in the chunk
+    that `checked` does not hold yet, on an op built from that key with
+    addr 0 where it has one and every other field at its default: every
+    other field passes its own check in _OP_FIELDS on every op once its
+    column passes the checks here.  (A chunk with no op at all leaves
+    None in its op column, which those checks reject.)
     """
     present = set(chain.from_iterable(records))
     if not present <= _OP_KEYS:
@@ -576,11 +562,13 @@ def _plain_ops(ops: list[ModelOp], records: list[dict], checked: set
                 and min(filter(None, column), default=0) < 0):
             return None
         columns[at] = column
-    made = list(map(tuple.__new__, repeat(ModelOp), zip(*columns)))
     names, addrs, sizes, *_, cpls, cats, signs, _ = columns
-    _check_new(zip(names, map(is_, addrs, repeat(None)), cpls, cats, signs,
-                   sizes), checked, lambda at: made[at].__post_init__())
-    ops += made
+    new = set(zip(names, map(is_, addrs, repeat(None)), cpls, cats, signs,
+                  sizes)) - checked
+    for op, bare, cpl, cat, sign, size in new:
+        ModelOp(op, None if bare else 0, size, cpl=cpl, cat=cat, sign=sign)
+    checked.update(new)
+    ops += map(tuple.__new__, repeat(ModelOp), zip(*columns))
     return True
 
 

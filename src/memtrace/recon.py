@@ -367,8 +367,6 @@ def _infer_field_type(accesses: Sequence[AccessEvent], owners: OwnerIndex,
     An 8-byte value is a pointer when it lies in an allocation (one of
     `owners`) or in `mapped`, any container of mapped addresses.
     """
-    if not accesses:
-        raise ValueError("no accesses")
     offsets = {a.address for a in accesses}
     if len(offsets) != 1:
         raise ValueError("accesses must share one address")
@@ -565,5 +563,4 @@ def flag_call_sequences(calls: Sequence[CallRecord | CallName],
                                             first_seq=first_seq,
                                             last_seq=call.seq))
                         position = 0
-                        first_seq = None
     return hits

@@ -182,11 +182,11 @@ class AccessEvent(_Checked, _EventFields):
     columns; its `events` view builds each event it hands out with
     tuple.__new__(AccessEvent, fields), which checks nothing.  Those
     fields passed the checks on their way in: the trace reader checks
-    its rows by column and runs the checks on one event of each (cpl,
-    kind, size, shape, args or not), all that the checks read but what
-    the column checks hold for every row.  The guest's run checks no
-    event: each field the checks read comes from a checked op or model,
-    or is fixed by the op (_check_operand).
+    its rows by column and runs the checks once per (cpl, kind, size,
+    shape, args or not), all that the checks read but what the column
+    checks hold for every row, on an event built from that key.  The
+    guest's run checks no event: each field the checks read comes from
+    a checked op or model, or is fixed by the op (_check_operand).
     """
 
     __slots__ = ()
@@ -319,6 +319,7 @@ class AddressPattern:
         if self.sizes is not None:
             object.__setattr__(self, "sizes", tuple(self.sizes))
 
+    # Kept for bench/spans.py: its signature.lcmap.cells counter calls it.
     def __len__(self):
         return len(self.offsets)
 
@@ -796,15 +797,17 @@ def _read_rows(stream: Union[bytes, str, IO, Iterable[str]],
     _decode_chunk, as rows of `row_type`, and then to take(rows,
     checked), the reader's column checks.  It stores what it made of
     the rows and gives True, or gives None to decline them, and runs
-    __post_init__'s checks on one made row of each kind that the column
-    checks tell apart and that `checked` does not hold yet
-    (_check_new).  A chunk that either declines (also by a TypeError,
-    ValueError or RecursionError) is read again a line at a time with
-    build(lineno, record), which alone raises errors, and the list of
-    what it builds goes to store(made); so an odd line costs the
-    line-by-line reading of its own chunk only.  `take` changes what it
-    shares with `build` and `store` only when it takes a chunk.  The
-    cyclic collector stays paused throughout (_collector_paused).
+    __post_init__'s checks once for each key of the chunk that
+    `checked` does not hold yet, then adds them: a key is what the
+    checks read but the column checks do not vouch for, and the row
+    checked is built from the key alone.  A chunk that either declines
+    (also by a TypeError, ValueError or RecursionError) is read again a
+    line at a time with build(lineno, record), which alone raises
+    errors, and the list of what it builds goes to store(made); so an
+    odd line costs the line-by-line reading of its own chunk only.
+    `take` changes what it shares with `build` and `store` only when it
+    takes a chunk.  The cyclic collector stays paused throughout
+    (_collector_paused).
     """
     lines = _iter_lines(stream)
     header, lineno = None, 0
@@ -823,17 +826,6 @@ def _read_rows(stream: Union[bytes, str, IO, Iterable[str]],
                    for line in iter_json_lines(chunk, error, lineno + 1)])
         lineno += len(chunk)
     return header
-
-
-def _check_new(keys: Iterable, checked: set, check: Callable) -> None:
-    """Call check(i), which runs __post_init__'s checks on the i-th row
-    made, on one row for each of `keys` that `checked` does not hold,
-    and add those keys: a reader keys its rows so that every row of a
-    key passes the checks if one does."""
-    for key, at in dict(zip(keys, count())).items():
-        if key not in checked:
-            check(at)
-            checked.add(key)
 
 
 def _hex_prefixed(column) -> bool:
@@ -861,13 +853,15 @@ def _take_events(columns: _EventFields, shapes: list, last_seq: list,
     the text the row reader decodes.
     The rules: exact ints, strictly increasing seq (from `last_seq`
     on), shape indices naming an earlier shape, 0x-hex addr and rip, a
-    val that is null or 0x-hex, and AccessEvent's checks on one event
-    of each distinct (cpl, kind, size, shape, args or not), built by
-    its constructor: every other field they read (_EVENT_FIELDS) passes
-    on every row once its column passes here, exact-int seq and tid,
-    args of four exact ints, and addr, rip and val, which no hex string
-    that passes here makes negative.  No other event is
-    built: the chunk's columns extend `columns`.  Only the rows that
+    val that is null or 0x-hex, and AccessEvent's checks once per
+    distinct (cpl, kind, size, shape, args or not), on an event built
+    by its constructor from that key with seq, tid, addr and rip 0, val
+    null and args (0, 0, 0, 0) where the key has them: every other
+    field they read (_EVENT_FIELDS) passes on every row once its column
+    passes here, exact-int seq and tid, args of four exact ints, and
+    addr, rip and val, which no hex string that passes here makes
+    negative.  No other event is built: the chunk's columns extend
+    `columns`.  Only the rows that
     carry args convert them; args spelled in hex are left to the row
     reader.  A chunk taken adds its shapes to `shapes` and its last seq
     to `last_seq`.
@@ -911,9 +905,12 @@ def _take_events(columns: _EventFields, shapes: list, last_seq: list,
              list(map(int, rips, repeat(16))),
              [val if val is None else int(val, 16) for val in vals],
              [args if args is None else tuple(args) for args in args_col])
-    _check_new(zip(cpls, kinds, sizes, shape_col,
-                   map(is_, args_col, repeat(None))), checked,
-               lambda at: AccessEvent(*[column[at] for column in chunk]))
+    new = set(zip(cpls, kinds, sizes, shape_col,
+                  map(is_, args_col, repeat(None)))) - checked
+    for cpl, kind, size, shape, bare in new:
+        AccessEvent(0, 0, cpl, kind, 0, size, table[shape], 0, None,
+                    None if bare else (0, 0, 0, 0))
+    checked.update(new)
     for column, values in zip(columns, chunk):
         column.extend(values)
     shapes[:] = table

@@ -381,8 +381,10 @@ class TestMalformedSignatureFiles:
         '{"base": "0x0", "offsets": [0, 8], "tau_default": 1e400}',
         '{"base": "0x0", "offsets": [0, 8], "sizes": [4]}',
         '{"base": "0x0", "offsets": [0, 8], "tau_default": -1}',
+        '{"base": "0x0"}',
+        '{"offsets": [0, 8]}',
     ], ids=["bool-and-float-offsets", "nested-offset", "infinite-tau",
-            "short-sizes", "negative-tau"])
+            "short-sizes", "negative-tau", "no-offsets", "no-base"])
     def test_bad_field_is_exit_2(self, tmp_path, capsys, record):
         path = tmp_path / "bad.sig"
         path.write_text(record)

@@ -344,6 +344,19 @@ class TestRun:
         log = run_model(make_model([]))
         assert len(log.events) == 0
 
+    def test_guest_mode_outside_the_cpl_values_is_rejected(self):
+        """The run checks the guest's mode, the one field it reads that
+        no ModelOp or ProgramModel check vouches for."""
+        model = make_model([ModelOp("nop")])
+        guest = build_guest(model)
+        guest.mode = "root"
+        with pytest.raises(ValueError, match="^bad cpl 'root'$"):
+            run(guest, model)
+
+    def test_mapped_that_is_no_list_is_rejected(self):
+        with pytest.raises(ValueError, match="^mapped 5 is not a list$"):
+            ProgramModel(ops=[], entry_page=1, sp_init=0x7ff000, mapped=5)
+
     @pytest.mark.parametrize("profile", PROFILE_IDS)
     def test_every_data_access_is_logged(self, profile):
         """Whatever the active profile allows, every data access, to a

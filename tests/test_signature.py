@@ -576,6 +576,13 @@ class TestSignatureFiles:
         with pytest.raises(ValueError):
             read_signature(json.dumps(record))
 
+    @pytest.mark.parametrize("record", [{"base": 0}, {"offsets": [0, 8]}],
+                             ids=["no-offsets", "no-base"])
+    def test_offsets_and_base_are_required(self, record):
+        with pytest.raises(ValueError,
+                           match="^a signature needs offsets and base$"):
+            read_signature(json.dumps(record))
+
     def test_hex_offsets_mix_with_ints(self):
         data = '{"base": 0, "offsets": [0, "0x8", 16], "sizes": ["0x4", 4, 8]}'
         parsed, _ = read_signature(data)
