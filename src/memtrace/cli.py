@@ -37,9 +37,10 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _load_trace(path: str) -> trace.TraceLog:
+def _load(parse, path: str):
+    """What `parse` makes of the bytes of the file at `path`."""
     with open(path, "rb") as handle:
-        return trace.parse_trace(handle.read())
+        return parse(handle.read())
 
 
 def _parse_base(text: str) -> int:
@@ -57,8 +58,7 @@ def _write_out(out: Optional[str], data: bytes) -> None:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.model, "rb") as handle:
-        model = guest_mod.parse_model(handle.read())
+    model = _load(guest_mod.parse_model, args.model)
     g = guest_mod.build_guest(model)
     log = guest_mod.run(g, model)
     _write_out(args.out, trace.serialize_trace(log))
@@ -67,7 +67,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    log = _load_trace(args.trace)
+    log = _load(trace.parse_trace, args.trace)
     base = _parse_base(args.base)
     layout = recon.reconstruct_layout(log, base, size_hint=args.size)
     if any(recon.NO_ACCESS_NOTE in f.notes for f in layout.fields):
@@ -92,7 +92,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_sign(args) -> int:
-    log = _load_trace(args.trace)
+    log = _load(trace.parse_trace, args.trace)
     bases = recon.collect_bases(log)
     pattern = signature.extract_pattern(log, bases)
     tau = signature.DEFAULT_TAU if args.tau is None else args.tau
@@ -101,16 +101,11 @@ def cmd_sign(args) -> int:
     return EXIT_OK
 
 
-def _load_signature(path: str):
-    with open(path, "rb") as handle:
-        return signature.read_signature(handle.read())
-
-
 def _load_pair(args):
     """(first, second, tau): the two signatures, and --tau or
     MEMTRACE_TAU when given, else the first file's tau_default."""
-    first, tau = _load_signature(args.first)
-    second, _ = _load_signature(args.second)
+    first, tau = _load(signature.read_signature, args.first)
+    second, _ = _load(signature.read_signature, args.second)
     return first, second, tau if args.tau is None else args.tau
 
 
@@ -143,7 +138,7 @@ def cmd_diff(args) -> int:
 
 
 def cmd_bases(args) -> int:
-    log = _load_trace(args.trace)
+    log = _load(trace.parse_trace, args.trace)
     for record in recon.collect_bases(log):
         print(f"0x{record.base:x} 0x{record.size:x} {record.source} "
               f"rip=0x{record.site_rip:x}")
@@ -179,7 +174,7 @@ def _load_rules(path: Optional[str]):
 
 
 def cmd_flags(args) -> int:
-    log = _load_trace(args.trace)
+    log = _load(trace.parse_trace, args.trace)
     hits = recon.flag_call_sequences(recon.call_names(log),
                                      _load_rules(args.rules))
     for hit in hits:

@@ -166,16 +166,18 @@ class _PageTable(dict):
 class Guest:
     """Single-vCPU guest memory state.
 
-    Never share a Guest mutably between threads; run one model per Guest
-    and merge the resulting traces.
+    Never share a Guest mutably between threads: run one model per
+    Guest, and each run gives a trace of its own.
     """
 
     def __init__(self):
         self.pages = _PageTable()
         self.active_profile = "normal"  # one of PROFILE_IDS
         self.mode = "user"
+        # Allocations are handed out one after another from
+        # DEFAULT_ALLOC_BASE, so [DEFAULT_ALLOC_BASE, _alloc_cursor) is
+        # the allocatable range.
         self._alloc_cursor = DEFAULT_ALLOC_BASE
-        self._reserved: list[tuple[int, int]] = []  # allocated but not yet present
 
     # -- memory layout -------------------------------------------------
 
@@ -191,11 +193,10 @@ class Guest:
         base = self._alloc_cursor
         npages = (size + PAGE_SIZE - 1) // PAGE_SIZE
         self._alloc_cursor = base + npages * PAGE_SIZE
-        self._reserved.append((base, base + npages * PAGE_SIZE))
         return base
 
     def is_allocatable(self, address: int) -> bool:
-        return any(lo <= address < hi for lo, hi in self._reserved)
+        return DEFAULT_ALLOC_BASE <= address < self._alloc_cursor
 
     def page_present(self, address: int) -> bool:
         page = self.pages.lookup(address // PAGE_SIZE)
@@ -245,14 +246,20 @@ class Guest:
     # -- hooks and faults ----------------------------------------------
 
     def install_hidden_hook(self, address: int, hooked_bytes: bytes) -> None:
-        page = self.pages.lookup(address // PAGE_SIZE)
-        if page is None or not page.perms.present:
+        """Hook every page the bytes overlap: a read of a hooked page is
+        served the copy it held before its first hook, and a fetch runs
+        the hooked bytes.  A page in the span that is unmapped or not
+        present raises SimulationError, and then no page changes."""
+        numbers = range(address // PAGE_SIZE,
+                        (address + max(len(hooked_bytes), 1) - 1) // PAGE_SIZE + 1)
+        pages = [self.pages.lookup(number) for number in numbers]
+        if None in pages or not all(page.perms.present for page in pages):
             raise SimulationError(f"cannot hook non-present page at {_hex(address)}")
-        if page.pristine is None:
-            page.pristine = bytearray(page.content)
-        offset = address % PAGE_SIZE
-        page.content[offset : offset + len(hooked_bytes)] = hooked_bytes
-        page.perms.hidden_hook = True
+        for page in pages:
+            if page.pristine is None:
+                page.pristine = bytearray(page.content)
+            page.perms.hidden_hook = True
+        self.write_memory(address, hooked_bytes)  # content only, once hooked
 
     def inject_page_fault(self, address: int) -> str:
         """Materialize a demand-zero page; 'injected' or 'already-present'."""
@@ -645,8 +652,7 @@ def legacy_transition_detect(guest: Guest, model: ProgramModel) -> list[tuple[in
     known mode, a fetch in the other mode raises a page fault that the
     monitor intercepts and turns into a transition report.
     """
-    log = run(guest, model, TrapConfig(transition_mode="legacy"))
-    return transitions(log)
+    return transitions(run(guest, model))
 
 
 def transitions(log: TraceLog) -> list[tuple[int, str]]:

@@ -14,15 +14,16 @@ parameters are read from, its sub-sp amounts and its runs of XMM
 zeroing stores.  A call is kept as its event's index, and its other
 fields are read from the columns.  collect_bases adds two more
 passes, the allocator hooks (find_allocations, the instr column) and
-the touched pages (_TouchedMemory, the address column).  These keep
-their own passes: each reads one column, and reconstruct_layout needs
-them without the frames.  reconstruct_layout finds the accesses inside
-its window from the address column and builds an event for those alone.
+the touched pages (_Pointers, the address column).  These keep their
+own passes: each reads one column, and reconstruct_layout needs them
+without the frames.  reconstruct_layout finds the accesses inside its
+window from the address column and builds an event for those alone.
 
-A value counts as a pointer when it falls inside a known allocation (one
-bisection in an OwnerIndex) or in mapped memory, and mapped memory is
-the set of pages the trace touched plus the main-module range: an
-address no event came near is never taken for a pointer.
+Every pointer decision tests one set, _Pointers: a non-zero value
+counts as a pointer when it falls inside a known allocation (one
+bisection in an OwnerIndex), in a page the trace touched or in the
+main-module range.  An address no event came near is never taken for
+a pointer.
 """
 
 from __future__ import annotations
@@ -171,29 +172,23 @@ def find_allocations(log: TraceLog) -> list[AllocationRecord]:
     return records
 
 
-class _TouchedMemory:
-    """Mapped-memory model: the pages any event touched, plus the module.
-
-    A lookup is one set probe and one range test; the module range from
-    the trace header is never expanded page by page.
+class _Pointers:
+    """The values taken for pointers: a non-zero value that lies in one
+    of the allocations, in a page any event of the log touched, or in
+    the log's module range.  A lookup is one set probe, one range test
+    and one bisection; the module range is never expanded page by page.
     """
 
-    def __init__(self, log: TraceLog):
+    def __init__(self, log: TraceLog,
+                 allocations: Iterable[AllocationRecord] = ()):
+        self.owners = OwnerIndex(allocations)
         self.pages = {address // PAGE_SIZE for address in log.columns.address}
         self.module_lo, self.module_hi = log.module_range
 
-    def __contains__(self, address: int) -> bool:
-        return (address // PAGE_SIZE in self.pages
-                or self.module_lo <= address < self.module_hi)
-
-
-def _is_pointer_value(value: Optional[int], owners: OwnerIndex,
-                      mapped: Container[int]) -> bool:
-    if value is None or value == 0:
-        return False
-    if owners.owner(value) is not None:
-        return True
-    return value in mapped
+    def __contains__(self, value: Optional[int]) -> bool:
+        return bool(value) and (value // PAGE_SIZE in self.pages
+                                or self.module_lo <= value < self.module_hi
+                                or self.owners.owner(value) is not None)
 
 
 def _frames(log: TraceLog) -> tuple[list, list[AllocationRecord]]:
@@ -265,11 +260,10 @@ def recover_calls(log: TraceLog,
                   ) -> list[CallRecord]:
     """Fastcall parameters of every call/api-call event, in seq order.
 
-    The stack parameters come from _frames.  Pointer flags test the
-    allocations, through one OwnerIndex, and _TouchedMemory.
+    The stack parameters come from _frames.  Pointer flags test
+    _Pointers over the allocations.
     """
-    owners = OwnerIndex(allocations)
-    mapped = _TouchedMemory(log)
+    pointers = _Pointers(log, allocations)
     records = []
     for at, stack_params in _frames(log)[0]:
         seq, tid, _, _, _, _, instr, rip, value, args = log.events[at]
@@ -285,7 +279,7 @@ def recover_calls(log: TraceLog,
             stack_params=stack_params,
             param_count=param_count,
             return_address=value,
-            pointer_flags=tuple(_is_pointer_value(v, owners, mapped)
+            pointer_flags=tuple(v in pointers
                                 for v in reg_params + stack_params),
             seq=seq,
             thread_id=tid,
@@ -337,14 +331,13 @@ def collect_bases(log: TraceLog) -> list[AllocationRecord]:
     stack-pattern records together.
     """
     heap = find_allocations(log)
-    owners = OwnerIndex(heap)
-    mapped = _TouchedMemory(log)
+    pointers = _Pointers(log, heap)
     merged = {record.base: record for record in heap}
     calls, stack = _frames(log)
     args, rips = log.columns.register_args, log.columns.rip
     for at, stack_params in calls:
         for value in (args[at] or (0, 0, 0, 0)) + stack_params:
-            if value not in merged and _is_pointer_value(value, owners, mapped):
+            if value not in merged and value in pointers:
                 merged[value] = AllocationRecord(
                     base=value, size=0, source="call-param", site_rip=rips[at])
     for record in stack:
@@ -360,12 +353,11 @@ _SIGNED = {
 _FLOAT = {4: "float", 8: "double"}
 
 
-def _infer_field_type(accesses: Sequence[AccessEvent], owners: OwnerIndex,
-                      mapped: Container[int]) -> FieldRecord:
+def _infer_field_type(accesses: Sequence[AccessEvent],
+                      pointers: Container[Optional[int]]) -> FieldRecord:
     """Assign a primitive category to all accesses at one offset.
 
-    An 8-byte value is a pointer when it lies in an allocation (one of
-    `owners`) or in `mapped`, any container of mapped addresses.
+    An 8-byte value is a pointer when it is in `pointers`.
     """
     offsets = {a.address for a in accesses}
     if len(offsets) != 1:
@@ -379,10 +371,7 @@ def _infer_field_type(accesses: Sequence[AccessEvent], owners: OwnerIndex,
         category = "char-array"
     elif is_float and size in _FLOAT:
         category = _FLOAT[size]
-    elif size == 8 and any(
-        _is_pointer_value(a.value, owners, mapped)
-        for a in accesses
-    ):
+    elif size == 8 and any(a.value in pointers for a in accesses):
         category = "pointer"
     else:
         category = _SIGNED[size] if signed else "unsigned " + _SIGNED[size]
@@ -404,8 +393,7 @@ def reconstruct_layout(log: TraceLog, base: int,
     indistinguishable from one.
     """
     window = size_hint or DEFAULT_WINDOW
-    owners = OwnerIndex(find_allocations(log))
-    mapped = _TouchedMemory(log)
+    pointers = _Pointers(log, find_allocations(log))
     by_offset: dict[int, list[AccessEvent]] = {}
     addresses, events = log.columns.address, log.events
     inside = [at for at, address in zip(count(), addresses)
@@ -421,7 +409,7 @@ def reconstruct_layout(log: TraceLog, base: int,
     typed: list[FieldRecord] = []
     end = 0
     for offset in sorted(by_offset):
-        record = _infer_field_type(by_offset[offset], owners, mapped)
+        record = _infer_field_type(by_offset[offset], pointers)
         record.offset = offset
         if offset < end:
             # Access inside an already-typed extent: fold into evidence.
@@ -484,8 +472,7 @@ def _note_stride_runs(fields: list[FieldRecord]) -> None:
             and b.size == a.size and b.offset == a.offset + a.size)):
         if len(run) >= 3:
             for member in run:
-                if ARRAY_RUN_NOTE not in member.notes:
-                    member.notes.append(ARRAY_RUN_NOTE)
+                member.notes.append(ARRAY_RUN_NOTE)
 
 
 def render_layout_c(layout: LayoutRecord) -> str:

@@ -23,7 +23,7 @@ from memtrace.recon import (
     AllocationRecord,
     CallRecord,
     _maximal_runs,
-    _TouchedMemory,
+    _Pointers,
     find_allocations,
 )
 from memtrace.signature import (
@@ -466,7 +466,7 @@ def reference_collect_bases(log: TraceLog) -> list[AllocationRecord]:
     pointer parameters in call order, then the stack patterns, a later
     source never replacing a base; sorted by base."""
     heap = find_allocations(log)
-    mapped = _TouchedMemory(log)
+    mapped = _Pointers(log)
     merged = {}
     for record in heap:
         merged[record.base] = record

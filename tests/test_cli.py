@@ -415,19 +415,26 @@ class TestSimulationAndRulesErrors:
                         '{"op": "mov-read", "addr": "0x91e40000", "size": 4}\n')
         assert_exit_2(capsys, ["simulate", str(path)])
 
-    @pytest.mark.parametrize("rules", [
-        {"a": 1},
-        [{"name": "r", "steps": 5}],
-        [{"name": "r", "steps": []}],
-    ], ids=["object", "scalar-steps", "empty-steps"])
-    def test_malformed_rules_file_is_exit_2(self, tmp_path, capsys, rules):
+    @pytest.mark.parametrize("rules, message", [
+        ({"a": 1}, "a rules file holds a JSON list of rules"),
+        ([{"name": "r", "steps": 5}], "rule 'r': steps must be"),
+        ([{"name": "r", "steps": []}], "rule 'r': steps must be"),
+        ([{"steps": ["a"]}], "every rule is an object with a string name"),
+        ([{"name": 5, "steps": ["a"]}],
+         "every rule is an object with a string name"),
+        (["a"], "every rule is an object with a string name"),
+    ], ids=["object", "scalar-steps", "empty-steps", "no-name",
+            "number-name", "string-entry"])
+    def test_malformed_rules_file_is_exit_2(self, tmp_path, capsys, rules,
+                                            message):
         model = write_model(tmp_path, basic_ops())
         trace_path = str(tmp_path / "t.jsonl")
         main(["simulate", model, "--out", trace_path])
         path = tmp_path / "rules.json"
         path.write_text(json.dumps(rules))
         capsys.readouterr()
-        assert_exit_2(capsys, ["flags", trace_path, "--rules", str(path)])
+        err = assert_exit_2(capsys, ["flags", trace_path, "--rules", str(path)])
+        assert err.startswith(f"error: {message}")
 
 
     @pytest.mark.parametrize("line", ["null", "5", "[]"])

@@ -238,6 +238,39 @@ class TestHiddenHooks:
         with pytest.raises(SimulationError):
             guest.install_hidden_hook(0x3000, b"\xcc")
 
+    def test_second_hook_keeps_the_first_pristine_copy(self):
+        guest = fresh_guest()
+        guest.write_memory(0x3000, b"\x01\x02")
+        guest.install_hidden_hook(0x3000, b"\xcc")
+        guest.install_hidden_hook(0x3001, b"\xdd")
+        assert bytes(guest.pages[3].content[:2]) == b"\xcc\xdd"
+        assert guest.read_memory(0x3000, 2) == b"\x01\x02"
+
+    def test_hook_across_a_page_end_hooks_every_page_it_spans(self):
+        guest = Guest()
+        guest.map_range(0x3000, 0x5000)
+        guest.write_memory(0x3ffe, b"\x01\x02\x03\x04\x05")
+        guest.install_hidden_hook(0x3ffe, b"\xcc" * 5)
+        for number in (3, 4):
+            page = guest.pages[number]
+            assert len(page.content) == len(page.pristine) == PAGE_SIZE
+            assert page.perms.hidden_hook
+        assert bytes(guest.pages[3].content[-2:]) == b"\xcc" * 2
+        assert bytes(guest.pages[4].content[:3]) == b"\xcc" * 3
+        assert guest.read_memory(0x3ffe, 5) == b"\x01\x02\x03\x04\x05"
+
+    @pytest.mark.parametrize("second", ["unmapped", "absent"])
+    def test_hook_across_a_page_end_changes_nothing_on_error(self, second):
+        guest = Guest()
+        guest.map_range(0x3000, 0x4000 if second == "unmapped" else 0x5000)
+        guest.write_memory(0x3ff0, b"\x01")  # builds page 3
+        if second == "absent":
+            guest.pages[4].perms.present = False
+        before = _page_state(guest)
+        with pytest.raises(SimulationError, match="cannot hook"):
+            guest.install_hidden_hook(0x3ffe, b"\xcc" * 5)
+        assert _page_state(guest) == before
+
 
 # Pages 0x10-0x15: 0x12 and 0x14 are unmapped, 0x10 is mapped but not
 # built until first touched, 0x11 and 0x13 hooked, and 0x15 keeps a
@@ -674,6 +707,21 @@ class TestEntryCapture:
         assert entry == MODULE_PAGE * PAGE_SIZE
         entry_event = prefix.events[-1]
         assert entry_event.cpl == "user"
+
+    def test_absent_entry_page_outside_the_module_range(self):
+        """An entry page that no range maps is never built up front: the
+        first fetch on it injects a page fault, and capture finds the
+        entry there."""
+        model = make_model([ModelOp("mov-write", addr=0x3000, size=4,
+                                    value=1)],
+                           entry_present=False,
+                           module_range=(0x500000, 0x501000))
+        assert build_guest(model).pages.lookup(MODULE_PAGE) is None
+        entry, _ = capture_entry_point(build_guest(model), model)
+        assert entry == 0x401000
+        log = run(build_guest(model), model)
+        assert [(e.kind, e.instr.category, e.address) for e in log.events] == [
+            ("read", "page-fault", 0x401000), ("write", "int-move", 0x3000)]
 
     def test_model_never_reaching_entry_errors(self):
         model = make_model([ModelOp("nop", rip=0x500000)],

@@ -24,7 +24,7 @@ from memtrace.recon import (
     recover_calls,
     render_layout_c,
     _infer_field_type,
-    _TouchedMemory,
+    _Pointers,
 )
 from memtrace.guest import ModelOp
 from memtrace.trace import AccessEvent, InstrDescriptor, TraceLog
@@ -307,7 +307,7 @@ def make_access(address, size=4, cat="int-move", sign="signed", value=None,
 
 def infer_field(accesses, allocations=()):
     """_infer_field_type over the allocations, with nothing else mapped."""
-    return _infer_field_type(accesses, OwnerIndex(allocations), ())
+    return _infer_field_type(accesses, _Pointers(TraceLog(), allocations))
 
 
 class TestInferFieldType:
@@ -383,6 +383,18 @@ class TestReconstructLayout:
         first = reconstruct_layout(log, 0x9000, size_hint=16).fields[0]
         assert (first.offset, first.size, first.evidence_count) == (0, 8, 1)
         assert CONFLICT_NOTE not in first.notes
+
+    def test_folded_accesses_note_the_conflict_once(self):
+        """Accesses inside an already-typed extent add their evidence to
+        it, and one conflict note."""
+        b = LogBuilder()
+        b.add("write", 0x9000, size=8, value=1)
+        b.add("write", 0x9002, size=1, value=2)
+        b.add("write", 0x9004, size=1, value=3)
+        [field] = reconstruct_layout(b.log(), 0x9000, size_hint=8).fields
+        assert (field.offset, field.size, field.category,
+                field.evidence_count) == (0, 8, "long long", 3)
+        assert field.notes == [CONFLICT_NOTE]
 
     def test_heap_manager_noise_filtered_by_rip(self):
         b = LogBuilder()
@@ -665,7 +677,7 @@ def test_recover_calls_matches_per_call_reference(specs):
             b.add(kind, address, value=value, tid=tid)
     log = b.log()
     allocations = find_allocations(log)
-    mapped = _TouchedMemory(log)
+    mapped = _Pointers(log)
     calls = [e for e in log.events if e.instr.category in ("call", "api-call")]
     expected = [reference_recover_call(log, e, allocations, mapped)
                 for e in calls]

@@ -219,6 +219,14 @@ class TestParseSerialize:
                            match="^line 2: unknown signedness 'maybe'$"):
             parse_trace(data)
 
+    def test_shape_without_cat_rejected(self):
+        data = (json.dumps(HEADER) + '\n'
+                '[0, 1, "u", "w", "0x10", 4, "0x20", {"sign": "n/a"},'
+                ' null, null]\n')
+        with pytest.raises(TraceParseError,
+                           match="^line 2: a shape object needs cat and sign$"):
+            parse_trace(data)
+
     def test_duplicate_seq_rejected(self):
         log = TraceLog(events=(make_event(seq=5),), module_range=(0, 0x1000))
         line = serialize_trace(log).decode().strip().split("\n")[1]
@@ -1142,6 +1150,15 @@ def test_event_view_is_the_tuple_of_events(drawn, data):
     rising = slice(cut.start, cut.stop, abs(cut.step or 1))
     assert TraceLog(view[rising], module_range).events == events[rising]
     assert_built_as_constructed(view)
+
+
+def test_event_view_never_equals_a_list():
+    """A view compares only with a view or a tuple: against a list of
+    its own events __eq__ gives NotImplemented, so == is False."""
+    events = (make_event(seq=0), make_event(seq=1))
+    view = TraceLog(events, (0, 0x1000)).events
+    assert view.__eq__(list(events)) is NotImplemented
+    assert (view == list(events)) is False
 
 
 @given(drawn=writer_events())
