@@ -287,21 +287,15 @@ class Guest:
 
     def write_memory(self, address: int, data: bytes) -> None:
         """Write bytes page by page; the pages before an unmapped one keep
-        what was written to them.  An unhooked page's pristine copy
-        follows its content."""
+        what was written to them."""
         size = len(data)
         lo = address % PAGE_SIZE
         page = self.pages.get(address // PAGE_SIZE)
         if page is not None and 0 < size <= PAGE_SIZE - lo:  # one built page
             page.content[lo:lo + size] = data
-            if page.pristine is not None and not page.perms.hidden_hook:
-                page.pristine[lo:lo + size] = data
             return
         for start, page, lo, hi in self._page_spans(address, size, "write to"):
-            chunk = data[start:start + hi - lo]
-            page.content[lo:hi] = chunk
-            if page.pristine is not None and not page.perms.hidden_hook:
-                page.pristine[lo:hi] = chunk
+            page.content[lo:hi] = data[start:start + hi - lo]
 
     def _page_spans(self, address: int, size: int, action: str):
         """Yield (start, page, lo, hi) for each page that [address,

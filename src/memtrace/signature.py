@@ -5,7 +5,9 @@ sequences whose elements pairwise differ by at most an alignment
 threshold tau, by dynamic programming.  The DP is bit-parallel: each
 row updates every column at once, with the run lengths held as binary
 digit slices in Python ints, so an m x n match costs O(m log L)
-big-int operations rather than m n interpreted steps.  Every other
+big-int operations rather than m n interpreted steps: O(log L) per row
+for the slice update, and for the test for a new longest run O(1) after
+a row that raised it, or O(log L) otherwise.  Every other
 question about two patterns is answered from that one sweep: the
 normalized similarity score, and a greedy diff that splits ranges off a
 worklist to localize source-level modifications between near-identical
@@ -100,15 +102,22 @@ def _sweep(first: Sequence[int], second: Sequence[int], tau: int,
     as binary digit slices: bit j of digits[k] is bit k of D[i][j].  A
     row shifts every slice by one column, clears the columns that are not
     near, and adds one to the near columns by a ripple carry.  A run
-    grows by at most one per row, so a new maximum is best + 1; one
-    slice-equality test per row finds its columns and the lowest set bit
-    the earliest one.  The run at (i - 1, j) ends unless (i, j + 1) is
-    near, and is at least two long when (i - 2, j - 1) is near too, so
-    the ended runs worth decoding are a few masks away; their lengths are
-    read from the slices before row i overwrites them.  Cost: O(m log L)
-    operations on n-bit ints, about m n log L / 64 word operations for
-    the longest run L, plus n + 1 prefix masks of n bits and O(log L)
-    per collected run.  A negative tau makes no pair near.
+    grows by at most one per row, so a new maximum is best + 1, reached
+    only in a column whose diagonal predecessor held best.  After a row
+    that raised the best, the columns that hold it are that row's hits,
+    kept as `top`, and the next row's hits are `top` shifted by one
+    column and masked by the near set; after any other row, one
+    slice-equality test finds them.  The first row to reach best + 1,
+    at the lowest set bit of its hits, is the row-major earliest cell.
+    The run at (i - 1, j) ends unless (i, j + 1) is near, and is at least
+    two long when (i - 2, j - 1) is near too, so the ended runs worth
+    decoding are a few masks away; their lengths are read from the slices
+    before row i overwrites them.  Cost per row, in operations on n-bit ints: O(log L) for the
+    slice update for the longest run L, plus O(1) for the best test
+    after a row that raised the best, or O(log L) otherwise; in all
+    O(m log L), about m n log L / 64 word operations, plus n + 1 prefix
+    masks of n bits and O(log L) per collected run.  A negative tau
+    makes no pair near.
     """
     m, n = len(first), len(second)
     best_len = 0
@@ -122,6 +131,7 @@ def _sweep(first: Sequence[int], second: Sequence[int], tau: int,
             prefix.append(prefix[-1] | 1 << j)
         digits: list[int] = []  # digits[k]: bit k of every column's run
         row = above = 0  # the near sets of rows i - 1 and i - 2
+        top = 0  # the columns at best_len, if row i - 1 raised it
         for i, a in enumerate(first):
             near_mask = (prefix[bisect_right(values, a + tau)]
                          ^ prefix[bisect_left(values, a - tau)])
@@ -139,14 +149,17 @@ def _sweep(first: Sequence[int], second: Sequence[int], tau: int,
                 digits.append(carry)
             while digits and not digits[-1]:
                 digits.pop()
-            target = best_len + 1
-            if target.bit_length() > len(digits):
+            if top:
+                hits = (top << 1) & near_mask
+            elif (target := best_len + 1).bit_length() > len(digits):
                 continue
-            hits = near_mask
-            for k, digit in enumerate(digits):
-                hits &= digit if target >> k & 1 else ~digit
+            else:
+                hits = near_mask
+                for k, digit in enumerate(digits):
+                    hits &= digit if target >> k & 1 else ~digit
+            top = hits
             if hits:
-                best_len, best_i = target, i
+                best_len, best_i = best_len + 1, i
                 best_j = (hits & -hits).bit_length() - 1
         if collect:
             # Every run still open in the last row ends there.
@@ -409,6 +422,6 @@ def read_signature(data) -> tuple[AddressPattern, int]:
         raise ValueError("a signature needs offsets and base")
     values = _decode(_SIGNATURE_FIELDS, record)
     tau = values.pop("tau_default", DEFAULT_TAU)
-    pattern = AddressPattern(**values)
+    pattern = AddressPattern._read(**values)
     _TAU.check(_TAU.name, tau)
     return pattern, tau

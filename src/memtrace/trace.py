@@ -311,13 +311,25 @@ class AddressPattern:
     base: int = 0
     sizes: Optional[tuple[int, ...]] = None
 
-    def __post_init__(self):
-        _check(_PATTERN_FIELDS, self)
+    def __post_init__(self, table=None):
+        _check(_PATTERN_FIELDS if table is None else table, self)
         if self.sizes is not None and len(self.sizes) != len(self.offsets):
             raise ValueError("sizes and offsets differ in length")
         object.__setattr__(self, "offsets", tuple(self.offsets))
         if self.sizes is not None:
             object.__setattr__(self, "sizes", tuple(self.sizes))
+
+    @classmethod
+    def _read(cls, base=0, offsets=(), sizes=None) -> "AddressPattern":
+        """The pattern of the values _decode read by _PATTERN_FIELDS.
+        A tuple among them is one that _Ints.read took as ints, so the
+        constructor's checks run on the other values and the lengths
+        only: the ints are not scanned a second time."""
+        pattern = cls.__new__(cls)
+        pattern.__dict__.update(base=base, offsets=offsets, sizes=sizes)
+        pattern.__post_init__([field for field in _PATTERN_FIELDS if type(
+            getattr(pattern, field.name)) is not tuple])
+        return pattern
 
     # Kept for bench/spans.py: its signature.lcmap.cells counter calls it.
     def __len__(self):

@@ -364,8 +364,6 @@ def reference_write_memory(guest: Guest, address: int, data: bytes) -> None:
         if page is None:
             raise SimulationError(f"write to unmapped {_hex(addr)}")
         page.content[addr % PAGE_SIZE] = byte
-        if page.pristine is not None and not page.perms.hidden_hook:
-            page.pristine[addr % PAGE_SIZE] = byte
 
 
 # -- per-call fastcall oracle ------------------------------------------

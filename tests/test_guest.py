@@ -273,9 +273,7 @@ class TestHiddenHooks:
 
 
 # Pages 0x10-0x15: 0x12 and 0x14 are unmapped, 0x10 is mapped but not
-# built until first touched, 0x11 and 0x13 hooked, and 0x15 keeps a
-# pristine copy with its hook flag cleared, so writes there must update
-# both views.
+# built until first touched, and 0x11, 0x13 and 0x15 hooked.
 MEMORY_PAGES = range(0x10, 0x16)
 
 
@@ -291,7 +289,6 @@ def _memory_guest(seed: int) -> Guest:
     guest.install_hidden_hook(0x11 * PAGE_SIZE + 7, b"\xcc" * 9)
     guest.install_hidden_hook(0x13 * PAGE_SIZE + PAGE_SIZE - 3, b"\xcc\xcc")
     guest.install_hidden_hook(0x15 * PAGE_SIZE, b"\xcc")
-    guest.pages[0x15].perms.hidden_hook = False
     return guest
 
 

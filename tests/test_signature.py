@@ -48,7 +48,8 @@ from helpers import (
 @st.composite
 def lcmap_cases(draw):
     """(p, q, tau) with empty, dense (span <= tau), sparse, duplicate,
-    negative and >= 2^64 offsets, and near-runs of p planted in q."""
+    negative and >= 2^64 offsets, and near-runs of p planted in q, once
+    or twice."""
     tau = draw(st.one_of(st.just(0), st.integers(-3, -1), st.integers(1, 200)))
     base = draw(st.sampled_from([0, -(1 << 20), (1 << 64) - 64, 1 << 70]))
     values = draw(st.sampled_from([
@@ -65,8 +66,9 @@ def lcmap_cases(draw):
         stop = draw(st.integers(start, len(p)))
         jitter = st.integers(-max(tau, 0), max(tau, 0))
         run = [x + draw(jitter) for x in p[start:stop]]
-        at = draw(st.integers(0, len(q)))
-        q = q[:at] + run + q[at:]
+        for _ in range(draw(st.integers(1, 2))):
+            at = draw(st.integers(0, len(q)))
+            q = q[:at] + run + q[at:]
     return p, q, tau
 
 
@@ -208,6 +210,44 @@ class TestLcmap:
         result = lcmap([5, 6, 99, 5, 6], [5, 6], tau=0)
         assert result.length == 2
         assert result.end_index == 1
+
+    # The sweep finds a new longest run from the columns that held the
+    # old one, and falls back to a test of every column in the row after
+    # one where none of them grew.
+    @staticmethod
+    def _assert_oracles(p, q, tau=0):
+        got = lcmap(p, q, tau)
+        want = reference_lcmap(p, q, tau)
+        assert (got.length, got.end_index, got.end_index_prime) == want
+        assert brute_lcmap(p, q, tau) == want
+        return want
+
+    def test_run_planted_twice_ends_in_the_earlier_column(self):
+        # Both copies reach each new longest run in the same row.
+        p = [1, 2, 3, 4]
+        q = [9, 1, 2, 3, 4, 9, 1, 2, 3, 4]
+        assert self._assert_oracles(p, q) == (4, 3, 4)
+
+    def test_runner_up_takes_over_where_the_leader_breaks(self):
+        # The run in columns 0-2 reaches 3 in row 2 and breaks in row 3,
+        # where the run from column 4 ties it at 3; row 4 raises the best
+        # to 4 through the test of every column.
+        p = [1, 2, 3, 4, 5, 6]
+        q = [1, 2, 3, 9, 2, 3, 4, 5, 6]
+        assert self._assert_oracles(p, q) == (5, 5, 8)
+
+    def test_leader_growing_in_the_last_row_of_a_box(self):
+        # The box after the first split ends while its longest run,
+        # 20-23, still grows.
+        p = list(range(10)) + [500, 20, 21, 22, 23]
+        q = list(range(10)) + [600, 20, 21, 22, 23]
+        assert self._assert_oracles(p, q) == (10, 9, 9)
+        assert self._assert_oracles(p[10:], q[10:]) == (4, 4, 4)
+        assert signature._sweep(p[10:], q[10:], 0, collect=True) == (
+            4, 4, 4, [(1, 1, 4)])
+        report = diff_modified(p, q, tau=0, threshold=0)
+        assert report == reference_diff(p, q, tau=0, threshold=0)
+        assert report.matched == [((0, 10), (0, 10)), ((11, 15), (11, 15))]
 
     def test_brute_force_oracle_random(self):
         rng = random.Random(13)
