@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -34,6 +35,19 @@ def _non_negative_int(text: str) -> int:
             f"{trace._shown(text)} is not an integer") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"{trace._shown(text)} is negative")
+    return value
+
+
+def _threshold(text: str) -> float:
+    """argparse type for --threshold: any float but NaN, which every
+    ratio compares false with, so that match would never match and diff
+    never decline."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"{trace._shown(text)} is not a number")
     return value
 
 
@@ -218,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("first")
         p.add_argument("second")
         p.add_argument("--tau", type=_non_negative_int, default=None)
-        p.add_argument("--threshold", type=float,
+        p.add_argument("--threshold", type=_threshold,
                        default=signature.DEFAULT_MATCH_THRESHOLD)
         p.set_defaults(func=func, usage_error=p.error)
 

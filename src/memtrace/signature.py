@@ -226,9 +226,11 @@ def extract_pattern(log: TraceLog,
     Each access inside a known allocation is taken relative to the base
     of the first one in `bases` that contains it, found by one bisection
     in an OwnerIndex; leftovers fall back to the lowest address among
-    them.  Without an event_filter the events are the program's own
-    reads and writes: those from the main module, less injected page
-    faults.
+    them, the floor (0 when there are none).  The pattern's base is the
+    first base's when accesses are selected and every one is owned,
+    else the floor.  Without an event_filter the events are the
+    program's own reads and writes: those from the main module, less
+    injected page faults.
     """
     if event_filter is None:
         selected = _program_accesses(log)
@@ -236,27 +238,14 @@ def extract_pattern(log: TraceLog,
         selected = [at for at, event in enumerate(log.events)
                     if event_filter(event)]
     addresses = list(map(log.columns.address.__getitem__, selected))
-    owners = OwnerIndex(bases)
-    resolved: list[Optional[int]] = []
-    leftovers = []
-    for address in addresses:
-        owner = owners.owner(address)
-        if owner is None:
-            resolved.append(None)
-            leftovers.append(address)
-        else:
-            resolved.append(address - owner.base)
-    floor = min(leftovers) if leftovers else 0
-    offsets = [
-        (address - floor) if off is None else off
-        for off, address in zip(resolved, addresses)
-    ]
-    if not selected:
-        return AddressPattern(offsets=(), base=0, sizes=())
-    base = floor if leftovers else (bases[0].base if bases else 0)
+    owners = list(map(OwnerIndex(bases).owner, addresses))
+    leftovers = [address for address, owner in zip(addresses, owners)
+                 if owner is None]
+    floor = min(leftovers, default=0)
     return AddressPattern(
-        offsets=tuple(offsets),
-        base=base,
+        offsets=tuple(address - (floor if owner is None else owner.base)
+                      for address, owner in zip(addresses, owners)),
+        base=bases[0].base if bases and selected and not leftovers else floor,
         sizes=tuple(map(log.columns.operand_size.__getitem__, selected)),
     )
 

@@ -356,6 +356,36 @@ class TestUsageErrors:
             assert err.count("\n") == 1
             assert err.startswith("error: line 1: columns must be ")
 
+    @pytest.mark.parametrize("command, second", [
+        ("match", "golden.sig"),
+        ("diff", "golden-edit.sig"),
+    ])
+    def test_nan_threshold_exit_2(self, capsys, command, second):
+        """Every ratio compares false with NaN, so match would say
+        no-match (exit 1) and diff would never decline: a usage error."""
+        argv = [command, str(DATA / "golden.sig"), str(DATA / second),
+                "--threshold", "nan"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"memtrace {command}: error: argument --threshold: "
+            "'nan' is not a number\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["match", "golden.sig", "golden.sig", "--threshold", "inf"], 1),
+        (["diff", "golden.sig", "golden.sig", "--threshold", "inf"], 1),
+        (["match", "golden.sig", "golden-edit.sig", "--threshold", "-1"], 0),
+        (["diff", "golden.sig", "golden-edit.sig", "--threshold", "-1"], 0),
+    ])
+    def test_infinite_and_negative_thresholds_are_numbers(self, capsys, argv,
+                                                          code):
+        """No ratio reaches inf, and every ratio reaches a negative one."""
+        command, first, second, *rest = argv
+        assert main([command, str(DATA / first), str(DATA / second),
+                     *rest]) == code
+        assert capsys.readouterr().err == ""
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 

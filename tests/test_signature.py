@@ -433,8 +433,10 @@ class TestExtractPattern:
     def test_owner_is_first_containing_base(self, bases, rng):
         # An event's address is never negative.
         addresses = [a for a in probe_addresses(bases, rng) if a >= 0]
+        sizes = [rng.choice((1, 2, 4, 8)) for _ in addresses]
         log = TraceLog(
-            events=tuple(make_event(i, a) for i, a in enumerate(addresses)),
+            events=tuple(make_event(i, a, size) for i, (a, size)
+                         in enumerate(zip(addresses, sizes))),
             module_range=MODULE_RANGE,
         )
         owners = [first_owner(bases, a) for a in addresses]
@@ -442,11 +444,30 @@ class TestExtractPattern:
         floor = min(leftovers, default=0)
         want = tuple(a - (floor if b is None else b.base)
                      for a, b in zip(addresses, owners))
-        assert extract_pattern(log, bases).offsets == want
+        pattern = extract_pattern(log, bases)
+        assert pattern.offsets == want
+        # The first base's when every selected access is owned, else the
+        # floor.
+        assert pattern.base == (bases[0].base if addresses and not leftovers
+                                else floor)
+        assert pattern.sizes == tuple(sizes)
+        # Selecting only the owned accesses leaves no floor to fall back
+        # on: the base is the first base's, or 0 when none is owned.
+        owned = [at for at, b in enumerate(owners) if b is not None]
+        pattern = extract_pattern(
+            log, bases, lambda e: first_owner(bases, e.address) is not None)
+        assert pattern.offsets == tuple(want[at] for at in owned)
+        assert pattern.base == (bases[0].base if owned else 0)
+        assert pattern.sizes == tuple(sizes[at] for at in owned)
 
     def test_empty_log(self):
-        pattern = extract_pattern(TraceLog(module_range=MODULE_RANGE))
-        assert pattern.offsets == ()
+        for bases in ((), [AllocationRecord(base=0x9000, size=0x100,
+                                            source="heap-hook")]):
+            pattern = extract_pattern(TraceLog(module_range=MODULE_RANGE),
+                                      bases)
+            assert pattern.offsets == ()
+            assert pattern.base == 0
+            assert pattern.sizes == ()
 
     def test_sizes_carried(self):
         log = TraceLog(events=(make_event(0, 0x5000, size=8),),
