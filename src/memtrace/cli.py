@@ -63,20 +63,24 @@ def _parse_base(text: str) -> int:
     return int(text, 16)
 
 
-def _write_out(out: Optional[str], data: bytes) -> None:
+def _write_out(out: Optional[str], data: bytes, count: str = "") -> None:
+    """Write `data` to the file `out` and `count` to stdout; or, when `out`
+    is None or "-", `data` alone to stdout and `count` to stderr."""
     if out is None or out == "-":
         sys.stdout.buffer.write(data)
+        sys.stderr.write(count)
     else:
         with open(out, "wb") as handle:
             handle.write(data)
+        sys.stdout.write(count)
 
 
 def cmd_simulate(args) -> int:
     model = _load(guest_mod.parse_model, args.model)
     g = guest_mod.build_guest(model)
     log = guest_mod.run(g, model)
-    _write_out(args.out, trace.serialize_trace(log))
-    print(f"{len(log.events)} events")
+    _write_out(args.out, trace.serialize_trace(log),
+               f"{len(log.events)} events\n")
     return EXIT_OK
 
 
@@ -110,8 +114,8 @@ def cmd_sign(args) -> int:
     bases = recon.collect_bases(log)
     pattern = signature.extract_pattern(log, bases)
     tau = signature.DEFAULT_TAU if args.tau is None else args.tau
-    _write_out(args.out, signature.write_signature(pattern, tau=tau))
-    print(f"{len(pattern.offsets)} offsets")
+    _write_out(args.out, signature.write_signature(pattern, tau=tau),
+               f"{len(pattern.offsets)} offsets\n")
     return EXIT_OK
 
 
@@ -162,11 +166,10 @@ def cmd_bases(args) -> int:
 def _load_rules(path: Optional[str]):
     if path is None:
         return recon.EVASIVE_SEQUENCES
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            raw = json.load(handle)
-        except RecursionError:
-            raise ValueError("rules JSON is nested too deeply") from None
+    try:
+        raw = _load(lambda data: json.loads(data.decode("utf-8")), path)
+    except RecursionError:
+        raise ValueError("rules JSON is nested too deeply") from None
     if not isinstance(raw, list):
         raise ValueError("a rules file holds a JSON list of rules")
     rules = []
@@ -176,7 +179,8 @@ def _load_rules(path: Optional[str]):
         steps = entry.get("steps")
         if not isinstance(steps, list) or not steps or not all(
             isinstance(step, str)
-            or isinstance(step, list) and all(isinstance(s, str) for s in step)
+            or isinstance(step, list) and step
+            and all(isinstance(s, str) for s in step)
             for step in steps
         ):
             raise ValueError(f"rule {trace._shown(entry['name'])}: steps must "
@@ -274,9 +278,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (trace.TraceError, guest_mod.ModelParseError,
-            guest_mod.SimulationError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (guest_mod.SimulationError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -193,20 +193,25 @@ class TestMatchAndDiff:
             assert signature.read_signature(handle.read())[1] == 7
 
     def test_sign_without_out_writes_the_signature_to_stdout(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, capsys):
+        """stdout holds the signature alone, so that it reads back, with
+        no --out and with --out -; the count goes to stderr."""
         model = write_model(tmp_path, basic_ops())
         trace_path, sig = str(tmp_path / "t.jsonl"), str(tmp_path / "t.sig")
         assert main(["simulate", model, "--out", trace_path]) == 0
         assert main(["sign", trace_path, "--out", sig]) == 0
-        raw = io.BytesIO()
-        stdout = io.TextIOWrapper(raw, encoding="utf-8")
-        monkeypatch.setattr(sys, "stdout", stdout)
-        assert main(["sign", trace_path]) == 0
-        stdout.flush()
         with open(sig, "rb") as handle:
             written = handle.read()
         count = len(signature.read_signature(written)[0].offsets)
-        assert raw.getvalue() == written + f"{count} offsets\n".encode()
+        capsys.readouterr()
+        for out in ([], ["--out", "-"]):
+            raw = io.BytesIO()
+            stdout = io.TextIOWrapper(raw, encoding="utf-8")
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["sign", trace_path, *out]) == 0
+            stdout.flush()
+            assert raw.getvalue() == written
+            assert capsys.readouterr().err == f"{count} offsets\n"
 
     def test_sign_drops_accesses_from_outside_the_module_range(
             self, tmp_path, capsys):
@@ -453,8 +458,9 @@ class TestSimulationAndRulesErrors:
         ([{"name": 5, "steps": ["a"]}],
          "every rule is an object with a string name"),
         (["a"], "every rule is an object with a string name"),
+        ([{"name": "dead", "steps": [[]]}], "rule 'dead': steps must be"),
     ], ids=["object", "scalar-steps", "empty-steps", "no-name",
-            "number-name", "string-entry"])
+            "number-name", "string-entry", "empty-alternatives"])
     def test_malformed_rules_file_is_exit_2(self, tmp_path, capsys, rules,
                                             message):
         model = write_model(tmp_path, basic_ops())
@@ -465,6 +471,16 @@ class TestSimulationAndRulesErrors:
         capsys.readouterr()
         err = assert_exit_2(capsys, ["flags", trace_path, "--rules", str(path)])
         assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+    def test_rules_file_not_in_plain_utf8_is_exit_2(self, tmp_path, capsys,
+                                                    encoding):
+        """A rules file is UTF-8 with no BOM, though json.loads would take
+        UTF-16, UTF-32 or a BOM from bytes."""
+        path = tmp_path / "rules.json"
+        path.write_text('[{"name": "r", "steps": ["a"]}]', encoding=encoding)
+        assert_exit_2(capsys, ["flags", str(DATA / "golden.trace"),
+                               "--rules", str(path)])
 
 
     @pytest.mark.parametrize("line", ["null", "5", "[]"])
