@@ -3,10 +3,9 @@
 Exit codes are stable across subcommands: 0 success (or match), 1
 no-match, 2 usage, parse or simulation error.
 
-The alignment threshold tau comes from, in order of precedence: --tau,
-the MEMTRACE_TAU environment variable, and then, for match and diff, the
-first signature's tau_default (written by `sign`); the built-in default
-is 100.  Each must be a non-negative integer.
+The alignment threshold tau is --tau, a non-negative integer, when given.
+Else sign writes signature.DEFAULT_TAU (100) as the signature's
+tau_default, and match and diff use the first signature's tau_default.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Optional
 
@@ -27,7 +25,7 @@ EXIT_ERROR = 2
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type for --tau and --size (and MEMTRACE_TAU)."""
+    """argparse type for --tau and --size."""
     try:
         value = int(text)
     except ValueError:
@@ -57,12 +55,6 @@ def _load(parse, path: str):
         return parse(handle.read())
 
 
-def _parse_base(text: str) -> int:
-    if not text.lower().startswith("0x"):
-        raise ValueError(f"base {trace._shown(text)} must be 0x-prefixed hex")
-    return int(text, 16)
-
-
 def _write_out(out: Optional[str], data: bytes, count: str = "") -> None:
     """Write `data` to the file `out` and `count` to stdout; or, when `out`
     is None or "-", `data` alone to stdout and `count` to stderr."""
@@ -86,7 +78,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     log = _load(trace.parse_trace, args.trace)
-    base = _parse_base(args.base)
+    base = trace._parse_addr(args.base)
     layout = recon.reconstruct_layout(log, base, size_hint=args.size)
     if any(recon.NO_ACCESS_NOTE in f.notes for f in layout.fields):
         print("warning: no accesses in window", file=sys.stderr)
@@ -113,15 +105,14 @@ def cmd_sign(args) -> int:
     log = _load(trace.parse_trace, args.trace)
     bases = recon.collect_bases(log)
     pattern = signature.extract_pattern(log, bases)
-    tau = signature.DEFAULT_TAU if args.tau is None else args.tau
-    _write_out(args.out, signature.write_signature(pattern, tau=tau),
+    _write_out(args.out, signature.write_signature(pattern, tau=args.tau),
                f"{len(pattern.offsets)} offsets\n")
     return EXIT_OK
 
 
 def _load_pair(args):
-    """(first, second, tau): the two signatures, and --tau or
-    MEMTRACE_TAU when given, else the first file's tau_default."""
+    """(first, second, tau): the two signatures, and --tau when given,
+    else the first file's tau_default."""
     first, tau = _load(signature.read_signature, args.first)
     second, _ = _load(signature.read_signature, args.second)
     return first, second, tau if args.tau is None else args.tau
@@ -207,9 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulated memory-trace capture and analysis pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # A --tau left out stays None: main() fills it from MEMTRACE_TAU, when
-    # set, on every call and reports a bad value through `usage_error`,
-    # the subcommand's own parser.
 
     p = sub.add_parser("simulate", help="run a program model, emit a trace")
     p.add_argument("model")
@@ -226,9 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sign", help="extract a signature from a trace")
     p.add_argument("trace")
-    p.add_argument("--tau", type=_non_negative_int, default=None)
+    p.add_argument("--tau", type=_non_negative_int,
+                   default=signature.DEFAULT_TAU)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sign, usage_error=p.error)
+    p.set_defaults(func=cmd_sign)
 
     for name, func, text in (("match", cmd_match, "match two signatures"),
                              ("diff", cmd_diff, "diff two similar signatures")):
@@ -238,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", type=_non_negative_int, default=None)
         p.add_argument("--threshold", type=_threshold,
                        default=signature.DEFAULT_MATCH_THRESHOLD)
-        p.set_defaults(func=func, usage_error=p.error)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("bases", help="list discovered allocation bases")
     p.add_argument("trace")
@@ -255,17 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 _parser: Optional[argparse.ArgumentParser] = None
 
 
-def _resolve_tau(args) -> None:
-    """Fill a --tau that was left out from MEMTRACE_TAU, when it is set."""
-    text = os.environ.get("MEMTRACE_TAU")
-    if text is None or not hasattr(args, "tau") or args.tau is not None:
-        return
-    try:
-        args.tau = _non_negative_int(text)
-    except argparse.ArgumentTypeError as exc:
-        args.usage_error(f"argument --tau: {exc}")
-
-
 def main(argv=None) -> int:
     # The parser is built on the first call and reused by later ones.
     global _parser
@@ -273,7 +251,6 @@ def main(argv=None) -> int:
         _parser = build_parser()
     try:
         args = _parser.parse_args(argv)
-        _resolve_tau(args)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

@@ -140,27 +140,19 @@ class _Page:
 class _PageTable(dict):
     """The pages built so far, by page number, over the mapped page
     numbers, which are kept as [first, end) intervals in the order they
-    were mapped.  `table[number]` builds a page on first touch where a
-    range holds it and raises KeyError for an unmapped one; `get` never
-    builds a page."""
+    were mapped.  `table[number]` is the page, built on first touch
+    where a range holds it, or None for an unmapped number, which it
+    does not store; `get` never builds a page."""
 
     def __init__(self):
         super().__init__()
         self.ranges: list[tuple[int, int]] = []
 
-    def __missing__(self, number: int) -> _Page:
+    def __missing__(self, number: int) -> Optional[_Page]:
         if not any(first <= number < end for first, end in self.ranges):
-            raise KeyError(number)
+            return None
         page = self[number] = _Page()
         return page
-
-    def lookup(self, number: int) -> Optional[_Page]:
-        """The page `number`, or None when it is neither built nor
-        mapped."""
-        try:
-            return self[number]
-        except KeyError:
-            return None
 
 
 class Guest:
@@ -199,7 +191,7 @@ class Guest:
         return DEFAULT_ALLOC_BASE <= address < self._alloc_cursor
 
     def page_present(self, address: int) -> bool:
-        page = self.pages.lookup(address // PAGE_SIZE)
+        page = self.pages[address // PAGE_SIZE]
         return page is not None and page.perms.present
 
     # -- permission semantics ------------------------------------------
@@ -211,11 +203,8 @@ class Guest:
         permission Violation.
         """
         _check_canonical(address)
-        try:
-            page = self.pages[address // PAGE_SIZE]
-        except KeyError:
-            return PageFault(address)
-        if not page.perms.present:
+        page = self.pages[address // PAGE_SIZE]
+        if page is None or not page.perms.present:
             return PageFault(address)
         profile = self.active_profile
         perms = page.perms
@@ -252,7 +241,7 @@ class Guest:
         present raises SimulationError, and then no page changes."""
         numbers = range(address // PAGE_SIZE,
                         (address + max(len(hooked_bytes), 1) - 1) // PAGE_SIZE + 1)
-        pages = [self.pages.lookup(number) for number in numbers]
+        pages = [self.pages[number] for number in numbers]
         if None in pages or not all(page.perms.present for page in pages):
             raise SimulationError(f"cannot hook non-present page at {_hex(address)}")
         for page in pages:
@@ -264,7 +253,7 @@ class Guest:
     def inject_page_fault(self, address: int) -> str:
         """Materialize a demand-zero page; 'injected' or 'already-present'."""
         number = address // PAGE_SIZE
-        page = self.pages.lookup(number)
+        page = self.pages[number]
         if page is not None and page.perms.present:
             return "already-present"
         self.pages[number] = _Page()
@@ -306,10 +295,9 @@ class Guest:
         start = 0
         while start < size:
             addr = address + start
-            try:
-                page = self.pages[addr // PAGE_SIZE]
-            except KeyError:
-                raise SimulationError(f"{action} unmapped {_hex(addr)}") from None
+            page = self.pages[addr // PAGE_SIZE]
+            if page is None:
+                raise SimulationError(f"{action} unmapped {_hex(addr)}")
             lo = addr % PAGE_SIZE
             hi = min(PAGE_SIZE, lo + size - start)
             yield start, page, lo, hi
@@ -317,10 +305,11 @@ class Guest:
 
 
 def _check_canonical(address: int, size: int = 1) -> None:
-    """Raise ValueError unless all of [address, address + size) lies
-    below 2**48."""
+    """Raise ValueError, naming the address and size, unless all of
+    [address, address + size) lies below 2**48."""
     if address < 0 or address + size > _ADDRESS_LIMIT:
-        raise ValueError("address outside 48-bit canonical range")
+        raise ValueError(f"address {address:#x} (size {size}) outside "
+                         "48-bit canonical range")
 
 
 # -- program models -----------------------------------------------------
@@ -588,7 +577,7 @@ def build_guest(model: ProgramModel) -> Guest:
     lo, hi = model.resolved_module_range()
     guest.map_range(lo, hi)
     if not model.entry_present:
-        entry = guest.pages.lookup(model.entry_page)
+        entry = guest.pages[model.entry_page]
         if entry is not None:
             entry.perms.present = False
     guest.map_range(model.sp_init - DEFAULT_STACK_GUARD, model.sp_init + DEFAULT_STACK_GUARD)
@@ -684,7 +673,7 @@ def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
     entry_pending = capture_entry
     if entry_pending:
         # Step 1 of lazy capture: revoke execute on the entry page.
-        page = guest.pages.lookup(model.entry_page)
+        page = guest.pages[model.entry_page]
         if page is not None:
             page.perms.exec_user = False
             page.perms.exec_kernel = False
@@ -699,7 +688,7 @@ def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
             if present is not None and present.perms.present:
                 return
         for page in range(first, last + 1):
-            present = pages.lookup(page)
+            present = pages[page]
             if present is not None and present.perms.present:
                 continue
             addr = page * PAGE_SIZE

@@ -348,7 +348,7 @@ def reference_read_memory(guest: Guest, address: int, size: int) -> bytes:
     out = bytearray()
     for offset in range(size):
         addr = address + offset
-        page = guest.pages.lookup(addr // PAGE_SIZE)
+        page = guest.pages[addr // PAGE_SIZE]
         if page is None:
             raise SimulationError(f"read from unmapped {_hex(addr)}")
         source = page.pristine if page.perms.hidden_hook else page.content
@@ -360,7 +360,7 @@ def reference_write_memory(guest: Guest, address: int, data: bytes) -> None:
     """`Guest.write_memory` as it was before per-page slices."""
     for offset, byte in enumerate(data):
         addr = address + offset
-        page = guest.pages.lookup(addr // PAGE_SIZE)
+        page = guest.pages[addr // PAGE_SIZE]
         if page is None:
             raise SimulationError(f"write to unmapped {_hex(addr)}")
         page.content[addr % PAGE_SIZE] = byte

@@ -89,8 +89,10 @@ CASES = [
     case("corrupt-sig", "match s golden.sig", 2, b"", ("error: ", 1),
          s=lines('{"base": "0x0", "offsets": [true]}')),
     *(case(name, f"simulate {name}.model", 2, b"",
-           "error: address outside 48-bit canonical range\n")
-      for name in ("noncanonical", "straddling")),
+           f"error: address {address} (size 8) outside 48-bit canonical "
+           "range\n")
+      for name, address in (("noncanonical", "0x1000000000008"),
+                            ("straddling", "0xfffffffffffc"))),
     case("badcpl", "simulate badcpl.model", 2, b"", error(2)),
     # The one-object-per-event format, which has no columns.
     case("one-object", "bases t", 2, b"", error(1, "header has no columns"),

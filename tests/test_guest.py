@@ -123,9 +123,12 @@ class TestCheckAccess:
         assert checked == 96
 
     def test_noncanonical_address_rejected(self):
+        """The error names the address, in signed hex, and the size."""
         guest = fresh_guest()
-        with pytest.raises(ValueError):
-            guest.check_access(1 << 50, "read", "user")
+        for address, shown in ((1 << 50, "0x4000000000000"), (-8, "-0x8")):
+            with pytest.raises(ValueError, match=rf"^address {shown} \(size 1\) "
+                               "outside 48-bit canonical range$"):
+                guest.check_access(address, "read", "user")
 
     def test_access_must_end_below_2_48(self):
         """The last byte counts too: 4 bytes at 2**48 - 4 fit, 8 run
@@ -180,6 +183,17 @@ class TestMapRange:
         mapped = {n for n in range(0x30) if guest.page_present(n * PAGE_SIZE)}
         assert mapped == set(range(0x3, 0x6)) | set(range(0x8, 0xd))
         assert len(built) == len(mapped)
+
+    def test_page_lookup_builds_mapped_pages_once(self, built):
+        """`pages[n]` is None for an unmapped n and stores nothing; for a
+        mapped n it builds the page on first touch and returns it after."""
+        guest = Guest()
+        guest.map_range(0x3000, 0x4000)
+        assert guest.pages[0x2] is None and guest.pages[0x4] is None
+        assert dict(guest.pages) == {} and built == []
+        page = guest.pages[0x3]
+        assert page is not None and guest.pages[0x3] is page
+        assert dict(guest.pages) == {0x3: page} and built == [page]
 
     def test_huge_mapped_header_simulates_alike(self, built):
         """A model mapping all of [0, 2**48) traces exactly as one that
@@ -713,7 +727,7 @@ class TestEntryCapture:
                                     value=1)],
                            entry_present=False,
                            module_range=(0x500000, 0x501000))
-        assert build_guest(model).pages.lookup(MODULE_PAGE) is None
+        assert build_guest(model).pages[MODULE_PAGE] is None
         entry, _ = capture_entry_point(build_guest(model), model)
         assert entry == 0x401000
         log = run(build_guest(model), model)
