@@ -1,14 +1,17 @@
 """Simulated guest with switchable EPT permission profiles.
 
-Models a single-vCPU guest: paged memory with per-page permissions, four
-permission profiles with mode-based execution control (MBEC) semantics,
-hidden hooks (execute-allowed / read-denied pages), demand paging via
-injected page faults, and lazy entry-point capture.  Abstract program
-models are interpreted against this state: every data access is trapped
-and logged as one event of the trace, and instruction fetches go
-through the permission check for entry capture.  A mode transition is
-reported at the first fetch after it, by MBEC and legacy detection
-alike, so both give one trace.
+Models a single-vCPU guest: paged memory with a present bit per page,
+four permission profiles with mode-based execution control (MBEC)
+semantics, hidden hooks (execute-allowed / read-denied pages, each
+marked by its pristine copy alone), demand paging via injected page
+faults, and lazy entry-point capture.  Capture revokes execute by page
+number (Guest.exec_revoked), so a revoke outlives the demand fault that
+rebuilds its page, and one fetch branch of the run reports the entry.
+Abstract program models are interpreted against this state: every data
+access is trapped and logged as one event of the trace, and
+instruction fetches go through the permission check for entry capture.
+A mode transition is reported at the first fetch after it, by MBEC and
+legacy detection alike, so both give one trace.
 
 A model file states its fields once, in two tables of trace's field
 kinds: the header's keys (_MODEL_FIELDS) and an op line's
@@ -100,10 +103,12 @@ class ModelParseError(ValueError):
 
 @dataclass
 class PagePerms:
-    exec_user: bool = True
-    exec_kernel: bool = True
+    """The one EPT bit kept on a page: whether it is present.  Execute
+    is revoked by page number, in Guest.exec_revoked, so that a revoke
+    outlives the page a demand fault replaces; a hook is marked by the
+    page's pristine copy alone (_Page.pristine)."""
+
     present: bool = True
-    hidden_hook: bool = False
 
 
 @dataclass(frozen=True)
@@ -134,7 +139,9 @@ class _Page:
     def __init__(self):
         self.perms = PagePerms()
         self.content = bytearray(PAGE_SIZE)
-        self.pristine: Optional[bytearray] = None  # set while hooked
+        # The bytes before the first hook, which reads are served: set
+        # exactly while the page is hooked, and so the hook's one marker.
+        self.pristine: Optional[bytearray] = None
 
 
 class _PageTable(dict):
@@ -166,6 +173,9 @@ class Guest:
         self.pages = _PageTable()
         self.active_profile = "normal"  # one of PROFILE_IDS
         self.mode = "user"
+        # The numbers of the pages whose execute permission is revoked:
+        # kept by number, so a page a demand fault rebuilds stays revoked.
+        self.exec_revoked: set[int] = set()
         # Allocations are handed out one after another from
         # DEFAULT_ALLOC_BASE, so [DEFAULT_ALLOC_BASE, _alloc_cursor) is
         # the allocatable range.
@@ -200,23 +210,24 @@ class Guest:
         """Pure permission decision: Allowed, Violation, or PageFault.
 
         Not-present pages yield a PageFault outcome, distinct from a
-        permission Violation.
+        permission Violation.  A hooked page (one with a pristine copy)
+        executes under every profile.  Under "normal", execute is denied
+        in both modes on a page whose number is in exec_revoked; the
+        other profiles carry their own per-mode execute rule (MBEC).
         """
         _check_canonical(address)
-        page = self.pages[address // PAGE_SIZE]
+        page = self.pages[number := address // PAGE_SIZE]
         if page is None or not page.perms.present:
             return PageFault(address)
         profile = self.active_profile
-        perms = page.perms
-        if perms.hidden_hook:
+        if page.pristine is not None:
             # Hooked bytes execute; reads trap and are served pristine.
             if kind == "execute":
                 return _ALLOWED
             if kind == "read":
                 return Violation(address, kind, cpl, profile, rip)
         if profile == "normal":
-            allowed = kind != "execute" or (
-                perms.exec_user if cpl == "user" else perms.exec_kernel)
+            allowed = kind != "execute" or number not in self.exec_revoked
         elif profile == "user-exec-denied":
             allowed = not (kind == "execute" and cpl == "user")
         elif profile == "kernel-exec-denied":
@@ -247,7 +258,6 @@ class Guest:
         for page in pages:
             if page.pristine is None:
                 page.pristine = bytearray(page.content)
-            page.perms.hidden_hook = True
         self.write_memory(address, hooked_bytes)  # content only, once hooked
 
     def inject_page_fault(self, address: int) -> str:
@@ -266,11 +276,11 @@ class Guest:
         lo = address % PAGE_SIZE
         page = self.pages.get(address // PAGE_SIZE)
         if page is not None and 0 < size <= PAGE_SIZE - lo:  # one built page
-            source = page.pristine if page.perms.hidden_hook else page.content
+            source = page.content if page.pristine is None else page.pristine
             return bytes(source[lo:lo + size])
         out = bytearray()
         for _, page, lo, hi in self._page_spans(address, size, "read from"):
-            source = page.pristine if page.perms.hidden_hook else page.content
+            source = page.content if page.pristine is None else page.pristine
             out += source[lo:hi]
         return bytes(out)
 
@@ -616,12 +626,15 @@ def run(guest: Guest, model: ProgramModel,
 def capture_entry_point(guest: Guest, model: ProgramModel):
     """Run with lazy entry capture; return (entry_address, trace prefix).
 
-    Execute permission on the entry page is revoked up front; the first
-    fetch on it surfaces as a Violation whose rip is the entry address.
-    If the page is absent a page fault is injected first, then execute
-    permission is restored and the run continues.
+    The entry page's number joins guest.exec_revoked before the run, so
+    the first fetch on it surfaces as a Violation whose rip is the entry
+    address, also where a page fault injected first rebuilt the page.
+    The run then takes the number out of the set and continues.  A run
+    that never fetches from the entry page raises SimulationError and
+    leaves the number in the set.
     """
-    log, entry = _run(guest, model, capture_entry=True)
+    guest.exec_revoked.add(model.entry_page)
+    log, entry = _run(guest, model)
     if entry is None:
         raise SimulationError("model exhausted before executing the entry page")
     prefix = TraceLog(log.events[:entry + 1], log.module_range)
@@ -647,8 +660,14 @@ def transitions(log: TraceLog) -> list[tuple[int, str]]:
 
 
 @_collector_paused()  # the trace outlives the run
-def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
+def _run(guest: Guest, model: ProgramModel):
     """(The model's trace, the index of its entry event or None).
+
+    A fetch that the permission check denies on a page whose number is
+    in guest.exec_revoked is an entry: it is logged as an execute event
+    of category "other", and the number leaves the set.  Errors raised
+    by an op (SimulationError, ValueError) are raised again, of the same
+    type, with "op N: " before the message, counting op lines from 1.
 
     Each event is logged as one plain tuple of its fields, with no
     AccessEvent check, and the log's columns are made of these rows in
@@ -670,13 +689,6 @@ def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
     rip = model.entry_address
     last_mode = guest.mode
     entry = None
-    entry_pending = capture_entry
-    if entry_pending:
-        # Step 1 of lazy capture: revoke execute on the entry page.
-        page = guest.pages[model.entry_page]
-        if page is not None:
-            page.perms.exec_user = False
-            page.perms.exec_kernel = False
 
     pages = guest.pages
     built_page = pages.get
@@ -698,11 +710,6 @@ def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
                     f"access to unmapped, un-allocatable address {_hex(address)}"
                 )
             guest.inject_page_fault(addr)
-            if entry_pending and page == model.entry_page:
-                # Demand-zeroed entry page still has execute revoked.
-                perms = pages[page].perms
-                perms.exec_user = False
-                perms.exec_kernel = False
             trap("read", address if page == first else addr, 1,
                  "page-fault")
 
@@ -725,75 +732,75 @@ def _run(guest: Guest, model: ProgramModel, capture_entry: bool = False):
         mask = (1 << 8 * size) - 1
         guest.write_memory(address, (value & mask).to_bytes(size, "little"))
 
-    for (name, addr, size, value, callee, args, n_stack, amount, cpl, cat,
-         sign, op_rip) in model.ops:
-        if op_rip is not None:
-            rip = op_rip
-        # Instruction fetch: demand paging, entry capture, transition trap.
-        fetch = guest.check_access(rip, "execute", guest.mode, rip)
-        if fetch is not _ALLOWED:
-            if isinstance(fetch, PageFault):
-                demand_page(rip, 1, lazy_code=True)
-                fetch = guest.check_access(rip, "execute", guest.mode, rip)
-            if (isinstance(fetch, Violation) and entry_pending
-                    and rip // PAGE_SIZE == model.entry_page):
-                # Log the entry first, then restore the revoked permission.
-                entry = len(rows)
+    try:
+        for number, (name, addr, size, value, callee, args, n_stack, amount,
+                     cpl, cat, sign, op_rip) in enumerate(model.ops, 1):
+            if op_rip is not None:
+                rip = op_rip
+            # Instruction fetch: demand paging, entry capture, transition trap.
+            fetch = guest.check_access(rip, "execute", guest.mode, rip)
+            if fetch is not _ALLOWED:
+                if isinstance(fetch, PageFault):
+                    demand_page(rip, 1, lazy_code=True)
+                    fetch = guest.check_access(rip, "execute", guest.mode, rip)
+                if (isinstance(fetch, Violation)
+                        and rip // PAGE_SIZE in guest.exec_revoked):
+                    entry = len(rows)
+                    trap("execute", rip, 1, "other")
+                    guest.exec_revoked.discard(rip // PAGE_SIZE)
+            if guest.mode != last_mode:
+                # MBEC: the fetch raises an EPT violation under the profile
+                # kept for the previous mode, which denies execute in the
+                # other one, on a hidden-hook page too.  Legacy: the U/S-bit
+                # mismatch page-faults it; the monitor swallows the fault.
+                # Either way the monitor reports the switch.
                 trap("execute", rip, 1, "other")
-                perms = guest.pages[model.entry_page].perms
-                perms.exec_user = True
-                perms.exec_kernel = True
-                entry_pending = False
-        if guest.mode != last_mode:
-            # MBEC: the fetch raises an EPT violation under the profile
-            # kept for the previous mode, which denies execute in the
-            # other one, on a hidden-hook page too.  Legacy: the U/S-bit
-            # mismatch page-faults it; the monitor swallows the fault.
-            # Either way the monitor reports the switch.
-            trap("execute", rip, 1, "other")
-            last_mode = guest.mode
+                last_mode = guest.mode
 
-        if name == "mov-read":
-            size = size or 8
-            demand_page(addr, size)
-            value = int.from_bytes(guest.read_memory(addr, size), "little")
-            trap("read", addr, size, cat or "int-move",
-                 sign=sign or "n/a", value=value)
-        elif name == "mov-write":
-            store(addr, size or 8, value or 0, cat or "int-move", sign or "n/a")
-        elif name == "push":
-            sp -= 8
-            store(sp, 8, value or 0, "push")
-        elif name == "sub-sp":
-            amount = amount or 0
-            sp -= amount
-            demand_page(sp, 8)
-            trap("write", sp, 8, "sub-sp", value=amount)
-        elif name == "call":
-            args = args or ()
-            stack_args = args[4:]
-            if not stack_args and n_stack:
-                stack_args = (0,) * n_stack
-            for index, value in enumerate(stack_args):
-                store(sp + 0x20 + 8 * index, 8, value, "int-move")
-            sp -= 8
-            store(sp, 8, rip + INSTR_STRIDE, "call", callee=callee,
-                  args=(args + (0, 0, 0, 0))[:4])
-        elif name == "alloc":
-            size = size or 0
-            base = guest.allocate(size)
-            # Hidden hook on the allocator: the call and its modeled
-            # return value surface as one api-call event (size in the
-            # first register slot, returned base in the value channel).
-            trap("execute", rip, 1, "api-call",
-                 callee=callee or "NtAllocateVirtualMemory",
-                 args=(size, 0, 0, 0), value=base)
-        elif name == "xmm-zero":
-            store(addr, 16, 0, "xmm-zero-store")
-        elif name == "ret":
-            sp += 8
-        elif name == "mode-switch":
-            guest.mode = cpl or ("kernel" if guest.mode == "user" else "user")
-        rip += INSTR_STRIDE  # a nop does nothing but this
+            if name == "mov-read":
+                size = size or 8
+                demand_page(addr, size)
+                value = int.from_bytes(guest.read_memory(addr, size), "little")
+                trap("read", addr, size, cat or "int-move",
+                     sign=sign or "n/a", value=value)
+            elif name == "mov-write":
+                store(addr, size or 8, value or 0, cat or "int-move",
+                      sign or "n/a")
+            elif name == "push":
+                sp -= 8
+                store(sp, 8, value or 0, "push")
+            elif name == "sub-sp":
+                amount = amount or 0
+                sp -= amount
+                demand_page(sp, 8)
+                trap("write", sp, 8, "sub-sp", value=amount)
+            elif name == "call":
+                args = args or ()
+                stack_args = args[4:]
+                if not stack_args and n_stack:
+                    stack_args = (0,) * n_stack
+                for index, value in enumerate(stack_args):
+                    store(sp + 0x20 + 8 * index, 8, value, "int-move")
+                sp -= 8
+                store(sp, 8, rip + INSTR_STRIDE, "call", callee=callee,
+                      args=(args + (0, 0, 0, 0))[:4])
+            elif name == "alloc":
+                size = size or 0
+                base = guest.allocate(size)
+                # Hidden hook on the allocator: the call and its modeled
+                # return value surface as one api-call event (size in the
+                # first register slot, returned base in the value channel).
+                trap("execute", rip, 1, "api-call",
+                     callee=callee or "NtAllocateVirtualMemory",
+                     args=(size, 0, 0, 0), value=base)
+            elif name == "xmm-zero":
+                store(addr, 16, 0, "xmm-zero-store")
+            elif name == "ret":
+                sp += 8
+            elif name == "mode-switch":
+                guest.mode = cpl or ("kernel" if guest.mode == "user" else "user")
+            rip += INSTR_STRIDE  # a nop does nothing but this
+    except (SimulationError, ValueError) as exc:
+        raise type(exc)(f"op {number}: {exc}") from exc
 
     return TraceLog(EventColumns(_columns(rows)), module_range), entry

@@ -677,30 +677,32 @@ def parse_trace(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
     (_take_events), with the cyclic collector paused while it builds
     the log's columns, which each chunk extends.  A chunk those checks
     decline is read again row by row (_row_to_event), which alone builds
-    the errors.  Both ways share one shape table and one seq carry and
-    give the same columns.  Each shape
-    object is checked and built into a descriptor once, which every row
-    citing the shape shares; a row's `val` and `args` become its event's
-    `value` and `register_args`.
+    the errors, each row stored as it is built.  Both ways share one
+    shape table and give the same columns, and both check a row's seq
+    against the last stored row's: the seq column's last value.
+    Each shape object is checked and built into a descriptor once,
+    which every row citing the shape shares; a row's `val` and `args`
+    become its event's `value` and `register_args`.
     """
     columns = _columns()
-    shared = ([], [])  # the shape table, and the last row's seq once read
+    shapes: list = []  # the shape table, which both ways extend
     module_range = _read_rows(
         stream, TraceParseError, _parse_header, list,
-        partial(_take_events, columns, *shared),
-        partial(_row_to_event, *shared), partial(_extend, columns))
+        partial(_take_events, columns, shapes),
+        partial(_row_to_event, shapes, columns.seq), partial(_extend, columns))
     # Copies fit their lists to size: extending a chunk at a time leaves
     # up to an eighth of a long column spare.
     return TraceLog(EventColumns(columns._make(map(list, columns))),
                     module_range or (0, 0))
 
 
-def _row_to_event(shapes: list, last_seq: list, lineno: int,
+def _row_to_event(shapes: list, seqs: list, lineno: int,
                   row) -> AccessEvent:
     """The event of the row on line `lineno`, by the per-row rules: how
     parse_trace reads each chunk that _take_events declines, and the
     only reading that raises parse errors.  A shape object joins
-    `shapes`, and the row's seq becomes `last_seq`'s one value."""
+    `shapes`; the row's seq must be greater than the last of `seqs`,
+    the seq column of the rows stored before it."""
     try:
         if type(row) is not list or len(row) != len(COLUMNS):
             raise ValueError(
@@ -732,10 +734,9 @@ def _row_to_event(shapes: list, last_seq: list, lineno: int,
                             size, instr, _parse_addr(rip), value, args)
     except (TypeError, ValueError) as exc:
         raise TraceParseError(lineno, str(exc)) from exc
-    if last_seq and seq <= last_seq[0]:
+    if seqs and seq <= seqs[-1]:
         raise TraceOrderError(
-            f"line {lineno}: seq {seq} not greater than {last_seq[0]}")
-    last_seq[:] = [seq]
+            f"line {lineno}: seq {seq} not greater than {seqs[-1]}")
     return event
 
 
@@ -815,8 +816,9 @@ def _read_rows(stream: Union[bytes, str, IO, Iterable[str]],
     checked is built from the key alone.  A chunk that either declines
     (also by a TypeError, ValueError or RecursionError) is read again a
     line at a time with build(lineno, record), which alone raises
-    errors, and the list of what it builds goes to store(made); so an
-    odd line costs the line-by-line reading of its own chunk only.
+    errors, and what it builds goes to store([made]) one at a time, so
+    that each build sees the ones before it stored; an odd line costs
+    the line-by-line reading of its own chunk only.
     `take` changes what it shares with `build` and `store` only when it
     takes a chunk.  The cyclic collector stays paused throughout
     (_collector_paused).
@@ -834,8 +836,8 @@ def _read_rows(stream: Union[bytes, str, IO, Iterable[str]],
         except (TypeError, ValueError, RecursionError):
             taken = False
         if not taken:
-            store([build(*line)
-                   for line in iter_json_lines(chunk, error, lineno + 1)])
+            for line in iter_json_lines(chunk, error, lineno + 1):
+                store([build(*line)])
         lineno += len(chunk)
     return header
 
@@ -848,8 +850,8 @@ def _hex_prefixed(column) -> bool:
     return ("," + ",".join(column)).count(",0x") == len(column)
 
 
-def _take_events(columns: _EventFields, shapes: list, last_seq: list,
-                 rows: list, checked: set) -> Optional[bool]:
+def _take_events(columns: _EventFields, shapes: list, rows: list,
+                 checked: set) -> Optional[bool]:
     """Add the events of a chunk's rows to `columns`, checked column by
     column with _row_to_event's rules, and give True; or give None (or
     raise a TypeError or ValueError) for a chunk it does not take,
@@ -863,27 +865,26 @@ def _take_events(columns: _EventFields, shapes: list, last_seq: list,
     shape holds strings only, and an args list ints only.  So, as
     _decode_chunk argues, each line is exactly one row, decoded from
     the text the row reader decodes.
-    The rules: exact ints, strictly increasing seq (from `last_seq`
-    on), shape indices naming an earlier shape, 0x-hex addr and rip, a
-    val that is null or 0x-hex, and AccessEvent's checks once per
-    distinct (cpl, kind, size, shape, args or not), on an event built
-    by its constructor from that key with seq, tid, addr and rip 0, val
-    null and args (0, 0, 0, 0) where the key has them: every other
-    field they read (_EVENT_FIELDS) passes on every row once its column
-    passes here, exact-int seq and tid, args of four exact ints, and
-    addr, rip and val, which no hex string that passes here makes
-    negative.  No other event is built: the chunk's columns extend
-    `columns`.  Only the rows that
-    carry args convert them; args spelled in hex are left to the row
-    reader.  A chunk taken adds its shapes to `shapes` and its last seq
-    to `last_seq`.
+    The rules: exact ints, strictly increasing seq (from the last stored
+    row's on, the last of the seq column), shape indices naming an
+    earlier shape, 0x-hex addr and rip, a val that is null or 0x-hex,
+    and AccessEvent's checks once per distinct (cpl, kind, size, shape,
+    args or not), on an event built by its constructor from that key
+    with seq, tid, addr and rip 0, val null and args (0, 0, 0, 0) where
+    the key has them: every other field they read (_EVENT_FIELDS) passes
+    on every row once its column passes here, exact-int seq and tid,
+    args of four exact ints, and addr, rip and val, which no hex string
+    that passes here makes negative.  No other event is built: the
+    chunk's columns extend `columns`.  Only the rows that carry args
+    convert them; args spelled in hex are left to the row reader.  A
+    chunk taken adds its shapes to `shapes`.
     """
     if set(map(len, rows)) != {len(COLUMNS)}:
         return None
     (seqs, tids, cpls, kinds, addrs, sizes, rips, shape_col, vals,
      args_col) = zip(*rows)
     carried = [args for args in args_col if args is not None]
-    seq_run = (*last_seq, *seqs)
+    seq_run = (*columns.seq[-1:], *seqs)
     shape_types = list(map(type, shape_col))
     # filter(None, ...) drops each null val, and with it any other
     # false one (0, "", [], ...), on which int(val, 16) raises below.
@@ -926,7 +927,6 @@ def _take_events(columns: _EventFields, shapes: list, last_seq: list,
     for column, values in zip(columns, chunk):
         column.extend(values)
     shapes[:] = table
-    last_seq[:] = seqs[-1:]
     return True
 
 

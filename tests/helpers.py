@@ -351,7 +351,7 @@ def reference_read_memory(guest: Guest, address: int, size: int) -> bytes:
         page = guest.pages[addr // PAGE_SIZE]
         if page is None:
             raise SimulationError(f"read from unmapped {_hex(addr)}")
-        source = page.pristine if page.perms.hidden_hook else page.content
+        source = page.content if page.pristine is None else page.pristine
         out.append(source[addr % PAGE_SIZE])
     return bytes(out)
 

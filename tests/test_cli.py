@@ -85,8 +85,8 @@ class TestSimulate:
         for name, address in (("noncanonical.model", "0x1000000000008"),
                               ("straddling.model", "0xfffffffffffc")):
             err = assert_exit_2(capsys, ["simulate", str(DATA / name)])
-            assert err == (f"error: address {address} (size 8) outside "
-                           "48-bit canonical range\n")
+            assert err == (f"error: op 1: address {address} (size 8) "
+                           "outside 48-bit canonical range\n")
 
 
 class TestReconstruct:

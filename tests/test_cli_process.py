@@ -89,8 +89,8 @@ CASES = [
     case("corrupt-sig", "match s golden.sig", 2, b"", ("error: ", 1),
          s=lines('{"base": "0x0", "offsets": [true]}')),
     *(case(name, f"simulate {name}.model", 2, b"",
-           f"error: address {address} (size 8) outside 48-bit canonical "
-           "range\n")
+           f"error: op 1: address {address} (size 8) outside 48-bit "
+           "canonical range\n")
       for name, address in (("noncanonical", "0x1000000000008"),
                             ("straddling", "0xfffffffffffc"))),
     case("badcpl", "simulate badcpl.model", 2, b"", error(2)),

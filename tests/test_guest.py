@@ -102,6 +102,27 @@ class TestCheckAccess:
         out = guest.check_access(0x3000, "read", "user")
         assert isinstance(out, PageFault)
 
+    def test_revoked_page_denies_execute_under_normal_only(self):
+        """A page whose number is in exec_revoked denies execute in both
+        modes under normal, and allows reads and writes; execute-only,
+        and a hidden hook under normal, still allow execute on it."""
+        guest = fresh_guest()
+        guest.exec_revoked.add(3)
+        hooked = fresh_guest(hook=True)
+        hooked.exec_revoked.add(3)
+        for cpl in ("user", "kernel"):
+            assert isinstance(guest.check_access(0x3ffc, "execute", cpl),
+                              Violation)
+            for kind in ("read", "write"):
+                assert isinstance(guest.check_access(0x3000, kind, cpl),
+                                  Allowed)
+            assert isinstance(hooked.check_access(0x3000, "execute", cpl),
+                              Allowed)
+        guest.switch_profile("execute-only")
+        for cpl in ("user", "kernel"):
+            assert isinstance(guest.check_access(0x3000, "execute", cpl),
+                              Allowed)
+
     def test_exhaustive_truth_table(self):
         cases = itertools.product(
             ("normal", "user-exec-denied", "kernel-exec-denied", "execute-only"),
@@ -268,7 +289,7 @@ class TestHiddenHooks:
         for number in (3, 4):
             page = guest.pages[number]
             assert len(page.content) == len(page.pristine) == PAGE_SIZE
-            assert page.perms.hidden_hook
+            assert page.pristine is not None
         assert bytes(guest.pages[3].content[-2:]) == b"\xcc" * 2
         assert bytes(guest.pages[4].content[:3]) == b"\xcc" * 3
         assert guest.read_memory(0x3ffe, 5) == b"\x01\x02\x03\x04\x05"
@@ -308,8 +329,7 @@ def _memory_guest(seed: int) -> Guest:
 
 def _page_state(guest: Guest):
     return {number: (bytes(page.content),
-                     None if page.pristine is None else bytes(page.pristine),
-                     page.perms.hidden_hook)
+                     None if page.pristine is None else bytes(page.pristine))
             for number, page in guest.pages.items()}
 
 
@@ -459,6 +479,20 @@ class TestRun:
         model = make_model([ModelOp("mov-write", addr=0xdead0000, size=8)],
                            mapped=[])
         with pytest.raises(SimulationError):
+            run_model(model)
+
+    def test_run_error_names_its_op(self):
+        """An error an op raises names the op, counting op lines from 1,
+        and keeps its type."""
+        model = make_model([ModelOp("nop"), ModelOp("nop"),
+                            ModelOp("mov-write", addr=0xdead0000, size=8)])
+        with pytest.raises(SimulationError, match="^op 3: access to unmapped, "
+                           "un-allocatable address 0xdead0000$"):
+            run_model(model)
+        model = make_model([ModelOp("mov-read", addr=1 << 48, size=8)],
+                           mapped=[(1 << 48, (1 << 48) + PAGE_SIZE)])
+        with pytest.raises(ValueError, match=r"^op 1: address 0x1000000000000 "
+                           r"\(size 8\) outside 48-bit canonical range$"):
             run_model(model)
 
     def test_random_model_matches_reference_interpreter(self):
@@ -740,6 +774,25 @@ class TestEntryCapture:
         guest = build_guest(model)
         with pytest.raises(SimulationError):
             capture_entry_point(guest, model)
+
+    @pytest.mark.parametrize("entry_present", [True, False])
+    def test_capture_empties_exec_revoked(self, entry_present):
+        """The entry fetch takes the entry page out of exec_revoked, also
+        where a demand fault rebuilt the page first."""
+        model = make_model([ModelOp("nop"), ModelOp("nop")],
+                           entry_present=entry_present)
+        guest = build_guest(model)
+        capture_entry_point(guest, model)
+        assert guest.exec_revoked == set()
+
+    def test_capture_never_reaching_entry_leaves_it_revoked(self):
+        model = make_model([ModelOp("nop", rip=0x500000)],
+                           mapped=[(0x500000, 0x501000)])
+        guest = build_guest(model)
+        with pytest.raises(SimulationError, match="^model exhausted before "
+                           "executing the entry page$"):
+            capture_entry_point(guest, model)
+        assert guest.exec_revoked == {MODULE_PAGE}
 
     def test_prefix_ends_at_the_entry_event(self):
         """An earlier execute event at the entry address (an alloc's hook,

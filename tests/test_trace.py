@@ -235,6 +235,19 @@ class TestParseSerialize:
         with pytest.raises(TraceOrderError):
             parse_trace(data)
 
+    def test_declined_chunk_checks_seq_within_the_chunk(self):
+        """A chunk read row by row (a blank line declines it) checks each
+        row's seq against the row before it in the chunk, not only
+        against the rows stored before the chunk."""
+        rows = [[seq, 0, "u", "r", "0x10", 8, "0x20", 0, None, None]
+                for seq in (4, 7, 5)]
+        rows[0][7] = {"cat": "int-move", "sign": "n/a"}
+        lines = [json.dumps(HEADER), json.dumps(rows[0]), "",
+                 json.dumps(rows[1]), json.dumps(rows[2])]
+        with pytest.raises(TraceOrderError,
+                           match="^line 5: seq 5 not greater than 7$"):
+            parse_trace("\n".join(lines))
+
     @pytest.mark.parametrize("field, value",
                              [("seq", "x"), ("tid", []), ("size", True)])
     def test_non_integer_event_field_rejected(self, field, value):
