@@ -2,11 +2,14 @@
 
 Models a single-vCPU guest: paged memory with a present bit per page,
 four permission profiles with mode-based execution control (MBEC)
-semantics, hidden hooks (execute-allowed / read-denied pages, each
-marked by its pristine copy alone), demand paging via injected page
-faults, and lazy entry-point capture.  Capture revokes execute by page
-number (Guest.exec_revoked), so a revoke outlives the demand fault that
-rebuilds its page, and one fetch branch of the run reports the entry.
+semantics, hidden hooks (execute-allowed / read-denied pages), demand
+paging via injected page faults, and lazy entry-point capture.  The
+monitor keeps its page state as two sets of page numbers: the hooked
+pages (Guest.hooked) and those whose execute capture revokes
+(Guest.exec_revoked).  So a hook or a revoke outlives the demand fault
+that rebuilds its page, and one fetch branch of the run reports the
+entry.  A page holds one byte array, which every read and write of the
+program uses, so a hook changes nothing that the program can read.
 Abstract program models are interpreted against this state: every data
 access is trapped and logged as one event of the trace, and
 instruction fetches go through the permission check for entry capture.
@@ -103,10 +106,10 @@ class ModelParseError(ValueError):
 
 @dataclass
 class PagePerms:
-    """The one EPT bit kept on a page: whether it is present.  Execute
-    is revoked by page number, in Guest.exec_revoked, so that a revoke
-    outlives the page a demand fault replaces; a hook is marked by the
-    page's pristine copy alone (_Page.pristine)."""
+    """The one EPT bit kept on a page: whether it is present.  Hooks and
+    revoked execute are kept by page number, in Guest.hooked and
+    Guest.exec_revoked, so that both outlive the page a demand fault
+    replaces."""
 
     present: bool = True
 
@@ -116,32 +119,26 @@ class Allowed:
     pass
 
 
-_ALLOWED = Allowed()  # check_access hands out this one instance
-
-
 @dataclass(frozen=True)
 class PageFault:
-    address: int
+    pass
 
 
 @dataclass(frozen=True)
 class Violation:
-    address: int
-    kind: str
-    cpl: str
-    profile: str
-    rip: int
+    pass
+
+
+# check_access hands out these three instances alone.
+_ALLOWED, _PAGE_FAULT, _VIOLATION = Allowed(), PageFault(), Violation()
 
 
 class _Page:
-    __slots__ = ("perms", "content", "pristine")
+    __slots__ = ("perms", "content")
 
     def __init__(self):
         self.perms = PagePerms()
         self.content = bytearray(PAGE_SIZE)
-        # The bytes before the first hook, which reads are served: set
-        # exactly while the page is hooked, and so the hook's one marker.
-        self.pristine: Optional[bytearray] = None
 
 
 class _PageTable(dict):
@@ -173,8 +170,10 @@ class Guest:
         self.pages = _PageTable()
         self.active_profile = "normal"  # one of PROFILE_IDS
         self.mode = "user"
-        # The numbers of the pages whose execute permission is revoked:
-        # kept by number, so a page a demand fault rebuilds stays revoked.
+        # The numbers of the hooked pages and of the pages whose execute
+        # permission is revoked: kept by number, so a page a demand fault
+        # rebuilds stays hooked or revoked.
+        self.hooked: set[int] = set()
         self.exec_revoked: set[int] = set()
         # Allocations are handed out one after another from
         # DEFAULT_ALLOC_BASE, so [DEFAULT_ALLOC_BASE, _alloc_cursor) is
@@ -206,37 +205,35 @@ class Guest:
 
     # -- permission semantics ------------------------------------------
 
-    def check_access(self, address: int, kind: str, cpl: str, rip: int = 0):
-        """Pure permission decision: Allowed, Violation, or PageFault.
+    def check_access(self, address: int, kind: str, cpl: str):
+        """Pure permission decision: one shared Allowed, Violation or
+        PageFault.
 
-        Not-present pages yield a PageFault outcome, distinct from a
-        permission Violation.  A hooked page (one with a pristine copy)
-        executes under every profile.  Under "normal", execute is denied
-        in both modes on a page whose number is in exec_revoked; the
-        other profiles carry their own per-mode execute rule (MBEC).
+        Not-present pages yield the PageFault, distinct from a permission
+        Violation.  A read of a hooked page (one in hooked) is a
+        Violation under every profile.  Under "normal", execute is denied
+        in both modes on a page in exec_revoked, hooked or not.  Under
+        the other profiles a hooked page executes, and any other page
+        follows the profile's per-mode execute rule (MBEC).
         """
         _check_canonical(address)
         page = self.pages[number := address // PAGE_SIZE]
         if page is None or not page.perms.present:
-            return PageFault(address)
+            return _PAGE_FAULT
         profile = self.active_profile
-        if page.pristine is not None:
-            # Hooked bytes execute; reads trap and are served pristine.
-            if kind == "execute":
-                return _ALLOWED
-            if kind == "read":
-                return Violation(address, kind, cpl, profile, rip)
+        if kind == "read" and number in self.hooked:
+            return _VIOLATION
         if profile == "normal":
             allowed = kind != "execute" or number not in self.exec_revoked
+        elif kind == "execute" and number in self.hooked:
+            allowed = True
         elif profile == "user-exec-denied":
             allowed = not (kind == "execute" and cpl == "user")
         elif profile == "kernel-exec-denied":
             allowed = not (kind == "execute" and cpl == "kernel")
         else:  # execute-only
             allowed = kind == "execute"
-        if allowed:
-            return _ALLOWED
-        return Violation(address, kind, cpl, profile, rip)
+        return _ALLOWED if allowed else _VIOLATION
 
     def switch_profile(self, profile_id: str) -> None:
         if profile_id not in PROFILE_IDS:
@@ -246,19 +243,18 @@ class Guest:
     # -- hooks and faults ----------------------------------------------
 
     def install_hidden_hook(self, address: int, hooked_bytes: bytes) -> None:
-        """Hook every page the bytes overlap: a read of a hooked page is
-        served the copy it held before its first hook, and a fetch runs
-        the hooked bytes.  A page in the span that is unmapped or not
-        present raises SimulationError, and then no page changes."""
+        """Hook every page the bytes overlap: its number joins hooked, so
+        that the permission check traps its reads and lets it execute.
+        The bytes set only the span: no byte of memory changes, since the
+        program reads and writes each page's one byte array and nothing
+        fetches or decodes instruction bytes.  A page in the span that is
+        unmapped or not present raises SimulationError, and then no page
+        is hooked."""
         numbers = range(address // PAGE_SIZE,
                         (address + max(len(hooked_bytes), 1) - 1) // PAGE_SIZE + 1)
-        pages = [self.pages[number] for number in numbers]
-        if None in pages or not all(page.perms.present for page in pages):
+        if not all(self.page_present(number * PAGE_SIZE) for number in numbers):
             raise SimulationError(f"cannot hook non-present page at {_hex(address)}")
-        for page in pages:
-            if page.pristine is None:
-                page.pristine = bytearray(page.content)
-        self.write_memory(address, hooked_bytes)  # content only, once hooked
+        self.hooked.update(numbers)
 
     def inject_page_fault(self, address: int) -> str:
         """Materialize a demand-zero page; 'injected' or 'already-present'."""
@@ -272,17 +268,13 @@ class Guest:
     # -- content access ------------------------------------------------
 
     def read_memory(self, address: int, size: int) -> bytes:
-        """Read bytes, serving the pristine view on hidden-hook pages."""
+        """Read bytes page by page, hooked pages alike."""
         lo = address % PAGE_SIZE
         page = self.pages.get(address // PAGE_SIZE)
         if page is not None and 0 < size <= PAGE_SIZE - lo:  # one built page
-            source = page.content if page.pristine is None else page.pristine
-            return bytes(source[lo:lo + size])
-        out = bytearray()
-        for _, page, lo, hi in self._page_spans(address, size, "read from"):
-            source = page.content if page.pristine is None else page.pristine
-            out += source[lo:hi]
-        return bytes(out)
+            return bytes(page.content[lo:lo + size])
+        return b"".join(page.content[lo:hi] for _, page, lo, hi
+                        in self._page_spans(address, size, "read from"))
 
     def write_memory(self, address: int, data: bytes) -> None:
         """Write bytes page by page; the pages before an unmapped one keep
@@ -480,7 +472,7 @@ def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
     """
     ops: list[ModelOp] = []
     header = _read_rows(stream, ModelParseError, _model_header, dict,
-                        partial(_plain_ops, ops), _record_to_op, ops.extend)
+                        partial(_plain_ops, ops), _record_to_op, ops.append)
     if header is None:
         raise ModelParseError(1, "empty model file (missing header)")
     try:
@@ -627,8 +619,9 @@ def capture_entry_point(guest: Guest, model: ProgramModel):
     """Run with lazy entry capture; return (entry_address, trace prefix).
 
     The entry page's number joins guest.exec_revoked before the run, so
-    the first fetch on it surfaces as a Violation whose rip is the entry
-    address, also where a page fault injected first rebuilt the page.
+    the first fetch on it surfaces as a Violation at the entry address,
+    also where a page fault injected first rebuilt the page or a hook
+    lies on it.
     The run then takes the number out of the set and continues.  A run
     that never fetches from the entry page raises SimulationError and
     leaves the number in the set.
@@ -738,12 +731,12 @@ def _run(guest: Guest, model: ProgramModel):
             if op_rip is not None:
                 rip = op_rip
             # Instruction fetch: demand paging, entry capture, transition trap.
-            fetch = guest.check_access(rip, "execute", guest.mode, rip)
+            fetch = guest.check_access(rip, "execute", guest.mode)
             if fetch is not _ALLOWED:
-                if isinstance(fetch, PageFault):
+                if fetch is _PAGE_FAULT:
                     demand_page(rip, 1, lazy_code=True)
-                    fetch = guest.check_access(rip, "execute", guest.mode, rip)
-                if (isinstance(fetch, Violation)
+                    fetch = guest.check_access(rip, "execute", guest.mode)
+                if (fetch is _VIOLATION
                         and rip // PAGE_SIZE in guest.exec_revoked):
                     entry = len(rows)
                     trap("execute", rip, 1, "other")

@@ -208,20 +208,15 @@ def _events(rows: Iterable[Sequence]) -> Iterator[AccessEvent]:
     return map(tuple.__new__, repeat(AccessEvent), rows)
 
 
-def _extend(columns: _EventFields, rows: Iterable[Sequence]) -> None:
-    """Append each row's ten fields to the ten columns, transposing
+def _columns(rows: Iterable[Sequence] = ()) -> _EventFields:
+    """Ten new columns, which hold the fields of `rows`, transposed
     _CHUNK_ROWS rows at a time: a long run's rows would not stay in the
     cache over ten passes."""
+    columns = _EventFields._make([] for _ in _EventFields._fields)
     rows = iter(rows)
     while block := list(islice(rows, _CHUNK_ROWS)):
         for column, values in zip(columns, zip(*block)):
             column.extend(values)
-
-
-def _columns(rows: Iterable[Sequence] = ()) -> _EventFields:
-    """Ten new columns, which hold the fields of `rows`."""
-    columns = _EventFields._make([] for _ in _EventFields._fields)
-    _extend(columns, rows)
     return columns
 
 
@@ -689,7 +684,9 @@ def parse_trace(stream: Union[bytes, str, IO, Iterable[str]]) -> TraceLog:
     module_range = _read_rows(
         stream, TraceParseError, _parse_header, list,
         partial(_take_events, columns, shapes),
-        partial(_row_to_event, shapes, columns.seq), partial(_extend, columns))
+        partial(_row_to_event, shapes, columns.seq),
+        # One row's ten fields, each onto its column (append gives None).
+        lambda event: any(map(list.append, columns, event)))
     # Copies fit their lists to size: extending a chunk at a time leaves
     # up to an eighth of a long column spare.
     return TraceLog(EventColumns(columns._make(map(list, columns))),
@@ -816,7 +813,7 @@ def _read_rows(stream: Union[bytes, str, IO, Iterable[str]],
     checked is built from the key alone.  A chunk that either declines
     (also by a TypeError, ValueError or RecursionError) is read again a
     line at a time with build(lineno, record), which alone raises
-    errors, and what it builds goes to store([made]) one at a time, so
+    errors, and what it builds goes to store(made) one at a time, so
     that each build sees the ones before it stored; an odd line costs
     the line-by-line reading of its own chunk only.
     `take` changes what it shares with `build` and `store` only when it
@@ -837,7 +834,7 @@ def _read_rows(stream: Union[bytes, str, IO, Iterable[str]],
             taken = False
         if not taken:
             for line in iter_json_lines(chunk, error, lineno + 1):
-                store([build(*line)])
+                store(build(*line))
         lineno += len(chunk)
     return header
 

@@ -155,8 +155,8 @@ def capture_mix_ops(rng: random.Random, n: int) -> list:
                                      for _ in range(rng.randrange(7))]))
         elif choice == 3:
             ops += [ModelOp("push", value=rng.randrange(9)), ModelOp("ret")]
-        elif choice == 4:
-            ops.append(ModelOp("xmm-zero", addr=address))
+        elif choice == 4:  # 16 bytes, all within the allocation
+            ops.append(ModelOp("xmm-zero", addr=min(address, 0xaff0)))
         elif choice == 5:
             ops.append(ModelOp("mode-switch"))
         else:
@@ -351,8 +351,7 @@ def reference_read_memory(guest: Guest, address: int, size: int) -> bytes:
         page = guest.pages[addr // PAGE_SIZE]
         if page is None:
             raise SimulationError(f"read from unmapped {_hex(addr)}")
-        source = page.content if page.pristine is None else page.pristine
-        out.append(source[addr % PAGE_SIZE])
+        out.append(page.content[addr % PAGE_SIZE])
     return bytes(out)
 
 
@@ -528,14 +527,23 @@ def reference_interpret(model: ProgramModel):
 
     Returns (kind, address, size, cpl, category, value) tuples in program
     order; transition markers appear as execute/other tuples at fetches
-    following a mode switch.
+    following a mode switch.  Memory is a byte per address, where every
+    byte no op wrote reads 0: a read logs the little-endian value of its
+    bytes, and each write but a sub-sp's stores its value's low bytes.
     """
     out = []
+    memory: dict[int, int] = {}
     sp = model.sp_init
     rip = model.entry_address
     mode = model.cpl
     last_reported = mode
     alloc_cursor = 0x9000
+
+    def write(address, size, category, value):
+        low = (value % (1 << 8 * size)).to_bytes(size, "little")
+        memory.update(zip(range(address, address + size), low))
+        out.append(("write", address, size, mode, category, value))
+
     for op in model.ops:
         if op.rip is not None:
             rip = op.rip
@@ -544,14 +552,15 @@ def reference_interpret(model: ProgramModel):
             last_reported = mode
         if op.op == "mov-read":
             size = op.size or 8
-            out.append(("read", op.addr, size, mode, op.cat or "int-move", None))
+            value = bytes(memory.get(address, 0)
+                          for address in range(op.addr, op.addr + size))
+            out.append(("read", op.addr, size, mode, op.cat or "int-move",
+                        int.from_bytes(value, "little")))
         elif op.op == "mov-write":
-            size = op.size or 8
-            out.append(("write", op.addr, size, mode, op.cat or "int-move",
-                        op.value or 0))
+            write(op.addr, op.size or 8, op.cat or "int-move", op.value or 0)
         elif op.op == "push":
             sp -= 8
-            out.append(("write", sp, 8, mode, "push", op.value or 0))
+            write(sp, 8, "push", op.value or 0)
         elif op.op == "sub-sp":
             sp -= op.amount or 0
             out.append(("write", sp, 8, mode, "sub-sp", op.amount or 0))
@@ -559,17 +568,16 @@ def reference_interpret(model: ProgramModel):
             args = list(op.args or [])
             stack_args = args[4:] or [0] * op.n_stack
             for k, value in enumerate(stack_args):
-                out.append(("write", sp + 0x20 + 8 * k, 8, mode, "int-move",
-                            value))
+                write(sp + 0x20 + 8 * k, 8, "int-move", value)
             sp -= 8
-            out.append(("write", sp, 8, mode, "call", rip + INSTR_STRIDE))
+            write(sp, 8, "call", rip + INSTR_STRIDE)
         elif op.op == "alloc":
             size = op.size or 0
             npages = max((size + 4095) // 4096, 1)
             out.append(("execute", rip, 1, mode, "api-call", alloc_cursor))
             alloc_cursor += npages * 4096
         elif op.op == "xmm-zero":
-            out.append(("write", op.addr, 16, mode, "xmm-zero-store", 0))
+            write(op.addr, 16, "xmm-zero-store", 0)
         elif op.op == "ret":
             sp += 8
         elif op.op == "mode-switch":
@@ -579,13 +587,10 @@ def reference_interpret(model: ProgramModel):
 
 
 def event_tuples(log: TraceLog):
-    # Read values come from simulated memory contents, which the
-    # straight-line reference does not model; compare them as None.
-    return [
-        (e.kind, e.address, e.operand_size, e.cpl, e.instr.category,
-         None if e.kind == "read" else e.value)
-        for e in log.events
-    ]
+    """The (kind, address, size, cpl, category, value) of each event, as
+    reference_interpret gives them."""
+    return [(e.kind, e.address, e.operand_size, e.cpl, e.instr.category,
+             e.value) for e in log.events]
 
 
 # -- brute-force LCMAP oracle ------------------------------------------

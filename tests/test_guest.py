@@ -104,23 +104,26 @@ class TestCheckAccess:
 
     def test_revoked_page_denies_execute_under_normal_only(self):
         """A page whose number is in exec_revoked denies execute in both
-        modes under normal, and allows reads and writes; execute-only,
-        and a hidden hook under normal, still allow execute on it."""
+        modes under normal, hooked or not, and allows reads and writes;
+        execute-only, and a hidden hook under the exec-denied profiles,
+        still allow execute on it."""
         guest = fresh_guest()
         guest.exec_revoked.add(3)
         hooked = fresh_guest(hook=True)
         hooked.exec_revoked.add(3)
         for cpl in ("user", "kernel"):
-            assert isinstance(guest.check_access(0x3ffc, "execute", cpl),
-                              Violation)
+            for revoked in (guest, hooked):
+                assert isinstance(revoked.check_access(0x3ffc, "execute", cpl),
+                                  Violation)
             for kind in ("read", "write"):
                 assert isinstance(guest.check_access(0x3000, kind, cpl),
                                   Allowed)
-            assert isinstance(hooked.check_access(0x3000, "execute", cpl),
-                              Allowed)
         guest.switch_profile("execute-only")
         for cpl in ("user", "kernel"):
             assert isinstance(guest.check_access(0x3000, "execute", cpl),
+                              Allowed)
+            hooked.switch_profile(f"{cpl}-exec-denied")
+            assert isinstance(hooked.check_access(0x3000, "execute", cpl),
                               Allowed)
 
     def test_exhaustive_truth_table(self):
@@ -273,25 +276,26 @@ class TestHiddenHooks:
         with pytest.raises(SimulationError):
             guest.install_hidden_hook(0x3000, b"\xcc")
 
-    def test_second_hook_keeps_the_first_pristine_copy(self):
+    def test_second_hook_changes_no_byte(self):
+        """A hook adds its page's number to hooked and leaves every byte,
+        so reads, and writes after it, see what the program wrote."""
         guest = fresh_guest()
         guest.write_memory(0x3000, b"\x01\x02")
+        contents, _ = _page_state(guest)
         guest.install_hidden_hook(0x3000, b"\xcc")
         guest.install_hidden_hook(0x3001, b"\xdd")
-        assert bytes(guest.pages[3].content[:2]) == b"\xcc\xdd"
+        assert _page_state(guest) == (contents, {3})
         assert guest.read_memory(0x3000, 2) == b"\x01\x02"
+        guest.write_memory(0x3001, b"\x03")
+        assert guest.read_memory(0x3000, 2) == b"\x01\x03"
 
     def test_hook_across_a_page_end_hooks_every_page_it_spans(self):
         guest = Guest()
-        guest.map_range(0x3000, 0x5000)
+        guest.map_range(0x3000, 0x6000)
         guest.write_memory(0x3ffe, b"\x01\x02\x03\x04\x05")
+        contents, _ = _page_state(guest)
         guest.install_hidden_hook(0x3ffe, b"\xcc" * 5)
-        for number in (3, 4):
-            page = guest.pages[number]
-            assert len(page.content) == len(page.pristine) == PAGE_SIZE
-            assert page.pristine is not None
-        assert bytes(guest.pages[3].content[-2:]) == b"\xcc" * 2
-        assert bytes(guest.pages[4].content[:3]) == b"\xcc" * 3
+        assert _page_state(guest) == (contents, {3, 4})
         assert guest.read_memory(0x3ffe, 5) == b"\x01\x02\x03\x04\x05"
 
     @pytest.mark.parametrize("second", ["unmapped", "absent"])
@@ -305,6 +309,59 @@ class TestHiddenHooks:
         with pytest.raises(SimulationError, match="cannot hook"):
             guest.install_hidden_hook(0x3ffe, b"\xcc" * 5)
         assert _page_state(guest) == before
+
+    def test_write_then_read_on_a_hooked_page(self):
+        """A read logs what the program wrote, also where a hook lies on
+        the page."""
+        model = make_model([ModelOp("mov-write", addr=0x5010, value=0x1234),
+                            ModelOp("mov-read", addr=0x5010)])
+        guest = build_guest(model)
+        guest.install_hidden_hook(0x5800, b"\xcc")
+        assert [e.value for e in run(guest, model).events] == [0x1234] * 2
+
+    # The pages a hook may go on: the entry page, the scratch range, the
+    # two heap pages and the two stack pages about SP_INIT.
+    HOOKABLE = ((MODULE_PAGE,) + tuple(range(0x3, 0x8)) + (0x9, 0xa)
+                + (SP_INIT // PAGE_SIZE - 1, SP_INIT // PAGE_SIZE))
+
+    @given(seed=st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_hooks_are_invisible_to_the_program(self, seed):
+        """Every program event has the same kind, address, size and
+        value with and without 1-3 hooks on present pages, and with and
+        without entry capture; only the monitor's page-fault and
+        execute/other events are left out."""
+        rng = random.Random(seed)
+        ops = capture_mix_ops(rng, rng.randrange(40))
+        for _ in range(rng.randrange(20)):  # accesses about a page end
+            address = 0x5fe0 + 8 * rng.randrange(8)
+            ops.insert(rng.randrange(1, len(ops) + 1), rng.choice([
+                ModelOp("mov-write", addr=address, size=rng.choice([1, 4, 8]),
+                        value=rng.randrange(1 << 32)),
+                ModelOp("mov-read", addr=address, size=rng.choice([4, 8]))]))
+        model = make_model(ops)
+        hooks = [(page * PAGE_SIZE + rng.randrange(PAGE_SIZE - 64),
+                  b"\xcc" * rng.randrange(1, 65))
+                 for page in rng.sample(self.HOOKABLE, rng.randrange(1, 4))]
+
+        def program_events(hooked, captured):
+            guest = build_guest(model)
+            for page in (0x9, 0xa):
+                guest.inject_page_fault(page * PAGE_SIZE)
+            for address, hooked_bytes in (hooks if hooked else ()):
+                guest.install_hidden_hook(address, hooked_bytes)
+            if captured:  # as capture_entry_point does
+                guest.exec_revoked.add(model.entry_page)
+            log = run(guest, model)
+            assert guest.exec_revoked == set()
+            return [(e.kind, e.address, e.operand_size, e.value)
+                    for e in log.events
+                    if e.instr.category != "page-fault"
+                    and (e.kind, e.instr.category) != ("execute", "other")]
+
+        plain = program_events(False, False)
+        for hooked, captured in ((True, False), (False, True), (True, True)):
+            assert program_events(hooked, captured) == plain
 
 
 # Pages 0x10-0x15: 0x12 and 0x14 are unmapped, 0x10 is mapped but not
@@ -328,9 +385,9 @@ def _memory_guest(seed: int) -> Guest:
 
 
 def _page_state(guest: Guest):
-    return {number: (bytes(page.content),
-                     None if page.pristine is None else bytes(page.pristine))
-            for number, page in guest.pages.items()}
+    """(Each built page's bytes by its number, the hooked numbers)."""
+    return ({number: bytes(page.content)
+             for number, page in guest.pages.items()}, set(guest.hooked))
 
 
 def _memory_outcome(call):
@@ -532,6 +589,30 @@ class TestRun:
         model = make_model(ops)
         log = run_model(model)
         assert event_tuples(log) == reference_interpret(model)
+
+    @given(seed=st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_read_values_match_reference_interpreter(self, seed):
+        """Reads land on the bytes that mov-writes, pushes, calls and xmm
+        zeroing stored, and sub-sp did not, about a page end and on the
+        stack, and log what the reference's byte memory holds there."""
+        rng = random.Random(seed)
+        ops = []
+        for _ in range(rng.randrange(60)):
+            address = rng.choice([0x3ff0, SP_INIT - 0x40]) + rng.randrange(48)
+            size = rng.choice([1, 2, 4, 8])
+            ops.append(rng.choice([
+                ModelOp("mov-read", addr=address, size=size),
+                ModelOp("mov-write", addr=address, size=size,
+                        value=rng.randrange(1 << 64)),
+                ModelOp("push", value=rng.randrange(1 << 64)),
+                ModelOp("ret"),
+                ModelOp("sub-sp", amount=8),
+                ModelOp("call", callee="Fn", args=[
+                    rng.randrange(1, 1 << 12) for _ in range(rng.randrange(7))]),
+                ModelOp("xmm-zero", addr=address)]))
+        model = make_model(ops)
+        assert event_tuples(run_model(model)) == reference_interpret(model)
 
 
 class TestCaptureWork:
@@ -793,6 +874,18 @@ class TestEntryCapture:
                            "executing the entry page$"):
             capture_entry_point(guest, model)
         assert guest.exec_revoked == {MODULE_PAGE}
+
+    def test_capture_on_a_hooked_entry_page(self):
+        """Under normal, a revoked page denies execute whether or not a
+        hook lies on it, so capture finds the entry there too."""
+        model = make_model([ModelOp("nop"), ModelOp("nop")])
+        guest = build_guest(model)
+        guest.install_hidden_hook(model.entry_address + 0x800, b"\xcc")
+        entry, prefix = capture_entry_point(guest, model)
+        assert entry == 0x401000
+        assert [(e.kind, e.instr.category) for e in prefix.events] == [
+            ("execute", "other")]
+        assert guest.exec_revoked == set() and guest.hooked == {MODULE_PAGE}
 
     def test_prefix_ends_at_the_entry_event(self):
         """An earlier execute event at the entry address (an alloc's hook,
