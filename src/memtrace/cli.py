@@ -176,9 +176,7 @@ def _load_rules(path: Optional[str]):
         ):
             raise ValueError(f"rule {trace._shown(entry['name'])}: steps must "
                              "be a non-empty list of names or lists of names")
-        rules.append((entry["name"], [
-            tuple(step) if isinstance(step, list) else step for step in steps
-        ]))
+        rules.append((entry["name"], steps))
     return rules
 
 

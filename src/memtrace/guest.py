@@ -46,7 +46,7 @@ ops and the trace outlive them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, repeat
 from operator import is_
@@ -362,9 +362,10 @@ class ModelOp(_Checked, _OpFields):
     rules under a data category (ACCESS_CATEGORIES).  So the run checks
     no event it logs.  The model reader builds most ops with
     tuple.__new__(ModelOp, fields), which checks nothing, and runs the
-    checks once per (op, addr or not, cpl, cat, sign, size), on an op
-    built from that key: every other field passes its checks on every
-    op once its column passes that reader's column checks (_plain_ops).
+    checks once per (op, addr or not, cpl, cat, sign, size, n_stack), on
+    an op built from that key: every other field passes its checks on
+    every op once its column passes that reader's column checks
+    (_plain_ops).
     """
 
     __slots__ = ()
@@ -385,7 +386,9 @@ class ModelOp(_Checked, _OpFields):
 
 # A model file's op keys, in the order an op line spells them.  The run
 # puts an addr, value, rip, amount or stack argument into a trace, which
-# spells it in 0x-hex, so none is ever negative.
+# spells it in 0x-hex, so none is ever negative.  n_stack, the one field
+# whose work the file's size does not bound, is at most the number of
+# 8-byte slots the stack mapping holds above sp_init.
 _OP_FIELDS = (
     _Field("op", _enum(MODEL_OPS, "unknown model op")),
     _Field("addr", _HEX, optional=True),
@@ -398,7 +401,8 @@ _OP_FIELDS = (
     _Field("cat", _CATEGORY, optional=True),
     _Field("sign", _SIGN, optional=True),
     _Field("args", _Ints(each="argument"), optional=True),
-    _Field("n_stack", _INT, omit=0),
+    _Field("n_stack", _Int(natural=True, most=DEFAULT_STACK_GUARD // 8),
+           omit=0),
 )
 
 
@@ -468,17 +472,15 @@ def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
     from only the values that _record_to_op takes as they are.  A chunk
     that _plain_ops declines is read again line by line through
     _record_to_op, which alone reports errors in op lines, so both ways
-    give the same ops.
+    give the same ops.  The header is checked on its own line, before
+    any op line (_model_header), as parse_trace checks its own.
     """
     ops: list[ModelOp] = []
     header = _read_rows(stream, ModelParseError, _model_header, dict,
                         partial(_plain_ops, ops), _record_to_op, ops.append)
     if header is None:
         raise ModelParseError(1, "empty model file (missing header)")
-    try:
-        return ProgramModel(ops, **_decode(_MODEL_FIELDS, header))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelParseError(1, f"bad header: {exc}") from exc
+    return replace(header, ops=ops)
 
 
 def _record_to_op(lineno: int, record) -> ModelOp:
@@ -494,11 +496,15 @@ def _record_to_op(lineno: int, record) -> ModelOp:
         raise ModelParseError(lineno, str(exc)) from exc
 
 
-def _model_header(lineno: int, record) -> dict:
-    """The header record, which must be an object carrying entry_page."""
+def _model_header(lineno: int, record) -> ProgramModel:
+    """The model, with no ops yet, of the header record on line
+    `lineno`, which must be an object carrying entry_page."""
     if not isinstance(record, dict) or "entry_page" not in record:
         raise ModelParseError(lineno, "first line must carry entry_page")
-    return record
+    try:
+        return ProgramModel([], **_decode(_MODEL_FIELDS, record))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelParseError(lineno, f"bad header: {exc}") from exc
 
 
 # The types of the values _plain_ops takes under each key, with null
@@ -521,9 +527,9 @@ def _plain_ops(ops: list[ModelOp], records: list[dict], checked: set
     args.  So no record holds an array with two objects side by side.
 
     Each op is built by one tuple.__new__ call.  ModelOp's checks run
-    once for each (op, addr or not, cpl, cat, sign, size) in the chunk
-    that `checked` does not hold yet, on an op built from that key with
-    addr 0 where it has one and every other field at its default: every
+    once for each (op, addr or not, cpl, cat, sign, size, n_stack) in the
+    chunk that `checked` does not hold yet, on an op built from that key
+    with addr 0 where it has one and every other field at its default: every
     other field passes its own check in _OP_FIELDS on every op once its
     column passes the checks here.  (A chunk with no op at all leaves
     None in its op column, which those checks reject.)
@@ -554,11 +560,12 @@ def _plain_ops(ops: list[ModelOp], records: list[dict], checked: set
                 and min(filter(None, column), default=0) < 0):
             return None
         columns[at] = column
-    names, addrs, sizes, *_, cpls, cats, signs, _ = columns
+    names, addrs, sizes, _, _, _, n_stacks, _, cpls, cats, signs, _ = columns
     new = set(zip(names, map(is_, addrs, repeat(None)), cpls, cats, signs,
-                  sizes)) - checked
-    for op, bare, cpl, cat, sign, size in new:
-        ModelOp(op, None if bare else 0, size, cpl=cpl, cat=cat, sign=sign)
+                  sizes, n_stacks)) - checked
+    for op, bare, cpl, cat, sign, size, n_stack in new:
+        ModelOp(op, None if bare else 0, size, n_stack=n_stack, cpl=cpl,
+                cat=cat, sign=sign)
     checked.update(new)
     ops += map(tuple.__new__, repeat(ModelOp), zip(*columns))
     return True
@@ -769,10 +776,7 @@ def _run(guest: Guest, model: ProgramModel):
                 trap("write", sp, 8, "sub-sp", value=amount)
             elif name == "call":
                 args = args or ()
-                stack_args = args[4:]
-                if not stack_args and n_stack:
-                    stack_args = (0,) * n_stack
-                for index, value in enumerate(stack_args):
+                for index, value in enumerate(args[4:] or (0,) * n_stack):
                     store(sp + 0x20 + 8 * index, 8, value, "int-move")
                 sp -= 8
                 store(sp, 8, rip + INSTR_STRIDE, "call", callee=callee,

@@ -353,18 +353,14 @@ _SIGNED = {
 _FLOAT = {4: "float", 8: "double"}
 
 
-def _infer_field_type(accesses: Sequence[AccessEvent],
+def _infer_field_type(offset: int, accesses: Sequence[AccessEvent],
                       pointers: Container[Optional[int]]) -> FieldRecord:
     """Assign a primitive category to all accesses at one offset.
 
     An 8-byte value is a pointer when it is in `pointers`.
     """
-    offsets = {a.address for a in accesses}
-    if len(offsets) != 1:
-        raise ValueError("accesses must share one address")
     sizes = {a.operand_size for a in accesses}
     size = max(sizes)
-    notes = [CONFLICT_NOTE] if len(sizes) > 1 else []
     is_float = any(a.instr.category == "float-move" for a in accesses)
     signed = not any(a.instr.signedness == "unsigned" for a in accesses)
     if size > 8:
@@ -375,10 +371,9 @@ def _infer_field_type(accesses: Sequence[AccessEvent],
         category = "pointer"
     else:
         category = _SIGNED[size] if signed else "unsigned " + _SIGNED[size]
-    record = FieldRecord(offset=accesses[0].address, size=size,
-                         category=category, evidence_count=len(accesses))
-    record.notes.extend(notes)
-    return record
+    return FieldRecord(offset=offset, size=size, category=category,
+                       evidence_count=len(accesses),
+                       notes=[CONFLICT_NOTE] if len(sizes) > 1 else [])
 
 
 def reconstruct_layout(log: TraceLog, base: int,
@@ -409,8 +404,7 @@ def reconstruct_layout(log: TraceLog, base: int,
     typed: list[FieldRecord] = []
     end = 0
     for offset in sorted(by_offset):
-        record = _infer_field_type(by_offset[offset], pointers)
-        record.offset = offset
+        record = _infer_field_type(offset, by_offset[offset], pointers)
         if offset < end:
             # Access inside an already-typed extent: fold into evidence.
             typed[-1].evidence_count += record.evidence_count

@@ -387,13 +387,14 @@ def _is_int(value) -> bool:
 
 class _Int:
     """Ints, spelled as JSON ints, or as 0x-hex strings where `write` is
-    _hex, and then never negative, as natural ones are not either.  A
-    reader takes either spelling, or only 0x-hex where `read` is
-    _parse_addr; `types` are the JSON types of those spellings."""
+    _hex, and then never negative, as natural ones are not either, and
+    none above `most` where that is given.  A reader takes either
+    spelling, or only 0x-hex where `read` is _parse_addr; `types` are
+    the JSON types of those spellings."""
 
-    def __init__(self, natural=False, write=int, read=_int_or_hex):
+    def __init__(self, natural=False, write=int, read=_int_or_hex, most=None):
         self.natural = natural or write is _hex
-        self.write, self.take = write, read
+        self.write, self.take, self.most = write, read, most
         self.types = {str} if read is _parse_addr else {int, str}
 
     def check(self, label, value):
@@ -401,6 +402,8 @@ class _Int:
             raise ValueError(f"{label} {_shown(value)} is not an integer")
         if self.natural and value < 0:
             raise ValueError(f"{label} {_shown(value)} is negative")
+        if self.most is not None and value > self.most:
+            raise ValueError(f"{label} {_shown(value)} is above {self.most}")
 
     def read(self, key, spelled):
         return self.take(spelled)
@@ -588,9 +591,6 @@ def _record_to_instr(raw: dict) -> InstrDescriptor:
     for key in ("val", "args"):  # an event's own columns
         if key in raw:
             raise ValueError(f"a shape object holds no {key}")
-    callee = raw.get("callee")
-    if callee is not None and not isinstance(callee, str):
-        raise ValueError("instr callee must be a string")
     return InstrDescriptor(**_decode(_SHAPE_FIELDS, raw))
 
 
@@ -705,11 +705,6 @@ def _row_to_event(shapes: list, seqs: list, lineno: int,
             raise ValueError(
                 f"an event row is a list of {len(COLUMNS)} values")
         seq, tid, cpl, kind, addr, size, rip, shape, val, args = row
-        # The writer emits these as JSON integers; a bool, float or
-        # string would slip through the comparisons downstream.
-        if (type(seq) is not int or type(tid) is not int
-                or type(size) is not int):
-            raise ValueError("seq, tid and size must be integers")
         if type(shape) is int:
             if not 0 <= shape < len(shapes):
                 raise ValueError(

@@ -206,11 +206,8 @@ def _reference_shape(raw: dict) -> dict:
         raise ValueError("a shape object holds no val")
     if "args" in raw:
         raise ValueError("a shape object holds no args")
-    callee = raw.get("callee")
-    if callee is not None and not isinstance(callee, str):
-        raise ValueError("instr callee must be a string")
     shape = dict(category=raw["cat"], signedness=raw["sign"],
-                 callee_id=callee)
+                 callee_id=raw.get("callee"))
     InstrDescriptor(**shape)  # the shape's own checks, at its definition
     return shape
 
@@ -219,9 +216,6 @@ def _reference_row_to_event(row, shapes: list) -> AccessEvent:
     if not isinstance(row, list) or len(row) != len(COLUMNS):
         raise ValueError(f"an event row is a list of {len(COLUMNS)} values")
     record = dict(zip(COLUMNS, row))
-    seq, tid, size = record["seq"], record["tid"], record["size"]
-    if type(seq) is not int or type(tid) is not int or type(size) is not int:
-        raise ValueError("seq, tid and size must be integers")
     raw = record["instr"]
     if isinstance(raw, dict):
         shapes.append(_reference_shape(raw))
@@ -241,12 +235,12 @@ def _reference_row_to_event(row, shapes: list) -> AccessEvent:
             raise ValueError(f"args must be a list, not {_shown(args)}")
         args = tuple(_reference_int_or_hex(a) for a in args)
     return AccessEvent(
-        seq=seq,
-        thread_id=tid,
+        seq=record["seq"],
+        thread_id=record["tid"],
         cpl=_CPL_UNWIRE.get(record["cpl"], record["cpl"]),
         kind=_KIND_UNWIRE.get(record["kind"], record["kind"]),
         address=_parse_addr(record["addr"]),
-        operand_size=size,
+        operand_size=record["size"],
         instr=instr,
         rip=_parse_addr(record["rip"]),
         value=value,

@@ -120,6 +120,22 @@ CASES = [
          "error: line 3: value -1 is negative\n",
          m=lines(*OPS, '{"op": "push", "value": -1}')),
     case("empty-model", "simulate m", 2, b"", error(1), m=b""),
+    # n_stack is the one op field whose work the file's size does not
+    # bound; the first line is a plain chunk, which the bulk reader would
+    # take but for the bound.
+    case("huge-n-stack", "simulate m", 2, b"",
+         "error: line 2: n_stack 1000000000000 is above 8192\n",
+         m=lines(OPS[0], '{"op": "call", "n_stack": 1000000000000}')),
+    case("negative-n-stack", "simulate m", 2, b"",
+         "error: line 2: n_stack -1 is negative\n",
+         m=lines(OPS[0], '{"op": "call", "n_stack": -1}')),
+    # A signature file is one JSON object, in UTF-8.
+    *(case(f"{name}-sig", "match s golden.sig", 2, b"",
+           "error: a signature file holds one JSON object\n", s=text)
+      for name, text in (("number", b"5\n"), ("string", b'"offsets base"\n'))),
+    case("utf16-sig", "match s golden.sig", 2, b"",
+         ("error: 'utf-8' codec", 1),
+         s=data("golden.sig").decode().encode("utf-16")),
     # A step of no alternatives could never match.
     case("empty-step", "flags golden.trace --rules r", 2, b"",
          ("error: rule 'dead': steps must be ", 1),

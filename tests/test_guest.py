@@ -720,6 +720,15 @@ class TestCaptureWork:
                            match="^module_range bound .* is not an integer$"):
             make_model([ModelOp("nop")], module_range=module_range)
 
+    def test_list_ranges_are_held_as_tuples(self):
+        """As parse_model gives them, so a model made of lists equals its
+        own parse."""
+        model = make_model([ModelOp("nop")], mapped=[[0x3000, 0x4000]],
+                           module_range=[0x401000, 0x402000])
+        assert model.mapped == [(0x3000, 0x4000)]
+        assert model.module_range == (0x401000, 0x402000)
+        assert parse_model(serialize_model(model)) == model
+
     def test_model_is_frozen_after_its_checks(self):
         """The run trusts what the checks checked, so no field can
         change after them: entry_page = True would run."""
@@ -1071,8 +1080,9 @@ class TestModelFiles:
         ("root", ['{"op": "push", "value": 1}'],
          "line 1: bad header: bad cpl 'root'"),
         (5, [], "line 1: bad header: bad cpl 5"),
+        ("root", ['{"op": "bogus"}'], "line 1: bad header: bad cpl 'root'"),
     ], ids=["op-cpl", "op-cpl-case", "op-cat", "op-sign", "header-cpl-nop",
-            "header-cpl-push", "header-cpl-int"])
+            "header-cpl-push", "header-cpl-int", "header-cpl-bad-op"])
     def test_unknown_cpl_cat_or_sign_names_its_line(self, cpl, lines, message):
         """A model must not simulate with a cpl, category or signedness
         a trace cannot hold: an op's cpl of "root" once simulated to a
@@ -1082,6 +1092,22 @@ class TestModelFiles:
         data = "\n".join([json.dumps(header)] + lines) + "\n"
         with pytest.raises(ModelParseError) as info:
             parse_model(data)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("lines, message", [
+        (["", "", '{"entry_page": 1025, "sp_init": "0x7ff000", "tid": "x"}',
+          '{"op": "nop"}'], "line 3: bad header: 'x' is neither an integer "
+         "nor a 0x-prefixed hex string"),
+        (["", '{"sp_init": "0x7ff000"}'],
+         "line 2: first line must carry entry_page"),
+        (['{"entry_page": 1025, "sp_init": "0x7ff000"}', '["nop"]'],
+         "line 2: an op line must be a JSON object"),
+    ], ids=["header-after-blanks", "no-entry-page", "op-not-an-object"])
+    def test_model_line_errors_name_their_line(self, lines, message):
+        """The header is checked on its own line before any op line, as a
+        trace's is."""
+        with pytest.raises(ModelParseError) as info:
+            parse_model("\n".join(lines) + "\n")
         assert str(info.value) == message
 
     @pytest.mark.parametrize("op", ["mov-read", "mov-write"])
@@ -1580,9 +1606,9 @@ def test_chunk_without_an_op_is_named_at_its_line(chunk):
 @pytest.mark.parametrize("chunk", [7, trace._CHUNK_ROWS])
 def test_one_op_check_per_bulk_reader_key(monkeypatch, chunk):
     """The bulk model reader runs ModelOp's checks on one op of each (op,
-    addr or not, cpl, cat, sign, size) in the whole text, over every
-    chunk: the other ops differ from it only in what the checks do not
-    read, or in the types of callee and args, which it checks by
+    addr or not, cpl, cat, sign, size, n_stack) in the whole text, over
+    every chunk: the other ops differ from it only in what the checks do
+    not read, or in the types of callee and args, which it checks by
     column."""
     model = _random_model(random.Random(5), 600)
     data = serialize_model(model)
@@ -1598,7 +1624,8 @@ def test_one_op_check_per_bulk_reader_key(monkeypatch, chunk):
         assert parse_model(data) == model
 
     def key(op):
-        return op.op, op.addr is None, op.cpl, op.cat, op.sign, op.size
+        return (op.op, op.addr is None, op.cpl, op.cat, op.sign, op.size,
+                op.n_stack)
 
     keys = set(map(key, model.ops))
     # Each of the model's 69 allocs has a size of its own, and so a key.

@@ -306,8 +306,10 @@ def make_access(address, size=4, cat="int-move", sign="signed", value=None,
 
 
 def infer_field(accesses, allocations=()):
-    """_infer_field_type over the allocations, with nothing else mapped."""
-    return _infer_field_type(accesses, _Pointers(TraceLog(), allocations))
+    """_infer_field_type at the first access's address, over the
+    allocations, with nothing else mapped."""
+    return _infer_field_type(accesses[0].address, accesses,
+                             _Pointers(TraceLog(), allocations))
 
 
 class TestInferFieldType:
@@ -344,10 +346,6 @@ class TestInferFieldType:
         ])
         assert record.size == 4
         assert CONFLICT_NOTE in record.notes
-
-    def test_mixed_addresses_rejected(self):
-        with pytest.raises(ValueError):
-            infer_field([make_access(0x100), make_access(0x104, seq=1)])
 
     def test_evidence_count(self):
         record = infer_field(

@@ -79,9 +79,9 @@ def diff_cases(draw):
     edited and random pairs, with either side possibly empty.  A nested
     pair alternates shared runs of mixed lengths with stretches found on
     one side only, so a leftover box splits again and its smaller child
-    can hold a run of its own.  An edited pair, at tau 0, is p over two
-    to four values and p after one to three inserts, deletes or
-    substitutions: its repeated values leave many ranges with two equal
+    can hold a run of its own.  An edited pair, at tau 0 or 10, is p over
+    two to four values 10 apart and p after one to three inserts, deletes
+    or substitutions: its repeated values leave many ranges with two equal
     sides between matched runs, which the reference matches in full
     where they are near cell by cell (diff_modified cannot meet such a
     range after the first split)."""
@@ -115,8 +115,9 @@ def diff_cases(draw):
             p += shared
             q += shared
     elif shape == "edited":
-        tau = 0
-        alphabet = st.integers(0, draw(st.integers(1, 3)))
+        tau = draw(st.sampled_from([0, 10]))
+        alphabet = st.integers(0, draw(st.integers(1, 3))).map(
+            lambda v: 10 * v)
         p = draw(st.lists(alphabet, max_size=30))
         q = list(p)
         for _ in range(draw(st.integers(1, 3))):
@@ -556,6 +557,16 @@ class TestDiffModified:
         report = diff_modified(p, q, tau=0, threshold=0)
         assert ((7, 9), (7, 9)) in report.matched
         assert report == reference_diff(p, q, tau=0, threshold=0)
+
+    def test_a_run_clipped_by_a_split_keeps_its_clipped_part(self):
+        # The run that matches (10, 12) with (11, 13) is first clipped by
+        # the box it lands in, and must stay in that box's heap as
+        # clipped, not be dropped with the runs that miss the box.
+        p = [0, 0, 0, 50, 20, 20, 0, 30, 20, 40, 10, 20]
+        q = [20, 0, 0, 0, 50, 20, 0, 30, 20, 40, 40, 10, 20]
+        report = diff_modified(p, q, tau=10, threshold=0)
+        assert ((10, 12), (11, 13)) in report.matched
+        assert report == reference_diff(p, q, tau=10, threshold=0)
 
     def test_many_runs_need_no_recursion_depth(self):
         p, q = pathological_pair(150)

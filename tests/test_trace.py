@@ -248,28 +248,40 @@ class TestParseSerialize:
                            match="^line 5: seq 5 not greater than 7$"):
             parse_trace("\n".join(lines))
 
-    @pytest.mark.parametrize("field, value",
-                             [("seq", "x"), ("tid", []), ("size", True)])
+    @pytest.mark.parametrize("field, value", [
+        ("seq", "x"), ("tid", []), ("size", True), ("seq", True),
+        ("seq", 2.0), ("tid", True), ("tid", 1.5), ("tid", "1"),
+        ("size", 4.0), ("size", "4")])
     def test_non_integer_event_field_rejected(self, field, value):
+        """AccessEvent's own check names the field, on both readers."""
         row = [1, 1, "u", "w", "0x10", 4, "0x20",
                {"cat": "int-move", "sign": "n/a"}, None, None]
         bad = [2] + row[1:7] + [0, None, None]
         bad[trace.COLUMNS.index(field)] = value
-        lines = [HEADER, row, bad]
-        with pytest.raises(TraceParseError, match="line 3"):
-            parse_trace("\n".join(json.dumps(line) for line in lines))
+        data = "\n".join(json.dumps(line) for line in [HEADER, row, bad])
+        name = {"seq": "seq", "tid": "thread_id", "size": "operand_size"}
+        got = _outcome(parse_trace, data)
+        assert got == (TraceParseError, 3, f"line 3: {name[field]} "
+                       f"{trace._shown(value)} is not an integer")
+        assert got == _outcome(reference_parse_trace, data)
 
-    @pytest.mark.parametrize("instr, args", [
-        ('"cat": "call", "sign": "n/a", "callee": [1]', 'null'),
-        ('"cat": "call", "sign": "n/a"', '["a", "b", "c", "d"]'),
-        ('"cat": "call", "sign": "n/a"', '"abcd"'),
-    ], ids=["list-callee", "string-args", "args-string"])
-    def test_malformed_call_descriptor_rejected(self, instr, args):
+    @pytest.mark.parametrize("instr, args, message", [
+        ('"cat": "call", "sign": "n/a", "callee": [1]', 'null',
+         "callee_id [1] is not a string"),
+        ('"cat": "call", "sign": "n/a"', '["a", "b", "c", "d"]',
+         "'a' is neither an integer nor a 0x-prefixed hex string"),
+        ('"cat": "call", "sign": "n/a"', '"abcd"',
+         "args must be a list, not 'abcd'"),
+        ('"cat": "call", "sign": "n/a", "callee": 1', 'null',
+         "callee_id 1 is not a string"),
+    ], ids=["list-callee", "string-args", "args-string", "number-callee"])
+    def test_malformed_call_descriptor_rejected(self, instr, args, message):
         data = (json.dumps(HEADER) + '\n'
                 '[1, 1, "u", "w", "0x10", 8, "0x20", {%s}, null, %s]\n'
                 % (instr, args))
-        with pytest.raises(TraceParseError, match="line 2"):
-            parse_trace(data)
+        got = _outcome(parse_trace, data)
+        assert got == (TraceParseError, 2, "line 2: " + message)
+        assert got == _outcome(reference_parse_trace, data)
 
     def test_unknown_keys_ignored(self):
         data = (json.dumps({**HEADER, "extra": 1}) + '\n'
