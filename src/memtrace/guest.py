@@ -13,8 +13,8 @@ program uses, so a hook changes nothing that the program can read.
 Abstract program models are interpreted against this state: every data
 access is trapped and logged as one event of the trace, and
 instruction fetches go through the permission check for entry capture.
-A mode transition is reported at the first fetch after it, by MBEC and
-legacy detection alike, so both give one trace.
+A mode transition is reported at the first fetch after it, as an
+execute event of category "other" (transitions lists them).
 
 A model file states its fields once, in two tables of trace's field
 kinds: the header's keys (_MODEL_FIELDS) and an op line's
@@ -86,7 +86,6 @@ from .trace import (
 )
 
 PROFILE_IDS = ("normal", "user-exec-denied", "kernel-exec-denied", "execute-only")
-TRANSITION_MODES = ("mbec", "legacy")
 
 DEFAULT_ALLOC_BASE = 0x9000
 DEFAULT_STACK_GUARD = 0x10000
@@ -102,16 +101,6 @@ class ModelParseError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
-
-
-@dataclass
-class PagePerms:
-    """The one EPT bit kept on a page: whether it is present.  Hooks and
-    revoked execute are kept by page number, in Guest.hooked and
-    Guest.exec_revoked, so that both outlive the page a demand fault
-    replaces."""
-
-    present: bool = True
 
 
 @dataclass(frozen=True)
@@ -134,10 +123,15 @@ _ALLOWED, _PAGE_FAULT, _VIOLATION = Allowed(), PageFault(), Violation()
 
 
 class _Page:
-    __slots__ = ("perms", "content")
+    """A built page: the one EPT bit kept on it, whether it is present,
+    and its bytes.  Hooks and revoked execute are kept by page number, in
+    Guest.hooked and Guest.exec_revoked, so that both outlive the page a
+    demand fault replaces."""
+
+    __slots__ = ("present", "content")
 
     def __init__(self):
-        self.perms = PagePerms()
+        self.present = True
         self.content = bytearray(PAGE_SIZE)
 
 
@@ -201,7 +195,7 @@ class Guest:
 
     def page_present(self, address: int) -> bool:
         page = self.pages[address // PAGE_SIZE]
-        return page is not None and page.perms.present
+        return page is not None and page.present
 
     # -- permission semantics ------------------------------------------
 
@@ -218,7 +212,7 @@ class Guest:
         """
         _check_canonical(address)
         page = self.pages[number := address // PAGE_SIZE]
-        if page is None or not page.perms.present:
+        if page is None or not page.present:
             return _PAGE_FAULT
         profile = self.active_profile
         if kind == "read" and number in self.hooked:
@@ -260,7 +254,7 @@ class Guest:
         """Materialize a demand-zero page; 'injected' or 'already-present'."""
         number = address // PAGE_SIZE
         page = self.pages[number]
-        if page is not None and page.perms.present:
+        if page is not None and page.present:
             return "already-present"
         self.pages[number] = _Page()
         return "injected"
@@ -588,36 +582,18 @@ def build_guest(model: ProgramModel) -> Guest:
     if not model.entry_present:
         entry = guest.pages[model.entry_page]
         if entry is not None:
-            entry.perms.present = False
+            entry.present = False
     guest.map_range(model.sp_init - DEFAULT_STACK_GUARD, model.sp_init + DEFAULT_STACK_GUARD)
     for mlo, mhi in model.mapped:
         guest.map_range(mlo, mhi)
     return guest
 
 
-# -- trap configuration and interpreter --------------------------------
+# -- interpreter --------------------------------------------------------
 
 
-@dataclass
-class TrapConfig:
-    """How mode transitions are caught: "mbec" (EPT violations under the
-    exec-denied profiles) or "legacy" (U/S-bit page faults).  Both report
-    every switch, on hidden-hook pages too, so both yield the same trace:
-    with two CPL values, the profile kept for the previous mode always
-    denies execute in the new one."""
-
-    transition_mode: str = "mbec"
-
-    def __post_init__(self):
-        if self.transition_mode not in TRANSITION_MODES:
-            raise ValueError(
-                f"unknown transition mode {_shown(self.transition_mode)}")
-
-
-def run(guest: Guest, model: ProgramModel,
-        trap_config: Optional[TrapConfig] = None) -> TraceLog:
-    """Interpret the model against the guest and return the trace, which
-    is the same under either TrapConfig."""
+def run(guest: Guest, model: ProgramModel) -> TraceLog:
+    """Interpret the model against the guest and return the trace."""
     log, _ = _run(guest, model)
     return log
 
@@ -641,18 +617,15 @@ def capture_entry_point(guest: Guest, model: ProgramModel):
     return log.events[entry].address, prefix
 
 
-def legacy_transition_detect(guest: Guest, model: ProgramModel) -> list[tuple[int, str]]:
-    """Report mode transitions via the legacy U/S-bit page-fault path.
-
-    Requires no MBEC support: while the page tables advertise the last
-    known mode, a fetch in the other mode raises a page fault that the
-    monitor intercepts and turns into a transition report.
-    """
-    return transitions(run(guest, model))
-
-
 def transitions(log: TraceLog) -> list[tuple[int, str]]:
-    """Extract (seq, mode) transition reports from a detection-mode trace."""
+    """The (seq, mode) of each transition report in a trace that run or
+    capture_entry_point gives: each execute event of category "other".
+
+    A capture_entry_point trace ends in its entry event, which is such an
+    event too, so it is listed as well, with no switch before it: the
+    prefix of a two-nop model that starts in user mode gives
+    [(0, "user")].
+    """
     columns = log.columns
     return [(seq, cpl) for seq, cpl, kind, instr in zip(
                 columns.seq, columns.cpl, columns.kind, columns.instr)
@@ -696,12 +669,12 @@ def _run(guest: Guest, model: ProgramModel):
     def demand_page(address: int, size: int, lazy_code: bool = False) -> None:
         first, last = address // PAGE_SIZE, (address + size - 1) // PAGE_SIZE
         if first == last:
-            present = built_page(first)
-            if present is not None and present.perms.present:
+            built = built_page(first)
+            if built is not None and built.present:
                 return
         for page in range(first, last + 1):
-            present = pages[page]
-            if present is not None and present.perms.present:
+            built = pages[page]
+            if built is not None and built.present:
                 continue
             addr = page * PAGE_SIZE
             if not (lazy_code or guest.is_allocatable(addr)

@@ -69,8 +69,8 @@ def make_model(ops, *, entry_page=MODULE_PAGE, sp_init=SP_INIT, mapped=None,
     )
 
 
-def run_model(model, trap_config=None):
-    return run(build_guest(model), model, trap_config)
+def run_model(model):
+    return run(build_guest(model), model)
 
 
 class CountingColumn(list):
@@ -578,6 +578,14 @@ def reference_interpret(model: ProgramModel):
             mode = op.cpl or ("kernel" if mode == "user" else "user")
         rip += INSTR_STRIDE
     return out
+
+
+def reference_transitions(model: ProgramModel):
+    """The (index, address, cpl) of each transition marker that
+    reference_interpret gives for the model: each execute/"other" tuple."""
+    return [(index, address, cpl) for index, (kind, address, _, cpl, category, _)
+            in enumerate(reference_interpret(model))
+            if (kind, category) == ("execute", "other")]
 
 
 def event_tuples(log: TraceLog):

@@ -12,11 +12,9 @@ from memtrace.guest import (
     Guest,
     ModelOp,
     PageFault,
-    TrapConfig,
     Violation,
     build_guest,
     capture_entry_point,
-    legacy_transition_detect,
     transitions,
 )
 from memtrace.recon import (
@@ -40,6 +38,7 @@ from helpers import (
     brute_lcmap,
     make_model,
     random_pattern_pair,
+    reference_transitions,
     run_model,
 )
 
@@ -128,7 +127,7 @@ def test_criterion_3_ept_truth_table():
             guest.map_range(0x3000, 0x4000)
             if hook:
                 guest.install_hidden_hook(0x3000, b"\xcc")
-            guest.pages[3].perms.present = present
+            guest.pages[3].present = present
             guest.switch_profile(profile)
             out = guest.check_access(0x3000, kind, cpl)
             got = ("fault" if isinstance(out, PageFault)
@@ -341,9 +340,10 @@ def test_criterion_8_entry_point_capture():
 
 
 def test_criterion_9_mbec_legacy_equivalence():
-    with criterion(9, "MBEC and legacy transition detection agree on "
-                      "100 random models"):
+    with criterion(9, "MBEC transition detection matches the reference "
+                      "interpreter on 100 random models"):
         rng = random.Random(909)
+        total = 0
         for _ in range(100):
             start = rng.choice(["user", "kernel"])
             ops = []
@@ -352,10 +352,11 @@ def test_criterion_9_mbec_legacy_equivalence():
                                    cpl=rng.choice(["user", "kernel"])))
                 ops.append(ModelOp("nop"))
             model = make_model(ops, cpl=start)
-            mbec = transitions(
-                run_model(model, TrapConfig(transition_mode="mbec")))
-            legacy = legacy_transition_detect(build_guest(model), model)
-            assert mbec == legacy
+            found = transitions(run_model(model))
+            assert found == [(index, cpl) for index, _, cpl
+                             in reference_transitions(model)]
+            total += len(found)
+        assert total == 267
 
 
 def test_criterion_10_call_sequence_flagging():

@@ -60,6 +60,11 @@ CASES = [
         s="sign golden.trace"),
     case("reconstruct", "reconstruct golden.trace --base 0x9000",
          out=data("golden.layout")),
+    # A size of 0 spans the default 0x1000 window, as it does in an
+    # allocation record, the size bases prints for a call-param base.
+    case("reconstruct-size-0",
+         "reconstruct golden.trace --base 0x9000 --size 0",
+         out=data("golden.layout")),
     case("flags", "flags golden.trace", out=b""),
     case("flags-rules", "flags golden.trace --rules golden.rules",
          out=data("golden.flags")),
