@@ -3,21 +3,23 @@
 The core matcher finds the longest contiguous run of two offset
 sequences whose elements pairwise differ by at most an alignment
 threshold tau, by dynamic programming.  The DP is bit-parallel: each
-row updates every column at once, with the run lengths held as binary
-digit slices in Python ints, so an m x n match costs O(m log L)
-big-int operations rather than m n interpreted steps: O(log L) per row
-for the slice update, and for the test for a new longest run O(1) after
-a row that raised it, or O(log L) otherwise.  Every other
-question about two patterns is answered from that one sweep: the
-normalized similarity score, and a greedy diff that splits ranges off a
-worklist to localize source-level modifications between near-identical
-patterns.  The diff sweeps the pair once for its first split and each
-leftover box once more, collecting the maximal diagonal near-runs, and
-answers every later range from those runs, clipped to it.  A pattern
-is taken from a trace's address and size columns, at the indices of
-the program's own accesses, with no event built; each address is
-attributed to an allocation through recon's OwnerIndex, one bisection
-per access.
+row of P is one near mask over every column of P' at once, a Python
+int built from two prefix masks (`_near_rows`).  A run of best + 1
+cells ending in row i is the AND of the last best + 1 masks, each
+shifted to its diagonal, and that sliding-window AND costs amortized
+O(1) big-int operations per row (`_longest`), so an m x n match costs
+O(m) of them rather than m n interpreted steps, whatever the longest
+run.  Every other question about two patterns is answered from those
+masks: the normalized similarity score, and a greedy diff that splits
+ranges off a worklist to localize source-level modifications between
+near-identical patterns.  The diff takes its first split from the
+longest run, sweeps each leftover box once, collecting the maximal
+diagonal near-runs where the masks say they open and close (`_runs`),
+and answers every later range from those runs, clipped to it.  A
+pattern is taken from a trace's address and size columns, at the
+indices of the program's own accesses, with no event built; each
+address is attributed to an allocation through recon's OwnerIndex, one
+bisection per access.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .recon import AllocationRecord, OwnerIndex
 
 DEFAULT_TAU = 100
 DEFAULT_MATCH_THRESHOLD = 0.8
-# The shortest diff run worth calling a match.  _sweep collects only
+# The shortest diff run worth calling a match.  _runs collects only
 # runs of two or more cells, so it cannot be lowered to 1.
 DEFAULT_MIN_RUN = 2
 
@@ -82,105 +84,105 @@ def _offsets(pattern) -> tuple[int, ...]:
     return tuple(pattern)
 
 
-def _sweep(first: Sequence[int], second: Sequence[int], tau: int,
-           collect: bool = False):
-    """The LCMAP dynamic program over first x second, one row at a time.
+def _near_rows(first: Sequence[int], second: Sequence[int], tau: int):
+    """The near masks of first x second, as (prefix, lows, highs).
 
-    Returns (length, end_i, end_j, runs): the longest run and the
-    row-major earliest cell where it ends, (0, -1, -1) when no pair is
-    near, and, when collect is set, every maximal diagonal near-run of
-    at least two cells (DEFAULT_MIN_RUN) as (start_i, start_j, length)
-    in row-end order.  This is the only LCMAP dynamic program: lcmap
-    wraps it without collecting, and diff_modified collects from it.
-
-    D[i][j] extends D[i-1][j-1] by one when near(P[i-1], P'[j-1], tau)
-    and resets to zero otherwise.  Row i of D is computed for every
-    column at once, on Python ints used as bit vectors (bit j is column
-    j), after Allison and Dix's bit-string LCS and Myers' bit-vector
-    matching.  Row i's near set is the XOR of two prefix-OR masks over P'
-    in sorted order, found by two bisections.  The run lengths are kept
-    as binary digit slices: bit j of digits[k] is bit k of D[i][j].  A
-    row shifts every slice by one column, clears the columns that are not
-    near, and adds one to the near columns by a ripple carry.  A run
-    grows by at most one per row, so a new maximum is best + 1, reached
-    only in a column whose diagonal predecessor held best.  After a row
-    that raised the best, the columns that hold it are that row's hits,
-    kept as `top`, and the next row's hits are `top` shifted by one
-    column and masked by the near set; after any other row, one
-    slice-equality test finds them.  The first row to reach best + 1,
-    at the lowest set bit of its hits, is the row-major earliest cell.
-    The run at (i - 1, j) ends unless (i, j + 1) is near, and is at least
-    two long when (i - 2, j - 1) is near too, so the ended runs worth
-    decoding are a few masks away; their lengths are read from the slices
-    before row i overwrites them.  Cost per row, in operations on n-bit ints: O(log L) for the
-    slice update for the longest run L, plus O(1) for the best test
-    after a row that raised the best, or O(log L) otherwise; in all
-    O(m log L), about m n log L / 64 word operations, plus n + 1 prefix
-    masks of n bits and O(log L) per collected run.  A negative tau
-    makes no pair near.
+    Row i's near set, bit j for each column j of P' with
+    near(P[i], P'[j], tau), is prefix[highs[i]] ^ prefix[lows[i]]:
+    prefix[k] holds the columns of the k smallest values of P', and the
+    bounds are two bisections in those sorted values.  A row is built
+    from its bounds when it is read, so a sweep keeps n + 1 prefix masks
+    of n bits, not m rows.  This is the only builder of near masks.  A
+    negative tau makes no pair near: it gives no rows.
     """
-    m, n = len(first), len(second)
-    best_len = 0
-    best_i = best_j = -1
+    order = sorted(range(len(second)), key=second.__getitem__)
+    values = [second[j] for j in order]
+    prefix = [0]
+    for j in order:
+        prefix.append(prefix[-1] | 1 << j)
+    rows = first if tau >= 0 else ()
+    return (prefix, [bisect_left(values, a - tau) for a in rows],
+            [bisect_right(values, a + tau) for a in rows])
+
+
+def _longest(first: Sequence[int], second: Sequence[int], tau: int):
+    """The LCMAP dynamic program over first x second: (length, end_i,
+    end_j), the longest run and the row-major earliest cell where it
+    ends, or (0, -1, -1) when no pair is near.
+
+    A run grows by at most one per row, so row i only asks whether a run
+    of best + 1 cells ends there: whether the near sets of the last
+    best + 1 rows, each shifted to row i's diagonal, AND to a nonzero
+    mask.  That is a sliding-window AND (Tangwongsan, Hirzel and
+    Schneider's two stacks), on Python ints used as bit vectors (bit j
+    is column j), after Allison and Dix's bit-string LCS.  The rows
+    since the last rebuild are one AND aligned to row i, `newer`; the
+    rows up to it are a stack of suffix ANDs, `back`, each aligned to
+    its own row, oldest on top.  A row that raises the best keeps the
+    window's oldest row, any other drops it, and an empty stack is
+    rebuilt by walking back from row i over the window, each row rebuilt
+    from its bounds.  The first row whose test has a bit, at its lowest
+    bit, is the row-major earliest cell.  No two rebuilds walk the same
+    row, so the cost is O(1) operations on n-bit ints per row, amortized:
+    two prefix-mask reads per row and two per rebuilt row, whatever the
+    longest run; the stack holds at most best + 1 masks.
+    """
+    prefix, lows, highs = _near_rows(first, second, tau)
+    best, end_i, end_j = 0, -1, -1
+    back: list[int] = []  # back[-1]: the window's rows to the last rebuild
+    newer = -1  # the window's rows after it, at row i
+    for i, (low, high) in enumerate(zip(lows, highs)):
+        row = prefix[high] ^ prefix[low]
+        if back:
+            newer = (newer << 1) & row
+        else:
+            back, newer, acc = [row], -1, row
+            for r in range(i - 1, i - best - 1, -1):
+                acc = (acc >> 1) & (prefix[highs[r]] ^ prefix[lows[r]])
+                back.append(acc)
+        hits = (back[-1] << best) & newer
+        if hits:
+            best, end_i, end_j = best + 1, i, (hits & -hits).bit_length() - 1
+        else:
+            back.pop()
+    return best, end_i, end_j
+
+
+def _runs(first: Sequence[int], second: Sequence[int], tau: int):
+    """Every maximal diagonal near-run of first x second of at least two
+    cells (DEFAULT_MIN_RUN), as (start_i, start_j, length), in row-end
+    order and by column within a row.
+
+    The near sets of rows i - 2, i - 1 and i, `above`, `row` and
+    `near_mask`, tell where runs open and close.  A run opens, reaching
+    two cells, at (i, j) when (i - 1, j - 1) is near and (i - 2, j - 2)
+    is not; its start row is kept by diagonal j - i.  The run at
+    (i - 1, j) ends unless (i, j + 1) is near, and is worth reporting
+    when (i - 2, j - 1) is near too.  Cost: O(1) operations on n-bit
+    ints per row, plus O(1) per run.
+    """
+    prefix, lows, highs = _near_rows(first, second, tau)
     runs: list[tuple[int, int, int]] = []
-    if tau >= 0 and m and n:
-        order = sorted(range(n), key=second.__getitem__)
-        values = [second[j] for j in order]
-        prefix = [0]  # prefix[k]: the columns of the k smallest values
-        for j in order:
-            prefix.append(prefix[-1] | 1 << j)
-        digits: list[int] = []  # digits[k]: bit k of every column's run
-        row = above = 0  # the near sets of rows i - 1 and i - 2
-        top = 0  # the columns at best_len, if row i - 1 raised it
-        for i, a in enumerate(first):
-            near_mask = (prefix[bisect_right(values, a + tau)]
-                         ^ prefix[bisect_left(values, a - tau)])
-            if collect:
-                ended = row & (above << 1) & ~(near_mask >> 1)
-                if ended:
-                    _collect(runs, digits, ended, i - 1)
-                above, row = row, near_mask
-            carry = near_mask
-            for k, digit in enumerate(digits):
-                digit = (digit << 1) & near_mask
-                digits[k] = digit ^ carry
-                carry &= digit
-            if carry:
-                digits.append(carry)
-            while digits and not digits[-1]:
-                digits.pop()
-            if top:
-                hits = (top << 1) & near_mask
-            elif (target := best_len + 1).bit_length() > len(digits):
-                continue
-            else:
-                hits = near_mask
-                for k, digit in enumerate(digits):
-                    hits &= digit if target >> k & 1 else ~digit
-            top = hits
-            if hits:
-                best_len, best_i = best_len + 1, i
-                best_j = (hits & -hits).bit_length() - 1
-        if collect:
-            # Every run still open in the last row ends there.
-            ended = row & (above << 1)
-            if ended:
-                _collect(runs, digits, ended, m - 1)
-    return best_len, best_i, best_j, runs
+    starts: dict[int, int] = {}  # diagonal j - i -> its open run's start
+    row = above = 0
+    # One empty row past the last ends every run still open.
+    for i, (low, high) in enumerate(zip(lows + [0], highs + [0])):
+        near_mask = prefix[high] ^ prefix[low]
+        for j in _columns(row & (above << 1) & ~(near_mask >> 1)):
+            start = starts.pop(j - i + 1)
+            runs.append((start, start + j - i + 1, i - start))
+        for j in _columns(near_mask & (row << 1) & ~(above << 2)):
+            starts[j - i] = i - 1
+        above, row = row, near_mask
+    return runs
 
 
-def _collect(runs: list, digits: list[int], ended: int, i: int) -> None:
-    """Append the runs ending at row i in the columns of `ended`, their
-    lengths read from row i's digit slices."""
-    while ended:
-        low = ended & -ended
-        ended ^= low
-        length = 0
-        for k, digit in enumerate(digits):
-            if digit & low:
-                length |= 1 << k
-        j = low.bit_length() - 1
-        runs.append((i - length + 1, j - length + 1, length))
+def _columns(mask: int):
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def lcmap(p, p_prime, tau: int = DEFAULT_TAU) -> LcmapResult:
@@ -188,16 +190,16 @@ def lcmap(p, p_prime, tau: int = DEFAULT_TAU) -> LcmapResult:
 
     The result is the run of P ending at the smallest index attaining
     the maximum; ties on the P' side break toward the earliest match for
-    reproducible output.  A thin wrapper over `_sweep`, the only LCMAP
-    dynamic program, that collects no runs; similarity reads its result,
-    and diff_modified reads it for the threshold and the first split.
-    Cost: O(m log L) operations on n-bit ints for the longest run L.  A
-    negative tau makes no pair near.
+    reproducible output.  A thin wrapper over `_longest`, the LCMAP
+    dynamic program; similarity reads its result, and diff_modified
+    reads it for the threshold and the first split.  Cost: amortized
+    O(1) operations on n-bit ints per element of P, O(m) in all, plus
+    n + 1 prefix masks of n bits.  A negative tau makes no pair near.
     """
     first = _offsets(p)
     second = _offsets(p_prime)
     m, n = len(first), len(second)
-    best_len, best_i, best_j, _ = _sweep(first, second, tau)
+    best_len, best_i, best_j = _longest(first, second, tau)
     return LcmapResult(
         pattern=first[best_i - best_len + 1 : best_i + 1],
         length=best_len,
@@ -296,7 +298,7 @@ def diff_modified(p, p_prime, tau: int = DEFAULT_TAU,
         for i0, i1, j0, j1 in ((0, mi0, 0, mj0),
                                (mi0 + length, m, mj0 + length, n)):
             runs = [(s + i0, t + j0, size) for s, t, size
-                    in _sweep(first[i0:i1], second[j0:j1], tau, collect=True)[3]]
+                    in _runs(first[i0:i1], second[j0:j1], tau)]
             for run in runs:
                 ends, on_diagonal = index.setdefault(run[1] - run[0], ([], []))
                 ends.append(run[0] + run[2] - 1)

@@ -644,6 +644,27 @@ def reference_lcmap(first, second, tau):
     return best
 
 
+def reference_runs(first, second, tau):
+    """Every maximal diagonal near-run of two or more cells, found cell
+    by cell, as (start_i, start_j, length): in row-end order, lowest
+    column first.  The oracle for the runs diff_modified collects."""
+    m, n = len(first), len(second)
+
+    def near_cell(i, j):
+        return 0 <= i < m and 0 <= j < n and abs(first[i] - second[j]) <= tau
+
+    runs = []
+    for i in range(m):
+        for j in range(n):
+            if near_cell(i, j) and not near_cell(i + 1, j + 1):
+                length = 1
+                while near_cell(i - length, j - length):
+                    length += 1
+                if length >= 2:
+                    runs.append((i - length + 1, j - length + 1, length))
+    return runs
+
+
 def reference_diff(p, q, tau=DEFAULT_TAU, threshold=DEFAULT_MATCH_THRESHOLD,
                    min_run=DEFAULT_MIN_RUN):
     """Greedy recursive diff: the LCMAP of a range is a matched run, and

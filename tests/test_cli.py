@@ -254,13 +254,13 @@ class TestMatchAndDiff:
     def test_one_full_size_dp_per_verdict(self, tmp_path, capsys,
                                           monkeypatch):
         sizes = []
-        kernel = signature._sweep
+        builder = signature._near_rows
 
-        def counting_sweep(first, second, tau, collect=False):
+        def counting_near_rows(first, second, tau):
             sizes.append((len(first), len(second)))
-            return kernel(first, second, tau, collect)
+            return builder(first, second, tau)
 
-        monkeypatch.setattr(signature, "_sweep", counting_sweep)
+        monkeypatch.setattr(signature, "_near_rows", counting_near_rows)
         a = write_sig(tmp_path, [0, 8, 16, 24, 32], "a.json")
         b = write_sig(tmp_path, [0, 8, 16, 24, 32, 40], "b.json")
         assert main(["match", a, b]) == 0

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,7 @@ from helpers import (
     random_pattern_pair,
     reference_diff,
     reference_lcmap,
+    reference_runs,
     run_model,
 )
 
@@ -69,6 +71,30 @@ def lcmap_cases(draw):
         for _ in range(draw(st.integers(1, 2))):
             at = draw(st.integers(0, len(q)))
             q = q[:at] + run + q[at:]
+    return p, q, tau
+
+
+@st.composite
+def window_cases(draw):
+    """(p, q, tau) whose longest-run window slides across a rebuild of
+    its stack: a long run of p planted in q, each side followed by an
+    unrelated tail, or a dense block (every pair near) with one far row
+    in p, and maybe one far column in q, that splits it."""
+    tau = draw(st.sampled_from([0, 4, 100]))
+    if draw(st.booleans()):
+        far = st.integers(1 << 30, 1 << 31)  # never near the run
+        run = draw(st.lists(st.integers(0, 1 << 20), min_size=3, max_size=40))
+        jitter = st.integers(-tau, tau)
+        p = (draw(st.lists(far, max_size=5)) + run
+             + draw(st.lists(far, max_size=40)))
+        q = (draw(st.lists(far, max_size=5)) + [x + draw(jitter) for x in run]
+             + draw(st.lists(far, max_size=40)))
+    else:
+        dense = st.lists(st.integers(0, tau), min_size=1, max_size=40)
+        p, q = draw(dense), draw(dense)
+        p[draw(st.integers(0, len(p) - 1))] = 1 << 30
+        if draw(st.booleans()):
+            q[draw(st.integers(0, len(q) - 1))] = 1 << 30
     return p, q, tau
 
 
@@ -213,15 +239,22 @@ class TestLcmap:
         assert got.ratio == (length / min(len(p), len(q)) if p and q else 0.0)
         assert got.tau == tau
 
+    @given(st.one_of(lcmap_cases(), window_cases()))
+    @settings(max_examples=400, deadline=None)
+    def test_kernels_match_cell_by_cell_oracles(self, case):
+        p, q, tau = case
+        assert signature._longest(p, q, tau) == reference_lcmap(p, q, tau)
+        assert signature._runs(p, q, tau) == reference_runs(p, q, tau)
+
     def test_tie_breaks_to_earliest_end(self):
         # The run [5, 6] appears twice in P; the earlier occurrence wins.
         result = lcmap([5, 6, 99, 5, 6], [5, 6], tau=0)
         assert result.length == 2
         assert result.end_index == 1
 
-    # The sweep finds a new longest run from the columns that held the
-    # old one, and falls back to a test of every column in the row after
-    # one where none of them grew.
+    # The sweep tests each row for a run one longer than the best, over
+    # a window of the last best + 1 rows that a leader breaking or a
+    # runner-up taking over slides and rebuilds.
     @staticmethod
     def _assert_oracles(p, q, tau=0):
         got = lcmap(p, q, tau)
@@ -251,8 +284,8 @@ class TestLcmap:
         q = list(range(10)) + [600, 20, 21, 22, 23]
         assert self._assert_oracles(p, q) == (10, 9, 9)
         assert self._assert_oracles(p[10:], q[10:]) == (4, 4, 4)
-        assert signature._sweep(p[10:], q[10:], 0, collect=True) == (
-            4, 4, 4, [(1, 1, 4)])
+        assert signature._longest(p[10:], q[10:], 0) == (4, 4, 4)
+        assert signature._runs(p[10:], q[10:], 0) == [(1, 1, 4)]
         report = diff_modified(p, q, tau=0, threshold=0)
         assert report == reference_diff(p, q, tau=0, threshold=0)
         assert report.matched == [((0, 10), (0, 10)), ((11, 15), (11, 15))]
@@ -309,6 +342,68 @@ class TestLcmap:
                 if tuple(q[i:j]) in subs:
                     best = max(best, j - i)
         assert lcmap(p, q, 0).length == best
+
+
+def cost_pairs(n):
+    """Four pairs of n offsets at tau 100, by name: a near self-match (a
+    copy moved by at most 3 per offset), a dense block (every pair near)
+    split by one far row, a pair sharing a run of half its length, and
+    an unrelated pair."""
+    rng = random.Random(n)
+    spaced = [8 * k for k in range(n)]
+    dense = [rng.randrange(101) for _ in range(n)]
+    split = dense[:n // 2] + [1 << 30] + dense[n // 2 + 1:]
+    half = [rng.randrange(1 << 20) for _ in range(n)]
+    fresh = [rng.randrange(1 << 20) for _ in range(2 * n)]
+    return {
+        "near self-match": (spaced, [x + rng.randint(-3, 3) for x in spaced]),
+        "dense split": (split, dense),
+        "half run": (half, half[:n // 2] + fresh[:n - n // 2]),
+        "unrelated": (fresh[:n], fresh[n:]),
+    }
+
+
+class TestLcmapCost:
+    """Deterministic gates on the kernel's work and memory, with no wall
+    clock."""
+
+    @pytest.mark.parametrize("name", ["near self-match", "dense split",
+                                      "half run", "unrelated"])
+    def test_two_mask_reads_per_row_and_per_rebuilt_row(self, name,
+                                                         monkeypatch):
+        class CountingList(list):
+            reads = 0
+
+            def __getitem__(self, k):
+                self.reads += 1
+                return super().__getitem__(k)
+
+        built = []
+        builder = signature._near_rows
+
+        def counting_near_rows(first, second, tau):
+            prefix, lows, highs = builder(first, second, tau)
+            built.append(CountingList(prefix))
+            return built[-1], lows, highs
+
+        monkeypatch.setattr(signature, "_near_rows", counting_near_rows)
+        p, q = cost_pairs(2000)[name]
+        lcmap(p, q, 100)
+        assert len(built) == 1
+        assert 2 * len(p) <= built[0].reads <= 4 * len(p)
+
+    @pytest.mark.parametrize("name", ["near self-match", "dense split"])
+    def test_peak_memory_of_a_4000_offset_match(self, name):
+        # The n + 1 prefix masks and the window's stack, with no row
+        # stored: about 2.8 MB here, 4.7 MB with every raw row kept.
+        p, q = cost_pairs(4000)[name]
+        tracemalloc.start()
+        try:
+            lcmap(p, q, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestSimilarity:
@@ -607,13 +702,13 @@ class TestDiffModified:
         # The whole pair once, then each leftover box once: every later
         # range is answered from the runs those sweeps collect.
         rows = []
-        kernel = signature._sweep
+        builder = signature._near_rows
 
-        def counting_sweep(first, second, tau, collect=False):
+        def counting_near_rows(first, second, tau):
             rows.append(len(first))
-            return kernel(first, second, tau, collect)
+            return builder(first, second, tau)
 
-        monkeypatch.setattr(signature, "_sweep", counting_sweep)
+        monkeypatch.setattr(signature, "_near_rows", counting_near_rows)
         p, q = pathological_pair(600)
         report = diff_modified(p, q, tau=100, threshold=0.0)
         assert len(report.matched) == 200
