@@ -1,15 +1,16 @@
 """Simulated guest with switchable EPT permission profiles.
 
-Models a single-vCPU guest: paged memory with a present bit per page,
-four permission profiles with mode-based execution control (MBEC)
-semantics, hidden hooks (execute-allowed / read-denied pages), demand
-paging via injected page faults, and lazy entry-point capture.  The
-monitor keeps its page state as two sets of page numbers: the hooked
-pages (Guest.hooked) and those whose execute capture revokes
-(Guest.exec_revoked).  So a hook or a revoke outlives the demand fault
-that rebuilds its page, and one fetch branch of the run reports the
-entry.  A page holds one byte array, which every read and write of the
-program uses, so a hook changes nothing that the program can read.
+Models a single-vCPU guest: paged memory in which a page is its byte
+array, or None where it is not present, four permission profiles with
+mode-based execution control (MBEC) semantics, hidden hooks
+(execute-allowed / read-denied pages), demand paging via injected page
+faults, and lazy entry-point capture.  Beside the pages, the monitor
+keeps two sets of page numbers: the hooked pages (Guest.hooked) and
+those whose execute capture revokes (Guest.exec_revoked).  So a hook or
+a revoke outlives the demand fault that rebuilds its page, and one
+fetch branch of the run reports the entry.  Every read and write of the
+program uses a page's one byte array, so a hook changes nothing that
+the program can read.
 Abstract program models are interpreted against this state: every data
 access is trapped and logged as one event of the trace, and
 instruction fetches go through the permission check for entry capture.
@@ -72,7 +73,6 @@ from .trace import (
     _enum,
     _Field,
     _HEX,
-    _hex,
     _hex_prefixed,
     _INT,
     _Int,
@@ -103,53 +103,25 @@ class ModelParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class Allowed:
-    pass
-
-
-@dataclass(frozen=True)
-class PageFault:
-    pass
-
-
-@dataclass(frozen=True)
-class Violation:
-    pass
-
-
-# check_access hands out these three instances alone.
-_ALLOWED, _PAGE_FAULT, _VIOLATION = Allowed(), PageFault(), Violation()
-
-
-class _Page:
-    """A built page: the one EPT bit kept on it, whether it is present,
-    and its bytes.  Hooks and revoked execute are kept by page number, in
-    Guest.hooked and Guest.exec_revoked, so that both outlive the page a
-    demand fault replaces."""
-
-    __slots__ = ("present", "content")
-
-    def __init__(self):
-        self.present = True
-        self.content = bytearray(PAGE_SIZE)
-
-
 class _PageTable(dict):
     """The pages built so far, by page number, over the mapped page
     numbers, which are kept as [first, end) intervals in the order they
-    were mapped.  `table[number]` is the page, built on first touch
-    where a range holds it, or None for an unmapped number, which it
-    does not store; `get` never builds a page."""
+    were mapped.  A page is its bytearray, or a stored None where it is
+    not present, until a demand fault replaces that with a zeroed page.
+    `table[number]` is the page, built on first touch where a range
+    holds it, or None for an unmapped number, which it does not store;
+    `get` never builds a page.  Hooks and revoked execute are kept by
+    page number, in Guest.hooked and Guest.exec_revoked, so that both
+    outlive the page a demand fault replaces."""
 
     def __init__(self):
         super().__init__()
         self.ranges: list[tuple[int, int]] = []
 
-    def __missing__(self, number: int) -> Optional[_Page]:
+    def __missing__(self, number: int) -> Optional[bytearray]:
         if not any(first <= number < end for first, end in self.ranges):
             return None
-        page = self[number] = _Page()
+        page = self[number] = bytearray(PAGE_SIZE)
         return page
 
 
@@ -194,29 +166,28 @@ class Guest:
         return DEFAULT_ALLOC_BASE <= address < self._alloc_cursor
 
     def page_present(self, address: int) -> bool:
-        page = self.pages[address // PAGE_SIZE]
-        return page is not None and page.present
+        return self.pages[address // PAGE_SIZE] is not None
 
     # -- permission semantics ------------------------------------------
 
-    def check_access(self, address: int, kind: str, cpl: str):
-        """Pure permission decision: one shared Allowed, Violation or
-        PageFault.
+    def check_access(self, address: int, kind: str, cpl: str) -> str:
+        """Pure permission decision: "allowed", "violation" or
+        "page-fault".
 
-        Not-present pages yield the PageFault, distinct from a permission
-        Violation.  A read of a hooked page (one in hooked) is a
-        Violation under every profile.  Under "normal", execute is denied
-        in both modes on a page in exec_revoked, hooked or not.  Under
-        the other profiles a hooked page executes, and any other page
-        follows the profile's per-mode execute rule (MBEC).
+        An unmapped or absent page (one that is None) is a "page-fault",
+        distinct from a permission "violation".  A read of a hooked page
+        (one in hooked) is a "violation" under every profile.  Under
+        "normal", execute is denied in both modes on a page in
+        exec_revoked, hooked or not.  Under the other profiles a hooked
+        page executes, and any other page follows the profile's per-mode
+        execute rule (MBEC).
         """
         _check_canonical(address)
-        page = self.pages[number := address // PAGE_SIZE]
-        if page is None or not page.present:
-            return _PAGE_FAULT
+        if self.pages[number := address // PAGE_SIZE] is None:
+            return "page-fault"
         profile = self.active_profile
         if kind == "read" and number in self.hooked:
-            return _VIOLATION
+            return "violation"
         if profile == "normal":
             allowed = kind != "execute" or number not in self.exec_revoked
         elif kind == "execute" and number in self.hooked:
@@ -227,7 +198,7 @@ class Guest:
             allowed = not (kind == "execute" and cpl == "kernel")
         else:  # execute-only
             allowed = kind == "execute"
-        return _ALLOWED if allowed else _VIOLATION
+        return "allowed" if allowed else "violation"
 
     def switch_profile(self, profile_id: str) -> None:
         if profile_id not in PROFILE_IDS:
@@ -247,16 +218,15 @@ class Guest:
         numbers = range(address // PAGE_SIZE,
                         (address + max(len(hooked_bytes), 1) - 1) // PAGE_SIZE + 1)
         if not all(self.page_present(number * PAGE_SIZE) for number in numbers):
-            raise SimulationError(f"cannot hook non-present page at {_hex(address)}")
+            raise SimulationError(f"cannot hook non-present page at {address:#x}")
         self.hooked.update(numbers)
 
     def inject_page_fault(self, address: int) -> str:
         """Materialize a demand-zero page; 'injected' or 'already-present'."""
         number = address // PAGE_SIZE
-        page = self.pages[number]
-        if page is not None and page.present:
+        if self.pages[number] is not None:
             return "already-present"
-        self.pages[number] = _Page()
+        self.pages[number] = bytearray(PAGE_SIZE)
         return "injected"
 
     # -- content access ------------------------------------------------
@@ -266,8 +236,8 @@ class Guest:
         lo = address % PAGE_SIZE
         page = self.pages.get(address // PAGE_SIZE)
         if page is not None and 0 < size <= PAGE_SIZE - lo:  # one built page
-            return bytes(page.content[lo:lo + size])
-        return b"".join(page.content[lo:hi] for _, page, lo, hi
+            return bytes(page[lo:lo + size])
+        return b"".join(page[lo:hi] for _, page, lo, hi
                         in self._page_spans(address, size, "read from"))
 
     def write_memory(self, address: int, data: bytes) -> None:
@@ -277,23 +247,23 @@ class Guest:
         lo = address % PAGE_SIZE
         page = self.pages.get(address // PAGE_SIZE)
         if page is not None and 0 < size <= PAGE_SIZE - lo:  # one built page
-            page.content[lo:lo + size] = data
+            page[lo:lo + size] = data
             return
         for start, page, lo, hi in self._page_spans(address, size, "write to"):
-            page.content[lo:hi] = data[start:start + hi - lo]
+            page[lo:hi] = data[start:start + hi - lo]
 
     def _page_spans(self, address: int, size: int, action: str):
         """Yield (start, page, lo, hi) for each page that [address,
         address + size) overlaps, in address order: bytes lo:hi of `page`
         hold the range's bytes from `start` on.  Raises SimulationError
-        at the first byte on an unmapped page, once the spans before it
-        have been yielded."""
+        at the first byte on an unmapped or absent page, once the spans
+        before it have been yielded."""
         start = 0
         while start < size:
             addr = address + start
             page = self.pages[addr // PAGE_SIZE]
             if page is None:
-                raise SimulationError(f"{action} unmapped {_hex(addr)}")
+                raise SimulationError(f"{action} unmapped {addr:#x}")
             lo = addr % PAGE_SIZE
             hi = min(PAGE_SIZE, lo + size - start)
             yield start, page, lo, hi
@@ -580,9 +550,7 @@ def build_guest(model: ProgramModel) -> Guest:
     lo, hi = model.resolved_module_range()
     guest.map_range(lo, hi)
     if not model.entry_present:
-        entry = guest.pages[model.entry_page]
-        if entry is not None:
-            entry.present = False
+        guest.pages[model.entry_page] = None
     guest.map_range(model.sp_init - DEFAULT_STACK_GUARD, model.sp_init + DEFAULT_STACK_GUARD)
     for mlo, mhi in model.mapped:
         guest.map_range(mlo, mhi)
@@ -602,7 +570,7 @@ def capture_entry_point(guest: Guest, model: ProgramModel):
     """Run with lazy entry capture; return (entry_address, trace prefix).
 
     The entry page's number joins guest.exec_revoked before the run, so
-    the first fetch on it surfaces as a Violation at the entry address,
+    the first fetch on it is a "violation" at the entry address,
     also where a page fault injected first rebuilt the page or a hook
     lies on it.
     The run then takes the number out of the set and continues.  A run
@@ -636,11 +604,12 @@ def transitions(log: TraceLog) -> list[tuple[int, str]]:
 def _run(guest: Guest, model: ProgramModel):
     """(The model's trace, the index of its entry event or None).
 
-    A fetch that the permission check denies on a page whose number is
-    in guest.exec_revoked is an entry: it is logged as an execute event
-    of category "other", and the number leaves the set.  Errors raised
-    by an op (SimulationError, ValueError) are raised again, of the same
-    type, with "op N: " before the message, counting op lines from 1.
+    A fetch that the permission check answers "violation" on a page
+    whose number is in guest.exec_revoked is an entry: it is logged as
+    an execute event of category "other", and the number leaves the set.
+    Errors raised by an op (SimulationError, ValueError) are raised
+    again, of the same type, with "op N: " before the message, counting
+    op lines from 1.
 
     Each event is logged as one plain tuple of its fields, with no
     AccessEvent check, and the log's columns are made of these rows in
@@ -668,19 +637,16 @@ def _run(guest: Guest, model: ProgramModel):
 
     def demand_page(address: int, size: int, lazy_code: bool = False) -> None:
         first, last = address // PAGE_SIZE, (address + size - 1) // PAGE_SIZE
-        if first == last:
-            built = built_page(first)
-            if built is not None and built.present:
-                return
+        if first == last and built_page(first) is not None:
+            return
         for page in range(first, last + 1):
-            built = pages[page]
-            if built is not None and built.present:
+            if pages[page] is not None:
                 continue
             addr = page * PAGE_SIZE
             if not (lazy_code or guest.is_allocatable(addr)
                     or page == model.entry_page):
                 raise SimulationError(
-                    f"access to unmapped, un-allocatable address {_hex(address)}"
+                    f"access to unmapped, un-allocatable address {address:#x}"
                 )
             guest.inject_page_fault(addr)
             trap("read", address if page == first else addr, 1,
@@ -712,15 +678,13 @@ def _run(guest: Guest, model: ProgramModel):
                 rip = op_rip
             # Instruction fetch: demand paging, entry capture, transition trap.
             fetch = guest.check_access(rip, "execute", guest.mode)
-            if fetch is not _ALLOWED:
-                if fetch is _PAGE_FAULT:
-                    demand_page(rip, 1, lazy_code=True)
-                    fetch = guest.check_access(rip, "execute", guest.mode)
-                if (fetch is _VIOLATION
-                        and rip // PAGE_SIZE in guest.exec_revoked):
-                    entry = len(rows)
-                    trap("execute", rip, 1, "other")
-                    guest.exec_revoked.discard(rip // PAGE_SIZE)
+            if fetch == "page-fault":
+                demand_page(rip, 1, lazy_code=True)
+                fetch = guest.check_access(rip, "execute", guest.mode)
+            if fetch == "violation" and rip // PAGE_SIZE in guest.exec_revoked:
+                entry = len(rows)
+                trap("execute", rip, 1, "other")
+                guest.exec_revoked.discard(rip // PAGE_SIZE)
             if guest.mode != last_mode:
                 # MBEC: the fetch raises an EPT violation under the profile
                 # kept for the previous mode, which denies execute in the

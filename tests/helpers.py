@@ -344,8 +344,8 @@ def reference_read_memory(guest: Guest, address: int, size: int) -> bytes:
         addr = address + offset
         page = guest.pages[addr // PAGE_SIZE]
         if page is None:
-            raise SimulationError(f"read from unmapped {_hex(addr)}")
-        out.append(page.content[addr % PAGE_SIZE])
+            raise SimulationError(f"read from unmapped {addr:#x}")
+        out.append(page[addr % PAGE_SIZE])
     return bytes(out)
 
 
@@ -355,8 +355,8 @@ def reference_write_memory(guest: Guest, address: int, data: bytes) -> None:
         addr = address + offset
         page = guest.pages[addr // PAGE_SIZE]
         if page is None:
-            raise SimulationError(f"write to unmapped {_hex(addr)}")
-        page.content[addr % PAGE_SIZE] = byte
+            raise SimulationError(f"write to unmapped {addr:#x}")
+        page[addr % PAGE_SIZE] = byte
 
 
 # -- per-call fastcall oracle ------------------------------------------

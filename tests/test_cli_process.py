@@ -99,6 +99,20 @@ CASES = [
       for name, address in (("noncanonical", "0x1000000000008"),
                             ("straddling", "0xfffffffffffc"))),
     case("badcpl", "simulate badcpl.model", 2, b"", error(2)),
+    # An address below 0 is spelled in signed hex, as the canonical check
+    # spells it.
+    case("negative-sp", "simulate m", 2, b"", "error: op 1: access to "
+         "unmapped, un-allocatable address -0x10000\n",
+         m=lines('{"entry_page": 4, "sp_init": "0x20000"}',
+                 '{"op": "sub-sp", "amount": "0x30000"}')),
+    # An absent entry page stays absent where a mapped range covers it
+    # too: the first fetch logs the page fault.
+    case("absent-entry", "simulate m", out=lines(HEADER, (
+        '[0, 0, "u", "r", "0x401000", 1, "0x401000", {"cat": "page-fault", '
+        '"sign": "n/a"}, null, null]')), err="1 events\n",
+         m=lines('{"entry_page": 1025, "sp_init": "0x7ff000", '
+                 '"entry_present": false, "mapped": [["0x401000", '
+                 '"0x402000"]]}', '{"op": "nop"}')),
     # The one-object-per-event format, which has no columns.
     case("one-object", "bases t", 2, b"", error(1, "header has no columns"),
          t=lines('{"module_range": {"lo": "0x401000", "hi": "0x402000"}}',

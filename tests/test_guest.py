@@ -20,14 +20,11 @@ from memtrace.guest import (
     MODEL_OPS,
     PAGE_SIZE,
     PROFILE_IDS,
-    Allowed,
     Guest,
     ModelOp,
     ModelParseError,
-    PageFault,
     ProgramModel,
     SimulationError,
-    Violation,
     build_guest,
     capture_entry_point,
     parse_model,
@@ -59,18 +56,17 @@ DATA = Path(__file__).parent / "data"
 def fresh_guest(page=0x3, present=True, hook=False):
     guest = Guest()
     guest.map_range(page * PAGE_SIZE, (page + 1) * PAGE_SIZE)
-    guest.pages[page].present = present
     if hook:
-        guest.pages[page].present = True
         guest.install_hidden_hook(page * PAGE_SIZE, b"\xcc")
-        guest.pages[page].present = present
+    if not present:
+        guest.pages[page] = None
     return guest
 
 
 def expected_outcome(profile, kind, cpl, hook, present):
     """Independent restatement of the permission rules."""
     if not present:
-        return "fault"
+        return "page-fault"
     if hook and kind == "execute":
         return "allowed"
     if hook and kind == "read":
@@ -88,18 +84,16 @@ class TestCheckAccess:
     def test_user_exec_denied_traps_user_execution(self):
         guest = fresh_guest()
         guest.switch_profile("user-exec-denied")
-        out = guest.check_access(0x3000, "execute", "user")
-        assert isinstance(out, Violation)
+        assert guest.check_access(0x3000, "execute", "user") == "violation"
 
     def test_execute_only_allows_kernel_execution(self):
         guest = fresh_guest()
         guest.switch_profile("execute-only")
-        assert isinstance(guest.check_access(0x3000, "execute", "kernel"), Allowed)
+        assert guest.check_access(0x3000, "execute", "kernel") == "allowed"
 
     def test_not_present_is_fault_not_violation(self):
         guest = fresh_guest(present=False)
-        out = guest.check_access(0x3000, "read", "user")
-        assert isinstance(out, PageFault)
+        assert guest.check_access(0x3000, "read", "user") == "page-fault"
 
     def test_revoked_page_denies_execute_under_normal_only(self):
         """A page whose number is in exec_revoked denies execute in both
@@ -112,18 +106,15 @@ class TestCheckAccess:
         hooked.exec_revoked.add(3)
         for cpl in ("user", "kernel"):
             for revoked in (guest, hooked):
-                assert isinstance(revoked.check_access(0x3ffc, "execute", cpl),
-                                  Violation)
+                assert revoked.check_access(0x3ffc, "execute",
+                                            cpl) == "violation"
             for kind in ("read", "write"):
-                assert isinstance(guest.check_access(0x3000, kind, cpl),
-                                  Allowed)
+                assert guest.check_access(0x3000, kind, cpl) == "allowed"
         guest.switch_profile("execute-only")
         for cpl in ("user", "kernel"):
-            assert isinstance(guest.check_access(0x3000, "execute", cpl),
-                              Allowed)
+            assert guest.check_access(0x3000, "execute", cpl) == "allowed"
             hooked.switch_profile(f"{cpl}-exec-denied")
-            assert isinstance(hooked.check_access(0x3000, "execute", cpl),
-                              Allowed)
+            assert hooked.check_access(0x3000, "execute", cpl) == "allowed"
 
     def test_exhaustive_truth_table(self):
         cases = itertools.product(
@@ -137,11 +128,9 @@ class TestCheckAccess:
         for profile, kind, cpl, hook, present in cases:
             guest = fresh_guest(hook=hook, present=present)
             guest.switch_profile(profile)
-            out = guest.check_access(0x3000, kind, cpl)
-            got = ("fault" if isinstance(out, PageFault)
-                   else "violation" if isinstance(out, Violation) else "allowed")
             want = expected_outcome(profile, kind, cpl, hook, present)
-            assert got == want, (profile, kind, cpl, hook, present)
+            assert guest.check_access(0x3000, kind, cpl) == want, (
+                profile, kind, cpl, hook, present)
             checked += 1
         assert checked == 96
 
@@ -172,24 +161,25 @@ class TestCheckAccess:
 class TestMapRange:
     @pytest.fixture
     def built(self, monkeypatch):
-        """Every _Page built while the test runs."""
+        """Every page a mapped range built on first touch while the test
+        runs."""
         built = []
+        missing = guest_mod._PageTable.__missing__
 
-        class CountedPage(guest_mod._Page):
-            __slots__ = ()
+        def counted(table, number):
+            page = missing(table, number)
+            if page is not None:
+                built.append(page)
+            return page
 
-            def __init__(self):
-                super().__init__()
-                built.append(self)
-
-        monkeypatch.setattr(guest_mod, "_Page", CountedPage)
+        monkeypatch.setattr(guest_mod._PageTable, "__missing__", counted)
         return built
 
     def test_whole_address_space_builds_pages_on_touch(self, built):
         guest = Guest()
         guest.map_range(0, 1 << 48)
         assert built == [] and len(guest.pages) == 0
-        assert isinstance(guest.check_access(0x5000, "read", "user"), Allowed)
+        assert guest.check_access(0x5000, "read", "user") == "allowed"
         guest.write_memory(0x7ffffffc, b"\x01" * 8)  # two pages
         assert guest.read_memory(0x7ffffffc, 8) == b"\x01" * 8
         assert guest.inject_page_fault(0x5008) == "already-present"
@@ -235,9 +225,9 @@ class TestMapRange:
 class TestSwitchProfile:
     def test_switch_changes_decisions(self):
         guest = fresh_guest()
-        assert isinstance(guest.check_access(0x3000, "execute", "user"), Allowed)
+        assert guest.check_access(0x3000, "execute", "user") == "allowed"
         guest.switch_profile("user-exec-denied")
-        assert isinstance(guest.check_access(0x3000, "execute", "user"), Violation)
+        assert guest.check_access(0x3000, "execute", "user") == "violation"
 
     def test_switch_to_same_profile_is_noop(self):
         guest = fresh_guest()
@@ -258,9 +248,8 @@ class TestSwitchProfile:
             guest.switch_profile(profile)
             kind = rng.choice(("read", "write", "execute"))
             cpl = rng.choice(("user", "kernel"))
-            out = guest.check_access(0x3000, kind, cpl)
-            got = "violation" if isinstance(out, Violation) else "allowed"
-            assert got == expected_outcome(profile, kind, cpl, False, True)
+            assert guest.check_access(0x3000, kind, cpl) == expected_outcome(
+                profile, kind, cpl, False, True)
 
 
 class TestHiddenHooks:
@@ -303,7 +292,7 @@ class TestHiddenHooks:
         guest.map_range(0x3000, 0x4000 if second == "unmapped" else 0x5000)
         guest.write_memory(0x3ff0, b"\x01")  # builds page 3
         if second == "absent":
-            guest.pages[4].present = False
+            guest.pages[4] = None
         before = _page_state(guest)
         with pytest.raises(SimulationError, match="cannot hook"):
             guest.install_hidden_hook(0x3ffe, b"\xcc" * 5)
@@ -363,8 +352,8 @@ class TestHiddenHooks:
             assert program_events(hooked, captured) == plain
 
 
-# Pages 0x10-0x15: 0x12 and 0x14 are unmapped, 0x10 is mapped but not
-# built until first touched, and 0x11, 0x13 and 0x15 hooked.
+# Pages 0x10-0x15: 0x12 is unmapped, 0x14 mapped but absent, 0x10 mapped
+# but not built until first touched, and 0x11, 0x13 and 0x15 hooked.
 MEMORY_PAGES = range(0x10, 0x16)
 
 
@@ -372,11 +361,13 @@ def _memory_guest(seed: int) -> Guest:
     rng = random.Random(seed)
     guest = Guest()
     for page in MEMORY_PAGES:
-        if page in (0x12, 0x14):
+        if page == 0x12:
             continue
         guest.map_range(page * PAGE_SIZE, (page + 1) * PAGE_SIZE)
-        if page != 0x10:
-            guest.pages[page].content[:] = rng.randbytes(PAGE_SIZE)
+        if page == 0x14:
+            guest.pages[page] = None
+        elif page != 0x10:
+            guest.pages[page][:] = rng.randbytes(PAGE_SIZE)
     guest.install_hidden_hook(0x11 * PAGE_SIZE + 7, b"\xcc" * 9)
     guest.install_hidden_hook(0x13 * PAGE_SIZE + PAGE_SIZE - 3, b"\xcc\xcc")
     guest.install_hidden_hook(0x15 * PAGE_SIZE, b"\xcc")
@@ -384,8 +375,9 @@ def _memory_guest(seed: int) -> Guest:
 
 
 def _page_state(guest: Guest):
-    """(Each built page's bytes by its number, the hooked numbers)."""
-    return ({number: bytes(page.content)
+    """(Each built page's bytes, or None where it is absent, by its
+    number, the hooked numbers)."""
+    return ({number: None if page is None else bytes(page)
              for number, page in guest.pages.items()}, set(guest.hooked))
 
 
@@ -426,10 +418,17 @@ class TestPageSlicedMemory:
             assert got == want
             assert _page_state(guest) == _page_state(reference)
 
-    def test_allowed_is_one_shared_instance(self):
-        guest = fresh_guest()
-        assert guest.check_access(0x3000, "read", "user") is guest.check_access(
-            0x3008, "write", "kernel")
+    def test_absent_page_is_neither_read_nor_written(self):
+        """An absent page raises as an unmapped one does, and a write to
+        it changes no byte: it stays None until a demand fault."""
+        guest = fresh_guest(present=False)
+        with pytest.raises(SimulationError, match="^read from unmapped 0x3010$"):
+            guest.read_memory(0x3010, 4)
+        with pytest.raises(SimulationError, match="^write to unmapped 0x3010$"):
+            guest.write_memory(0x3010, b"\x01" * 4)
+        assert _page_state(guest) == ({3: None}, set())
+        assert guest.inject_page_fault(0x3000) == "injected"
+        assert guest.read_memory(0x3010, 4) == bytes(4)
 
 
 class TestInjectPageFault:
@@ -514,6 +513,28 @@ class TestRun:
         log = run_model(make_model(ops))
         assert len(log.events) == len(ops)
         assert calls == ["execute"] * len(ops)
+
+    def test_one_page_lookup_per_fetch(self, monkeypatch):
+        """Demand paging takes an access that lies on one built page with
+        `pages.get`, as the read or write does: once a first run has built
+        every page, k ops index the page table k times, once per fetch."""
+        ops = [ModelOp("mov-write", addr=0x3ff8 - 8 * k, value=k)
+               for k in range(10)]
+        ops += [ModelOp("mov-read", addr=0x3ff8 - 8 * k) for k in range(10)]
+        ops += [ModelOp("push", value=1), ModelOp("xmm-zero", addr=0x4000)]
+        model = make_model(ops)
+        guest = build_guest(model)
+        run(guest, model)
+        lookups = []
+        index = guest_mod._PageTable.__getitem__
+
+        def counting(table, number):
+            lookups.append(number)
+            return index(table, number)
+
+        monkeypatch.setattr(guest_mod._PageTable, "__getitem__", counting)
+        run(guest, model)
+        assert lookups == [MODULE_PAGE] * len(ops)
 
     def test_demand_paging_of_allocated_buffer(self):
         model = make_model([
@@ -851,6 +872,27 @@ class TestEntryCapture:
         log = run(build_guest(model), model)
         assert [(e.kind, e.instr.category, e.address) for e in log.events] == [
             ("read", "page-fault", 0x401000), ("write", "int-move", 0x3000)]
+
+    @pytest.mark.parametrize("cover", ["mapped", "stack", "module-elsewhere"])
+    def test_absent_entry_page_stays_absent_under_later_ranges(self, cover):
+        """A later range that covers the absent entry page (a mapped
+        range, or the stack guard about sp_init) leaves it absent, also
+        where the module range lies elsewhere: its first fetch logs the
+        page fault."""
+        entry = MODULE_PAGE * PAGE_SIZE
+        mapped = list(SCRATCH) + [(entry, entry + PAGE_SIZE)]
+        model = make_model(
+            [ModelOp("mov-write", addr=0x3000, size=4, value=1)],
+            entry_present=False,
+            sp_init=entry + 0x800 if cover == "stack" else SP_INIT,
+            mapped=None if cover == "stack" else mapped,
+            module_range=((0x500000, 0x501000) if cover == "module-elsewhere"
+                          else None))
+        guest = build_guest(model)
+        assert not guest.page_present(entry)
+        assert [(e.kind, e.instr.category, e.address)
+                for e in run(guest, model).events] == [
+            ("read", "page-fault", entry), ("write", "int-move", 0x3000)]
 
     def test_model_never_reaching_entry_errors(self):
         model = make_model([ModelOp("nop", rip=0x500000)],
