@@ -47,7 +47,6 @@ ops and the trace outlive them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, repeat
 from operator import is_
@@ -333,7 +332,6 @@ class ModelOp(_Checked, _OpFields):
     """
 
     __slots__ = ()
-    _TUPLE_AT = _OpFields._fields.index("args")
 
     def __post_init__(self):
         """The checks every public way of making an op runs."""
@@ -346,6 +344,8 @@ class ModelOp(_Checked, _OpFields):
                 raise ValueError(f"model op {_shown(op)} cannot log "
                                  f"category {_shown(cat)}")
             _check_operand(op[4:], self.size or 8, cat or "int-move")
+        if type(self.args) is list:
+            return {"args": tuple(self.args)}
 
 
 # A model file's op keys, in the order an op line spells them.  The run
@@ -370,14 +370,8 @@ _OP_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class ProgramModel:
-    """Deterministic abstract stand-in for a guest binary.  It is frozen,
-    and its checks run when it is made: every op must be a ModelOp, and
-    every other field passes its checks in _MODEL_FIELDS.  The run
-    trusts every field to be what was checked.  It holds its ops as a
-    list, and each (lo, hi) range as a tuple, as parse_model gives
-    them."""
+class _ModelFields(NamedTuple):
+    """ProgramModel's fields; ProgramModel adds the checks."""
 
     ops: list[ModelOp]
     entry_page: int
@@ -385,17 +379,30 @@ class ProgramModel:
     tid: int = 0
     cpl: str = "user"
     entry_present: bool = True
-    mapped: list[tuple[int, int]] = field(default_factory=list)
+    mapped: list[tuple[int, int]] = ()  # stored as a new list
     module_range: Optional[tuple[int, int]] = None
 
+
+class ProgramModel(_Checked, _ModelFields):
+    """Deterministic abstract stand-in for a guest binary.  It is an
+    immutable named tuple, and its checks run when it is made, by the
+    checking constructor (_Checked): every op must be a ModelOp, and
+    every other field passes its checks in _MODEL_FIELDS.  The run
+    trusts every field to be what was checked.  It holds its ops as a
+    list, and each (lo, hi) range as a tuple, as parse_model gives
+    them."""
+
+    __slots__ = ()
+
     def __post_init__(self):
-        object.__setattr__(self, "ops", list(self.ops))
-        if not {ModelOp}.issuperset(map(type, self.ops)):
+        ops = list(self.ops)
+        if not {ModelOp}.issuperset(map(type, ops)):
             raise ValueError("every op must be a ModelOp")
         _check(_MODEL_FIELDS, self)
-        object.__setattr__(self, "mapped", list(map(tuple, self.mapped)))
-        if self.module_range is not None:
-            object.__setattr__(self, "module_range", tuple(self.module_range))
+        module_range = self.module_range
+        return {"ops": ops, "mapped": list(map(tuple, self.mapped)),
+                "module_range": None if module_range is None
+                else tuple(module_range)}
 
     @property
     def entry_address(self) -> int:
@@ -444,7 +451,7 @@ def parse_model(stream: Union[bytes, str, IO, Iterable[str]]) -> ProgramModel:
                         partial(_plain_ops, ops), _record_to_op, ops.append)
     if header is None:
         raise ModelParseError(1, "empty model file (missing header)")
-    return replace(header, ops=ops)
+    return header._replace(ops=ops)
 
 
 def _record_to_op(lineno: int, record) -> ModelOp:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import count
 from typing import (Callable, Container, Iterable, Iterator, NamedTuple,
@@ -38,7 +37,7 @@ from typing import (Callable, Container, Iterable, Iterator, NamedTuple,
 
 # Unused here: bench/spans.py times split_by_thread through this module.
 from .trace import (ARG_CATEGORIES, PAGE_SIZE, AccessEvent, TraceLog,
-                    _program_accesses, split_by_thread)
+                    _program_accesses, _Slots, split_by_thread)
 
 SHADOW_SPACE = 0x20
 STACK_SLOT_BASE = 0x20  # 5th parameter lives at [RSP+0x20], then +8 per slot
@@ -66,12 +65,15 @@ CONFLICT_NOTE = "conflicting operand sizes at this offset"
 ARRAY_RUN_NOTE = "stride-regular run; possibly a single array"
 
 
-@dataclass(frozen=True)
-class AllocationRecord:
-    base: int
-    size: int
-    source: str  # heap-hook | call-param | stack-pattern
-    site_rip: int = 0
+class AllocationRecord(_Slots):
+    """An allocation's base and size, the source that found it
+    (heap-hook, call-param or stack-pattern), and the rip of the event
+    it came from."""
+
+    __slots__ = ("base", "size", "source", "site_rip")
+
+    def __init__(self, base: int, size: int, source: str, site_rip: int = 0):
+        self._set(base, size, source, site_rip)
 
     @property
     def end(self) -> int:
@@ -114,8 +116,7 @@ class OwnerIndex:
         return self.owners[k] if k >= 0 else None
 
 
-@dataclass(frozen=True)
-class CallRecord:
+class CallRecord(NamedTuple):
     callee_id: Optional[str]
     reg_params: tuple[int, int, int, int]
     stack_params: tuple[int, ...]
@@ -136,17 +137,23 @@ class CallName(NamedTuple):
     callee_id: Optional[str]
 
 
-@dataclass
-class FieldRecord:
-    offset: int
-    size: int
-    category: str
-    evidence_count: int = 0
-    notes: list[str] = field(default_factory=list)
+class FieldRecord(_Slots):
+    """One field of a reconstructed layout, which reconstruct_layout
+    changes in place as it folds the evidence: the one record that may
+    be changed, and so is not hashed.  Its notes are a new list unless
+    given."""
+
+    __slots__ = ("offset", "size", "category", "evidence_count", "notes")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, offset: int, size: int, category: str,
+                 evidence_count: int = 0, notes: Optional[list] = None):
+        self._set(offset, size, category, evidence_count,
+                  [] if notes is None else notes)
 
 
-@dataclass
-class LayoutRecord:
+class LayoutRecord(NamedTuple):
     base: int
     total_size: int
     fields: list[FieldRecord]
@@ -510,8 +517,7 @@ EVASIVE_SEQUENCES: list[tuple[str, list]] = [
 ]
 
 
-@dataclass(frozen=True)
-class RuleHit:
+class RuleHit(NamedTuple):
     rule: str
     thread_id: int
     first_seq: int

@@ -27,12 +27,11 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heapreplace
-from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .trace import (AccessEvent, AddressPattern, TraceLog, _decode, _encode,
-                    _Field, _NAT, _PATTERN_FIELDS, _program_accesses)
+from .trace import (AccessEvent, AddressPattern, TraceLog, _Checked, _decode,
+                    _encode, _Field, _NAT, _PATTERN_FIELDS, _program_accesses)
 from .recon import AllocationRecord, OwnerIndex
 
 DEFAULT_TAU = 100
@@ -53,8 +52,7 @@ class NotSimilarError(ValueError):
         self.threshold = threshold
 
 
-@dataclass(frozen=True)
-class LcmapResult:
+class LcmapResult(NamedTuple):
     """Longest common run of two patterns under the near(tau) predicate."""
 
     pattern: tuple[int, ...]
@@ -65,12 +63,23 @@ class LcmapResult:
     ratio: float  # length over the shorter pattern length; 0.0 for empty input
 
 
-@dataclass
-class DiffReport:
-    """Matched and unmatched index ranges (half-open) for both patterns."""
+class _DiffFields(NamedTuple):
+    """DiffReport's fields; DiffReport stores each as a new list."""
 
-    matched: list[tuple[tuple[int, int], tuple[int, int]]] = field(default_factory=list)
-    unmatched: list[tuple[tuple[int, int], tuple[int, int]]] = field(default_factory=list)
+    matched: list[tuple[tuple[int, int], tuple[int, int]]] = ()
+    unmatched: list[tuple[tuple[int, int], tuple[int, int]]] = ()
+
+
+class DiffReport(_Checked, _DiffFields):
+    """Matched and unmatched index ranges (half-open) for both patterns:
+    a named tuple of two lists, each a new one, which diff_modified
+    fills."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        return {"matched": list(self.matched),
+                "unmatched": list(self.unmatched)}
 
 
 def near(a: int, b: int, tau: int) -> bool:
@@ -388,7 +397,7 @@ _SIGNATURE_FIELDS = (_PATTERN_FIELDS[0], _TAU, *_PATTERN_FIELDS[1:])
 def write_signature(pattern: AddressPattern, tau: int = DEFAULT_TAU) -> bytes:
     """The signature file of `pattern` and the tau its matches use."""
     _TAU.check(_TAU.name, tau)
-    record = SimpleNamespace(**vars(pattern), tau_default=tau)
+    record = SimpleNamespace(**pattern._asdict(), tau_default=tau)
     return (json.dumps(_encode(_SIGNATURE_FIELDS, record)) + "\n").encode(
         "utf-8")
 

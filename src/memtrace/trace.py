@@ -36,7 +36,6 @@ import gc
 import json
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, count, islice, repeat
 from operator import is_, lt
@@ -89,20 +88,68 @@ class TraceOrderError(TraceError):
     """Sequence numbers are not strictly increasing."""
 
 
-@dataclass(frozen=True, slots=True)
-class InstrDescriptor:
+class _Slots:
+    """The base of a record kept in slots, one per name in the class's
+    __slots__, in field order, which the class's __init__ fills through
+    _set.  It is frozen: setting or deleting an attribute raises an
+    AttributeError.  Records of one class with equal fields are equal
+    and hash alike, and pickle, copy, deepcopy and _replace make a
+    record through its class's constructor, so that its checks run on
+    every way of making one."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "{}({})".format(type(self).__name__, ", ".join(
+            map("{}={!r}".format, self.__slots__, self._values())))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self.__slots__, self._values()),
+                                 **changes))
+
+    __replace__ = _replace  # copy.replace, from Python 3.13
+
+
+class InstrDescriptor(_Slots):
     """Modeled output of instruction decoding at a trapped access.
 
     Stands in for fetching and disassembling the 16 bytes at the faulting
     instruction pointer: the simulator fills these fields directly.  A
     descriptor is one instruction shape, as a trace writes it; what the
     instruction saw at run time, the operand an access moved and the
-    argument registers of a call, is on the event.
+    argument registers of a call, is on the event.  Its fields are
+    slots (_Slots), which the analyses read once per event.
     """
 
-    category: str = "other"
-    signedness: str = "n/a"
-    callee_id: Optional[str] = None
+    __slots__ = ("category", "signedness", "callee_id")
+
+    def __init__(self, category: str = "other", signedness: str = "n/a",
+                 callee_id: Optional[str] = None):
+        self._set(category, signedness, callee_id)
+        self.__post_init__()
 
     def __post_init__(self):
         _check(_SHAPE_FIELDS, self)
@@ -144,20 +191,19 @@ class _EventFields(NamedTuple):
 class _Checked:
     """The constructor of a named tuple of checked fields, which comes
     before the named tuple among its bases: it runs the class's
-    __post_init__ on the fields as given, and stores the list its field
-    _TUPLE_AT may be given as as a tuple.  _make, _replace (and so
+    __post_init__ on the fields as given, which returns None or, by
+    name, the values to store in place of some of them: an event's args
+    given as a list is stored as a tuple.  _make, _replace (and so
     copy.replace), pickle and copy all go through it."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         made = super().__new__(cls, *args, **kwargs)
-        made.__post_init__()
-        at = cls._TUPLE_AT
-        if type(made[at]) is not list:
+        stored = made.__post_init__()
+        if stored is None:
             return made
-        return tuple.__new__(cls, (*made[:at], tuple(made[at]),
-                                   *made[at + 1:]))
+        return tuple.__new__(cls, map(stored.get, cls._fields, made))
 
     @classmethod
     def _make(cls, iterable):
@@ -190,7 +236,6 @@ class AccessEvent(_Checked, _EventFields):
     """
 
     __slots__ = ()
-    _TUPLE_AT = _EventFields._fields.index("register_args")
 
     def __post_init__(self):
         """The checks every public way of making an event runs."""
@@ -200,6 +245,8 @@ class AccessEvent(_Checked, _EventFields):
                 and self.instr.category not in ARG_CATEGORIES):
             raise ValueError("register_args not allowed for category "
                              f"{_shown(self.instr.category)}")
+        if type(self.register_args) is list:
+            return {"register_args": tuple(self.register_args)}
 
 
 def _events(rows: Iterable[Sequence]) -> Iterator[AccessEvent]:
@@ -220,8 +267,7 @@ def _columns(rows: Iterable[Sequence] = ()) -> _EventFields:
     return columns
 
 
-@dataclass(frozen=True, slots=True)
-class EventColumns(Sequence):
+class EventColumns(_Slots, Sequence):
     """The events of a trace, kept as ten columns: `columns` is an
     _EventFields of one list per AccessEvent field, whose instr list
     holds one shared descriptor per instruction shape.
@@ -232,7 +278,10 @@ class EventColumns(Sequence):
     its events, to which it is equal.
     """
 
-    columns: _EventFields
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: _EventFields):
+        self._set(columns)
 
     def __len__(self):
         return len(self.columns.seq)
@@ -255,8 +304,14 @@ class EventColumns(Sequence):
         return hash(tuple(self))
 
 
-@dataclass(frozen=True)
-class TraceLog:
+class _LogFields(NamedTuple):
+    """TraceLog's fields; TraceLog adds the checks."""
+
+    events: Sequence[AccessEvent] = ()
+    module_range: tuple[int, int] = (0, 0)
+
+
+class TraceLog(_Checked, _LogFields):
     """An ordered trace plus the main-module address range [lo, hi).
 
     It keeps its events as columns, and `events` is their one view, an
@@ -268,15 +323,17 @@ class TraceLog:
     names the first event that is not one (or a TraceOrderError that
     names the first whose seq does not rise).  Its module range is the
     header of a trace, which spells both bounds in 0x-hex (_RANGE).
+    It is a named tuple of these two fields, made by the checking
+    constructor (_Checked); its length is that of its events.
     """
 
-    events: Sequence[AccessEvent] = ()
-    module_range: tuple[int, int] = (0, 0)
+    __slots__ = ()
 
     def __post_init__(self):
         _RANGE.check("module_range", self.module_range)
-        if not isinstance(self.events, EventColumns):
-            events = tuple(self.events)
+        events = self.events
+        if not isinstance(events, EventColumns):
+            events = tuple(events)
             for at, event in enumerate(events):
                 if not isinstance(event, AccessEvent):
                     raise ValueError(
@@ -285,8 +342,8 @@ class TraceLog:
                     raise TraceOrderError(
                         f"events[{at}]: seq {event.seq} not greater than "
                         f"{events[at - 1].seq}")
-            object.__setattr__(self, "events", EventColumns(_columns(events)))
-        object.__setattr__(self, "module_range", tuple(self.module_range))
+            events = EventColumns(_columns(events))
+        return {"events": events, "module_range": tuple(self.module_range)}
 
     @property
     def columns(self) -> _EventFields:
@@ -297,31 +354,38 @@ class TraceLog:
         return len(self.events)
 
 
-@dataclass(frozen=True)
-class AddressPattern:
-    """Ordered relative offsets used as a behavioral memory signature,
-    with one operand size per offset where `sizes` is given."""
+class _PatternFields(NamedTuple):
+    """AddressPattern's fields; AddressPattern adds the checks."""
 
     offsets: tuple[int, ...]
     base: int = 0
     sizes: Optional[tuple[int, ...]] = None
 
+
+class AddressPattern(_Checked, _PatternFields):
+    """Ordered relative offsets used as a behavioral memory signature,
+    with one operand size per offset where `sizes` is given: a named
+    tuple of its fields, made by the checking constructor (_Checked),
+    which stores offsets and sizes as tuples."""
+
+    __slots__ = ()
+
     def __post_init__(self, table=None):
         _check(_PATTERN_FIELDS if table is None else table, self)
         if self.sizes is not None and len(self.sizes) != len(self.offsets):
             raise ValueError("sizes and offsets differ in length")
-        object.__setattr__(self, "offsets", tuple(self.offsets))
-        if self.sizes is not None:
-            object.__setattr__(self, "sizes", tuple(self.sizes))
+        return {"offsets": tuple(self.offsets),
+                "sizes": None if self.sizes is None else tuple(self.sizes)}
 
     @classmethod
     def _read(cls, base=0, offsets=(), sizes=None) -> "AddressPattern":
         """The pattern of the values _decode read by _PATTERN_FIELDS.
         A tuple among them is one that _Ints.read took as ints, so the
         constructor's checks run on the other values and the lengths
-        only: the ints are not scanned a second time."""
-        pattern = cls.__new__(cls)
-        pattern.__dict__.update(base=base, offsets=offsets, sizes=sizes)
+        only: the ints are not scanned a second time.  Offsets and sizes
+        pass the checks only as the tuples _Ints.read gives (or sizes
+        as None), so the pattern stores them as given."""
+        pattern = tuple.__new__(cls, (offsets, base, sizes))
         pattern.__post_init__([field for field in _PATTERN_FIELDS if type(
             getattr(pattern, field.name)) is not tuple])
         return pattern

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import json
 import pickle
@@ -748,7 +747,7 @@ class TestCaptureWork:
         """The run trusts what the checks checked, so no field can
         change after them: entry_page = True would run."""
         model = make_model([ModelOp("nop")])
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             model.entry_page = True
 
     @pytest.mark.parametrize("op", [

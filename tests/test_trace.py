@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import io
 import json
@@ -842,7 +841,7 @@ def _readable(log: TraceLog) -> TraceLog:
         events.append(event._replace(
             seq=seq, thread_id=int(event.thread_id),
             operand_size=int(event.operand_size), register_args=args))
-    return dataclasses.replace(log, events=tuple(events))
+    return log._replace(events=tuple(events))
 
 
 def _read_in_bulk(data, chunk=trace._CHUNK_ROWS):
